@@ -7,17 +7,12 @@
 //	erpi-bench -fig8          # Figure 8a+8b: interleavings & time per bug/mode
 //	erpi-bench -fig9          # Figure 9: per-algorithm pruning contribution
 //	erpi-bench -fig10         # Figure 10: succeed-or-crash micro-benchmark
-//	erpi-bench -pool          # pool throughput sweep -> BENCH_pool.json
-//	erpi-bench -fuzz          # generation-batched fuzz sweep -> BENCH_fuzz.json
-//	erpi-bench -prefix        # incremental-replay sweep -> BENCH_prefix.json
-//	erpi-bench -subsume       # state-subsumption sweep -> BENCH_subsume.json
-//	erpi-bench -hash          # incremental-hashing micro+parity -> BENCH_hash.json
-//	erpi-bench -live          # live-replay session sweep -> BENCH_live.json
-//	erpi-bench -dist          # distributed-coordinator sweep -> BENCH_dist.json
-//	erpi-bench -obs           # telemetry/federation overhead -> BENCH_obs.json
+//	erpi-bench -fuzzext       # extension: fuzzing vs Rand on the Rand-hard bugs
 //
 // Any mode accepts -cpuprofile/-memprofile to capture pprof profiles of
-// the whole invocation.
+// the whole invocation. Engine performance — time to violation and to the
+// cap, per driver and per layer — is measured by benchmark/ (see
+// benchmark/README.md), not here.
 package main
 
 import (
@@ -48,35 +43,11 @@ func run() int {
 		runs    = flag.Int("runs", 5, "runs per mode (Figure 10)")
 		budget  = flag.Int("budget", bench.DefaultFig10Budget, "store fact budget (Figure 10)")
 		sample  = flag.Int("sample", 20000, "sampling size for Figure 9 estimates")
-		pool    = flag.Bool("pool", false, "pool throughput sweep over worker counts")
-		poolN   = flag.Int("pool-slice", bench.DefaultPoolSlice, "interleavings per pool run")
-		poolOut = flag.String("pool-out", "BENCH_pool.json", "machine-readable pool report path")
-		fuzz    = flag.Bool("fuzz", false, "generation-batched fuzz sweep over worker counts")
-		fuzzN   = flag.Int("fuzz-slice", bench.DefaultFuzzSlice, "interleavings per fuzz run")
-		fuzzOut = flag.String("fuzz-out", "BENCH_fuzz.json", "machine-readable fuzz report path")
-		prefix  = flag.Bool("prefix", false, "incremental-replay sweep over prefix-cache budgets")
-		prefN   = flag.Int("prefix-slice", bench.DefaultPrefixSlice, "interleavings per prefix run")
-		prefOut = flag.String("prefix-out", "BENCH_prefix.json", "machine-readable prefix report path")
-		subsume = flag.Bool("subsume", false, "state-subsumption sweep over table budgets")
-		subN    = flag.Int("subsume-slice", bench.DefaultSubsumeSlice, "interleavings per subsumption run")
-		subOut  = flag.String("subsume-out", "BENCH_subsume.json", "machine-readable subsumption report path")
-		hash    = flag.Bool("hash", false, "incremental snapshot-hashing micro benchmark and parity pins")
-		hashN   = flag.Int("hash-slice", bench.DefaultHashSlice, "interleavings per hash-parity engine run")
-		hashOut = flag.String("hash-out", "BENCH_hash.json", "machine-readable hash report path")
-		live    = flag.Bool("live", false, "live-replay sweep over concurrent session counts")
-		liveN   = flag.Int("live-slice", bench.DefaultLiveSlice, "interleavings per live run")
-		liveOut = flag.String("live-out", "BENCH_live.json", "machine-readable live report path")
-		dist    = flag.Bool("dist", false, "distributed-coordinator sweep over worker counts")
-		distN   = flag.Int("dist-slice", bench.DefaultDistSlice, "interleavings per distributed run")
-		distOut = flag.String("dist-out", "BENCH_dist.json", "machine-readable distributed report path")
-		obs     = flag.Bool("obs", false, "telemetry and federation overhead measurement")
-		obsN    = flag.Int("obs-slice", bench.DefaultObsSlice, "interleavings per observability run")
-		obsOut  = flag.String("obs-out", "BENCH_obs.json", "machine-readable observability report path")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this path")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this path")
 	)
 	flag.Parse()
-	if !*all && !*table1 && !*table2 && !*fig8 && !*fig9 && !*fig10 && !*fuzzx && !*pool && !*fuzz && !*prefix && !*subsume && !*hash && !*live && !*dist && !*obs {
+	if !*all && !*table1 && !*table2 && !*fig8 && !*fig9 && !*fig10 && !*fuzzx {
 		flag.Usage()
 		return 2
 	}
@@ -155,113 +126,6 @@ func run() int {
 			return fail(err)
 		}
 		fmt.Println()
-	}
-	if *all || *pool {
-		report, err := bench.RunPool(*poolN, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WritePoolJSON(*poolOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *poolOut)
-	}
-	if *all || *fuzz {
-		report, err := bench.RunFuzz(*fuzzN, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WriteFuzzJSON(*fuzzOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *fuzzOut)
-		if !report.TrajectoryMatch {
-			return fail(fmt.Errorf("fuzz corpus trajectory diverged across worker counts"))
-		}
-	}
-	if *all || *prefix {
-		report, err := bench.RunPrefix(*prefN, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WritePrefixJSON(*prefOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *prefOut)
-	}
-	if *all || *subsume {
-		report, err := bench.RunSubsume(*subN, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WriteSubsumeJSON(*subOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *subOut)
-	}
-	if *all || *hash {
-		report, err := bench.RunHash(*hashN)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WriteHashJSON(*hashOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *hashOut)
-	}
-	if *all || *live {
-		report, err := bench.RunLive(*liveN, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WriteLiveJSON(*liveOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *liveOut)
-	}
-	if *all || *dist {
-		report, err := bench.RunDist(*distN, nil)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WriteDistJSON(*distOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *distOut)
-	}
-	if *all || *obs {
-		report, err := bench.RunObs(*obsN)
-		if err != nil {
-			return fail(err)
-		}
-		if err := report.Render(os.Stdout); err != nil {
-			return fail(err)
-		}
-		if err := report.WriteObsJSON(*obsOut); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n\n", *obsOut)
 	}
 	if *all || *fuzzx {
 		rows, err := bench.RunFuzzExt(3, *cap)

@@ -263,8 +263,9 @@ func WithFuzzGeneration(n int) Option {
 // WithWorkers sets how many interleavings replay concurrently, each
 // against its own cluster from the session's factory (which must then be
 // safe for concurrent calls). Zero or negative means one worker per
-// available CPU; 1 forces the sequential engine. Exploration results are
-// identical at every worker count — only wall-clock time changes.
+// available CPU; with 1 the exploration driver replays each interleaving
+// inline on the calling goroutine. Exploration results are identical at
+// every worker count — only wall-clock time changes.
 func WithWorkers(n int) Option {
 	return func(s *Session) { s.cfg.Workers = n }
 }
@@ -292,9 +293,11 @@ func WithLiveGates(gates LiveGates) Option {
 // private bounded trie of mid-run cluster snapshots keyed by executed
 // event-prefix, restores the deepest cached prefix of every interleaving,
 // and replays only the suffix. bytes bounds the cached snapshot memory
-// per worker. Strictly an accelerator — results are byte-identical with
-// the cache on or off, and fault-carrying interleavings always replay
-// from a clean genesis checkpoint. Non-positive bytes disables the cache.
+// per worker, so the runner.snapshot_bytes gauge — the sum over workers —
+// can reach bytes × workers. Strictly an accelerator: results are
+// byte-identical with the cache on or off, and fault-carrying
+// interleavings always replay from a clean genesis checkpoint.
+// Non-positive bytes disables the cache.
 func WithPrefixCache(bytes int64) Option {
 	return func(s *Session) { s.cfg.PrefixCacheBytes = bytes }
 }
@@ -312,29 +315,6 @@ func WithPrefixCache(bytes int64) Option {
 // disables subsumption.
 func WithSubsumption(bytes int64) Option {
 	return func(s *Session) { s.cfg.SubsumptionTable = bytes }
-}
-
-// WithSnapshotHashing selects the snapshot-hashing strategy (DESIGN.md
-// §4.15). Incremental (the default) re-serializes and re-hashes only the
-// replicas dirtied since the last snapshot, serving the rest from
-// per-replica version-keyed caches; incremental=false forces a full
-// re-serialization and re-hash of every replica at every snapshot. The
-// digest DEFINITION is identical either way — full mode is a bisection
-// escape hatch, not a different hash — so context hashes, outcome
-// signatures, and determinism pins are byte-identical in both modes.
-func WithSnapshotHashing(incremental bool) Option {
-	return func(s *Session) { s.cfg.FullSnapshotHashing = !incremental }
-}
-
-// WithPrefixDeltas toggles delta accounting in the prefix cache (default
-// on): snapshots share the immutable state buffers of replicas that did
-// not change between neighboring prefixes, and each distinct buffer is
-// charged against the byte budget once, so the same budget holds far
-// more prefixes. Off, every snapshot is charged its full logical size.
-// Cache contents and restore results are identical either way — only
-// byte accounting (and therefore eviction pressure) changes.
-func WithPrefixDeltas(on bool) Option {
-	return func(s *Session) { s.cfg.NoPrefixDeltas = !on }
 }
 
 // WithForensics captures a self-contained forensic bundle for each

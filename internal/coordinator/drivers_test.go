@@ -1,0 +1,289 @@
+package coordinator
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/er-pi/erpi/internal/datalog"
+	"github.com/er-pi/erpi/internal/fault"
+	"github.com/er-pi/erpi/internal/prune"
+	"github.com/er-pi/erpi/internal/runner"
+)
+
+// ledgerView is what every driver must agree on for one workload: the
+// fields the shared runner.Ledger accounts, plus the keyed outcome digest.
+type ledgerView struct {
+	Explored       int
+	FirstViolation int
+	Violations     []string
+	Quarantined    int
+	Crashed        bool
+	Digest         string
+	// Trajectory is the fuzz corpus trajectory digest (in-process drivers
+	// only: a coordinator job drops its corpus at completion).
+	Trajectory string
+}
+
+// driverCase is one row of the table. spec is what a coordinator job can
+// carry; local, when set, adds the in-process-only knobs (faults, dynamic
+// re-pruning, the datalog store) and keeps the row off the coordinator.
+type driverCase struct {
+	name  string
+	spec  JobSpec
+	local func(s *runner.Scenario, cfg *runner.Config)
+	// vacuous names what the Workers 1 run must have exercised for the row
+	// to mean anything ("" when it did).
+	vacuous func(res *runner.Result) string
+}
+
+// pollBoundary is both PollEvery and the index the fault schedule below
+// quarantines: the first poll boundary yields no outcome, so the poll
+// there is skipped and the constraints arrive one boundary later.
+const pollBoundary = 3
+
+func driverCases() []driverCase {
+	base := JobSpec{Bug: "Roshi-1", Mode: "erpi", RangeSize: 1}
+	stop := base
+	stop.StopOnViolation = true
+	// Three generations of 8 end exactly at the cap of 24, so the last one
+	// still evolves the corpus.
+	fuzz := JobSpec{Bug: "Roshi-1", Mode: "fuzz", Seed: 7, FuzzGenerationSize: 8, MaxInterleavings: 24, RangeSize: 4}
+	violated := func(res *runner.Result) string {
+		if res.FirstViolation == 0 {
+			return "the workload must violate its assertion"
+		}
+		return ""
+	}
+	return []driverCase{
+		{name: "plain", spec: base, vacuous: violated},
+		{name: "stop-on-violation", spec: stop, vacuous: violated},
+		{name: "fuzz-generation-at-cap", spec: fuzz, vacuous: func(res *runner.Result) string {
+			if gens := fuzz.MaxInterleavings / fuzz.FuzzGenerationSize; res.Explored != fuzz.MaxInterleavings || res.Fuzz.Generations != gens {
+				return fmt.Sprintf("explored %d with %d generations evolved, want the cap %d and all %d",
+					res.Explored, res.Fuzz.Generations, fuzz.MaxInterleavings, gens)
+			}
+			return ""
+		}},
+		{name: "seeded-faults", spec: base, local: func(s *runner.Scenario, cfg *runner.Config) {
+			cfg.Seed = 7
+			cfg.RetryBackoff = 100 * time.Microsecond
+			cfg.Faults = &fault.Schedule{Seed: 11, Faults: []fault.Fault{
+				{Kind: fault.CrashReplica, Replica: "A", At: 3},
+				{Kind: fault.CrashReplica, Replica: "B", Interleaving: 4, At: 2, Duration: 20},
+				{Kind: fault.Partition, A: "A", B: "C", At: 0, Duration: 20, Prob: 0.5},
+			}}
+		}, vacuous: func(res *runner.Result) string {
+			if len(res.Quarantined) == 0 {
+				return "the schedule must quarantine an interleaving"
+			}
+			return ""
+		}},
+		{name: "re-prune-past-quarantined-boundary", spec: base, local: func(s *runner.Scenario, cfg *runner.Config) {
+			tested := s.Pruning.TestedReplicas
+			s.Pruning.TestedReplicas = nil
+			cfg.RetryBackoff = 100 * time.Microsecond
+			cfg.Faults = &fault.Schedule{Faults: []fault.Fault{
+				{Kind: fault.CrashReplica, Replica: "B", Interleaving: pollBoundary, At: 1, Duration: 20},
+			}}
+			cfg.PollEvery = pollBoundary
+			delivered := false
+			cfg.ConstraintPoll = func() (pcfg prune.Config, found bool, err error) {
+				if delivered {
+					return pcfg, false, nil
+				}
+				delivered = true
+				pcfg.TestedReplicas = tested
+				return pcfg, true, nil
+			}
+		}, vacuous: func(res *runner.Result) string {
+			if len(res.Quarantined) != 1 || res.Quarantined[0].Index != pollBoundary || !res.Exhausted {
+				return fmt.Sprintf("want exactly the poll boundary %d quarantined and the re-pruned space exhausted, got %v (exhausted=%v)",
+					pollBoundary, res.Quarantined, res.Exhausted)
+			}
+			return ""
+		}},
+		{name: "store-budget-crash", spec: JobSpec{Bug: "Roshi-1", Mode: "dfs"}, local: func(s *runner.Scenario, cfg *runner.Config) {
+			cfg.Store = datalog.NewStore()
+			cfg.Store.MaxFacts = 7 * (s.Log.Len() + 1) // room for seven interleavings
+		}, vacuous: func(res *runner.Result) string {
+			if !res.Crashed || res.Explored != 8 {
+				return fmt.Sprintf("want a crash recording the 8th interleaving, got explored %d crashed=%v", res.Explored, res.Crashed)
+			}
+			return ""
+		}},
+	}
+}
+
+// runInProcess drives the case through runner.Run with the given worker
+// shape and reduces the Result to the shared view.
+func runInProcess(t *testing.T, c driverCase, workers, liveWorkers int) (ledgerView, *runner.Result) {
+	t.Helper()
+	s, asserts, err := c.spec.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDigest()
+	cfg := runner.Config{
+		Mode:               runner.Mode(c.spec.Mode),
+		Seed:               c.spec.Seed,
+		MaxInterleavings:   c.spec.MaxInterleavings,
+		FuzzGenerationSize: c.spec.FuzzGenerationSize,
+		StopOnViolation:    c.spec.StopOnViolation,
+		Assertions:         asserts,
+		Workers:            workers,
+		LiveWorkers:        liveWorkers,
+		OnOutcome:          d.Observe,
+	}
+	if c.local != nil {
+		c.local(&s, &cfg)
+	}
+	res, err := runner.Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ledgerView{
+		Explored:       res.Explored,
+		FirstViolation: res.FirstViolation,
+		Quarantined:    len(res.Quarantined),
+		Crashed:        res.Crashed,
+		Digest:         d.Sum(),
+	}
+	for _, viol := range res.Violations {
+		v.Violations = append(v.Violations,
+			fmt.Sprintf("%d %s %s %v", viol.Index, viol.Interleaving.Key(), viol.Assertion, viol.Err))
+	}
+	if res.Fuzz != nil {
+		v.Trajectory = res.Fuzz.TrajectoryDigest
+	}
+	return v, res
+}
+
+// runCoordinator drives the case through a coordinator service with one
+// local worker.
+func runCoordinator(t *testing.T, c driverCase) ledgerView {
+	t.Helper()
+	svc := startService(t, Options{LeaseTTL: 500 * time.Millisecond})
+	j, err := svc.Submit(c.spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w1", Once: true}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	st := waitDone(t, j)
+	if st.State != StateDone {
+		t.Fatalf("state = %s, want done (%+v)", st.State, st)
+	}
+	v := ledgerView{
+		Explored:       st.Explored,
+		FirstViolation: st.FirstViolation,
+		Quarantined:    st.Quarantined,
+		Digest:         st.Digest,
+	}
+	for _, viol := range st.Violations {
+		v.Violations = append(v.Violations,
+			fmt.Sprintf("%d %s %s %s", viol.Index, viol.Key, viol.Assertion, viol.Error))
+	}
+	return v
+}
+
+// TestDriversShareOneLedger runs the same workloads through every way of
+// driving the engine — inline (Workers 1), pooled (Workers 8), live
+// sessions (LiveWorkers 2) and a coordinator with one local worker — and
+// requires the same ledger view from each. The drivers differ only in how
+// results reach runner.Ledger, so any disagreement is a dispatch or
+// ordering bug, not a second copy of the accounting drifting.
+func TestDriversShareOneLedger(t *testing.T) {
+	for _, c := range driverCases() {
+		t.Run(c.name, func(t *testing.T) {
+			want, res := runInProcess(t, c, 1, 0)
+			if why := c.vacuous(res); why != "" {
+				t.Fatalf("vacuous: %s", why)
+			}
+			pooled, _ := runInProcess(t, c, 8, 0)
+			if !reflect.DeepEqual(want, pooled) {
+				t.Fatalf("Workers 8 diverged from Workers 1:\n got  %+v\n want %+v", pooled, want)
+			}
+			live, _ := runInProcess(t, c, 0, 2)
+			if !reflect.DeepEqual(want, live) {
+				t.Fatalf("LiveWorkers 2 diverged from Workers 1:\n got  %+v\n want %+v", live, want)
+			}
+			if c.local != nil {
+				return
+			}
+			dist := runCoordinator(t, c)
+			dist.Trajectory = want.Trajectory
+			if !reflect.DeepEqual(want, dist) {
+				t.Fatalf("coordinator diverged from Workers 1:\n got  %+v\n want %+v", dist, want)
+			}
+		})
+	}
+}
+
+// TestRePruneSkipsSubsumedBoundary is the Workers 1 half of the poll-skip
+// rule (only there is the subsumed set deterministic): a poll boundary
+// whose interleaving was subsumed produced no outcome, so no poll runs
+// there — ConstraintPoll is called exactly once per boundary that did
+// produce one.
+func TestRePruneSkipsSubsumedBoundary(t *testing.T) {
+	s, _, err := (&JobSpec{Bug: "Roshi-1"}).build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Grouping only: a larger pruned space, so subsumption has work to do.
+	s.Pruning = prune.Config{Grouping: s.Pruning.Grouping}
+	run := func(pollEvery int) (outcomes map[int]bool, polls int, res *runner.Result) {
+		outcomes = make(map[int]bool)
+		cfg := runner.Config{
+			Mode:             runner.ModeERPi,
+			Workers:          1,
+			MaxInterleavings: 200,
+			SubsumptionTable: 1 << 20,
+			OnOutcome:        func(o *runner.Outcome) { outcomes[o.Index] = true },
+		}
+		if pollEvery > 0 {
+			cfg.PollEvery = pollEvery
+			cfg.ConstraintPoll = func() (prune.Config, bool, error) {
+				polls++
+				return prune.Config{}, false, nil
+			}
+		}
+		res, err := runner.Run(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcomes, polls, res
+	}
+	// Find the first subsumed index, then make it the poll boundary.
+	seen, _, probed := run(0)
+	boundary := 0
+	for i := 2; i <= probed.Explored && boundary == 0; i++ {
+		if !seen[i] {
+			boundary = i
+		}
+	}
+	if boundary == 0 {
+		t.Fatalf("vacuous: nothing subsumed in %d interleavings", probed.Explored)
+	}
+	outcomes, polls, res := run(boundary)
+	if outcomes[boundary] {
+		t.Fatalf("vacuous: boundary %d executed; the subsumed set moved", boundary)
+	}
+	want := 0
+	for i := boundary; i <= res.Explored; i += boundary {
+		if outcomes[i] {
+			want++
+		}
+	}
+	if polls != want {
+		t.Fatalf("ConstraintPoll ran %d times, want %d: once per multiple of %d that produced an outcome (%d explored, %d subsumed)",
+			polls, want, boundary, res.Explored, res.Subsumed)
+	}
+	if res.Subsumed != probed.Subsumed || res.Explored != probed.Explored {
+		t.Fatalf("polling changed the accounting: %d/%d vs %d/%d subsumed/explored",
+			res.Subsumed, res.Explored, probed.Subsumed, probed.Explored)
+	}
+}

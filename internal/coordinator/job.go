@@ -1,17 +1,15 @@
 package coordinator
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
-	"github.com/er-pi/erpi/internal/forensics"
 	"github.com/er-pi/erpi/internal/interleave"
-	"github.com/er-pi/erpi/internal/logx"
 	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -104,13 +102,14 @@ type JobStatus struct {
 	Error   string   `json:"error,omitempty"`
 }
 
-// genExplorer is the fuzz explorer's generation protocol as the
-// coordinator sees it (the runner engines share the same contract): a
-// generation of children is enumerated, classified by interleaving key,
-// and the corpus evolves only when every emitted child is classified.
-// Distributed fuzzing maps the barrier onto range aggregation — carving
-// stops at a generation boundary until every carved range has committed
-// and aggregated, then the corpus evolves and carving resumes.
+// genExplorer is the fuzz explorer's generation protocol as carving sees
+// it: a generation of children is enumerated, classified by interleaving
+// key (by the job's runner.Ledger as ranges aggregate; here only for keys
+// resumed from the journal), and the corpus evolves only when every
+// emitted child is classified. Distributed fuzzing maps the barrier onto
+// range aggregation — carving stops at a generation boundary until every
+// carved range has committed and aggregated, then the corpus evolves and
+// carving resumes.
 type genExplorer interface {
 	GenerationEnd() bool
 	Pending() int
@@ -127,8 +126,6 @@ type Job struct {
 	tel *svcTel
 
 	spec      JobSpec
-	scenario  runner.Scenario
-	asserts   []runner.Assertion
 	journal   *checkpoint.Dir
 	resLog    *resultLog
 	dir       string
@@ -158,17 +155,20 @@ type Job struct {
 	leasedN  int
 	nextAgg  int // next range id to aggregate (1-based)
 
-	aggregated     int // interleavings aggregated this session
-	quarantined    int
-	subsumed       int // interleavings pruned by worker subsumption tables
-	violations     []JobViolation
-	bundles        []string // forensic bundles captured for violations
-	firstViolation int
-	fenced         int
-	requeues       int
-	digest         *Digest
-	digestSum      string
-	doneCh         chan struct{}
+	// ledger is the in-order result ledger committed ranges feed — the same
+	// one the in-process driver feeds — accounting into res. An earlier
+	// session's Subsumed, FirstViolation and Bundles are restored into res
+	// directly; its quarantines survive only as a count.
+	ledger      *runner.Ledger
+	res         *runner.Result
+	quarantined int // quarantined before this session
+	aggregated  int // interleavings aggregated this session
+	violations  []JobViolation
+	fenced      int
+	requeues    int
+	digest      *Digest
+	digestSum   string
+	doneCh      chan struct{}
 }
 
 // openJob builds (or resumes) a job from its spec and journal directory.
@@ -195,8 +195,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		id:        id,
 		tel:       tel,
 		spec:      spec,
-		scenario:  scenario,
-		asserts:   asserts,
+		res:       &runner.Result{},
 		journal:   journal,
 		dir:       dir,
 		rangeSize: rangeSize,
@@ -216,10 +215,10 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		j.digestSum = m.Digest
 		j.resumed = m.Explored
 		j.quarantined = m.Quarantined
-		j.subsumed = m.Subsumed
+		j.res.Subsumed = m.Subsumed
 		j.violations = m.Violations
-		j.bundles = m.Bundles
-		j.firstViolation = m.FirstViolation
+		j.res.Bundles = m.Bundles
+		j.res.FirstViolation = m.FirstViolation
 		j.exhausted = m.Exhausted
 		j.noMore = true
 		close(j.doneCh)
@@ -257,7 +256,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		}
 		switch {
 		case line.Subsumed:
-			j.subsumed++
+			j.res.Subsumed++
 		case line.Error != "":
 			j.quarantined++
 		default:
@@ -268,8 +267,8 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		}
 		for _, v := range line.Violations {
 			j.violations = append(j.violations, v)
-			if j.firstViolation == 0 || v.Index < j.firstViolation {
-				j.firstViolation = v.Index
+			if j.res.FirstViolation == 0 || v.Index < j.res.FirstViolation {
+				j.res.FirstViolation = v.Index
 			}
 		}
 	}
@@ -290,6 +289,15 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	if err != nil {
 		return nil, err
 	}
+	// Assertions run here, in aggregation order, never on workers; a
+	// violating interleaving is re-executed locally for its forensic
+	// bundle (DESIGN.md §4.13), which lands under the job's journal
+	// directory.
+	cfg := spec.execConfig()
+	cfg.Assertions = asserts
+	cfg.StopOnViolation = spec.StopOnViolation
+	cfg.ForensicDir = filepath.Join(dir, "forensics")
+	j.ledger = runner.NewLedger(scenario, cfg, j.explorer, j.res)
 	j.resLog, err = openResultLog(dir)
 	if err != nil {
 		return nil, err
@@ -496,13 +504,14 @@ func (j *Job) commit(worker string, rangeID, epoch int, results []wireResult) (b
 	return true, nil
 }
 
-// advanceLocked aggregates committed ranges in carve order — the reorder
-// buffer that makes stateful assertions see the exact sequential outcome
-// sequence. Durability order per range: result lines are written and
-// synced *before* the journal keys are appended, so a journaled key always
-// has a durable result line (the resume path depends on it).
+// advanceLocked feeds committed ranges, in carve order, through the job's
+// ledger — the reorder buffer that makes stateful assertions see the exact
+// sequential outcome sequence. What stays here is what is distributed:
+// the keyed digest, the wire form of violations, and the durability order
+// per range — result lines are written and synced *before* the journal
+// keys are appended, so a journaled key always has a durable result line
+// (the resume path depends on it).
 func (j *Job) advanceLocked() error {
-	ge, isGen := j.explorer.(genExplorer)
 	for j.nextAgg <= len(j.ranges) {
 		r := j.ranges[j.nextAgg-1]
 		if r.status != rangeCommitted {
@@ -511,54 +520,34 @@ func (j *Job) advanceLocked() error {
 		lines := make([]resultLine, len(r.results))
 		for i := range r.results {
 			res := &r.results[i]
-			index := r.start + i
-			line := resultLine{Index: index, Key: r.keys[i], Attempts: res.Attempts}
-			if res.Subsumed {
+			index, key := r.start+i, r.keys[i]
+			line := resultLine{Index: index, Key: key, Attempts: res.Attempts}
+			var outcome *runner.Outcome
+			var execErr error
+			switch {
+			case res.Subsumed:
 				// Pruned by the worker's subsumption table: consumes its
-				// index and journal slot, contributes nothing to the digest
-				// or assertions (its outcome set is covered by a witness).
+				// index and journal slot, contributes nothing to the digest.
 				line.Subsumed = true
-				j.subsumed++
+				execErr = runner.ErrSubsumed
 				j.tel.subsumed()
-				if isGen {
-					ge.ReportDropped(r.keys[i])
-				}
-			} else if res.Error != "" {
+			case res.Error != "" || res.Outcome == nil:
 				line.Error = res.Error
-				j.quarantined++
+				if line.Error == "" {
+					line.Error = "coordinator: result carries no outcome"
+				}
+				execErr = errors.New(line.Error)
 				j.tel.quarantined()
-				if isGen {
-					ge.ReportDropped(r.keys[i])
-				}
-			} else if res.Outcome != nil {
-				outcome := res.Outcome.outcome(index, r.ils[i])
+			default:
+				outcome = res.Outcome.outcome(index, r.ils[i])
 				line.Sig = runner.OutcomeSignature(outcome)
-				j.digest.Add(r.keys[i], line.Sig)
-				if isGen {
-					// Same classification the in-process engines feed back,
-					// so the corpus trajectory matches a local run exactly.
-					// (Coordinator jobs carry no fault schedule, so there is
-					// no fault-armed drop path here.)
-					ge.ReportOutcome(r.keys[i], line.Sig)
-				}
-				for _, a := range j.asserts {
-					if err := a.Check(outcome); err != nil {
-						v := JobViolation{Index: index, Key: r.keys[i], Assertion: a.Name(), Error: err.Error()}
-						line.Violations = append(line.Violations, v)
-						j.violations = append(j.violations, v)
-						if j.firstViolation == 0 {
-							j.firstViolation = index
-						}
-					}
-				}
-				if len(line.Violations) > 0 {
-					j.captureForensicLocked(index, r.ils[i], line.Violations)
-				}
-			} else if isGen {
-				// A result with no outcome, error, or subsumption marker
-				// (protocol edge) still consumes its classification slot.
-				ge.ReportDropped(r.keys[i])
+				j.digest.Add(key, line.Sig)
 			}
+			for _, v := range j.ledger.Record(index, r.ils[i], outcome, res.Attempts, execErr) {
+				line.Violations = append(line.Violations,
+					JobViolation{Index: index, Key: key, Assertion: v.Assertion, Error: v.Err.Error()})
+			}
+			j.violations = append(j.violations, line.Violations...)
 			lines[i] = line
 			j.aggregated++
 		}
@@ -579,45 +568,13 @@ func (j *Job) advanceLocked() error {
 		r.ils, r.results = nil, nil
 		j.nextAgg++
 
-		if j.firstViolation > 0 && j.spec.StopOnViolation {
+		if j.ledger.Stopped() {
 			j.noMore = true
 			j.pendingQ = nil
 			return nil
 		}
 	}
 	return nil
-}
-
-// captureForensicLocked re-executes a violating interleaving locally and
-// writes its forensic bundle under the job's journal directory (DESIGN.md
-// §4.13). Runs on the aggregation path, so bundles appear in exploration
-// index order; failures are logged, never fatal. Bounded by
-// runner.DefaultMaxForensicBundles per job.
-func (j *Job) captureForensicLocked(index int, il interleave.Interleaving, viols []JobViolation) {
-	if len(j.bundles) >= runner.DefaultMaxForensicBundles {
-		return
-	}
-	recs := make([]forensics.Violation, 0, len(viols))
-	for _, v := range viols {
-		recs = append(recs, forensics.Violation{Assertion: v.Assertion, Error: v.Error})
-	}
-	b, err := runner.BuildBundle(j.scenario, j.spec.execConfig(), il, index, recs, j.tel.spans())
-	if err != nil {
-		logx.L().Warn("forensic capture failed",
-			"component", "coordinator", "job", j.id, "index", index, "err", err)
-		return
-	}
-	dir := filepath.Join(j.dir, "forensics")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		logx.L().Warn("forensic dir", "component", "coordinator", "dir", dir, "err", err)
-		return
-	}
-	path := filepath.Join(dir, fmt.Sprintf("forensic-%06d.json", index))
-	if err := forensics.WriteFile(path, b); err != nil {
-		logx.L().Warn("forensic write failed", "component", "coordinator", "path", path, "err", err)
-		return
-	}
-	j.bundles = append(j.bundles, path)
 }
 
 // poisonLocked quarantines an entire range that has burned through its
@@ -719,7 +676,7 @@ func (j *Job) checkDoneLocked() bool {
 	}
 	// StopOnViolation: aggregation halted; in-flight ranges will fence or
 	// commit into the ledger unaggregated, but nothing blocks completion.
-	if j.noMore && j.firstViolation > 0 && j.spec.StopOnViolation && len(j.pendingQ) == 0 && j.leasedN == 0 {
+	if j.noMore && j.ledger.Stopped() && len(j.pendingQ) == 0 && j.leasedN == 0 {
 		j.completeLocked()
 		return true
 	}
@@ -768,12 +725,12 @@ func (j *Job) persistLocked() {
 		State:          j.state,
 		Digest:         j.digestSum,
 		Explored:       j.resumed + j.aggregated,
-		Quarantined:    j.quarantined,
-		Subsumed:       j.subsumed,
+		Quarantined:    j.quarantined + len(j.res.Quarantined),
+		Subsumed:       j.res.Subsumed,
 		Violations:     j.violations,
-		FirstViolation: j.firstViolation,
+		FirstViolation: j.res.FirstViolation,
 		Exhausted:      j.exhausted,
-		Bundles:        j.bundles,
+		Bundles:        j.res.Bundles,
 	}
 	if j.err != nil {
 		m.Error = j.err.Error()
@@ -803,16 +760,16 @@ func (j *Job) Status() JobStatus {
 		State:          j.state,
 		Explored:       j.resumed + j.aggregated,
 		Resumed:        j.resumed,
-		Quarantined:    j.quarantined,
-		Subsumed:       j.subsumed,
+		Quarantined:    j.quarantined + len(j.res.Quarantined),
+		Subsumed:       j.res.Subsumed,
 		Violations:     append([]JobViolation(nil), j.violations...),
-		FirstViolation: j.firstViolation,
+		FirstViolation: j.res.FirstViolation,
 		Exhausted:      j.exhausted,
 		RangesPending:  len(j.pendingQ),
 		RangesLeased:   j.leasedN,
 		Requeues:       j.requeues,
 		Fenced:         j.fenced,
-		Bundles:        append([]string(nil), j.bundles...),
+		Bundles:        append([]string(nil), j.res.Bundles...),
 	}
 	if j.state != StateRunning {
 		st.Digest = j.digestSum

@@ -81,15 +81,6 @@ func (t *svcTel) span(stage telemetry.Stage) telemetry.SpanStart {
 	return t.reg.StartSpan(stage, 0, telemetry.CoordinatorWorker)
 }
 
-// spans returns the coordinator registry's retained spans (nil without
-// telemetry) — the slice forensic bundles embed.
-func (t *svcTel) spans() []telemetry.Span {
-	if t == nil {
-		return nil
-	}
-	return t.reg.Tracer().Spans()
-}
-
 func (t *svcTel) workerJoined() {
 	if t != nil {
 		t.workersLive.Add(1)

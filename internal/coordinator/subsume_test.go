@@ -89,7 +89,7 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"Journal":          true, // explored.log owned by the job
 		"Telemetry":        true, // Options.Telemetry on the service
 		// Forensic bundles are captured on the coordinator's aggregation
-		// path (Job.captureForensicLocked re-executes locally), never by
+		// path (the job's runner.Ledger re-executes locally), never by
 		// workers — violations are only known after aggregation.
 		"ForensicDir":        true,
 		"MaxForensicBundles": true,
@@ -113,11 +113,6 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"MaxExploredKeys":     true, // dedup owned by the journal
 		"PrefixCacheBytes":    true, // per-worker accelerator, not spec-driven
 		"PrefixSnapshotEvery": true,
-		// Hashing-strategy escape hatches: results are byte-identical with
-		// either setting, so distributing them could never change a job's
-		// outcome — workers always run the (default) incremental path.
-		"FullSnapshotHashing": true,
-		"NoPrefixDeltas":      true,
 	}
 
 	tp := reflect.TypeOf(runner.Config{})

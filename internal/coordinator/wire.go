@@ -1,11 +1,11 @@
 // Package coordinator is the distributed exploration service: it promotes
-// the in-process pool's coordinator loop (internal/runner/pool.go) into a
-// network service that leases contiguous interleaving ranges to workers —
-// local goroutines or remote processes — over a JSON-lines TCP protocol.
+// the in-process driver (internal/runner/pool.go) into a network service
+// that leases contiguous interleaving ranges to workers — local goroutines
+// or remote processes — over a JSON-lines TCP protocol.
 //
-// The division of labor mirrors the pool exactly: the coordinator owns
-// enumeration (one explorer), dedup, the checkpoint journal, and in-order
-// aggregation of results; workers own only execution. Ranges carry their
+// The division of labor is the pool's: the coordinator owns enumeration
+// (one explorer), dedup, the checkpoint journal, and in-order aggregation
+// of results through the same runner.Ledger; workers own only execution. Ranges carry their
 // interleavings inline, so workers never enumerate and the explored set is
 // byte-identical to a sequential run no matter how many workers serve it,
 // how they crash, or how often ranges are requeued.

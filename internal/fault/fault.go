@@ -251,8 +251,8 @@ func NewInjector(sched Schedule) (*Injector, error) {
 // finalizer) into the seed of that interleaving's arming stream. Keying the
 // stream by index — rather than drawing from one generator in Begin order —
 // makes arming independent of exploration order and of how many injector
-// clones exist, which is what keeps parallel workers bit-identical to the
-// sequential engine.
+// clones exist, which is what keeps results bit-identical at every worker
+// count.
 func armSeed(seed int64, index int) int64 {
 	x := uint64(seed) ^ uint64(index)*0x9e3779b97f4a7c15
 	x ^= x >> 30

@@ -8,9 +8,9 @@
 // and the telemetry span slice for the interleaving. The `erpi explain`
 // subcommand renders a bundle as a causal narrative (explain.go).
 //
-// The schema is deliberately flat and engine-agnostic: bundles from the
-// sequential engine, the worker pool, live replay, and the distributed
-// coordinator are indistinguishable.
+// The schema is deliberately flat and driver-agnostic: bundles from an
+// inline or pooled run, live replay, and the distributed coordinator are
+// indistinguishable.
 package forensics
 
 import (

@@ -20,8 +20,7 @@
 // generation has been classified. Classification is keyed by interleaving
 // key, not arrival order, so the corpus trajectory is a pure function of
 // (seed, generation size, classification outcomes): identical at Workers
-// 1 and 8, across the sequential engine, the pool, and the distributed
-// coordinator.
+// 1 and 8, in process and under the distributed coordinator.
 package fuzz
 
 import (

@@ -3,20 +3,17 @@ package runner
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
-	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
 )
 
 // This file is the exported execution facade: the exact worker-side stack
-// the pool engine runs (private cluster, injector clone, prefix cache,
-// retry-with-seeded-jitter) packaged so out-of-process callers — the
-// distributed coordinator's workers foremost — execute interleavings with
-// byte-identical semantics to an in-process Workers=N run. The in-process
-// engines (runSequential, pool.worker) build their environments through
-// the same newWorkerEnv, so there is one definition of "execute an
+// the in-process driver runs (private cluster, injector clone, prefix
+// cache, retry-with-seeded-jitter) packaged so out-of-process callers —
+// the distributed coordinator's workers foremost — execute interleavings
+// with byte-identical semantics to an in-process Workers=N run. Both go
+// through newWorkerEnv, so there is one definition of "execute an
 // interleaving" in the codebase.
 
 // normalizeRetry applies Config's documented retry defaults in place:
@@ -35,62 +32,13 @@ func normalizeRetry(cfg *Config) {
 	}
 }
 
-// newWorkerEnv builds one worker's private execution environment: fault
-// injector (instrumented when telemetry is on), fresh cluster checkpointed
-// at genesis, executor with optional prefix cache, and the worker's seeded
-// retry-jitter generator. sub is the run's shared subsumption table (nil
-// when disabled) — unlike the cache, all workers consult the same table.
-// Shared by the sequential engine (w == 0), every pool worker, and the
-// exported Executor facade.
-func newWorkerEnv(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeTable) (*executor, *rand.Rand, error) {
-	var inj *fault.Injector
-	if cfg.Faults != nil {
-		var err error
-		inj, err = fault.NewInjector(*cfg.Faults)
-		if err != nil {
-			return nil, nil, fmt.Errorf("runner: %w", err)
-		}
-		tel.instrument(inj)
-	}
-	cluster, err := s.NewCluster()
-	if err != nil {
-		return nil, nil, fmt.Errorf("runner: cluster setup: %w", err)
-	}
-	cluster.SetFullHashing(cfg.FullSnapshotHashing)
-	if err := cluster.Checkpoint(); err != nil {
-		return nil, nil, err
-	}
-	exec := &executor{log: s.Log, cluster: cluster, inj: inj, tel: tel, worker: w}
-	if cfg.PrefixCacheBytes > 0 {
-		// Private per-worker cache: no cross-worker sharing, so what a
-		// worker computes never depends on what other workers ran.
-		exec.cache = newPrefixCache(cfg.PrefixCacheBytes, cfg.PrefixSnapshotEvery)
-		exec.cache.share = !cfg.NoPrefixDeltas
-	}
-	exec.sub = sub
-	exec.subEvery = cfg.PrefixSnapshotEvery
-	if exec.subEvery <= 0 {
-		exec.subEvery = defaultPrefixSnapshotEvery
-	}
-	// Per-worker jitter generator: retry timing varies across workers, but
-	// which interleavings run and what they compute never depends on it.
-	jitter := rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d ^ int64(w+1)<<32))
-	if w == 0 {
-		jitter = rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
-	}
-	return exec, jitter, nil
-}
-
 // Executor replays individual interleavings of one scenario with the full
 // engine semantics: genesis checkpoint reset (or prefix-cache restore),
 // fault injection, Finalize, and retry-with-backoff. It is the unit a
 // distributed worker runs per leased range. Not safe for concurrent use;
 // build one per goroutine.
 type Executor struct {
-	s    Scenario
-	cfg  Config
-	exec *executor
-	jit  *rand.Rand
+	env *workerEnv
 }
 
 // NewExecutor builds a standalone interleaving executor for the scenario.
@@ -100,7 +48,7 @@ type Executor struct {
 // Telemetry. With SubsumptionTable > 0 the executor keeps a private
 // visited-frontier table across Execute calls and returns ErrSubsumed for
 // skipped interleavings — a distributed worker's per-process equivalent
-// of the engines' shared table.
+// of a run's shared table.
 func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 	if s.Log == nil || s.Log.Len() == 0 {
 		return nil, fmt.Errorf("runner: scenario has no events")
@@ -117,25 +65,24 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 		cfg.Mode = ModeERPi
 	}
 	normalizeRetry(&cfg)
-	tel := newRunTelemetry(cfg.Telemetry)
-	exec, jitter, err := newWorkerEnv(s, cfg, 0, tel, newSubsumption(cfg))
+	env, err := newWorkerEnv(s, cfg, 0, newRunTelemetry(cfg.Telemetry), newSubsumption(cfg), false)
 	if err != nil {
 		return nil, err
 	}
-	return &Executor{s: s, cfg: cfg, exec: exec, jit: jitter}, nil
+	return &Executor{env: env}, nil
 }
 
 // Execute replays one interleaving at the given global exploration index
 // (the index keys deterministic fault arming, so distributed workers must
 // pass the coordinator-assigned index, not a local counter). It returns
 // the outcome, the number of attempts made, and the final error when every
-// attempt failed — the same triple the engines quarantine on. With
-// Telemetry attached, each call counts toward runner.explored and the
-// progress snapshot, mirroring the engines' per-index accounting — this
-// is what a distributed worker's federation reports are built from.
+// attempt failed — the triple Ledger.Record takes. With Telemetry
+// attached, each call counts toward runner.explored and the progress
+// snapshot, like the driver's per-index accounting — this is what a
+// distributed worker's federation reports are built from.
 func (e *Executor) Execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, int, error) {
-	e.exec.tel.onExplored()
-	return executeWithRetry(ctx, e.exec, e.s, e.cfg, il, index, e.jit)
+	e.env.tel.onExplored()
+	return e.env.execute(ctx, workItem{index: index, il: il, pivot: -1})
 }
 
 // NewExplorer builds the exploration iterator the engine would use for

@@ -33,20 +33,24 @@ import (
 type executor struct {
 	log     *event.Log
 	cluster *replica.Cluster
+	// finalize, when non-nil, is Scenario.Finalize: attempt runs it after
+	// the last event and recomputes the outcome's fingerprints.
+	finalize func(*replica.Cluster) error
 	// inj, when non-nil, injects scheduled faults into execution.
 	inj *fault.Injector
 	// sendFor maps each SyncExec ID to its paired SyncSend ID.
 	sendFor map[event.ID]event.ID
 	built   bool
 	// tel (nil when telemetry is off) records stage spans; worker is the
-	// pool worker id this executor belongs to (0 for the sequential engine).
+	// worker id this executor belongs to.
 	tel    *runTelemetry
 	worker int
 	// cache, when non-nil, is this executor's private prefix-snapshot trie
 	// (DESIGN.md §4.9): execute restores the deepest cached prefix of each
 	// interleaving and replays only the suffix. Never shared across
-	// executors.
+	// executors. gen is the re-prune generation it was last filled under.
 	cache *prefixCache
+	gen   uint64
 	// prevIL is the last interleaving this executor ran with the cache
 	// engaged; its common prefix with the next interleaving selects the
 	// divergence-point snapshot depth.

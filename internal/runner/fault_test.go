@@ -201,7 +201,8 @@ func TestRunHonorsCancellation(t *testing.T) {
 	defer cancel()
 	seen := 0
 	res, err := RunContext(ctx, s, Config{
-		Mode: ModeDFS,
+		Mode:    ModeDFS,
+		Workers: 1,
 		OnOutcome: func(o *Outcome) {
 			seen++
 			if seen == 5 {
@@ -218,8 +219,8 @@ func TestRunHonorsCancellation(t *testing.T) {
 	if !errors.Is(res.InterruptErr, context.Canceled) {
 		t.Fatalf("InterruptErr = %v", res.InterruptErr)
 	}
-	if res.Explored < 5 || res.Explored > 6 {
-		t.Fatalf("explored %d, want the partial 5-6", res.Explored)
+	if res.Explored != 5 {
+		t.Fatalf("explored %d, want exactly the 5 outcomes recorded before the cancel", res.Explored)
 	}
 }
 

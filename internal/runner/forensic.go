@@ -120,18 +120,11 @@ func forensicReplay(s Scenario, faults *fault.Schedule, il interleave.Interleavi
 			return nil, err
 		}
 	}
-	exec := &executor{log: s.Log, cluster: cluster, inj: inj}
+	exec := &executor{log: s.Log, cluster: cluster, finalize: s.Finalize, inj: inj}
 	exec.step = func(pos int) error { return observe(cluster, pos) }
-	outcome, err := exec.execute(context.Background(), il, index)
+	outcome, err := exec.attempt(context.Background(), workItem{index: index, il: il, pivot: -1})
 	if err != nil {
 		return nil, err
-	}
-	if s.Finalize != nil {
-		if err := s.Finalize(cluster); err != nil {
-			return nil, err
-		}
-		outcome.Fingerprints = cluster.Fingerprints()
-		outcome.Converged = cluster.Converged()
 	}
 	final := &forensics.FinalState{
 		Fingerprints: make(map[string]string, len(outcome.Fingerprints)),
@@ -181,45 +174,43 @@ func captureStep(cl *replica.Cluster, il interleave.Interleaving, pos int, full 
 	return step, nil
 }
 
-// captureForensic is the engines' violation hook: write a bundle for one
+// captureForensic is the ledger's violation hook: write a bundle for one
 // violating interleaving under cfg.ForensicDir, bounded by
-// cfg.MaxForensicBundles. Failures are logged, never fatal — forensics
-// must not take down the run they are diagnosing.
-func captureForensic(s Scenario, cfg Config, res *Result, il interleave.Interleaving, index int, violations []Violation) {
-	if cfg.ForensicDir == "" {
+// cfg.MaxForensicBundles. It runs in index order on the ledger's
+// goroutine, so bundle numbering is deterministic. Failures are logged,
+// never fatal — forensics must not take down the run they are diagnosing.
+func (l *Ledger) captureForensic(il interleave.Interleaving, index int, violations []Violation) {
+	if l.cfg.ForensicDir == "" {
 		return
 	}
-	maxBundles := cfg.MaxForensicBundles
+	maxBundles := l.cfg.MaxForensicBundles
 	if maxBundles <= 0 {
 		maxBundles = DefaultMaxForensicBundles
 	}
-	if len(res.Bundles) >= maxBundles {
+	if len(l.res.Bundles) >= maxBundles {
 		return
 	}
-	var recs []forensics.Violation
+	recs := make([]forensics.Violation, 0, len(violations))
 	for _, v := range violations {
-		if v.Index != index {
-			continue
-		}
 		recs = append(recs, forensics.Violation{Assertion: v.Assertion, Error: v.Err.Error()})
 	}
-	spans := cfg.Telemetry.Tracer().Spans()
-	b, err := BuildBundle(s, cfg, il, index, recs, spans)
+	spans := l.cfg.Telemetry.Tracer().Spans()
+	b, err := BuildBundle(l.s, l.cfg, il, index, recs, spans)
 	if err != nil {
 		logx.L().Warn("forensic capture failed",
-			"component", "runner", "scenario", s.Name, "index", index, "err", err)
+			"component", "runner", "scenario", l.s.Name, "index", index, "err", err)
 		return
 	}
-	if err := os.MkdirAll(cfg.ForensicDir, 0o755); err != nil {
-		logx.L().Warn("forensic dir", "component", "runner", "dir", cfg.ForensicDir, "err", err)
+	if err := os.MkdirAll(l.cfg.ForensicDir, 0o755); err != nil {
+		logx.L().Warn("forensic dir", "component", "runner", "dir", l.cfg.ForensicDir, "err", err)
 		return
 	}
-	path := filepath.Join(cfg.ForensicDir, fmt.Sprintf("forensic-%06d.json", index))
+	path := filepath.Join(l.cfg.ForensicDir, fmt.Sprintf("forensic-%06d.json", index))
 	if err := forensics.WriteFile(path, b); err != nil {
 		logx.L().Warn("forensic write failed", "component", "runner", "path", path, "err", err)
 		return
 	}
-	res.Bundles = append(res.Bundles, path)
+	l.res.Bundles = append(l.res.Bundles, path)
 }
 
 // filterSpans keeps the spans attributed to one interleaving index.

@@ -49,11 +49,26 @@ func TestRollingMultisetDigestParity(t *testing.T) {
 	}
 }
 
-// TestIncrementalHashingDeterminismPin is the tentpole's acceptance pin
-// at the engine level, in two halves per mode × worker count. With the
-// prefix cache on (delta accounting both ways), the outcome stream and
-// Result are byte-identical between the incremental snapshot path
-// (default) and FullSnapshotHashing. With subsumption on too, the
+// fullHashing returns the scenario with every cluster it builds switched
+// to replica.Cluster.SetFullHashing — the reference path that
+// re-serializes and re-hashes every replica on every CanonicalSnapshot.
+func fullHashing(s Scenario) Scenario {
+	build := s.NewCluster
+	s.NewCluster = func() (*replica.Cluster, error) {
+		c, err := build()
+		if err == nil {
+			c.SetFullHashing(true)
+		}
+		return c, err
+	}
+	return s
+}
+
+// TestIncrementalHashingDeterminismPin is the incremental snapshot path's
+// acceptance pin at the engine level, in two halves per mode × worker
+// count. With the prefix cache on, the outcome stream and Result are
+// byte-identical between the incremental snapshot path and the
+// full-hashing reference clusters. With subsumption on too, the
 // deduplicated signature set and explored count are pinned — and at
 // Workers 1, where the skip set is deterministic (the pool's varies with
 // timing, see TestSubsumptionSignatureParity), the exact subsumed count
@@ -63,33 +78,29 @@ func TestIncrementalHashingDeterminismPin(t *testing.T) {
 	for _, mode := range []Mode{ModeERPi, ModeDFS} {
 		for _, workers := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
-				run := func(full, noDeltas bool, subsume int64) ([]byte, *Result) {
+				run := func(full bool, subsume int64) ([]byte, *Result) {
 					s := townReportScenario(t)
+					if full {
+						s = fullHashing(s)
+					}
 					return collectOutcomes(t, s, Config{
-						Mode:                mode,
-						Workers:             workers,
-						MaxInterleavings:    400,
-						PrefixCacheBytes:    testBudget,
-						SubsumptionTable:    subsume,
-						FullSnapshotHashing: full,
-						NoPrefixDeltas:      noDeltas,
-						Assertions:          []Assertion{municipalityInvariant{}},
+						Mode:             mode,
+						Workers:          workers,
+						MaxInterleavings: 400,
+						PrefixCacheBytes: testBudget,
+						SubsumptionTable: subsume,
+						Assertions:       []Assertion{municipalityInvariant{}},
 					})
 				}
-				inc, incRes := run(false, false, 0)
-				full, fullRes := run(true, false, 0)
+				inc, incRes := run(false, 0)
+				full, fullRes := run(true, 0)
 				if string(inc) != string(full) {
 					t.Fatal("incremental hashing changed the outcome stream vs full recompute")
 				}
 				assertResultsMatch(t, fullRes, incRes)
-				noDelta, noDeltaRes := run(false, true, 0)
-				if string(inc) != string(noDelta) {
-					t.Fatal("prefix-delta accounting changed the outcome stream")
-				}
-				assertResultsMatch(t, noDeltaRes, incRes)
 
-				subInc, subIncRes := run(false, false, testSubTable)
-				subFull, subFullRes := run(true, false, testSubTable)
+				subInc, subIncRes := run(false, testSubTable)
+				subFull, subFullRes := run(true, testSubTable)
 				if sigSetOf(t, subInc) != sigSetOf(t, subFull) {
 					t.Fatal("incremental hashing changed the behavior set under subsumption")
 				}
@@ -154,8 +165,7 @@ func TestIncrementalHashingFaultParity(t *testing.T) {
 		inc, incRes := collectOutcomes(t, s, cfg)
 		cfgFull := cfg
 		cfgFull.Faults = crashSchedule()
-		cfgFull.FullSnapshotHashing = true
-		full, fullRes := collectOutcomes(t, s, cfgFull)
+		full, fullRes := collectOutcomes(t, fullHashing(s), cfgFull)
 		if string(inc) != string(full) {
 			t.Fatalf("workers=%d: incremental hashing changed a fault run's outcomes", workers)
 		}
@@ -165,18 +175,21 @@ func TestIncrementalHashingFaultParity(t *testing.T) {
 
 // TestIncrementalSnapshotTelemetry: an incremental run actually reuses
 // cached buffers (bytes_reused > 0, dirty well below replicas×snapshots)
-// and the delta gauge stays consistent; a FullSnapshotHashing run reuses
-// nothing.
+// and the delta gauge stays consistent; a run on full-hashing reference
+// clusters reuses nothing.
 func TestIncrementalSnapshotTelemetry(t *testing.T) {
 	run := func(full bool) telemetry.Snapshot {
 		s := townReportScenario(t)
+		if full {
+			s = fullHashing(s)
+		}
 		reg := telemetry.New()
 		if _, err := Run(s, Config{
-			Mode:                ModeERPi,
-			PrefixCacheBytes:    testBudget,
-			SubsumptionTable:    testSubTable,
-			FullSnapshotHashing: full,
-			Telemetry:           reg,
+			Mode:             ModeERPi,
+			Workers:          1,
+			PrefixCacheBytes: testBudget,
+			SubsumptionTable: testSubTable,
+			Telemetry:        reg,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +207,7 @@ func TestIncrementalSnapshotTelemetry(t *testing.T) {
 	}
 	full := run(true)
 	if got := full.Counters["snapshot.bytes_reused"]; got != 0 {
-		t.Fatalf("FullSnapshotHashing run reused %d bytes, want 0", got)
+		t.Fatalf("full-hashing run reused %d bytes, want 0", got)
 	}
 	if full.Counters["snapshot.dirty_replicas"] <= inc.Counters["snapshot.dirty_replicas"] {
 		t.Fatalf("full run re-serialized %d replicas, incremental %d — incremental should be strictly cheaper",

@@ -1,27 +1,16 @@
 package runner
 
 import (
-	"context"
-	"fmt"
-	"math/rand"
-	"sync"
-	"time"
-
 	"github.com/er-pi/erpi/internal/event"
-	"github.com/er-pi/erpi/internal/fault"
-	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/proxy"
-	"github.com/er-pi/erpi/internal/prune"
-	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// This file shards the live replay path the way pool.go shards the
-// checkpointed one: the coordinator (pull/dedup/journal/reorder-buffer,
-// reused verbatim from pool.go) stays identical, so every ordering
-// guarantee documented there carries over, and only the worker body
-// differs — each worker drives executeLive instead of the checkpointed
-// executor, running one goroutine per replica under a gate session of its
-// own.
+// This file holds the live replay path's session types. Live exploration
+// shares the checkpointed path's driver (pool.go) — so every ordering
+// guarantee documented there carries over — and differs only in the
+// worker body: liveBody (worker.go) drives executeLive, one goroutine per
+// replica under a gate session of its own, where the checkpointed worker
+// drives an executor.
 //
 // Isolation between concurrent sessions comes from the session, not the
 // engine: a LiveGates implementation must hand every session a fresh
@@ -61,131 +50,4 @@ func localSessions(int) (SessionFactory, error) {
 	return func() (LiveSession, error) {
 		return localSession{gate: proxy.NewLocalGate()}, nil
 	}, nil
-}
-
-// runLive explores the scenario through the live replay path with a pool
-// of workers. The coordinator half is pool.go's, untouched; see the
-// determinism guarantees there.
-func runLive(ctx context.Context, s Scenario, cfg Config, res *Result, explorer interleave.Explorer, explored *exploredSet, pruning prune.Config, maxNew, workers int, tel *runTelemetry) error {
-	gatesFor := cfg.LiveGates
-	if gatesFor == nil {
-		gatesFor = localSessions
-	}
-	wctx, cancelWorkers := context.WithCancel(ctx)
-	defer cancelWorkers()
-	p := &pool{
-		ctx:      ctx,
-		s:        s,
-		cfg:      cfg,
-		res:      res,
-		explorer: explorer,
-		explored: explored,
-		pruning:  pruning,
-		maxNew:   maxNew,
-		tel:      tel,
-		workCh:   make(chan workItem),
-		resCh:    make(chan workResult, workers),
-		fatalCh:  make(chan error, workers),
-		pending:  make(map[int]workResult),
-		nextProc: 1,
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p.liveWorker(wctx, w, gatesFor)
-		}(w)
-	}
-	err := p.coordinate()
-	cancelWorkers()
-	close(p.workCh)
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	p.finalize()
-	return nil
-}
-
-// liveWorker mirrors pool.worker for the live path: private injector and
-// jitter generator (same derivations, so fault arming and retry timing
-// match the checkpointed pool at equal worker ids), plus a session
-// factory in place of a private cluster — executeLive builds its cluster
-// per attempt.
-func (p *pool) liveWorker(ctx context.Context, w int, gatesFor LiveGates) {
-	var inj *fault.Injector
-	if p.cfg.Faults != nil {
-		var err error
-		inj, err = fault.NewInjector(*p.cfg.Faults)
-		if err != nil {
-			p.fatalCh <- fmt.Errorf("runner: %w", err)
-			return
-		}
-		p.tel.instrument(inj)
-	}
-	sessions, err := gatesFor(w)
-	if err != nil {
-		p.fatalCh <- fmt.Errorf("runner: live gates for worker %d: %w", w, err)
-		return
-	}
-	jitter := rand.New(rand.NewSource(p.cfg.Seed ^ 0x5deece66d ^ int64(w+1)<<32))
-	for item := range p.workCh {
-		p.tel.setWorker(w, item.index)
-		execSpan := p.tel.span(telemetry.StageExecute, item.index, w)
-		outcome, attempts, err := p.liveExecuteWithRetry(ctx, item, w, sessions, inj, jitter)
-		execSpan.End()
-		p.tel.setWorker(w, 0)
-		p.resCh <- workResult{index: item.index, il: item.il, outcome: outcome, attempts: attempts, err: err}
-	}
-}
-
-// liveExecuteWithRetry is executeWithRetry's live twin: same retry
-// policy, same backoff, but every attempt runs under a fresh session —
-// which is what makes retrying safe at all. A failed attempt may leave
-// stale goroutines wedged inside WaitTurn until their context dies;
-// fencing means the retry cannot hear them.
-func (p *pool) liveExecuteWithRetry(ctx context.Context, item workItem, w int, sessions SessionFactory, inj *fault.Injector, jitter *rand.Rand) (*Outcome, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		outcome, err := p.liveAttempt(ctx, item, w, sessions, inj)
-		if err == nil {
-			return outcome, attempts, nil
-		}
-		if ctx.Err() != nil {
-			return nil, attempts, ctx.Err()
-		}
-		if attempts > p.cfg.MaxRetries {
-			return nil, attempts, err
-		}
-		p.tel.onRetry()
-		select {
-		case <-ctx.Done():
-			return nil, attempts, ctx.Err()
-		case <-time.After(retryDelay(p.cfg.RetryBackoff, attempts, jitter)):
-		}
-	}
-}
-
-// liveAttempt runs one execution attempt of one interleaving under one
-// fresh gate session, honoring InterleavingTimeout and running
-// Scenario.Finalize (inside executeLive) like the sequential live path.
-func (p *pool) liveAttempt(ctx context.Context, item workItem, w int, sessions SessionFactory, inj *fault.Injector) (*Outcome, error) {
-	ilCtx := ctx
-	if p.cfg.InterleavingTimeout > 0 {
-		var cancel context.CancelFunc
-		ilCtx, cancel = context.WithTimeout(ctx, p.cfg.InterleavingTimeout)
-		defer cancel()
-	}
-	sess, err := sessions()
-	if err != nil {
-		return nil, fmt.Errorf("live session: %w", err)
-	}
-	p.tel.onLiveSession(1)
-	defer func() {
-		_ = sess.Close()
-		p.tel.onLiveSession(-1)
-	}()
-	return executeLive(ilCtx, p.s, item.il, item.index, w, sess.Gate, inj, p.tel.registry())
 }

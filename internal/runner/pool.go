@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/er-pi/erpi/internal/datalog"
@@ -14,209 +13,169 @@ import (
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// This file is the parallel exploration engine. Exploration of an
-// interleaving space parallelizes cleanly because every interleaving
-// executes against a private cluster that is reset to the pristine
-// checkpoint first: executing interleaving N is a pure function of
-// (event log, interleaving, fault schedule, exploration index), never of
-// what ran before it on the same worker.
+// This file is the exploration driver — the paper's one loop (§4.3–§4.4:
+// generate → replay → reset → check) at every worker count. Exploration
+// of an interleaving space parallelizes cleanly because every
+// interleaving executes against a private cluster that is reset to the
+// pristine checkpoint first: executing interleaving N is a pure function
+// of (event log, interleaving, fault schedule, exploration index), never
+// of what ran before it on the same worker.
 //
-// Topology: the coordinator (the caller's goroutine) owns the explorer,
-// the dedup set, the journal, the datalog store, and the Result; workers
-// own a private cluster, executor, and fault-injector clone each.
-// Interleavings are pulled from the explorer in its native order, tagged
-// with a stable 1-based index at assignment time, and dispatched over an
-// unbuffered channel; results return on a buffered channel and are parked
-// in a reorder buffer until every lower index has been processed.
+// Topology: the driver (the caller's goroutine) owns the explorer, the
+// dedup set, the journal, the datalog store, and the result Ledger;
+// workers own a private workerEnv each. Interleavings are pulled from the
+// explorer in its native order and tagged with a stable 1-based index at
+// assignment time. With one worker the driver executes each pulled item
+// inline, on its own goroutine: no worker goroutine, no channel hop, and
+// results are in order by construction. With more, items are dispatched
+// over an unbuffered channel; results return on a buffered channel and
+// are parked in a reorder buffer until every lower index has reached the
+// ledger.
 //
-// Deterministic regardless of worker count (identical to Workers == 1):
+// Deterministic regardless of worker count:
 //   - which interleavings execute, their indices, and the journal order;
 //   - Outcome delivery order to OnOutcome and to assertions (stateful
-//     assertions see the exact sequential history);
+//     assertions see one history);
 //   - Violations, Quarantined, FirstViolation, and — on a completed or
 //     StopOnViolation run — Explored;
 //   - probabilistic fault arming (keyed by index, not by execution order).
 //
-// Best-effort (may differ from a sequential run):
+// Best-effort (may differ between worker counts):
 //   - Duration, and retry-backoff jitter timing (per-worker generators);
 //   - on StopOnViolation, work past the violating index may already have
 //     executed; its results are discarded, but journal/store entries for
 //     those indices remain (safe over-approximations: a journal key only
 //     suppresses re-execution on resume, and store facts are monotone);
-//   - on interruption, Explored counts results processed in order before
-//     the cancellation was observed, while the explorer may have been
-//     pulled further ahead (ModeRand's RandShuffles reflects that
+//   - on interruption, Explored counts results that reached the ledger
+//     before the cancellation was observed, while the explorer may have
+//     been pulled further ahead (ModeRand's RandShuffles reflects that
 //     ahead-pulling).
 //
 // ConstraintPoll re-pruning quiesces the pool: the poll boundary index is
-// dispatched, the coordinator drains every in-flight execution and
-// processes all results, and only then polls and (maybe) regenerates the
-// explorer — a barrier, matching the sequential engine's poll points
-// exactly at the cost of a bubble in the pipeline every PollEvery
-// interleavings.
+// dispatched, the driver drains every in-flight execution and records all
+// results, and only then polls and (maybe) regenerates the explorer — a
+// barrier, so poll points fall at the same indices at every worker count,
+// at the cost of a bubble in the pipeline every PollEvery interleavings.
 //
 // ModeFuzz reuses those quiesce mechanics as its generation barrier
 // (DESIGN.md §4.14): the fuzzer synthesizes a whole generation of mutated
 // children up front, the pool pipelines them across all workers, and when
-// the synthesis buffer drains the coordinator waits for every in-flight
-// child to return and classify before letting the corpus evolve — so
-// which permutations enter the corpus depends only on the seed and the
+// the synthesis buffer drains the driver waits for every in-flight child
+// to return and classify before letting the corpus evolve — so which
+// permutations enter the corpus depends only on the seed and the
 // classified signatures, never on worker count or completion order.
 type pool struct {
 	ctx      context.Context
 	s        Scenario
 	cfg      Config
 	res      *Result
+	ledger   *Ledger
 	explorer interleave.Explorer
 	explored *exploredSet
 	pruning  prune.Config
 	maxNew   int
 
+	// inline, when non-nil, is the single worker the driver runs on its own
+	// goroutine; the channels are nil then.
+	inline  *workerEnv
 	workCh  chan workItem
 	resCh   chan workResult
 	fatalCh chan error
 
 	// tel is nil when telemetry is off; all uses are nil-safe.
 	tel *runTelemetry
-	// cacheGen increments whenever re-pruning regenerates the explorer;
-	// workers compare it before each item and flush their private prefix
-	// caches when it moved, mirroring the sequential engine's
-	// invalidate-on-re-prune. The quiesce barrier guarantees no execution
-	// is in flight while it changes.
-	cacheGen atomic.Uint64
-	// sub is the run's shared subsumption table (nil when disabled).
-	// Unlike the private caches it is flushed directly at the quiesce
-	// barrier — no generation handshake needed, since no execution is in
-	// flight while poll() runs.
+	// sub is the run's shared subsumption table (nil when disabled),
+	// flushed at the re-prune quiesce barrier, where no execution is in
+	// flight.
 	sub *subsumeTable
 	// nextSince / pollSince anchor the dispatch-wait and quiesce-gap spans
-	// (coordinator-only, valid only while tel is non-nil).
+	// (valid only while tel is non-nil).
 	nextSince time.Time
 	pollSince time.Time
 
-	// Coordinator-only state (no locking: single goroutine).
+	// Driver-only state (no locking: single goroutine).
 	assigned int                // indices handed out; the highest index that exists
-	nextProc int                // next index to process in order
-	pending  map[int]workResult // reorder buffer: arrived, not yet processed
+	nextProc int                // next index the ledger takes
+	pending  map[int]workResult // reorder buffer: arrived ahead of nextProc
 	inflight int                // dispatched and not yet returned
-	next     *workItem          // pulled from the explorer, not yet dispatched
+	next     workItem           // pulled from the explorer, not yet dispatched
+	hasNext  bool               // next is valid
+	gen      uint64             // re-prune generation stamped on pulled items
 	noMore   bool               // no further assignment (cap/exhausted/crash/halt)
-	halted   bool               // stop processing too; drain and discard (stop/interrupt)
-	stopViol bool               // halted by StopOnViolation
+	halted   bool               // stop recording too; drain and discard (stop/interrupt)
 	pollWait bool               // quiescing for a ConstraintPoll boundary
 	pollIdx  int                // the boundary index being drained
-	pollSkip bool               // boundary index quarantined: skip this poll
+	pollSkip bool               // boundary index produced no outcome: skip this poll
 	genWait  bool               // quiescing for a fuzz generation boundary
 	genSince time.Time          // when the fuzz barrier armed (tel only)
 }
 
-// workItem is one interleaving dispatched to a worker, tagged with the
-// stable exploration index assigned by the coordinator and the explorer's
-// next-pivot hint captured at pull time (-1 when unavailable).
-type workItem struct {
-	index int
-	il    interleave.Interleaving
-	pivot int
-}
-
-// workResult is one executed interleaving flowing back to the coordinator.
-type workResult struct {
-	index    int
-	il       interleave.Interleaving
-	outcome  *Outcome
-	attempts int
-	err      error
-}
-
-// runParallel explores the scenario with a pool of workers, writing into
-// res exactly what the sequential engine would have produced (see the
-// guarantees above).
-func runParallel(ctx context.Context, s Scenario, cfg Config, res *Result, explorer interleave.Explorer, explored *exploredSet, pruning prune.Config, maxNew, workers int, tel *runTelemetry, sub *subsumeTable) error {
-	wctx, cancelWorkers := context.WithCancel(ctx)
-	defer cancelWorkers()
-	p := &pool{
-		ctx:      ctx,
-		s:        s,
-		cfg:      cfg,
-		res:      res,
-		explorer: explorer,
-		explored: explored,
-		pruning:  pruning,
-		maxNew:   maxNew,
-		tel:      tel,
-		sub:      sub,
-		workCh:   make(chan workItem),
-		// resCh and fatalCh hold one slot per worker, so workers always
-		// send without blocking (each worker has at most one outstanding
-		// result) and shutdown can never deadlock.
-		resCh:    make(chan workResult, workers),
-		fatalCh:  make(chan error, workers),
-		pending:  make(map[int]workResult),
-		nextProc: 1,
+// run explores with the pool's workers — checkpointed executors, or live
+// gate sessions when live — feeding p.ledger; see the guarantees above.
+func (p *pool) run(workers int, live bool) error {
+	if workers == 1 {
+		env, err := newWorkerEnv(p.s, p.cfg, 0, p.tel, p.sub, live)
+		if err != nil {
+			return err
+		}
+		p.inline = env
+	} else {
+		defer p.startWorkers(workers, live)()
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p.worker(wctx, w)
-		}(w)
-	}
-	err := p.coordinate()
-	// Shut the pool down on every exit path: cancel in-flight executions,
-	// unblock workers waiting for work, and wait for them to finish. The
-	// buffered result channel absorbs any final sends.
-	cancelWorkers()
-	close(p.workCh)
-	wg.Wait()
-	if err != nil {
+	if err := p.coordinate(); err != nil {
 		return err
 	}
 	p.finalize()
 	return nil
 }
 
-// worker builds its private execution environment and runs interleavings
-// until the work channel closes. Setup failures are fatal for the whole
-// run (mirroring the sequential engine's cluster-setup error), execution
-// failures are per-interleaving results.
-func (p *pool) worker(ctx context.Context, w int) {
-	exec, jitter, err := newWorkerEnv(p.s, p.cfg, w, p.tel, p.sub)
-	if err != nil {
-		p.fatalCh <- err
-		return
-	}
-	var cacheGen uint64
-	for item := range p.workCh {
-		if exec.cache != nil {
-			if g := p.cacheGen.Load(); g != cacheGen {
-				cacheGen = g
-				freed, stateFreed := exec.cache.invalidate()
-				p.tel.onSnapshot(-freed, 0)
-				p.tel.onPrefixDeltaBytes(-stateFreed)
-				exec.prevIL = nil
+// startWorkers launches the worker goroutines and returns the function
+// that shuts them down: cancel in-flight executions, unblock workers
+// waiting for work, and wait for them to finish. The buffered result
+// channel absorbs any final sends.
+func (p *pool) startWorkers(workers int, live bool) (stop func()) {
+	wctx, cancelWorkers := context.WithCancel(p.ctx)
+	p.workCh = make(chan workItem)
+	// resCh and fatalCh hold one slot per worker, so workers always send
+	// without blocking (each worker has at most one outstanding result)
+	// and shutdown can never deadlock.
+	p.resCh = make(chan workResult, workers)
+	p.fatalCh = make(chan error, workers)
+	p.pending = make(map[int]workResult)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Setup failures are fatal for the whole run; execution
+			// failures are per-interleaving results.
+			env, err := newWorkerEnv(p.s, p.cfg, w, p.tel, p.sub, live)
+			if err != nil {
+				p.fatalCh <- err
+				return
 			}
-		}
-		p.tel.setWorker(w, item.index)
-		exec.pivot = item.pivot
-		execSpan := p.tel.span(telemetry.StageExecute, item.index, w)
-		outcome, attempts, err := executeWithRetry(ctx, exec, p.s, p.cfg, item.il, item.index, jitter)
-		execSpan.End()
-		p.tel.setWorker(w, 0)
-		p.resCh <- workResult{index: item.index, il: item.il, outcome: outcome, attempts: attempts, err: err}
+			for item := range p.workCh {
+				p.resCh <- env.run(wctx, item)
+			}
+		}(w)
+	}
+	return func() {
+		cancelWorkers()
+		close(p.workCh)
+		wg.Wait()
 	}
 }
 
 // coordinate is the producer + aggregator loop.
 func (p *pool) coordinate() error {
 	for {
-		if !p.noMore && !p.pollWait && !p.genWait && p.next == nil {
+		if !p.noMore && !p.pollWait && !p.genWait && !p.hasNext {
 			if err := p.pull(); err != nil {
 				return err
 			}
 		}
 		if p.pollWait && p.inflight == 0 && p.nextProc > p.assigned {
-			// Quiesced: everything assigned is executed and processed.
+			// Quiesced: everything assigned is executed and recorded.
 			if err := p.poll(); err != nil {
 				return err
 			}
@@ -224,29 +183,36 @@ func (p *pool) coordinate() error {
 		}
 		if p.genWait && p.inflight == 0 && p.nextProc > p.assigned {
 			// Fuzz generation quiesced: every child of the generation is
-			// executed, processed, and classified — safe to evolve.
-			p.fuzzBarrier()
+			// executed, recorded, and classified — safe to evolve.
+			p.genWait = false
+			if p.tel != nil {
+				p.tel.observeSpan(telemetry.StageQuiesce, p.assigned, telemetry.CoordinatorWorker,
+					p.genSince, time.Since(p.genSince))
+			}
+			p.evolveFuzz()
 			continue
 		}
-		if p.next == nil && p.inflight == 0 {
-			// Mirror the sequential engine: a generation that completed
-			// exactly at the cap still evolves (a partial one never does —
-			// evolveFuzz guards GenerationEnd and Pending).
-			if ge, ok := p.explorer.(generationExplorer); ok {
-				p.evolveFuzz(ge)
-			}
+		if !p.hasNext && p.inflight == 0 {
+			// A generation that completed exactly at the cap still evolves;
+			// a partial one never does (evolveFuzz guards both).
+			p.evolveFuzz()
 			return nil // nothing to dispatch, nothing in flight: done
 		}
-		if p.next != nil {
+		switch {
+		case p.hasNext && p.inline != nil:
+			item := p.next
+			p.dispatched()
+			p.receive(p.inline.run(p.ctx, item))
+		case p.hasNext:
 			select {
-			case p.workCh <- *p.next:
+			case p.workCh <- p.next:
 				p.dispatched()
 			case r := <-p.resCh:
 				p.receive(r)
 			case err := <-p.fatalCh:
 				return err
 			}
-		} else {
+		default:
 			select {
 			case r := <-p.resCh:
 				p.receive(r)
@@ -258,8 +224,8 @@ func (p *pool) coordinate() error {
 }
 
 // pull advances the explorer to the next fresh interleaving, assigns its
-// index, and journals/records it — the exact sequential prologue of one
-// loop iteration. It either sets p.next or stops assignment.
+// index, and journals/records it. It either sets p.next or stops
+// assignment.
 func (p *pool) pull() error {
 	for {
 		if p.assigned >= p.maxNew {
@@ -267,12 +233,10 @@ func (p *pool) pull() error {
 			return nil
 		}
 		if err := p.ctx.Err(); err != nil {
-			p.res.Interrupted = true
-			p.res.InterruptErr = err
-			p.stop()
+			p.interrupt(err)
 			return nil
 		}
-		if ge, ok := p.explorer.(generationExplorer); ok && ge.GenerationEnd() {
+		if ge := p.ledger.ge; ge != nil && ge.GenerationEnd() {
 			// Fuzz generation boundary: the synthesis buffer is empty, so
 			// the next Next() would evolve the corpus. That is only sound
 			// once every emitted child has executed and classified.
@@ -283,7 +247,7 @@ func (p *pool) pull() error {
 				}
 				return nil
 			}
-			p.evolveFuzz(ge)
+			p.evolveFuzz()
 		}
 		genSpan := p.tel.span(telemetry.StageGenerate, p.assigned+1, telemetry.CoordinatorWorker)
 		il, ok := p.explorer.Next()
@@ -301,12 +265,14 @@ func (p *pool) pull() error {
 		}
 		dedupSpan.End()
 		if dup {
+			// Journal resume, or re-pruning regenerated the explorer. The key
+			// never executes: classify it as yielding no corpus evidence so
+			// a fuzz generation can still complete.
 			p.tel.onDedupSkipped()
-			// A resumed/re-pruned key never executes: classify it as
-			// yielding no corpus evidence so a fuzz generation can still
-			// complete.
-			reportDropped(p.explorer, key)
-			continue // journal resume, or re-pruning regenerated the explorer
+			if ge := p.ledger.ge; ge != nil {
+				ge.ReportDropped(key)
+			}
+			continue
 		}
 		p.assigned++
 		p.tel.onExplored()
@@ -319,7 +285,7 @@ func (p *pool) pull() error {
 			if err := p.cfg.Store.Record(il); err != nil {
 				if errors.Is(err, datalog.ErrBudgetExhausted) {
 					// The crashing index counts as explored but never
-					// executes, like the sequential engine's break.
+					// executes (the Figure 10 "crash").
 					p.res.Crashed = true
 					p.res.CrashErr = err
 					p.noMore = true
@@ -328,7 +294,8 @@ func (p *pool) pull() error {
 				return err
 			}
 		}
-		p.next = &workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer)}
+		p.next = workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer), gen: p.gen}
+		p.hasNext = true
 		if p.tel != nil {
 			p.nextSince = time.Now()
 		}
@@ -340,7 +307,7 @@ func (p *pool) pull() error {
 // the index is a poll boundary.
 func (p *pool) dispatched() {
 	index := p.next.index
-	p.next = nil
+	p.hasNext = false
 	p.inflight++
 	if p.tel != nil {
 		// Dispatch span: how long the pulled interleaving waited for a free
@@ -357,140 +324,83 @@ func (p *pool) dispatched() {
 	}
 }
 
-// receive parks a result in the reorder buffer and processes every result
-// that is now next in index order.
+// receive takes one returned result: ahead of its turn it is parked in
+// the reorder buffer; at its turn it — and every parked result that is
+// now next — goes to the ledger in index order.
 func (p *pool) receive(r workResult) {
 	p.inflight--
-	p.pending[r.index] = r
-	for !p.halted {
-		// Observing the context's death here is the parallel analog of the
-		// sequential loop-top check: results already processed stand,
-		// later ones are discarded.
+	if r.index != p.nextProc {
+		p.pending[r.index] = r
+		return
+	}
+	for ok := true; ok && !p.halted; r, ok = p.takePending() {
+		// Results already recorded stand; once the context is dead, later
+		// ones are discarded.
 		if err := p.ctx.Err(); err != nil {
-			p.res.Interrupted = true
-			p.res.InterruptErr = err
-			p.stop()
+			p.interrupt(err)
 			return
 		}
-		next, ok := p.pending[p.nextProc]
-		if !ok {
-			return
-		}
-		delete(p.pending, p.nextProc)
 		p.nextProc++
-		p.process(next)
+		p.process(r)
 	}
 }
 
-// process handles one result in index order: quarantine, outcome hooks,
-// assertions, and the stop-on-violation decision. It runs only on the
-// coordinator, so stateful assertions and OnOutcome observers need no
-// locking and see outcomes in exactly the sequential order.
+// takePending removes and returns the parked result for nextProc.
+func (p *pool) takePending() (workResult, bool) {
+	r, ok := p.pending[p.nextProc]
+	if ok {
+		delete(p.pending, p.nextProc)
+	}
+	return r, ok
+}
+
+// process hands one result, in index order, to the ledger and acts on its
+// stop decision.
 func (p *pool) process(r workResult) {
 	if r.err != nil {
-		if p.ctx.Err() != nil {
+		if err := p.ctx.Err(); err != nil {
 			// The execution died with the run's context: interruption,
 			// not a quarantine.
-			p.res.Interrupted = true
-			p.res.InterruptErr = p.ctx.Err()
-			p.stop()
-			return
-		}
-		if errors.Is(r.err, ErrSubsumed) {
-			// Skipped by state subsumption: the index stands (journal,
-			// dedup, cap) but there is no outcome to assert on — exactly
-			// the sequential engine's `continue`, which also skips the
-			// poll boundary.
-			if p.pollWait && r.index == p.pollIdx {
-				p.pollSkip = true
-			}
-			reportDropped(p.explorer, r.il.Key())
-			p.res.Subsumed++
+			p.interrupt(err)
 			return
 		}
 		if p.pollWait && r.index == p.pollIdx {
-			// The sequential engine skips the poll when the boundary
-			// interleaving is quarantined (its `continue` jumps the poll).
+			// A boundary interleaving that was subsumed or quarantined
+			// produced no outcome to poll constraints after.
 			p.pollSkip = true
 		}
-		reportDropped(p.explorer, r.il.Key())
-		p.tel.onQuarantined()
-		p.res.Quarantined = append(p.res.Quarantined, ExecError{
-			Index:        r.index,
-			Interleaving: r.il,
-			Attempts:     r.attempts,
-			Err:          r.err,
-		})
-		return
 	}
-	if p.cfg.OnOutcome != nil {
-		p.cfg.OnOutcome(r.outcome)
-	}
-	reportFeedback(p.explorer, r.il, r.outcome)
-	violated := false
-	assertSpan := p.tel.span(telemetry.StageAssert, r.index, telemetry.CoordinatorWorker)
-	newViolations := 0
-	for _, a := range p.cfg.Assertions {
-		if err := a.Check(r.outcome); err != nil {
-			p.res.Violations = append(p.res.Violations, Violation{
-				Index:        r.index,
-				Interleaving: r.il,
-				Assertion:    a.Name(),
-				Err:          err,
-			})
-			newViolations++
-			violated = true
-		}
-	}
-	assertSpan.End()
-	p.tel.onViolations(newViolations)
-	if violated && p.res.FirstViolation == 0 {
-		p.res.FirstViolation = r.index
-	}
-	if violated {
-		// Runs on the coordinator goroutine, in index order, exactly like
-		// the sequential engine — bundle numbering is deterministic.
-		captureForensic(p.s, p.cfg, p.res, r.il, r.index, p.res.Violations)
-	}
-	if violated && p.cfg.StopOnViolation {
-		p.stopViol = true
+	p.ledger.Record(r.index, r.il, r.outcome, r.attempts, r.err)
+	if p.ledger.Stopped() {
 		p.stop()
 	}
 }
 
-// stop halts assignment and processing; in-flight work is drained and
+// interrupt records the dead context on the Result and halts the pool.
+func (p *pool) interrupt(err error) {
+	p.res.Interrupted = true
+	p.res.InterruptErr = err
+	p.stop()
+}
+
+// stop halts assignment and recording; in-flight work is drained and
 // discarded.
 func (p *pool) stop() {
 	p.noMore = true
 	p.halted = true
-	p.next = nil
+	p.hasNext = false
 	p.pollWait = false
 	p.genWait = false
-}
-
-// fuzzBarrier closes one fuzz generation after the pool drained behind it:
-// records the quiesce bubble (from arming the barrier to full drain) and
-// evolves the corpus. Mirrors poll() for the ConstraintPoll barrier.
-func (p *pool) fuzzBarrier() {
-	p.genWait = false
-	if p.tel != nil {
-		p.tel.observeSpan(telemetry.StageQuiesce, p.assigned, telemetry.CoordinatorWorker,
-			p.genSince, time.Since(p.genSince))
-	}
-	ge, ok := p.explorer.(generationExplorer)
-	if !ok {
-		return
-	}
-	p.evolveFuzz(ge)
 }
 
 // evolveFuzz folds a fully-classified generation into the fuzzer's corpus
 // under a StageFuzzEvolve span and publishes the corpus gauges. Children
 // that never executed (assignment crashed mid-generation) leave Pending
-// non-zero; the corpus must not evolve on partial evidence, matching the
-// sequential engine's break-without-evolve.
-func (p *pool) evolveFuzz(ge generationExplorer) {
-	if !ge.GenerationEnd() || ge.Pending() != 0 {
+// non-zero; the corpus must not evolve on partial evidence. No-op for
+// non-fuzz explorers.
+func (p *pool) evolveFuzz() {
+	ge := p.ledger.ge
+	if ge == nil || !ge.GenerationEnd() || ge.Pending() != 0 {
 		return
 	}
 	span := p.tel.span(telemetry.StageFuzzEvolve, p.assigned, telemetry.CoordinatorWorker)
@@ -501,8 +411,7 @@ func (p *pool) evolveFuzz(ge generationExplorer) {
 
 // poll runs the quiesced ConstraintPoll and regenerates the explorer over
 // the merged pruning config when new constraints arrived. Interleavings
-// the regenerated explorer re-yields are skipped by the dedup set, as in
-// the sequential engine.
+// the regenerated explorer re-yields are skipped by the dedup set.
 func (p *pool) poll() error {
 	p.pollWait = false
 	if p.tel != nil {
@@ -530,9 +439,11 @@ func (p *pool) poll() error {
 			return fmt.Errorf("runner: re-pruning: %w", err)
 		}
 		p.explorer = explorer
-		p.cacheGen.Add(1)
-		// The quiesce barrier holds (no execution in flight), so the
-		// shared subsumption table can be flushed directly.
+		// Items pulled from the new sequence carry the new generation, so
+		// each worker flushes its private prefix cache before running one;
+		// the shared subsumption table is flushed here, under the barrier,
+		// so skips are justified against the new enumeration only.
+		p.gen++
 		if p.sub != nil {
 			p.tel.onSubsumeBytes(-p.sub.invalidate())
 		}
@@ -540,21 +451,19 @@ func (p *pool) poll() error {
 	return nil
 }
 
-// finalize settles the Result's accounting to match the sequential
-// engine's view of the same run.
+// finalize settles Explored and the run flags once the pool has drained.
 func (p *pool) finalize() {
 	res := p.res
 	switch {
-	case p.stopViol:
-		// The sequential engine never looks past the first violation:
-		// truncate to its horizon and drop flags that only later
-		// (discarded) work could have set.
+	case p.ledger.Stopped():
+		// Nothing past the first violation counts: truncate to it and drop
+		// flags that only later (discarded) work could have set.
 		res.Explored = res.FirstViolation
 		res.Exhausted = false
 		res.Crashed = false
 		res.CrashErr = nil
 	case res.Interrupted:
-		res.Explored = p.nextProc - 1 // results processed in order
+		res.Explored = p.nextProc - 1 // results recorded in order
 	default:
 		res.Explored = p.assigned
 	}

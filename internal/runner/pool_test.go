@@ -185,8 +185,7 @@ func TestParallelRepruningParity(t *testing.T) {
 }
 
 // TestParallelCancellation: a context cancelled from the outcome hook
-// stops the pool at exactly the results processed so far, like the
-// sequential engine's loop-top check.
+// stops the pool at exactly the results recorded so far.
 func TestParallelCancellation(t *testing.T) {
 	s := townReportScenario(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -214,8 +213,7 @@ func TestParallelCancellation(t *testing.T) {
 }
 
 // TestParallelWorkerSetupFailure: a cluster factory that cannot build a
-// worker's private cluster fails the whole run, mirroring the sequential
-// engine's setup error.
+// worker's private cluster fails the whole run.
 func TestParallelWorkerSetupFailure(t *testing.T) {
 	s := townReportScenario(t)
 	setupErr := errors.New("no replicas available")

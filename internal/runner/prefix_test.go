@@ -158,8 +158,8 @@ func TestPrefixCacheDeterminismUnderFaults(t *testing.T) {
 }
 
 // TestPrefixCacheRepruningParity: ConstraintPoll re-pruning must flush
-// the cache (sequential engine directly, pool workers via the cache
-// generation), without changing any result.
+// every worker's cache (via the generation stamped on pulled items),
+// without changing any result.
 func TestPrefixCacheRepruningParity(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		run := func(cacheBytes int64) *Result {
@@ -203,6 +203,7 @@ func TestPrefixCacheTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	res, err := Run(s, Config{
 		Mode:             ModeDFS,
+		Workers:          1,
 		MaxInterleavings: 200,
 		PrefixCacheBytes: testBudget,
 		Telemetry:        reg,
@@ -245,31 +246,36 @@ func TestPrefixCacheTelemetry(t *testing.T) {
 }
 
 // TestPrefixCacheEviction: a budget far below the working set forces LRU
-// evictions while results stay identical to cache-off.
+// evictions while results stay identical to cache-off. PrefixCacheBytes
+// bounds each worker's private cache and runner.snapshot_bytes sums over
+// workers, so the gauge is bounded by budget × workers.
 func TestPrefixCacheEviction(t *testing.T) {
-	s := townReportScenario(t)
-	reg := telemetry.New()
-	cfg := Config{
-		Mode:             ModeDFS,
-		MaxInterleavings: 200,
-		PrefixCacheBytes: 2 << 10,
-		Telemetry:        reg,
+	for _, workers := range []int{1, 2} {
+		reg := telemetry.New()
+		cfg := Config{
+			Mode:             ModeDFS,
+			Workers:          workers,
+			MaxInterleavings: 200,
+			PrefixCacheBytes: 2 << 10,
+			Telemetry:        reg,
+		}
+		on, onRes := collectOutcomes(t, townReportScenario(t), cfg)
+		snap := reg.Snapshot()
+		if snap.Counters["runner.prefix_evictions"] == 0 {
+			t.Fatalf("workers=%d: no evictions at a %d-byte budget", workers, cfg.PrefixCacheBytes)
+		}
+		limit := cfg.PrefixCacheBytes * int64(workers)
+		if bytes := snap.Gauges["runner.snapshot_bytes"]; bytes < 0 || bytes > limit {
+			t.Fatalf("workers=%d: runner.snapshot_bytes = %d, want within [0, %d]", workers, bytes, limit)
+		}
+		cfg.PrefixCacheBytes = 0
+		cfg.Telemetry = nil
+		off, offRes := collectOutcomes(t, townReportScenario(t), cfg)
+		if string(on) != string(off) {
+			t.Fatalf("workers=%d: evicting cache changed the outcome stream", workers)
+		}
+		assertResultsMatch(t, offRes, onRes)
 	}
-	on, onRes := collectOutcomes(t, s, cfg)
-	snap := reg.Snapshot()
-	if snap.Counters["runner.prefix_evictions"] == 0 {
-		t.Fatalf("no evictions at a %d-byte budget", cfg.PrefixCacheBytes)
-	}
-	if bytes := snap.Gauges["runner.snapshot_bytes"]; bytes < 0 || bytes > cfg.PrefixCacheBytes {
-		t.Fatalf("runner.snapshot_bytes = %d, want within [0, %d]", bytes, cfg.PrefixCacheBytes)
-	}
-	cfg.PrefixCacheBytes = 0
-	cfg.Telemetry = nil
-	off, offRes := collectOutcomes(t, townReportScenario(t), cfg)
-	if string(on) != string(off) {
-		t.Fatal("evicting cache changed the outcome stream")
-	}
-	assertResultsMatch(t, offRes, onRes)
 }
 
 // TestPrefixPivotSnapshotPolicy pins the explorer-informed snapshot
@@ -284,6 +290,7 @@ func TestPrefixPivotSnapshotPolicy(t *testing.T) {
 		reg := telemetry.New()
 		raw, res := collectOutcomes(t, s, Config{
 			Mode:                ModeDFS,
+			Workers:             1,
 			MaxInterleavings:    400,
 			PrefixCacheBytes:    cacheBytes,
 			PrefixSnapshotEvery: 1 << 20,

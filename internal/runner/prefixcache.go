@@ -34,13 +34,10 @@ import (
 //
 // A prefixCache is owned by exactly one executor (per worker in the
 // pool) and is not safe for concurrent use — per-worker ownership is
-// what keeps pool results byte-identical to the sequential engine.
+// what keeps results byte-identical at every worker count.
 type prefixCache struct {
 	budget int64 // max total charged snapshot bytes (> 0)
 	every  int   // snapshot insertion stride in events (> 0)
-	// share enables delta accounting; off (the bisection escape hatch)
-	// every snapshot is charged its full logical size.
-	share bool
 
 	root  *prefixNode
 	bytes int64
@@ -108,7 +105,6 @@ func newPrefixCache(budget int64, every int) *prefixCache {
 	return &prefixCache{
 		budget: budget,
 		every:  every,
-		share:  true,
 		root:   &prefixNode{},
 		refs:   make(map[*replica.StateBuf]int),
 	}
@@ -171,10 +167,9 @@ func (c *prefixCache) wantSnapshot(depth, divergence, pivot int) bool {
 }
 
 // charge accounts a snapshot against the budget: its own bytes in full,
-// plus — with delta sharing on — each state buffer only on its first
-// reference (refcount 0 → 1).
+// plus each state buffer only on its first reference (refcount 0 → 1).
 func (c *prefixCache) charge(snap *prefixSnapshot) {
-	if !c.share || snap.states == nil {
+	if snap.states == nil {
 		c.bytes += snap.size
 		return
 	}
@@ -190,7 +185,7 @@ func (c *prefixCache) charge(snap *prefixSnapshot) {
 
 // uncharge reverses charge for one snapshot (eviction / invalidation).
 func (c *prefixCache) uncharge(snap *prefixSnapshot) {
-	if !c.share || snap.states == nil {
+	if snap.states == nil {
 		c.bytes -= snap.size
 		return
 	}

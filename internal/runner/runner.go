@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -163,25 +162,26 @@ type Config struct {
 	// Workers is how many interleavings execute concurrently, each against
 	// its own replica cluster built from Scenario.NewCluster (which must
 	// therefore be safe for concurrent calls when Workers > 1). Zero or
-	// negative means runtime.GOMAXPROCS(0); 1 forces the sequential
-	// engine. Exploration order, violation sets, and FirstViolation are
-	// identical at every worker count — see pool.go for the ordering
-	// guarantees. ModeFuzz explores in generations (whole batches of
-	// mutated children synthesized up front, corpus evolution once per
-	// generation at a pool quiesce barrier), so its corpus trajectory and
-	// signature set are also identical at every worker count.
+	// negative means runtime.GOMAXPROCS(0); with 1 the driver executes
+	// each interleaving inline on the caller's goroutine. Exploration
+	// order, violation sets, and FirstViolation are identical at every
+	// worker count — see pool.go for the ordering guarantees. ModeFuzz
+	// explores in generations (whole batches of mutated children
+	// synthesized up front, corpus evolution once per generation at a pool
+	// quiesce barrier), so its corpus trajectory and signature set are
+	// also identical at every worker count.
 	Workers int
 	// LiveWorkers, when > 0, routes exploration through the live replay
 	// path (ExecuteLive semantics: one goroutine per replica re-issues its
 	// recorded calls, ordered by a TurnGate) with that many interleavings
-	// in flight concurrently, each under its own gate session. The
-	// coordinator is the same as the checkpointed pool's, so which
-	// interleavings run, outcome delivery order, violations, and
-	// FirstViolation are identical at every worker count — and identical
-	// to a sequential ExecuteLive loop. ModeFuzz clamps the live path to 1
-	// session (live replay cannot batch generations across real gate
-	// sessions without changing timing-sensitive semantics). When zero,
-	// Workers selects the checkpointed engine as before.
+	// in flight concurrently, each under its own gate session. The driver
+	// is the checkpointed path's, so which interleavings run, outcome
+	// delivery order, violations, and FirstViolation are identical at
+	// every worker count — and identical to a sequential ExecuteLive loop.
+	// ModeFuzz clamps the live path to 1 session (live replay cannot batch
+	// generations across real gate sessions without changing
+	// timing-sensitive semantics). When zero, Workers selects the
+	// checkpointed engine.
 	LiveWorkers int
 	// LiveGates supplies each live worker's gate-session factory (nil
 	// defaults to in-process LocalGate sessions). Lock-server-backed runs
@@ -280,20 +280,6 @@ type Config struct {
 	// path. Fault-armed interleavings bypass the table both ways. Zero
 	// disables subsumption.
 	SubsumptionTable int64
-	// FullSnapshotHashing disables the incremental snapshot path
-	// (DESIGN.md §4.15): every CanonicalSnapshot re-serializes and
-	// re-hashes every replica instead of reusing the per-replica
-	// version-keyed caches. The hash DEFINITION is identical either way —
-	// this is a bisection escape hatch, not a different digest — so all
-	// hashes, signatures, and determinism pins are byte-identical with the
-	// flag on or off. Default off (incremental).
-	FullSnapshotHashing bool
-	// NoPrefixDeltas disables delta accounting in the prefix cache: every
-	// snapshot is charged its full logical size instead of sharing clean
-	// replicas' state buffers with neighboring prefixes. Cache contents
-	// and restore semantics are unchanged — only the byte accounting (and
-	// therefore eviction pressure) differs. Default off (deltas on).
-	NoPrefixDeltas bool
 	// Telemetry, when set, receives the run's metrics, live progress, and
 	// per-stage spans (see the telemetry package). Strictly observational:
 	// a run with telemetry attached explores the same interleavings, in
@@ -376,9 +362,9 @@ type Result struct {
 	Fuzz *FuzzStats
 }
 
-// FuzzStats summarizes a ModeFuzz run's corpus evolution. All fields are
+// FuzzStats summarizes a ModeFuzz run's corpus evolution. Every field is
 // deterministic for a given seed and generation size — identical at every
-// worker count — except none: the whole struct is part of the parity pin.
+// worker count — so the whole struct is part of the parity pin.
 type FuzzStats struct {
 	// Generations is how many generations completed (evolved the corpus).
 	Generations int
@@ -394,7 +380,7 @@ type FuzzStats struct {
 	// mean byte-identical corpus evolution.
 	TrajectoryDigest string
 	// Exhausted reports the fuzzer declared the reachable mutation space
-	// exhausted (mirrored into Result.Exhausted by the engines).
+	// exhausted (mirrored into Result.Exhausted by the driver).
 	Exhausted bool
 }
 
@@ -510,20 +496,26 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 	tel.beginRun(maxNew, workers, res.Resumed)
 	defer tel.endRun()
 
-	// One subsumption table is shared by every worker of the run; the live
-	// path never consults it (live replay re-issues real calls and cannot
-	// abandon an interleaving mid-flight).
-	sub := newSubsumption(cfg)
-
-	switch {
-	case live:
-		err = runLive(ctx, s, cfg, res, explorer, explored, pruning, maxNew, workers, tel)
-	case workers > 1:
-		err = runParallel(ctx, s, cfg, res, explorer, explored, pruning, maxNew, workers, tel, sub)
-	default:
-		err = runSequential(ctx, s, cfg, res, explorer, explored, pruning, maxNew, tel, sub)
+	p := &pool{
+		ctx:      ctx,
+		s:        s,
+		cfg:      cfg,
+		res:      res,
+		ledger:   newLedger(s, cfg, explorer, res, tel),
+		explorer: explorer,
+		explored: explored,
+		pruning:  pruning,
+		maxNew:   maxNew,
+		tel:      tel,
+		nextProc: 1,
 	}
-	if err != nil {
+	if !live {
+		// One subsumption table is shared by every worker of the run. The
+		// live path never consults one: live replay re-issues real calls
+		// and cannot abandon an interleaving mid-flight.
+		p.sub = newSubsumption(cfg)
+	}
+	if err := p.run(workers, live); err != nil {
 		return nil, err
 	}
 	if ge, ok := explorer.(generationExplorer); ok {
@@ -546,248 +538,6 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runSequential is the one-worker engine: a single cluster and executor
-// driven directly by the explorer. With Workers == 1 this is the exact
-// pre-parallel code path.
-func runSequential(ctx context.Context, s Scenario, cfg Config, res *Result, explorer interleave.Explorer, explored *exploredSet, pruning prune.Config, maxNew int, tel *runTelemetry, sub *subsumeTable) error {
-	// The sequential engine executes on its own goroutine; spans attribute
-	// that work to worker 0, matching a one-worker pool's timeline. Retry
-	// jitter comes from a seeded generator so chaotic runs stay
-	// reproducible end to end.
-	exec, jitter, err := newWorkerEnv(s, cfg, 0, tel, sub)
-	if err != nil {
-		return err
-	}
-
-	for res.Explored < maxNew {
-		if err := ctx.Err(); err != nil {
-			res.Interrupted = true
-			res.InterruptErr = err
-			break
-		}
-		genSpan := tel.span(telemetry.StageGenerate, res.Explored+1, telemetry.CoordinatorWorker)
-		il, ok := explorer.Next()
-		genSpan.End()
-		if !ok {
-			res.Exhausted = true
-			break
-		}
-		key := il.Key()
-		dedupSpan := tel.span(telemetry.StageDedup, res.Explored+1, telemetry.CoordinatorWorker)
-		dup := explored.Has(key)
-		if !dup && !explored.Add(key) {
-			tel.onDedupSaturated()
-		}
-		dedupSpan.End()
-		if dup {
-			tel.onDedupSkipped()
-			// A skipped fuzz child still needs classifying (as dropped) or
-			// its generation would never complete.
-			reportDropped(explorer, key)
-			maybeEvolveFuzz(explorer, tel)
-			continue // journal resume, or re-pruning regenerated the explorer
-		}
-		res.Explored++
-		tel.onExplored()
-		if cfg.Journal != nil {
-			if err := cfg.Journal.AppendExplored(il); err != nil {
-				return err
-			}
-		}
-
-		if cfg.Store != nil {
-			if err := cfg.Store.Record(il); err != nil {
-				if errors.Is(err, datalog.ErrBudgetExhausted) {
-					res.Crashed = true
-					res.CrashErr = err
-					break
-				}
-				return err
-			}
-		}
-
-		tel.setWorker(0, res.Explored)
-		exec.pivot = pivotOf(explorer)
-		execSpan := tel.span(telemetry.StageExecute, res.Explored, 0)
-		outcome, attempts, execErr := executeWithRetry(ctx, exec, s, cfg, il, res.Explored, jitter)
-		execSpan.End()
-		tel.setWorker(0, 0)
-		if execErr != nil {
-			if ctx.Err() != nil {
-				res.Interrupted = true
-				res.InterruptErr = ctx.Err()
-				break
-			}
-			if errors.Is(execErr, ErrSubsumed) {
-				// The index, journal entry, and dedup key all stand — the
-				// interleaving counted toward the cap before the skip — it
-				// just produced no outcome to assert on.
-				res.Subsumed++
-				reportDropped(explorer, key)
-				maybeEvolveFuzz(explorer, tel)
-				continue
-			}
-			// Quarantine instead of aborting: exploration continues and the
-			// run yields everything else.
-			tel.onQuarantined()
-			res.Quarantined = append(res.Quarantined, ExecError{
-				Index:        res.Explored,
-				Interleaving: il,
-				Attempts:     attempts,
-				Err:          execErr,
-			})
-			reportDropped(explorer, key)
-			maybeEvolveFuzz(explorer, tel)
-			continue
-		}
-		if cfg.OnOutcome != nil {
-			cfg.OnOutcome(outcome)
-		}
-		reportFeedback(explorer, il, outcome)
-		maybeEvolveFuzz(explorer, tel)
-		violated := false
-		assertSpan := tel.span(telemetry.StageAssert, res.Explored, telemetry.CoordinatorWorker)
-		newViolations := 0
-		for _, a := range cfg.Assertions {
-			if err := a.Check(outcome); err != nil {
-				res.Violations = append(res.Violations, Violation{
-					Index:        res.Explored,
-					Interleaving: il,
-					Assertion:    a.Name(),
-					Err:          err,
-				})
-				newViolations++
-				violated = true
-			}
-		}
-		assertSpan.End()
-		tel.onViolations(newViolations)
-		if violated && res.FirstViolation == 0 {
-			res.FirstViolation = res.Explored
-		}
-		if violated {
-			captureForensic(s, cfg, res, il, res.Explored, res.Violations)
-		}
-		if violated && cfg.StopOnViolation {
-			break
-		}
-
-		if cfg.ConstraintPoll != nil && cfg.Mode == ModeERPi && res.Explored%cfg.PollEvery == 0 {
-			extra, found, err := cfg.ConstraintPoll()
-			if err != nil {
-				return fmt.Errorf("runner: constraints: %w", err)
-			}
-			if found {
-				pruning.Merge(extra)
-				repruneSpan := tel.span(telemetry.StagePrune, res.Explored, telemetry.CoordinatorWorker)
-				explorer, err = newExplorer(s, cfg, pruning)
-				repruneSpan.End()
-				if err != nil {
-					return fmt.Errorf("runner: re-pruning: %w", err)
-				}
-				// Re-pruning regenerates the explorer sequence; flush the
-				// prefix cache so it does not hold branches the new
-				// sequence will never walk, and the subsumption table so
-				// skips are justified against the new enumeration only.
-				if exec.cache != nil {
-					freed, stateFreed := exec.cache.invalidate()
-					tel.onSnapshot(-freed, 0)
-					tel.onPrefixDeltaBytes(-stateFreed)
-					exec.prevIL = nil
-				}
-				if sub != nil {
-					tel.onSubsumeBytes(-sub.invalidate())
-				}
-			}
-		}
-	}
-	if r, ok := explorer.(*interleave.RandExplorer); ok {
-		res.RandShuffles = r.Shuffles()
-	}
-	return nil
-}
-
-// executeAttempt performs one execution attempt: run the interleaving
-// (under the per-interleaving timeout, when configured; execute itself
-// restores the cluster from a cached prefix or the genesis checkpoint),
-// finalize, and recompute the outcome's post-finalize fields.
-func executeAttempt(ctx context.Context, exec *executor, s Scenario, cfg Config, il interleave.Interleaving, index int) (*Outcome, error) {
-	ilCtx := ctx
-	if cfg.InterleavingTimeout > 0 {
-		var cancel context.CancelFunc
-		ilCtx, cancel = context.WithTimeout(ctx, cfg.InterleavingTimeout)
-		defer cancel()
-	}
-	outcome, err := exec.execute(ilCtx, il, index)
-	if err != nil {
-		return nil, err
-	}
-	if s.Finalize != nil {
-		if err := s.Finalize(exec.cluster); err != nil {
-			return nil, fmt.Errorf("finalize: %w", err)
-		}
-		outcome.Fingerprints = exec.cluster.Fingerprints()
-		outcome.Converged = exec.cluster.Converged()
-	}
-	return outcome, nil
-}
-
-// executeWithRetry drives executeAttempt through the retry policy:
-// exponential backoff with seeded ±50% jitter, up to cfg.MaxRetries
-// retries, aborting early when ctx dies. It returns the outcome, the
-// number of attempts made, and the final error when every attempt failed.
-func executeWithRetry(ctx context.Context, exec *executor, s Scenario, cfg Config, il interleave.Interleaving, index int, jitter *rand.Rand) (*Outcome, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		outcome, err := executeAttempt(ctx, exec, s, cfg, il, index)
-		if err == nil {
-			return outcome, attempts, nil
-		}
-		if ctx.Err() != nil {
-			return nil, attempts, ctx.Err()
-		}
-		if errors.Is(err, ErrSubsumed) {
-			// Not a failure: re-executing would reach the same visited
-			// frontier and skip again.
-			return nil, attempts, err
-		}
-		if attempts > cfg.MaxRetries {
-			return nil, attempts, err
-		}
-		exec.tel.onRetry()
-		select {
-		case <-ctx.Done():
-			return nil, attempts, ctx.Err()
-		case <-time.After(retryDelay(cfg.RetryBackoff, attempts, jitter)):
-		}
-	}
-}
-
-// maxRetryBackoff caps the exponential retry backoff. Without it, doubling
-// the base per attempt overflows time.Duration after ~63 shifts (sooner
-// with large bases), producing a negative delay that panics the jitter
-// draw.
-const maxRetryBackoff = 30 * time.Second
-
-// retryDelay computes the sleep before retry number `attempt` (1-based):
-// exponential backoff from base, clamped to maxRetryBackoff, with seeded
-// ±50% jitter.
-func retryDelay(base time.Duration, attempt int, jitter *rand.Rand) time.Duration {
-	backoff := base
-	for i := 1; i < attempt; i++ {
-		if backoff >= maxRetryBackoff/2 {
-			backoff = maxRetryBackoff
-			break
-		}
-		backoff <<= 1
-	}
-	if backoff > maxRetryBackoff {
-		backoff = maxRetryBackoff
-	}
-	return backoff/2 + time.Duration(jitter.Int63n(int64(backoff)+1))
-}
-
 // NewPrunedExplorer builds the ER-π explorer for a scenario (grouped
 // units + pruning filters), for callers that drive exploration themselves.
 func NewPrunedExplorer(s Scenario) (interleave.Explorer, error) {
@@ -805,19 +555,8 @@ func ExecuteOnce(s Scenario, il interleave.Interleaving) (*Outcome, error) {
 	if err := cluster.Checkpoint(); err != nil {
 		return nil, err
 	}
-	exec := &executor{log: s.Log, cluster: cluster}
-	outcome, err := exec.execute(context.Background(), il, 1)
-	if err != nil {
-		return nil, err
-	}
-	if s.Finalize != nil {
-		if err := s.Finalize(cluster); err != nil {
-			return nil, err
-		}
-		outcome.Fingerprints = cluster.Fingerprints()
-		outcome.Converged = cluster.Converged()
-	}
-	return outcome, nil
+	exec := &executor{log: s.Log, cluster: cluster, finalize: s.Finalize}
+	return exec.attempt(context.Background(), workItem{index: 1, il: il, pivot: -1})
 }
 
 // newSubsumption builds the run's shared subsumption table, or nil when
@@ -844,18 +583,10 @@ func pivotOf(e interleave.Explorer) int {
 	return -1
 }
 
-// feedbackExplorer is implemented by coverage-guided explorers that want
-// the behaviour signature of each executed interleaving, delivered
-// positionally (oldest unclassified emission first). The engines prefer
-// generationExplorer when available.
-type feedbackExplorer interface {
-	Report(signature string)
-}
-
-// generationExplorer is the engines' contract with the generation-batched
-// fuzzer (DESIGN.md §4.14): children are classified by interleaving key —
-// so results may arrive in any order from any number of workers — and the
-// corpus evolves exactly once per generation, at a point where every
+// generationExplorer is the engine's contract with the generation-batched
+// fuzzer (DESIGN.md §4.14): the Ledger classifies children by
+// interleaving key — so results may come from any number of workers — and
+// the corpus evolves exactly once per generation, at a point where every
 // emitted child is classified (the pool's fuzz quiesce barrier).
 type generationExplorer interface {
 	interleave.Explorer
@@ -876,49 +607,6 @@ type generationExplorer interface {
 	NoveltyRate() float64
 	TrajectoryDigest() string
 	Exhausted() bool
-}
-
-// reportFeedback classifies one executed interleaving's outcome with the
-// explorer. Generation explorers get key-addressed classification —
-// fault-armed executions are dropped from the corpus feedback, mirroring
-// their prefix-cache bypass — and legacy feedback explorers get the
-// positional Report.
-func reportFeedback(explorer interleave.Explorer, il interleave.Interleaving, o *Outcome) {
-	if ge, ok := explorer.(generationExplorer); ok {
-		if o.FaultArmed {
-			ge.ReportDropped(il.Key())
-		} else {
-			ge.ReportOutcome(il.Key(), behaviorSignature(o))
-		}
-		return
-	}
-	if fb, ok := explorer.(feedbackExplorer); ok {
-		fb.Report(behaviorSignature(o))
-	}
-}
-
-// reportDropped classifies one emitted interleaving as yielding no corpus
-// evidence (dedup skip, subsumption, quarantine). No-op for non-fuzz
-// explorers.
-func reportDropped(explorer interleave.Explorer, key string) {
-	if ge, ok := explorer.(generationExplorer); ok {
-		ge.ReportDropped(key)
-	}
-}
-
-// maybeEvolveFuzz runs the fuzzer's once-per-generation corpus evolution
-// when the generation is fully emitted and classified, under a
-// StageFuzzEvolve span, publishing the fuzz gauges. The sequential
-// engine's analog of the pool's fuzz quiesce barrier.
-func maybeEvolveFuzz(explorer interleave.Explorer, tel *runTelemetry) {
-	ge, ok := explorer.(generationExplorer)
-	if !ok || !ge.GenerationEnd() || ge.Pending() != 0 {
-		return
-	}
-	span := tel.span(telemetry.StageFuzzEvolve, ge.Explored(), telemetry.CoordinatorWorker)
-	ge.Evolve()
-	span.End()
-	tel.onFuzzGeneration(ge.Generations(), ge.CorpusSize(), ge.NoveltyRate())
 }
 
 // OutcomeSignature digests an outcome into the engine's stable behaviour

@@ -249,24 +249,6 @@ func TestRunCrashesOnBudget(t *testing.T) {
 	}
 }
 
-func TestRunStopOnViolation(t *testing.T) {
-	s := townReportScenario(t)
-	res, err := Run(s, Config{
-		Mode:            ModeERPi,
-		Assertions:      []Assertion{municipalityInvariant{}},
-		StopOnViolation: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Violations) != 1 {
-		t.Fatalf("violations = %d, want exactly 1 with StopOnViolation", len(res.Violations))
-	}
-	if res.Explored != res.FirstViolation {
-		t.Fatalf("exploration must stop at the violation: %d vs %d", res.Explored, res.FirstViolation)
-	}
-}
-
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Scenario{}, Config{}); err == nil {
 		t.Fatal("empty scenario must be rejected")

@@ -121,7 +121,7 @@ func TestSubsumeTableEviction(t *testing.T) {
 // TestSubsumptionSignatureParity is the central soundness pin: with
 // subsumption on, the deduplicated outcome-signature set is identical to
 // the subsumption-off baseline for both lexicographic modes at Workers 1
-// and 8, while the sequential engines actually skip work.
+// and 8, while the one-worker runs actually skip work.
 func TestSubsumptionSignatureParity(t *testing.T) {
 	for _, mode := range []Mode{ModeERPi, ModeDFS} {
 		for _, workers := range []int{1, 8} {
@@ -140,7 +140,7 @@ func TestSubsumptionSignatureParity(t *testing.T) {
 				t.Fatalf("mode %s workers %d: baseline reports %d subsumed without a table", mode, workers, baseRes.Subsumed)
 			}
 			if workers <= 1 && subRes.Subsumed == 0 {
-				t.Fatalf("mode %s sequential: no interleaving was subsumed — the table never pruned", mode)
+				t.Fatalf("mode %s workers 1: no interleaving was subsumed — the table never pruned", mode)
 			}
 			if subRes.Subsumed >= subRes.Explored {
 				t.Fatalf("mode %s workers %d: %d of %d subsumed — at least the witnesses must execute",
@@ -151,8 +151,8 @@ func TestSubsumptionSignatureParity(t *testing.T) {
 }
 
 // TestSubsumptionSequentialDeterminism: with one worker the same run
-// subsumes the same interleavings every time (the pool's skip set may
-// vary with timing; the sequential engine's may not).
+// subsumes the same interleavings every time (with more, the skip set may
+// vary with timing).
 func TestSubsumptionSequentialDeterminism(t *testing.T) {
 	s := townReportScenario(t)
 	cfg := Config{Mode: ModeERPi, Workers: 1, SubsumptionTable: testSubTable}
@@ -175,6 +175,7 @@ func TestSubsumptionWithPrefixCache(t *testing.T) {
 	base, _ := signatureSet(t, s, Config{Mode: ModeERPi})
 	both, res := signatureSet(t, s, Config{
 		Mode:             ModeERPi,
+		Workers:          1,
 		SubsumptionTable: testSubTable,
 		PrefixCacheBytes: 1 << 20,
 	})
@@ -221,7 +222,7 @@ func TestSubsumptionAccountingParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := Run(s, Config{Mode: ModeERPi, Journal: journal, SubsumptionTable: testSubTable})
+	first, err := Run(s, Config{Mode: ModeERPi, Workers: 1, Journal: journal, SubsumptionTable: testSubTable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestSubsumptionAccountingParity(t *testing.T) {
 func TestSubsumptionTelemetry(t *testing.T) {
 	s := townReportScenario(t)
 	reg := telemetry.New()
-	res, err := Run(s, Config{Mode: ModeERPi, SubsumptionTable: testSubTable, Telemetry: reg})
+	res, err := Run(s, Config{Mode: ModeERPi, Workers: 1, SubsumptionTable: testSubTable, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,8 @@ func TestSubsumptionFaultArmedBypass(t *testing.T) {
 	// quarantined, exactly as without subsumption — never skipped.
 	s := townReportScenario(t)
 	res, err := Run(s, Config{
-		Mode: ModeERPi,
+		Mode:    ModeERPi,
+		Workers: 1,
 		Faults: &fault.Schedule{Faults: []fault.Fault{
 			{Kind: fault.CrashReplica, Replica: "B", Interleaving: 3, At: 2, Duration: 10},
 		}},
