@@ -12,6 +12,7 @@
 package crdt
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"strings"
@@ -30,6 +31,14 @@ func (t Time) Less(other Time) bool {
 		return t.Counter < other.Counter
 	}
 	return t.Replica < other.Replica
+}
+
+// Compare is the three-way form of Less, for slices.SortFunc.
+func (t Time) Compare(other Time) int {
+	if c := cmp.Compare(t.Counter, other.Counter); c != 0 {
+		return c
+	}
+	return strings.Compare(t.Replica, other.Replica)
 }
 
 // Equal reports timestamp identity.

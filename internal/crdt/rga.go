@@ -2,7 +2,7 @@ package crdt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // RGA is a replicated growable array (sequence CRDT). Elements carry unique
@@ -217,7 +217,7 @@ func (r *RGA) visibleIDs() []Time {
 		children[el.Origin] = append(children[el.Origin], id)
 	}
 	for _, sibs := range children {
-		sort.Slice(sibs, func(i, j int) bool { return sibs[j].Less(sibs[i]) })
+		slices.SortFunc(sibs, func(a, b Time) int { return b.Compare(a) })
 	}
 	out := make([]Time, 0, len(r.elems))
 	var walk func(origin Time)

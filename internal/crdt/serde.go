@@ -5,52 +5,13 @@ import (
 	"fmt"
 )
 
-// This file gives every CRDT a stable JSON form so that replicas can ship
-// full states over the wire and the checkpoint store can snapshot them.
-// The encodings expose exactly the join-relevant state (including
-// tombstones), so decode(encode(x)) is join-equivalent to x.
-
-type gCounterJSON struct {
-	Counts map[string]uint64 `json:"counts"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (g *GCounter) MarshalJSON() ([]byte, error) {
-	return json.Marshal(gCounterJSON{Counts: g.Components()})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (g *GCounter) UnmarshalJSON(data []byte) error {
-	var w gCounterJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("crdt: gcounter: %w", err)
-	}
-	g.counts = make(map[string]uint64, len(w.Counts))
-	for r, n := range w.Counts {
-		g.counts[r] = n
-	}
-	return nil
-}
-
-type pnCounterJSON struct {
-	Pos *GCounter `json:"pos"`
-	Neg *GCounter `json:"neg"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (p *PNCounter) MarshalJSON() ([]byte, error) {
-	return json.Marshal(pnCounterJSON{Pos: p.pos, Neg: p.neg})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (p *PNCounter) UnmarshalJSON(data []byte) error {
-	w := pnCounterJSON{Pos: NewGCounter(), Neg: NewGCounter()}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("crdt: pncounter: %w", err)
-	}
-	p.pos, p.neg = w.Pos, w.Neg
-	return nil
-}
+// This file gives the sets that are on no replay path (GSet, TwoPhaseSet,
+// LWWSet) a stable JSON form so that replicas can ship full states over
+// the wire and the checkpoint store can snapshot them. The encodings
+// expose exactly the join-relevant state (including tombstones), so
+// decode(encode(x)) is join-equivalent to x. The types the evaluation
+// subjects serialize on every explored interleaving have a binary form
+// instead (binary.go).
 
 type gSetJSON struct {
 	Members []string `json:"members"`
@@ -94,50 +55,6 @@ func (s *TwoPhaseSet) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-type orSetJSON struct {
-	// Live maps element -> live add tags.
-	Live map[string][]Time `json:"live"`
-	// Tombs lists removed tags.
-	Tombs []Time `json:"tombs"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (s *ORSet) MarshalJSON() ([]byte, error) {
-	w := orSetJSON{Live: make(map[string][]Time, len(s.live))}
-	for elem, tags := range s.live {
-		for tag := range tags {
-			w.Live[elem] = append(w.Live[elem], tag)
-		}
-		sortTimes(w.Live[elem])
-	}
-	for tag := range s.tombs {
-		w.Tombs = append(w.Tombs, tag)
-	}
-	sortTimes(w.Tombs)
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (s *ORSet) UnmarshalJSON(data []byte) error {
-	var w orSetJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("crdt: orset: %w", err)
-	}
-	s.live = make(map[string]map[Time]struct{}, len(w.Live))
-	s.tombs = make(map[Time]struct{}, len(w.Tombs))
-	for elem, tags := range w.Live {
-		set := make(map[Time]struct{}, len(tags))
-		for _, tag := range tags {
-			set[tag] = struct{}{}
-		}
-		s.live[elem] = set
-	}
-	for _, tag := range w.Tombs {
-		s.tombs[tag] = struct{}{}
-	}
-	return nil
-}
-
 type lwwSetJSON struct {
 	Bias Bias            `json:"bias"`
 	Adds map[string]Time `json:"adds"`
@@ -161,108 +78,4 @@ func (s *LWWSet) UnmarshalJSON(data []byte) error {
 	s.rems = make(map[string]Time, len(w.Rems))
 	s.Load(w.Adds, w.Rems)
 	return nil
-}
-
-type lwwRegisterJSON struct {
-	Value string `json:"value"`
-	Stamp Time   `json:"stamp"`
-	Set   bool   `json:"set"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r *LWWRegister) MarshalJSON() ([]byte, error) {
-	return json.Marshal(lwwRegisterJSON{Value: r.value, Stamp: r.stamp, Set: r.set})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *LWWRegister) UnmarshalJSON(data []byte) error {
-	var w lwwRegisterJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("crdt: lwwregister: %w", err)
-	}
-	r.value, r.stamp, r.set = w.Value, w.Stamp, w.Set
-	return nil
-}
-
-type orMapJSON struct {
-	Entries map[string]*LWWRegister `json:"entries"`
-	Rems    map[string]Time         `json:"rems"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (m *ORMap) MarshalJSON() ([]byte, error) {
-	return json.Marshal(orMapJSON{Entries: m.entries, Rems: m.rems})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (m *ORMap) UnmarshalJSON(data []byte) error {
-	var w orMapJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("crdt: ormap: %w", err)
-	}
-	m.entries = w.Entries
-	if m.entries == nil {
-		m.entries = make(map[string]*LWWRegister)
-	}
-	m.rems = w.Rems
-	if m.rems == nil {
-		m.rems = make(map[string]Time)
-	}
-	return nil
-}
-
-type rgaElemJSON struct {
-	ID      Time   `json:"id"`
-	Origin  Time   `json:"origin"`
-	Value   string `json:"value"`
-	Removed bool   `json:"removed"`
-	Root    Time   `json:"root"`
-}
-
-type rgaJSON struct {
-	Elems []rgaElemJSON `json:"elems"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r *RGA) MarshalJSON() ([]byte, error) {
-	w := rgaJSON{Elems: make([]rgaElemJSON, 0, len(r.elems))}
-	for _, el := range r.elems {
-		w.Elems = append(w.Elems, rgaElemJSON(*el))
-	}
-	sortRGAElems(w.Elems)
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *RGA) UnmarshalJSON(data []byte) error {
-	var w rgaJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("crdt: rga: %w", err)
-	}
-	r.elems = make(map[Time]*rgaElem, len(w.Elems))
-	for _, el := range w.Elems {
-		cp := rgaElem(el)
-		r.elems[cp.ID] = &cp
-	}
-	return nil
-}
-
-func sortTimes(ts []Time) {
-	for i := range ts {
-		for j := i + 1; j < len(ts); j++ {
-			if ts[j].Less(ts[i]) {
-				ts[i], ts[j] = ts[j], ts[i]
-			}
-		}
-	}
-}
-
-func sortRGAElems(els []rgaElemJSON) {
-	for i := range els {
-		for j := i + 1; j < len(els); j++ {
-			if els[j].ID.Less(els[i].ID) {
-				els[i], els[j] = els[j], els[i]
-			}
-		}
-	}
 }

@@ -1,10 +1,18 @@
 package crdt
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"github.com/er-pi/erpi/internal/wire"
 )
+
+// The *JSONRoundTrip names predate the binary codec and are kept so the
+// test IDs stay stable: GSet, TwoPhaseSet and LWWSet round-trip through
+// their JSON form (roundTrip), the six replay-path types through
+// AppendBinary/ReadBinary (roundTripBinary).
 
 func roundTrip[T any](t *testing.T, in T, out T) {
 	t.Helper()
@@ -17,12 +25,48 @@ func roundTrip[T any](t *testing.T, in T, out T) {
 	}
 }
 
+type binaryCodec interface {
+	AppendBinary(b []byte) []byte
+	ReadBinary(r *wire.Reader)
+}
+
+// roundTripBinary encodes in, decodes into out, and pins the codec rules
+// on the way: the encoding is deterministic, every strict prefix and a
+// one-byte extension are rejected, and re-encoding out is a fixed point.
+func roundTripBinary(t *testing.T, in, out binaryCodec) {
+	t.Helper()
+	data := in.AppendBinary(nil)
+	if again := in.AppendBinary(nil); !bytes.Equal(data, again) {
+		t.Fatalf("encoding not deterministic:\n 1st: %x\n 2nd: %x", data, again)
+	}
+	for n := 0; n < len(data); n++ {
+		r := wire.NewReader(data[:n])
+		out.ReadBinary(r)
+		if r.Done() == nil {
+			t.Fatalf("strict prefix of %d/%d bytes decoded without error", n, len(data))
+		}
+	}
+	r := wire.NewReader(append(data[:len(data):len(data)], 0))
+	out.ReadBinary(r)
+	if r.Done() == nil {
+		t.Fatal("trailing byte decoded without error")
+	}
+	r = wire.NewReader(data)
+	out.ReadBinary(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if back := out.AppendBinary(nil); !bytes.Equal(data, back) {
+		t.Fatalf("decode then encode is not a fixed point:\n before: %x\n after:  %x", data, back)
+	}
+}
+
 func TestGCounterJSONRoundTrip(t *testing.T) {
 	g := NewGCounter()
 	g.Inc("A", 3)
 	g.Inc("B", 7)
 	var out GCounter
-	roundTrip(t, g, &out)
+	roundTripBinary(t, g, &out)
 	if !g.Equal(&out) {
 		t.Fatal("gcounter round trip lost state")
 	}
@@ -33,7 +77,7 @@ func TestPNCounterJSONRoundTrip(t *testing.T) {
 	p.Inc("A", 5)
 	p.Dec("B", 2)
 	var out PNCounter
-	roundTrip(t, p, &out)
+	roundTripBinary(t, p, &out)
 	if !p.Equal(&out) || out.Value() != 3 {
 		t.Fatal("pncounter round trip lost state")
 	}
@@ -72,7 +116,7 @@ func TestORSetJSONRoundTrip(t *testing.T) {
 	s.Add(c, "y")
 	s.Remove("x")
 	var out ORSet
-	roundTrip(t, s, &out)
+	roundTripBinary(t, s, &out)
 	if !s.Equal(&out) {
 		t.Fatal("orset round trip lost state")
 	}
@@ -99,7 +143,7 @@ func TestLWWRegisterJSONRoundTrip(t *testing.T) {
 	r := NewLWWRegister()
 	r.Set("v", ts(9, "A"))
 	var out LWWRegister
-	roundTrip(t, r, &out)
+	roundTripBinary(t, r, &out)
 	if !r.Equal(&out) {
 		t.Fatal("register round trip lost state")
 	}
@@ -111,7 +155,7 @@ func TestORMapJSONRoundTrip(t *testing.T) {
 	m.Put("dead", "x", ts(2, "A"))
 	m.Remove("dead", ts(3, "A"))
 	var out ORMap
-	roundTrip(t, m, &out)
+	roundTripBinary(t, m, &out)
 	if !m.Equal(&out) {
 		t.Fatal("ormap round trip lost state")
 	}
@@ -128,7 +172,7 @@ func TestRGAJSONRoundTrip(t *testing.T) {
 	id3, _ := r.InsertAfter(c, HeadID, "front")
 	r.Delete(id3)
 	var out RGA
-	roundTrip(t, r, &out)
+	roundTripBinary(t, r, &out)
 	if !r.Equal(&out) {
 		t.Fatal("rga round trip lost state")
 	}
@@ -147,7 +191,7 @@ func TestSerdeJoinEquivalence(t *testing.T) {
 	s.Remove("x")
 	s.Add(c, "x") // re-add with a fresh tag
 	var decoded ORSet
-	roundTrip(t, s, &decoded)
+	roundTripBinary(t, s, &decoded)
 	a := NewORSet()
 	a.Merge(s)
 	b := NewORSet()

@@ -1,8 +1,10 @@
 package interleave
 
 import (
+	"fmt"
 	"math/big"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -338,6 +340,32 @@ func TestInterleavingKeyRoundTrip(t *testing.T) {
 	il := Interleaving{3, 0, 2, 1}
 	if il.Key() != "3,0,2,1" {
 		t.Fatalf("Key() = %q", il.Key())
+	}
+}
+
+// TestInterleavingKeyMatchesFmt pins Key byte for byte against the fmt
+// rendering it replaced: journals, dedup fingerprints and coordinator
+// digests are keyed on the string.
+func TestInterleavingKeyMatchesFmt(t *testing.T) {
+	for _, il := range []Interleaving{
+		nil,
+		{0},
+		{7},
+		{3, 0, 2, 1},
+		{10, 9, 11, 100, 99, 1000},
+		{0, 12, 3, 123456789, 23},
+		{-1, 5}, // never recorded, but %d rendered it
+	} {
+		var want strings.Builder
+		for i, id := range il {
+			if i > 0 {
+				want.WriteByte(',')
+			}
+			fmt.Fprintf(&want, "%d", int(id))
+		}
+		if got := il.Key(); got != want.String() {
+			t.Errorf("Key(%v) = %q, fmt renders %q", []event.ID(il), got, want.String())
+		}
 	}
 }
 

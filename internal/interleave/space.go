@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
+	"strconv"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/event"
@@ -51,11 +52,12 @@ type Interleaving []event.ID
 func (il Interleaving) Key() string {
 	var b strings.Builder
 	b.Grow(len(il) * 3)
+	var digits [20]byte // a 64-bit int in base 10, sign included
 	for i, id := range il {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d", int(id))
+		b.Write(strconv.AppendInt(digits[:0], int64(id), 10))
 	}
 	return b.String()
 }

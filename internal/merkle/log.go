@@ -10,47 +10,100 @@
 package merkle
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
+
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Entry is one immutable node of the Merkle DAG.
 type Entry struct {
 	// Hash is the content address (hex SHA-256 of the canonical encoding).
-	Hash string `json:"hash"`
+	Hash string
 	// Payload is the opaque operation carried by the entry.
-	Payload string `json:"payload"`
+	Payload string
 	// Clock is the entry's Lamport timestamp.
-	Clock uint64 `json:"clock"`
+	Clock uint64
 	// Identity names the writer.
-	Identity string `json:"identity"`
+	Identity string
 	// Parents are the hashes of the log heads at append time.
-	Parents []string `json:"parents,omitempty"`
+	Parents []string
 }
 
-// canonical returns the deterministic byte encoding that is hashed.
-func (e *Entry) canonical() string {
-	parents := make([]string, len(e.Parents))
-	copy(parents, e.Parents)
-	sort.Strings(parents)
-	return fmt.Sprintf("payload=%q clock=%d id=%q parents=%s",
-		e.Payload, e.Clock, e.Identity, strings.Join(parents, ","))
+// MinEntryBytes is the size of the smallest AppendBinary encoding (three
+// empty strings, a one-byte clock, no parents), for wire.Reader.Count.
+const MinEntryBytes = 5
+
+// AppendBinary appends the entry's wire form (DESIGN.md §4.16): hash,
+// payload, clock, identity, then the parent hashes in stored order.
+func (e *Entry) AppendBinary(b []byte) []byte {
+	b = wire.AppendString(b, e.Hash)
+	b = wire.AppendString(b, e.Payload)
+	b = wire.AppendUvarint(b, e.Clock)
+	b = wire.AppendString(b, e.Identity)
+	return wire.AppendStrings(b, e.Parents)
+}
+
+// ReadBinary decodes what AppendBinary wrote; failures stick to r. An
+// entry without parents decodes with nil Parents.
+func (e *Entry) ReadBinary(r *wire.Reader) {
+	*e = Entry{Hash: r.String(), Payload: r.String(), Clock: r.Uvarint(), Identity: r.String(), Parents: r.Strings()}
+}
+
+// appendCanonical appends the deterministic byte encoding that is hashed:
+//
+//	payload=%q clock=%d id=%q parents=<sorted hashes, comma-joined>
+//
+// Verify runs once per entry on every join and every fingerprint, so the
+// encoding is appended to the caller's (stack) buffer rather than built
+// through fmt.
+func (e *Entry) appendCanonical(b []byte) []byte {
+	parents := e.Parents
+	if !slices.IsSorted(parents) {
+		parents = slices.Clone(parents)
+		slices.Sort(parents)
+	}
+	b = append(b, "payload="...)
+	b = strconv.AppendQuote(b, e.Payload)
+	b = append(b, " clock="...)
+	b = strconv.AppendUint(b, e.Clock, 10)
+	b = append(b, " id="...)
+	b = strconv.AppendQuote(b, e.Identity)
+	b = append(b, " parents="...)
+	for i, p := range parents {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+	}
+	return b
+}
+
+// hexSum returns the hex SHA-256 of the canonical encoding.
+func (e *Entry) hexSum() (out [2 * sha256.Size]byte) {
+	var buf [512]byte // room for a handful of parents; append grows past it
+	sum := sha256.Sum256(e.appendCanonical(buf[:0]))
+	hex.Encode(out[:], sum[:])
+	return out
 }
 
 // ComputeHash returns the content address of the entry's current fields.
 func (e *Entry) ComputeHash() string {
-	sum := sha256.Sum256([]byte(e.canonical()))
-	return hex.EncodeToString(sum[:])
+	sum := e.hexSum()
+	return string(sum[:])
 }
 
 // Verify reports whether the stored hash matches the entry contents — the
 // integrity check that OrbitDB issue #583 ("head hash didn't match the
 // contents") violates.
 func (e *Entry) Verify() bool {
-	return e.Hash == e.ComputeHash()
+	sum := e.hexSum()
+	return e.Hash == string(sum[:])
 }
 
 // TieBreak selects the total-order comparator used to linearize entries
@@ -191,8 +244,8 @@ func (l *Log) Entries() []*Entry {
 		cp.Parents = append([]string(nil), e.Parents...)
 		out = append(out, &cp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return l.arrival[out[i].Hash] < l.arrival[out[j].Hash]
+	slices.SortFunc(out, func(a, b *Entry) int {
+		return cmp.Compare(l.arrival[a.Hash], l.arrival[b.Hash])
 	})
 	return out
 }
@@ -214,32 +267,19 @@ func (l *Log) Get(hash string) (*Entry, bool) {
 // different orders disagree.
 func (l *Log) Ordered() []*Entry {
 	out := l.Entries()
-	switch l.tie {
-	case TieBreakIdentityOnly:
-		// Deliberately NOT a total order over entry contents: equal
-		// (clock, identity) entries fall back to local arrival order, so
-		// two replicas that received them in different orders read the
-		// log differently.
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Clock != out[j].Clock {
-				return out[i].Clock < out[j].Clock
-			}
-			if out[i].Identity != out[j].Identity {
-				return out[i].Identity < out[j].Identity
-			}
-			return l.arrival[out[i].Hash] < l.arrival[out[j].Hash]
-		})
-	default:
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Clock != out[j].Clock {
-				return out[i].Clock < out[j].Clock
-			}
-			if out[i].Identity != out[j].Identity {
-				return out[i].Identity < out[j].Identity
-			}
-			return out[i].Hash < out[j].Hash
-		})
-	}
+	slices.SortFunc(out, func(a, b *Entry) int {
+		if c := cmp.Or(cmp.Compare(a.Clock, b.Clock), cmp.Compare(a.Identity, b.Identity)); c != 0 {
+			return c
+		}
+		if l.tie == TieBreakIdentityOnly {
+			// Deliberately NOT a total order over entry contents: equal
+			// (clock, identity) entries fall back to local arrival order, so
+			// two replicas that received them in different orders read the
+			// log differently.
+			return cmp.Compare(l.arrival[a.Hash], l.arrival[b.Hash])
+		}
+		return cmp.Compare(a.Hash, b.Hash)
+	})
 	return out
 }
 

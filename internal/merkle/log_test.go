@@ -1,8 +1,13 @@
 package merkle
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,5 +215,35 @@ func TestJoinProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComputeHashMatchesFmtEncoding pins the hashed encoding byte for byte
+// against the fmt rendering it replaced — content addresses appear in
+// fingerprints and verify() observations, so they must not move: quoting
+// (%q), unsorted parents, and an encoding longer than the stack buffer.
+func TestComputeHashMatchesFmtEncoding(t *testing.T) {
+	long := strings.Repeat("p", 700)
+	for _, e := range []Entry{
+		{},
+		{Payload: "add", Clock: 1, Identity: "A"},
+		{Payload: `quote " back\slash`, Clock: 18446744073709551615, Identity: "né\x00\n\t"},
+		{Payload: "x#synced", Clock: 7, Identity: "B", Parents: []string{"ff", "00", "a0"}},
+		{Payload: long, Clock: 3, Identity: "C", Parents: []string{long, "b"}},
+	} {
+		parents := append([]string(nil), e.Parents...)
+		sort.Strings(parents)
+		want := sha256.Sum256([]byte(fmt.Sprintf("payload=%q clock=%d id=%q parents=%s",
+			e.Payload, e.Clock, e.Identity, strings.Join(parents, ","))))
+		if got := e.ComputeHash(); got != hex.EncodeToString(want[:]) {
+			t.Errorf("ComputeHash(%+v) = %s, fmt encoding hashes to %x", e, got, want)
+		}
+		e.Hash = hex.EncodeToString(want[:])
+		if !e.Verify() {
+			t.Errorf("Verify rejects the fmt-encoded hash of %+v", e)
+		}
+		if len(e.Parents) > 1 && sort.StringsAreSorted(e.Parents) {
+			t.Errorf("hashing sorted the entry's own Parents in place: %v", e.Parents)
+		}
 	}
 }

@@ -63,7 +63,10 @@ type Scenario struct {
 
 // AntiEntropy returns a Finalize function performing `rounds` rounds of
 // full pairwise state exchange (every ordered replica pair, in sorted
-// order). Two rounds give transitive closure for any replica count.
+// order). Two rounds give transitive closure for any replica count. A
+// sender serializes once per round, not once per receiver: only the
+// receivers change while it is being delivered, and a payload is a
+// function of its sender's state alone.
 func AntiEntropy(rounds int) func(*replica.Cluster) error {
 	if rounds <= 0 {
 		rounds = 2
@@ -72,21 +75,21 @@ func AntiEntropy(rounds int) func(*replica.Cluster) error {
 		ids := c.IDs()
 		for r := 0; r < rounds; r++ {
 			for _, from := range ids {
+				src, err := c.Node(from)
+				if err != nil {
+					return err
+				}
+				payload, err := src.State.SyncPayload()
+				if err != nil {
+					return fmt.Errorf("runner: anti-entropy payload %s: %w", from, err)
+				}
 				for _, to := range ids {
 					if from == to {
 						continue
 					}
-					src, err := c.Node(from)
-					if err != nil {
-						return err
-					}
 					dst, err := c.Node(to)
 					if err != nil {
 						return err
-					}
-					payload, err := src.State.SyncPayload()
-					if err != nil {
-						return fmt.Errorf("runner: anti-entropy payload %s: %w", from, err)
 					}
 					if err := dst.State.ApplySync(payload); err != nil && !errors.Is(err, replica.ErrFailedOp) {
 						return fmt.Errorf("runner: anti-entropy %s->%s: %w", from, to, err)

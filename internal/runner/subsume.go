@@ -42,15 +42,21 @@ const subsumeStripes = 32
 // Unlike the prefix cache, one table is shared by every worker of a run —
 // a frontier visited by any worker prunes all of them — so all methods
 // are safe for concurrent use. Entries are sharded into stripes keyed by
-// the context hash's first byte; byte accounting and the insertion tick
-// are global atomics, and eviction scans all stripes for the globally
-// oldest entry (FIFO, same order a single-map table evicted in).
+// the context hash's first byte; byte accounting is a global atomic, and
+// eviction is FIFO over one insertion-ordered queue threaded through the
+// entries (the order a single-map table evicted in). Lock order is stripe
+// → queue; eviction takes them one after the other, never nested.
 type subsumeTable struct {
 	budget int64 // max accounted bytes (> 0)
 	bytes  atomic.Int64
-	seq    atomic.Uint64 // insertion tick for FIFO eviction
 
 	stripes [subsumeStripes]subsumeStripe
+
+	// qmu guards the eviction queue: every entry from insertion until it is
+	// popped, oldest at head. An entry is linked while its stripe is still
+	// locked, so whatever a stripe maps is queued (or was just popped).
+	qmu        sync.Mutex
+	head, tail *subsumeEntry
 }
 
 type subsumeStripe struct {
@@ -65,8 +71,9 @@ type subsumeKey struct {
 }
 
 type subsumeEntry struct {
-	prefix []event.ID // ordered prefix that recorded this frontier
-	seq    uint64
+	key    subsumeKey
+	prefix []event.ID    // ordered prefix that recorded this frontier
+	next   *subsumeEntry // younger neighbour in the eviction queue
 }
 
 // subsumeEntryOverhead approximates the fixed per-entry cost (key bytes,
@@ -92,9 +99,8 @@ func (t *subsumeTable) stripeFor(key subsumeKey) *subsumeStripe {
 // the interleaving with ErrSubsumed. Otherwise the frontier is recorded
 // (adopting the current prefix when it is the smaller reacher) and
 // execution continues. delta is the net change in accounted bytes, for
-// the subsumption_table_bytes gauge. Only the frontier's own stripe is
-// locked; eviction (rare — budget overflow only) walks the other stripes
-// one at a time afterwards.
+// the subsumption_table_bytes gauge. A full table evicts on every insert,
+// which is why eviction is a queue pop and not a scan.
 func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix interleave.Interleaving) (skip bool, delta int64) {
 	key := subsumeKey{ctx: ctx, rem: rem}
 	s := t.stripeFor(key)
@@ -111,7 +117,7 @@ func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix inter
 		default:
 			// Current prefix is the smaller reacher: adopt it so future
 			// arrivals compare against the lexicographic minimum. Same
-			// depth, same size — no byte delta.
+			// depth, same size — no byte delta, same place in the queue.
 			copy(e.prefix, prefix)
 			return false, 0
 		}
@@ -121,16 +127,22 @@ func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix inter
 		s.mu.Unlock()
 		return false, 0
 	}
-	s.entries[key] = &subsumeEntry{
-		prefix: append([]event.ID(nil), prefix...),
-		seq:    t.seq.Add(1),
+	e := &subsumeEntry{key: key, prefix: append([]event.ID(nil), prefix...)}
+	s.entries[key] = e
+	t.qmu.Lock()
+	if t.tail == nil {
+		t.head = e
+	} else {
+		t.tail.next = e
 	}
+	t.tail = e
+	t.qmu.Unlock()
 	s.mu.Unlock()
 	t.bytes.Add(size)
 	delta = size
 	for t.bytes.Load() > t.budget {
-		freed := t.evictOldest()
-		if freed == 0 {
+		freed, ok := t.evictOldest()
+		if !ok {
 			break
 		}
 		delta -= freed
@@ -138,50 +150,44 @@ func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix inter
 	return false, delta
 }
 
-// evictOldest drops the entry with the smallest insertion tick across all
-// stripes and returns the bytes freed. Linear scan, one stripe locked at
-// a time: eviction only runs when the budget overflows, and dropping
-// entries is always sound (fewer skips). Under concurrent eviction the
-// chosen entry may already be gone; retry until something is freed or the
-// table is empty.
-func (t *subsumeTable) evictOldest() int64 {
-	for {
-		var (
-			oldKey    subsumeKey
-			oldSeq    uint64
-			oldStripe *subsumeStripe
-		)
-		for i := range t.stripes {
-			s := &t.stripes[i]
-			s.mu.Lock()
-			for k, e := range s.entries {
-				if oldStripe == nil || e.seq < oldSeq {
-					oldKey, oldSeq, oldStripe = k, e.seq, s
-				}
-			}
-			s.mu.Unlock()
-		}
-		if oldStripe == nil {
-			return 0
-		}
-		oldStripe.mu.Lock()
-		e, ok := oldStripe.entries[oldKey]
-		if !ok || e.seq != oldSeq {
-			oldStripe.mu.Unlock()
-			continue // raced with another evictor; rescan
-		}
-		freed := int64(subsumeEntryOverhead + 8*len(e.prefix))
-		delete(oldStripe.entries, oldKey)
-		oldStripe.mu.Unlock()
-		t.bytes.Add(-freed)
-		return freed
+// evictOldest pops the head of the eviction queue, drops that entry from
+// its stripe and returns the bytes freed; ok is false once the queue is
+// empty. Dropping entries is always sound (fewer skips). A popped entry
+// its stripe no longer maps — invalidate swept it between the two locks —
+// frees nothing.
+func (t *subsumeTable) evictOldest() (freed int64, ok bool) {
+	t.qmu.Lock()
+	e := t.head
+	if e == nil {
+		t.qmu.Unlock()
+		return 0, false
 	}
+	if t.head = e.next; t.head == nil {
+		t.tail = nil
+	}
+	t.qmu.Unlock()
+
+	s := t.stripeFor(e.key)
+	s.mu.Lock()
+	if s.entries[e.key] == e {
+		delete(s.entries, e.key)
+		freed = int64(subsumeEntryOverhead + 8*len(e.prefix))
+	}
+	s.mu.Unlock()
+	t.bytes.Add(-freed)
+	return freed, true
 }
 
 // invalidate discards every entry (the re-pruning boundary, mirroring the
 // prefix cache) and returns the bytes freed. Called at quiesce barriers
 // only, so the stripe-at-a-time sweep is not racing inserts that matter.
+// The queue goes first: an insert that slips in before its stripe is
+// swept leaves a queue node without a map entry, which evictOldest skips —
+// the other order could leave a map entry no eviction would ever reach.
 func (t *subsumeTable) invalidate() int64 {
+	t.qmu.Lock()
+	t.head, t.tail = nil, nil
+	t.qmu.Unlock()
 	var freed int64
 	for i := range t.stripes {
 		s := &t.stripes[i]

@@ -112,6 +112,44 @@ func TestSubsumeTableEviction(t *testing.T) {
 		t.Fatal("evicted frontier must not subsume")
 	}
 
+	// Eviction order is insertion order whatever stripe an entry lives in:
+	// frontiers 40, 9, 33, 2, 41 land in stripes 8, 9, 1, 2, 9, and a
+	// 3-entry table must always hold exactly the three youngest.
+	order := []byte{40, 9, 33, 2, 41}
+	fifo := newSubsumeTable(budget)
+	held := func(i byte) bool {
+		key := subsumeKey{ctx: hashOf(i), rem: msetOf(i)}
+		st := fifo.stripeFor(key)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		_, ok := st.entries[key]
+		return ok
+	}
+	for n, i := range order {
+		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2})
+		for m, j := range order[:n+1] {
+			if want := m > n-3; held(j) != want {
+				t.Fatalf("after inserting %v: frontier %d held=%v, want %v (FIFO across stripes)", order[:n+1], j, !want, want)
+			}
+		}
+	}
+
+	// invalidate empties the queue with the stripes: nothing is left to
+	// evict, and the next inserts start a fresh FIFO.
+	fifo.invalidate()
+	if fifo.head != nil || fifo.tail != nil {
+		t.Fatal("eviction queue not empty after invalidate")
+	}
+	if freed, ok := fifo.evictOldest(); ok || freed != 0 {
+		t.Fatalf("evictOldest on an empty table = (%d, %v), want (0, false)", freed, ok)
+	}
+	for i := byte(0); i < 4; i++ {
+		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2})
+	}
+	if fifo.len() != 3 || held(0) || !held(1) || !held(3) {
+		t.Fatalf("after invalidate: %d entries (0 held=%v), want the 3 youngest of 4", fifo.len(), held(0))
+	}
+
 	huge := newSubsumeTable(8)
 	if skip, delta := huge.visit(hashOf(9), msetOf(9), interleave.Interleaving{1}); skip || delta != 0 || huge.len() != 0 {
 		t.Fatalf("over-budget entry: skip=%v delta=%d len=%d, want rejection", skip, delta, huge.len())

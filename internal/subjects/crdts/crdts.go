@@ -12,13 +12,13 @@
 package crdts
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/crdt"
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags configure the application-logic hazards.
@@ -214,17 +214,6 @@ func (w *Workspace) renderTodos() string {
 	return strings.Join(parts, ",")
 }
 
-// serialized is the JSON wire/snapshot form of the workspace; the
-// component CRDTs carry their own join-complete encodings.
-type serialized struct {
-	Todos   *crdt.ORMap     `json:"todos"`
-	Tags    *crdt.ORSet     `json:"tags"`
-	Counter *crdt.PNCounter `json:"counter"`
-	List    *crdt.RGA       `json:"list"`
-	Seq     int             `json:"seq"`
-	Clock   uint64          `json:"clock"`
-}
-
 // SyncPayload implements replica.State.
 func (w *Workspace) SyncPayload() ([]byte, error) { return w.Snapshot() }
 
@@ -252,31 +241,42 @@ func (w *Workspace) ApplySync(payload []byte) error {
 	return nil
 }
 
-// Snapshot implements replica.State.
+// Snapshot implements replica.State: the four component CRDTs in their
+// own join-complete binary encodings (todos, tags, counter, list), then
+// the to-do sequence and the clock.
 func (w *Workspace) Snapshot() ([]byte, error) {
-	return json.Marshal(serialized{
-		Todos:   w.todos,
-		Tags:    w.tags,
-		Counter: w.counter,
-		List:    w.list,
-		Seq:     w.seq,
-		Clock:   w.clock.Counter(),
-	})
+	// A workspace of a dozen short items encodes to 100–250 bytes; append
+	// grows past the guess.
+	b := w.todos.AppendBinary(make([]byte, 0, 256))
+	b = w.tags.AppendBinary(b)
+	b = w.counter.AppendBinary(b)
+	b = w.list.AppendBinary(b)
+	b = wire.AppendUvarint(b, uint64(w.seq))
+	b = wire.AppendUvarint(b, w.clock.Counter())
+	return b, nil
 }
 
+// decodeInto replaces the workspace's replicated state with a decoded
+// snapshot; on error w is untouched.
 func (w *Workspace) decodeInto(data []byte) error {
-	s := serialized{
-		Todos:   crdt.NewORMap(),
-		Tags:    crdt.NewORSet(),
-		Counter: crdt.NewPNCounter(),
-		List:    crdt.NewRGA(),
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
+	var (
+		todos   crdt.ORMap
+		tags    crdt.ORSet
+		counter crdt.PNCounter
+		list    crdt.RGA
+	)
+	r := wire.NewReader(data)
+	todos.ReadBinary(r)
+	tags.ReadBinary(r)
+	counter.ReadBinary(r)
+	list.ReadBinary(r)
+	seq, clock := int(r.Uvarint()), r.Uvarint()
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("crdts: snapshot: %w", err)
 	}
-	w.todos, w.tags, w.counter, w.list = s.Todos, s.Tags, s.Counter, s.List
-	w.seq = s.Seq
-	w.clock.SetCounter(s.Clock)
+	w.todos, w.tags, w.counter, w.list = &todos, &tags, &counter, &list
+	w.seq = seq
+	w.clock.SetCounter(clock)
 	return nil
 }
 

@@ -21,13 +21,15 @@
 package orbit
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/merkle"
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -279,7 +281,30 @@ func (d *DB) SyncPayload() ([]byte, error) {
 			}
 		}
 	}
-	return json.Marshal(entries)
+	return appendEntries(entries), nil
+}
+
+// appendEntries encodes the entry count, then each entry's wire form.
+func appendEntries(entries []*merkle.Entry) []byte {
+	// 160 bytes an entry is a guess (its 64-byte hash, one parent, short
+	// payload), plus room for a snapshot's trailer; append grows past it.
+	b := wire.AppendUvarint(make([]byte, 0, 96+160*len(entries)), uint64(len(entries)))
+	for _, e := range entries {
+		b = e.AppendBinary(b)
+	}
+	return b
+}
+
+// readEntries decodes what appendEntries wrote.
+func readEntries(r *wire.Reader) []*merkle.Entry {
+	// One backing array for the entries instead of an allocation each.
+	entries := make([]merkle.Entry, r.Count(merkle.MinEntryBytes))
+	out := make([]*merkle.Entry, len(entries))
+	for i := range entries {
+		entries[i].ReadBinary(r)
+		out[i] = &entries[i]
+	}
+	return out
 }
 
 // ApplySync implements replica.State: join the remote entries. Entries
@@ -288,8 +313,9 @@ func (d *DB) SyncPayload() ([]byte, error) {
 // disabled the guard.
 func (d *DB) ApplySync(payload []byte) error {
 	d.ver++
-	var entries []*merkle.Entry
-	if err := json.Unmarshal(payload, &entries); err != nil {
+	r := wire.NewReader(payload)
+	entries := readEntries(r)
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("orbit: sync payload: %w", err)
 	}
 	if err := d.log.Join(entries); err != nil {
@@ -298,67 +324,54 @@ func (d *DB) ApplySync(payload []byte) error {
 	return nil
 }
 
-type snapshot struct {
-	Entries    []*merkle.Entry `json:"entries"`
-	HeadCache  []string        `json:"head_cache,omitempty"`
-	RepoLocked bool            `json:"repo_locked"`
-	Dirty      bool            `json:"dirty"`
-	Open       bool            `json:"open"`
-	LastHash   string          `json:"last_hash,omitempty"`
-	Sealed     bool            `json:"sealed"`
-}
-
-// Snapshot implements replica.State. With the correct tie-breaker the
-// DAG's local arrival order is incidental (linearization uses clock,
-// identity, and hash), so entries are serialized in canonical
-// (Clock, Identity, Hash) order — equal logical states snapshot to equal
-// bytes. With BugTieBreaker arrival order IS behavior (issue #513) and is
-// kept verbatim so a Restore(Snapshot()) round trip replays faithfully.
+// Snapshot implements replica.State: the entries, the head cache, the
+// three repo flags (locked, dirty, open), the last appended hash and its
+// sealed flag. With the correct tie-breaker the DAG's local arrival order
+// is incidental (linearization uses clock, identity, and hash), so entries
+// are serialized in canonical (Clock, Identity, Hash) order — equal
+// logical states snapshot to equal bytes. With BugTieBreaker arrival order
+// IS behavior (issue #513) and is kept verbatim so a Restore(Snapshot())
+// round trip replays faithfully.
 func (d *DB) Snapshot() ([]byte, error) {
 	entries := d.log.Entries()
 	if !d.flags.BugTieBreaker {
-		sort.Slice(entries, func(i, j int) bool {
-			a, b := entries[i], entries[j]
-			if a.Clock != b.Clock {
-				return a.Clock < b.Clock
-			}
-			if a.Identity != b.Identity {
-				return a.Identity < b.Identity
-			}
-			return a.Hash < b.Hash
+		slices.SortFunc(entries, func(a, b *merkle.Entry) int {
+			return cmp.Or(
+				cmp.Compare(a.Clock, b.Clock),
+				strings.Compare(a.Identity, b.Identity),
+				strings.Compare(a.Hash, b.Hash),
+			)
 		})
 	}
-	return json.Marshal(snapshot{
-		Entries:    entries,
-		HeadCache:  d.headCache,
-		RepoLocked: d.repoLocked,
-		Dirty:      d.dirty,
-		Open:       d.open,
-		LastHash:   d.lastHash,
-		Sealed:     d.sealed,
-	})
+	b := appendEntries(entries)
+	b = wire.AppendStrings(b, d.headCache)
+	b = wire.AppendBool(b, d.repoLocked)
+	b = wire.AppendBool(b, d.dirty)
+	b = wire.AppendBool(b, d.open)
+	b = wire.AppendString(b, d.lastHash)
+	b = wire.AppendBool(b, d.sealed)
+	return b, nil
 }
 
 // Restore implements replica.State.
 func (d *DB) Restore(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	// fresh is scratch until it replaces *d, so it is decoded into directly.
+	fresh := New(d.identity, d.flags)
+	r := wire.NewReader(data)
+	entries := readEntries(r)
+	fresh.headCache = r.Strings()
+	fresh.repoLocked, fresh.dirty, fresh.open = r.Bool(), r.Bool(), r.Bool()
+	fresh.lastHash, fresh.sealed = r.String(), r.Bool()
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("orbit: snapshot: %w", err)
 	}
-	fresh := New(d.identity, d.flags)
 	// Bypass guards while restoring our own checkpoint.
 	skew := fresh.log.MaxClockSkew
 	fresh.log.MaxClockSkew = 0
-	if err := fresh.log.Join(snap.Entries); err != nil {
+	if err := fresh.log.Join(entries); err != nil {
 		return fmt.Errorf("orbit: snapshot join: %w", err)
 	}
 	fresh.log.MaxClockSkew = skew
-	fresh.headCache = snap.HeadCache
-	fresh.repoLocked = snap.RepoLocked
-	fresh.dirty = snap.Dirty
-	fresh.open = snap.Open
-	fresh.lastHash = snap.LastHash
-	fresh.sealed = snap.Sealed
 	ver := d.ver + 1
 	*d = *fresh
 	d.ver = ver

@@ -15,13 +15,13 @@
 package replicadb
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -41,11 +41,11 @@ type Flags struct {
 // adopted from a peer is a NEW local change even though its Version is
 // old, so the two counters must be distinct.
 type row struct {
-	Key     string `json:"key"`
-	Value   string `json:"value"`
-	Version uint64 `json:"version"`
-	Deleted bool   `json:"deleted"`
-	Seq     uint64 `json:"seq,omitempty"`
+	Key     string
+	Value   string
+	Version uint64
+	Deleted bool
+	Seq     uint64
 }
 
 // Node is one replica running a ReplicaDB instance: it owns a source
@@ -258,99 +258,117 @@ func (n *Node) Apply(op replica.Op) (string, error) {
 	}
 }
 
-// syncPayload carries the source table between replicas.
-type syncPayload struct {
-	Rows    []row  `json:"rows"`
-	Version uint64 `json:"version"`
+// minRowBytes is the encoded size of the smallest row: two empty strings,
+// one-byte version and seq, the deleted byte.
+const minRowBytes = 5
+
+// appendRow appends one row; keepSeq false writes its Seq as zero.
+func appendRow(b []byte, r *row, keepSeq bool) []byte {
+	b = wire.AppendString(b, r.Key)
+	b = wire.AppendString(b, r.Value)
+	b = wire.AppendUvarint(b, r.Version)
+	b = wire.AppendBool(b, r.Deleted)
+	if !keepSeq {
+		return wire.AppendUvarint(b, 0)
+	}
+	return wire.AppendUvarint(b, r.Seq)
 }
 
-// SyncPayload implements replica.State.
-func (n *Node) SyncPayload() ([]byte, error) {
-	p := syncPayload{Version: n.version}
-	for _, r := range n.source {
-		cp := *r
-		cp.Seq = 0 // Seq is local apply order; receivers assign their own
-		p.Rows = append(p.Rows, cp)
+// appendTable appends a table's row count and its rows in ascending key
+// order.
+func appendTable(b []byte, table map[string]*row, keepSeq bool) []byte {
+	b = wire.AppendUvarint(b, uint64(len(table)))
+	for _, k := range wire.SortedKeys(table) {
+		b = appendRow(b, table[k], keepSeq)
 	}
-	sort.Slice(p.Rows, func(i, j int) bool { return p.Rows[i].Key < p.Rows[j].Key })
-	return json.Marshal(p)
+	return b
+}
+
+// readRows decodes a row count and that many rows into one backing array.
+func readRows(r *wire.Reader) []row {
+	rows := make([]row, r.Count(minRowBytes))
+	for i := range rows {
+		rows[i] = row{Key: r.String(), Value: r.String(), Version: r.Uvarint(), Deleted: r.Bool(), Seq: r.Uvarint()}
+	}
+	return rows
+}
+
+// rowBytesGuess sizes an encoder's buffer per row it will write — short
+// keys and values, one-byte counters; append grows past a low guess.
+const rowBytesGuess = 16
+
+// SyncPayload implements replica.State: the source table, then the
+// version counter. Seq is local apply order — receivers assign their own —
+// so it travels as zero.
+func (n *Node) SyncPayload() ([]byte, error) {
+	b := make([]byte, 0, 16+rowBytesGuess*len(n.source))
+	return wire.AppendUvarint(appendTable(b, n.source, false), n.version), nil
 }
 
 // ApplySync implements replica.State: LWW-merge remote source rows.
 func (n *Node) ApplySync(payload []byte) error {
 	n.stateVer++
-	var p syncPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
+	r := wire.NewReader(payload)
+	rows := readRows(r)
+	version := r.Uvarint()
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("replicadb: sync payload: %w", err)
 	}
-	for i := range p.Rows {
-		r := p.Rows[i]
-		cur, ok := n.source[r.Key]
-		if n.flags.NoVersionResolution || !ok || cur.Version < r.Version {
-			cp := r
+	for i := range rows {
+		in := &rows[i]
+		cur, ok := n.source[in.Key]
+		if n.flags.NoVersionResolution || !ok || cur.Version < in.Version {
 			n.seq++
-			cp.Seq = n.seq // adopted rows are fresh local changes
-			n.source[r.Key] = &cp
+			in.Seq = n.seq // adopted rows are fresh local changes
+			n.source[in.Key] = in
 		}
 	}
-	if p.Version > n.version {
-		n.version = p.Version
+	if version > n.version {
+		n.version = version
 	}
 	return nil
 }
 
-type snapshot struct {
-	Source      []row  `json:"source"`
-	Sink        []row  `json:"sink"`
-	Buffer      []row  `json:"buffer,omitempty"`
-	PeakBuffer  int    `json:"peak_buffer,omitempty"`
-	Version     uint64 `json:"version"`
-	Seq         uint64 `json:"seq"`
-	SnapshotCut uint64 `json:"snapshot_cut"`
-}
-
-// Snapshot implements replica.State. The encoding is canonical: equal
-// logical states always serialize to identical bytes (tables sorted by
-// key; the buffer keeps its in-flight order, which IS state — Drain
-// applies it in order).
+// Snapshot implements replica.State: source, sink and buffer rows, then
+// the peak-buffer, version, seq and snapshot-cut counters. The encoding is
+// canonical: equal logical states always serialize to identical bytes
+// (tables sorted by key; the buffer keeps its in-flight order, which IS
+// state — Drain applies it in order).
 func (n *Node) Snapshot() ([]byte, error) {
-	snap := snapshot{Version: n.version, Seq: n.seq, SnapshotCut: n.snapshotCut, PeakBuffer: n.peakBuffer}
-	for _, r := range n.source {
-		snap.Source = append(snap.Source, *r)
-	}
-	for _, r := range n.sink {
-		snap.Sink = append(snap.Sink, *r)
-	}
-	sort.Slice(snap.Source, func(i, j int) bool { return snap.Source[i].Key < snap.Source[j].Key })
-	sort.Slice(snap.Sink, func(i, j int) bool { return snap.Sink[i].Key < snap.Sink[j].Key })
+	b := make([]byte, 0, 32+rowBytesGuess*(len(n.source)+len(n.sink)+len(n.buffer)))
+	b = appendTable(b, n.source, true)
+	b = appendTable(b, n.sink, true)
+	b = wire.AppendUvarint(b, uint64(len(n.buffer)))
 	for _, r := range n.buffer {
-		snap.Buffer = append(snap.Buffer, *r)
+		b = appendRow(b, r, true)
 	}
-	return json.Marshal(snap)
+	b = wire.AppendUvarint(b, uint64(n.peakBuffer))
+	b = wire.AppendUvarint(b, n.version)
+	b = wire.AppendUvarint(b, n.seq)
+	b = wire.AppendUvarint(b, n.snapshotCut)
+	return b, nil
 }
 
 // Restore implements replica.State.
 func (n *Node) Restore(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	r := wire.NewReader(data)
+	source, sink, buffer := readRows(r), readRows(r), readRows(r)
+	fresh := New(n.flags)
+	fresh.peakBuffer = int(r.Uvarint())
+	fresh.version = r.Uvarint()
+	fresh.seq = r.Uvarint()
+	fresh.snapshotCut = r.Uvarint()
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("replicadb: snapshot: %w", err)
 	}
-	fresh := New(n.flags)
-	fresh.version = snap.Version
-	fresh.seq = snap.Seq
-	fresh.snapshotCut = snap.SnapshotCut
-	fresh.peakBuffer = snap.PeakBuffer
-	for i := range snap.Source {
-		cp := snap.Source[i]
-		fresh.source[cp.Key] = &cp
+	for i := range source {
+		fresh.source[source[i].Key] = &source[i]
 	}
-	for i := range snap.Sink {
-		cp := snap.Sink[i]
-		fresh.sink[cp.Key] = &cp
+	for i := range sink {
+		fresh.sink[sink[i].Key] = &sink[i]
 	}
-	for i := range snap.Buffer {
-		cp := snap.Buffer[i]
-		fresh.buffer = append(fresh.buffer, &cp)
+	for i := range buffer {
+		fresh.buffer = append(fresh.buffer, &buffer[i])
 	}
 	ver := n.stateVer + 1
 	*n = *fresh

@@ -19,13 +19,15 @@
 package roshi
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -42,14 +44,14 @@ type Flags struct {
 
 // record is one member's LWW state within a key.
 type record struct {
-	Member string `json:"member"`
+	Member string
 	// Score is the logical timestamp of the winning operation.
-	Score uint64 `json:"score"`
+	Score uint64
 	// Deleted reports whether the winning operation was a delete.
-	Deleted bool `json:"deleted"`
+	Deleted bool
 	// Arrival is a per-store application counter used (only) by the seeded
 	// arrival-order and map-order defects.
-	Arrival int `json:"arrival"`
+	Arrival int
 }
 
 // Store is one replica of the Roshi index.
@@ -150,22 +152,16 @@ func (s *Store) Select(key string, includeDeleted bool) []SelectEntry {
 		}
 		rows = append(rows, r)
 	}
-	if s.flags.BugMapOrder {
-		// Defect: equal scores keep map-arrival order (issue #40).
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].Score != rows[j].Score {
-				return rows[i].Score > rows[j].Score
-			}
-			return rows[i].Arrival < rows[j].Arrival
-		})
-	} else {
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].Score != rows[j].Score {
-				return rows[i].Score > rows[j].Score
-			}
-			return rows[i].Member < rows[j].Member
-		})
-	}
+	slices.SortFunc(rows, func(a, b *record) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		if s.flags.BugMapOrder {
+			// Defect: equal scores keep map-arrival order (issue #40).
+			return cmp.Compare(a.Arrival, b.Arrival)
+		}
+		return strings.Compare(a.Member, b.Member)
+	})
 	out := make([]SelectEntry, len(rows))
 	for i, r := range rows {
 		out[i] = SelectEntry{Member: r.Member, Score: r.Score, Deleted: r.Deleted}
@@ -207,63 +203,94 @@ func (s *Store) Apply(op replica.Op) (string, error) {
 }
 
 func renderEntries(entries []SelectEntry) string {
-	parts := make([]string, len(entries))
+	var b strings.Builder
+	appendEntries(&b, entries)
+	return b.String()
+}
+
+// appendEntries writes "member@score[:deleted]" per entry, comma-joined.
+func appendEntries(b *strings.Builder, entries []SelectEntry) {
+	var digits [20]byte // a uint64 in base 10
 	for i, e := range entries {
-		parts[i] = fmt.Sprintf("%s@%d", e.Member, e.Score)
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(e.Member)
+		b.WriteByte('@')
+		b.Write(strconv.AppendUint(digits[:0], e.Score, 10))
 		if e.Deleted {
-			parts[i] += ":deleted"
+			b.WriteString(":deleted")
 		}
 	}
-	return strings.Join(parts, ",")
 }
 
-// syncRecord is the wire form of one record.
+// syncRecord is one decoded record of a sync payload.
 type syncRecord struct {
-	Key     string `json:"key"`
-	Member  string `json:"member"`
-	Score   uint64 `json:"score"`
-	Deleted bool   `json:"deleted"`
+	key, member string
+	score       uint64
+	deleted     bool
 }
 
-// SyncPayload implements replica.State: the full record table.
+// minRecordBytes is the encoded size of the smallest record, in a sync
+// payload (empty key and member, one-byte score, the deleted byte) and in
+// a snapshot (empty member, one-byte score and arrival, the deleted byte).
+const minRecordBytes = 4
+
+// recordBytesGuess sizes an encoder's buffer per record it will write —
+// short keys and members, one-byte scores; append grows past a low guess.
+const recordBytesGuess = 16
+
+// records counts the records over all keys.
+func (s *Store) records() int {
+	n := 0
+	for _, members := range s.keys {
+		n += len(members)
+	}
+	return n
+}
+
+// sortedMembers returns one key's records in ascending member order.
+func sortedMembers(members map[string]*record) []*record {
+	recs := make([]*record, 0, len(members))
+	for _, r := range members {
+		recs = append(recs, r)
+	}
+	slices.SortFunc(recs, func(a, b *record) int { return strings.Compare(a.Member, b.Member) })
+	return recs
+}
+
+// SyncPayload implements replica.State: the full record table as
+// count, then (key, member, score, deleted) records sorted by key, member
+// (DESIGN.md §4.16).
 func (s *Store) SyncPayload() ([]byte, error) {
-	var recs []syncRecord
-	for key, members := range s.keys {
-		for _, r := range members {
-			recs = append(recs, syncRecord{Key: key, Member: r.Member, Score: r.Score, Deleted: r.Deleted})
+	n := s.records()
+	b := wire.AppendUvarint(make([]byte, 0, 8+n*recordBytesGuess), uint64(n))
+	for _, key := range wire.SortedKeys(s.keys) {
+		for _, r := range sortedMembers(s.keys[key]) {
+			b = wire.AppendString(b, key)
+			b = wire.AppendString(b, r.Member)
+			b = wire.AppendUvarint(b, r.Score)
+			b = wire.AppendBool(b, r.Deleted)
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		return recs[i].Member < recs[j].Member
-	})
-	return json.Marshal(recs)
+	return b, nil
 }
 
 // ApplySync implements replica.State: merge the remote records through the
 // same LWW resolution as local ops.
 func (s *Store) ApplySync(payload []byte) error {
-	var recs []syncRecord
-	if err := json.Unmarshal(payload, &recs); err != nil {
+	r := wire.NewReader(payload)
+	recs := make([]syncRecord, r.Count(minRecordBytes))
+	for i := range recs {
+		recs[i] = syncRecord{key: r.String(), member: r.String(), score: r.Uvarint(), deleted: r.Bool()}
+	}
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("roshi: sync payload: %w", err)
 	}
-	for _, r := range recs {
-		s.apply(r.Key, r.Member, r.Score, r.Deleted)
+	for _, rec := range recs {
+		s.apply(rec.key, rec.member, rec.score, rec.deleted)
 	}
 	return nil
-}
-
-// storeSnapshot is the checkpoint form of a store. Unlike the sync wire
-// form it carries the per-record Arrival order and the arrival counter:
-// the seeded arrival-order and map-order defects read them, so a
-// checkpoint that dropped them would change behavior across a
-// Restore(Snapshot()) round trip (the fidelity the prefix cache relies
-// on — see replica.State).
-type storeSnapshot struct {
-	Keys    map[string]map[string]*record `json:"keys"`
-	Arrival int                           `json:"arrival"`
 }
 
 // arrivalMatters reports whether any seeded defect reads the arrival
@@ -275,41 +302,60 @@ func (s *Store) arrivalMatters() bool {
 	return s.flags.ArrivalWins || s.flags.BugEqualTimestampArrival || s.flags.BugMapOrder
 }
 
-// Snapshot implements replica.State: a dump of the record table. Arrival
-// bookkeeping is carried only when a seeded defect reads it (a checkpoint
-// that dropped it would then change behavior across a Restore(Snapshot())
-// round trip); otherwise it is normalized to zero so the encoding is
-// canonical. Map keys serialize sorted (encoding/json), so no explicit
-// ordering is needed.
+// Snapshot implements replica.State: a dump of the record table — keys in
+// ascending order, each with its records in ascending member order —
+// followed by the arrival counter. Unlike the sync form it carries the
+// per-record Arrival order and the counter, but only when a seeded defect
+// reads them (a checkpoint that dropped them would then change behavior
+// across a Restore(Snapshot()) round trip — the fidelity the prefix cache
+// relies on, see replica.State); otherwise both are normalized to zero so
+// the encoding is canonical.
 func (s *Store) Snapshot() ([]byte, error) {
-	if s.arrivalMatters() {
-		return json.Marshal(storeSnapshot{Keys: s.keys, Arrival: s.arrival})
-	}
-	norm := make(map[string]map[string]*record, len(s.keys))
-	for key, members := range s.keys {
-		ms := make(map[string]*record, len(members))
-		for m, r := range members {
-			cp := *r
-			cp.Arrival = 0
-			ms[m] = &cp
+	arrival := func(a int) uint64 {
+		if s.arrivalMatters() {
+			return uint64(a)
 		}
-		norm[key] = ms
+		return 0
 	}
-	return json.Marshal(storeSnapshot{Keys: norm})
+	b := wire.AppendUvarint(make([]byte, 0, 8+s.records()*recordBytesGuess), uint64(len(s.keys)))
+	for _, key := range wire.SortedKeys(s.keys) {
+		members := s.keys[key]
+		b = wire.AppendString(b, key)
+		b = wire.AppendUvarint(b, uint64(len(members)))
+		for _, r := range sortedMembers(members) {
+			b = wire.AppendString(b, r.Member)
+			b = wire.AppendUvarint(b, r.Score)
+			b = wire.AppendBool(b, r.Deleted)
+			b = wire.AppendUvarint(b, arrival(r.Arrival))
+		}
+	}
+	return wire.AppendUvarint(b, arrival(s.arrival)), nil
 }
 
 // Restore implements replica.State.
 func (s *Store) Restore(snapshot []byte) error {
-	var snap storeSnapshot
-	if err := json.Unmarshal(snapshot, &snap); err != nil {
+	r := wire.NewReader(snapshot)
+	// A key costs at least its empty name and a zero member count.
+	nKeys := r.Count(2)
+	keys := make(map[string]map[string]*record, nKeys)
+	for i := 0; i < nKeys; i++ {
+		key := r.String()
+		// One backing array per key instead of one allocation per record.
+		recs := make([]record, r.Count(minRecordBytes))
+		members := make(map[string]*record, len(recs))
+		for j := range recs {
+			recs[j] = record{Member: r.String(), Score: r.Uvarint(), Deleted: r.Bool(), Arrival: int(r.Uvarint())}
+			members[recs[j].Member] = &recs[j]
+		}
+		keys[key] = members
+	}
+	arrival := int(r.Uvarint())
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("roshi: snapshot: %w", err)
 	}
 	s.ver++
-	s.keys = snap.Keys
-	if s.keys == nil {
-		s.keys = make(map[string]map[string]*record)
-	}
-	s.arrival = snap.Arrival
+	s.keys = keys
+	s.arrival = arrival
 	return nil
 }
 
@@ -323,7 +369,10 @@ func (s *Store) Fingerprint() string {
 	sort.Strings(keys)
 	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s{%s}", k, renderEntries(s.Select(k, true)))
+		b.WriteString(k)
+		b.WriteByte('{')
+		appendEntries(&b, s.Select(k, true))
+		b.WriteByte('}')
 	}
 	return b.String()
 }

@@ -17,14 +17,15 @@
 package yorkie
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/crdt"
 	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
 // Flags seed the known defects.
@@ -37,19 +38,31 @@ type Flags struct {
 	NoStampResolution bool `json:"no_stamp_resolution"`
 }
 
+// opKind names a document operation; its value is the op's wire code.
+type opKind uint8
+
+const (
+	opSet opKind = iota
+	opSetObject
+	opDelete
+	opArrInsert
+	opArrMove
+	numOpKinds
+)
+
 // docOp is one replicated document operation (op-based sync).
 type docOp struct {
-	Kind  string    `json:"kind"` // set, setObject, delete, arrInsert, arrMove
-	Path  []string  `json:"path,omitempty"`
-	Value string    `json:"value,omitempty"`
-	Stamp crdt.Time `json:"stamp"`
+	Kind  opKind
+	Path  []string
+	Value string
+	Stamp crdt.Time
 	// Array op fields: element identities resolved at record time, so
 	// remote application is position-independent.
-	ElemID  crdt.Time `json:"elem_id,omitempty"`
-	AfterID crdt.Time `json:"after_id,omitempty"`
+	ElemID  crdt.Time
+	AfterID crdt.Time
 	// Remote marks an op applied via sync (the buggy code path of issue
 	// #663 differs between local and remote application).
-	Remote bool `json:"remote,omitempty"`
+	Remote bool
 }
 
 // Doc is one replica's document: a JSON tree plus a single shared array
@@ -102,9 +115,9 @@ func (d *Doc) applyOp(op docOp) error {
 		op.Stamp = d.clock.Now()
 	}
 	switch op.Kind {
-	case "set":
+	case opSet:
 		return treeErr(d.tree.Set(op.Path, op.Value, op.Stamp))
-	case "setObject":
+	case opSetObject:
 		if op.Remote && d.flags.BugNestedSet && len(op.Path) > 1 && d.tree.Keys(op.Path[:len(op.Path)-1]) == nil {
 			// Defect (issue #663): the remote-apply path handles a nested
 			// object set correctly only when the parent object already
@@ -116,15 +129,15 @@ func (d *Doc) applyOp(op docOp) error {
 			return treeErr(d.tree.Set(op.Path, "[object]", op.Stamp))
 		}
 		return treeErr(d.tree.SetObject(op.Path, op.Stamp))
-	case "delete":
+	case opDelete:
 		return treeErr(d.tree.Delete(op.Path, op.Stamp))
-	case "arrInsert":
+	case opArrInsert:
 		d.insertArrWithStamp(op.AfterID, op.Value, op.Stamp)
 		return nil
-	case "arrMove":
+	case opArrMove:
 		return d.moveArr(op)
 	default:
-		return fmt.Errorf("yorkie: unknown doc op %q", op.Kind)
+		return fmt.Errorf("yorkie: unknown doc op %d", op.Kind)
 	}
 }
 
@@ -187,11 +200,11 @@ func (d *Doc) Apply(op replica.Op) (string, error) {
 	stamp := d.clock.Now()
 	switch op.Name {
 	case "set":
-		return "", d.record(docOp{Kind: "set", Path: splitPath(op.Args[0]), Value: op.Args[1], Stamp: stamp})
+		return "", d.record(docOp{Kind: opSet, Path: splitPath(op.Args[0]), Value: op.Args[1], Stamp: stamp})
 	case "setObject":
-		return "", d.record(docOp{Kind: "setObject", Path: splitPath(op.Args[0]), Stamp: stamp})
+		return "", d.record(docOp{Kind: opSetObject, Path: splitPath(op.Args[0]), Stamp: stamp})
 	case "deleteKey":
-		return "", d.record(docOp{Kind: "delete", Path: splitPath(op.Args[0]), Stamp: stamp})
+		return "", d.record(docOp{Kind: opDelete, Path: splitPath(op.Args[0]), Stamp: stamp})
 	case "arrInsert":
 		idx, err := strconv.Atoi(op.Args[0])
 		if err != nil {
@@ -201,7 +214,7 @@ func (d *Doc) Apply(op replica.Op) (string, error) {
 		if err != nil {
 			return "", replica.ErrFailedOp
 		}
-		return "", d.record(docOp{Kind: "arrInsert", AfterID: after, Value: op.Args[1], Stamp: stamp})
+		return "", d.record(docOp{Kind: opArrInsert, AfterID: after, Value: op.Args[1], Stamp: stamp})
 	case "arrMove":
 		idx, err := strconv.Atoi(op.Args[0])
 		if err != nil {
@@ -222,7 +235,7 @@ func (d *Doc) Apply(op replica.Op) (string, error) {
 		if err != nil || after == elem {
 			after = crdt.HeadID
 		}
-		return "", d.record(docOp{Kind: "arrMove", ElemID: elem, AfterID: after, Stamp: stamp})
+		return "", d.record(docOp{Kind: opArrMove, ElemID: elem, AfterID: after, Stamp: stamp})
 	case "read":
 		return d.tree.Snapshot(), nil
 	case "readArr":
@@ -257,23 +270,71 @@ func (d *Doc) originAt(idx int) (crdt.Time, error) {
 	return d.arr.IDAt(idx - 1)
 }
 
+// minOpBytes is the encoded size of the smallest op: kind, empty path,
+// empty value, three empty-replica times and the remote byte.
+const minOpBytes = 1 + 1 + 1 + 3*2 + 1
+
+var errZeroStamp = errors.New("yorkie: op with a zero stamp")
+
+// appendOps encodes the op count and then every op field by field in
+// declaration order; remote overrides each op's Remote mark when set.
+func appendOps(ops []docOp, remote bool) []byte {
+	// 24 bytes an op is a guess (short paths and values, one-letter
+	// replicas); append grows past it.
+	b := wire.AppendUvarint(make([]byte, 0, 16+24*len(ops)), uint64(len(ops)))
+	for i := range ops {
+		op := &ops[i]
+		b = wire.AppendUvarint(b, uint64(op.Kind))
+		b = wire.AppendStrings(b, op.Path)
+		b = wire.AppendString(b, op.Value)
+		b = op.Stamp.AppendBinary(b)
+		b = op.ElemID.AppendBinary(b)
+		b = op.AfterID.AppendBinary(b)
+		b = wire.AppendBool(b, remote || op.Remote)
+	}
+	return b
+}
+
+// readOps decodes what appendOps wrote. Stamps are issued by Clock.Now and
+// never zero; a zero one is rejected because an array op would turn it
+// into an element carrying crdt.HeadID.
+func readOps(r *wire.Reader) []docOp {
+	n := r.Count(minOpBytes)
+	if n == 0 {
+		return nil
+	}
+	ops := make([]docOp, n)
+	for i := range ops {
+		op := &ops[i]
+		if op.Kind = opKind(r.Uvarint()); op.Kind >= numOpKinds {
+			r.Fail(fmt.Errorf("yorkie: unknown doc op %d", op.Kind))
+		}
+		op.Path = r.Strings()
+		op.Value = r.String()
+		op.Stamp = crdt.ReadTime(r)
+		op.ElemID = crdt.ReadTime(r)
+		op.AfterID = crdt.ReadTime(r)
+		op.Remote = r.Bool()
+		if op.Stamp.IsZero() {
+			r.Fail(errZeroStamp)
+		}
+	}
+	return ops
+}
+
 // SyncPayload implements replica.State: the full op log, marked remote so
 // the receiver runs the remote-apply path.
 func (d *Doc) SyncPayload() ([]byte, error) {
-	ops := make([]docOp, len(d.opLog))
-	copy(ops, d.opLog)
-	for i := range ops {
-		ops[i].Remote = true
-	}
-	return json.Marshal(ops)
+	return appendOps(d.opLog, true), nil
 }
 
 // ApplySync implements replica.State: apply the remote ops (idempotently)
 // and adopt them into the local op log for further propagation.
 func (d *Doc) ApplySync(payload []byte) error {
 	d.ver++
-	var ops []docOp
-	if err := json.Unmarshal(payload, &ops); err != nil {
+	r := wire.NewReader(payload)
+	ops := readOps(r)
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("yorkie: sync payload: %w", err)
 	}
 	for _, op := range ops {
@@ -288,12 +349,8 @@ func (d *Doc) ApplySync(payload []byte) error {
 	return nil
 }
 
-type snapshot struct {
-	OpLog []docOp `json:"op_log"`
-	Clock uint64  `json:"clock"`
-}
-
-// Snapshot implements replica.State: the op log replays deterministically.
+// Snapshot implements replica.State: the op log, which replays
+// deterministically, followed by the clock.
 //
 // With correct semantics the log is serialized sorted by stamp, which
 // makes the encoding canonical: replicas that applied the same op set in
@@ -306,27 +363,30 @@ type snapshot struct {
 func (d *Doc) Snapshot() ([]byte, error) {
 	ops := d.opLog
 	if !d.flags.BugMoveAfter && !d.flags.BugNestedSet && !d.flags.NoStampResolution {
-		ops = make([]docOp, len(d.opLog))
-		copy(ops, d.opLog)
-		sort.Slice(ops, func(i, j int) bool { return ops[i].Stamp.Less(ops[j].Stamp) })
+		// Stable, so that a log holding one stamp twice (no valid state
+		// does; a decoded one may) still re-encodes to the same bytes.
+		ops = slices.Clone(d.opLog)
+		slices.SortStableFunc(ops, func(a, b docOp) int { return a.Stamp.Compare(b.Stamp) })
 	}
-	return json.Marshal(snapshot{OpLog: ops, Clock: d.clock.Counter()})
+	return wire.AppendUvarint(appendOps(ops, false), d.clock.Counter()), nil
 }
 
 // Restore implements replica.State.
 func (d *Doc) Restore(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	r := wire.NewReader(data)
+	ops := readOps(r)
+	clock := r.Uvarint()
+	if err := r.Done(); err != nil {
 		return fmt.Errorf("yorkie: snapshot: %w", err)
 	}
 	fresh := New(d.clock.Replica(), d.flags)
-	for _, op := range snap.OpLog {
+	for _, op := range ops {
 		if err := fresh.applyOp(op); err != nil && err != replica.ErrFailedOp {
 			return fmt.Errorf("yorkie: snapshot replay: %w", err)
 		}
-		fresh.opLog = append(fresh.opLog, op)
 	}
-	fresh.clock.SetCounter(snap.Clock)
+	fresh.opLog = ops
+	fresh.clock.SetCounter(clock)
 	ver := d.ver + 1
 	*d = *fresh
 	d.ver = ver
