@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"sync"
+	"time"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
@@ -12,42 +16,52 @@ import (
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// executor applies one interleaving's events to the cluster.
+// Executor replays individual interleavings of one scenario — the paper's
+// step 5: enforce the event order, checkpoint/reset replica state between
+// interleavings. It is the one definition of "execute an interleaving":
+// the in-process pool's workers, a distributed worker's leased ranges,
+// ExecuteOnce, forensic re-execution and live replay all build one through
+// newExecutor and run the same prologue (fault arming, reset or prefix
+// restore), the same event step (apply) and the same epilogue (Finalize,
+// fingerprints), under the same retry policy.
 //
-// Event semantics during replay:
-//   - Update / Observe: apply the RDL op locally; the returned value is
-//     recorded as an observation.
-//   - SyncSend: capture the sender's sync payload at this instant; the
-//     payload travels with the event ID.
-//   - SyncExec: apply the payload captured by the paired SyncSend — or,
-//     for a standalone sync event (recorded without an explicit send),
-//     capture the sender's payload at execution time, modelling a
-//     synchronization whose content depends on when it runs.
+// What differs is only who calls the step, and when — the schedule:
+//   - inline (replay): a loop on the caller's goroutine, with the
+//     prefix-cache / subsumption context points and the forensic hook;
+//   - gated (replayGated, live.go): one goroutine per replica, each
+//     event's turn granted by a proxy.TurnGate.
 //
-// When a fault injector is attached, it is consulted before every event:
-// crash actions roll the target replica back to its durable checkpoint,
-// events at (or syncs from) a crashed replica fail with
-// fault.ErrReplicaDown, syncs across a partitioned link are dropped and
-// recorded in Outcome.DroppedSyncs, and sync payloads may be truncated in
-// flight.
-type executor struct {
+// Not safe for concurrent use; build one per goroutine.
+type Executor struct {
 	log     *event.Log
 	cluster *replica.Cluster
-	// finalize, when non-nil, is Scenario.Finalize: attempt runs it after
-	// the last event and recomputes the outcome's fingerprints.
+	// finalize, when non-nil, is Scenario.Finalize, run after the last
+	// event and before the outcome's fingerprints are taken.
 	finalize func(*replica.Cluster) error
 	// inj, when non-nil, injects scheduled faults into execution.
 	inj *fault.Injector
 	// sendFor maps each SyncExec ID to its paired SyncSend ID.
 	sendFor map[event.ID]event.ID
-	built   bool
 	// tel (nil when telemetry is off) records stage spans; worker is the
 	// worker id this executor belongs to.
 	tel    *runTelemetry
 	worker int
+
+	// Retry policy around each attempt (execute).
+	jitter     *rand.Rand
+	timeout    time.Duration
+	maxRetries int
+	backoff    time.Duration
+
+	// outcome and pending are one attempt's scratch: the outcome under
+	// construction and the sync payloads captured so far, keyed by their
+	// SyncSend (nil until one executes). begin renews both, the step fills.
+	outcome *Outcome
+	pending map[event.ID][]byte
+
 	// cache, when non-nil, is this executor's private prefix-snapshot trie
-	// (DESIGN.md §4.9): execute restores the deepest cached prefix of each
-	// interleaving and replays only the suffix. Never shared across
+	// (DESIGN.md §4.9): begin restores the deepest cached prefix of each
+	// interleaving and replay runs only the suffix. Never shared across
 	// executors. gen is the re-prune generation it was last filled under.
 	cache *prefixCache
 	gen   uint64
@@ -60,10 +74,10 @@ type executor struct {
 	// snapshots there so the next lookup hits its maximal shared prefix.
 	pivot int
 	// sub, when non-nil, is the run's shared state-subsumption table
-	// (DESIGN.md §4.12): at snapshot depths the executor hashes the
-	// execution context and abandons the interleaving with ErrSubsumed
-	// when the frontier was already visited via a lexicographically
-	// smaller prefix. Shared across every worker of the run.
+	// (DESIGN.md §4.12): at snapshot depths replay hashes the execution
+	// context and abandons the interleaving with ErrSubsumed when the
+	// frontier was already visited via a lexicographically smaller prefix.
+	// Shared across every worker of the run.
 	sub *subsumeTable
 	// subEvery is the subsumption check stride in events when no prefix
 	// cache supplies snapshot depths.
@@ -71,106 +85,334 @@ type executor struct {
 	// contrib memoizes each event ID's additive multiset contribution;
 	// rolling is the running digest of the executed prefix, updated O(1)
 	// per event in place of the per-depth sort-and-rehash. rolling always
-	// equals multisetHash(il[:pos]) at the top of the position loop — the
-	// invariant the canon property suite pins.
+	// equals multisetHash(il[:pos]) at the top of replay's position loop —
+	// the invariant the canon property suite pins.
 	contrib map[event.ID]msetDigest
 	rolling msetDigest
 	// step, when non-nil, observes the cluster after every delivered
 	// position (forensic re-execution only; nil on every engine hot path).
 	step func(pos int) error
+
+	// sessions, when non-nil, selects the gated schedule: every attempt
+	// runs under a fresh gate session it mints (live.go). mu serializes the
+	// step across the replica goroutines; liveEvents counts gated steps.
+	sessions   SessionFactory
+	mu         sync.Mutex
+	liveEvents *telemetry.Counter
 }
 
-func (x *executor) buildPairs() {
-	x.sendFor = make(map[event.ID]event.ID)
-	for _, pair := range x.log.SyncPairs() {
+// validate is the one check of what a caller hands the engine, shared by
+// RunContext and NewExecutor, and applies Config's documented defaults in
+// place: Mode defaults to ModeERPi; MaxRetries 0 means one retry, negative
+// disables; RetryBackoff defaults to 1ms — so a standalone executor
+// retries exactly like the engines.
+func validate(s Scenario, cfg *Config) error {
+	if s.Log == nil || s.Log.Len() == 0 {
+		return errors.New("runner: scenario has no events")
+	}
+	if s.NewCluster == nil {
+		return errors.New("runner: scenario has no cluster factory")
+	}
+	if cfg.Faults != nil {
+		if err := cfg.Faults.Validate(); err != nil {
+			return fmt.Errorf("runner: %w", err)
+		}
+	}
+	if cfg.Mode == "" {
+		cfg.Mode = ModeERPi
+	}
+	switch {
+	case cfg.MaxRetries == 0:
+		cfg.MaxRetries = 1
+	case cfg.MaxRetries < 0:
+		cfg.MaxRetries = 0
+	}
+	if cfg.RetryBackoff <= 0 {
+		cfg.RetryBackoff = time.Millisecond
+	}
+	return nil
+}
+
+// NewExecutor builds a standalone interleaving executor for the scenario —
+// the exact stack an in-process Workers=N run gives each worker, packaged
+// so out-of-process callers (the distributed coordinator's workers
+// foremost) execute with byte-identical semantics. Honored Config fields:
+// Seed, Faults, MaxRetries, RetryBackoff, InterleavingTimeout,
+// PrefixCacheBytes, PrefixSnapshotEvery, SubsumptionTable (with Mode
+// gating it, lexicographic modes only), Telemetry. With SubsumptionTable
+// > 0 the executor keeps a private visited-frontier table across Execute
+// calls and returns ErrSubsumed for skipped interleavings — a distributed
+// worker's per-process equivalent of a run's shared table.
+func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
+	if err := validate(s, &cfg); err != nil {
+		return nil, err
+	}
+	return newExecutor(s, cfg, 0, newRunTelemetry(cfg.Telemetry), newSubsumption(cfg), false)
+}
+
+// newExecutor builds worker w's private execution environment, the same
+// way for both schedules: a fresh cluster checkpointed at genesis, its
+// fault injector clone (instrumented when telemetry is on), the sync-pair
+// and multiset tables, its seeded retry-jitter generator, and sub, the
+// run's shared subsumption table (nil when disabled, and on every live
+// run; unlike the cache, all workers consult the same one). An inline
+// executor adds the optional prefix cache; a live one takes its gate
+// sessions from cfg.LiveGates instead: live replay re-issues real calls
+// and cannot resume an interleaving mid-flight.
+func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeTable, live bool) (*Executor, error) {
+	cluster, err := s.NewCluster()
+	if err != nil {
+		return nil, fmt.Errorf("runner: cluster setup: %w", err)
+	}
+	if err := cluster.Checkpoint(); err != nil {
+		return nil, err
+	}
+	x := &Executor{
+		log:      s.Log,
+		cluster:  cluster,
+		finalize: s.Finalize,
+		sendFor:  make(map[event.ID]event.ID),
+		contrib:  make(map[event.ID]msetDigest, s.Log.Len()),
+		tel:      tel,
+		worker:   w,
+		// Per-worker jitter generator: retry timing varies across workers,
+		// but which interleavings run and what they compute never depends
+		// on it.
+		jitter:     rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d ^ int64(w+1)<<32)),
+		timeout:    cfg.InterleavingTimeout,
+		maxRetries: cfg.MaxRetries,
+		backoff:    cfg.RetryBackoff,
+		sub:        sub,
+	}
+	if cfg.Faults != nil {
+		if x.inj, err = fault.NewInjector(*cfg.Faults); err != nil {
+			return nil, fmt.Errorf("runner: %w", err)
+		}
+		tel.instrument(x.inj)
+	}
+	for _, pair := range s.Log.SyncPairs() {
 		x.sendFor[pair[1]] = pair[0]
 	}
-	x.contrib = make(map[event.ID]msetDigest, x.log.Len())
-	for _, id := range x.log.IDs() {
+	for _, id := range s.Log.IDs() {
 		x.contrib[id] = msetContribution(id)
 	}
-	x.built = true
+	if live {
+		gatesFor := cfg.LiveGates
+		if gatesFor == nil {
+			gatesFor = localSessions
+		}
+		if x.sessions, err = gatesFor(w); err != nil {
+			return nil, fmt.Errorf("runner: live gates for worker %d: %w", w, err)
+		}
+		x.liveEvents = tel.registry().Counter("live.events")
+		return x, nil
+	}
+	if cfg.PrefixCacheBytes > 0 {
+		// Private per-worker cache: no cross-worker sharing, so what a
+		// worker computes never depends on what other workers ran.
+		x.cache = newPrefixCache(cfg.PrefixCacheBytes, cfg.PrefixSnapshotEvery)
+	}
+	x.subEvery = cfg.PrefixSnapshotEvery
+	if x.subEvery <= 0 {
+		x.subEvery = defaultPrefixSnapshotEvery
+	}
+	return x, nil
 }
 
-func (x *executor) execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, error) {
-	if !x.built {
-		x.buildPairs()
+// Execute replays one interleaving at the given global exploration index
+// (the index keys deterministic fault arming, so distributed workers must
+// pass the coordinator-assigned index, not a local counter). It returns
+// the outcome, the number of attempts made, and the final error when every
+// attempt failed — the triple Ledger.Record takes. With Telemetry
+// attached, each call counts toward runner.explored and the progress
+// snapshot, like the driver's per-index accounting — this is what a
+// distributed worker's federation reports are built from.
+func (x *Executor) Execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, int, error) {
+	x.tel.onExplored()
+	return x.execute(ctx, workItem{index: index, il: il, pivot: -1})
+}
+
+// run executes one item for the pool: the retry loop under an execute
+// span, with the worker's progress slot published around it.
+func (x *Executor) run(ctx context.Context, item workItem) workResult {
+	x.tel.setWorker(x.worker, item.index)
+	span := x.tel.span(telemetry.StageExecute, item.index, x.worker)
+	outcome, attempts, err := x.execute(ctx, item)
+	span.End()
+	x.tel.setWorker(x.worker, 0)
+	return workResult{index: item.index, il: item.il, outcome: outcome, attempts: attempts, err: err}
+}
+
+// execute drives attempt through the retry policy: each attempt under the
+// per-interleaving timeout (when configured), exponential backoff with
+// seeded ±50% jitter between attempts, up to maxRetries retries, aborting
+// early when ctx dies. It returns the outcome, the number of attempts
+// made, and the final error when every attempt failed.
+func (x *Executor) execute(ctx context.Context, item workItem) (*Outcome, int, error) {
+	for attempts := 1; ; attempts++ {
+		ilCtx, cancel := ctx, context.CancelFunc(nil)
+		if x.timeout > 0 {
+			ilCtx, cancel = context.WithTimeout(ctx, x.timeout)
+		}
+		outcome, err := x.attempt(ilCtx, item)
+		if cancel != nil {
+			cancel()
+		}
+		if err == nil {
+			return outcome, attempts, nil
+		}
+		if ctx.Err() != nil {
+			return nil, attempts, ctx.Err()
+		}
+		// ErrSubsumed is not a failure: re-executing would reach the same
+		// visited frontier and skip again.
+		if errors.Is(err, ErrSubsumed) || attempts > x.maxRetries {
+			return nil, attempts, err
+		}
+		x.tel.onRetry()
+		select {
+		case <-ctx.Done():
+			return nil, attempts, ctx.Err()
+		case <-time.After(retryDelay(x.backoff, attempts, x.jitter)):
+		}
 	}
-	armed := false
+}
+
+// maxRetryBackoff caps the exponential retry backoff. Without it, doubling
+// the base per attempt overflows time.Duration after ~63 shifts (sooner
+// with large bases), producing a negative delay that panics the jitter
+// draw.
+const maxRetryBackoff = 30 * time.Second
+
+// retryDelay computes the sleep before retry number `attempt` (1-based):
+// exponential backoff from base, clamped to maxRetryBackoff, with seeded
+// ±50% jitter.
+func retryDelay(base time.Duration, attempt int, jitter *rand.Rand) time.Duration {
+	backoff := base
+	for i := 1; i < attempt; i++ {
+		if backoff >= maxRetryBackoff/2 {
+			backoff = maxRetryBackoff
+			break
+		}
+		backoff <<= 1
+	}
+	if backoff > maxRetryBackoff {
+		backoff = maxRetryBackoff
+	}
+	return backoff/2 + time.Duration(jitter.Int63n(int64(backoff)+1))
+}
+
+// attempt performs one execution attempt: prologue, one of the two
+// schedules over the step, epilogue.
+func (x *Executor) attempt(ctx context.Context, item workItem) (*Outcome, error) {
 	if x.inj != nil {
-		injSpan := x.tel.span(telemetry.StageFaultInject, index, x.worker)
-		x.inj.Begin(index)
+		injSpan := x.tel.span(telemetry.StageFaultInject, item.index, x.worker)
+		x.inj.Begin(item.index)
 		injSpan.End()
-		armed = x.inj.AnyArmed()
 		defer x.inj.Finish()
 	}
-	outcome := &Outcome{
-		Index:        index,
-		Interleaving: il,
-		Observations: make(map[event.ID]string),
-		FaultArmed:   armed,
+	start, err := x.begin(item)
+	if err != nil {
+		return nil, err
 	}
-	pending := make(map[event.ID][]byte)
-	// Prepare the cluster: restore the deepest cached prefix and replay
-	// only the suffix, or reset to the genesis checkpoint and replay from
-	// event 0. Fault-carrying interleavings always take the clean genesis
-	// path — a crash or truncation makes cached prefix states wrong — and
-	// neither read nor populate the cache.
-	start, divergence := 0, 0
+	if x.sessions != nil {
+		err = x.replayGated(ctx, item.il, item.index)
+	} else {
+		err = x.replay(ctx, item.il, start)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if x.finalize != nil {
+		if err := x.finalize(x.cluster); err != nil {
+			return nil, fmt.Errorf("finalize: %w", err)
+		}
+	}
+	x.outcome.Fingerprints = x.cluster.Fingerprints()
+	x.outcome.Converged = x.cluster.Converged()
+	return x.outcome, nil
+}
+
+// begin starts an attempt on the freshly armed injector: allocate the
+// outcome and payload scratch, then prepare the cluster — restore the
+// deepest cached prefix so replay runs only the suffix from the returned
+// start position, or reset to the genesis checkpoint and replay from event
+// 0. Fault-carrying interleavings always take the clean genesis path — a
+// crash or truncation makes cached prefix states wrong — and neither read
+// nor populate the cache.
+func (x *Executor) begin(item workItem) (start int, err error) {
+	x.outcome = &Outcome{
+		Index:        item.index,
+		Interleaving: item.il,
+		Observations: make(map[event.ID]string),
+		FaultArmed:   x.inj.AnyArmed(),
+	}
+	x.pending = nil
 	x.rolling = msetDigest{}
-	useCache := x.cache != nil && !armed
+	x.pivot = item.pivot
+	if x.cache != nil && item.gen != x.gen {
+		// Re-pruned since this executor last ran (see workItem.gen).
+		x.gen = item.gen
+		freed, stateFreed := x.cache.invalidate()
+		x.tel.onSnapshot(-freed, 0)
+		x.tel.onPrefixDeltaBytes(-stateFreed)
+		x.prevIL = nil
+	}
+	if x.cache == nil || x.outcome.FaultArmed {
+		span := x.tel.span(telemetry.StageCheckpointReset, item.index, x.worker)
+		err = x.cluster.Reset()
+		span.End()
+		return 0, err
+	}
+	span := x.tel.span(telemetry.StageRestorePrefix, item.index, x.worker)
+	if snap, depth := x.cache.lookup(item.il); snap != nil {
+		err = x.restorePrefix(snap)
+		start = depth
+		x.rolling = snap.mset
+		x.tel.onPrefixHit(depth)
+	} else {
+		err = x.cluster.Reset()
+		x.tel.onPrefixMiss()
+	}
+	span.End()
+	return start, err
+}
+
+// replay is the inline schedule: the step at every position from start,
+// in order, on the caller's goroutine.
+func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start int) error {
 	// Fault-armed interleavings bypass subsumption both ways, like the
 	// cache: a crash or truncation makes the hashed context wrong, and a
 	// fault-free witness would not reproduce the faulted outcome.
-	useSub := x.sub != nil && !armed
+	useCache := x.cache != nil && !x.outcome.FaultArmed
+	useSub := x.sub != nil && !x.outcome.FaultArmed
+	divergence := 0
 	if useCache {
 		divergence = commonPrefixLen(x.prevIL, il)
-		span := x.tel.span(telemetry.StageRestorePrefix, index, x.worker)
-		var err error
-		if snap, depth := x.cache.lookup(il); snap != nil {
-			err = x.restorePrefix(snap, pending, outcome)
-			start = depth
-			x.rolling = snap.mset
-			x.tel.onPrefixHit(depth)
-		} else {
-			err = x.cluster.Reset()
-			x.tel.onPrefixMiss()
-		}
-		span.End()
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		span := x.tel.span(telemetry.StageCheckpointReset, index, x.worker)
-		err := x.cluster.Reset()
-		span.End()
-		if err != nil {
-			return nil, err
-		}
 	}
 	for pos := start; pos < len(il); pos++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if x.step != nil && pos > start {
-			// Observe the state the previous position left behind (the
-			// loop's continue paths — failed ops, dropped syncs — land here
-			// too, so every position gets exactly one observation).
-			if err := x.step(pos - 1); err != nil {
-				return nil, err
-			}
+			return err
 		}
 		if pos > start {
-			// Fold the event the previous iteration delivered (or skipped
-			// via a continue path — its ID is part of the prefix either
-			// way) into the rolling multiset digest.
+			if x.step != nil {
+				// Observe the state the previous position left behind
+				// (failed ops and dropped syncs land here too, so every
+				// position gets exactly one observation).
+				if err := x.step(pos - 1); err != nil {
+					return err
+				}
+			}
+			// Fold the event the previous iteration delivered (or failed,
+			// or dropped — its ID is part of the prefix either way) into
+			// the rolling multiset digest.
 			x.rolling.add(x.contrib[il[pos-1]])
 			wantCache := useCache && x.cache.wantSnapshot(pos, divergence, x.pivot)
 			wantSub := useSub && (wantCache || (!useCache && pos%x.subEvery == 0))
 			if wantCache || wantSub {
-				skip, err := x.contextPoint(il, pos, pending, outcome, wantCache, wantSub)
+				skip, err := x.contextPoint(il, pos, wantCache, wantSub)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if skip {
 					// Frontier already visited via a lexicographically
@@ -183,115 +425,144 @@ func (x *executor) execute(ctx context.Context, il interleave.Interleaving, inde
 					if useCache {
 						x.prevIL = il
 					}
-					return nil, ErrSubsumed
+					return ErrSubsumed
 				}
 			}
 		}
-		id := il[pos]
-		ev := x.log.Event(id)
-		if x.inj != nil {
-			for _, a := range x.inj.At(pos) {
-				if a.Kind == fault.ActionCrash {
-					if err := x.cluster.ResetNode(a.Replica); err != nil {
-						return nil, fmt.Errorf("fault: crash-restore %s: %w", a.Replica, err)
-					}
-				}
-			}
-			if x.inj.ReplicaDown(ev.Replica) {
-				return nil, fmt.Errorf("event %s: %w", ev, fault.ErrReplicaDown)
-			}
-		}
-		node, err := x.cluster.Node(ev.Replica)
-		if err != nil {
-			return nil, err
-		}
-		switch ev.Kind {
-		case event.Update, event.Observe:
-			result, err := node.State.Apply(replica.Op{Name: ev.Op, Args: ev.Args})
-			if err != nil {
-				if errors.Is(err, replica.ErrFailedOp) {
-					outcome.FailedOps = append(outcome.FailedOps, id)
-					continue
-				}
-				return nil, fmt.Errorf("event %s: %w", ev, err)
-			}
-			if result != "" {
-				outcome.Observations[id] = result
-			}
-		case event.SyncSend:
-			payload, err := node.State.SyncPayload()
-			if err != nil {
-				return nil, fmt.Errorf("event %s: %w", ev, err)
-			}
-			if x.inj != nil {
-				payload = x.inj.Payload(pos, payload)
-			}
-			pending[id] = payload
-		case event.SyncExec:
-			if x.inj != nil {
-				if x.inj.ReplicaDown(ev.From) {
-					return nil, fmt.Errorf("event %s: sender: %w", ev, fault.ErrReplicaDown)
-				}
-				if x.inj.Partitioned(ev.From, ev.Replica) {
-					outcome.DroppedSyncs = append(outcome.DroppedSyncs, id)
-					continue
-				}
-			}
-			payload, ok := x.payloadFor(id, pending)
-			if !ok {
-				// Standalone sync: capture the sender's state now.
-				sender, err := x.cluster.Node(ev.From)
-				if err != nil {
-					return nil, err
-				}
-				payload, err = sender.State.SyncPayload()
-				if err != nil {
-					return nil, fmt.Errorf("event %s: %w", ev, err)
-				}
-			}
-			if x.inj != nil {
-				payload = x.inj.Payload(pos, payload)
-			}
-			if err := node.State.ApplySync(payload); err != nil {
-				if errors.Is(err, replica.ErrFailedOp) {
-					outcome.FailedOps = append(outcome.FailedOps, id)
-					continue
-				}
-				return nil, fmt.Errorf("event %s: %w", ev, err)
-			}
-		default:
-			return nil, fmt.Errorf("event %s: unsupported kind", ev)
+		if err := x.apply(il, pos); err != nil {
+			return err
 		}
 	}
 	if x.step != nil && len(il) > start {
 		if err := x.step(len(il) - 1); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	x.tel.onEvents(len(il)-start, start)
-	outcome.Fingerprints = x.cluster.Fingerprints()
-	outcome.Converged = x.cluster.Converged()
 	if useCache {
 		x.prevIL = il
 	}
-	return outcome, nil
+	return nil
+}
+
+// apply is the event step — what executing il[pos] does, on either
+// schedule:
+//   - Update / Observe: apply the RDL op locally; the returned value is
+//     recorded as an observation.
+//   - SyncSend: capture the sender's sync payload at this instant; the
+//     payload travels with the event ID.
+//   - SyncExec: apply the payload captured by the paired SyncSend — or,
+//     for a standalone sync event (recorded without an explicit send, or
+//     scheduled ahead of it), capture the sender's payload at execution
+//     time, modelling a synchronization whose content depends on when it
+//     runs.
+//
+// When a fault injector is attached, it is consulted first: crash actions
+// roll the target replica back to its durable checkpoint, events at (or
+// syncs from) a crashed replica fail with fault.ErrReplicaDown, syncs
+// across a partitioned link are dropped and recorded in
+// Outcome.DroppedSyncs, and the payload executed at a truncation's
+// position — captured there or carried from a paired send — is cut in
+// flight. Failed ops and dropped syncs append in schedule order. Callers
+// present strictly increasing positions, one at a time.
+func (x *Executor) apply(il interleave.Interleaving, pos int) error {
+	id := il[pos]
+	ev := x.log.Event(id)
+	if x.inj != nil {
+		for _, a := range x.inj.At(pos) {
+			if a.Kind == fault.ActionCrash {
+				if err := x.cluster.ResetNode(a.Replica); err != nil {
+					return fmt.Errorf("fault: crash-restore %s: %w", a.Replica, err)
+				}
+			}
+		}
+		if x.inj.ReplicaDown(ev.Replica) {
+			return fmt.Errorf("event %s: %w", ev, fault.ErrReplicaDown)
+		}
+	}
+	node, err := x.cluster.Node(ev.Replica)
+	if err != nil {
+		return err
+	}
+	switch ev.Kind {
+	case event.Update, event.Observe:
+		result, err := node.State.Apply(replica.Op{Name: ev.Op, Args: ev.Args})
+		if err != nil {
+			if errors.Is(err, replica.ErrFailedOp) {
+				x.outcome.FailedOps = append(x.outcome.FailedOps, id)
+				return nil
+			}
+			return fmt.Errorf("event %s: %w", ev, err)
+		}
+		if result != "" {
+			x.outcome.Observations[id] = result
+		}
+	case event.SyncSend:
+		payload, err := node.State.SyncPayload()
+		if err != nil {
+			return fmt.Errorf("event %s: %w", ev, err)
+		}
+		if x.inj != nil {
+			payload = x.inj.Payload(pos, payload)
+		}
+		if x.pending == nil {
+			x.pending = make(map[event.ID][]byte)
+		}
+		x.pending[id] = payload
+	case event.SyncExec:
+		if x.inj != nil {
+			if x.inj.ReplicaDown(ev.From) {
+				return fmt.Errorf("event %s: sender: %w", ev, fault.ErrReplicaDown)
+			}
+			if x.inj.Partitioned(ev.From, ev.Replica) {
+				x.outcome.DroppedSyncs = append(x.outcome.DroppedSyncs, id)
+				return nil
+			}
+		}
+		// Map presence, not a nil test: a paired send that captured an
+		// empty payload still delivers that payload.
+		var payload []byte
+		sendID, captured := x.sendFor[id]
+		if captured {
+			payload, captured = x.pending[sendID]
+		}
+		if !captured {
+			// Standalone sync: capture the sender's state now.
+			sender, err := x.cluster.Node(ev.From)
+			if err != nil {
+				return err
+			}
+			if payload, err = sender.State.SyncPayload(); err != nil {
+				return fmt.Errorf("event %s: %w", ev, err)
+			}
+		}
+		if x.inj != nil {
+			payload = x.inj.Payload(pos, payload)
+		}
+		if err := node.State.ApplySync(payload); err != nil {
+			if errors.Is(err, replica.ErrFailedOp) {
+				x.outcome.FailedOps = append(x.outcome.FailedOps, id)
+				return nil
+			}
+			return fmt.Errorf("event %s: %w", ev, err)
+		}
+	default:
+		return fmt.Errorf("event %s: unsupported kind", ev)
+	}
+	return nil
 }
 
 // restorePrefix rewinds the execution context to a cached prefix: replica
 // states, captured sync payloads, and the outcome fields accumulated by
 // the prefix's events. Payload slices are shared with the cache — they
 // are immutable once captured.
-func (x *executor) restorePrefix(snap *prefixSnapshot, pending map[event.ID][]byte, outcome *Outcome) error {
+func (x *Executor) restorePrefix(snap *prefixSnapshot) error {
 	if err := x.cluster.RestoreSnapshot(snap.states); err != nil {
 		return err
 	}
-	for id, p := range snap.pending {
-		pending[id] = p
-	}
-	for id, v := range snap.obs {
-		outcome.Observations[id] = v
-	}
-	outcome.FailedOps = append(outcome.FailedOps, snap.failed...)
+	x.pending = maps.Clone(snap.pending)
+	maps.Copy(x.outcome.Observations, snap.obs)
+	x.outcome.FailedOps = append(x.outcome.FailedOps, snap.failed...)
 	return nil
 }
 
@@ -299,7 +570,7 @@ func (x *executor) restorePrefix(snap *prefixSnapshot, pending map[event.ID][]by
 // after il[:depth] into the cache (reusing an existing capture of the
 // same literal prefix), and/or run the subsumption check against the
 // frontier it represents. skip=true means the interleaving is subsumed.
-func (x *executor) contextPoint(il interleave.Interleaving, depth int, pending map[event.ID][]byte, outcome *Outcome, wantCache, wantSub bool) (skip bool, err error) {
+func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache, wantSub bool) (skip bool, err error) {
 	var snap *prefixSnapshot
 	if wantCache {
 		snap = x.cache.cached(il, depth)
@@ -310,13 +581,13 @@ func (x *executor) contextPoint(il interleave.Interleaving, depth int, pending m
 			return false, err
 		}
 		x.tel.onSnapshotWork(states.Dirty, states.Reused)
-		snap = newPrefixSnapshot(states, pending, outcome)
+		snap = newPrefixSnapshot(states, x.pending, x.outcome)
 		snap.mset = x.rolling
 		if x.sub != nil {
 			// Hash at capture time (even when this depth only feeds the
 			// cache): any later re-walk of the same literal prefix reuses
 			// the stored hash instead of re-serializing the cluster.
-			snap.ctxHash = contextHash(states, pending, outcome.Observations, outcome.FailedOps)
+			snap.ctxHash = contextHash(states, x.pending, x.outcome.Observations, x.outcome.FailedOps)
 		}
 		if wantCache {
 			delta, stateDelta, evicted := x.cache.insert(il, depth, snap)
@@ -356,13 +627,4 @@ func newPrefixSnapshot(states *replica.ClusterSnapshot, pending map[event.ID][]b
 	size += int64(len(snap.failed)) * 8
 	snap.size = size
 	return snap
-}
-
-func (x *executor) payloadFor(execID event.ID, pending map[event.ID][]byte) ([]byte, bool) {
-	sendID, ok := x.sendFor[execID]
-	if !ok {
-		return nil, false
-	}
-	payload, ok := pending[sendID]
-	return payload, ok
 }

@@ -107,22 +107,12 @@ func BuildBundle(s Scenario, cfg Config, il interleave.Interleaving, index int, 
 // executor: no cache, no subsumption, no telemetry) with the step
 // observer attached, finalizes, and returns the outcome as a FinalState.
 func forensicReplay(s Scenario, faults *fault.Schedule, il interleave.Interleaving, index int, observe func(*replica.Cluster, int) error) (*forensics.FinalState, error) {
-	cluster, err := s.NewCluster()
+	x, err := newExecutor(s, Config{Faults: faults}, 0, nil, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := cluster.Checkpoint(); err != nil {
-		return nil, err
-	}
-	var inj *fault.Injector
-	if faults != nil {
-		if inj, err = fault.NewInjector(*faults); err != nil {
-			return nil, err
-		}
-	}
-	exec := &executor{log: s.Log, cluster: cluster, finalize: s.Finalize, inj: inj}
-	exec.step = func(pos int) error { return observe(cluster, pos) }
-	outcome, err := exec.attempt(context.Background(), workItem{index: index, il: il, pivot: -1})
+	x.step = func(pos int) error { return observe(x.cluster, pos) }
+	outcome, err := x.attempt(context.Background(), workItem{index: index, il: il, pivot: -1})
 	if err != nil {
 		return nil, err
 	}

@@ -11,17 +11,62 @@ import (
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/proxy"
-	"github.com/er-pi/erpi/internal/replica"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
+
+// This file is the gated schedule — live replay (paper §4.3) — and its
+// session types. Live exploration shares the checkpointed path's driver
+// (pool.go), so every ordering guarantee documented there carries over,
+// and its Executor, so an event means the same thing on both.
+//
+// Isolation between concurrent sessions comes from the session, not the
+// engine: a LiveGates implementation must hand every session a fresh
+// fenced namespace (proxy.DistPool mints sess/<worker>/<epoch> lock keys,
+// so a stale WaitTurn or Advance from a cancelled attempt can never order
+// the next attempt's events), and the default in-process factory simply
+// builds a new LocalGate per session.
+
+// LiveSession is one execution attempt's gate namespace: Gate mints the
+// TurnGate for a replica, and Close releases whatever the session still
+// holds (armed mutexes, counters). Sessions are single-use.
+type LiveSession interface {
+	Gate(rep event.ReplicaID) (proxy.TurnGate, error)
+	Close() error
+}
+
+// SessionFactory mints the gate sessions for one live worker. Each call
+// returns the next session, fenced from all of the worker's previous
+// ones: nothing a cancelled earlier session still does may be visible to
+// it.
+type SessionFactory func() (LiveSession, error)
+
+// LiveGates builds the per-worker session factories for the live pool
+// (Config.LiveGates). Nil defaults to in-process LocalGate sessions.
+type LiveGates func(worker int) (SessionFactory, error)
+
+// gateSession adapts a bare per-replica gate constructor to a LiveSession
+// that holds nothing of its own. The default in-process session is one:
+// a LocalGate shared by all replicas, isolation by construction (nothing
+// outlives the value).
+type gateSession func(rep event.ReplicaID) proxy.TurnGate
+
+func (s gateSession) Gate(rep event.ReplicaID) (proxy.TurnGate, error) { return s(rep), nil }
+func (s gateSession) Close() error                                     { return nil }
+
+func localSessions(int) (SessionFactory, error) {
+	return func() (LiveSession, error) {
+		gate := proxy.NewLocalGate()
+		return gateSession(func(event.ReplicaID) proxy.TurnGate { return gate }), nil
+	}, nil
+}
 
 // ExecuteLive replays one interleaving the way a deployed ER-π session
 // does (paper §4.3): one goroutine per replica invokes that replica's
 // proxied RDL functions in the interleaving's order, and a TurnGate — the
 // in-process LocalGate or the lock-server-backed DistGate — blocks each
-// call until its scheduled turn. The returned outcome is semantically
-// identical to the sequential ExecuteOnce (a property pinned by tests);
-// the live path exists to exercise the real concurrency and distributed
+// call until its scheduled turn. The outcome is the sequential
+// ExecuteOnce's by construction (both run one Executor's event step); the
+// live path exists to exercise the real concurrency and distributed
 // locking machinery.
 //
 // newGate builds one gate per replica; with proxy.NewLocalGate a single
@@ -35,61 +80,45 @@ func ExecuteLive(s Scenario, il interleave.Interleaving, newGate func(rep event.
 // replica goroutine waiting on its turn gate (including DMutex.Lock /
 // Sequencer.WaitTurn over a lock server), so a wedged replay returns
 // promptly instead of hanging. A non-nil injector is consulted before
-// every scheduled call, with the same semantics as the sequential
-// executor. A non-nil registry records the replay as one execute span plus
-// a live.events counter of scheduled calls applied.
+// every scheduled call. A non-nil registry records the replay as one
+// execute span plus a live.events counter of scheduled calls applied.
 func ExecuteLiveContext(ctx context.Context, s Scenario, il interleave.Interleaving, newGate func(rep event.ReplicaID) proxy.TurnGate, inj *fault.Injector, reg *telemetry.Registry) (*Outcome, error) {
-	liveSpan := reg.StartSpan(telemetry.StageExecute, 1, telemetry.CoordinatorWorker)
-	defer liveSpan.End()
-	return executeLive(ctx, s, il, 1, telemetry.CoordinatorWorker,
-		func(rep event.ReplicaID) (proxy.TurnGate, error) { return newGate(rep), nil },
-		inj, reg)
-}
-
-// executeLive is the engine behind ExecuteLiveContext and the live worker
-// pool: replay one interleaving at the given exploration index through
-// per-replica goroutines ordered by the gates newGate mints. Whatever
-// path exits — including a gate factory or StartReplay failure partway
-// through setup, or a mid-run replica error — every armed interceptor is
-// released and every closable gate (e.g. proxy.DistGate) is closed, so a
-// failed session can neither leak its replica goroutines nor hold
-// distributed locks until TTL expiry.
-func executeLive(ctx context.Context, s Scenario, il interleave.Interleaving, index, worker int, newGate func(rep event.ReplicaID) (proxy.TurnGate, error), inj *fault.Injector, reg *telemetry.Registry) (*Outcome, error) {
 	if s.Log == nil || len(il) != s.Log.Len() {
 		return nil, fmt.Errorf("runner: live replay needs a complete interleaving")
 	}
-	liveEvents := reg.Counter("live.events")
-	cluster, err := s.NewCluster()
+	tel := newRunTelemetry(reg)
+	defer tel.span(telemetry.StageExecute, 1, telemetry.CoordinatorWorker).End()
+	cfg := Config{LiveGates: func(int) (SessionFactory, error) {
+		return func() (LiveSession, error) { return gateSession(newGate), nil }, nil
+	}}
+	x, err := newExecutor(s, cfg, telemetry.CoordinatorWorker, tel, nil, true)
 	if err != nil {
-		return nil, fmt.Errorf("runner: cluster setup: %w", err)
-	}
-	if err := cluster.Checkpoint(); err != nil {
 		return nil, err
 	}
+	x.inj = inj
+	return x.attempt(ctx, workItem{index: 1, il: il, pivot: -1})
+}
 
-	outcome := &Outcome{
-		Index:        index,
-		Interleaving: il,
-		Observations: make(map[event.ID]string),
+// replayGated is the gated schedule: the step at every position, each
+// called by its replica's goroutine when the gates a fresh session mints
+// grant that position's turn. A fresh session per attempt, fenced as the
+// file comment says, is what makes retrying safe at all.
+//
+// Whatever path exits — including a gate factory or StartReplay failure
+// partway through setup, or a mid-run replica error — every armed
+// interceptor is released, every closable gate (e.g. proxy.DistGate) is
+// closed and the session is closed, so a failed attempt can neither leak
+// its replica goroutines nor hold distributed locks until TTL expiry.
+func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, index int) error {
+	sess, err := x.sessions()
+	if err != nil {
+		return fmt.Errorf("live session: %w", err)
 	}
-	var mu sync.Mutex // guards outcome fields and the pending payloads
-	pending := make(map[event.ID][]byte)
-	sendFor := make(map[event.ID]event.ID)
-	for _, pair := range s.Log.SyncPairs() {
-		sendFor[pair[1]] = pair[0]
-	}
-	if inj != nil {
-		inj.Begin(index)
-		defer inj.Finish()
-	}
-
-	// Per-replica interceptors share the schedule; each replica goroutine
-	// re-issues its recorded calls in program order. The deferred release
-	// runs on every exit path: interceptors disarm and closable gates free
-	// their distributed state (a failed apply skips Advance, leaving the
-	// session mutex held — Close releases it instead of waiting out the
-	// TTL).
-	replicas := s.Log.Replicas()
+	x.tel.onLiveSession(1)
+	// Per-replica interceptors share the schedule. A failed step skips
+	// Advance, leaving the session mutex held: closing the gate releases
+	// it instead of waiting out the TTL.
+	replicas := x.log.Replicas()
 	interceptors := make(map[event.ReplicaID]*proxy.Interceptor, len(replicas))
 	var gates []proxy.TurnGate
 	defer func() {
@@ -101,133 +130,35 @@ func executeLive(ctx context.Context, s Scenario, il interleave.Interleaving, in
 				_ = c.Close()
 			}
 		}
+		_ = sess.Close()
+		x.tel.onLiveSession(-1)
 	}()
-	setupSpan := reg.StartSpan(telemetry.StageLiveSetup, index, worker)
+	setupSpan := x.tel.span(telemetry.StageLiveSetup, index, x.worker)
 	for _, rep := range replicas {
-		gate, err := newGate(rep)
+		gate, err := sess.Gate(rep)
 		if err != nil {
 			setupSpan.End()
-			return nil, fmt.Errorf("runner: live gate %s: %w", rep, err)
+			return fmt.Errorf("runner: live gate %s: %w", rep, err)
 		}
 		gates = append(gates, gate)
 		i := proxy.New()
-		if err := i.StartReplay(s.Log, il, gate); err != nil {
+		if err := i.StartReplay(x.log, il, gate); err != nil {
 			setupSpan.End()
-			return nil, err
+			return err
 		}
 		interceptors[rep] = i
 	}
 	setupSpan.End()
 
-	position := make(map[event.ID]int, len(il))
-	for turn, id := range il {
-		position[id] = turn
-	}
-
-	// apply runs under the gate's mutual exclusion: exactly one event
-	// executes at a time, in schedule order, so the injector sees strictly
-	// increasing positions just like the sequential executor.
-	apply := func(ev event.Event) error {
-		liveEvents.Inc()
-		pos := position[ev.ID]
-		if inj != nil {
-			for _, a := range inj.At(pos) {
-				if a.Kind == fault.ActionCrash {
-					if err := cluster.ResetNode(a.Replica); err != nil {
-						return fmt.Errorf("fault: crash-restore %s: %w", a.Replica, err)
-					}
-				}
-			}
-			if inj.ReplicaDown(ev.Replica) {
-				return fmt.Errorf("event %s: %w", ev, fault.ErrReplicaDown)
-			}
-		}
-		node, err := cluster.Node(ev.Replica)
-		if err != nil {
-			return err
-		}
-		switch ev.Kind {
-		case event.Update, event.Observe:
-			result, err := node.State.Apply(replica.Op{Name: ev.Op, Args: ev.Args})
-			if err != nil {
-				if errors.Is(err, replica.ErrFailedOp) {
-					mu.Lock()
-					outcome.FailedOps = append(outcome.FailedOps, ev.ID)
-					mu.Unlock()
-					return nil
-				}
-				return fmt.Errorf("event %s: %w", ev, err)
-			}
-			if result != "" {
-				mu.Lock()
-				outcome.Observations[ev.ID] = result
-				mu.Unlock()
-			}
-			return nil
-		case event.SyncSend:
-			payload, err := node.State.SyncPayload()
-			if err != nil {
-				return fmt.Errorf("event %s: %w", ev, err)
-			}
-			if inj != nil {
-				payload = inj.Payload(pos, payload)
-			}
-			mu.Lock()
-			pending[ev.ID] = payload
-			mu.Unlock()
-			return nil
-		case event.SyncExec:
-			if inj != nil {
-				if inj.ReplicaDown(ev.From) {
-					return fmt.Errorf("event %s: sender: %w", ev, fault.ErrReplicaDown)
-				}
-				if inj.Partitioned(ev.From, ev.Replica) {
-					mu.Lock()
-					outcome.DroppedSyncs = append(outcome.DroppedSyncs, ev.ID)
-					mu.Unlock()
-					return nil
-				}
-			}
-			var payload []byte
-			if sendID, ok := sendFor[ev.ID]; ok {
-				mu.Lock()
-				payload = pending[sendID]
-				mu.Unlock()
-			}
-			if payload == nil {
-				sender, err := cluster.Node(ev.From)
-				if err != nil {
-					return err
-				}
-				// Safe without extra locking: the gate's mutual exclusion
-				// means no other event executes concurrently.
-				payload, err = sender.State.SyncPayload()
-				if err != nil {
-					return fmt.Errorf("event %s: %w", ev, err)
-				}
-				if inj != nil {
-					payload = inj.Payload(pos, payload)
-				}
-			}
-			if err := node.State.ApplySync(payload); err != nil {
-				if errors.Is(err, replica.ErrFailedOp) {
-					mu.Lock()
-					outcome.FailedOps = append(outcome.FailedOps, ev.ID)
-					mu.Unlock()
-					return nil
-				}
-				return fmt.Errorf("event %s: %w", ev, err)
-			}
-			return nil
-		default:
-			return fmt.Errorf("event %s: unsupported kind", ev)
-		}
-	}
-
 	// Each replica's proxied functions are invoked in the interleaving's
 	// order for that replica (the replay driver drives the proxies; the
-	// schedule may reorder a replica's own recorded events).
-	//
+	// schedule may reorder a replica's own recorded events): turns lists,
+	// per replica, the positions it owns.
+	turns := make(map[event.ReplicaID][]int, len(replicas))
+	for pos, id := range il {
+		rep := x.log.Event(id).Replica
+		turns[rep] = append(turns[rep], pos)
+	}
 	// A failing replica cancels the shared context so the others' turn
 	// waits unblock instead of hanging on a turn that will never come;
 	// cancellation of the caller's ctx propagates the same way.
@@ -236,28 +167,34 @@ func executeLive(ctx context.Context, s Scenario, il interleave.Interleaving, in
 	var wg sync.WaitGroup
 	errCh := make(chan error, len(replicas))
 	for _, rep := range replicas {
-		ownEvents := make([]event.Event, 0, s.Log.Len())
-		for _, id := range s.Log.ByReplica(rep) {
-			ownEvents = append(ownEvents, s.Log.Event(id))
-		}
-		sort.Slice(ownEvents, func(a, b int) bool {
-			return position[ownEvents[a].ID] < position[ownEvents[b].ID]
-		})
 		wg.Add(1)
-		go func(rep event.ReplicaID, events []event.Event) {
+		go func(rep event.ReplicaID, i *proxy.Interceptor, turns []int) {
 			defer wg.Done()
-			i := interceptors[rep]
-			for _, ev := range events {
-				ev := ev
-				err := i.CallScheduled(ctx, ev.ID, func() error { return apply(ev) })
-				if err != nil {
+			// The gate already admits exactly one step at a time, in
+			// schedule order, so the injector sees strictly increasing
+			// positions just like the inline schedule. The mutex stays
+			// because a lock-server gate orders goroutines over a socket,
+			// which the memory model does not see: it is what makes one
+			// step's writes to the cluster and the attempt's scratch visible
+			// to the next replica's step.
+			var pos int
+			step := func() error {
+				x.mu.Lock()
+				defer x.mu.Unlock()
+				x.liveEvents.Inc()
+				return x.apply(il, pos)
+			}
+			for _, pos = range turns {
+				if err := i.CallScheduled(ctx, il[pos], step); err != nil {
 					errCh <- fmt.Errorf("replica %s: %w", rep, err)
 					cancel()
 					return
 				}
 			}
-		}(rep, ownEvents)
+		}(rep, interceptors[rep], turns[rep])
 	}
+	// Every replica goroutine has returned past this point, which is also
+	// what lets the next attempt reset the cluster it shares with them.
 	wg.Wait()
 	close(errCh)
 	// Drain every replica's error, not just the first: a multi-replica
@@ -271,24 +208,5 @@ func executeLive(ctx context.Context, s Scenario, il interleave.Interleaving, in
 		errs = append(errs, err)
 	}
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-
-	if s.Finalize != nil {
-		if err := s.Finalize(cluster); err != nil {
-			return nil, err
-		}
-	}
-	outcome.Fingerprints = cluster.Fingerprints()
-	outcome.Converged = cluster.Converged()
-	// Failed ops may arrive out of schedule order across goroutines;
-	// normalize for comparison with the sequential executor.
-	sortIDs(outcome.FailedOps)
-	sortIDs(outcome.DroppedSyncs)
-	return outcome, nil
-}
-
-func sortIDs(ids []event.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return errors.Join(errs...)
 }

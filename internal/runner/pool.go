@@ -23,7 +23,7 @@ import (
 //
 // Topology: the driver (the caller's goroutine) owns the explorer, the
 // dedup set, the journal, the datalog store, and the result Ledger;
-// workers own a private workerEnv each. Interleavings are pulled from the
+// workers own a private Executor each. Interleavings are pulled from the
 // explorer in its native order and tagged with a stable 1-based index at
 // assignment time. With one worker the driver executes each pulled item
 // inline, on its own goroutine: no worker goroutine, no channel hop, and
@@ -77,7 +77,7 @@ type pool struct {
 
 	// inline, when non-nil, is the single worker the driver runs on its own
 	// goroutine; the channels are nil then.
-	inline  *workerEnv
+	inline  *Executor
 	workCh  chan workItem
 	resCh   chan workResult
 	fatalCh chan error
@@ -110,15 +110,39 @@ type pool struct {
 	genSince time.Time          // when the fuzz barrier armed (tel only)
 }
 
-// run explores with the pool's workers — checkpointed executors, or live
-// gate sessions when live — feeding p.ledger; see the guarantees above.
+// workItem is one interleaving handed to a worker, tagged with the stable
+// exploration index the driver assigned, the explorer's next-pivot hint
+// captured at pull time (-1 when unavailable), and the re-prune
+// generation it was pulled under.
+type workItem struct {
+	index int
+	il    interleave.Interleaving
+	pivot int
+	// gen counts explorer regenerations (ConstraintPoll re-pruning) before
+	// this item was pulled. A worker that sees it move flushes its private
+	// prefix cache: the cache would otherwise hold branches the new
+	// sequence never walks.
+	gen uint64
+}
+
+// workResult is one executed interleaving flowing back to the driver.
+type workResult struct {
+	index    int
+	il       interleave.Interleaving
+	outcome  *Outcome
+	attempts int
+	err      error
+}
+
+// run explores with the pool's workers — executors on the inline schedule,
+// or on the gated one when live — feeding p.ledger; see the guarantees above.
 func (p *pool) run(workers int, live bool) error {
 	if workers == 1 {
-		env, err := newWorkerEnv(p.s, p.cfg, 0, p.tel, p.sub, live)
+		x, err := newExecutor(p.s, p.cfg, 0, p.tel, p.sub, live)
 		if err != nil {
 			return err
 		}
-		p.inline = env
+		p.inline = x
 	} else {
 		defer p.startWorkers(workers, live)()
 	}
@@ -149,13 +173,13 @@ func (p *pool) startWorkers(workers int, live bool) (stop func()) {
 			defer wg.Done()
 			// Setup failures are fatal for the whole run; execution
 			// failures are per-interleaving results.
-			env, err := newWorkerEnv(p.s, p.cfg, w, p.tel, p.sub, live)
+			x, err := newExecutor(p.s, p.cfg, w, p.tel, p.sub, live)
 			if err != nil {
 				p.fatalCh <- err
 				return
 			}
 			for item := range p.workCh {
-				p.resCh <- env.run(wctx, item)
+				p.resCh <- x.run(wctx, item)
 			}
 		}(w)
 	}

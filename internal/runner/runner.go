@@ -56,8 +56,8 @@ type Scenario struct {
 	// before the assertions — typically an anti-entropy round that
 	// completes delivery, so that convergence assertions are free of
 	// propagation-lag false positives and flag only genuine
-	// order-dependent corruption. Outcome fingerprints are recomputed
-	// after it runs.
+	// order-dependent corruption. Outcome fingerprints are taken after it
+	// runs.
 	Finalize func(*replica.Cluster) error
 }
 
@@ -416,8 +416,8 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 // error — exploration progress is never discarded.
 func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 	start := time.Now()
-	if cfg.Mode == "" {
-		cfg.Mode = ModeERPi
+	if err := validate(s, &cfg); err != nil {
+		return nil, err
 	}
 	maxIL := cfg.MaxInterleavings
 	switch {
@@ -429,7 +429,6 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = 100
 	}
-	normalizeRetry(&cfg)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -444,17 +443,6 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 		// sessions cannot batch generations without changing the
 		// timing-sensitive gate semantics the live path exists to test.
 		workers = 1
-	}
-	if s.Log == nil || s.Log.Len() == 0 {
-		return nil, errors.New("runner: scenario has no events")
-	}
-	if s.NewCluster == nil {
-		return nil, errors.New("runner: scenario has no cluster factory")
-	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("runner: %w", err)
-		}
 	}
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -547,19 +535,26 @@ func NewPrunedExplorer(s Scenario) (interleave.Explorer, error) {
 	return prune.NewExplorer(s.Log, s.Pruning)
 }
 
+// NewExplorer builds the exploration iterator the engine would use for
+// this scenario and config (mode, seed, pruning). The distributed
+// coordinator enumerates through it exactly as the in-process engines do,
+// which is what keeps range carving deterministic across restarts.
+func NewExplorer(s Scenario, cfg Config) (interleave.Explorer, error) {
+	if cfg.Mode == "" {
+		cfg.Mode = ModeERPi
+	}
+	return newExplorer(s, cfg, s.Pruning)
+}
+
 // ExecuteOnce runs a single given interleaving of the scenario (fresh
 // cluster, execute, finalize) and returns its outcome. Used to compute the
 // reported manifestation of a bug benchmark from its trigger order.
 func ExecuteOnce(s Scenario, il interleave.Interleaving) (*Outcome, error) {
-	cluster, err := s.NewCluster()
+	x, err := newExecutor(s, Config{}, 0, nil, nil, false)
 	if err != nil {
-		return nil, fmt.Errorf("runner: cluster setup: %w", err)
-	}
-	if err := cluster.Checkpoint(); err != nil {
 		return nil, err
 	}
-	exec := &executor{log: s.Log, cluster: cluster, finalize: s.Finalize}
-	return exec.attempt(context.Background(), workItem{index: 1, il: il, pivot: -1})
+	return x.attempt(context.Background(), workItem{index: 1, il: il, pivot: -1})
 }
 
 // newSubsumption builds the run's shared subsumption table, or nil when
