@@ -24,9 +24,13 @@ func TestMultiProcessSIGKILLSmoke(t *testing.T) {
 		t.Skip("subprocess smoke test skipped in -short")
 	}
 
-	// Coarse ranges (64 interleavings per lease) keep the victim holding a
-	// lease almost all the time, so the SIGKILL lands mid-range.
-	spec := JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 960, RangeSize: 64}
+	// The victim is killed a poll interval or two (a few milliseconds)
+	// after it commits its first range and leases its second, so a range
+	// must take far longer than that for the SIGKILL to land inside one:
+	// 1024 interleavings of Yorkie-1, the slowest replay in the tree, are
+	// 50-100 ms of work. (64 of Roshi-1 were under a millisecond, and the
+	// kill fell between leases every other run.)
+	spec := JobSpec{Bug: "Yorkie-1", Mode: "dfs", MaxInterleavings: 8192, RangeSize: 1024}
 	wantDigest, wantExplored := sequentialBaseline(t, spec)
 
 	bin := filepath.Join(t.TempDir(), "erpi-coordinator")
@@ -89,102 +93,87 @@ func TestMultiProcessSIGKILLSmoke(t *testing.T) {
 		return w
 	}
 
-	// One kill scenario: submit the job, run the victim alone until it has
-	// committed a range AND provably holds a lease (it is the only worker,
-	// so a leased range is its), SIGKILL it, then start the survivor to
-	// finish the job. Returns the final status and whether the kill landed
-	// while the job was still running.
-	runAttempt := func(attempt int) (JobStatus, bool) {
-		body, _ := json.Marshal(spec)
-		resp, err := http.Post(statusURL+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-		var st JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("decode submit: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("submit = %s (%+v)", resp.Status, st)
-		}
-
-		victim := startWorker(fmt.Sprintf("victim-%d", attempt))
-		var survivor *exec.Cmd
-		defer func() {
-			_ = victim.Process.Kill()
-			_, _ = victim.Process.Wait()
-			if survivor != nil {
-				_ = survivor.Process.Kill()
-				_ = survivor.Wait()
-			}
-		}()
-
-		getStatus := func() JobStatus {
-			resp, err := http.Get(fmt.Sprintf("%s/jobs/%s", statusURL, st.ID))
-			if err != nil {
-				t.Fatalf("poll: %v", err)
-			}
-			defer resp.Body.Close()
-			var cur JobStatus
-			if err := json.NewDecoder(resp.Body).Decode(&cur); err != nil {
-				t.Fatalf("decode poll: %v", err)
-			}
-			return cur
-		}
-		killDeadline := time.Now().Add(30 * time.Second)
-		for {
-			cur := getStatus()
-			if (cur.Explored >= spec.RangeSize && cur.RangesLeased >= 1) || cur.State != StateRunning {
-				break
-			}
-			if time.Now().After(killDeadline) {
-				t.Fatalf("no progress before kill: %+v", cur)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		killedMidRun := getStatus().State == StateRunning
-		if err := victim.Process.Signal(syscall.SIGKILL); err != nil {
-			t.Fatalf("SIGKILL victim: %v", err)
-		}
-		_, _ = victim.Process.Wait()
-		survivor = startWorker(fmt.Sprintf("survivor-%d", attempt))
-
-		resp, err = http.Get(fmt.Sprintf("%s/jobs/%s?wait=60", statusURL, st.ID))
-		if err != nil {
-			t.Fatalf("wait: %v", err)
-		}
-		var final JobStatus
-		if err := json.NewDecoder(resp.Body).Decode(&final); err != nil {
-			t.Fatalf("decode final: %v", err)
-		}
-		resp.Body.Close()
-
-		// Completion + digest parity must hold on every attempt.
-		if final.State != StateDone {
-			t.Fatalf("final state = %s (%+v)", final.State, final)
-		}
-		if final.Explored != wantExplored {
-			t.Fatalf("explored = %d, want %d", final.Explored, wantExplored)
-		}
-		if final.Digest != wantDigest {
-			t.Fatalf("digest mismatch after SIGKILL:\n distributed %s\n sequential  %s", final.Digest, wantDigest)
-		}
-		assertUniqueKeys(t, journalKeys(t, filepath.Join(root, final.ID)), wantExplored)
-		return final, killedMidRun
+	// Submit the job, run the victim alone until it has committed a range
+	// AND provably holds a lease (it is the only worker, so a leased range
+	// is its), SIGKILL it, then start the survivor to finish the job.
+	body, _ := json.Marshal(spec)
+	resp, err := http.Post(statusURL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	var st JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode submit: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit = %s (%+v)", resp.Status, st)
 	}
 
-	// The SIGKILL can land in the narrow window between leases, in which
-	// case nothing gets orphaned; retry until the kill provably interrupted
-	// a leased range (requeues >= 1).
-	for attempt := 1; ; attempt++ {
-		final, killedMidRun := runAttempt(attempt)
-		if killedMidRun && final.Requeues >= 1 {
+	victim := startWorker("victim")
+	var survivor *exec.Cmd
+	defer func() {
+		_ = victim.Process.Kill()
+		_, _ = victim.Process.Wait()
+		if survivor != nil {
+			_ = survivor.Process.Kill()
+			_ = survivor.Wait()
+		}
+	}()
+
+	getStatus := func() JobStatus {
+		resp, err := http.Get(fmt.Sprintf("%s/jobs/%s", statusURL, st.ID))
+		if err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		defer resp.Body.Close()
+		var cur JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&cur); err != nil {
+			t.Fatalf("decode poll: %v", err)
+		}
+		return cur
+	}
+	killDeadline := time.Now().Add(30 * time.Second)
+	for {
+		cur := getStatus()
+		if (cur.Explored >= spec.RangeSize && cur.RangesLeased >= 1) || cur.State != StateRunning {
 			break
 		}
-		if attempt >= 3 {
-			t.Fatalf("no attempt orphaned a range (last: requeues=%d midRun=%v)", final.Requeues, killedMidRun)
+		if time.Now().After(killDeadline) {
+			t.Fatalf("no progress before kill: %+v", cur)
 		}
-		t.Logf("attempt %d: kill missed a leased range (requeues=%d, midRun=%v); retrying", attempt, final.Requeues, killedMidRun)
+		time.Sleep(2 * time.Millisecond)
+	}
+	killedMidRun := getStatus().State == StateRunning
+	if err := victim.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatalf("SIGKILL victim: %v", err)
+	}
+	_, _ = victim.Process.Wait()
+	survivor = startWorker("survivor")
+
+	resp, err = http.Get(fmt.Sprintf("%s/jobs/%s?wait=60", statusURL, st.ID))
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	var final JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&final); err != nil {
+		t.Fatalf("decode final: %v", err)
+	}
+	resp.Body.Close()
+
+	if final.State != StateDone {
+		t.Fatalf("final state = %s (%+v)", final.State, final)
+	}
+	if final.Explored != wantExplored {
+		t.Fatalf("explored = %d, want %d", final.Explored, wantExplored)
+	}
+	if final.Digest != wantDigest {
+		t.Fatalf("digest mismatch after SIGKILL:\n distributed %s\n sequential  %s", final.Digest, wantDigest)
+	}
+	assertUniqueKeys(t, journalKeys(t, filepath.Join(root, final.ID)), wantExplored)
+	// The kill must have interrupted a leased range, or the test showed
+	// nothing about orphans.
+	if !killedMidRun || final.Requeues < 1 {
+		t.Fatalf("the SIGKILL orphaned no range (requeues=%d, job still running at the kill: %v)", final.Requeues, killedMidRun)
 	}
 }

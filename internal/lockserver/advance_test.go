@@ -1,0 +1,301 @@
+package lockserver
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"net"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// INCRBY adds its argument, and puts exactly one request on the wire: a
+// counting hook sees one call per call. INCR is served for plain Redis
+// clients.
+func TestIncrByOverTCP(t *testing.T) {
+	addr, done := startServer(t)
+	defer done()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var ops []string
+	c.SetFaultHook(func(op string, args []string) error {
+		ops = append(ops, op+" "+args[len(args)-1])
+		return nil
+	})
+
+	if n, err := c.IncrBy("turn", 3); err != nil || n != 3 {
+		t.Fatalf("IncrBy(3) = %d, %v; want 3", n, err)
+	}
+	if n, err := c.Incr("turn"); err != nil || n != 4 {
+		t.Fatalf("Incr = %d, %v; want 4", n, err)
+	}
+	if n, err := c.IncrBy("turn", -4); err != nil || n != 0 {
+		t.Fatalf("IncrBy(-4) = %d, %v; want 0", n, err)
+	}
+	if want := []string{"INCRBY 3", "INCRBY 1", "INCRBY -4"}; !slices.Equal(ops, want) {
+		t.Fatalf("hook saw %q; want %q", ops, want)
+	}
+
+	c.SetFaultHook(nil)
+	if rep, err := c.do("incr", "turn"); err != nil || rep.kind != ':' || rep.n != 1 {
+		t.Fatalf("INCR = %+v, %v; want :1", rep, err)
+	}
+	if err := c.Set("word", "banana"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.IncrBy("word", 1); err == nil {
+		t.Fatal("IncrBy on a non-integer must fail")
+	}
+	for _, bad := range [][]string{{"INCRBY", "turn"}, {"INCRBY", "turn", "x"}, {"INCR"}} {
+		if rep, err := c.do(bad...); err != nil || rep.kind != '-' {
+			t.Fatalf("%q = %+v, %v; want an error reply", bad, rep, err)
+		}
+	}
+}
+
+// lossyServer serves store like Server does, except that it applies the
+// first increment it receives and then drops the connection instead of
+// replying: the ambiguous failure — applied, but the client cannot know.
+func lossyServer(t *testing.T, store *Store) (addr string, done func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	var dropped atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				in := commandReader{r: bufio.NewReader(conn)}
+				for {
+					args, err := in.read()
+					if err != nil {
+						return
+					}
+					incr := string(args[0]) == "INCR" || string(args[0]) == "INCRBY"
+					rep := srv.dispatch(nil, args)
+					if incr && dropped.CompareAndSwap(false, true) {
+						return
+					}
+					if _, err := conn.Write(rep); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String(), func() { _ = ln.Close(); wg.Wait() }
+}
+
+// The bug this pins: Sequencer.Advance went through Client.do, which
+// retries after any transport error — including a reply lost after the
+// server applied the increment. The retry advanced the counter twice, a
+// turn was skipped, and the session wedged until its timeout. An advance
+// is now sent once and the ambiguity surfaces as an error.
+func TestAdvanceNotRetriedOnLostReply(t *testing.T) {
+	store := NewStore()
+	addr, done := lossyServer(t, store)
+	defer done()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReconnect(4, time.Millisecond)
+	var sent int
+	c.SetFaultHook(func(string, []string) error { sent++; return nil })
+
+	seq := NewSequencer(c, "turn", time.Millisecond)
+	if err := seq.Advance(1); err == nil {
+		t.Fatal("Advance with a lost reply must fail, not retry")
+	}
+	if v, _ := store.Get("turn"); v != "1" {
+		t.Fatalf("counter = %q after one Advance(1) with a lost reply; want 1 (a retry counted twice)", v)
+	}
+	if sent != 1 {
+		t.Fatalf("Advance put %d requests on the wire; want 1", sent)
+	}
+	// The client heals for whatever the caller does next.
+	if err := seq.Advance(2); err != nil {
+		t.Fatalf("Advance after the loss: %v", err)
+	}
+
+	// A hook failure is not retried either: one call, one error.
+	sent = 0
+	c.SetFaultHook(func(string, []string) error { sent++; return errors.New("outage") })
+	if err := seq.Advance(1); err == nil || sent != 1 {
+		t.Fatalf("Advance under a failing hook = %v after %d hook calls; want an error after 1", err, sent)
+	}
+	if v, _ := store.Get("turn"); v != "3" {
+		t.Fatalf("counter = %q; a request the hook refused must not reach the server", v)
+	}
+}
+
+// parked spins until n callers are parked in WaitGE on key.
+func parked(s *Store, key string, n int) {
+	for {
+		s.mu.Lock()
+		got := len(s.waiters[key])
+		s.mu.Unlock()
+		if got == n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// Three waiters on three targets: an increment that satisfies one wakes
+// exactly that one and leaves the other two parked where they are.
+func TestStoreWaitGEWakesOnlySatisfied(t *testing.T) {
+	s := NewStore()
+	results := make(chan [2]int64, 3)
+	for target := int64(1); target <= 3; target++ {
+		go func() {
+			cur, err := s.WaitGE("turn", target, time.Minute, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			results <- [2]int64{target, cur}
+		}()
+	}
+	parked(s, "turn", 3)
+	// wakes counts the waiters whose channel a mutation has closed, among
+	// those still queued or just released.
+	all := slices.Clone(s.waiters["turn"])
+	wakes := func() (n int) {
+		for _, w := range all {
+			select {
+			case <-w.woken:
+				n++
+			default:
+			}
+		}
+		return n
+	}
+
+	if _, err := s.IncrBy("turn", 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := wakes(); got != 1 {
+		t.Fatalf("IncrBy to 1 woke %d waiters; want exactly the one waiting for 1", got)
+	}
+	if r := <-results; r != [2]int64{1, 1} {
+		t.Fatalf("woken waiter = target %d read %d; want target 1 read 1", r[0], r[1])
+	}
+	s.mu.Lock()
+	var left []int64
+	for _, w := range s.waiters["turn"] {
+		left = append(left, w.target)
+	}
+	s.mu.Unlock()
+	slices.Sort(left)
+	if !slices.Equal(left, []int64{2, 3}) {
+		t.Fatalf("still parked: targets %v; want [2 3]", left)
+	}
+
+	// A jump past both remaining targets wakes both, and empties the queue.
+	if _, err := s.IncrBy("turn", 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := wakes(); got != 3 {
+		t.Fatalf("%d waiters woken after the counter reached 3; want 3", got)
+	}
+	for i := 0; i < 2; i++ {
+		if r := <-results; r[1] != 3 {
+			t.Fatalf("waiter for %d read %d; want 3", r[0], r[1])
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.waiters) != 0 {
+		t.Fatalf("waiter queue not emptied: %v", s.waiters)
+	}
+}
+
+// A waiter that times out leaves the queue, so a store serving long-lived
+// counters does not accumulate the waits that gave up.
+func TestStoreWaitGETimeoutLeavesQueue(t *testing.T) {
+	s := NewStore()
+	if cur, err := s.WaitGE("turn", 5, time.Millisecond, nil); err != nil || cur != 0 {
+		t.Fatalf("timed-out WaitGE = %d, %v; want 0, nil", cur, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.waiters) != 0 {
+		t.Fatalf("timed-out waiter still queued: %v", s.waiters)
+	}
+}
+
+// A run hand-off over the wire: the holder advances by the run's length
+// and the waiter for the next run's first turn — and only that one — is
+// released.
+func TestSequencerAdvanceByRun(t *testing.T) {
+	store := NewStore()
+	srv := NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dial := func() *Sequencer {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return NewSequencer(c, "turn", time.Millisecond)
+	}
+	holder, next, later := dial(), dial(), dial()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	if err := holder.WaitTurn(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan int, 2)
+	for turn, seq := range map[int]*Sequencer{3: next, 5: later} {
+		go func() {
+			if err := seq.WaitTurn(ctx, turn); err != nil {
+				t.Error(err)
+			}
+			got <- turn
+		}()
+	}
+	parked(store, "turn", 2)
+	if err := holder.Advance(3); err != nil {
+		t.Fatal(err)
+	}
+	if turn := <-got; turn != 3 {
+		t.Fatalf("turn %d released by an advance to 3", turn)
+	}
+	store.mu.Lock()
+	still := len(store.waiters["turn"]) == 1 && store.waiters["turn"][0].target == 5
+	store.mu.Unlock()
+	if !still {
+		t.Fatal("the waiter for turn 5 did not stay parked through the advance to 3")
+	}
+	if err := next.Advance(2); err != nil {
+		t.Fatal(err)
+	}
+	if turn := <-got; turn != 5 {
+		t.Fatalf("turn %d released by an advance to 5", turn)
+	}
+}

@@ -178,23 +178,23 @@ func stubNoWaitGE(t *testing.T) (addr string, waitges *atomic.Int64, done func()
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				r := bufio.NewReader(conn)
+				in := commandReader{r: bufio.NewReader(conn)}
 				for {
-					args, err := readCommand(r)
+					args, err := in.read()
 					if err != nil {
 						return
 					}
-					var rep string
-					switch strings.ToUpper(args[0]) {
+					var rep []byte
+					switch strings.ToUpper(string(args[0])) {
 					case "WAITGE":
 						n.Add(1)
-						rep = respError("unknown command " + args[0])
+						rep = appendError(nil, "unknown command "+string(args[0]))
 					case "PING":
-						rep = respSimple("PONG")
+						rep = appendSimple(nil, "PONG")
 					default:
-						rep = respNil()
+						rep = appendNil(nil)
 					}
-					if _, err := conn.Write([]byte(rep)); err != nil {
+					if _, err := conn.Write(rep); err != nil {
 						return
 					}
 				}
@@ -255,7 +255,7 @@ func TestBlockingWaitTurnWakesOnAdvance(t *testing.T) {
 	other := NewSequencer(advancer, "turn", time.Millisecond)
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		if _, err := other.Advance(); err != nil {
+		if err := other.Advance(1); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -290,52 +290,8 @@ func TestBlockingWaitTurnHonorsDeadline(t *testing.T) {
 	}
 }
 
-func TestUnlockAdvancePipelined(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if ok, err := c.SetNX("mu", "tok", time.Second); err != nil || !ok {
-		t.Fatalf("SetNX = %v, %v", ok, err)
-	}
-	next, err := c.UnlockAdvance("mu", "tok", "turn")
-	if err != nil || next != 1 {
-		t.Fatalf("UnlockAdvance = %d, %v; want 1, nil", next, err)
-	}
-	if _, found, _ := c.Get("mu"); found {
-		t.Fatal("mutex still held after UnlockAdvance")
-	}
-	if v, _, _ := c.Get("turn"); v != "1" {
-		t.Fatalf("turn counter = %q; want 1", v)
-	}
-}
-
-func TestUnlockAdvanceDetectsLeaseLoss(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if ok, err := c.SetNX("mu", "tok", time.Second); err != nil || !ok {
-		t.Fatalf("SetNX = %v, %v", ok, err)
-	}
-	if _, err := c.Del("mu"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.UnlockAdvance("mu", "tok", "turn"); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("UnlockAdvance after lease loss = %v; want ErrLeaseLost", err)
-	}
-}
-
-// Abandon releases a held mutex immediately — the epoch-fenced session
-// teardown path, where waiting out the TTL would pin server memory.
+// Abandon releases a held mutex immediately — the teardown path of a
+// cancelled range, where waiting out the TTL would stall the next holder.
 func TestDMutexAbandonReleases(t *testing.T) {
 	addr, done := startServer(t)
 	defer done()

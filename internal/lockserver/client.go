@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -49,7 +48,7 @@ type Client struct {
 	addr string
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
+	wbuf []byte // request framing scratch
 	// reconnect policy: maxAttempts tries per request, starting at backoff
 	// and doubling.
 	maxAttempts int
@@ -80,7 +79,6 @@ func Dial(addr string) (*Client, error) {
 		addr:        addr,
 		conn:        conn,
 		r:           bufio.NewReader(conn),
-		w:           bufio.NewWriter(conn),
 		maxAttempts: defaultMaxAttempts,
 		backoff:     defaultBackoff,
 		closed:      make(chan struct{}),
@@ -123,14 +121,6 @@ func (c *Client) Close() error {
 	return err
 }
 
-// reply is the decoded RESP response.
-type reply struct {
-	kind  byte // '+', '-', ':', '$'
-	str   string
-	n     int64
-	isNil bool
-}
-
 func (c *Client) do(args ...string) (reply, error) {
 	return c.doCtx(context.Background(), args...)
 }
@@ -159,87 +149,47 @@ func (c *Client) doCtx(ctx context.Context, args ...string) (reply, error) {
 			}
 			backoff *= 2
 		}
-		if c.hook != nil {
-			if err := c.hook(args[0], args[1:]); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		if c.conn == nil {
-			conn, err := net.Dial("tcp", c.addr)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			c.conn = conn
-			c.r = bufio.NewReader(conn)
-			c.w = bufio.NewWriter(conn)
-		}
-		rep, err := c.roundTrip(args)
+		rep, err := c.sendLocked(args)
 		if err == nil {
 			return rep, nil
 		}
-		// The stream may be desynchronized mid-reply: drop the connection
-		// and re-dial on the next attempt.
 		lastErr = err
-		_ = c.conn.Close()
-		c.conn = nil
 	}
 	return reply{}, fmt.Errorf("lockserver: %s failed after %d attempts: %w",
 		args[0], c.maxAttempts, lastErr)
 }
 
-func (c *Client) roundTrip(args []string) (reply, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "*%d\r\n", len(args))
-	for _, a := range args {
-		fmt.Fprintf(&b, "$%d\r\n%s\r\n", len(a), a)
+// sendLocked puts one request on the wire once and reads its reply: the
+// fault hook sees it (exactly once per request sent, which is what lets a
+// counting hook count requests), a dropped connection is re-dialed first,
+// and any transport error drops the connection, because the stream may be
+// desynchronized mid-reply. An error after the write began is ambiguous:
+// the server may have applied the request. Callers hold c.mu.
+func (c *Client) sendLocked(args []string) (reply, error) {
+	if c.hook != nil {
+		if err := c.hook(args[0], args[1:]); err != nil {
+			return reply{}, err
+		}
 	}
-	if _, err := c.w.WriteString(b.String()); err != nil {
-		return reply{}, err
+	if c.conn == nil {
+		conn, err := net.Dial("tcp", c.addr)
+		if err != nil {
+			return reply{}, err
+		}
+		c.conn = conn
+		c.r = bufio.NewReader(conn)
 	}
-	if err := c.w.Flush(); err != nil {
-		return reply{}, err
+	c.wbuf = appendCommand(c.wbuf[:0], args...)
+	_, err := c.conn.Write(c.wbuf)
+	var rep reply
+	if err == nil {
+		rep, err = readReply(c.r)
 	}
-	return c.readReply()
-}
-
-func (c *Client) readReply() (reply, error) {
-	line, err := c.r.ReadString('\n')
 	if err != nil {
-		return reply{}, err
+		_ = c.conn.Close()
+		c.conn = nil
 	}
-	line = strings.TrimRight(line, "\r\n")
-	if line == "" {
-		return reply{}, errors.New("lockserver: empty reply")
-	}
-	switch line[0] {
-	case '+':
-		return reply{kind: '+', str: line[1:]}, nil
-	case '-':
-		return reply{kind: '-', str: line[1:]}, nil
-	case ':':
-		n, err := strconv.ParseInt(line[1:], 10, 64)
-		if err != nil {
-			return reply{}, err
-		}
-		return reply{kind: ':', n: n}, nil
-	case '$':
-		n, err := strconv.Atoi(line[1:])
-		if err != nil {
-			return reply{}, err
-		}
-		if n < 0 {
-			return reply{kind: '$', isNil: true}, nil
-		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(c.r, buf); err != nil {
-			return reply{}, err
-		}
-		return reply{kind: '$', str: string(buf[:n])}, nil
-	default:
-		return reply{}, fmt.Errorf("lockserver: unexpected reply %q", line)
-	}
+	return rep, err
 }
 
 // Ping checks liveness.
@@ -308,11 +258,23 @@ func (c *Client) Del(key string) (bool, error) {
 	return rep.n == 1, nil
 }
 
-// Incr increments the counter at key.
-func (c *Client) Incr(key string) (int64, error) {
-	rep, err := c.do("INCR", key)
+// Incr is IncrBy(key, 1).
+func (c *Client) Incr(key string) (int64, error) { return c.IncrBy(key, 1) }
+
+// IncrBy adds n to the counter at key and returns the new value. Unlike
+// every other request it is sent once, outside do's retry ladder: an
+// increment is not idempotent, and after an ambiguous failure (the server
+// may have applied it before the reply was lost) a retry would count
+// twice — for the sequencer, skip a turn and wedge its session. The error
+// surfaces instead, and the caller abandons the counter: live sessions
+// replay under a fresh key namespace where a stray increment cannot
+// matter.
+func (c *Client) IncrBy(key string, n int64) (int64, error) {
+	c.mu.Lock()
+	rep, err := c.sendLocked([]string{"INCRBY", key, strconv.FormatInt(n, 10)})
+	c.mu.Unlock()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("lockserver: INCRBY %s (not retried): %w", key, err)
 	}
 	if rep.kind == '-' {
 		return 0, errors.New(rep.str)
@@ -372,75 +334,6 @@ func (c *Client) CompareAndExpireContext(ctx context.Context, key, expect string
 	return rep.n == 1, nil
 }
 
-// UnlockAdvance pipelines the distributed-gate handoff — CAD mutexKey
-// token releasing the mutex, then INCR seqKey handing the turn to the
-// next event — in one write and flush, so an Advance costs a single round
-// trip instead of two. Unlike do(), the pair is never retried: INCR is
-// not idempotent, and an ambiguous failure (the request may have been
-// applied) must surface to the caller, who abandons the session and
-// replays it under a fresh key namespace where a stray increment cannot
-// matter. A CAD miss (lease expired or taken over) returns an error
-// wrapping ErrLeaseLost; the INCR has still executed server-side, which
-// only perturbs the already-doomed session's own counter.
-func (c *Client) UnlockAdvance(mutexKey, token, seqKey string) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hook != nil {
-		if err := c.hook("CAD", []string{mutexKey, token}); err != nil {
-			return 0, err
-		}
-		if err := c.hook("INCR", []string{seqKey}); err != nil {
-			return 0, err
-		}
-	}
-	if c.conn == nil {
-		conn, err := net.Dial("tcp", c.addr)
-		if err != nil {
-			return 0, err
-		}
-		c.conn = conn
-		c.r = bufio.NewReader(conn)
-		c.w = bufio.NewWriter(conn)
-	}
-	fail := func(err error) (int64, error) {
-		_ = c.conn.Close()
-		c.conn = nil
-		return 0, err
-	}
-	var b strings.Builder
-	for _, args := range [][]string{{"CAD", mutexKey, token}, {"INCR", seqKey}} {
-		fmt.Fprintf(&b, "*%d\r\n", len(args))
-		for _, a := range args {
-			fmt.Fprintf(&b, "$%d\r\n%s\r\n", len(a), a)
-		}
-	}
-	if _, err := c.w.WriteString(b.String()); err != nil {
-		return fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return fail(err)
-	}
-	cadRep, err := c.readReply()
-	if err != nil {
-		return fail(err)
-	}
-	incrRep, err := c.readReply()
-	if err != nil {
-		return fail(err)
-	}
-	if cadRep.kind == '-' {
-		return 0, errors.New(cadRep.str)
-	}
-	if cadRep.n != 1 {
-		return 0, fmt.Errorf("lockserver: release %s: not the holder (token %s): %w",
-			mutexKey, token, ErrLeaseLost)
-	}
-	if incrRep.kind == '-' {
-		return 0, errors.New(incrRep.str)
-	}
-	return incrRep.n, nil
-}
-
 // DMutex is a distributed mutex over a shared key, in the style of the
 // Redis Redlock pattern the paper uses: acquisition is SET key token NX PX,
 // release is an atomic compare-and-delete of the holder's token.
@@ -459,24 +352,12 @@ type DMutex struct {
 
 	renewEvery time.Duration
 
-	// Telemetry (nil-safe): acquire records time spent blocked in Lock,
-	// renew records each CompareAndExpire round trip.
-	histAcquire *telemetry.Histogram
-	histRenew   *telemetry.Histogram
-
 	mu        sync.Mutex
 	lost      chan struct{}
 	lostErr   error
 	stop      chan struct{}
 	done      chan struct{}
 	renewStop context.CancelFunc
-}
-
-// SetMetrics attaches latency histograms for lock acquisition waits and
-// lease renewals. Call before Lock; nil histograms record nothing.
-func (m *DMutex) SetMetrics(acquire, renew *telemetry.Histogram) {
-	m.histAcquire = acquire
-	m.histRenew = renew
 }
 
 // NewDMutex builds a mutex on key with the given token (must be unique per
@@ -502,11 +383,9 @@ func (m *DMutex) AutoRenew(every time.Duration) {
 // lock-server outage stalls acquisition until the context expires rather
 // than failing it.
 func (m *DMutex) Lock(ctx context.Context) error {
-	started := time.Now()
 	for {
 		ok, err := m.client.SetNXContext(ctx, m.key, m.token, m.ttl)
 		if ok && err == nil {
-			m.histAcquire.ObserveDuration(time.Since(started))
 			m.startRenewal()
 			return nil
 		}
@@ -551,9 +430,7 @@ func (m *DMutex) renewLoop(ctx context.Context, stop, done, lost chan struct{}) 
 		case <-stop:
 			return
 		case <-ticker.C:
-			renewStart := time.Now()
 			ok, err := m.client.CompareAndExpireContext(ctx, m.key, m.token, m.ttl)
-			m.histRenew.ObserveDuration(time.Since(renewStart))
 			if err != nil {
 				if ctx.Err() != nil {
 					return // stopRenewal cancelled us mid-request
@@ -631,18 +508,6 @@ func (m *DMutex) Unlock() error {
 	return nil
 }
 
-// UnlockAdvance releases the mutex and advances the sequencer at seqKey
-// in one pipelined round trip (see Client.UnlockAdvance). A lease lost
-// while held — detected by renewal or by the release itself — returns an
-// error wrapping ErrLeaseLost. Transport errors are not retried; the
-// caller abandons the session rather than risk a double increment.
-func (m *DMutex) UnlockAdvance(seqKey string) (int64, error) {
-	if err := m.stopRenewal(); err != nil {
-		return 0, err
-	}
-	return m.client.UnlockAdvance(m.key, m.token, seqKey)
-}
-
 // Abandon stops lease renewal and makes one best-effort attempt to
 // release the mutex, ignoring failures. It is the teardown path for
 // sessions being cancelled: without it an armed mutex holds its key until
@@ -661,14 +526,19 @@ func (m *DMutex) Orphan() {
 	_ = m.stopRenewal()
 }
 
-// Sequencer enforces a global turn order across replicas: each event of an
-// interleaving executes only when the shared counter reaches its position.
+// Sequencer enforces a global turn order across replicas as a ticket lock:
+// the shared counter is the "now serving" number, a position of the
+// interleaving is a ticket, and whoever's ticket is up holds the lock until
+// it advances the counter. Nobody else may advance it, which is all the
+// mutual exclusion a schedule needs — and all there is: the counter has no
+// lease, so a holder that dies wedges the turn until the waiters' contexts
+// expire.
 type Sequencer struct {
 	client *Client
 	key    string
 	retry  time.Duration
-	// noBlock disables the server-side blocking wait: set via SetBlocking,
-	// or latched permanently when the server rejects WAITGE as unknown.
+	// noBlock disables the server-side blocking wait, latched permanently
+	// when the server rejects WAITGE as unknown.
 	noBlock bool
 
 	histTurnWait *telemetry.Histogram // nil-safe: time blocked in WaitTurn
@@ -683,13 +553,6 @@ func NewSequencer(client *Client, key string, retry time.Duration) *Sequencer {
 // successful WaitTurn blocked. Call before use; nil records nothing.
 func (s *Sequencer) SetMetrics(turnWait *telemetry.Histogram) {
 	s.histTurnWait = turnWait
-}
-
-// SetBlocking toggles the server-side blocking wait (on by default). Off
-// forces the 1ms polling loop — the polling baseline for benchmarks, or a
-// belt for servers whose WAITGE is suspect.
-func (s *Sequencer) SetBlocking(on bool) {
-	s.noBlock = !on
 }
 
 // Reset sets the counter to zero.
@@ -712,8 +575,8 @@ const blockingTurnChunk = 100 * time.Millisecond
 // client reconnects underneath) and continues until the context is done,
 // so a lock-server outage wedges the turn — visibly, bounded by the
 // caller's deadline — instead of crashing the replay.
-func (s *Sequencer) WaitTurn(ctx context.Context, turn int64) error {
-	started := time.Now()
+func (s *Sequencer) WaitTurn(ctx context.Context, at int) error {
+	turn, started := int64(at), time.Now()
 	for !s.noBlock {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("lockserver: wait turn %d: %w", turn, err)
@@ -775,8 +638,11 @@ func (s *Sequencer) pollTurn(ctx context.Context, turn int64, started time.Time)
 	}
 }
 
-// Advance increments the shared counter, handing the turn to the next
-// event.
-func (s *Sequencer) Advance() (int64, error) {
-	return s.client.Incr(s.key)
+// Advance adds n to the shared counter: the holder of turn t hands the
+// schedule to turn t+n, having run the n consecutive positions it owned as
+// one critical section. Sent once (see Client.IncrBy); after an error the
+// counter's value is unknown and the session is lost, not the turn retried.
+func (s *Sequencer) Advance(n int) error {
+	_, err := s.client.IncrBy(s.key, int64(n))
+	return err
 }

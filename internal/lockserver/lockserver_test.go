@@ -239,13 +239,13 @@ func TestSequencerOrdersEvents(t *testing.T) {
 	defer done()
 
 	const n = 12
-	var order []int64
+	var order []int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(turn int64) {
+		go func(turn int) {
 			defer wg.Done()
 			c, err := Dial(addr)
 			if err != nil {
@@ -261,10 +261,10 @@ func TestSequencerOrdersEvents(t *testing.T) {
 			mu.Lock()
 			order = append(order, turn)
 			mu.Unlock()
-			if _, err := seq.Advance(); err != nil {
+			if err := seq.Advance(1); err != nil {
 				errs <- err
 			}
-		}(int64(i))
+		}(i)
 	}
 	wg.Wait()
 	close(errs)
@@ -272,7 +272,7 @@ func TestSequencerOrdersEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, turn := range order {
-		if turn != int64(i) {
+		if turn != i {
 			t.Fatalf("execution order %v violates the assigned turns", order)
 		}
 	}
@@ -290,7 +290,7 @@ func TestSequencerTurnAlreadyPassed(t *testing.T) {
 	if err := seq.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seq.Advance(); err != nil {
+	if err := seq.Advance(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := seq.WaitTurn(context.Background(), 0); err == nil {

@@ -2,12 +2,8 @@ package lockserver
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -98,83 +94,110 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	in := commandReader{r: bufio.NewReader(conn)}
+	var out []byte
 	for {
-		args, err := readCommand(r)
+		args, err := in.read()
 		if err != nil {
 			return
 		}
-		reply := s.dispatch(args)
-		if _, err := w.WriteString(reply); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
+		out = s.dispatch(out[:0], args)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) dispatch(args []string) string {
+// upper folds an ASCII command or option name to upper case in a caller's
+// scratch array, so matching it allocates nothing. Names longer than any
+// the server knows are returned as they are (and match nothing).
+func upper(scratch *[8]byte, name []byte) []byte {
+	if len(name) > len(scratch) {
+		return name
+	}
+	for i, c := range name {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		scratch[i] = c
+	}
+	return scratch[:len(name)]
+}
+
+func appendBool(dst []byte, ok bool) []byte {
+	if ok {
+		return appendInt(dst, 1)
+	}
+	return appendInt(dst, 0)
+}
+
+// dispatch executes one request and appends its reply to dst.
+func (s *Server) dispatch(dst []byte, args [][]byte) []byte {
 	if len(args) == 0 {
-		return respError("empty command")
+		return appendError(dst, "empty command")
 	}
-	switch strings.ToUpper(args[0]) {
+	var scratch [8]byte
+	name, args := args[0], args[1:]
+	switch string(upper(&scratch, name)) {
 	case "PING":
-		return respSimple("PONG")
+		return appendSimple(dst, "PONG")
 	case "SET":
-		return s.cmdSet(args[1:])
+		return s.cmdSet(dst, args)
 	case "GET":
-		if len(args) != 2 {
-			return respError("GET requires 1 argument")
+		if len(args) != 1 {
+			return appendError(dst, "GET requires 1 argument")
 		}
-		v, ok := s.store.Get(args[1])
+		v, ok := s.store.Get(string(args[0]))
 		if !ok {
-			return respNil()
+			return appendNil(dst)
 		}
-		return respBulk(v)
+		return appendBulk(dst, v)
 	case "DEL":
-		if len(args) != 2 {
-			return respError("DEL requires 1 argument")
+		if len(args) != 1 {
+			return appendError(dst, "DEL requires 1 argument")
 		}
-		if s.store.Del(args[1]) {
-			return respInt(1)
-		}
-		return respInt(0)
+		return appendBool(dst, s.store.Del(string(args[0])))
 	case "INCR":
+		if len(args) != 1 {
+			return appendError(dst, "INCR requires 1 argument")
+		}
+		return s.cmdIncrBy(dst, args[0], 1)
+	case "INCRBY":
 		if len(args) != 2 {
-			return respError("INCR requires 1 argument")
+			return appendError(dst, "INCRBY requires 2 arguments")
 		}
-		n, err := s.store.Incr(args[1])
-		if err != nil {
-			return respError("value is not an integer")
+		delta, ok := parseInt(args[1])
+		if !ok {
+			return appendError(dst, "invalid INCRBY increment")
 		}
-		return respInt(n)
+		return s.cmdIncrBy(dst, args[0], delta)
 	case "WAITGE":
-		return s.cmdWaitGE(args[1:])
+		return s.cmdWaitGE(dst, args)
 	case "CAD":
-		if len(args) != 3 {
-			return respError("CAD requires 2 arguments")
+		if len(args) != 2 {
+			return appendError(dst, "CAD requires 2 arguments")
 		}
-		if s.store.CompareAndDelete(args[1], args[2]) {
-			return respInt(1)
-		}
-		return respInt(0)
+		return appendBool(dst, s.store.CompareAndDelete(string(args[0]), string(args[1])))
 	case "CEX":
-		if len(args) != 4 {
-			return respError("CEX requires 3 arguments")
+		if len(args) != 3 {
+			return appendError(dst, "CEX requires 3 arguments")
 		}
-		ms, err := strconv.ParseInt(args[3], 10, 64)
-		if err != nil || ms < 0 {
-			return respError("invalid CEX ttl")
+		ms, ok := parseInt(args[2])
+		if !ok || ms < 0 {
+			return appendError(dst, "invalid CEX ttl")
 		}
-		if s.store.CompareAndExpire(args[1], args[2], time.Duration(ms)*time.Millisecond) {
-			return respInt(1)
-		}
-		return respInt(0)
+		return appendBool(dst, s.store.CompareAndExpire(string(args[0]), string(args[1]), time.Duration(ms)*time.Millisecond))
 	default:
-		return respError("unknown command " + args[0])
+		return appendError(dst, "unknown command "+string(name))
 	}
+}
+
+func (s *Server) cmdIncrBy(dst, key []byte, delta int64) []byte {
+	n, err := s.store.IncrBy(string(key), delta)
+	if err != nil {
+		return appendError(dst, "value is not an integer")
+	}
+	return appendInt(dst, n)
 }
 
 // maxBlockingWait caps how long one WAITGE parks its handler, whatever
@@ -186,118 +209,53 @@ const maxBlockingWait = 30 * time.Second
 // timeoutMs parks until the integer at key (missing = 0) reaches target,
 // then replies with the current value. A timeout replies with the current
 // (sub-target) value; the client re-issues or falls back to polling.
-func (s *Server) cmdWaitGE(args []string) string {
+func (s *Server) cmdWaitGE(dst []byte, args [][]byte) []byte {
 	if len(args) != 3 {
-		return respError("WAITGE requires key, target, and timeout")
+		return appendError(dst, "WAITGE requires key, target, and timeout")
 	}
-	target, err := strconv.ParseInt(args[1], 10, 64)
+	target, ok := parseInt(args[1])
+	if !ok {
+		return appendError(dst, "invalid WAITGE target")
+	}
+	ms, ok := parseInt(args[2])
+	if !ok || ms < 0 {
+		return appendError(dst, "invalid WAITGE timeout")
+	}
+	timeout := min(time.Duration(ms)*time.Millisecond, maxBlockingWait)
+	cur, err := s.store.WaitGE(string(args[0]), target, timeout, s.closedCh)
 	if err != nil {
-		return respError("invalid WAITGE target")
+		return appendError(dst, "value is not an integer")
 	}
-	ms, err := strconv.ParseInt(args[2], 10, 64)
-	if err != nil || ms < 0 {
-		return respError("invalid WAITGE timeout")
-	}
-	timeout := time.Duration(ms) * time.Millisecond
-	if timeout > maxBlockingWait {
-		timeout = maxBlockingWait
-	}
-	cur, err := s.store.WaitGE(args[0], target, timeout, s.closedCh)
-	if err != nil {
-		return respError("value is not an integer")
-	}
-	return respInt(cur)
+	return appendInt(dst, cur)
 }
 
-func (s *Server) cmdSet(args []string) string {
+func (s *Server) cmdSet(dst []byte, args [][]byte) []byte {
 	if len(args) < 2 {
-		return respError("SET requires key and value")
+		return appendError(dst, "SET requires key and value")
 	}
-	key, value := args[0], args[1]
 	nx := false
 	var px time.Duration
 	for i := 2; i < len(args); i++ {
-		switch strings.ToUpper(args[i]) {
+		var scratch [8]byte
+		switch string(upper(&scratch, args[i])) {
 		case "NX":
 			nx = true
 		case "PX":
 			if i+1 >= len(args) {
-				return respError("PX requires milliseconds")
+				return appendError(dst, "PX requires milliseconds")
 			}
-			ms, err := strconv.ParseInt(args[i+1], 10, 64)
-			if err != nil || ms <= 0 {
-				return respError("invalid PX value")
+			ms, ok := parseInt(args[i+1])
+			if !ok || ms <= 0 {
+				return appendError(dst, "invalid PX value")
 			}
 			px = time.Duration(ms) * time.Millisecond
 			i++
 		default:
-			return respError("unknown SET option " + args[i])
+			return appendError(dst, "unknown SET option "+string(args[i]))
 		}
 	}
-	if s.store.Set(key, value, nx, px) {
-		return respSimple("OK")
+	if s.store.Set(string(args[0]), string(args[1]), nx, px) {
+		return appendSimple(dst, "OK")
 	}
-	return respNil()
-}
-
-// readCommand parses one RESP array-of-bulk-strings request.
-func readCommand(r *bufio.Reader) ([]string, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(line) == 0 || line[0] != '*' {
-		return nil, fmt.Errorf("lockserver: malformed request %q", line)
-	}
-	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 || n > 64 {
-		return nil, fmt.Errorf("lockserver: bad array length %q", line)
-	}
-	args := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		bulk, err := readBulk(r)
-		if err != nil {
-			return nil, err
-		}
-		args = append(args, bulk)
-	}
-	return args, nil
-}
-
-func readBulk(r *bufio.Reader) (string, error) {
-	line, err := readLine(r)
-	if err != nil {
-		return "", err
-	}
-	if len(line) == 0 || line[0] != '$' {
-		return "", fmt.Errorf("lockserver: expected bulk string, got %q", line)
-	}
-	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 || n > 1<<20 {
-		return "", fmt.Errorf("lockserver: bad bulk length %q", line)
-	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return "", errors.New("lockserver: bulk string missing CRLF")
-	}
-	return string(buf[:n]), nil
-}
-
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
-}
-
-func respSimple(s string) string { return "+" + s + "\r\n" }
-func respError(s string) string  { return "-ERR " + s + "\r\n" }
-func respInt(n int64) string     { return ":" + strconv.FormatInt(n, 10) + "\r\n" }
-func respNil() string            { return "$-1\r\n" }
-func respBulk(s string) string {
-	return "$" + strconv.Itoa(len(s)) + "\r\n" + s + "\r\n"
+	return appendNil(dst)
 }

@@ -1,15 +1,18 @@
 // Package lockserver provides the distributed-locking substrate ER-π uses
 // to enforce event order during replay (paper §4.3). It contains a small
 // Redis-compatible key-value server speaking a RESP subset over TCP
-// (SET [NX] [PX], GET, DEL, INCR, CAD, CEX, PING), a reconnecting client,
-// a Redlock-style distributed mutex with lease renewal, and a turn
-// sequencer built on the mutex.
+// (SET [NX] [PX], GET, DEL, INCR, INCRBY, PING, plus three commands Redis
+// needs a script for: CAD and CEX, compare-and-delete / -expire, and WAITGE,
+// a blocking wait for a counter), a reconnecting client, a Redlock-style
+// distributed mutex with lease renewal, and a turn sequencer: a ticket lock
+// whose "now serving" counter lives on the server.
 //
 // The paper deploys "a mutex with a shared key managed by a Redis server";
-// this package is that server and mutex, built from the standard library.
+// this package is that server and lock, built from the standard library.
 package lockserver
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -21,9 +24,14 @@ type Store struct {
 	mu   sync.Mutex
 	data map[string]entry
 	now  func() time.Time
-	// watchers holds one notification channel per key with blocked WaitGE
-	// callers; any mutation of the key closes (and replaces) the channel.
-	watchers map[string]chan struct{}
+	// waiters holds, per key, the parked WaitGE callers with the value
+	// each is waiting for; a mutation wakes only those it satisfies.
+	waiters map[string][]*waiter
+}
+
+type waiter struct {
+	target int64
+	woken  chan struct{}
 }
 
 type entry struct {
@@ -33,31 +41,51 @@ type entry struct {
 
 // NewStore returns an empty store using the real clock.
 func NewStore() *Store {
-	return &Store{data: make(map[string]entry), now: time.Now, watchers: make(map[string]chan struct{})}
+	return NewStoreWithClock(time.Now)
 }
 
 // NewStoreWithClock returns a store with an injected clock (tests).
 func NewStoreWithClock(now func() time.Time) *Store {
-	return &Store{data: make(map[string]entry), now: now, watchers: make(map[string]chan struct{})}
+	return &Store{data: make(map[string]entry), now: now, waiters: make(map[string][]*waiter)}
 }
 
-// watchLocked returns the notification channel for key, creating it on
-// first use. Callers hold s.mu.
-func (s *Store) watchLocked(key string) chan struct{} {
-	ch, ok := s.watchers[key]
-	if !ok {
-		ch = make(chan struct{})
-		s.watchers[key] = ch
+// wakeLocked wakes the WaitGE callers parked on key that its new value
+// satisfies (all of them if it stopped being an integer, so they can say
+// so). Callers hold s.mu.
+func (s *Store) wakeLocked(key string) {
+	parked := s.waiters[key]
+	if len(parked) == 0 {
+		return
 	}
-	return ch
+	cur, err := s.intLocked(key)
+	kept := parked[:0]
+	for _, w := range parked {
+		if err != nil || cur >= w.target {
+			close(w.woken)
+		} else {
+			kept = append(kept, w)
+		}
+	}
+	clear(parked[len(kept):])
+	s.setWaitersLocked(key, kept)
 }
 
-// notifyLocked wakes every WaitGE blocked on key. Callers hold s.mu.
-func (s *Store) notifyLocked(key string) {
-	if ch, ok := s.watchers[key]; ok {
-		close(ch)
-		delete(s.watchers, key)
+// setWaitersLocked stores key's queue, dropping the map entry with its
+// last waiter: keys are per session, so empty queues must not accumulate.
+func (s *Store) setWaitersLocked(key string, parked []*waiter) {
+	if len(parked) == 0 {
+		delete(s.waiters, key)
+	} else {
+		s.waiters[key] = parked
 	}
+}
+
+// intLocked reads the integer at key (missing = 0). Callers hold s.mu.
+func (s *Store) intLocked(key string) (int64, error) {
+	if s.expiredLocked(key) {
+		return 0, nil
+	}
+	return strconv.ParseInt(s.data[key].value, 10, 64)
 }
 
 func (s *Store) expiredLocked(k string) bool {
@@ -86,7 +114,7 @@ func (s *Store) Set(key, value string, nx bool, px time.Duration) bool {
 		e.expiresAt = s.now().Add(px)
 	}
 	s.data[key] = e
-	s.notifyLocked(key)
+	s.wakeLocked(key)
 	return true
 }
 
@@ -108,26 +136,25 @@ func (s *Store) Del(key string) bool {
 		return false
 	}
 	delete(s.data, key)
-	s.notifyLocked(key)
+	s.wakeLocked(key)
 	return true
 }
 
-// Incr atomically increments the integer value at key (missing = 0) and
-// returns the new value.
-func (s *Store) Incr(key string) (int64, error) {
+// Incr is IncrBy(key, 1).
+func (s *Store) Incr(key string) (int64, error) { return s.IncrBy(key, 1) }
+
+// IncrBy atomically adds delta to the integer value at key (missing = 0)
+// and returns the new value.
+func (s *Store) IncrBy(key string, delta int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n int64
-	if !s.expiredLocked(key) {
-		parsed, err := strconv.ParseInt(s.data[key].value, 10, 64)
-		if err != nil {
-			return 0, err
-		}
-		n = parsed
+	n, err := s.intLocked(key)
+	if err != nil {
+		return 0, err
 	}
-	n++
+	n += delta
 	s.data[key] = entry{value: strconv.FormatInt(n, 10)}
-	s.notifyLocked(key)
+	s.wakeLocked(key)
 	return n, nil
 }
 
@@ -145,7 +172,7 @@ func (s *Store) CompareAndDelete(key, expect string) bool {
 		return false
 	}
 	delete(s.data, key)
-	s.notifyLocked(key)
+	s.wakeLocked(key)
 	return true
 }
 
@@ -178,44 +205,36 @@ func (s *Store) CompareAndExpire(key, expect string, px time.Duration) bool {
 // timed out or was cancelled. A non-integer value is an error.
 //
 // This is the server side of the blocking sequencer turn: instead of the
-// client polling GET every millisecond, one WAITGE request parks here on
-// the key's notification channel and wakes on the Incr/Set that hands the
-// turn over.
+// client polling GET every millisecond, one WAITGE request parks here with
+// its target and is woken by the IncrBy/Set that reaches it — and by no
+// other: an advance that hands the turn to one replica leaves the others
+// parked.
 func (s *Store) WaitGE(key string, target int64, timeout time.Duration, cancel <-chan struct{}) (int64, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		s.mu.Lock()
-		var cur int64
-		if !s.expiredLocked(key) {
-			parsed, err := strconv.ParseInt(s.data[key].value, 10, 64)
-			if err != nil {
-				s.mu.Unlock()
-				return 0, err
-			}
-			cur = parsed
-		}
-		if cur >= target {
-			s.mu.Unlock()
-			return cur, nil
-		}
-		ch := s.watchLocked(key)
+	s.mu.Lock()
+	cur, err := s.intLocked(key)
+	if err != nil || cur >= target || timeout <= 0 {
 		s.mu.Unlock()
-
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return cur, nil
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-			return cur, nil
-		case <-cancel:
-			timer.Stop()
-			return cur, nil
-		}
+		return cur, err
 	}
+	w := &waiter{target: target, woken: make(chan struct{})}
+	s.waiters[key] = append(s.waiters[key], w)
+	s.mu.Unlock()
+
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-w.woken:
+	case <-timer.C:
+	case <-cancel:
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.waiters[key], w); i >= 0 {
+		// Timed out or cancelled: leave the queue (a woken waiter already has).
+		s.setWaitersLocked(key, slices.Delete(s.waiters[key], i, i+1))
+	}
+	return s.intLocked(key)
 }
 
 // Len returns the number of live keys.

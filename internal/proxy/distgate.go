@@ -1,104 +1,26 @@
 package proxy
 
 import (
-	"context"
 	"time"
 
 	"github.com/er-pi/erpi/internal/lockserver"
-	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// DistGate adapts the lock server's distributed mutex + sequencer into a
-// TurnGate, giving replay ordering across OS processes — the paper's
-// "distributed lock … deploys a mutex with a shared key managed by a Redis
-// server" (§4.3).
-//
-// The mutex renews its lease in the background while held, so a turn that
-// outlives the lock TTL keeps its exclusivity; if the lease is lost anyway
-// (e.g. a lock-server wipe), Advance surfaces lockserver.ErrLeaseLost
-// instead of silently double-holding.
-type DistGate struct {
-	seq     *lockserver.Sequencer
-	mutex   *lockserver.DMutex
-	turnKey string
-	// pipelined folds Advance's unlock + increment into one round trip.
-	// Off by default: the pipelined pair is not retried on transport
-	// errors (INCR is not idempotent), so it is only safe for callers that
-	// abandon the whole session on error — the live pool's per-epoch key
-	// namespaces make that abandonment free.
-	pipelined bool
-}
+// DistGate is the lock server's turn sequencer used as a TurnGate, giving
+// replay ordering across OS processes — the paper's "distributed lock …
+// with a shared key managed by a Redis server" (§4.3). The shared key is a
+// counter and the counter is the lock: a ticket lock whose "now serving"
+// value lives on the server. The replica whose turn the counter names
+// holds it, nobody else advances it, and Advance — one non-retried
+// increment — hands it on.
+type DistGate = lockserver.Sequencer
 
 var _ TurnGate = (*DistGate)(nil)
 
-// NewDistGate builds a distributed gate for one holder. key namespaces the
-// session; token must be unique per holder (e.g. the replica ID).
-func NewDistGate(client *lockserver.Client, key, token string) *DistGate {
-	return NewDistGateTTL(client, key, token, 30*time.Second)
-}
-
-// NewDistGateTTL is NewDistGate with an explicit lock TTL (tests use short
-// TTLs to exercise lease expiry quickly).
-func NewDistGateTTL(client *lockserver.Client, key, token string, ttl time.Duration) *DistGate {
-	m := lockserver.NewDMutex(client, key+":mutex", token, ttl, time.Millisecond)
-	m.AutoRenew(0)
-	return &DistGate{
-		seq:     lockserver.NewSequencer(client, key+":turn", time.Millisecond),
-		mutex:   m,
-		turnKey: key + ":turn",
-	}
-}
-
-// SetMetrics attaches a latency histogram recording time blocked in the
-// sequencer's WaitTurn. Call before use; nil records nothing.
-func (g *DistGate) SetMetrics(turnWait *telemetry.Histogram) {
-	g.seq.SetMetrics(turnWait)
-}
-
-// SetBlocking toggles the sequencer's server-side blocking wait (on by
-// default; off forces 1ms polling).
-func (g *DistGate) SetBlocking(on bool) {
-	g.seq.SetBlocking(on)
-}
-
-// EnablePipelinedAdvance makes Advance release the mutex and bump the
-// counter in one round trip. Only safe when the caller abandons the whole
-// session on an Advance error (see DistGate.pipelined).
-func (g *DistGate) EnablePipelinedAdvance() {
-	g.pipelined = true
-}
-
-// Reset rewinds the shared turn counter (call once per interleaving, from
-// the coordinator only).
-func (g *DistGate) Reset() error { return g.seq.Reset() }
-
-// WaitTurn implements TurnGate: wait for the shared counter, then take the
-// mutex so the turn's critical section is exclusive even against stragglers.
-func (g *DistGate) WaitTurn(ctx context.Context, turn int) error {
-	if err := g.seq.WaitTurn(ctx, int64(turn)); err != nil {
-		return err
-	}
-	return g.mutex.Lock(ctx)
-}
-
-// Advance implements TurnGate: release the mutex and bump the counter. A
-// lease lost mid-turn comes back wrapping lockserver.ErrLeaseLost.
-func (g *DistGate) Advance() error {
-	if g.pipelined {
-		_, err := g.mutex.UnlockAdvance(g.turnKey)
-		return err
-	}
-	if err := g.mutex.Unlock(); err != nil {
-		return err
-	}
-	_, err := g.seq.Advance()
-	return err
-}
-
-// Close releases the gate's distributed state best-effort: renewal is
-// stopped and a still-held mutex is freed instead of lingering until TTL
-// expiry. Safe to call whether or not the mutex is held.
-func (g *DistGate) Close() error {
-	g.mutex.Abandon()
-	return nil
+// NewDistGate builds a distributed gate for one holder; key namespaces the
+// session, and every holder of a session needs its own client (a parked
+// wait owns its connection). The third argument named the holder of a
+// per-turn mutex the gate no longer takes; it is ignored.
+func NewDistGate(client *lockserver.Client, key, _ string) *DistGate {
+	return lockserver.NewSequencer(client, key+":turn", time.Millisecond)
 }

@@ -1,7 +1,7 @@
 package proxy
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -11,12 +11,12 @@ import (
 )
 
 // DistPool owns one live worker's lock-server connections and mints
-// epoch-fenced gate sessions for it. Each session namespaces its keys as
-// <base>/sess/<worker>/<epoch>, so a stale WaitTurn or Advance from a
-// cancelled session lands on keys no later session will ever read: the
-// epoch counter only moves forward, and a fresh epoch's keys start absent
-// (missing counter = 0), which is exactly the sequencer's reset state.
-// That fencing is also what makes the pipelined, non-retried Advance
+// epoch-fenced gate sessions for it. Each session namespaces its turn
+// counter as <base>/sess/<worker>/<epoch>:turn, so a stale WaitTurn or
+// Advance from a cancelled session lands on a key no later session will
+// ever read: the epoch counter only moves forward, and a fresh epoch's key
+// starts absent (missing counter = 0), which is exactly the sequencer's
+// reset state. That fencing is also what makes the non-retried Advance
 // safe — an ambiguous failure abandons the epoch, and any stray increment
 // it left behind is invisible to the next one.
 //
@@ -25,12 +25,9 @@ import (
 // one (they would serialize behind each other's waits).
 type DistPool struct {
 	addr   string
-	base   string
-	worker int
-	ttl    time.Duration
+	prefix string // <base>/sess/<worker>/
 
 	turnWait *telemetry.Histogram
-	noBlock  bool
 	// hook is installed on every dialed client (fault injection).
 	hook lockserver.FaultHook
 
@@ -40,14 +37,15 @@ type DistPool struct {
 }
 
 // NewDistPool builds a gate-session factory for one live worker against
-// the lock server at addr. base roots the key namespace (e.g. "live");
-// ttl is the per-turn mutex lease.
+// the lock server at addr. base roots the key namespace (e.g. "live").
+// ttl was the lease of a per-turn mutex the gates no longer take and is
+// unused: a session's one key, its turn counter, deliberately has no
+// expiry — a counter that lapsed under a slow attempt would read 0 again
+// and re-admit turn 0.
 func NewDistPool(addr, base string, worker int, ttl time.Duration) *DistPool {
 	return &DistPool{
 		addr:    addr,
-		base:    base,
-		worker:  worker,
-		ttl:     ttl,
+		prefix:  base + "/sess/" + strconv.Itoa(worker) + "/",
 		clients: make(map[event.ReplicaID]*lockserver.Client),
 	}
 }
@@ -56,12 +54,6 @@ func NewDistPool(addr, base string, worker int, ttl time.Duration) *DistPool {
 // for every gate this pool mints. Call before Session.
 func (p *DistPool) SetTurnWaitMetrics(h *telemetry.Histogram) {
 	p.turnWait = h
-}
-
-// DisableBlocking forces all minted gates onto the 1ms polling path (the
-// benchmark baseline). Call before Session.
-func (p *DistPool) DisableBlocking() {
-	p.noBlock = true
 }
 
 // SetFaultHook installs a fault-injection hook on every client the pool
@@ -92,28 +84,15 @@ func (p *DistPool) clientFor(rep event.ReplicaID) (*lockserver.Client, error) {
 	return c, nil
 }
 
-// anyClient returns one already-dialed client, or nil.
-func (p *DistPool) anyClient() *lockserver.Client {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.clients {
-		return c
-	}
-	return nil
-}
-
 // Session mints the next epoch's gate session. Each call advances the
 // worker's epoch, fencing off everything the previous session might still
 // do.
 func (p *DistPool) Session() *DistSession {
 	p.mu.Lock()
 	p.epoch++
-	epoch := p.epoch
+	key := p.prefix + strconv.Itoa(p.epoch)
 	p.mu.Unlock()
-	return &DistSession{
-		pool: p,
-		key:  fmt.Sprintf("%s/sess/%d/%d", p.base, p.worker, epoch),
-	}
+	return &DistSession{pool: p, key: key, turnKey: key + ":turn"}
 }
 
 // Close drops the pool's connections. Sessions minted earlier must be
@@ -132,53 +111,44 @@ func (p *DistPool) Close() error {
 }
 
 // DistSession is one epoch's gate namespace: every replica's gate shares
-// the session's turn counter and mutex keys, and Close releases whatever
-// distributed state the session still holds.
+// the session's turn counter, and Close deletes it.
 type DistSession struct {
-	pool *DistPool
-	key  string
+	pool    *DistPool
+	key     string
+	turnKey string
 
-	mu    sync.Mutex
-	gates []*DistGate
+	mu     sync.Mutex
+	client *lockserver.Client // any client a gate was minted on, for Close
 }
 
 // Key returns the session's lock-key namespace (for tests and logs).
 func (s *DistSession) Key() string { return s.key }
 
 // Gate builds the session gate for one replica. Replicas of a session
-// share keys but not connections.
+// share the counter but not connections.
 func (s *DistSession) Gate(rep event.ReplicaID) (TurnGate, error) {
 	c, err := s.pool.clientFor(rep)
 	if err != nil {
 		return nil, err
 	}
-	g := NewDistGateTTL(c, s.key, string(rep), s.pool.ttl)
+	g := lockserver.NewSequencer(c, s.turnKey, time.Millisecond)
 	g.SetMetrics(s.pool.turnWait)
-	g.SetBlocking(!s.pool.noBlock)
-	g.EnablePipelinedAdvance()
 	s.mu.Lock()
-	s.gates = append(s.gates, g)
+	s.client = c
 	s.mu.Unlock()
 	return g, nil
 }
 
-// Close tears the session down: every minted gate abandons any held
-// mutex, and the turn counter is deleted best-effort. Later epochs never
-// read this namespace, so Close is hygiene, not correctness — but without
-// it a cancelled session's mutex would pin lock-server memory until TTL
-// expiry.
+// Close deletes the session's turn counter, best-effort. Later epochs
+// never read this namespace, so Close is hygiene, not correctness — but
+// without it every attempt would leave a key on the lock server.
 func (s *DistSession) Close() error {
 	s.mu.Lock()
-	gates := s.gates
-	s.gates = nil
+	c := s.client
+	s.client = nil
 	s.mu.Unlock()
-	for _, g := range gates {
-		_ = g.Close()
-	}
-	if len(gates) > 0 {
-		if c := s.pool.anyClient(); c != nil {
-			_, _ = c.Del(s.key + ":turn")
-		}
+	if c != nil {
+		_, _ = c.Del(s.turnKey)
 	}
 	return nil
 }

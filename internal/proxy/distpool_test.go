@@ -55,7 +55,7 @@ func TestDistSessionEpochFencing(t *testing.T) {
 		if err := g1.WaitTurn(ctx, turn); err != nil {
 			t.Fatal(err)
 		}
-		if err := g1.Advance(); err != nil {
+		if err := g1.Advance(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestDistSessionEpochFencing(t *testing.T) {
 	if err := g2.WaitTurn(ctx, 0); err != nil {
 		t.Fatalf("fresh epoch's turn 0: %v", err)
 	}
-	if err := g2.Advance(); err != nil {
+	if err := g2.Advance(1); err != nil {
 		t.Fatal(err)
 	}
 	// The stale epoch is at 2; the fresh one is at 1. Turn 2 must NOT be
@@ -83,40 +83,60 @@ func TestDistSessionEpochFencing(t *testing.T) {
 	_ = s2.Close()
 }
 
-// Closing a session releases a still-held turn mutex immediately instead
-// of leaving it to TTL expiry, and drops the session's turn counter.
+// A session's only distributed state is its turn counter: it appears with
+// the first advance, a run that fails (and so never advances) holds
+// nothing more, and Close removes it — nothing of the session is left on
+// the lock server.
 func TestDistSessionCloseReleasesState(t *testing.T) {
-	addr, done := startLockServer(t)
-	defer done()
+	store := lockserver.NewStore()
+	srv := lockserver.NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	p := NewDistPool(addr, "live", 0, time.Minute)
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
+	// A session that minted no gate has nothing to release, and says so
+	// without a request.
+	if err := p.Session().Close(); err != nil || store.Len() != 0 {
+		t.Fatalf("empty session Close = %v, store holds %d keys", err, store.Len())
+	}
+
 	s := p.Session()
-	g, err := s.Gate("A")
+	gA, err := s.Gate("A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// WaitTurn acquires the session mutex; a failed apply would exit here
-	// without Advance, i.e. still holding it.
-	if err := g.WaitTurn(ctx, 0); err != nil {
+	gB, err := s.Gate("B")
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Taking turn 0 of a fresh epoch writes nothing.
+	if err := gA.WaitTurn(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != 0 {
+		t.Fatalf("store holds %d keys before the first advance; want 0", store.Len())
+	}
+	if err := gA.Advance(2); err != nil {
+		t.Fatal(err)
+	}
+	// B takes turn 2 and fails mid-run: it returns without Advance.
+	if err := gB.WaitTurn(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := store.Get(s.Key() + ":turn"); v != "2" || store.Len() != 1 {
+		t.Fatalf("session state = counter %q among %d keys; want 2 and nothing else", v, store.Len())
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	c, err := lockserver.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if ok, err := c.SetNX(s.Key()+":mutex", "rival", time.Second); err != nil || !ok {
-		t.Fatalf("mutex still held after session Close (SetNX = %v, %v)", ok, err)
-	}
-	if _, found, _ := c.Get(s.Key() + ":turn"); found {
-		t.Fatal("turn counter survived session Close")
+	if store.Len() != 0 {
+		t.Fatalf("%d keys survived session Close; want 0", store.Len())
 	}
 }
 

@@ -32,11 +32,17 @@ const (
 
 // TurnGate orders event execution during replay. Implementations: LocalGate
 // (in-process) and the lockserver-backed distributed sequencer adapter.
+//
+// A gate is a ticket lock: WaitTurn returns to the one caller whose turn
+// the schedule has reached, and that caller holds the schedule until it
+// advances it. Only the holder may call Advance.
 type TurnGate interface {
 	// WaitTurn blocks until the global schedule reaches the given turn.
 	WaitTurn(ctx context.Context, turn int) error
-	// Advance hands the schedule to the next turn.
-	Advance() error
+	// Advance hands the schedule on by n turns: the holder of turn t ran
+	// the n consecutive turns t..t+n-1 it owned as one critical section,
+	// and turn t+n is next.
+	Advance(n int) error
 }
 
 // Interceptor routes RDL calls for one test session. It is shared by all
@@ -45,14 +51,18 @@ type Interceptor struct {
 	mu       sync.Mutex
 	mode     Mode
 	recorded []event.Event
-	// schedule maps event ID -> turn in the active interleaving.
-	schedule map[event.ID]int
+	// log is the recorded log being replayed; byReplica indexes its event
+	// IDs per replica in record order. Both survive re-arming, so replaying
+	// one log under many interleavings indexes it once.
+	log       *event.Log
+	byReplica map[event.ReplicaID][]event.ID
+	// schedule holds, by event ID, the event's turn in the active
+	// interleaving.
+	schedule []int
 	// callSeq counts RDL calls per replica during replay, pairing the i-th
 	// call at replica R with the i-th recorded event at R.
 	callSeq map[event.ReplicaID]int
-	// byReplica indexes recorded event IDs per replica in record order.
-	byReplica map[event.ReplicaID][]event.ID
-	gate      TurnGate
+	gate    TurnGate
 }
 
 // New returns a passthrough interceptor.
@@ -85,26 +95,37 @@ func (i *Interceptor) StopRecording() []event.Event {
 	return out
 }
 
-// StartReplay enters replay mode for one interleaving: events holds the
-// recorded log, order the scheduled interleaving, gate the turn
-// coordinator.
+// StartReplay enters replay mode for one interleaving: log holds the
+// recorded events, order the scheduled interleaving, gate the turn
+// coordinator. An interceptor may be re-armed any number of times; doing so
+// with the same log reuses its indexes.
 func (i *Interceptor) StartReplay(log *event.Log, order []event.ID, gate TurnGate) error {
 	if len(order) != log.Len() {
 		return fmt.Errorf("proxy: interleaving has %d events, log has %d", len(order), log.Len())
 	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.mode = Replay
-	i.gate = gate
-	i.schedule = make(map[event.ID]int, len(order))
+	i.mode, i.gate = Passthrough, nil // until the schedule is known good
+	if i.log != log {
+		i.log = log
+		i.schedule = make([]int, log.Len())
+		i.callSeq = make(map[event.ReplicaID]int)
+		i.byReplica = make(map[event.ReplicaID][]event.ID)
+		for _, ev := range log.Events() {
+			i.byReplica[ev.Replica] = append(i.byReplica[ev.Replica], ev.ID)
+		}
+	}
+	for id := range i.schedule {
+		i.schedule[id] = -1
+	}
 	for turn, id := range order {
+		if int(id) < 0 || int(id) >= len(i.schedule) || i.schedule[id] >= 0 {
+			return fmt.Errorf("proxy: interleaving is not a permutation of the log (event %d at turn %d)", id, turn)
+		}
 		i.schedule[id] = turn
 	}
-	i.callSeq = make(map[event.ReplicaID]int)
-	i.byReplica = make(map[event.ReplicaID][]event.ID)
-	for _, ev := range log.Events() {
-		i.byReplica[ev.Replica] = append(i.byReplica[ev.Replica], ev.ID)
-	}
+	clear(i.callSeq)
+	i.mode, i.gate = Replay, gate
 	return nil
 }
 
@@ -143,51 +164,72 @@ func (i *Interceptor) Call(ctx context.Context, ev event.Event, fn func() error)
 			return fmt.Errorf("proxy: replica %s made more calls (%d) than recorded", ev.Replica, seq+1)
 		}
 		i.callSeq[ev.Replica] = seq + 1
-		id := ids[seq]
-		turn, ok := i.schedule[id]
-		gate := i.gate
+		turn, gate := i.schedule[ids[seq]], i.gate
 		i.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("proxy: event %d missing from schedule", id)
-		}
-		if err := gate.WaitTurn(ctx, turn); err != nil {
-			return fmt.Errorf("proxy: waiting for turn %d: %w", turn, err)
-		}
-		if err := fn(); err != nil {
-			return err
-		}
-		return gate.Advance()
+		return runTurns(ctx, gate, turn, 1, func(int) error { return fn() })
 	default:
 		i.mu.Unlock()
 		return fn()
 	}
 }
 
-// CallScheduled executes fn as the given recorded event during replay,
-// waiting for that event's scheduled turn explicitly. This is the replay
-// driver's entry point (paper §4.3: "ER-π invokes interleaving events via
-// RDL proxies"): unlike Call, which pairs the i-th application call with
-// the i-th recorded event, CallScheduled can realize interleavings that
-// reorder a replica's own events.
-func (i *Interceptor) CallScheduled(ctx context.Context, id event.ID, fn func() error) error {
+// CallScheduled executes fn(0), …, fn(len(run)-1) as the given recorded
+// events during replay, waiting for the first one's scheduled turn
+// explicitly. run must occupy consecutive turns of the interleaving — a
+// maximal stretch of one replica's events, say — and is executed as one
+// critical section: one wait, no gate traffic between its steps, one
+// hand-off at the end. This is the replay driver's entry point (paper
+// §4.3: "ER-π invokes interleaving events via RDL proxies"): unlike Call,
+// which pairs the i-th application call with the i-th recorded event,
+// CallScheduled can realize interleavings that reorder a replica's own
+// events.
+func (i *Interceptor) CallScheduled(ctx context.Context, run []event.ID, fn func(k int) error) error {
 	i.mu.Lock()
 	if i.mode != Replay {
 		i.mu.Unlock()
 		return fmt.Errorf("proxy: CallScheduled outside replay mode")
 	}
-	turn, ok := i.schedule[id]
+	turn := -1
+	for k, id := range run {
+		at := -1 // an event outside the log is on no turn
+		if int(id) >= 0 && int(id) < len(i.schedule) {
+			at = i.schedule[id]
+		}
+		if k == 0 {
+			turn = at
+		}
+		if at < 0 || at != turn+k {
+			i.mu.Unlock()
+			return fmt.Errorf("proxy: event %d is not scheduled at turn %d, %d after the run's first", id, turn+k, k)
+		}
+	}
 	gate := i.gate
 	i.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("proxy: event %d missing from schedule", id)
+	if turn < 0 {
+		return nil // empty run
 	}
+	return runTurns(ctx, gate, turn, len(run), fn)
+}
+
+// runTurns is the one critical section of replay: take the schedule at
+// turn, run the n steps the caller owns from there, hand it on by n. A
+// failed step, or a context that died between steps, leaves the schedule
+// where it was taken — un-advanced, so no later turn can start.
+func runTurns(ctx context.Context, gate TurnGate, turn, n int, step func(k int) error) error {
 	if err := gate.WaitTurn(ctx, turn); err != nil {
 		return fmt.Errorf("proxy: waiting for turn %d: %w", turn, err)
 	}
-	if err := fn(); err != nil {
-		return err
+	for k := 0; k < n; k++ {
+		if k > 0 {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("proxy: run from turn %d interrupted at turn %d: %w", turn, turn+k, err)
+			}
+		}
+		if err := step(k); err != nil {
+			return err
+		}
 	}
-	return gate.Advance()
+	return gate.Advance(n)
 }
 
 // Recorded returns a snapshot of the events recorded so far.
@@ -239,10 +281,10 @@ func (g *LocalGate) WaitTurn(ctx context.Context, turn int) error {
 }
 
 // Advance implements TurnGate.
-func (g *LocalGate) Advance() error {
+func (g *LocalGate) Advance(n int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.turn++
+	g.turn += n
 	g.cond.Broadcast()
 	return nil
 }

@@ -145,6 +145,58 @@ func TestReplayScheduleLengthMismatch(t *testing.T) {
 	if err := i.StartReplay(log, []event.ID{0, 1}, NewLocalGate()); err == nil {
 		t.Fatal("short schedule must be rejected")
 	}
+	for _, order := range [][]event.ID{{0, 1, 2, 2}, {0, 1, 2, 4}} {
+		if err := i.StartReplay(log, order, NewLocalGate()); err == nil {
+			t.Fatalf("schedule %v is not a permutation of the log and must be rejected", order)
+		}
+		if i.Mode() != Passthrough {
+			t.Fatal("a rejected schedule must not leave the interceptor armed")
+		}
+	}
+}
+
+// An interceptor is re-armed per interleaving: each arming replaces the
+// schedule and the per-replica call pairing, and CallScheduled takes a run
+// only if it sits on consecutive turns of the current schedule.
+func TestReplayRearm(t *testing.T) {
+	log := replayLog(t)
+	i := New()
+	ctx := context.Background()
+	for _, order := range [][]event.ID{{2, 3, 0, 1}, {0, 2, 1, 3}, {3, 2, 1, 0}} {
+		if err := i.StartReplay(log, order, NewLocalGate()); err != nil {
+			t.Fatal(err)
+		}
+		var got []event.ID
+		for turn := range order {
+			if err := i.CallScheduled(ctx, order[turn:turn+1], func(int) error {
+				got = append(got, order[turn])
+				return nil
+			}); err != nil {
+				t.Fatalf("order %v turn %d: %v", order, turn, err)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(order) {
+			t.Fatalf("executed %v under schedule %v", got, order)
+		}
+	}
+	// Under {3, 2, 1, 0} events 3 and 2 are one run; 3 and 1 are not, and
+	// neither is anything outside the log.
+	if err := i.StartReplay(log, []event.ID{3, 2, 1, 0}, NewLocalGate()); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range [][]event.ID{{3, 1}, {2, 3}, {3, 9}} {
+		if err := i.CallScheduled(ctx, run, func(int) error { t.Fatalf("step of bad run %v ran", run); return nil }); err == nil {
+			t.Fatalf("run %v does not sit on consecutive turns and must be rejected", run)
+		}
+	}
+	steps := 0
+	if err := i.CallScheduled(ctx, []event.ID{3, 2}, func(k int) error { steps++; return nil }); err != nil || steps != 2 {
+		t.Fatalf("run {3, 2} = %v after %d steps; want 2 steps", err, steps)
+	}
+	i.StopReplay()
+	if err := i.CallScheduled(ctx, []event.ID{1}, func(int) error { return nil }); err == nil {
+		t.Fatal("CallScheduled outside replay mode must fail")
+	}
 }
 
 func TestReplayTooManyCalls(t *testing.T) {
@@ -197,7 +249,7 @@ func TestLocalGateOrdering(t *testing.T) {
 			mu.Lock()
 			order = append(order, turn)
 			mu.Unlock()
-			if err := g.Advance(); err != nil {
+			if err := g.Advance(1); err != nil {
 				t.Error(err)
 			}
 		}(turn)
@@ -221,7 +273,7 @@ func TestLocalGateContextCancel(t *testing.T) {
 
 func TestLocalGateTurnPassed(t *testing.T) {
 	g := NewLocalGate()
-	if err := g.Advance(); err != nil {
+	if err := g.Advance(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.WaitTurn(context.Background(), 0); err == nil {

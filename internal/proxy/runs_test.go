@@ -1,0 +1,233 @@
+package proxy
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/er-pi/erpi/internal/event"
+	"github.com/er-pi/erpi/internal/lockserver"
+)
+
+// runCase is one random schedule: a log whose events are dealt to replicas
+// at random, a random permutation of it, and that permutation cut into
+// maximal runs of one replica's consecutive turns.
+type runCase struct {
+	log      *event.Log
+	order    []event.ID
+	replicas []event.ReplicaID
+	runs     []testRun // in schedule order
+}
+
+type testRun struct {
+	rep      event.ReplicaID
+	first, n int
+}
+
+func newRunCase(t *testing.T, rng *rand.Rand) runCase {
+	t.Helper()
+	events := make([]event.Event, 2+rng.Intn(9))
+	nrep := 1 + rng.Intn(4)
+	for i := range events {
+		rep := event.ReplicaID(string(rune('A' + rng.Intn(nrep))))
+		events[i] = event.Event{Kind: event.Update, Replica: rep, Op: "op" + strconv.Itoa(i)}
+	}
+	log, err := event.NewLog(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := runCase{log: log, order: log.IDs(), replicas: log.Replicas()}
+	rng.Shuffle(len(c.order), func(i, j int) { c.order[i], c.order[j] = c.order[j], c.order[i] })
+	for pos, id := range c.order {
+		rep := log.Event(id).Replica
+		if last := len(c.runs) - 1; last >= 0 && c.runs[last].rep == rep {
+			c.runs[last].n++
+		} else {
+			c.runs = append(c.runs, testRun{rep: rep, first: pos, n: 1})
+		}
+	}
+	return c
+}
+
+// gateKind is one TurnGate implementation under test: fresh mints the
+// gates of a fresh schedule (turn 0), one per replica, and a reader of the
+// schedule's current turn.
+type gateKind struct {
+	name  string
+	fresh func(t *testing.T, replicas []event.ReplicaID) (gates map[event.ReplicaID]TurnGate, turn func() int)
+}
+
+func gateKinds(t *testing.T) []gateKind {
+	store := lockserver.NewStore()
+	srv := lockserver.NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewDistPool(addr, "runs", 0, time.Second)
+	t.Cleanup(func() { _ = pool.Close(); _ = srv.Close() })
+	return []gateKind{
+		{"LocalGate", func(t *testing.T, replicas []event.ReplicaID) (map[event.ReplicaID]TurnGate, func() int) {
+			g := NewLocalGate()
+			gates := make(map[event.ReplicaID]TurnGate)
+			for _, rep := range replicas {
+				gates[rep] = g
+			}
+			return gates, func() int {
+				g.mu.Lock()
+				defer g.mu.Unlock()
+				return g.turn
+			}
+		}},
+		{"DistGate", func(t *testing.T, replicas []event.ReplicaID) (map[event.ReplicaID]TurnGate, func() int) {
+			sess := pool.Session()
+			t.Cleanup(func() { _ = sess.Close() })
+			gates := make(map[event.ReplicaID]TurnGate)
+			for _, rep := range replicas {
+				g, err := sess.Gate(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gates[rep] = g
+			}
+			return gates, func() int {
+				v, _ := store.Get(sess.Key() + ":turn")
+				n, _ := strconv.Atoi(v) // absent = 0
+				return n
+			}
+		}},
+	}
+}
+
+// arm builds one interceptor per replica over the case's schedule.
+func (c runCase) arm(t *testing.T, gates map[event.ReplicaID]TurnGate) map[event.ReplicaID]*Interceptor {
+	t.Helper()
+	out := make(map[event.ReplicaID]*Interceptor)
+	for _, rep := range c.replicas {
+		i := New()
+		if err := i.StartReplay(c.log, c.order, gates[rep]); err != nil {
+			t.Fatal(err)
+		}
+		out[rep] = i
+	}
+	return out
+}
+
+// TestRunCoalescingProperty draws random replica assignments and schedules
+// and checks, on both gates, what coalescing a replica's consecutive turns
+// into one critical section must preserve:
+//
+//   - with one goroutine per replica, steps execute in schedule order, and
+//     the schedule ends at its length;
+//   - a step error at any position leaves the schedule at the first turn of
+//     the run the position is in, and no later step runs;
+//   - a context cancelled by a step is observed before the run's next step,
+//     with the schedule again left at the run's first turn.
+//
+// The failure cases are driven from one goroutine in schedule order, so no
+// replica is parked on the lock server when the schedule stops.
+func TestRunCoalescingProperty(t *testing.T) {
+	const cases = 200
+	rng := rand.New(rand.NewSource(21))
+	kinds := gateKinds(t)
+	for n := 0; n < cases; n++ {
+		c := newRunCase(t, rng)
+		for _, kind := range kinds {
+			name := fmt.Sprintf("%s case %d (order %v, runs %v)", kind.name, n, c.order, c.runs)
+
+			// Concurrent replicas, no failure: schedule order.
+			gates, turn := kind.fresh(t, c.replicas)
+			interceptors := c.arm(t, gates)
+			var mu sync.Mutex
+			var executed []int
+			var wg sync.WaitGroup
+			for _, rep := range c.replicas {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, run := range c.runs {
+						if run.rep != rep {
+							continue
+						}
+						err := interceptors[rep].CallScheduled(context.Background(), c.order[run.first:run.first+run.n], func(k int) error {
+							mu.Lock()
+							executed = append(executed, run.first+k)
+							mu.Unlock()
+							return nil
+						})
+						if err != nil {
+							t.Errorf("%s: replica %s: %v", name, rep, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if !slices.IsSorted(executed) || len(executed) != len(c.order) {
+				t.Fatalf("%s: executed positions %v; want 0..%d in order", name, executed, len(c.order)-1)
+			}
+			if got := turn(); got != len(c.order) {
+				t.Fatalf("%s: schedule ended at turn %d; want %d", name, got, len(c.order))
+			}
+
+			// At every position: a step error there, and a cancellation by
+			// the step before it when that step is in the same run (otherwise
+			// the dead context is met by a later wait, which is WaitTurn's
+			// business).
+			for failAt := range c.order {
+				var target testRun
+				for _, run := range c.runs {
+					if run.first <= failAt && failAt < run.first+run.n {
+						target = run
+					}
+				}
+				boom := errors.New("boom")
+				for _, cancelling := range []bool{false, true} {
+					if cancelling && failAt == target.first {
+						continue
+					}
+					want := map[bool]error{false: boom, true: context.Canceled}[cancelling]
+					gates, turn := kind.fresh(t, c.replicas)
+					interceptors := c.arm(t, gates)
+					ctx, cancel := context.WithCancel(context.Background())
+					ran := 0
+					var stopped testRun
+					var err error
+					for _, run := range c.runs {
+						stopped = run
+						err = interceptors[run.rep].CallScheduled(ctx, c.order[run.first:run.first+run.n], func(k int) error {
+							pos := run.first + k
+							if !cancelling && pos == failAt {
+								return boom
+							}
+							ran++
+							if cancelling && pos+1 == failAt {
+								cancel()
+							}
+							return nil
+						})
+						if err != nil {
+							break
+						}
+					}
+					cancel()
+					if !errors.Is(err, want) || stopped != target {
+						t.Fatalf("%s: stopped in run %v with %v; want run %v with %v", name, stopped, err, target, want)
+					}
+					if ran != failAt {
+						t.Fatalf("%s (cancelling %v): %d steps ran; want exactly the %d before position %d", name, cancelling, ran, failAt, failAt)
+					}
+					if got := turn(); got != target.first {
+						t.Fatalf("%s (cancelling %v): schedule left at turn %d; want the run's first turn %d", name, cancelling, got, target.first)
+					}
+				}
+			}
+		}
+	}
+}

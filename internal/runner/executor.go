@@ -95,10 +95,11 @@ type Executor struct {
 
 	// sessions, when non-nil, selects the gated schedule: every attempt
 	// runs under a fresh gate session it mints (live.go). mu serializes the
-	// step across the replica goroutines; liveEvents counts gated steps.
-	sessions   SessionFactory
-	mu         sync.Mutex
-	liveEvents *telemetry.Counter
+	// step across the replica goroutines; live is what the schedule keeps
+	// between attempts.
+	sessions SessionFactory
+	mu       sync.Mutex
+	live     *liveState
 }
 
 // validate is the one check of what a caller hands the engine, shared by
@@ -204,7 +205,7 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 		if x.sessions, err = gatesFor(w); err != nil {
 			return nil, fmt.Errorf("runner: live gates for worker %d: %w", w, err)
 		}
-		x.liveEvents = tel.registry().Counter("live.events")
+		x.live = newLiveState(s.Log)
 		return x, nil
 	}
 	if cfg.PrefixCacheBytes > 0 {

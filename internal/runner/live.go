@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,7 +29,7 @@ import (
 
 // LiveSession is one execution attempt's gate namespace: Gate mints the
 // TurnGate for a replica, and Close releases whatever the session still
-// holds (armed mutexes, counters). Sessions are single-use.
+// holds (its turn counter). Sessions are single-use.
 type LiveSession interface {
 	Gate(rep event.ReplicaID) (proxy.TurnGate, error)
 	Close() error
@@ -77,11 +78,12 @@ func ExecuteLive(s Scenario, il interleave.Interleaving, newGate func(rep event.
 
 // ExecuteLiveContext is ExecuteLive with context cancellation, optional
 // fault injection, and optional telemetry. Cancelling ctx unblocks every
-// replica goroutine waiting on its turn gate (including DMutex.Lock /
+// replica goroutine waiting on its turn gate (including
 // Sequencer.WaitTurn over a lock server), so a wedged replay returns
 // promptly instead of hanging. A non-nil injector is consulted before
 // every scheduled call. A non-nil registry records the replay as one
-// execute span plus a live.events counter of scheduled calls applied.
+// execute span plus the live.events and live.handoffs counters: scheduled
+// calls applied, and turns taken to apply them.
 func ExecuteLiveContext(ctx context.Context, s Scenario, il interleave.Interleaving, newGate func(rep event.ReplicaID) proxy.TurnGate, inj *fault.Injector, reg *telemetry.Registry) (*Outcome, error) {
 	if s.Log == nil || len(il) != s.Log.Len() {
 		return nil, fmt.Errorf("runner: live replay needs a complete interleaving")
@@ -99,32 +101,50 @@ func ExecuteLiveContext(ctx context.Context, s Scenario, il interleave.Interleav
 	return x.attempt(ctx, workItem{index: 1, il: il, pivot: -1})
 }
 
-// replayGated is the gated schedule: the step at every position, each
-// called by its replica's goroutine when the gates a fresh session mints
-// grant that position's turn. A fresh session per attempt, fenced as the
-// file comment says, is what makes retrying safe at all.
+// liveState is what the gated schedule keeps from attempt to attempt: the
+// replicas, one interceptor each (re-armed per attempt) and each event's
+// replica.
+type liveState struct {
+	replicas     []event.ReplicaID
+	interceptors []*proxy.Interceptor
+	replicaOf    []int // by event ID: index into replicas
+}
+
+func newLiveState(log *event.Log) *liveState {
+	l := &liveState{replicas: log.Replicas(), replicaOf: make([]int, log.Len())}
+	l.interceptors = make([]*proxy.Interceptor, len(l.replicas))
+	for r := range l.replicas {
+		l.interceptors[r] = proxy.New()
+	}
+	for id := range l.replicaOf {
+		l.replicaOf[id] = slices.Index(l.replicas, log.Event(event.ID(id)).Replica)
+	}
+	return l
+}
+
+// replayGated is the gated schedule: the step at every position, called by
+// its replica's goroutine when the gates a fresh session mints grant its
+// turn. The unit the gates order is a run — a maximal stretch of
+// consecutive positions owned by one replica (the paper's Event Grouping,
+// Algorithm 1, applied to the lock protocol): a replica waits once per run,
+// executes the run's steps back to back and hands the schedule on by the
+// run's length, so the gates see one hand-off per run and nothing in
+// between. A fresh session per attempt, fenced as the file comment says,
+// is what makes retrying safe at all.
 //
 // Whatever path exits — including a gate factory or StartReplay failure
-// partway through setup, or a mid-run replica error — every armed
-// interceptor is released, every closable gate (e.g. proxy.DistGate) is
-// closed and the session is closed, so a failed attempt can neither leak
-// its replica goroutines nor hold distributed locks until TTL expiry.
+// partway through setup, or a mid-run replica error — every closable gate
+// is closed and the session is closed, so a failed attempt can neither
+// leak its replica goroutines nor leave distributed state behind.
 func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, index int) error {
 	sess, err := x.sessions()
 	if err != nil {
 		return fmt.Errorf("live session: %w", err)
 	}
 	x.tel.onLiveSession(1)
-	// Per-replica interceptors share the schedule. A failed step skips
-	// Advance, leaving the session mutex held: closing the gate releases
-	// it instead of waiting out the TTL.
-	replicas := x.log.Replicas()
-	interceptors := make(map[event.ReplicaID]*proxy.Interceptor, len(replicas))
+	l := x.live
 	var gates []proxy.TurnGate
 	defer func() {
-		for _, i := range interceptors {
-			i.StopReplay()
-		}
 		for _, g := range gates {
 			if c, ok := g.(interface{ Close() error }); ok {
 				_ = c.Close()
@@ -134,69 +154,75 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 		x.tel.onLiveSession(-1)
 	}()
 	setupSpan := x.tel.span(telemetry.StageLiveSetup, index, x.worker)
-	for _, rep := range replicas {
+	for r, rep := range l.replicas {
 		gate, err := sess.Gate(rep)
 		if err != nil {
 			setupSpan.End()
 			return fmt.Errorf("runner: live gate %s: %w", rep, err)
 		}
 		gates = append(gates, gate)
-		i := proxy.New()
-		if err := i.StartReplay(x.log, il, gate); err != nil {
+		if err := l.interceptors[r].StartReplay(x.log, il, gate); err != nil {
 			setupSpan.End()
 			return err
 		}
-		interceptors[rep] = i
 	}
 	setupSpan.End()
 
 	// Each replica's proxied functions are invoked in the interleaving's
 	// order for that replica (the replay driver drives the proxies; the
-	// schedule may reorder a replica's own recorded events): turns lists,
-	// per replica, the positions it owns.
-	turns := make(map[event.ReplicaID][]int, len(replicas))
-	for pos, id := range il {
-		rep := x.log.Event(id).Replica
-		turns[rep] = append(turns[rep], pos)
-	}
+	// schedule may reorder a replica's own recorded events).
+	var events, handoffs int // steps applied and runs granted; the step's mutex guards them
 	// A failing replica cancels the shared context so the others' turn
 	// waits unblock instead of hanging on a turn that will never come;
-	// cancellation of the caller's ctx propagates the same way.
+	// cancellation of the caller's ctx propagates the same way. Its failed
+	// run skipped Advance, so the schedule stays where it was.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(replicas))
-	for _, rep := range replicas {
+	errCh := make(chan error, len(l.replicas))
+	for r, rep := range l.replicas {
 		wg.Add(1)
-		go func(rep event.ReplicaID, i *proxy.Interceptor, turns []int) {
+		go func(r int, rep event.ReplicaID, i *proxy.Interceptor) {
 			defer wg.Done()
-			// The gate already admits exactly one step at a time, in
+			// The gate already admits exactly one run at a time, in
 			// schedule order, so the injector sees strictly increasing
 			// positions just like the inline schedule. The mutex stays
 			// because a lock-server gate orders goroutines over a socket,
 			// which the memory model does not see: it is what makes one
 			// step's writes to the cluster and the attempt's scratch visible
 			// to the next replica's step.
-			var pos int
-			step := func() error {
+			var first int
+			step := func(k int) error {
 				x.mu.Lock()
 				defer x.mu.Unlock()
-				x.liveEvents.Inc()
-				return x.apply(il, pos)
+				events++
+				if k == 0 {
+					handoffs++
+				}
+				return x.apply(il, first+k)
 			}
-			for _, pos = range turns {
-				if err := i.CallScheduled(ctx, il[pos], step); err != nil {
+			for end := 0; end < len(il); {
+				// il[first:end] is this replica's next run, empty at another's position.
+				for first = end; end < len(il) && l.replicaOf[il[end]] == r; {
+					end++
+				}
+				if end == first {
+					end++
+					continue
+				}
+				if err := i.CallScheduled(ctx, il[first:end], step); err != nil {
 					errCh <- fmt.Errorf("replica %s: %w", rep, err)
 					cancel()
 					return
 				}
 			}
-		}(rep, interceptors[rep], turns[rep])
+		}(r, rep, l.interceptors[r])
 	}
 	// Every replica goroutine has returned past this point, which is also
 	// what lets the next attempt reset the cluster it shares with them.
 	wg.Wait()
 	close(errCh)
+	x.tel.onLiveAttempt(events, handoffs)
 	// Drain every replica's error, not just the first: a multi-replica
 	// failure (e.g. one replica crashing and the others timing out on their
 	// turns) is reported in full. Each message is deterministic for a given

@@ -36,6 +36,8 @@ import (
 //	fuzz.corpus_size           behaviour-novel interleavings in the corpus (gauge)
 //	fuzz.novelty_rate_permille last generation's novel fraction × 1000 (gauge)
 //	live.sessions              live gate sessions currently open (gauge)
+//	live.events                events applied by the gated schedule
+//	live.handoffs              turns taken to apply them (one per run of a replica's consecutive events)
 //	journal.fsync_batches      durable journal flushes
 //	journal.fsync_keys         appends covered by those flushes
 //	fault.armed                faults armed across interleavings
@@ -64,6 +66,8 @@ type runTelemetry struct {
 	subsumeBytes   *telemetry.Gauge
 	hitDepth       *telemetry.Histogram
 	liveSessions   *telemetry.Gauge
+	liveEvents     *telemetry.Counter
+	liveHandoffs   *telemetry.Counter
 	fuzzGens       *telemetry.Counter
 	fuzzCorpus     *telemetry.Gauge
 	fuzzNovelty    *telemetry.Gauge
@@ -99,6 +103,8 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 		subsumeBytes:   reg.Gauge("runner.subsumption_table_bytes"),
 		hitDepth:       reg.HistogramWithBounds("runner.prefix_hit_depth", prefixDepthBounds),
 		liveSessions:   reg.Gauge("live.sessions"),
+		liveEvents:     reg.Counter("live.events"),
+		liveHandoffs:   reg.Counter("live.handoffs"),
 		fuzzGens:       reg.Counter("fuzz.generations"),
 		fuzzCorpus:     reg.Gauge("fuzz.corpus_size"),
 		fuzzNovelty:    reg.Gauge("fuzz.novelty_rate_permille"),
@@ -121,6 +127,17 @@ func (t *runTelemetry) onLiveSession(delta int64) {
 		return
 	}
 	t.liveSessions.Add(delta)
+}
+
+// onLiveAttempt adds one gated attempt's applied events and granted
+// hand-offs to the counters and to /progress.
+func (t *runTelemetry) onLiveAttempt(events, handoffs int) {
+	if t == nil {
+		return
+	}
+	t.liveEvents.Add(int64(events))
+	t.liveHandoffs.Add(int64(handoffs))
+	t.reg.Progress().AddLive(int64(events), int64(handoffs))
 }
 
 // span opens a stage span (inert when telemetry is off).

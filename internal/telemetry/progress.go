@@ -24,6 +24,9 @@ type Progress struct {
 	fuzzCorpus      atomic.Int64
 	fuzzNovelty     atomic.Int64 // permille: novelty rate × 1000
 
+	liveEvents   atomic.Int64
+	liveHandoffs atomic.Int64
+
 	mu      sync.Mutex
 	workers []atomic.Int64 // per worker: interleaving index in flight, 0 = idle
 }
@@ -46,6 +49,8 @@ func (p *Progress) BeginRun(total, workers int) {
 	p.fuzzGenerations.Store(0)
 	p.fuzzCorpus.Store(0)
 	p.fuzzNovelty.Store(0)
+	p.liveEvents.Store(0)
+	p.liveHandoffs.Store(0)
 	p.doneAt.Store(0)
 	p.start.Store(time.Now().UnixNano())
 }
@@ -116,6 +121,17 @@ func (p *Progress) SetFuzz(generations, corpus, noveltyPermille int64) {
 	p.fuzzNovelty.Store(noveltyPermille)
 }
 
+// AddLive counts a live attempt's applied events and the gate hand-offs
+// that ordered them; their ratio is how many events one turn of the
+// distributed lock buys. Zero and omitted outside live runs.
+func (p *Progress) AddLive(events, handoffs int64) {
+	if p == nil {
+		return
+	}
+	p.liveEvents.Add(events)
+	p.liveHandoffs.Add(handoffs)
+}
+
 // SetDedupSaturated marks the run's dedup set as saturated: beyond this
 // point dedup is best-effort and an interleaving may execute twice. The
 // flag makes a degraded run visible at /progress without log scraping.
@@ -150,12 +166,16 @@ type ProgressSnapshot struct {
 	// FuzzGenerations / FuzzCorpusSize / FuzzNoveltyRate mirror a ModeFuzz
 	// run's corpus evolution (zero and omitted for every other mode).
 	// FuzzNoveltyRate is the last generation's novel-signature fraction.
-	FuzzGenerations int64            `json:"fuzz_generations,omitempty"`
-	FuzzCorpusSize  int64            `json:"fuzz_corpus_size,omitempty"`
-	FuzzNoveltyRate float64          `json:"fuzz_novelty_rate,omitempty"`
-	PerSecond       float64          `json:"per_second"`
-	ETASeconds      float64          `json:"eta_seconds"`
-	Workers         []WorkerSnapshot `json:"workers"`
+	FuzzGenerations int64   `json:"fuzz_generations,omitempty"`
+	FuzzCorpusSize  int64   `json:"fuzz_corpus_size,omitempty"`
+	FuzzNoveltyRate float64 `json:"fuzz_novelty_rate,omitempty"`
+	// LiveEvents / LiveHandoffs mirror the live.events and live.handoffs
+	// counters of a live run (zero and omitted otherwise).
+	LiveEvents   int64            `json:"live_events,omitempty"`
+	LiveHandoffs int64            `json:"live_handoffs,omitempty"`
+	PerSecond    float64          `json:"per_second"`
+	ETASeconds   float64          `json:"eta_seconds"`
+	Workers      []WorkerSnapshot `json:"workers"`
 }
 
 // Snapshot captures the current progress. Rate is explored/elapsed; ETA
@@ -174,6 +194,8 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		FuzzGenerations: p.fuzzGenerations.Load(),
 		FuzzCorpusSize:  p.fuzzCorpus.Load(),
 		FuzzNoveltyRate: float64(p.fuzzNovelty.Load()) / 1000,
+		LiveEvents:      p.liveEvents.Load(),
+		LiveHandoffs:    p.liveHandoffs.Load(),
 	}
 	start := p.start.Load()
 	if start == 0 {
