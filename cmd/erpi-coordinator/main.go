@@ -1,7 +1,10 @@
 // Command erpi-coordinator runs ER-π's crash-tolerant distributed
-// exploration service (DESIGN.md §4.10): a coordinator that leases
-// contiguous interleaving ranges to workers over TCP with epoch-fenced
-// lockserver leases, and the workers that serve it.
+// exploration service (DESIGN.md §4.11): a coordinator that leases
+// contiguous interleaving ranges to workers over TCP — length-prefixed
+// binary frames, one round trip per range — with epoch-fenced lockserver
+// leases, and the workers that serve it. serve and work must come from
+// builds that speak the same protocol version: a worker of another one is
+// refused at its hello and exits with an error instead of retrying.
 //
 //	erpi-coordinator serve -journal-root ./jobs -status-addr :8080
 //	erpi-coordinator work -addr 127.0.0.1:7400 -name w1
@@ -39,7 +42,8 @@ func main() {
 func usage() int {
 	fmt.Fprintln(os.Stderr, `usage:
   erpi-coordinator serve  [flags]   run the coordinator service
-  erpi-coordinator work   [flags]   run a worker against a coordinator
+  erpi-coordinator work   [flags]   run a worker against a coordinator (binary frames over TCP;
+                                    exits if the coordinator speaks another protocol version)
   erpi-coordinator submit [flags]   submit a job to a running coordinator
 
 run "erpi-coordinator <cmd> -h" for the flags of each subcommand`)

@@ -1,0 +1,207 @@
+package coordinator
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"github.com/er-pi/erpi/internal/checkpoint"
+)
+
+// killAt arranges for the job's directory to be copied into a fresh
+// journal root the nth time its aggregator reaches boundary b — the files
+// as a SIGKILL at that instant would leave them: what was handed to the
+// kernel is there, what sat in a user-space buffer is not. (The pattern of
+// internal/checkpoint/crash_test.go, one layer up.) The returned root is
+// populated once the job has passed that point.
+func killAt(t *testing.T, j *Job, b aggBoundary, n int) (root string) {
+	t.Helper()
+	root = t.TempDir()
+	hits := 0
+	j.mu.Lock()
+	j.crashPoint = func(at aggBoundary) {
+		if at != b {
+			return
+		}
+		if hits++; hits != n {
+			return
+		}
+		dst := filepath.Join(root, j.id)
+		if err := os.Mkdir(dst, 0o755); err != nil {
+			t.Error(err)
+			return
+		}
+		entries, err := os.ReadDir(j.dir)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for _, e := range entries {
+			if !e.Type().IsRegular() {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(j.dir, e.Name()))
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	j.mu.Unlock()
+	return root
+}
+
+// assertJournaledKeysHaveRecords reads a job directory from the files
+// alone and checks the durability order's invariant: every key in
+// explored.log has a record in results.log. It returns the journaled keys.
+func assertJournaledKeysHaveRecords(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	d, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := d.LoadExplored()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := loadResultLines(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := make(map[string]bool, len(lines))
+	for _, l := range lines {
+		recorded[l.Key] = true
+	}
+	for k := range keys {
+		if !recorded[k] {
+			t.Fatalf("key %q is journaled without a result record", k)
+		}
+	}
+	return keys
+}
+
+// TestAggregatorCrashOrder kills the coordinator at each boundary of a
+// group commit — (c) committed and acknowledged but not yet aggregated,
+// (a) result records synced and no journal key written, (b) journal keys
+// written and not synced — and then a second time while the recovered
+// job is finishing, so that records orphaned by the first kill sit in the
+// log next to those of their re-execution. Each recovery must find every
+// journaled key with a record, resume exactly the journaled keys, and the
+// job must end where an undisturbed one does: same digest, same counts,
+// no key journaled twice, no violation counted twice.
+func TestAggregatorCrashOrder(t *testing.T) {
+	// Roshi-2 violates, so a double-counted record shows in Violations.
+	spec := JobSpec{Bug: "Roshi-2", Mode: "dfs", MaxInterleavings: testCap, RangeSize: 4}
+	wantDigest, wantExplored := sequentialBaseline(t, spec)
+
+	serve := func(t *testing.T, root string, recover bool) (*Service, *Job) {
+		svc := startService(t, Options{JournalRoot: root, LeaseTTL: 500 * time.Millisecond})
+		if !recover {
+			j, err := svc.Submit(spec)
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			return svc, j
+		}
+		if err := svc.Recover(); err != nil {
+			t.Fatalf("recover: %v", err)
+		}
+		jobs := svc.Jobs()
+		if len(jobs) != 1 {
+			t.Fatalf("recovered %d jobs from %s, want 1", len(jobs), root)
+		}
+		return svc, jobs[0]
+	}
+	// The worker commits a range only once the previous one is aggregated,
+	// so every range is a batch of its own and "the nth batch" is the same
+	// place in every run.
+	finish := func(t *testing.T, svc *Service, j *Job) JobStatus {
+		err := RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w", Once: true, BeforeCommit: func(int) {
+			for parked := 1; parked > 0; time.Sleep(100 * time.Microsecond) {
+				j.mu.Lock()
+				parked = j.parkedN
+				j.mu.Unlock()
+			}
+		}})
+		if err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		st := waitDone(t, j)
+		if st.State != StateDone {
+			t.Fatalf("state = %s (%+v)", st.State, st)
+		}
+		return st
+	}
+
+	svc, j := serve(t, t.TempDir(), false)
+	want := finish(t, svc, j)
+	if want.Digest != wantDigest || want.Explored != wantExplored || len(want.Violations) == 0 {
+		t.Fatalf("vacuous: the undisturbed job ended with %d explored, %d violations", want.Explored, len(want.Violations))
+	}
+
+	for name, boundary := range map[string]aggBoundary{
+		"acknowledged-not-aggregated": beforeAggregate,
+		"results-synced-no-keys":      afterResultsSynced,
+		"keys-written-not-synced":     afterKeysAppended,
+	} {
+		t.Run(name, func(t *testing.T) {
+			svc1, j1 := serve(t, t.TempDir(), false)
+			firstKill := killAt(t, j1, boundary, 3)
+			finish(t, svc1, j1)
+
+			svc2, j2 := serve(t, firstKill, true)
+			journaled := assertJournaledKeysHaveRecords(t, filepath.Join(firstKill, j2.ID()))
+			if st := j2.Status(); st.Resumed != len(journaled) || st.Resumed == 0 || st.Resumed >= wantExplored {
+				t.Fatalf("first recovery resumed %d of %d journaled keys (job of %d)", st.Resumed, len(journaled), wantExplored)
+			}
+			secondKill := killAt(t, j2, beforeAggregate, 3)
+			finish(t, svc2, j2)
+
+			svc3, j3 := serve(t, secondKill, true)
+			journaled = assertJournaledKeysHaveRecords(t, filepath.Join(secondKill, j3.ID()))
+			if st := j3.Status(); st.Resumed != len(journaled) || st.Resumed <= j2.Status().Resumed {
+				t.Fatalf("second recovery resumed %d of %d journaled keys, the first %d", st.Resumed, len(journaled), j2.Status().Resumed)
+			}
+			got := finish(t, svc3, j3)
+			if got.Explored != want.Explored || got.Digest != want.Digest {
+				t.Fatalf("explored %d digest %s, want %d %s", got.Explored, got.Digest, want.Explored, want.Digest)
+			}
+			// (Not FirstViolation: indices restart with every session, as
+			// they did before this test existed.)
+			if len(got.Violations) != len(want.Violations) || got.Quarantined != want.Quarantined || got.Subsumed != want.Subsumed {
+				t.Fatalf("two kills changed the accounting:\n got  %d violations, %d quarantined, %d subsumed\n want %d, %d, %d",
+					len(got.Violations), got.Quarantined, got.Subsumed,
+					len(want.Violations), want.Quarantined, want.Subsumed)
+			}
+			assertUniqueKeys(t, journalKeys(t, filepath.Join(secondKill, j3.ID())), wantExplored)
+		})
+	}
+}
+
+// TestDoneMeansDurable: when Done() is observed the last batch is on disk
+// — the directory, read from its files while the service still runs and
+// nothing has been flushed on its behalf, holds every explored key with
+// its result record.
+func TestDoneMeansDurable(t *testing.T) {
+	spec := testSpec()
+	_, wantExplored := sequentialBaseline(t, spec)
+	root := t.TempDir()
+	svc := startService(t, Options{JournalRoot: root, LeaseTTL: 500 * time.Millisecond})
+	j, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	go func() { _ = RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w1", Once: true}) }()
+	<-j.Done()
+	if keys := assertJournaledKeysHaveRecords(t, filepath.Join(root, j.ID())); len(keys) != wantExplored {
+		t.Fatalf("%d keys on disk at Done(), want %d", len(keys), wantExplored)
+	}
+	var m jobManifest
+	if err := loadManifest(filepath.Join(root, j.ID()), &m); err != nil || m.State != StateDone || m.Explored != wantExplored {
+		t.Fatalf("manifest at Done(): %+v, %v", m, err)
+	}
+}

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -38,6 +39,15 @@ const (
 	rangeCommitted
 )
 
+// maxParkedRanges bounds how far carving may run ahead of aggregation:
+// while this many committed ranges wait for the aggregator, no fresh range
+// is carved (requeued ones are still granted — they are what aggregation
+// waits for). With at most one leased range per worker, a job holds at most
+// maxParkedRanges + workers ranges of outcomes in memory however slow the
+// disk is. A count, never a time or a rate: results cannot depend on it,
+// because aggregation order is carve order either way.
+const maxParkedRanges = 64
+
 // maxRangeLeases is how many times a range may be (re)leased before the
 // coordinator declares it poisoned — some interleaving in it keeps killing
 // workers — and quarantines the whole range rather than requeue it forever.
@@ -56,7 +66,9 @@ type jobRange struct {
 	grantedAt time.Time
 	deadline  time.Time // heartbeat deadline; missing it orphans the range
 	leases    int       // lifetime lease count (poison detector)
-	results   []wireResult
+	// results are the committed results parked for the aggregator, which
+	// alone reads ils, keys and results once status is rangeCommitted.
+	results []wireResult
 }
 
 // jobManifest is the durable per-job summary (job.json in the journal
@@ -118,9 +130,12 @@ type genExplorer interface {
 	ReportDropped(key string)
 }
 
-// Job is one exploration workload being served to workers. All mutable
-// state is guarded by mu; connection goroutines (lease/heartbeat/commit)
-// and the janitor (reap/workerGone) contend on it.
+// Job is one exploration workload being served to workers. Mutable state
+// is guarded by mu, which connection goroutines (lease/heartbeat/commit),
+// the janitor (reap/workerGone) and the job's aggregator contend on — and
+// which is held across no fsync and no Ledger.Record: commit parks a
+// range's results and returns, and the aggregator goroutine, the only one
+// that touches ledger, res and the two log files, does the rest.
 type Job struct {
 	id  string
 	tel *svcTel
@@ -147,29 +162,80 @@ type Job struct {
 	resumed     int
 	maxNew      int // remaining fresh-interleaving budget
 	assigned    int // fresh interleavings carved so far
+	eventsPer   int // events in every interleaving (a grant states it once)
 	noMore      bool
 	exhausted   bool
 
 	ranges   []*jobRange
 	pendingQ []int // range ids awaiting (re)lease, ascending
 	leasedN  int
+	parkedN  int // committed ranges the aggregator has not finished
 	nextAgg  int // next range id to aggregate (1-based)
 
+	// wake is closed and replaced on every change a waiting lease or the
+	// aggregator could be waiting for: a commit, a requeue, a finished
+	// batch, a terminal state. quit is closed at service shutdown.
+	wake     chan struct{}
+	quit     chan struct{}
+	quitOnce sync.Once
+	aggDone  chan struct{} // closed when the aggregator has exited; nil without one
+
+	// genMu orders the two users of a generation explorer (ModeFuzz): the
+	// ledger classifies into it during aggregation, carving enumerates from
+	// it under mu. Lock order mu → genMu; the aggregator takes genMu alone.
+	genMu sync.Mutex
+
 	// ledger is the in-order result ledger committed ranges feed — the same
-	// one the in-process driver feeds — accounting into res. An earlier
+	// one the in-process driver feeds — accounting into res. Both belong to
+	// the aggregator while the job runs; what Status and the manifest need
+	// of res is copied into tally under mu after every batch. An earlier
 	// session's Subsumed, FirstViolation and Bundles are restored into res
 	// directly; its quarantines survive only as a count.
 	ledger      *runner.Ledger
 	res         *runner.Result
-	quarantined int // quarantined before this session
-	aggregated  int // interleavings aggregated this session
+	records     []byte // the aggregator's record buffer, reused per batch
+	tally       resultTally
+	quarantined int  // quarantined before this session
+	aggregated  int  // interleavings aggregated this session
+	stopped     bool // the ledger said stop (StopOnViolation)
 	violations  []JobViolation
 	fenced      int
 	requeues    int
 	digest      *Digest
 	digestSum   string
 	doneCh      chan struct{}
+
+	// crashPoint, when set (tests only), is called by the aggregator at
+	// each of the durability boundaries of a batch.
+	crashPoint func(aggBoundary)
 }
+
+// resultTally is the part of runner.Result a job reports.
+type resultTally struct {
+	quarantined    int
+	subsumed       int
+	firstViolation int
+	bundles        []string
+}
+
+func tallyOf(res *runner.Result) resultTally {
+	return resultTally{
+		quarantined:    len(res.Quarantined),
+		subsumed:       res.Subsumed,
+		firstViolation: res.FirstViolation,
+		bundles:        res.Bundles,
+	}
+}
+
+// aggBoundary names a point in a batch where a kill leaves a distinct
+// on-disk state (DESIGN.md §4.11, durability).
+type aggBoundary uint8
+
+const (
+	beforeAggregate    aggBoundary = iota // committed and acknowledged, nothing written
+	afterResultsSynced                    // result records durable, no journal key written
+	afterKeysAppended                     // journal keys written, not yet synced
+)
 
 // openJob builds (or resumes) a job from its spec and journal directory.
 // Resume semantics: keys in explored.log are committed and never re-run —
@@ -203,6 +269,8 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		state:     StateRunning,
 		seen:      make(map[string]struct{}),
 		nextAgg:   1,
+		wake:      make(chan struct{}),
+		quit:      make(chan struct{}),
 		digest:    NewDigest(),
 		doneCh:    make(chan struct{}),
 	}
@@ -215,10 +283,8 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		j.digestSum = m.Digest
 		j.resumed = m.Explored
 		j.quarantined = m.Quarantined
-		j.res.Subsumed = m.Subsumed
+		j.tally = resultTally{subsumed: m.Subsumed, firstViolation: m.FirstViolation, bundles: m.Bundles}
 		j.violations = m.Violations
-		j.res.Bundles = m.Bundles
-		j.res.FirstViolation = m.FirstViolation
 		j.exhausted = m.Exhausted
 		j.noMore = true
 		close(j.doneCh)
@@ -228,22 +294,24 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	if err := journal.SaveLog(scenario.Log); err != nil {
 		return nil, err
 	}
+	// The aggregator alone decides when the journal syncs — once per
+	// batch, after the batch's result records — so its own count and age
+	// triggers are off.
+	journal.SetSyncPolicy(math.MaxInt, 0)
 	prior, err := journal.LoadExplored()
 	if err != nil {
 		return nil, err
 	}
-	for key := range prior {
-		j.seen[key] = struct{}{}
-	}
-	j.resumed = len(prior)
 
-	// Replay results.log for committed keys: digest contributions,
-	// quarantine counts, and violations survive a coordinator restart
-	// without re-executing anything. Lines whose key never reached the
-	// journal (crash between result sync and journal append) are dropped —
-	// those interleavings re-execute, which is safe because the digest is
-	// keyed and last-write-wins.
-	lines, err := loadResultLines(dir)
+	// Replay results.log: digest contributions, quarantine counts, and
+	// violations survive a coordinator restart without re-executing
+	// anything. An interleaving is committed when the journal has its key
+	// *and* the log has its record. A record whose key never reached the
+	// journal (crash between result sync and journal sync) is dropped, and
+	// so is a key whose record did not survive (the log ends at its first
+	// corrupt record): either way the interleaving re-executes, which is
+	// safe because executions are deterministic and the digest is keyed.
+	lines, valid, err := readResultLog(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -251,9 +319,16 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		j.resumedSigs = make(map[string]string)
 	}
 	for _, line := range lines {
-		if _, committed := prior[line.Key]; !committed {
+		if !prior[line.Key] {
 			continue
 		}
+		if _, twice := j.seen[line.Key]; twice {
+			// An earlier session wrote this record, crashed before the key
+			// was durable, and its successor re-executed the interleaving.
+			continue
+		}
+		j.seen[line.Key] = struct{}{}
+		j.resumed++
 		switch {
 		case line.Subsumed:
 			j.res.Subsumed++
@@ -272,6 +347,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 			}
 		}
 	}
+	j.tally = tallyOf(j.res)
 
 	maxIL := spec.MaxInterleavings
 	switch {
@@ -298,13 +374,15 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	cfg.StopOnViolation = spec.StopOnViolation
 	cfg.ForensicDir = filepath.Join(dir, "forensics")
 	j.ledger = runner.NewLedger(scenario, cfg, j.explorer, j.res)
-	j.resLog, err = openResultLog(dir)
+	j.resLog, err = openResultLog(dir, valid)
 	if err != nil {
 		return nil, err
 	}
 	if err := journal.SaveJSON("job.json", jobManifest{ID: id, Spec: spec, State: StateRunning}); err != nil {
 		return nil, err
 	}
+	j.aggDone = make(chan struct{})
+	go j.aggregate()
 	return j, nil
 }
 
@@ -319,15 +397,58 @@ func (j *Job) Done() <-chan struct{} { return j.doneCh }
 // worker's ttl/2 heartbeat cadence and one full lockserver lease.
 func (j *Job) heartbeatGrace() time.Duration { return j.leaseTTL * 5 / 2 }
 
+// wakeLocked wakes every waiting lease and the aggregator to look again.
+func (j *Job) wakeLocked() {
+	close(j.wake)
+	j.wake = make(chan struct{})
+}
+
 // lease grants the worker a range: a requeued orphan first, else a freshly
-// carved slice of the exploration sequence. Returns the reply to send.
-func (j *Job) lease(worker string) *wireMsg {
+// carved slice of the exploration sequence. When nothing can be granted
+// *yet* — ranges in flight elsewhere, a fuzz generation barrier, carving
+// maxParkedRanges ahead of the aggregator — it waits on the job instead of
+// sending the worker away to poll, and answers drain only once it has
+// waited leaseTTL/4 while some worker still holds a range: that worker may
+// never come back, and this one's connection may be dead, which only a
+// write finds out. Waiting on the aggregator alone is not bounded — it
+// always finishes its batch or fails the job. Returns the reply to send.
+func (j *Job) lease(worker string) *frame {
 	sp := j.tel.span(telemetry.StageLease)
 	defer sp.End()
+	var bound *time.Timer
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	for {
+		if reply := j.tryLeaseLocked(worker); reply != nil {
+			return reply
+		}
+		if bound == nil {
+			bound = time.NewTimer(j.leaseTTL / 4)
+			defer bound.Stop()
+		}
+		wake := j.wake
+		j.mu.Unlock()
+		select {
+		case <-wake:
+			j.mu.Lock()
+		case <-j.quit:
+			j.mu.Lock()
+			return &frame{Type: msgDrain}
+		case <-bound.C:
+			j.mu.Lock()
+			if j.leasedN > 0 {
+				return &frame{Type: msgDrain}
+			}
+			bound.Reset(j.leaseTTL / 4)
+		}
+	}
+}
+
+// tryLeaseLocked is one attempt at a grant: the range, done when the job
+// is over, or nil when there is nothing to hand out right now.
+func (j *Job) tryLeaseLocked(worker string) *frame {
 	if j.state != StateRunning {
-		return &wireMsg{Type: msgDone, Job: j.id}
+		return &frame{Type: msgDone}
 	}
 
 	// Requeued ranges first: orphaned work is the oldest and gates
@@ -343,26 +464,29 @@ func (j *Job) lease(worker string) *wireMsg {
 		return j.grantLocked(r, worker)
 	}
 
-	if !j.noMore {
+	if !j.noMore && j.parkedN < maxParkedRanges {
 		if r := j.carveLocked(); r != nil {
 			return j.grantLocked(r, worker)
 		}
 	}
 	if j.checkDoneLocked() {
-		return &wireMsg{Type: msgDone, Job: j.id}
+		return &frame{Type: msgDone}
 	}
-	// Work is in flight on other workers; nothing leasable right now.
-	return &wireMsg{Type: msgDrain, Job: j.id, RetryMs: j.leaseTTL.Milliseconds() / 4}
+	return nil
 }
 
 // carveLocked pulls up to rangeSize fresh interleavings from the explorer,
 // skipping keys already seen (journal resume, rand-mode repeats). Returns
 // nil when the space or the budget is exhausted — or, in ModeFuzz, when a
 // generation boundary holds carving until every outstanding range has
-// aggregated and classified (the distributed fuzz barrier: lease answers
-// msgDrain meanwhile, and the generation evolves once the ledger drains).
+// aggregated and classified (the distributed fuzz barrier: the lease waits
+// meanwhile, and the generation evolves once the ledger drains).
 func (j *Job) carveLocked() *jobRange {
 	ge, isGen := j.explorer.(genExplorer)
+	if isGen {
+		j.genMu.Lock()
+		defer j.genMu.Unlock()
+	}
 	var ils []interleave.Interleaving
 	var keys []string
 	start := j.assigned + 1
@@ -397,6 +521,15 @@ func (j *Job) carveLocked() *jobRange {
 			}
 			continue
 		}
+		if j.eventsPer == 0 {
+			j.eventsPer = len(il)
+		}
+		if len(il) != j.eventsPer || len(il) == 0 {
+			// Every interleaving of a job orders the same events, which
+			// is what lets a grant state their number once.
+			j.failLocked(fmt.Errorf("coordinator: interleaving %q has %d events, the job's have %d", key, len(il), j.eventsPer))
+			return nil
+		}
 		j.seen[key] = struct{}{}
 		ils = append(ils, il)
 		keys = append(keys, key)
@@ -413,7 +546,7 @@ func (j *Job) carveLocked() *jobRange {
 	return r
 }
 
-func (j *Job) grantLocked(r *jobRange, worker string) *wireMsg {
+func (j *Job) grantLocked(r *jobRange, worker string) *frame {
 	r.status = rangeLeased
 	r.epoch++
 	r.worker = worker
@@ -422,13 +555,12 @@ func (j *Job) grantLocked(r *jobRange, worker string) *wireMsg {
 	r.deadline = r.grantedAt.Add(j.heartbeatGrace())
 	j.leasedN++
 	j.tel.rangeLeased()
-	return &wireMsg{
+	return &frame{
 		Type:          msgRange,
-		Job:           j.id,
 		Range:         r.id,
 		Epoch:         r.epoch,
 		Start:         r.start,
-		Interleavings: ilsToWire(r.ils),
+		Interleavings: r.ils,
 	}
 }
 
@@ -462,12 +594,15 @@ func (j *Job) heartbeat(worker string, rangeID, epoch int) bool {
 	return true
 }
 
-// commit accepts a range's results if the fencing epoch still matches,
-// marks it committed, and aggregates every range that is now contiguous
-// from nextAgg. Returns (accepted, fatal error). A false return with nil
-// error is a fence rejection — the zombie-double-commit guard: the range
-// was requeued (and possibly re-committed by its new holder), so this
-// copy of the results is discarded without touching the journal.
+// commit accepts a range's results if the fencing epoch still matches:
+// it marks the range committed, parks the results on it for the
+// aggregator, and returns — acceptance promises that the results will be
+// aggregated in carve order unless the coordinator dies first, not that
+// they are on disk (DESIGN.md §4.11). Returns (accepted, protocol error).
+// A false return with nil error is a fence rejection — the
+// zombie-double-commit guard: the range was requeued (and possibly
+// re-committed by its new holder), so this copy of the results is
+// discarded without touching the journal.
 func (j *Job) commit(worker string, rangeID, epoch int, results []wireResult) (bool, error) {
 	sp := j.tel.span(telemetry.StageRangeCommit)
 	defer sp.End()
@@ -489,40 +624,99 @@ func (j *Job) commit(worker string, rangeID, epoch int, results []wireResult) (b
 	if len(results) != len(r.ils) {
 		// Protocol corruption, not a fence: requeue the range and reject.
 		j.requeueLocked(r)
+		j.tel.commitRejected()
 		return false, fmt.Errorf("coordinator: commit for range %d has %d results, want %d", rangeID, len(results), len(r.ils))
 	}
-	r.status = rangeCommitted
-	r.results = results
-	r.worker = ""
 	j.leasedN--
 	j.tel.rangeCommitted()
-	if err := j.advanceLocked(); err != nil {
-		j.failLocked(err)
-		return false, err
-	}
-	j.checkDoneLocked()
+	j.parkLocked(r, results)
 	return true, nil
 }
 
-// advanceLocked feeds committed ranges, in carve order, through the job's
-// ledger — the reorder buffer that makes stateful assertions see the exact
-// sequential outcome sequence. What stays here is what is distributed:
-// the keyed digest, the wire form of violations, and the durability order
-// per range — result lines are written and synced *before* the journal
-// keys are appended, so a journaled key always has a durable result line
-// (the resume path depends on it).
-func (j *Job) advanceLocked() error {
-	for j.nextAgg <= len(j.ranges) {
-		r := j.ranges[j.nextAgg-1]
-		if r.status != rangeCommitted {
-			break
+// parkLocked hands a range's results to the aggregator.
+func (j *Job) parkLocked(r *jobRange, results []wireResult) {
+	r.status = rangeCommitted
+	r.results = results
+	r.worker = ""
+	j.parkedN++
+	j.wakeLocked()
+}
+
+// aggregate is the job's one aggregator: it feeds committed ranges, in
+// carve order, through the job's ledger — the reorder buffer that makes
+// stateful assertions see the exact sequential outcome sequence — a batch
+// of however many contiguous ranges are ready at a time, and makes each
+// batch durable before it counts. It exits when the job is terminal, the
+// ledger stopped, or the service shuts down with nothing left to take.
+func (j *Job) aggregate() {
+	defer close(j.aggDone)
+	for {
+		batch, crashPoint := j.nextBatch()
+		if batch == nil {
+			return
 		}
-		lines := make([]resultLine, len(r.results))
+		n, violations, err := j.writeBatch(batch, crashPoint)
+		j.finishBatch(batch[:n], violations, err)
+	}
+}
+
+// nextBatch waits for committed ranges at the aggregation cursor and takes
+// all of them that are contiguous — also after shutdown, which only ends
+// the waiting. nil means there will be no more.
+func (j *Job) nextBatch() ([]*jobRange, func(aggBoundary)) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for {
+		if j.state != StateRunning || j.stopped {
+			return nil, nil
+		}
+		end := j.nextAgg
+		for end <= len(j.ranges) && j.ranges[end-1].status == rangeCommitted {
+			end++
+		}
+		if end > j.nextAgg {
+			return j.ranges[j.nextAgg-1 : end-1 : end-1], j.crashPoint
+		}
+		wake := j.wake
+		j.mu.Unlock()
+		select {
+		case <-wake:
+			j.mu.Lock()
+		case <-j.quit:
+			j.mu.Lock()
+			return nil, nil
+		}
+	}
+}
+
+// writeBatch records a batch with the ledger and makes it durable, holding
+// mu nowhere. What stays here is what is distributed: the keyed digest,
+// the wire form of violations, and the two durability orders — a result
+// record reaches the kernel, and the disk, before its journal key does
+// either, so a journaled key always has a durable result record (the
+// resume path depends on it). One sync of each file covers the batch. It
+// returns how many of the batch's ranges it aggregated — fewer than all
+// when the ledger stopped inside it, the rest being dropped exactly as
+// ranges committed later are — and the violations they added.
+func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, []JobViolation, error) {
+	at := func(b aggBoundary) {
+		if crashPoint != nil {
+			crashPoint(b)
+		}
+	}
+	at(beforeAggregate)
+	_, isGen := j.explorer.(genExplorer)
+	records := j.records[:0]
+	var violations []JobViolation
+	for n, r := range batch {
+		if isGen {
+			j.genMu.Lock()
+		}
 		for i := range r.results {
 			res := &r.results[i]
 			index, key := r.start+i, r.keys[i]
 			line := resultLine{Index: index, Key: key, Attempts: res.Attempts}
-			var outcome *runner.Outcome
+			outcome := res.Outcome
 			var execErr error
 			switch {
 			case res.Subsumed:
@@ -531,15 +725,15 @@ func (j *Job) advanceLocked() error {
 				line.Subsumed = true
 				execErr = runner.ErrSubsumed
 				j.tel.subsumed()
-			case res.Error != "" || res.Outcome == nil:
+			case outcome == nil:
 				line.Error = res.Error
-				if line.Error == "" {
-					line.Error = "coordinator: result carries no outcome"
-				}
-				execErr = errors.New(line.Error)
+				execErr = errors.New(res.Error)
 				j.tel.quarantined()
 			default:
-				outcome = res.Outcome.outcome(index, r.ils[i])
+				// Index and interleaving come from the coordinator's own
+				// ledger, never from the wire, so a confused worker cannot
+				// corrupt them.
+				outcome.Index, outcome.Interleaving = index, r.ils[i]
 				line.Sig = runner.OutcomeSignature(outcome)
 				j.digest.Add(key, line.Sig)
 			}
@@ -547,34 +741,65 @@ func (j *Job) advanceLocked() error {
 				line.Violations = append(line.Violations,
 					JobViolation{Index: index, Key: key, Assertion: v.Assertion, Error: v.Err.Error()})
 			}
-			j.violations = append(j.violations, line.Violations...)
-			lines[i] = line
-			j.aggregated++
+			violations = append(violations, line.Violations...)
+			records = appendResultRecord(records, &line)
 		}
-		for _, line := range lines {
-			if err := j.resLog.append(line); err != nil {
-				return err
-			}
+		if isGen {
+			j.genMu.Unlock()
 		}
-		if err := j.resLog.sync(); err != nil {
-			return err
+		if j.ledger.Stopped() {
+			batch = batch[:n+1]
+			break
 		}
+	}
+	j.records = records
+	if err := j.resLog.write(records); err != nil {
+		return 0, nil, err
+	}
+	if err := j.resLog.sync(); err != nil {
+		return 0, nil, err
+	}
+	at(afterResultsSynced)
+	for _, r := range batch {
 		for _, il := range r.ils {
 			if err := j.journal.AppendExplored(il); err != nil {
-				return err
+				return 0, nil, err
 			}
 		}
+	}
+	at(afterKeysAppended)
+	j.tel.batch()
+	return len(batch), violations, j.journal.Flush()
+}
+
+// finishBatch accounts a durable batch — or fails the job with the write
+// error — and completes the job if that was the last of it.
+func (j *Job) finishBatch(batch []*jobRange, violations []JobViolation, err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	defer j.wakeLocked()
+	if j.state != StateRunning {
+		return // cancelled meanwhile: what reached the disk stays resumable
+	}
+	if err != nil {
+		j.failLocked(err)
+		return
+	}
+	for _, r := range batch {
+		j.aggregated += len(r.ils)
 		// Free the aggregated payloads; the ledger entry stays for fencing.
 		r.ils, r.results = nil, nil
 		j.nextAgg++
-
-		if j.ledger.Stopped() {
-			j.noMore = true
-			j.pendingQ = nil
-			return nil
-		}
+		j.parkedN--
 	}
-	return nil
+	j.tally = tallyOf(j.res)
+	j.violations = append(j.violations, violations...)
+	if j.ledger.Stopped() {
+		j.stopped = true
+		j.noMore = true
+		j.pendingQ = nil
+	}
+	j.checkDoneLocked()
 }
 
 // poisonLocked quarantines an entire range that has burned through its
@@ -582,20 +807,12 @@ func (j *Job) advanceLocked() error {
 // job terminates with partial results instead of requeueing a
 // worker-killing interleaving forever.
 func (j *Job) poisonLocked(r *jobRange) {
-	r.status = rangeCommitted
-	r.worker = ""
-	r.results = make([]wireResult, len(r.ils))
-	for i := range r.results {
-		r.results[i] = wireResult{
-			Index: r.start + i,
-			Key:   r.keys[i],
-			Error: fmt.Sprintf("coordinator: range %d abandoned after %d failed leases", r.id, r.leases),
-		}
+	results := make([]wireResult, len(r.ils))
+	for i := range results {
+		results[i].Error = fmt.Sprintf("coordinator: range %d abandoned after %d failed leases", r.id, r.leases)
 	}
 	j.tel.rangePoisoned()
-	if err := j.advanceLocked(); err != nil {
-		j.failLocked(err)
-	}
+	j.parkLocked(r, results)
 }
 
 // requeueLocked returns a leased range to the pending queue. The epoch is
@@ -613,6 +830,7 @@ func (j *Job) requeueLocked(r *jobRange) {
 	j.tel.rangeRequeued()
 	j.pendingQ = append(j.pendingQ, r.id)
 	sort.Ints(j.pendingQ)
+	j.wakeLocked()
 }
 
 // reap requeues leased ranges whose heartbeat deadline passed, and — when
@@ -676,31 +894,38 @@ func (j *Job) checkDoneLocked() bool {
 	}
 	// StopOnViolation: aggregation halted; in-flight ranges will fence or
 	// commit into the ledger unaggregated, but nothing blocks completion.
-	if j.noMore && j.ledger.Stopped() && len(j.pendingQ) == 0 && j.leasedN == 0 {
+	if j.noMore && j.stopped && len(j.pendingQ) == 0 && j.leasedN == 0 {
 		j.completeLocked()
 		return true
 	}
 	return false
 }
 
+// completeLocked turns the job done. Every aggregated batch is durable
+// by now — nextAgg and stopped only move in finishBatch — so there is
+// nothing to flush.
 func (j *Job) completeLocked() {
-	j.state = StateDone
 	j.digestSum = j.digest.Sum()
-	_ = j.journal.Flush()
-	j.persistLocked()
-	close(j.doneCh)
-	j.tel.jobFinished()
+	j.endLocked(StateDone)
 }
 
 func (j *Job) failLocked(err error) {
 	if j.state != StateRunning {
 		return
 	}
-	j.state = StateFailed
 	j.err = err
+	j.endLocked(StateFailed)
+}
+
+// endLocked is the one terminal transition: manifest, Done(), and a wake
+// for every lease still waiting (they answer done) and the aggregator
+// (it exits).
+func (j *Job) endLocked(state string) {
+	j.state = state
 	j.persistLocked()
 	close(j.doneCh)
 	j.tel.jobFinished()
+	j.wakeLocked()
 }
 
 // cancel terminates the job; workers get done on their next request.
@@ -710,12 +935,8 @@ func (j *Job) cancel() {
 	if j.state != StateRunning {
 		return
 	}
-	j.state = StateCancelled
 	j.digestSum = j.digest.Sum()
-	_ = j.journal.Flush()
-	j.persistLocked()
-	close(j.doneCh)
-	j.tel.jobFinished()
+	j.endLocked(StateCancelled)
 }
 
 func (j *Job) persistLocked() {
@@ -725,12 +946,12 @@ func (j *Job) persistLocked() {
 		State:          j.state,
 		Digest:         j.digestSum,
 		Explored:       j.resumed + j.aggregated,
-		Quarantined:    j.quarantined + len(j.res.Quarantined),
-		Subsumed:       j.res.Subsumed,
+		Quarantined:    j.quarantined + j.tally.quarantined,
+		Subsumed:       j.tally.subsumed,
 		Violations:     j.violations,
-		FirstViolation: j.res.FirstViolation,
+		FirstViolation: j.tally.firstViolation,
 		Exhausted:      j.exhausted,
-		Bundles:        j.res.Bundles,
+		Bundles:        j.tally.bundles,
 	}
 	if j.err != nil {
 		m.Error = j.err.Error()
@@ -738,8 +959,18 @@ func (j *Job) persistLocked() {
 	_ = j.journal.SaveJSON("job.json", m)
 }
 
-// closeFiles releases the job's file handles (service shutdown).
+// shutdown releases every lease waiting on the job and tells the
+// aggregator to exit once no committed range is left at its cursor.
+func (j *Job) shutdown() { j.quitOnce.Do(func() { close(j.quit) }) }
+
+// closeFiles waits for the aggregator and releases the job's file handles
+// (service shutdown): what was committed in carve order by now is
+// aggregated and durable first, as it was when commit did that itself.
 func (j *Job) closeFiles() {
+	j.shutdown()
+	if j.aggDone != nil {
+		<-j.aggDone
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.resLog != nil {
@@ -760,16 +991,16 @@ func (j *Job) Status() JobStatus {
 		State:          j.state,
 		Explored:       j.resumed + j.aggregated,
 		Resumed:        j.resumed,
-		Quarantined:    j.quarantined + len(j.res.Quarantined),
-		Subsumed:       j.res.Subsumed,
+		Quarantined:    j.quarantined + j.tally.quarantined,
+		Subsumed:       j.tally.subsumed,
 		Violations:     append([]JobViolation(nil), j.violations...),
-		FirstViolation: j.res.FirstViolation,
+		FirstViolation: j.tally.firstViolation,
 		Exhausted:      j.exhausted,
 		RangesPending:  len(j.pendingQ),
 		RangesLeased:   j.leasedN,
 		Requeues:       j.requeues,
 		Fenced:         j.fenced,
-		Bundles:        append([]string(nil), j.res.Bundles...),
+		Bundles:        append([]string(nil), j.tally.bundles...),
 	}
 	if j.state != StateRunning {
 		st.Digest = j.digestSum

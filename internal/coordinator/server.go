@@ -1,8 +1,8 @@
 package coordinator
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -45,10 +45,13 @@ type svcTel struct {
 	reg         *telemetry.Registry
 	workersLive *telemetry.Gauge
 	jobsRunning *telemetry.Gauge
+	requests    *telemetry.Counter
+	batches     *telemetry.Counter
 	leased      *telemetry.Counter
 	committed   *telemetry.Counter
 	requeued    *telemetry.Counter
 	fenced      *telemetry.Counter
+	rejected    *telemetry.Counter
 	heartbeats  *telemetry.Counter
 	poisoned    *telemetry.Counter
 	quarantines *telemetry.Counter
@@ -63,10 +66,13 @@ func newSvcTel(reg *telemetry.Registry) *svcTel {
 		reg:         reg,
 		workersLive: reg.Gauge("coordinator.workers_live"),
 		jobsRunning: reg.Gauge("coordinator.jobs_running"),
+		requests:    reg.Counter("coordinator.requests"),
+		batches:     reg.Counter("coordinator.batches"),
 		leased:      reg.Counter("coordinator.ranges_leased"),
 		committed:   reg.Counter("coordinator.ranges_committed"),
 		requeued:    reg.Counter("coordinator.ranges_requeued"),
 		fenced:      reg.Counter("coordinator.fence_rejections"),
+		rejected:    reg.Counter("coordinator.commits_rejected"),
 		heartbeats:  reg.Counter("coordinator.heartbeats"),
 		poisoned:    reg.Counter("coordinator.ranges_poisoned"),
 		quarantines: reg.Counter("coordinator.quarantined"),
@@ -81,6 +87,19 @@ func (t *svcTel) span(stage telemetry.Stage) telemetry.SpanStart {
 	return t.reg.StartSpan(stage, 0, telemetry.CoordinatorWorker)
 }
 
+// request counts one worker frame, i.e. one round trip.
+func (t *svcTel) request() {
+	if t != nil {
+		t.requests.Inc()
+	}
+}
+
+// batch counts one group commit: one sync of results.log, one of the journal.
+func (t *svcTel) batch() {
+	if t != nil {
+		t.batches.Inc()
+	}
+}
 func (t *svcTel) workerJoined() {
 	if t != nil {
 		t.workersLive.Add(1)
@@ -119,6 +138,11 @@ func (t *svcTel) rangeRequeued() {
 func (t *svcTel) fenceRejected() {
 	if t != nil {
 		t.fenced.Inc()
+	}
+}
+func (t *svcTel) commitRejected() {
+	if t != nil {
+		t.rejected.Inc()
 	}
 }
 func (t *svcTel) heartbeat() {
@@ -351,6 +375,9 @@ func (s *Service) Close() error {
 	close(s.stop)
 	s.mu.Unlock()
 	err := s.ln.Close()
+	for _, j := range s.Jobs() {
+		j.shutdown() // a lease waiting on its job would hold its connection open
+	}
 	s.wg.Wait()
 	s.lockMu.Lock()
 	if s.lock != nil {
@@ -443,10 +470,6 @@ func (s *Service) pickJob(want string) (*Job, error) {
 	return nil, nil // nothing running: caller sends drain
 }
 
-// maxWireLine bounds one protocol line. Commits carry a whole range of
-// outcomes, so this is generous.
-const maxWireLine = 16 * 1024 * 1024
-
 // serveConn runs one worker connection's request/response loop.
 func (s *Service) serveConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -463,20 +486,8 @@ func (s *Service) serveConn(conn net.Conn) {
 		}
 	}()
 
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), maxWireLine)
-	w := bufio.NewWriter(conn)
-	send := func(m *wireMsg) bool {
-		data, err := json.Marshal(m)
-		if err != nil {
-			return false
-		}
-		data = append(data, '\n')
-		if _, err := w.Write(data); err != nil {
-			return false
-		}
-		return w.Flush() == nil
-	}
+	fc := newFrameConn(conn)
+	fail := func(code byte, msg string) { _ = fc.send(&frame{Type: msgError, Code: code, Err: msg}) }
 
 	var cur *Job
 	worker := ""
@@ -490,16 +501,35 @@ func (s *Service) serveConn(conn net.Conn) {
 		}
 	}()
 
-	for sc.Scan() {
-		var msg wireMsg
-		if err := json.Unmarshal(sc.Bytes(), &msg); err != nil {
-			send(&wireMsg{Type: msgError, Err: "malformed message"})
+	for {
+		raw, err := fc.recvRaw()
+		if err != nil {
+			if errors.Is(err, errFrameSize) {
+				fail(errCodeGeneric, err.Error())
+			}
 			return
 		}
+		s.tel.request()
+		msg, err := decodeFrame(raw)
+		if err != nil {
+			// A frame that does not decode is answered and the connection
+			// dropped, which requeues whatever the worker held: nothing of a
+			// half-understood commit is applied.
+			code := errCodeGeneric
+			if errors.Is(err, ErrProtocolVersion) {
+				code = errCodeVersion
+			}
+			if raw[0] == msgCommit {
+				s.tel.commitRejected()
+			}
+			fail(code, err.Error())
+			return
+		}
+		var reply *frame
 		switch msg.Type {
 		case msgHello:
 			if msg.Worker == "" {
-				send(&wireMsg{Type: msgError, Err: "hello requires a worker name"})
+				fail(errCodeGeneric, "hello requires a worker name")
 				return
 			}
 			if cur != nil && worker != "" {
@@ -510,80 +540,68 @@ func (s *Service) serveConn(conn net.Conn) {
 				counted = true
 				s.tel.workerJoined()
 			}
-			j, err := s.pickJob(msg.Job)
-			if err != nil {
-				if !send(&wireMsg{Type: msgError, Err: err.Error()}) {
-					return
-				}
-				continue
-			}
-			if j == nil {
-				cur = nil
-				if !send(&wireMsg{Type: msgDrain, RetryMs: s.opts.LeaseTTL.Milliseconds() / 2}) {
-					return
-				}
-				continue
-			}
-			cur = j
-			spec := cur.spec
-			if !send(&wireMsg{
-				Type:       msgHello,
-				Job:        cur.id,
-				Spec:       &spec,
-				LockAddr:   s.opts.LockAddr,
-				LeaseTTLMs: s.opts.LeaseTTL.Milliseconds(),
-			}) {
-				return
-			}
-		case msgLease:
-			if cur == nil {
-				send(&wireMsg{Type: msgError, Err: "lease before hello"})
-				return
-			}
-			if !send(cur.lease(worker)) {
-				return
-			}
-		case msgHeartbeat:
-			if cur == nil {
-				send(&wireMsg{Type: msgError, Err: "heartbeat before hello"})
-				return
-			}
-			reply := &wireMsg{Type: msgOK, Range: msg.Range}
-			if !cur.heartbeat(worker, msg.Range, msg.Epoch) {
-				reply.Type = msgFenced
-			}
-			if !send(reply) {
-				return
-			}
-		case msgTelemetry:
-			if msg.Telemetry != nil {
-				rep := *msg.Telemetry
-				if rep.Worker == "" {
-					rep.Worker = worker
-				}
-				s.fed.Report(rep)
-			}
-			if !send(&wireMsg{Type: msgOK}) {
-				return
-			}
-		case msgCommit:
-			if cur == nil {
-				send(&wireMsg{Type: msgError, Err: "commit before hello"})
-				return
-			}
-			ok, err := cur.commit(worker, msg.Range, msg.Epoch, msg.Results)
-			reply := &wireMsg{Type: msgOK, Range: msg.Range}
+			cur, err = s.pickJob(msg.Job)
 			switch {
 			case err != nil:
-				reply = &wireMsg{Type: msgError, Range: msg.Range, Err: err.Error()}
-			case !ok:
-				reply.Type = msgFenced
+				reply = &frame{Type: msgError, Err: err.Error()}
+			case cur == nil:
+				reply = &frame{Type: msgDrain, RetryMs: s.opts.LeaseTTL.Milliseconds() / 2}
+			default:
+				spec, err := json.Marshal(cur.spec)
+				if err != nil {
+					fail(errCodeGeneric, err.Error())
+					return
+				}
+				reply = &frame{
+					Type:       msgWelcome,
+					Job:        cur.id,
+					Spec:       string(spec),
+					LockAddr:   s.opts.LockAddr,
+					LeaseTTLMs: s.opts.LeaseTTL.Milliseconds(),
+				}
 			}
-			if !send(reply) {
+		case msgTelemetry:
+			var rep telemetry.WorkerReport
+			if err := json.Unmarshal([]byte(msg.Telemetry), &rep); err != nil {
+				fail(errCodeGeneric, "malformed telemetry report: "+err.Error())
 				return
 			}
+			if rep.Worker == "" {
+				rep.Worker = worker
+			}
+			s.fed.Report(rep)
+			reply = &frame{Type: msgOK}
+		case msgLease, msgHeartbeat, msgCommit:
+			if cur == nil {
+				fail(errCodeGeneric, fmt.Sprintf("%q before hello", msg.Type))
+				return
+			}
+			switch msg.Type {
+			case msgLease:
+				reply = cur.lease(worker)
+			case msgHeartbeat:
+				reply = &frame{Type: msgOK}
+				if !cur.heartbeat(worker, msg.Range, msg.Epoch) {
+					reply.Type = msgFenced
+				}
+			case msgCommit:
+				// The reply to an accepted commit is the next grant: one
+				// round trip per range.
+				ok, err := cur.commit(worker, msg.Range, msg.Epoch, msg.Results)
+				switch {
+				case err != nil:
+					reply = &frame{Type: msgError, Err: err.Error()}
+				case !ok:
+					reply = &frame{Type: msgFenced}
+				default:
+					reply = cur.lease(worker)
+				}
+			}
 		default:
-			send(&wireMsg{Type: msgError, Err: fmt.Sprintf("unknown message type %q", msg.Type)})
+			fail(errCodeGeneric, fmt.Sprintf("unexpected frame type %q", msg.Type))
+			return
+		}
+		if fc.send(reply) != nil {
 			return
 		}
 	}

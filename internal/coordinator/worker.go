@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,10 +30,10 @@ type WorkerOptions struct {
 	RetryInterval time.Duration
 	// Telemetry, when set, receives the worker's execution metrics.
 	Telemetry *telemetry.Registry
-	// TelemetryInterval throttles telemetry reports to the coordinator
-	// (default 200ms; negative disables reporting). Reports are forced at
-	// range boundaries regardless of the throttle, so the coordinator's
-	// fleet view is current whenever a range commits.
+	// TelemetryInterval is how often the worker reports telemetry to the
+	// coordinator (default 200ms; negative disables reporting). A report
+	// goes out between ranges once the interval has passed, and once more
+	// when the session ends, which is what makes fleet totals exact.
 	TelemetryInterval time.Duration
 
 	// Test hooks — nil in production.
@@ -64,7 +63,8 @@ var errRangeAbandoned = errors.New("range abandoned")
 // semantics (runner.Executor) → commit results, heartbeating long ranges
 // and holding a per-range lockserver lease when the cluster has one. On
 // "done" it rebinds to the next job (or returns, with Once/Job set).
-// Transport errors redial; the coordinator requeues whatever was held.
+// Transport errors redial; the coordinator requeues whatever was held. A
+// coordinator of another protocol version ends it with ErrProtocolVersion.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
 	if o.Addr == "" {
 		return fmt.Errorf("coordinator: worker needs an Addr")
@@ -87,7 +87,7 @@ func RunWorker(ctx context.Context, o WorkerOptions) error {
 			if o.Once || o.Job != "" {
 				return nil
 			}
-		case errors.Is(err, ErrWorkerCrashed):
+		case errors.Is(err, ErrWorkerCrashed), errors.Is(err, ErrProtocolVersion):
 			return err
 		case ctx.Err() != nil:
 			return ctx.Err()
@@ -117,9 +117,9 @@ const defaultTelemetryInterval = 200 * time.Millisecond
 
 // report ships the worker's telemetry to the coordinator: cumulative
 // metrics and progress plus the span delta since the previous report.
-// No-op without a registry (or with reporting disabled); throttled to
-// TelemetryInterval unless forced.
-func (w *worker) report(sess *session, force bool) error {
+// No-op without a registry (or with reporting disabled), and before
+// TelemetryInterval has passed since the last one unless final.
+func (w *worker) report(sess *session, final bool) error {
 	if w.o.Telemetry == nil || w.o.TelemetryInterval < 0 {
 		return nil
 	}
@@ -127,18 +127,21 @@ func (w *worker) report(sess *session, force bool) error {
 	if interval == 0 {
 		interval = defaultTelemetryInterval
 	}
-	if !force && time.Since(w.lastReport) < interval {
+	if !final && time.Since(w.lastReport) < interval {
 		return nil
 	}
 	spans, mark := w.o.Telemetry.Tracer().SpansSince(w.spanMark)
-	rep := telemetry.WorkerReport{
+	payload, err := json.Marshal(telemetry.WorkerReport{
 		Worker:         w.o.Name,
 		EpochUnixNanos: w.o.Telemetry.Tracer().Epoch().UnixNano(),
 		Metrics:        w.o.Telemetry.Snapshot(),
 		Progress:       w.o.Telemetry.Progress().Snapshot(),
 		Spans:          spans,
+	})
+	if err != nil {
+		return err
 	}
-	reply, err := sess.roundTrip(&wireMsg{Type: msgTelemetry, Worker: w.o.Name, Telemetry: &rep})
+	reply, err := sess.roundTrip(&frame{Type: msgTelemetry, Telemetry: string(payload)})
 	if err != nil {
 		return err
 	}
@@ -153,8 +156,7 @@ func (w *worker) report(sess *session, force bool) error {
 // session is one connection's lockstep transport.
 type session struct {
 	conn net.Conn
-	sc   *bufio.Scanner
-	w    *bufio.Writer
+	fc   *frameConn
 }
 
 func dialSession(ctx context.Context, addr string) (*session, error) {
@@ -163,38 +165,26 @@ func dialSession(ctx context.Context, addr string) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64*1024), maxWireLine)
-	return &session{conn: conn, sc: sc, w: bufio.NewWriter(conn)}, nil
+	return &session{conn: conn, fc: newFrameConn(conn)}, nil
 }
 
-// roundTrip sends one message and reads its reply.
-func (s *session) roundTrip(m *wireMsg) (*wireMsg, error) {
-	data, err := json.Marshal(m)
+// roundTrip sends one frame and reads its reply. An error reply is
+// returned as an error, typed when it is a protocol version refusal.
+func (s *session) roundTrip(m *frame) (*frame, error) {
+	if err := s.fc.send(m); err != nil {
+		return nil, err
+	}
+	reply, err := s.fc.recv()
 	if err != nil {
 		return nil, err
 	}
-	data = append(data, '\n')
-	if _, err := s.w.Write(data); err != nil {
-		return nil, err
-	}
-	if err := s.w.Flush(); err != nil {
-		return nil, err
-	}
-	if !s.sc.Scan() {
-		if err := s.sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("coordinator: connection closed")
-	}
-	var reply wireMsg
-	if err := json.Unmarshal(s.sc.Bytes(), &reply); err != nil {
-		return nil, err
-	}
 	if reply.Type == msgError {
+		if reply.Code == errCodeVersion {
+			return nil, fmt.Errorf("%w (coordinator: %s)", ErrProtocolVersion, reply.Err)
+		}
 		return nil, fmt.Errorf("coordinator: %s", reply.Err)
 	}
-	return &reply, nil
+	return reply, nil
 }
 
 // serveOnce binds to one job and serves it to completion. nil return =
@@ -217,30 +207,30 @@ func (w *worker) serveOnce(ctx context.Context) error {
 	}()
 
 	// Bind to a job, waiting out drains.
-	var hello *wireMsg
+	var welcome *frame
 	for {
-		hello, err = sess.roundTrip(&wireMsg{Type: msgHello, Worker: w.o.Name, Job: w.o.Job})
+		welcome, err = sess.roundTrip(&frame{Type: msgHello, Version: protocolVersion, Worker: w.o.Name, Job: w.o.Job})
 		if err != nil {
 			return err
 		}
-		switch hello.Type {
-		case msgHello:
+		switch welcome.Type {
+		case msgWelcome:
 		case msgDrain:
-			if !sleepCtx(ctx, retryDelay(hello.RetryMs, w.o.RetryInterval)) {
+			if !sleepCtx(ctx, retryDelay(welcome.RetryMs, w.o.RetryInterval)) {
 				return ctx.Err()
 			}
 			continue
 		case msgDone:
 			return nil
 		default:
-			return fmt.Errorf("coordinator: unexpected hello reply %q", hello.Type)
+			return fmt.Errorf("coordinator: unexpected hello reply %q", welcome.Type)
 		}
 		break
 	}
 
-	spec := hello.Spec
-	if spec == nil {
-		return fmt.Errorf("coordinator: hello reply has no spec")
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(welcome.Spec), &spec); err != nil {
+		return fmt.Errorf("coordinator: welcome carries no usable spec: %w", err)
 	}
 	scenario, _, err := spec.build()
 	if err != nil {
@@ -253,13 +243,13 @@ func (w *worker) serveOnce(ctx context.Context) error {
 		return err
 	}
 
-	ttl := time.Duration(hello.LeaseTTLMs) * time.Millisecond
+	ttl := time.Duration(welcome.LeaseTTLMs) * time.Millisecond
 	if ttl <= 0 {
 		ttl = 2 * time.Second
 	}
 	var lock *lockserver.Client
-	if hello.LockAddr != "" {
-		lock, err = lockserver.Dial(hello.LockAddr)
+	if welcome.LockAddr != "" {
+		lock, err = lockserver.Dial(welcome.LockAddr)
 		if err != nil {
 			return err
 		}
@@ -270,60 +260,51 @@ func (w *worker) serveOnce(ctx context.Context) error {
 		}()
 	}
 
-	job := hello.Job
-	// Seed the coordinator's fleet view as soon as the job binds, before
-	// the first range lands.
-	if err := w.report(sess, true); err != nil {
-		return err
-	}
 	// Best-effort final flush on every exit path (done, drain, cancel,
 	// transport error): reports are cumulative, so a duplicate is folded
-	// idempotently, and without it a cancellation racing the last commit
-	// would leave the fleet view short of this worker's final ranges.
+	// idempotently, and without it the fleet view would be short of
+	// whatever this worker did since its last interval report.
 	defer func() { _ = w.report(sess, true) }()
+	// One round trip per range: lease is sent here and after a wait or an
+	// abandoned range only, because the reply to a commit is the next
+	// grant.
+	lease := &frame{Type: msgLease}
+	reply, err := sess.roundTrip(lease)
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := w.report(sess, false); err != nil {
-			return err
-		}
-		reply, err := sess.roundTrip(&wireMsg{Type: msgLease})
 		if err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		switch reply.Type {
 		case msgDone:
 			return nil
 		case msgDrain:
-			if !sleepCtx(ctx, retryDelay(reply.RetryMs, w.o.RetryInterval)) {
+			if reply.RetryMs > 0 && !sleepCtx(ctx, time.Duration(reply.RetryMs)*time.Millisecond) {
 				return ctx.Err()
 			}
+			reply, err = sess.roundTrip(lease)
 			continue
 		case msgRange:
 		default:
 			return fmt.Errorf("coordinator: unexpected lease reply %q", reply.Type)
 		}
-		err = w.runRange(ctx, sess, exec, lock, job, ttl, reply)
-		switch {
-		case err == nil:
-			// Force a report at the range boundary so fleet counters are
-			// current the moment the commit is visible.
-			if err := w.report(sess, true); err != nil {
-				return err
-			}
-			continue
-		case errors.Is(err, errRangeAbandoned):
-			continue
-		default:
+		if err := w.report(sess, false); err != nil {
 			return err
+		}
+		reply, err = w.runRange(ctx, sess, exec, lock, welcome.Job, ttl, reply)
+		if errors.Is(err, errRangeAbandoned) {
+			reply, err = sess.roundTrip(lease)
 		}
 	}
 }
 
-// runRange executes one granted range under its lease and commits it.
-func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Executor, lock *lockserver.Client, job string, ttl time.Duration, grant *wireMsg) error {
-	ils := ilsFromWire(grant.Interleavings)
+// runRange executes one granted range under its lease and commits it. It
+// returns the coordinator's reply to an accepted commit: the next grant,
+// done, or drain.
+func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Executor, lock *lockserver.Client, job string, ttl time.Duration, grant *frame) (*frame, error) {
+	ils := grant.Interleavings
 	token := leaseToken(w.o.Name, grant.Epoch)
 
 	// Take the range's lockserver lease. A previous holder that was
@@ -340,7 +321,7 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 		if err != nil {
 			// Could not acquire (previous lease still live, or server
 			// unreachable): skip; the coordinator will requeue the range.
-			return errRangeAbandoned
+			return nil, errRangeAbandoned
 		}
 		lost = mutex.Lost()
 	}
@@ -350,13 +331,13 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 	for i, il := range ils {
 		if err := ctx.Err(); err != nil {
 			w.abandon(mutex)
-			return err
+			return nil, err
 		}
 		select {
 		case <-lost:
 			// Renewal failed: someone else may hold the range. Stop
 			// without committing; fencing protects the ledger anyway.
-			return errRangeAbandoned
+			return nil, errRangeAbandoned
 		default:
 		}
 		index := grant.Start + i
@@ -370,40 +351,40 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 				mutex.Orphan()
 			}
 			sess.conn.Close()
-			return ErrWorkerCrashed
+			return nil, ErrWorkerCrashed
 		}
 		// Heartbeat long ranges so slow executions don't look like death,
 		// and stream telemetry so the fleet view tracks mid-range progress.
 		if time.Since(lastContact) > ttl/2 {
-			hb, err := sess.roundTrip(&wireMsg{Type: msgHeartbeat, Range: grant.Range, Epoch: grant.Epoch})
+			hb, err := sess.roundTrip(&frame{Type: msgHeartbeat, Range: grant.Range, Epoch: grant.Epoch})
 			if err != nil {
 				w.abandon(mutex)
-				return err
+				return nil, err
 			}
 			lastContact = time.Now()
 			if hb.Type == msgFenced {
 				w.abandon(mutex)
-				return errRangeAbandoned
+				return nil, errRangeAbandoned
 			}
 			if err := w.report(sess, false); err != nil {
 				w.abandon(mutex)
-				return err
+				return nil, err
 			}
 		}
 		outcome, attempts, execErr := exec.Execute(ctx, il, index)
 		w.executed++
-		res := wireResult{Index: index, Key: il.Key(), Attempts: attempts}
+		res := wireResult{Attempts: attempts}
 		switch {
 		case errors.Is(execErr, runner.ErrSubsumed):
 			res.Subsumed = true
 		case execErr != nil:
 			if ctx.Err() != nil {
 				w.abandon(mutex)
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 			res.Error = execErr.Error()
 		default:
-			res.Outcome = toWireOutcome(outcome)
+			res.Outcome = outcome
 		}
 		results = append(results, res)
 	}
@@ -411,23 +392,23 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 	if w.o.BeforeCommit != nil {
 		w.o.BeforeCommit(grant.Range)
 	}
-	reply, err := sess.roundTrip(&wireMsg{Type: msgCommit, Range: grant.Range, Epoch: grant.Epoch, Results: results})
+	reply, err := sess.roundTrip(&frame{Type: msgCommit, Range: grant.Range, Epoch: grant.Epoch, Results: results})
 	if err != nil {
 		w.abandon(mutex)
-		return err
+		return nil, err
 	}
 	switch reply.Type {
-	case msgOK:
+	case msgRange, msgDone, msgDrain:
 		if mutex != nil {
 			_ = mutex.Unlock()
 		}
-		return nil
+		return reply, nil
 	case msgFenced:
 		w.abandon(mutex)
-		return errRangeAbandoned
+		return nil, errRangeAbandoned
 	default:
 		w.abandon(mutex)
-		return fmt.Errorf("coordinator: unexpected commit reply %q", reply.Type)
+		return nil, fmt.Errorf("coordinator: unexpected commit reply %q", reply.Type)
 	}
 }
 
