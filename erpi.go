@@ -262,10 +262,16 @@ func WithFuzzGeneration(n int) Option {
 
 // WithWorkers sets how many interleavings replay concurrently, each
 // against its own cluster from the session's factory (which must then be
-// safe for concurrent calls). Zero or negative means one worker per
-// available CPU; with 1 the exploration driver replays each interleaving
-// inline on the calling goroutine. Exploration results are identical at
-// every worker count — only wall-clock time changes.
+// safe for concurrent calls; a worker builds its cluster when it first
+// gets work, so a short exploration builds fewer than n). Zero or negative
+// means one worker per available CPU; with 1 the exploration driver
+// replays each interleaving inline on the calling goroutine. Exploration
+// results are identical at every worker count — only wall-clock time
+// changes. Workers take runs of up to 16 consecutive interleavings, so a
+// second worker pays from replays of a few microseconds up, as long as
+// there is an idle CPU for it; OnOutcome and assertions still see one
+// outcome at a time, in exploration order, but not always from the same
+// goroutine.
 func WithWorkers(n int) Option {
 	return func(s *Session) { s.cfg.Workers = n }
 }

@@ -241,7 +241,7 @@ func (x *Executor) run(ctx context.Context, item workItem) workResult {
 	outcome, attempts, err := x.execute(ctx, item)
 	span.End()
 	x.tel.setWorker(x.worker, 0)
-	return workResult{index: item.index, il: item.il, outcome: outcome, attempts: attempts, err: err}
+	return workResult{workItem: item, outcome: outcome, attempts: attempts, err: err}
 }
 
 // execute drives attempt through the retry policy: each attempt under the

@@ -1,6 +1,10 @@
 package runner
 
-import "hash/fnv"
+import (
+	"strconv"
+
+	"github.com/er-pi/erpi/internal/interleave"
+)
 
 // exploredSet deduplicates interleaving keys under a memory bound. Keys are
 // stored as 64-bit FNV-1a fingerprints rather than full strings, so one
@@ -36,10 +40,31 @@ func newExploredSet(limit int) *exploredSet {
 	return &exploredSet{limit: limit, keys: make(map[uint64]struct{})}
 }
 
-func fingerprint(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
+// fnv1a folds s into the 64-bit FNV-1a hash h (fnvOffset64 to start one).
+func fnv1a[S string | []byte](h uint64, s S) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+const fnvOffset64 = 14695981039346656037
+
+func fingerprint(key string) uint64 { return fnv1a(fnvOffset64, key) }
+
+// fingerprintOf is fingerprint(il.Key()) without rendering the key: it
+// hashes the same bytes — decimal IDs joined by commas — through a stack
+// buffer, so keys loaded from a journal match interleavings seen live.
+func fingerprintOf(il interleave.Interleaving) uint64 {
+	h := uint64(fnvOffset64)
+	var digits [20]byte // a 64-bit int in base 10, sign included
+	for i, id := range il {
+		if i > 0 {
+			h = fnv1a(h, ",")
+		}
+		h = fnv1a(h, strconv.AppendInt(digits[:0], int64(id), 10))
+	}
+	return h
 }
 
 // Has reports whether key was recorded.
@@ -50,13 +75,25 @@ func (e *exploredSet) Has(key string) bool {
 
 // Add records key, unless the set is saturated. Reports whether the key was
 // actually recorded.
-func (e *exploredSet) Add(key string) bool {
+func (e *exploredSet) Add(key string) bool { return e.add(fingerprint(key)) }
+
+func (e *exploredSet) add(fp uint64) bool {
 	if e.limit > 0 && len(e.keys) >= e.limit {
 		e.saturated = true
 		return false
 	}
-	e.keys[fingerprint(key)] = struct{}{}
+	e.keys[fp] = struct{}{}
 	return true
+}
+
+// seen is Has(il.Key()) and, for a fresh interleaving, Add(il.Key()) — the
+// driver's dedup step — hashing once and allocating nothing.
+func (e *exploredSet) seen(il interleave.Interleaving) (dup bool) {
+	fp := fingerprintOf(il)
+	if _, dup = e.keys[fp]; !dup {
+		e.add(fp)
+	}
+	return dup
 }
 
 // Len returns the number of recorded fingerprints.

@@ -20,17 +20,8 @@ import (
 // stream plus the result.
 func collectOutcomes(t *testing.T, s Scenario, cfg Config) ([]byte, *Result) {
 	t.Helper()
-	var outcomes []*Outcome
-	cfg.OnOutcome = func(o *Outcome) { outcomes = append(outcomes, o) }
-	res, err := Run(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(outcomes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw, res
+	res, outcomes := exploreCollect(t, s, cfg, defaultRunLen)
+	return []byte(streamOf(t, outcomes)), res
 }
 
 // TestFaultFreeScheduleIsSound pins the soundness property of the fault

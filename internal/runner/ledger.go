@@ -11,10 +11,12 @@ import (
 // in-process pool (inline or with worker goroutines, checkpointed or
 // live) and the distributed coordinator's range aggregation — feeds it
 // each explored interleaving's result exactly once, in exploration-index
-// order, from one goroutine. The ledger alone decides what a result means
-// for the run: how a generation explorer classifies it, Subsumed and
-// Quarantined accounting, the OnOutcome hook, the assertion loop,
-// FirstViolation, forensic capture, and whether exploration stops.
+// order, from one goroutine at a time (the pool's workers take turns under
+// its mutex, the coordinator has one aggregator; the ledger has no lock of
+// its own). The ledger alone decides what a result means for the run: how
+// a generation explorer classifies it, Subsumed and Quarantined
+// accounting, the OnOutcome hook, the assertion loop, FirstViolation,
+// forensic capture, and whether exploration stops.
 // Because results arrive in index order, stateful assertions and OnOutcome
 // observers see the same history at every worker count.
 type Ledger struct {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/er-pi/erpi/internal/datalog"
@@ -21,18 +22,51 @@ import (
 // of (event log, interleaving, fault schedule, exploration index), never
 // of what ran before it on the same worker.
 //
-// Topology: the driver (the caller's goroutine) owns the explorer, the
-// dedup set, the journal, the datalog store, and the result Ledger;
-// workers own a private Executor each. Interleavings are pulled from the
-// explorer in its native order and tagged with a stable 1-based index at
-// assignment time. With one worker the driver executes each pulled item
-// inline, on its own goroutine: no worker goroutine, no channel hop, and
-// results are in order by construction. With more, items are dispatched
-// over an unbuffered channel; results return on a buffered channel and
-// are parked in a reorder buffer until every lower index has reached the
-// ledger.
+// Topology: workers that serve themselves — no driver goroutine, no
+// channel. One mutex (pool.mu) guards the explorer, the dedup set, the
+// journal, the datalog store, the queue of carved runs and the result
+// Ledger; each worker owns a private Executor. A worker that wants work
+// takes the mutex and
 //
-// Deterministic regardless of worker count:
+//   - drains: feeds Ledger.Record every published result of the head run
+//     (the oldest carved run not yet fully recorded) in index order, pops a
+//     finished head and continues into the next run;
+//   - carves: pulls a run of consecutive interleavings from the explorer in
+//     its native order — each given a stable 1-based index, deduped,
+//     journaled and stored at that moment — and queues the run;
+//
+// then executes the run outside the mutex, publishing each result as it
+// completes (slots[i], then the atomic done = i+1). Results must stream — a
+// deadline or a StopOnViolation cannot wait for a run to end — so the head
+// run's owner also drains after each item, with TryLock: never blocking,
+// since whoever holds the mutex is draining or about to carve, and the owner
+// drains for certain when it comes back for its next run.
+//
+// The one lock-free step is an owner noticing that its run has become the
+// head. The owner stores r.done and then loads r.head; the drainer that pops
+// the previous head stores r.head and then loads r.done. Both are
+// sync/atomic values, so the four operations are totally ordered and the
+// two loads cannot both miss: an owner that still reads head = false stored
+// done before the drainer's store of head, hence before the drainer's load
+// of done, which sees the result. Nothing is lost either way — at worst a
+// result waits for its owner's next publication or next carve.
+//
+// Ledger.Record — and with it OnOutcome and Assertion.Check, caller-supplied
+// code — runs under the mutex. That keeps ModeFuzz classification ordered
+// against carving without a second lock, and it is safe: the pool has no
+// entry point a callback could reach, cancelling the run's context from a
+// callback takes no pool lock, and a callback that blocks stalled the run
+// before this topology too (it blocked the driver goroutine).
+//
+// Run length is a function of counts only: min(maxRun, left/(4·workers)), at
+// least 1, left being what the cap still allows (runs shrink towards the end
+// so the workers finish together), and always 1 at one worker, which then
+// journals exactly what it executes, inline on the caller's goroutine.
+// Carving runs ahead of recording by at most runsAhead runs per worker, so a
+// stalled head parks a bounded number of outcomes. DESIGN.md §4.7 has the
+// measurements behind both constants.
+//
+// Deterministic regardless of worker count and of where runs are cut:
 //   - which interleavings execute, their indices, and the journal order;
 //   - Outcome delivery order to OnOutcome and to assertions (stateful
 //     assertions see one history);
@@ -48,22 +82,22 @@ import (
 //     suppresses re-execution on resume, and store facts are monotone);
 //   - on interruption, Explored counts results that reached the ledger
 //     before the cancellation was observed, while the explorer may have
-//     been pulled further ahead (ModeRand's RandShuffles reflects that
+//     been pulled further ahead — by up to the carve-ahead bound, and those
+//     indices are journaled too (ModeRand's RandShuffles reflects that
 //     ahead-pulling).
 //
-// ConstraintPoll re-pruning quiesces the pool: the poll boundary index is
-// dispatched, the driver drains every in-flight execution and records all
-// results, and only then polls and (maybe) regenerates the explorer — a
-// barrier, so poll points fall at the same indices at every worker count,
-// at the cost of a bubble in the pipeline every PollEvery interleavings.
-//
-// ModeFuzz reuses those quiesce mechanics as its generation barrier
-// (DESIGN.md §4.14): the fuzzer synthesizes a whole generation of mutated
-// children up front, the pool pipelines them across all workers, and when
-// the synthesis buffer drains the driver waits for every in-flight child
-// to return and classify before letting the corpus evolve — so which
-// permutations enter the corpus depends only on the seed and the
-// classified signatures, never on worker count or completion order.
+// Two barriers quiesce the pool by the same mechanics: while one is armed
+// nothing is carved, workers wait on pool.idle until the queue of carved
+// runs is empty — every execution has returned, every result is recorded —
+// and whoever finds it empty acts, under the mutex. ConstraintPoll
+// re-pruning arms at the poll boundary index, the last of its run; the poll
+// then (maybe) regenerates the explorer, so poll points fall at the same
+// indices at every worker count, at the cost of a bubble in the pipeline
+// every PollEvery interleavings. ModeFuzz (DESIGN.md §4.14) arms when its
+// generation's synthesis buffer is drained and evolves the corpus once every
+// child is classified, so which permutations enter it depends only on the
+// seed and the classified signatures, never on worker count or completion
+// order.
 type pool struct {
 	ctx      context.Context
 	s        Scenario
@@ -74,13 +108,11 @@ type pool struct {
 	explored *exploredSet
 	pruning  prune.Config
 	maxNew   int
+	workers  int
 
-	// inline, when non-nil, is the single worker the driver runs on its own
-	// goroutine; the channels are nil then.
-	inline  *Executor
-	workCh  chan workItem
-	resCh   chan workResult
-	fatalCh chan error
+	// runLen is the run-length rule (defaultRunLen outside tests): how many
+	// indices the next run may take, given how many the cap still allows.
+	runLen func(left, workers int) int
 
 	// tel is nil when telemetry is off; all uses are nil-safe.
 	tel *runTelemetry
@@ -88,30 +120,54 @@ type pool struct {
 	// flushed at the re-prune quiesce barrier, where no execution is in
 	// flight.
 	sub *subsumeTable
-	// nextSince / pollSince anchor the dispatch-wait and quiesce-gap spans
-	// (valid only while tel is non-nil).
-	nextSince time.Time
-	pollSince time.Time
 
-	// Driver-only state (no locking: single goroutine).
-	assigned int                // indices handed out; the highest index that exists
-	nextProc int                // next index the ledger takes
-	pending  map[int]workResult // reorder buffer: arrived ahead of nextProc
-	inflight int                // dispatched and not yet returned
-	next     workItem           // pulled from the explorer, not yet dispatched
-	hasNext  bool               // next is valid
-	gen      uint64             // re-prune generation stamped on pulled items
-	noMore   bool               // no further assignment (cap/exhausted/crash/halt)
-	halted   bool               // stop recording too; drain and discard (stop/interrupt)
-	pollWait bool               // quiescing for a ConstraintPoll boundary
-	pollIdx  int                // the boundary index being drained
-	pollSkip bool               // boundary index produced no outcome: skip this poll
-	genWait  bool               // quiescing for a fuzz generation boundary
-	genSince time.Time          // when the fuzz barrier armed (tel only)
+	// cancel ends the workers' context, so replays in flight at a halt return
+	// at their next event. halted is set by stop (violation stop,
+	// interruption, fatal error) under mu; workers read it between items.
+	cancel context.CancelFunc
+	halted atomic.Bool
+
+	mu sync.Mutex
+	// idle is signalled whenever a run leaves the queue: barrier waiters
+	// need it empty, carve-ahead waiters need it below the bound.
+	idle sync.Cond
+
+	// Guarded by mu.
+	queue    []*run    // carved runs not yet fully recorded, in index order
+	err      error     // first fatal error; fails the run
+	assigned int       // indices handed out; the highest index that exists
+	nextProc int       // next index the ledger takes
+	gen      uint64    // re-prune generation stamped on pulled items
+	noMore   bool      // no further assignment (cap/exhausted/crash/halt)
+	pollWait bool      // quiescing for a ConstraintPoll boundary: index assigned
+	pollSkip bool      // boundary index produced no outcome: skip this poll
+	genWait  bool      // quiescing for a fuzz generation boundary
+	since    time.Time // when the armed barrier armed (tel only)
+}
+
+// maxRun caps a run's length; runsAhead, per worker, how many carved runs
+// may await recording.
+const maxRun, runsAhead = 16, 4
+
+// defaultRunLen is the run-length rule: counts only, never wall time.
+func defaultRunLen(left, workers int) int {
+	if workers == 1 {
+		return 1
+	}
+	return min(maxRun, left/(4*workers))
+}
+
+// run is a carved run of consecutive indices: its owner fills in the results
+// and advances done, the drainer (under pool.mu) advances fed.
+type run struct {
+	slots []workResult
+	done  atomic.Int32 // slots[:done] hold published results
+	head  atomic.Bool  // first in the queue: its owner streams
+	fed   int          // slots[:fed] reached the ledger; all of them: popped
 }
 
 // workItem is one interleaving handed to a worker, tagged with the stable
-// exploration index the driver assigned, the explorer's next-pivot hint
+// exploration index assigned at carve time, the explorer's next-pivot hint
 // captured at pull time (-1 when unavailable), and the re-prune
 // generation it was pulled under.
 type workItem struct {
@@ -125,168 +181,206 @@ type workItem struct {
 	gen uint64
 }
 
-// workResult is one executed interleaving flowing back to the driver.
+// workResult is a work item and, once executed, what the ledger needs of it.
 type workResult struct {
-	index    int
-	il       interleave.Interleaving
+	workItem
 	outcome  *Outcome
 	attempts int
 	err      error
 }
 
 // run explores with the pool's workers — executors on the inline schedule,
-// or on the gated one when live — feeding p.ledger; see the guarantees above.
-func (p *pool) run(workers int, live bool) error {
-	if workers == 1 {
-		x, err := newExecutor(p.s, p.cfg, 0, p.tel, p.sub, live)
-		if err != nil {
-			return err
-		}
-		p.inline = x
-	} else {
-		defer p.startWorkers(workers, live)()
+// or on the gated one when live — feeding p.ledger; see the guarantees
+// above. One worker is the caller's goroutine.
+func (p *pool) run(live bool) error {
+	p.idle.L = &p.mu
+	wctx, cancel := context.WithCancel(p.ctx)
+	defer cancel()
+	p.cancel = cancel
+	var wg sync.WaitGroup
+	for w := 1; w < p.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			p.work(wctx, w, live)
+		}(w)
 	}
-	if err := p.coordinate(); err != nil {
-		return err
+	p.work(wctx, 0, live)
+	wg.Wait()
+	if p.err != nil {
+		return p.err
 	}
+	// A generation that completed exactly at the cap still evolves; a
+	// partial one never does (evolveFuzz guards both).
+	p.evolveFuzz()
+	p.tel.onPoolDone()
 	p.finalize()
 	return nil
 }
 
-// startWorkers launches the worker goroutines and returns the function
-// that shuts them down: cancel in-flight executions, unblock workers
-// waiting for work, and wait for them to finish. The buffered result
-// channel absorbs any final sends.
-func (p *pool) startWorkers(workers int, live bool) (stop func()) {
-	wctx, cancelWorkers := context.WithCancel(p.ctx)
-	p.workCh = make(chan workItem)
-	// resCh and fatalCh hold one slot per worker, so workers always send
-	// without blocking (each worker has at most one outstanding result)
-	// and shutdown can never deadlock.
-	p.resCh = make(chan workResult, workers)
-	p.fatalCh = make(chan error, workers)
-	p.pending = make(map[int]workResult)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Setup failures are fatal for the whole run; execution
-			// failures are per-interleaving results.
-			x, err := newExecutor(p.s, p.cfg, w, p.tel, p.sub, live)
-			if err != nil {
-				p.fatalCh <- err
+// work is one worker: acquire a run, execute it, publish each result.
+func (p *pool) work(ctx context.Context, w int, live bool) {
+	var x *Executor
+	var r *run
+	for {
+		if r = p.acquire(w, r); r == nil {
+			return
+		}
+		if x == nil {
+			// Built once there is work for it. A setup failure is fatal for the
+			// run; execution failures are per-interleaving results.
+			var err error
+			if x, err = newExecutor(p.s, p.cfg, w, p.tel, p.sub, live); err != nil {
+				p.mu.Lock()
+				p.fail(err)
+				p.mu.Unlock()
 				return
 			}
-			for item := range p.workCh {
-				p.resCh <- x.run(wctx, item)
+		}
+		for i := range r.slots {
+			if p.halted.Load() {
+				return
 			}
-		}(w)
-	}
-	return func() {
-		cancelWorkers()
-		close(p.workCh)
-		wg.Wait()
+			r.slots[i] = x.run(ctx, r.slots[i].workItem)
+			r.done.Store(int32(i + 1))
+			p.tel.onParked(1)
+			// Stream the head run's results; the last one is drained by the
+			// acquire that follows.
+			if i+1 < len(r.slots) && r.head.Load() && p.mu.TryLock() {
+				p.drain()
+				p.mu.Unlock()
+			}
+		}
 	}
 }
 
-// coordinate is the producer + aggregator loop.
-func (p *pool) coordinate() error {
+// acquire returns the worker's next run, or nil when nothing is left for it:
+// drain, wait out an armed barrier or a full carve-ahead window, carve. prev
+// is the worker's previous run, recycled once it has left the queue.
+func (p *pool) acquire(w int, prev *run) *run {
+	asked := p.tel.now()
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for {
-		if !p.noMore && !p.pollWait && !p.genWait && !p.hasNext {
-			if err := p.pull(); err != nil {
-				return err
-			}
-		}
-		if p.pollWait && p.inflight == 0 && p.nextProc > p.assigned {
-			// Quiesced: everything assigned is executed and recorded.
-			if err := p.poll(); err != nil {
-				return err
-			}
-			continue
-		}
-		if p.genWait && p.inflight == 0 && p.nextProc > p.assigned {
-			// Fuzz generation quiesced: every child of the generation is
-			// executed, recorded, and classified — safe to evolve.
-			p.genWait = false
-			if p.tel != nil {
-				p.tel.observeSpan(telemetry.StageQuiesce, p.assigned, telemetry.CoordinatorWorker,
-					p.genSince, time.Since(p.genSince))
-			}
-			p.evolveFuzz()
-			continue
-		}
-		if !p.hasNext && p.inflight == 0 {
-			// A generation that completed exactly at the cap still evolves;
-			// a partial one never does (evolveFuzz guards both).
-			p.evolveFuzz()
-			return nil // nothing to dispatch, nothing in flight: done
-		}
+		p.drain()
 		switch {
-		case p.hasNext && p.inline != nil:
-			item := p.next
-			p.dispatched()
-			p.receive(p.inline.run(p.ctx, item))
-		case p.hasNext:
-			select {
-			case p.workCh <- p.next:
-				p.dispatched()
-			case r := <-p.resCh:
-				p.receive(r)
-			case err := <-p.fatalCh:
-				return err
-			}
+		case p.noMore:
+			return nil
+		case (p.pollWait || p.genWait) && len(p.queue) == 0:
+			p.quiesced()
+		case p.pollWait || p.genWait || len(p.queue) >= runsAhead*p.workers:
+			p.idle.Wait()
 		default:
-			select {
-			case r := <-p.resCh:
-				p.receive(r)
-			case err := <-p.fatalCh:
-				return err
+			if r := p.carve(prev); r != nil {
+				// Dispatch span, on the worker's lane, from asking for work to
+				// holding a run: lock, barrier and back-pressure waits, the carve.
+				p.tel.observeSince(telemetry.StageDispatch, r.slots[0].index, w, asked)
+				return r
 			}
 		}
 	}
+}
+
+// drain feeds the ledger every published result of the head run in index
+// order, pops a finished head and continues into the next run. Caller
+// holds mu.
+func (p *pool) drain() {
+	for len(p.queue) > 0 { // empty once halted
+		r := p.queue[0]
+		for n := int(r.done.Load()); r.fed < n; r.fed++ {
+			// Results already recorded stand; once the context is dead, later
+			// ones are discarded.
+			if err := p.ctx.Err(); err != nil {
+				p.interrupt(err)
+				return
+			}
+			p.nextProc++
+			p.tel.onParked(-1)
+			p.process(r.slots[r.fed])
+			if p.halted.Load() {
+				return
+			}
+		}
+		if r.fed < len(r.slots) {
+			return // the head is still executing
+		}
+		p.queue = p.queue[:copy(p.queue, p.queue[1:])]
+		if len(p.queue) > 0 {
+			p.queue[0].head.Store(true)
+		}
+		p.idle.Broadcast()
+	}
+}
+
+// carve cuts the next run out of the explorer and queues it: up to runLen
+// indices, ending at a ConstraintPoll boundary (the run's last index; it arms
+// the barrier) and wherever pull stops. Nil: nothing to carve now. Holds mu.
+func (p *pool) carve(prev *run) *run {
+	// At least one: the pull that finds nothing left is what ends assignment.
+	n := max(1, p.runLen(p.maxNew-p.assigned, p.workers))
+	r := prev
+	if r == nil || r.fed < len(r.slots) { // none, or still queued: a new one
+		r = &run{slots: make([]workResult, 0, min(n, maxRun))}
+	}
+	r.slots = r.slots[:0]
+	for len(r.slots) < n {
+		item, ok := p.pull()
+		if !ok {
+			break
+		}
+		r.slots = append(r.slots, workResult{workItem: item})
+		if p.cfg.ConstraintPoll != nil && p.cfg.Mode == ModeERPi && item.index%p.cfg.PollEvery == 0 {
+			p.pollWait = true
+			p.since = p.tel.now()
+			break
+		}
+	}
+	if len(r.slots) == 0 || p.halted.Load() {
+		return nil
+	}
+	r.done.Store(0)
+	r.fed = 0
+	p.queue = append(p.queue, r)
+	r.head.Store(len(p.queue) == 1)
+	p.tel.onPoolRun()
+	return r
 }
 
 // pull advances the explorer to the next fresh interleaving, assigns its
-// index, and journals/records it. It either sets p.next or stops
-// assignment.
-func (p *pool) pull() error {
+// index, and journals/records it. ok=false means nothing was assigned:
+// assignment stopped (noMore; a journal or store failure also fails the
+// run), or a fuzz generation must quiesce first (genWait). Caller holds mu.
+func (p *pool) pull() (item workItem, ok bool) {
 	for {
 		if p.assigned >= p.maxNew {
 			p.noMore = true
-			return nil
+			return item, false
 		}
 		if err := p.ctx.Err(); err != nil {
 			p.interrupt(err)
-			return nil
+			return item, false
 		}
 		if ge := p.ledger.ge; ge != nil && ge.GenerationEnd() {
 			// Fuzz generation boundary: the synthesis buffer is empty, so
 			// the next Next() would evolve the corpus. That is only sound
 			// once every emitted child has executed and classified.
-			if p.inflight > 0 || p.nextProc <= p.assigned {
+			if p.nextProc <= p.assigned {
 				p.genWait = true
-				if p.tel != nil {
-					p.genSince = time.Now()
-				}
-				return nil
+				p.since = p.tel.now()
+				return item, false
 			}
 			p.evolveFuzz()
 		}
 		genSpan := p.tel.span(telemetry.StageGenerate, p.assigned+1, telemetry.CoordinatorWorker)
-		il, ok := p.explorer.Next()
+		il, more := p.explorer.Next()
 		genSpan.End()
-		if !ok {
+		if !more {
 			p.res.Exhausted = true
 			p.noMore = true
-			return nil
+			return item, false
 		}
-		key := il.Key()
 		dedupSpan := p.tel.span(telemetry.StageDedup, p.assigned+1, telemetry.CoordinatorWorker)
-		dup := p.explored.Has(key)
-		if !dup && !p.explored.Add(key) {
-			p.tel.onDedupSaturated()
-		}
+		dup := p.explored.seen(il)
 		dedupSpan.End()
 		if dup {
 			// Journal resume, or re-pruning regenerated the explorer. The key
@@ -294,15 +388,19 @@ func (p *pool) pull() error {
 			// a fuzz generation can still complete.
 			p.tel.onDedupSkipped()
 			if ge := p.ledger.ge; ge != nil {
-				ge.ReportDropped(key)
+				ge.ReportDropped(il.Key())
 			}
 			continue
+		}
+		if p.explored.Saturated() {
+			p.tel.onDedupSaturated()
 		}
 		p.assigned++
 		p.tel.onExplored()
 		if p.cfg.Journal != nil {
 			if err := p.cfg.Journal.AppendExplored(il); err != nil {
-				return err
+				p.fail(err)
+				return item, false
 			}
 		}
 		if p.cfg.Store != nil {
@@ -313,69 +411,14 @@ func (p *pool) pull() error {
 					p.res.Crashed = true
 					p.res.CrashErr = err
 					p.noMore = true
-					return nil
+				} else {
+					p.fail(err)
 				}
-				return err
+				return item, false
 			}
 		}
-		p.next = workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer), gen: p.gen}
-		p.hasNext = true
-		if p.tel != nil {
-			p.nextSince = time.Now()
-		}
-		return nil
+		return workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer), gen: p.gen}, true
 	}
-}
-
-// dispatched notes that p.next went out and arms the poll barrier when
-// the index is a poll boundary.
-func (p *pool) dispatched() {
-	index := p.next.index
-	p.hasNext = false
-	p.inflight++
-	if p.tel != nil {
-		// Dispatch span: how long the pulled interleaving waited for a free
-		// worker — back-pressure from a saturated pool shows up here.
-		p.tel.observeSpan(telemetry.StageDispatch, index, telemetry.CoordinatorWorker,
-			p.nextSince, time.Since(p.nextSince))
-	}
-	if p.cfg.ConstraintPoll != nil && p.cfg.Mode == ModeERPi && index%p.cfg.PollEvery == 0 {
-		p.pollWait = true
-		p.pollIdx = index
-		if p.tel != nil {
-			p.pollSince = time.Now()
-		}
-	}
-}
-
-// receive takes one returned result: ahead of its turn it is parked in
-// the reorder buffer; at its turn it — and every parked result that is
-// now next — goes to the ledger in index order.
-func (p *pool) receive(r workResult) {
-	p.inflight--
-	if r.index != p.nextProc {
-		p.pending[r.index] = r
-		return
-	}
-	for ok := true; ok && !p.halted; r, ok = p.takePending() {
-		// Results already recorded stand; once the context is dead, later
-		// ones are discarded.
-		if err := p.ctx.Err(); err != nil {
-			p.interrupt(err)
-			return
-		}
-		p.nextProc++
-		p.process(r)
-	}
-}
-
-// takePending removes and returns the parked result for nextProc.
-func (p *pool) takePending() (workResult, bool) {
-	r, ok := p.pending[p.nextProc]
-	if ok {
-		delete(p.pending, p.nextProc)
-	}
-	return r, ok
 }
 
 // process hands one result, in index order, to the ledger and acts on its
@@ -388,7 +431,7 @@ func (p *pool) process(r workResult) {
 			p.interrupt(err)
 			return
 		}
-		if p.pollWait && r.index == p.pollIdx {
+		if p.pollWait && r.index == p.assigned {
 			// A boundary interleaving that was subsumed or quarantined
 			// produced no outcome to poll constraints after.
 			p.pollSkip = true
@@ -407,14 +450,41 @@ func (p *pool) interrupt(err error) {
 	p.stop()
 }
 
-// stop halts assignment and recording; in-flight work is drained and
-// discarded.
+// fail records the first fatal error and halts the pool; run returns it.
+func (p *pool) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+	p.stop()
+}
+
+// stop halts assignment and recording: queued runs are discarded, their
+// owners stop between items, and the replays in flight are cancelled.
 func (p *pool) stop() {
 	p.noMore = true
-	p.halted = true
-	p.hasNext = false
+	p.halted.Store(true)
 	p.pollWait = false
 	p.genWait = false
+	p.queue = nil
+	p.cancel()
+	p.idle.Broadcast()
+}
+
+// quiesced runs what the armed barrier was waiting for, now that the queue
+// is empty and so no execution is in flight.
+func (p *pool) quiesced() {
+	// Quiesce span: from arming the barrier until the pool fully drained —
+	// the pipeline bubble it costs, a coordinator-lane gap in the Chrome trace.
+	p.tel.observeSince(telemetry.StageQuiesce, p.assigned, telemetry.CoordinatorWorker, p.since)
+	if p.genWait {
+		p.genWait = false
+		p.evolveFuzz()
+		return
+	}
+	p.pollWait = false
+	if err := p.poll(); err != nil {
+		p.fail(err)
+	}
 }
 
 // evolveFuzz folds a fully-classified generation into the fuzzer's corpus
@@ -437,15 +507,6 @@ func (p *pool) evolveFuzz() {
 // the merged pruning config when new constraints arrived. Interleavings
 // the regenerated explorer re-yields are skipped by the dedup set.
 func (p *pool) poll() error {
-	p.pollWait = false
-	if p.tel != nil {
-		// Quiesce span: from arming the poll barrier at dispatch of the
-		// boundary index until the pool fully drained — the pipeline bubble
-		// each ConstraintPoll costs, visible as a coordinator-lane gap in
-		// the Chrome trace.
-		p.tel.observeSpan(telemetry.StageQuiesce, p.pollIdx, telemetry.CoordinatorWorker,
-			p.pollSince, time.Since(p.pollSince))
-	}
 	if p.pollSkip {
 		p.pollSkip = false
 		return nil
@@ -456,7 +517,7 @@ func (p *pool) poll() error {
 	}
 	if found {
 		p.pruning.Merge(extra)
-		repruneSpan := p.tel.span(telemetry.StagePrune, p.pollIdx, telemetry.CoordinatorWorker)
+		repruneSpan := p.tel.span(telemetry.StagePrune, p.assigned, telemetry.CoordinatorWorker)
 		explorer, err := newExplorer(p.s, p.cfg, p.pruning)
 		repruneSpan.End()
 		if err != nil {

@@ -207,7 +207,8 @@ type Config struct {
 	// PollEvery is the constraint polling interval in interleavings
 	// (default 100).
 	PollEvery int
-	// OnOutcome, when set, observes every outcome (tracing hook).
+	// OnOutcome, when set, observes every outcome (tracing hook): one at a
+	// time, in exploration order, not always on the same goroutine.
 	OnOutcome func(*Outcome)
 	// Journal, when set, persists the recorded log and every explored
 	// interleaving to the session directory; interleavings already in the
@@ -415,6 +416,12 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 // and returns the partial Result with Interrupted set, rather than an
 // error — exploration progress is never discarded.
 func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
+	return explore(ctx, s, cfg, defaultRunLen)
+}
+
+// explore is RunContext under a given run-length rule (pool.runLen), which
+// tests vary to show that results do not depend on where runs are cut.
+func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, workers int) int) (*Result, error) {
 	start := time.Now()
 	if err := validate(s, &cfg); err != nil {
 		return nil, err
@@ -497,6 +504,8 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 		explored: explored,
 		pruning:  pruning,
 		maxNew:   maxNew,
+		workers:  workers,
+		runLen:   runLen,
 		tel:      tel,
 		nextProc: 1,
 	}
@@ -506,7 +515,7 @@ func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 		// and cannot abandon an interleaving mid-flight.
 		p.sub = newSubsumption(cfg)
 	}
-	if err := p.run(workers, live); err != nil {
+	if err := p.run(live); err != nil {
 		return nil, err
 	}
 	if ge, ok := explorer.(generationExplorer); ok {

@@ -25,6 +25,8 @@ import (
 //	runner.prefix_evictions    snapshots evicted by the LRU byte budget
 //	runner.subsumed_interleavings  interleavings skipped by state subsumption
 //	runner.subsumption_table_bytes bytes held by the subsumption table (gauge)
+//	runner.pool_runs           runs of consecutive indices carved by the pool's workers
+//	runner.pool_parked         results executed but not yet recorded — the reorder window (gauge)
 //	runner.events_executed     events actually replayed
 //	runner.events_skipped      events skipped via prefix restore
 //	runner.snapshot_bytes      bytes currently held by prefix caches (gauge)
@@ -64,6 +66,8 @@ type runTelemetry struct {
 	bytesReused    *telemetry.Counter
 	subsumed       *telemetry.Counter
 	subsumeBytes   *telemetry.Gauge
+	poolRuns       *telemetry.Counter
+	poolParked     *telemetry.Gauge
 	hitDepth       *telemetry.Histogram
 	liveSessions   *telemetry.Gauge
 	liveEvents     *telemetry.Counter
@@ -101,6 +105,8 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 		bytesReused:    reg.Counter("snapshot.bytes_reused"),
 		subsumed:       reg.Counter("runner.subsumed_interleavings"),
 		subsumeBytes:   reg.Gauge("runner.subsumption_table_bytes"),
+		poolRuns:       reg.Counter("runner.pool_runs"),
+		poolParked:     reg.Gauge("runner.pool_parked"),
 		hitDepth:       reg.HistogramWithBounds("runner.prefix_hit_depth", prefixDepthBounds),
 		liveSessions:   reg.Gauge("live.sessions"),
 		liveEvents:     reg.Counter("live.events"),
@@ -228,6 +234,40 @@ func (t *runTelemetry) onFuzzGeneration(generations, corpus int, rate float64) {
 	t.reg.Progress().SetFuzz(int64(generations), int64(corpus), permille)
 }
 
+// onPoolRun counts one carved run.
+func (t *runTelemetry) onPoolRun() {
+	if t == nil {
+		return
+	}
+	t.poolRuns.Inc()
+	t.reg.Progress().AddPoolRun()
+}
+
+// onParked moves the reorder-window gauge: +1 when a worker publishes a
+// result, -1 when the ledger takes it.
+func (t *runTelemetry) onParked(delta int64) {
+	if t == nil {
+		return
+	}
+	t.poolParked.Add(delta)
+	t.reg.Progress().AddParked(delta)
+}
+
+// onPoolDone takes what a stop discarded off the reorder-window gauge.
+func (t *runTelemetry) onPoolDone() {
+	if t != nil {
+		t.onParked(-t.poolParked.Value())
+	}
+}
+
+// now is the start of a span for observeSince (zero when telemetry is off).
+func (t *runTelemetry) now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // onPrefixHit counts one execution resumed from a cached prefix of the
 // given depth.
 func (t *runTelemetry) onPrefixHit(depth int) {
@@ -311,12 +351,13 @@ func (t *runTelemetry) setWorker(w, index int) {
 	t.reg.Progress().SetWorker(w, index)
 }
 
-// observeSpan records a span measured after the fact.
-func (t *runTelemetry) observeSpan(stage telemetry.Stage, index, worker int, start time.Time, dur time.Duration) {
+// observeSince records a span measured after the fact, from start (taken
+// with now) until this call.
+func (t *runTelemetry) observeSince(stage telemetry.Stage, index, worker int, start time.Time) {
 	if t == nil {
 		return
 	}
-	t.reg.ObserveSpan(stage, index, worker, start, dur)
+	t.reg.ObserveSpan(stage, index, worker, start, time.Since(start))
 }
 
 // fsyncObserver adapts the checkpoint journal's flush callback into a

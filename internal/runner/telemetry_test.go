@@ -64,9 +64,14 @@ func TestTelemetryDeterminismPin(t *testing.T) {
 func TestTelemetryNilPathZeroAllocs(t *testing.T) {
 	var tel *runTelemetry
 	allocs := testing.AllocsPerRun(1000, func() {
+		asked := tel.now()
 		gen := tel.span(telemetry.StageGenerate, 1, telemetry.CoordinatorWorker)
 		gen.End()
 		tel.onExplored()
+		tel.onPoolRun()
+		tel.observeSince(telemetry.StageDispatch, 1, 0, asked)
+		tel.onParked(1)
+		tel.onParked(-1)
 		tel.setWorker(0, 1)
 		sp := tel.span(telemetry.StageExecute, 1, 0)
 		sp.End()

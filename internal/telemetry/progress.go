@@ -27,6 +27,9 @@ type Progress struct {
 	liveEvents   atomic.Int64
 	liveHandoffs atomic.Int64
 
+	poolRuns   atomic.Int64
+	poolParked atomic.Int64
+
 	mu      sync.Mutex
 	workers []atomic.Int64 // per worker: interleaving index in flight, 0 = idle
 }
@@ -51,6 +54,8 @@ func (p *Progress) BeginRun(total, workers int) {
 	p.fuzzNovelty.Store(0)
 	p.liveEvents.Store(0)
 	p.liveHandoffs.Store(0)
+	p.poolRuns.Store(0)
+	p.poolParked.Store(0)
 	p.doneAt.Store(0)
 	p.start.Store(time.Now().UnixNano())
 }
@@ -132,6 +137,23 @@ func (p *Progress) AddLive(events, handoffs int64) {
 	p.liveHandoffs.Add(handoffs)
 }
 
+// AddPoolRun counts one run of consecutive indices carved by a worker.
+func (p *Progress) AddPoolRun() {
+	if p == nil {
+		return
+	}
+	p.poolRuns.Add(1)
+}
+
+// AddParked moves the count of results executed but not yet recorded —
+// the pool's reorder window.
+func (p *Progress) AddParked(delta int64) {
+	if p == nil {
+		return
+	}
+	p.poolParked.Add(delta)
+}
+
 // SetDedupSaturated marks the run's dedup set as saturated: beyond this
 // point dedup is best-effort and an interleaving may execute twice. The
 // flag makes a degraded run visible at /progress without log scraping.
@@ -171,11 +193,17 @@ type ProgressSnapshot struct {
 	FuzzNoveltyRate float64 `json:"fuzz_novelty_rate,omitempty"`
 	// LiveEvents / LiveHandoffs mirror the live.events and live.handoffs
 	// counters of a live run (zero and omitted otherwise).
-	LiveEvents   int64            `json:"live_events,omitempty"`
-	LiveHandoffs int64            `json:"live_handoffs,omitempty"`
-	PerSecond    float64          `json:"per_second"`
-	ETASeconds   float64          `json:"eta_seconds"`
-	Workers      []WorkerSnapshot `json:"workers"`
+	LiveEvents   int64 `json:"live_events,omitempty"`
+	LiveHandoffs int64 `json:"live_handoffs,omitempty"`
+	// PoolRuns / PoolParked mirror runner.pool_runs and runner.pool_parked:
+	// runs of consecutive indices carved so far, and results executed but
+	// still waiting for a lower index to reach the ledger (zero and omitted
+	// where no pool runs, e.g. a distributed worker).
+	PoolRuns   int64            `json:"pool_runs,omitempty"`
+	PoolParked int64            `json:"pool_parked,omitempty"`
+	PerSecond  float64          `json:"per_second"`
+	ETASeconds float64          `json:"eta_seconds"`
+	Workers    []WorkerSnapshot `json:"workers"`
 }
 
 // Snapshot captures the current progress. Rate is explored/elapsed; ETA
@@ -196,6 +224,8 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		FuzzNoveltyRate: float64(p.fuzzNovelty.Load()) / 1000,
 		LiveEvents:      p.liveEvents.Load(),
 		LiveHandoffs:    p.liveHandoffs.Load(),
+		PoolRuns:        p.poolRuns.Load(),
+		PoolParked:      p.poolParked.Load(),
 	}
 	start := p.start.Load()
 	if start == 0 {

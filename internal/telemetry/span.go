@@ -18,8 +18,10 @@ const (
 	StagePrune
 	// StageDedup is the explored-set membership check and insert.
 	StageDedup
-	// StageDispatch is the coordinator handing an assigned interleaving to
-	// a pool worker (the wait measures pool backpressure).
+	// StageDispatch is a pool worker obtaining its next run of consecutive
+	// interleavings, on the worker's lane: from asking for work to holding
+	// the run — lock wait, barrier and carve-ahead (back-pressure) waits,
+	// and the carve itself.
 	StageDispatch
 	// StageExecute is one interleaving's replay, retries included.
 	StageExecute
@@ -33,7 +35,7 @@ const (
 	// StageJournalFsync is one durable flush of the progress journal.
 	StageJournalFsync
 	// StageQuiesce is the pool draining in-flight work at a ConstraintPoll
-	// barrier (the visible bubble in the pipeline).
+	// or fuzz-generation barrier (the visible bubble in the pipeline).
 	StageQuiesce
 	// StageRestorePrefix is restoring the cluster from a prefix-cache
 	// snapshot (or falling back to the genesis checkpoint on a miss)
