@@ -11,29 +11,26 @@ import (
 // TestReplayAllocBudget is the allocs/op regression gate on a whole
 // replay: reset, every event of the recorded order, Finalize and the
 // fingerprints, through the same runner.Executor a distributed worker
-// drives. With the subjects' snapshots and sync payloads on the
-// internal/wire codec an interleaving allocates what its data structures
-// allocate; a reflective codec, a per-call scratch buffer or a per-record
-// allocation creeping back in fails here before it shows up in the
-// benchmark's allocs_per_il. CI runs it by name in the bench job.
+// drives. A replay allocates only the state it creates (DESIGN.md §4.16,
+// "What a replay allocates"): new records and entries, payload and
+// snapshot buffers, rendered observations and fingerprints, the outcome and
+// its maps. A copy on a read path, a per-call sort slice, a throwaway
+// object in Restore or a payload decoded in full creeping back in fails
+// here before it shows up in the benchmark's allocs_per_il. CI runs it by
+// name in the bench job.
 //
-// Each budget is the measured count plus 10 %. The recorded order under
-// the JSON codec allocated 414 / 539 / 118 / 798 objects (the benchmark's
-// runner.execute_allocs, a mean over the explored orders: 406 / 460 / 116 /
-// 776), and the bar was 60 % of that. Roshi-3, OrbitDB-5 and Yorkie-1 are
-// under it (39 %, 41 %, 38 %). ReplicaDB-2 is not (70 %): its two syncs of
-// three rows were 37 of its 118 allocations, and the rest — the executor's
-// outcome and maps, one row per insert, sink and source rendered per
-// fingerprint — is not the codec's to remove.
+// Each budget is the measured count plus 10 %. Under the JSON codec the
+// recorded order allocated 414 / 539 / 118 / 798 objects; with the wire
+// codec 158 / 189 / 68 / 257.
 func TestReplayAllocBudget(t *testing.T) {
 	for _, row := range []struct {
 		bug    string
 		budget float64
 	}{
-		{"Roshi-3", 174},    // measured 158
-		{"OrbitDB-5", 208},  // measured 189
-		{"ReplicaDB-2", 89}, // measured 81
-		{"Yorkie-1", 325},   // measured 295
+		{"Roshi-3", 65},     // measured 59
+		{"OrbitDB-5", 62},   // measured 56
+		{"ReplicaDB-2", 32}, // measured 29
+		{"Yorkie-1", 47},    // measured 43
 	} {
 		b, ok := ByName(row.bug)
 		if !ok {
@@ -56,6 +53,35 @@ func TestReplayAllocBudget(t *testing.T) {
 		})
 		if allocs > row.budget {
 			t.Errorf("%s: one replay allocates %.0f objects, budget %.0f", row.bug, allocs, row.budget)
+		}
+	}
+}
+
+// TestManifestationCheckAllocatesNothing: the Table-1 assertion appends
+// each outcome's signature into its own buffer and compares bytes, so once
+// the buffer is warm a check allocates nothing.
+func TestManifestationCheckAllocatesNothing(t *testing.T) {
+	for _, name := range []string{"Roshi-3", "OrbitDB-3", "ReplicaDB-2", "Yorkie-1"} {
+		b, ok := ByName(name)
+		if !ok {
+			t.Fatalf("no benchmark %s", name)
+		}
+		s, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcome, err := runner.ExecuteOnce(s, interleave.Interleaving(s.Log.IDs()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		as, err := b.NewAssertions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func() { _ = as[0].Check(outcome) }
+		check() // warm
+		if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
+			t.Errorf("%s: a warm manifestation check allocates %.1f objects", name, allocs)
 		}
 	}
 }

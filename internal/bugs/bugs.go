@@ -17,7 +17,8 @@ package bugs
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -51,14 +52,21 @@ type Benchmark struct {
 	// Trigger is the interleaving whose outcome is the reported
 	// manifestation (the "bug report").
 	Trigger []event.ID
-	// Sig extracts the comparison signature from an outcome. Coarse
+	// sig appends the comparison signature of an outcome (Sig). Coarse
 	// signatures (e.g. one observation) model loosely described reports;
 	// full signatures model detailed ones.
-	Sig func(*runner.Outcome) string
+	sig sigFunc
 
 	once        sync.Once
 	reported    string
 	reportedErr error
+}
+
+// Sig returns an outcome's comparison signature.
+func (b *Benchmark) Sig(o *runner.Outcome) string {
+	var w sigBuf
+	b.sig(&w, o)
+	return string(w.b)
 }
 
 // ReportedSignature executes the trigger interleaving once and returns the
@@ -88,13 +96,16 @@ func (b *Benchmark) NewAssertions() ([]runner.Assertion, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []runner.Assertion{&manifestationMatch{name: b.Name, sig: b.Sig, want: want}}, nil
+	return []runner.Assertion{&manifestationMatch{name: b.Name, sig: b.sig, want: want}}, nil
 }
 
+// manifestationMatch appends each outcome's signature into its own buffer
+// (the ledger checks one outcome at a time) and compares bytes.
 type manifestationMatch struct {
 	name string
-	sig  func(*runner.Outcome) string
+	sig  sigFunc
 	want string
+	w    sigBuf
 }
 
 var _ runner.Assertion = (*manifestationMatch)(nil)
@@ -102,7 +113,9 @@ var _ runner.Assertion = (*manifestationMatch)(nil)
 func (m *manifestationMatch) Name() string { return "reproduces(" + m.name + ")" }
 
 func (m *manifestationMatch) Check(o *runner.Outcome) error {
-	if m.sig(o) == m.want {
+	m.w.b = m.w.b[:0]
+	m.sig(&m.w, o)
+	if string(m.w.b) == m.want {
 		return errors.New("reported manifestation reproduced")
 	}
 	return nil
@@ -169,88 +182,108 @@ func buildScenario(name string, newCluster func() (*replica.Cluster, error),
 }
 
 // Signature helpers. fullSig models a detailed bug report (every
-// observation, every replica state, every rejected op); obsSig and
-// failedSig model reports that only mention what the user saw.
+// observation, every replica state, every rejected op); obsSig models
+// reports that only mention what the user saw. Each appends to w.b, and
+// sorts in w's scratch.
+type sigBuf struct {
+	b     []byte
+	ints  []int
+	items []string
+}
 
-func fullSig(o *runner.Outcome) string {
-	return strings.Join([]string{obsPart(o, nil), fpPart(o), failedPart(o)}, "|")
+type sigFunc func(w *sigBuf, o *runner.Outcome)
+
+func (w *sigBuf) sep(c byte) { w.b = append(w.b, c) }
+
+func fullSig(w *sigBuf, o *runner.Outcome) {
+	obsPart(w, o, nil)
+	w.sep('|')
+	fpPart(w, o)
+	w.sep('|')
+	failedPart(w, o)
 }
 
 // obsSig restricts the signature to the given observation events.
-func obsSig(events ...event.ID) func(*runner.Outcome) string {
-	return func(o *runner.Outcome) string { return obsPart(o, events) }
+func obsSig(events ...event.ID) sigFunc {
+	return func(w *sigBuf, o *runner.Outcome) { obsPart(w, o, events) }
 }
-
-// obsAndFailedSig combines selected observations with the rejected-op set.
-func obsAndFailedSig(events ...event.ID) func(*runner.Outcome) string {
-	return func(o *runner.Outcome) string {
-		return obsPart(o, events) + "|" + failedPart(o)
-	}
-}
-
-// failedSig is the rejected-op set alone.
-func failedSig(o *runner.Outcome) string { return failedPart(o) }
 
 // contentSet renders an observation's comma-separated items as a sorted
 // set — the granularity of a report that lists what was visible without
 // recalling the exact order.
-func contentSet(o *runner.Outcome, ev event.ID) string {
+func contentSet(w *sigBuf, o *runner.Outcome, ev event.ID) {
 	got, ok := o.Observations[ev]
 	if !ok {
-		return "<none>"
+		w.b = append(w.b, "<none>"...)
+		return
 	}
-	items := strings.Split(got, ",")
-	sort.Strings(items)
-	return strings.Join(items, ",")
+	w.items = w.items[:0]
+	for more := true; more; {
+		var item string
+		item, got, more = strings.Cut(got, ",")
+		w.items = append(w.items, item)
+	}
+	slices.Sort(w.items)
+	for i, item := range w.items {
+		if i > 0 {
+			w.sep(',')
+		}
+		w.b = append(w.b, item...)
+	}
 }
 
-func obsPart(o *runner.Outcome, only []event.ID) string {
-	var keys []int
+func obsPart(w *sigBuf, o *runner.Outcome, only []event.ID) {
+	w.ints = w.ints[:0]
 	if only == nil {
 		for id := range o.Observations {
-			keys = append(keys, int(id))
-		}
-	} else {
-		for _, id := range only {
-			keys = append(keys, int(id))
+			w.ints = append(w.ints, int(id))
 		}
 	}
-	sort.Ints(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
+	for _, id := range only {
+		w.ints = append(w.ints, int(id))
+	}
+	slices.Sort(w.ints)
+	for i, k := range w.ints {
+		if i > 0 {
+			w.sep(';')
+		}
 		v, ok := o.Observations[event.ID(k)]
 		if !ok {
 			v = "<none>"
 		}
-		parts = append(parts, fmt.Sprintf("ev%d=%s", k, v))
+		w.b = append(strconv.AppendInt(append(w.b, "ev"...), int64(k), 10), '=')
+		w.b = append(w.b, v...)
 	}
-	return strings.Join(parts, ";")
 }
 
-func fpPart(o *runner.Outcome) string {
-	var reps []string
+func fpPart(w *sigBuf, o *runner.Outcome) {
+	w.items = w.items[:0]
 	for r := range o.Fingerprints {
-		reps = append(reps, string(r))
+		w.items = append(w.items, string(r))
 	}
-	sort.Strings(reps)
-	parts := make([]string, 0, len(reps))
-	for _, r := range reps {
-		parts = append(parts, r+"="+o.Fingerprints[event.ReplicaID(r)])
+	slices.Sort(w.items)
+	for i, r := range w.items {
+		if i > 0 {
+			w.sep(';')
+		}
+		w.b = append(append(append(w.b, r...), '='), o.Fingerprints[event.ReplicaID(r)]...)
 	}
-	return strings.Join(parts, ";")
 }
 
-func failedPart(o *runner.Outcome) string {
-	xs := make([]int, 0, len(o.FailedOps))
+func failedPart(w *sigBuf, o *runner.Outcome) {
+	w.ints = w.ints[:0]
 	for _, id := range o.FailedOps {
-		xs = append(xs, int(id))
+		w.ints = append(w.ints, int(id))
 	}
-	sort.Ints(xs)
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = fmt.Sprintf("%d", x)
+	slices.Sort(w.ints)
+	w.b = append(w.b, "failed["...)
+	for i, x := range w.ints {
+		if i > 0 {
+			w.sep(',')
+		}
+		w.b = strconv.AppendInt(w.b, int64(x), 10)
 	}
-	return "failed[" + strings.Join(parts, ",") + "]"
+	w.sep(']')
 }
 
 // groups is shorthand for a grouping-only pruning config fragment.

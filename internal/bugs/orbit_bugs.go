@@ -41,7 +41,7 @@ func orbit1() *Benchmark {
 		Status: "open", Reason: "—",
 		FixedCluster: orbitCluster(orbit.Flags{}, shared),
 		Trigger:      ids(0, 1, 2, 3, 4, 5, 8, 9, 6, 7, 10, 11),
-		Sig:          obsSig(10),
+		sig:          obsSig(10),
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("OrbitDB-1", newCluster, func(rec *runner.Recorder) {
 				rec.Update("A", "append", "p1") // 0  clock 1 @ identity W
@@ -78,7 +78,7 @@ func orbit2() *Benchmark {
 		Status: "open", Reason: "—",
 		FixedCluster: orbitCluster(orbit.Flags{}, nil),
 		Trigger:      ids(0, 1, 2, 4, 5, 6, 3, 7),
-		Sig:          obsSig(1, 3),
+		sig:          obsSig(1, 3),
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("OrbitDB-2", newCluster, func(rec *runner.Recorder) {
 				rec.Update("B", "append", "b1")                          // 0
@@ -117,8 +117,12 @@ func orbit3() *Benchmark {
 		// read shows everyone's entries except it" — the rejected-op set
 		// plus the content SET of the final read (order-insensitive, as a
 		// user would describe it).
-		Sig: func(o *runner.Outcome) string {
-			return failedPart(o) + "|" + contentSet(o, 12) + "|" + contentSet(o, 14)
+		sig: func(w *sigBuf, o *runner.Outcome) {
+			failedPart(w, o)
+			w.sep('|')
+			contentSet(w, o, 12)
+			w.sep('|')
+			contentSet(w, o, 14)
 		},
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("OrbitDB-3", newCluster, func(rec *runner.Recorder) {
@@ -162,7 +166,7 @@ func orbit4() *Benchmark {
 		Status: "closed", Reason: "misconception",
 		FixedCluster: orbitCluster(orbit.Flags{}, nil),
 		Trigger:      ids(0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),
-		Sig:          fullSig,
+		sig:          fullSig,
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("OrbitDB-4", newCluster, func(rec *runner.Recorder) {
 				rec.Update("A", "append", "a1") // 0
@@ -207,7 +211,7 @@ func orbit5() *Benchmark {
 		FixedCluster: orbitCluster(orbit.Flags{}, nil),
 		Trigger: ids(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
 			14, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23),
-		Sig: fullSig,
+		sig: fullSig,
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("OrbitDB-5", newCluster, func(rec *runner.Recorder) {
 				rec.Update("B", "append", "b1") // 0

@@ -32,7 +32,7 @@ func replicadb1() *Benchmark {
 		Status: "closed", Reason: "misuse",
 		FixedCluster: replicadbCluster(replicadb.Flags{BufferLimit: limit}),
 		Trigger:      ids(0, 1, 2, 3, 4, 6, 5, 7, 8, 9),
-		Sig:          obsSig(8, 9),
+		sig:          obsSig(8, 9),
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("ReplicaDB-1", newCluster, func(rec *runner.Recorder) {
 				rec.Update("B", "insert", "r1", "x")  // 0
@@ -83,8 +83,10 @@ func replicadb2() *Benchmark {
 		Trigger:      ids(0, 1, 2, 3, 4, 5, 6, 10, 11, 7, 8, 9, 12, 13),
 		// The report: "the sink still shows the deleted record" — the
 		// post-transfer sink read plus the final source/sink state.
-		Sig: func(o *runner.Outcome) string {
-			return obsPart(o, []event.ID{13}) + "|" + fpPart(o)
+		sig: func(w *sigBuf, o *runner.Outcome) {
+			obsPart(w, o, []event.ID{13})
+			w.sep('|')
+			fpPart(w, o)
 		},
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("ReplicaDB-2", newCluster, func(rec *runner.Recorder) {

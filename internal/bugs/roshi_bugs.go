@@ -32,7 +32,7 @@ func roshi1() *Benchmark {
 		Status: "closed", Reason: "misconception",
 		FixedCluster: roshiCluster(roshi.Flags{}),
 		Trigger:      ids(0, 1, 3, 4, 2, 5, 6, 7, 8),
-		Sig:          fullSig,
+		sig:          fullSig,
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("Roshi-1", newCluster, func(rec *runner.Recorder) {
 				rec.Update("A", "insert", "k", "m", "5") // 0
@@ -69,7 +69,7 @@ func roshi2() *Benchmark {
 		Status: "closed", Reason: "RDL issue",
 		FixedCluster: roshiCluster(roshi.Flags{}),
 		Trigger:      ids(0, 1, 2, 3, 6, 7, 4, 5, 8, 9),
-		Sig:          fullSig,
+		sig:          fullSig,
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("Roshi-2", newCluster, func(rec *runner.Recorder) {
 				rec.Update("B", "insert", "k", "m", "3") // 0
@@ -107,7 +107,7 @@ func roshi3() *Benchmark {
 		Status: "closed", Reason: "misconception",
 		FixedCluster: roshiCluster(roshi.Flags{}),
 		Trigger:      ids(0, 1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 9, 10, 11, 15, 16, 17, 18, 19, 20),
-		Sig:          fullSig,
+		sig:          fullSig,
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("Roshi-3", newCluster, func(rec *runner.Recorder) {
 				rec.Update("A", "insert", "k", "a1", "5") // 0

@@ -38,8 +38,10 @@ func yorkie1() *Benchmark {
 		// divergence survives full anti-entropy — mere propagation lag
 		// (reachable on the fixed library) never matches because the
 		// post-finalize fingerprints reconcile there.
-		Sig: func(o *runner.Outcome) string {
-			return obsPart(o, []event.ID{16}) + "|converged=" + strconv.FormatBool(o.Converged)
+		sig: func(w *sigBuf, o *runner.Outcome) {
+			obsPart(w, o, []event.ID{16})
+			w.b = append(w.b, "|converged="...)
+			w.b = strconv.AppendBool(w.b, o.Converged)
 		},
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("Yorkie-1", newCluster, func(rec *runner.Recorder) {
@@ -84,7 +86,7 @@ func yorkie2() *Benchmark {
 		FixedCluster: yorkieCluster(yorkie.Flags{}),
 		Trigger: ids(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
 			15, 14, 16, 17, 18, 19, 20, 21),
-		Sig: fullSig,
+		sig: fullSig,
 		Build: func() (runner.Scenario, error) {
 			return buildScenario("Yorkie-2", newCluster, func(rec *runner.Recorder) {
 				rec.Update("B", "setObject", "profile")        // 0

@@ -9,6 +9,7 @@ package check
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/event"
@@ -291,12 +292,8 @@ func (a NoFailedOpAt) Name() string {
 
 // Check implements runner.Assertion.
 func (a NoFailedOpAt) Check(o *runner.Outcome) error {
-	banned := make(map[event.ID]bool, len(a.Events))
-	for _, id := range a.Events {
-		banned[id] = true
-	}
 	for _, id := range o.FailedOps {
-		if banned[id] {
+		if slices.Contains(a.Events, id) {
 			return fmt.Errorf("event %d failed", int(id))
 		}
 	}

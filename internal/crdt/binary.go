@@ -30,18 +30,31 @@ func (t Time) AppendBinary(b []byte) []byte {
 }
 
 // ReadTime reads one Time.
-func ReadTime(r *wire.Reader) Time {
-	return Time{Counter: r.Uvarint(), Replica: r.String()}
+func ReadTime(r *wire.Reader) Time { return ReadTimeView(r).Time() }
+
+// TimeView is a Time decoded by view (wire.Reader.View): a decoder looks
+// m[v.Time()] up, which copies nothing to the heap, before keeping it.
+type TimeView struct {
+	Counter uint64
+	Replica []byte
 }
 
-func appendTimeSet(b []byte, set map[Time]struct{}) []byte {
-	ts := make([]Time, 0, len(set))
+// ReadTimeView reads one Time by view.
+func ReadTimeView(r *wire.Reader) TimeView {
+	return TimeView{Counter: r.Uvarint(), Replica: r.View()}
+}
+
+// Time copies the view into a Time.
+func (v TimeView) Time() Time { return Time{Counter: v.Counter, Replica: string(v.Replica)} }
+
+func appendTimeSet(b []byte, set map[Time]struct{}, ts *[]Time) []byte {
+	*ts = (*ts)[:0]
 	for t := range set {
-		ts = append(ts, t)
+		*ts = append(*ts, t)
 	}
-	slices.SortFunc(ts, Time.Compare)
-	b = wire.AppendUvarint(b, uint64(len(ts)))
-	for _, t := range ts {
+	slices.SortFunc(*ts, Time.Compare)
+	b = wire.AppendUvarint(b, uint64(len(*ts)))
+	for _, t := range *ts {
 		b = t.AppendBinary(b)
 	}
 	return b
@@ -56,9 +69,10 @@ func readTimeSet(r *wire.Reader) map[Time]struct{} {
 	return set
 }
 
-func appendTimeMap(b []byte, m map[string]Time) []byte {
+func appendTimeMap(b []byte, m map[string]Time, keys *[]string) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m)))
-	for _, k := range wire.SortedKeys(m) {
+	*keys = wire.SortedKeys(*keys, m)
+	for _, k := range *keys {
 		b = wire.AppendString(b, k)
 		b = m[k].AppendBinary(b)
 	}
@@ -78,7 +92,8 @@ func readTimeMap(r *wire.Reader) map[string]Time {
 // AppendBinary appends the per-replica counts, replicas ascending.
 func (g *GCounter) AppendBinary(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(g.counts)))
-	for _, rep := range wire.SortedKeys(g.counts) {
+	g.keys = wire.SortedKeys(g.keys, g.counts)
+	for _, rep := range g.keys {
 		b = wire.AppendString(b, rep)
 		b = wire.AppendUvarint(b, g.counts[rep])
 	}
@@ -111,11 +126,12 @@ func (p *PNCounter) ReadBinary(r *wire.Reader) {
 // tags in Time order), then the tombstoned tags in Time order.
 func (s *ORSet) AppendBinary(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(s.live)))
-	for _, elem := range wire.SortedKeys(s.live) {
+	s.keys = wire.SortedKeys(s.keys, s.live)
+	for _, elem := range s.keys {
 		b = wire.AppendString(b, elem)
-		b = appendTimeSet(b, s.live[elem])
+		b = appendTimeSet(b, s.live[elem], &s.times)
 	}
-	return appendTimeSet(b, s.tombs)
+	return appendTimeSet(b, s.tombs, &s.times)
 }
 
 // ReadBinary decodes what AppendBinary wrote.
@@ -145,11 +161,12 @@ func (r *LWWRegister) ReadBinary(rd *wire.Reader) {
 // stamps by ascending key.
 func (m *ORMap) AppendBinary(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.entries)))
-	for _, k := range wire.SortedKeys(m.entries) {
+	m.keys = wire.SortedKeys(m.keys, m.entries)
+	for _, k := range m.keys {
 		b = wire.AppendString(b, k)
 		b = m.entries[k].AppendBinary(b)
 	}
-	return appendTimeMap(b, m.rems)
+	return appendTimeMap(b, m.rems, &m.keys)
 }
 
 // ReadBinary decodes what AppendBinary wrote.
@@ -173,11 +190,12 @@ var errRGAHeadElement = errors.New("crdt: rga element carries the head ID")
 
 // AppendBinary appends the elements (tombstones included) in ID order.
 func (r *RGA) AppendBinary(b []byte) []byte {
-	els := make([]*rgaElem, 0, len(r.elems))
+	els := r.sorted[:0]
 	for _, el := range r.elems {
 		els = append(els, el)
 	}
 	slices.SortFunc(els, func(a, b *rgaElem) int { return a.ID.Compare(b.ID) })
+	r.sorted = els
 	b = wire.AppendUvarint(b, uint64(len(els)))
 	for _, el := range els {
 		b = el.ID.AppendBinary(b)
@@ -193,6 +211,7 @@ func (r *RGA) AppendBinary(b []byte) []byte {
 func (r *RGA) ReadBinary(rd *wire.Reader) {
 	els := make([]rgaElem, rd.Count(3*minTimeBytes+2))
 	r.elems = make(map[Time]*rgaElem, len(els))
+	r.fresh = false
 	for i := range els {
 		els[i] = rgaElem{ID: ReadTime(rd), Origin: ReadTime(rd), Value: rd.String(), Removed: rd.Bool(), Root: ReadTime(rd)}
 		if els[i].ID == HeadID {

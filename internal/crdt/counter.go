@@ -4,6 +4,7 @@ package crdt
 // component; the value is the sum; join is the component-wise maximum.
 type GCounter struct {
 	counts map[string]uint64
+	keys   []string // AppendBinary's sort scratch
 }
 
 // NewGCounter returns an empty grow-only counter.

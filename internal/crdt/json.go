@@ -2,8 +2,9 @@ package crdt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // JSONDoc is a convergent JSON-like document: nested string-keyed objects
@@ -72,6 +73,9 @@ func (e *jsonEntry) isObject() bool {
 func NewJSONDoc() *JSONDoc {
 	return &JSONDoc{root: newJSONObject()}
 }
+
+// Reset empties the document.
+func (d *JSONDoc) Reset() { clear(d.root.fields) }
 
 // Set writes a primitive value at the path (each element one object key),
 // raising ancestor object stamps as it descends.
@@ -269,35 +273,37 @@ func objectsEqual(a, b *jsonObject) bool {
 // document values (stamps omitted), useful for assertions and divergence
 // reports.
 func (d *JSONDoc) Snapshot() string {
-	var b strings.Builder
-	renderObject(&b, d.root)
-	return b.String()
+	var buf [128]byte
+	return string(d.AppendSnapshot(buf[:0]))
 }
 
-func renderObject(b *strings.Builder, obj *jsonObject) {
-	b.WriteByte('{')
+// AppendSnapshot appends the Snapshot rendering to b.
+func (d *JSONDoc) AppendSnapshot(b []byte) []byte { return appendObject(b, d.root) }
+
+func appendObject(b []byte, obj *jsonObject) []byte {
+	b = append(b, '{')
 	keys := make([]string, 0, len(obj.fields))
 	for k, e := range obj.fields {
 		if e.visible() {
 			keys = append(keys, k)
 		}
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(b, "%q:", k)
+		b = append(strconv.AppendQuote(b, k), ':')
 		e := obj.fields[k]
 		if e.isObject() {
 			if e.children != nil {
-				renderObject(b, e.children)
+				b = appendObject(b, e.children)
 			} else {
-				b.WriteString("{}")
+				b = append(b, "{}"...)
 			}
 			continue
 		}
-		fmt.Fprintf(b, "%q", e.prim)
+		b = strconv.AppendQuote(b, e.prim)
 	}
-	b.WriteByte('}')
+	return append(b, '}')
 }

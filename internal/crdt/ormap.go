@@ -1,6 +1,6 @@
 package crdt
 
-import "sort"
+import "slices"
 
 // ORMap is an observed-remove map from string keys to LWW registers:
 // concurrent puts to the same key resolve by timestamp; removes tombstone
@@ -9,6 +9,7 @@ type ORMap struct {
 	entries map[string]*LWWRegister
 	// rems maps key -> timestamp of the latest remove.
 	rems map[string]Time
+	keys []string // AppendBinary's sort scratch
 }
 
 // NewORMap returns an empty map.
@@ -69,15 +70,18 @@ func (m *ORMap) Get(key string) (string, bool) {
 }
 
 // Keys returns the live keys in sorted order.
-func (m *ORMap) Keys() []string {
-	out := make([]string, 0, len(m.entries))
+func (m *ORMap) Keys() []string { return m.SortedKeys(nil) }
+
+// SortedKeys overwrites dst with the live keys in sorted order.
+func (m *ORMap) SortedKeys(dst []string) []string {
+	dst = dst[:0]
 	for k := range m.entries {
 		if m.Contains(k) {
-			out = append(out, k)
+			dst = append(dst, k)
 		}
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // Len returns the number of live keys.

@@ -1,8 +1,14 @@
 package crdt
 
 import (
-	"fmt"
+	"errors"
 	"slices"
+)
+
+// Expected RGA failures, which replay meets as failed ops.
+var (
+	ErrRGAUnknownElement = errors.New("crdt: rga element unknown or removed")
+	ErrRGAIndex          = errors.New("crdt: rga index out of range")
 )
 
 // RGA is a replicated growable array (sequence CRDT). Elements carry unique
@@ -18,6 +24,12 @@ import (
 //     "designate a particular position as winning".
 type RGA struct {
 	elems map[Time]*rgaElem
+	// visible caches the linearization while fresh is set; every write to
+	// elems or to an element's Removed flag clears fresh. sorted is the
+	// scratch linearize and AppendBinary sort in. Neither is state.
+	visible []Time
+	sorted  []*rgaElem
+	fresh   bool
 }
 
 type rgaElem struct {
@@ -43,11 +55,12 @@ func NewRGA() *RGA {
 func (r *RGA) InsertAfter(clock *Clock, origin Time, value string) (Time, error) {
 	if !origin.IsZero() {
 		if _, ok := r.elems[origin]; !ok {
-			return Time{}, fmt.Errorf("crdt: rga insert after unknown element %s", origin)
+			return Time{}, ErrRGAUnknownElement
 		}
 	}
 	id := clock.Now()
 	r.elems[id] = &rgaElem{ID: id, Origin: origin, Value: value, Root: id}
+	r.fresh = false
 	return id, nil
 }
 
@@ -56,7 +69,7 @@ func (r *RGA) InsertAfter(clock *Clock, origin Time, value string) (Time, error)
 func (r *RGA) InsertAt(clock *Clock, idx int, value string) (Time, error) {
 	visible := r.visibleIDs()
 	if idx < 0 || idx > len(visible) {
-		return Time{}, fmt.Errorf("crdt: rga insert index %d out of range [0,%d]", idx, len(visible))
+		return Time{}, ErrRGAIndex
 	}
 	origin := HeadID
 	if idx > 0 {
@@ -73,6 +86,7 @@ func (r *RGA) Delete(id Time) bool {
 		return false
 	}
 	el.Removed = true
+	r.fresh = false
 	return true
 }
 
@@ -82,15 +96,10 @@ func (r *RGA) Delete(id Time) bool {
 // the duplication hazard of misconception #3. Returns the relocated
 // element's new ID.
 func (r *RGA) Move(clock *Clock, id, after Time) (Time, error) {
-	el, ok := r.elems[id]
-	if !ok || el.Removed {
-		return Time{}, fmt.Errorf("crdt: rga move of missing element %s", id)
-	}
-	value := el.Value
 	if !r.Delete(id) {
-		return Time{}, fmt.Errorf("crdt: rga move could not delete %s", id)
+		return Time{}, ErrRGAUnknownElement
 	}
-	return r.InsertAfter(clock, after, value)
+	return r.InsertAfter(clock, after, r.elems[id].Value)
 }
 
 // MoveWins relocates an element while preserving its root identity: it
@@ -103,12 +112,30 @@ func (r *RGA) Move(clock *Clock, id, after Time) (Time, error) {
 func (r *RGA) MoveWins(clock *Clock, id, after Time) (Time, error) {
 	el, ok := r.elems[id]
 	if !ok {
-		return Time{}, fmt.Errorf("crdt: rga move of unknown element %s", id)
+		return Time{}, ErrRGAUnknownElement
 	}
 	newID := clock.Now()
 	r.elems[newID] = &rgaElem{ID: newID, Origin: after, Value: el.Value, Root: el.Root}
+	r.fresh = false
 	r.resolveRoots()
 	return newID, nil
+}
+
+// Reset empties the sequence, keeping its storage.
+func (r *RGA) Reset() {
+	clear(r.elems)
+	r.fresh = false
+}
+
+// AppendValues appends the visible values in list order, sep between them.
+func (r *RGA) AppendValues(b []byte, sep string) []byte {
+	for i, id := range r.visibleIDs() {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = append(b, r.elems[id].Value...)
+	}
+	return b
 }
 
 // Values returns the visible values in list order.
@@ -128,7 +155,7 @@ func (r *RGA) Len() int { return len(r.visibleIDs()) }
 func (r *RGA) IDAt(idx int) (Time, error) {
 	ids := r.visibleIDs()
 	if idx < 0 || idx >= len(ids) {
-		return Time{}, fmt.Errorf("crdt: rga index %d out of range", idx)
+		return Time{}, ErrRGAIndex
 	}
 	return ids[idx], nil
 }
@@ -145,6 +172,7 @@ func (r *RGA) Merge(other *RGA) {
 		r.elems[id] = &cp
 	}
 	r.resolveRoots()
+	r.fresh = false
 }
 
 // resolveRoots keeps only the highest-ID live element per root identity,
@@ -165,6 +193,7 @@ func (r *RGA) resolveRoots() {
 		}
 		if winners[el.Root] != id {
 			el.Removed = true
+			r.fresh = false
 		}
 	}
 }
@@ -209,26 +238,43 @@ func (r *RGA) Equal(other *RGA) bool {
 	return true
 }
 
-// visibleIDs linearizes the sequence: depth-first from the head, siblings
-// in descending ID order (the RGA rule), skipping tombstones.
+// visibleIDs returns the cached linearization, which callers must not
+// keep past the next mutation.
 func (r *RGA) visibleIDs() []Time {
-	children := make(map[Time][]Time, len(r.elems))
-	for id, el := range r.elems {
-		children[el.Origin] = append(children[el.Origin], id)
+	if !r.fresh {
+		r.linearize()
 	}
-	for _, sibs := range children {
-		slices.SortFunc(sibs, func(a, b Time) int { return b.Compare(a) })
+	return r.visible
+}
+
+// linearize orders the sequence: depth-first from the head, siblings in
+// descending ID order (the RGA rule), skipping tombstones. It sorts every
+// element by (origin, ID descending), which makes each element's children
+// one contiguous run of sorted.
+func (r *RGA) linearize() {
+	r.sorted = r.sorted[:0]
+	for _, el := range r.elems {
+		r.sorted = append(r.sorted, el)
 	}
-	out := make([]Time, 0, len(r.elems))
-	var walk func(origin Time)
-	walk = func(origin Time) {
-		for _, id := range children[origin] {
-			if !r.elems[id].Removed {
-				out = append(out, id)
-			}
-			walk(id)
+	slices.SortFunc(r.sorted, func(a, b *rgaElem) int {
+		if c := a.Origin.Compare(b.Origin); c != 0 {
+			return c
 		}
+		return b.ID.Compare(a.ID)
+	})
+	r.visible = r.walk(r.visible[:0], HeadID)
+	r.fresh = true
+}
+
+// walk appends origin's visible descendants in list order.
+func (r *RGA) walk(out []Time, origin Time) []Time {
+	i, _ := slices.BinarySearchFunc(r.sorted, origin, func(el *rgaElem, t Time) int { return el.Origin.Compare(t) })
+	for ; i < len(r.sorted) && r.sorted[i].Origin == origin; i++ {
+		el := r.sorted[i]
+		if !el.Removed {
+			out = append(out, el.ID)
+		}
+		out = r.walk(out, el.ID)
 	}
-	walk(HeadID)
 	return out
 }

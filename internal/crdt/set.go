@@ -1,6 +1,9 @@
 package crdt
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // GSet is a grow-only set of strings; join is set union.
 type GSet struct {
@@ -139,6 +142,8 @@ type ORSet struct {
 	live map[string]map[Time]struct{}
 	// tombs maps removed tags so that merges do not resurrect them.
 	tombs map[Time]struct{}
+	keys  []string // AppendBinary's sort scratch, with times
+	times []Time
 }
 
 // NewORSet returns an empty OR-set.
@@ -179,15 +184,18 @@ func (s *ORSet) Contains(elem string) bool {
 }
 
 // Elements returns the live members in sorted order.
-func (s *ORSet) Elements() []string {
-	out := make([]string, 0, len(s.live))
+func (s *ORSet) Elements() []string { return s.SortedElements(nil) }
+
+// SortedElements overwrites dst with the live elements, ascending.
+func (s *ORSet) SortedElements(dst []string) []string {
+	dst = dst[:0]
 	for e, tags := range s.live {
 		if len(tags) > 0 {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(dst)
+	return dst
 }
 
 // Merge joins another OR-set into this one: union of tags minus union of

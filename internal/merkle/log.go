@@ -41,18 +41,13 @@ const MinEntryBytes = 5
 
 // AppendBinary appends the entry's wire form (DESIGN.md §4.16): hash,
 // payload, clock, identity, then the parent hashes in stored order.
+// Log.ReadUnheld is its decoder.
 func (e *Entry) AppendBinary(b []byte) []byte {
 	b = wire.AppendString(b, e.Hash)
 	b = wire.AppendString(b, e.Payload)
 	b = wire.AppendUvarint(b, e.Clock)
 	b = wire.AppendString(b, e.Identity)
 	return wire.AppendStrings(b, e.Parents)
-}
-
-// ReadBinary decodes what AppendBinary wrote; failures stick to r. An
-// entry without parents decodes with nil Parents.
-func (e *Entry) ReadBinary(r *wire.Reader) {
-	*e = Entry{Hash: r.String(), Payload: r.String(), Clock: r.Uvarint(), Identity: r.String(), Parents: r.Strings()}
 }
 
 // appendCanonical appends the deterministic byte encoding that is hashed:
@@ -129,15 +124,19 @@ type Log struct {
 	clock    uint64
 	entries  map[string]*Entry
 	tie      TieBreak
-	// arrival records the order entries entered this replica's DAG; the
-	// TieBreakIdentityOnly comparator falls back to it.
-	arrival        map[string]int
-	arrivalCounter int
+	// order holds the entries in the order they entered this replica's DAG
+	// (arrival order); the TieBreakIdentityOnly comparator falls back to
+	// it, and View hands it out.
+	order []*Entry
 	// MaxClockSkew, when non-zero, rejects joined entries whose clock runs
 	// further than this ahead of the local clock. A zero value accepts any
 	// clock — the behaviour that lets OrbitDB issue #512 ("Lamport clock
 	// set far into future making db progress halt") happen.
 	MaxClockSkew uint64
+
+	// Scratch, never state: linearize's order, ReadUnheld's parent views.
+	linear  []*Entry
+	parents [][]byte
 }
 
 // NewLog returns an empty log for a writer identity.
@@ -146,8 +145,14 @@ func NewLog(identity string, tie TieBreak) *Log {
 		identity: identity,
 		entries:  make(map[string]*Entry),
 		tie:      tie,
-		arrival:  make(map[string]int),
 	}
+}
+
+// Reset empties the log; identity, tie-break and skew guard stay.
+func (l *Log) Reset() {
+	l.clock = 0
+	clear(l.entries)
+	l.order = l.order[:0]
 }
 
 // Identity returns the writer identity.
@@ -171,8 +176,7 @@ func (l *Log) Append(payload string) *Entry {
 	}
 	e.Hash = e.ComputeHash()
 	l.entries[e.Hash] = e
-	l.arrivalCounter++
-	l.arrival[e.Hash] = l.arrivalCounter
+	l.order = append(l.order, e)
 	return e
 }
 
@@ -226,8 +230,7 @@ func (l *Log) Join(entries []*Entry) error {
 		cp := *e
 		cp.Parents = append([]string(nil), e.Parents...)
 		l.entries[e.Hash] = &cp
-		l.arrivalCounter++
-		l.arrival[e.Hash] = l.arrivalCounter
+		l.order = append(l.order, &cp)
 		if e.Clock > l.clock {
 			l.clock = e.Clock
 		}
@@ -235,59 +238,98 @@ func (l *Log) Join(entries []*Entry) error {
 	return nil
 }
 
-// Entries returns every entry (copy) in local arrival order — the order a
-// peer streams its log to others, which keeps replay deterministic.
+// View returns every entry in local arrival order — the order a peer
+// streams its log to others, which keeps replay deterministic — without
+// copying: the entries are the log's own and read-only, and the slice is
+// valid until the next Append, Join or Reset. Entries is the copying form.
+func (l *Log) View() []*Entry { return l.order }
+
+// Entries returns a copy of every entry in local arrival order.
 func (l *Log) Entries() []*Entry {
-	out := make([]*Entry, 0, len(l.entries))
-	for _, e := range l.entries {
-		cp := *e
-		cp.Parents = append([]string(nil), e.Parents...)
-		out = append(out, &cp)
+	out := make([]*Entry, len(l.order))
+	for i, e := range l.order {
+		out[i] = e.clone()
 	}
-	slices.SortFunc(out, func(a, b *Entry) int {
-		return cmp.Compare(l.arrival[a.Hash], l.arrival[b.Hash])
-	})
 	return out
 }
 
-// Get returns the entry with the given hash.
+func (e *Entry) clone() *Entry {
+	cp := *e
+	cp.Parents = append([]string(nil), e.Parents...)
+	return &cp
+}
+
+// Get returns a copy of the entry with the given hash.
 func (l *Log) Get(hash string) (*Entry, bool) {
 	e, ok := l.entries[hash]
 	if !ok {
 		return nil, false
 	}
-	cp := *e
-	cp.Parents = append([]string(nil), e.Parents...)
-	return &cp, true
+	return e.clone(), true
 }
 
-// Ordered returns the entries linearized by (clock, tie-break). With
-// TieBreakIdentityOnly, entries sharing clock and identity order by local
-// arrival — the OrbitDB #513 defect: replicas that received them in
-// different orders disagree.
-func (l *Log) Ordered() []*Entry {
-	out := l.Entries()
-	slices.SortFunc(out, func(a, b *Entry) int {
-		if c := cmp.Or(cmp.Compare(a.Clock, b.Clock), cmp.Compare(a.Identity, b.Identity)); c != 0 {
-			return c
+// ReadUnheld reads one AppendBinary entry from r — the format's only
+// decoder. An entry this log holds field for field is only viewed, and
+// reported held: it verifies, as every held entry passed Verify or was
+// hashed by Append. Any other is decoded into e, with nil Parents when it
+// has none, for Join to verify. Failures stick to r.
+func (l *Log) ReadUnheld(r *wire.Reader, e *Entry) (held bool) {
+	hash, payload := r.View(), r.View()
+	clock := r.Uvarint()
+	identity := r.View()
+	l.parents = l.parents[:0]
+	for n := r.Count(1); n > 0; n-- {
+		l.parents = append(l.parents, r.View())
+	}
+	if h, ok := l.entries[string(hash)]; ok && string(payload) == h.Payload && clock == h.Clock && string(identity) == h.Identity &&
+		slices.EqualFunc(l.parents, h.Parents, func(v []byte, p string) bool { return string(v) == p }) {
+		return true
+	}
+	*e = Entry{Hash: string(hash), Payload: string(payload), Clock: clock, Identity: string(identity)}
+	if len(l.parents) > 0 {
+		e.Parents = make([]string, len(l.parents))
+		for i, p := range l.parents {
+			e.Parents[i] = string(p)
 		}
-		if l.tie == TieBreakIdentityOnly {
-			// Deliberately NOT a total order over entry contents: equal
-			// (clock, identity) entries fall back to local arrival order, so
-			// two replicas that received them in different orders read the
-			// log differently.
-			return cmp.Compare(l.arrival[a.Hash], l.arrival[b.Hash])
+	}
+	return false
+}
+
+// linearize sorts the view by (clock, identity, hash) into the linear
+// scratch. With TieBreakIdentityOnly the hash is left out, and the stable
+// sort keeps equal (clock, identity) entries in local arrival order — the
+// OrbitDB #513 defect: deliberately NOT a total order over entry contents,
+// so replicas that received them in different orders read the log
+// differently.
+func (l *Log) linearize() []*Entry {
+	l.linear = append(l.linear[:0], l.order...)
+	slices.SortStableFunc(l.linear, func(a, b *Entry) int {
+		c := cmp.Or(cmp.Compare(a.Clock, b.Clock), cmp.Compare(a.Identity, b.Identity))
+		if c == 0 && l.tie != TieBreakIdentityOnly {
+			c = cmp.Compare(a.Hash, b.Hash)
 		}
-		return cmp.Compare(a.Hash, b.Hash)
+		return c
 	})
-	return out
+	return l.linear
+}
+
+// AppendPayloads appends the linearized payloads, sep between them:
+// Payloads joined, without the slice.
+func (l *Log) AppendPayloads(b []byte, sep string) []byte {
+	for i, e := range l.linearize() {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = append(b, e.Payload...)
+	}
+	return b
 }
 
 // Payloads returns the linearized payloads.
 func (l *Log) Payloads() []string {
-	ordered := l.Ordered()
-	out := make([]string, len(ordered))
-	for i, e := range ordered {
+	linear := l.linearize()
+	out := make([]string, len(linear))
+	for i, e := range linear {
 		out[i] = e.Payload
 	}
 	return out
@@ -298,12 +340,10 @@ func (l *Log) Clone() *Log {
 	out := NewLog(l.identity, l.tie)
 	out.clock = l.clock
 	out.MaxClockSkew = l.MaxClockSkew
-	out.arrivalCounter = l.arrivalCounter
-	for h, e := range l.entries {
-		cp := *e
-		cp.Parents = append([]string(nil), e.Parents...)
-		out.entries[h] = &cp
-		out.arrival[h] = l.arrival[h]
+	for _, e := range l.order {
+		cp := e.clone()
+		out.entries[cp.Hash] = cp
+		out.order = append(out.order, cp)
 	}
 	return out
 }

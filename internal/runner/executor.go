@@ -55,7 +55,8 @@ type Executor struct {
 
 	// outcome and pending are one attempt's scratch: the outcome under
 	// construction and the sync payloads captured so far, keyed by their
-	// SyncSend (nil until one executes). begin renews both, the step fills.
+	// SyncSend. begin allocates a fresh outcome (callers keep it) and
+	// empties pending (prefix snapshots copy it); the step fills both.
 	outcome *Outcome
 	pending map[event.ID][]byte
 
@@ -173,6 +174,7 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 		cluster:  cluster,
 		finalize: s.Finalize,
 		sendFor:  make(map[event.ID]event.ID),
+		pending:  make(map[event.ID][]byte),
 		contrib:  make(map[event.ID]msetDigest, s.Log.Len()),
 		tel:      tel,
 		worker:   w,
@@ -348,7 +350,7 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 		Observations: make(map[event.ID]string),
 		FaultArmed:   x.inj.AnyArmed(),
 	}
-	x.pending = nil
+	clear(x.pending)
 	x.rolling = msetDigest{}
 	x.pivot = item.pivot
 	if x.cache != nil && item.gen != x.gen {
@@ -506,9 +508,6 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 		if x.inj != nil {
 			payload = x.inj.Payload(pos, payload)
 		}
-		if x.pending == nil {
-			x.pending = make(map[event.ID][]byte)
-		}
 		x.pending[id] = payload
 	case event.SyncExec:
 		if x.inj != nil {
@@ -561,7 +560,7 @@ func (x *Executor) restorePrefix(snap *prefixSnapshot) error {
 	if err := x.cluster.RestoreSnapshot(snap.states); err != nil {
 		return err
 	}
-	x.pending = maps.Clone(snap.pending)
+	maps.Copy(x.pending, snap.pending)
 	maps.Copy(x.outcome.Observations, snap.obs)
 	x.outcome.FailedOps = append(x.outcome.FailedOps, snap.failed...)
 	return nil

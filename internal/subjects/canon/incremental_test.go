@@ -37,8 +37,9 @@ type incCase struct {
 
 // incCases covers every subject twice: default flags plus the bug-flag
 // variant whose mutation pattern is hardest on version counting (orbit's
-// BugMutateAfterHash mutates entries inside SyncPayload; the
-// misconception-#1 flags rewrite state wholesale on sync).
+// BugMutateAfterHash annotates the outgoing SyncPayload only, which must
+// leave the sender's version alone; the misconception-#1 flags rewrite
+// state wholesale on sync).
 func incCases() []incCase {
 	keys := []string{"feed", "likes", "saved"}
 	members := []string{"m1", "m2", "m3", "m4"}

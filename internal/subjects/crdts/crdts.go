@@ -14,7 +14,6 @@ package crdts
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"github.com/er-pi/erpi/internal/crdt"
 	"github.com/er-pi/erpi/internal/replica"
@@ -52,7 +51,8 @@ type Workspace struct {
 	// (replica.Versioned). The four read ops never advance the clock, so
 	// they leave it untouched; every other op bumps it, even on failure —
 	// some failing ops (todo.done) still advance the clock.
-	ver uint64
+	ver    uint64
+	sorted []string // the renderings' sort scratch
 }
 
 var (
@@ -116,7 +116,8 @@ func (w *Workspace) Apply(op replica.Op) (string, error) {
 		}
 		return "", nil
 	case "todo.read":
-		return w.renderTodos(), nil
+		var buf [128]byte
+		return string(w.appendTodos(buf[:0])), nil
 	case "tag.add":
 		w.tags.Add(w.clock, op.Args[0])
 		return "", nil
@@ -126,7 +127,8 @@ func (w *Workspace) Apply(op replica.Op) (string, error) {
 		}
 		return "", nil
 	case "tag.read":
-		return strings.Join(w.tags.Elements(), ","), nil
+		var buf [128]byte
+		return string(w.appendTags(buf[:0])), nil
 	case "counter.inc":
 		n, err := strconv.ParseUint(op.Args[0], 10, 32)
 		if err != nil {
@@ -158,7 +160,8 @@ func (w *Workspace) Apply(op replica.Op) (string, error) {
 	case "list.move":
 		return "", w.moveListItem(op.Args[0], op.Args[1])
 	case "list.read":
-		return strings.Join(w.list.Values(), ","), nil
+		var buf [128]byte
+		return string(w.list.AppendValues(buf[:0], ",")), nil
 	default:
 		return "", fmt.Errorf("crdts: unknown op %s", op.Name)
 	}
@@ -204,14 +207,29 @@ func (w *Workspace) moveListItem(fromArg, toArg string) error {
 	return nil
 }
 
-func (w *Workspace) renderTodos() string {
-	keys := w.todos.Keys()
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
+// appendTodos appends the live to-dos as "id:title", ids ascending.
+func (w *Workspace) appendTodos(b []byte) []byte {
+	w.sorted = w.todos.SortedKeys(w.sorted)
+	for i, k := range w.sorted {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		v, _ := w.todos.Get(k)
-		parts = append(parts, k+":"+v)
+		b = append(append(append(b, k...), ':'), v...)
 	}
-	return strings.Join(parts, ",")
+	return b
+}
+
+// appendTags appends the live tags comma-joined, ascending.
+func (w *Workspace) appendTags(b []byte) []byte {
+	w.sorted = w.tags.SortedElements(w.sorted)
+	for i, t := range w.sorted {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, t...)
+	}
+	return b
 }
 
 // SyncPayload implements replica.State.
@@ -221,22 +239,23 @@ func (w *Workspace) SyncPayload() ([]byte, error) { return w.Snapshot() }
 // with LastSyncWins, overwrite it wholesale).
 func (w *Workspace) ApplySync(payload []byte) error {
 	w.ver++
-	if w.flags.LastSyncWins {
-		return w.decodeInto(payload)
-	}
-	other := New(w.clock.Replica(), w.flags)
-	if err := other.decodeInto(payload); err != nil {
+	var other parts
+	if err := other.decode(payload); err != nil {
 		return err
 	}
-	w.todos.Merge(other.todos)
-	w.tags.Merge(other.tags)
-	w.counter.Merge(other.counter)
-	w.list.Merge(other.list)
+	if w.flags.LastSyncWins {
+		w.adopt(&other)
+		return nil
+	}
+	w.todos.Merge(&other.todos)
+	w.tags.Merge(&other.tags)
+	w.counter.Merge(&other.counter)
+	w.list.Merge(&other.list)
 	if other.seq > w.seq {
 		w.seq = other.seq
 	}
-	if other.clock.Counter() > w.clock.Counter() {
-		w.clock.SetCounter(other.clock.Counter())
+	if other.clock > w.clock.Counter() {
+		w.clock.SetCounter(other.clock)
 	}
 	return nil
 }
@@ -256,53 +275,53 @@ func (w *Workspace) Snapshot() ([]byte, error) {
 	return b, nil
 }
 
-// decodeInto replaces the workspace's replicated state with a decoded
-// snapshot; on error w is untouched.
-func (w *Workspace) decodeInto(data []byte) error {
-	var (
-		todos   crdt.ORMap
-		tags    crdt.ORSet
-		counter crdt.PNCounter
-		list    crdt.RGA
-	)
+// parts is a decoded snapshot: a workspace without identity and flags.
+type parts struct {
+	todos   crdt.ORMap
+	tags    crdt.ORSet
+	counter crdt.PNCounter
+	list    crdt.RGA
+	seq     int
+	clock   uint64
+}
+
+func (p *parts) decode(data []byte) error {
 	r := wire.NewReader(data)
-	todos.ReadBinary(r)
-	tags.ReadBinary(r)
-	counter.ReadBinary(r)
-	list.ReadBinary(r)
-	seq, clock := int(r.Uvarint()), r.Uvarint()
+	p.todos.ReadBinary(r)
+	p.tags.ReadBinary(r)
+	p.counter.ReadBinary(r)
+	p.list.ReadBinary(r)
+	p.seq, p.clock = int(r.Uvarint()), r.Uvarint()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("crdts: snapshot: %w", err)
 	}
-	w.todos, w.tags, w.counter, w.list = &todos, &tags, &counter, &list
-	w.seq = seq
-	w.clock.SetCounter(clock)
 	return nil
+}
+
+// adopt replaces the workspace's replicated state with p's.
+func (w *Workspace) adopt(p *parts) {
+	w.todos, w.tags, w.counter, w.list = &p.todos, &p.tags, &p.counter, &p.list
+	w.seq = p.seq
+	w.clock.SetCounter(p.clock)
 }
 
 // Restore implements replica.State.
 func (w *Workspace) Restore(snapshot []byte) error {
-	fresh := New(w.clock.Replica(), w.flags)
-	if err := fresh.decodeInto(snapshot); err != nil {
+	p := new(parts)
+	if err := p.decode(snapshot); err != nil {
 		return err
 	}
-	ver := w.ver + 1
-	*w = *fresh
-	w.ver = ver
+	w.adopt(p)
+	w.ver++
 	return nil
 }
 
 // Fingerprint implements replica.State.
 func (w *Workspace) Fingerprint() string {
-	var b strings.Builder
-	b.WriteString("todos{")
-	b.WriteString(w.renderTodos())
-	b.WriteString("}tags{")
-	b.WriteString(strings.Join(w.tags.Elements(), ","))
-	b.WriteString("}counter{")
-	b.WriteString(strconv.FormatInt(w.counter.Value(), 10))
-	b.WriteString("}list{")
-	b.WriteString(strings.Join(w.list.Values(), ","))
-	b.WriteString("}")
-	return b.String()
+	var buf [256]byte
+	b := w.appendTodos(append(buf[:0], "todos{"...))
+	b = w.appendTags(append(b, "}tags{"...))
+	b = strconv.AppendInt(append(b, "}counter{"...), w.counter.Value(), 10)
+	b = w.list.AppendValues(append(b, "}list{"...), ",")
+	return string(append(b, '}'))
 }

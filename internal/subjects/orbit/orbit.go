@@ -15,13 +15,15 @@
 //     is not refreshed by joins, producing entries that fail the access
 //     check ("could not append entry although write access is granted").
 //   - BugMutateAfterHash (issue #583): a sync annotates the newest entry
-//     after it was hashed, so head hashes stop matching contents.
+//     after it was hashed — on the outgoing payload only — so the heads a
+//     receiver gets stop matching their hashes.
 //   - BugLockLeak (issue #557): the repo folder lock is not released when
 //     a close interleaves before the flush, so reopening fails.
 package orbit
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -65,10 +67,16 @@ type DB struct {
 	lastHash string
 	sealed   bool
 	// ver counts mutations for snapshot-cache invalidation
-	// (replica.Versioned). read/verify/clockBelow are pure; every other
-	// op bumps it — including SyncPayload when the issue-#583 defect
-	// annotates an unsealed entry in place.
+	// (replica.Versioned). read/verify/clockBelow and SyncPayload are pure
+	// (the issue-#583 annotation rides the outgoing bytes only); every
+	// other op bumps it.
 	ver uint64
+
+	// Scratch, never state: Restore's log, Snapshot's order, decoded entries.
+	spare    *merkle.Log
+	sorted   []*merkle.Entry
+	incoming []merkle.Entry
+	joins    []*merkle.Entry
 }
 
 var (
@@ -163,10 +171,12 @@ func (d *DB) Close() {
 	}
 }
 
+var errLockLeaked = errors.New("orbit: repo folder keeps getting locked (issue #557)")
+
 // Reopen reopens the repo, failing if the folder lock leaked.
 func (d *DB) Reopen() error {
 	if d.repoLocked && d.dirty {
-		return fmt.Errorf("orbit: repo folder keeps getting locked (issue #557)")
+		return errLockLeaked
 	}
 	d.open = true
 	return nil
@@ -222,7 +232,8 @@ func (d *DB) Apply(op replica.Op) (string, error) {
 		d.AppendWithClock(op.Args[0], clock)
 		return "", nil
 	case "read":
-		return strings.Join(d.Read(), ","), nil
+		var buf [256]byte
+		return string(d.log.AppendPayloads(buf[:0], ",")), nil
 	case "verify":
 		return d.verifyAll(), nil
 	case "flush":
@@ -255,7 +266,7 @@ func (d *DB) Apply(op replica.Op) (string, error) {
 
 func (d *DB) verifyAll() string {
 	var bad []string
-	for _, e := range d.log.Entries() {
+	for _, e := range d.log.View() {
 		if !e.Verify() {
 			bad = append(bad, e.Hash[:8])
 		}
@@ -269,15 +280,18 @@ func (d *DB) verifyAll() string {
 
 // SyncPayload implements replica.State: every entry of the DAG. With
 // BugMutateAfterHash an UNSEALED newest local entry is annotated after
-// hashing, so the receiver sees a head whose hash doesn't match (issue
-// #583) — but only in interleavings where the sync overtakes the seal.
+// hashing in the outgoing payload, so the receiver sees a head whose hash
+// doesn't match (issue #583) — but only in interleavings where the sync
+// overtakes the seal. The local log is never modified.
 func (d *DB) SyncPayload() ([]byte, error) {
-	entries := d.log.Entries()
-	if d.flags.BugMutateAfterHash && d.lastHash != "" && !d.sealed {
-		d.ver++ // the annotation below mutates entries in place
-		for _, e := range entries {
+	entries := d.log.View()
+	if d.flags.BugMutateAfterHash && !d.sealed {
+		entries = append(d.sorted[:0], entries...)
+		for i, e := range entries {
 			if e.Hash == d.lastHash && !strings.HasSuffix(e.Payload, "#synced") {
-				e.Payload += "#synced" // mutated after hashing: hash now stale
+				annotated := *e
+				annotated.Payload += "#synced" // mutated after hashing: hash now stale
+				entries[i] = &annotated
 			}
 		}
 	}
@@ -295,26 +309,28 @@ func appendEntries(entries []*merkle.Entry) []byte {
 	return b
 }
 
-// readEntries decodes what appendEntries wrote.
-func readEntries(r *wire.Reader) []*merkle.Entry {
-	// One backing array for the entries instead of an allocation each.
-	entries := make([]merkle.Entry, r.Count(merkle.MinEntryBytes))
-	out := make([]*merkle.Entry, len(entries))
-	for i := range entries {
-		entries[i].ReadBinary(r)
-		out[i] = &entries[i]
+// readEntries decodes an entry list into scratch, valid until the next
+// call, skipping what log already holds.
+func (d *DB) readEntries(r *wire.Reader, log *merkle.Log) []*merkle.Entry {
+	n := r.Count(merkle.MinEntryBytes)
+	d.incoming = slices.Grow(d.incoming[:0], n)[:n]
+	d.joins = d.joins[:0]
+	for i := range d.incoming {
+		if !log.ReadUnheld(r, &d.incoming[i]) {
+			d.joins = append(d.joins, &d.incoming[i])
+		}
 	}
-	return out
+	return d.joins
 }
 
 // ApplySync implements replica.State: join the remote entries. Entries
 // failing verification poison the join (surfaced as a failed op so the
 // replay records it); far-future clocks are rejected unless BugFutureClock
-// disabled the guard.
+// disabled the guard. Entries the log already holds are only viewed.
 func (d *DB) ApplySync(payload []byte) error {
 	d.ver++
 	r := wire.NewReader(payload)
-	entries := readEntries(r)
+	entries := d.readEntries(r, d.log)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("orbit: sync payload: %w", err)
 	}
@@ -333,8 +349,9 @@ func (d *DB) ApplySync(payload []byte) error {
 // IS behavior (issue #513) and is kept verbatim so a Restore(Snapshot())
 // round trip replays faithfully.
 func (d *DB) Snapshot() ([]byte, error) {
-	entries := d.log.Entries()
+	entries := d.log.View()
 	if !d.flags.BugTieBreaker {
+		entries = append(d.sorted[:0], entries...)
 		slices.SortFunc(entries, func(a, b *merkle.Entry) int {
 			return cmp.Or(
 				cmp.Compare(a.Clock, b.Clock),
@@ -355,33 +372,40 @@ func (d *DB) Snapshot() ([]byte, error) {
 
 // Restore implements replica.State.
 func (d *DB) Restore(data []byte) error {
-	// fresh is scratch until it replaces *d, so it is decoded into directly.
-	fresh := New(d.identity, d.flags)
+	if d.spare == nil {
+		d.spare = New(d.identity, d.flags).log
+	}
+	d.spare.Reset()
 	r := wire.NewReader(data)
-	entries := readEntries(r)
-	fresh.headCache = r.Strings()
-	fresh.repoLocked, fresh.dirty, fresh.open = r.Bool(), r.Bool(), r.Bool()
-	fresh.lastHash, fresh.sealed = r.String(), r.Bool()
+	entries := d.readEntries(r, d.spare)
+	headCache := r.Strings()
+	locked, dirty, open := r.Bool(), r.Bool(), r.Bool()
+	lastHash, sealed := r.String(), r.Bool()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("orbit: snapshot: %w", err)
 	}
 	// Bypass guards while restoring our own checkpoint.
-	skew := fresh.log.MaxClockSkew
-	fresh.log.MaxClockSkew = 0
-	if err := fresh.log.Join(entries); err != nil {
+	skew := d.spare.MaxClockSkew
+	d.spare.MaxClockSkew = 0
+	err := d.spare.Join(entries)
+	d.spare.MaxClockSkew = skew
+	if err != nil {
 		return fmt.Errorf("orbit: snapshot join: %w", err)
 	}
-	fresh.log.MaxClockSkew = skew
-	ver := d.ver + 1
-	*d = *fresh
-	d.ver = ver
+	d.log, d.spare = d.spare, d.log
+	d.headCache = headCache
+	d.repoLocked, d.dirty, d.open = locked, dirty, open
+	d.lastHash, d.sealed = lastHash, sealed
+	d.ver++
 	return nil
 }
 
 // Fingerprint implements replica.State: the linearized payloads plus
 // integrity and lock status.
 func (d *DB) Fingerprint() string {
-	return strings.Join(d.Read(), ",") + "|" + d.verifyAll()
+	var buf [256]byte
+	b := append(d.log.AppendPayloads(buf[:0], ","), '|')
+	return string(append(b, d.verifyAll()...))
 }
 
 func sameStrings(a, b []string) bool {

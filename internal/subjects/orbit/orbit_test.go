@@ -1,6 +1,7 @@
 package orbit
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -183,6 +184,37 @@ func TestBugMutateAfterHashCorruptsSync(t *testing.T) {
 	}
 	if err := b.ApplySync(payload2); err != nil {
 		t.Fatalf("sealed sync must succeed: %v", err)
+	}
+}
+
+// TestBugMutateAfterHashLeavesSenderIntact: the issue-#583 annotation
+// rides the outgoing payload only. The sender's own log still verifies and
+// its state version does not move, so its cached snapshot stays valid.
+func TestBugMutateAfterHashLeavesSenderIntact(t *testing.T) {
+	a := New("A", Flags{BugMutateAfterHash: true})
+	if err := a.Append("fresh"); err != nil {
+		t.Fatal(err)
+	}
+	ver := a.StateVersion()
+	snap, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := a.SyncPayload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(payload, []byte("fresh#synced")) {
+		t.Fatalf("pre-seal payload carries no annotation: %q", payload)
+	}
+	if got := a.StateVersion(); got != ver {
+		t.Fatalf("SyncPayload moved StateVersion %d -> %d", ver, got)
+	}
+	if got, _ := a.Apply(replica.Op{Name: "verify"}); got != "ok" {
+		t.Fatalf("sender verify after SyncPayload = %q, want ok", got)
+	}
+	if again, _ := a.Snapshot(); !bytes.Equal(again, snap) {
+		t.Fatal("SyncPayload changed the sender's snapshot")
 	}
 }
 

@@ -15,8 +15,9 @@
 package replicadb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,6 +73,10 @@ type Node struct {
 	// conflicts. readSink/readSource/peakBuffer are pure and leave it
 	// untouched.
 	stateVer uint64
+
+	// Scratch, never state: sorted rows and keys.
+	rows []*row
+	keys []string
 }
 
 var (
@@ -122,7 +127,7 @@ func (n *Node) Fetch(batch int) error {
 	if !n.flags.BugUnboundedBuffer && len(n.buffer)+batch > n.flags.BufferLimit {
 		return replica.ErrFailedOp // back-pressure: retry after drain
 	}
-	rows := n.sourceRows()
+	rows := n.live(n.source, func(a, b *row) int { return strings.Compare(a.Key, b.Key) })
 	start := 0
 	// Naive cursor: refetch from the top is fine for the model; the
 	// buffer-growth behaviour is what the defect exercises.
@@ -182,31 +187,62 @@ func (n *Node) applySink(r *row) {
 func (n *Node) PeakBuffer() int { return n.peakBuffer }
 
 // SinkRows renders the live sink contents canonically.
-func (n *Node) SinkRows() string { return renderRows(n.sink) }
+func (n *Node) SinkRows() string { return n.render(n.sink) }
 
 // SourceRows renders the live source contents canonically.
-func (n *Node) SourceRows() string { return renderRows(n.source) }
+func (n *Node) SourceRows() string { return n.render(n.source) }
 
-func (n *Node) sourceRows() []*row {
-	out := make([]*row, 0, len(n.source))
-	for _, r := range n.source {
+// live returns the table's live rows sorted by cmp, in the rows scratch.
+func (n *Node) live(table map[string]*row, cmp func(a, b *row) int) []*row {
+	n.rows = n.rows[:0]
+	for _, r := range table {
 		if !r.Deleted {
-			out = append(out, r)
+			n.rows = append(n.rows, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	slices.SortFunc(n.rows, cmp)
+	return n.rows
 }
 
-func renderRows(table map[string]*row) string {
-	keys := make([]string, 0, len(table))
-	for k, r := range table {
-		if !r.Deleted {
-			keys = append(keys, k+"="+r.Value)
+func (n *Node) render(table map[string]*row) string {
+	var buf [128]byte
+	return string(n.appendRows(buf[:0], table))
+}
+
+// appendRows appends the table's live rows as comma-joined "key=value", in
+// ascending order of that rendered text.
+func (n *Node) appendRows(b []byte, table map[string]*row) []byte {
+	for i, r := range n.live(table, cmpRendered) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, r.Key...), '='), r.Value...)
+	}
+	return b
+}
+
+// cmpRendered orders rows the way their rendered "key=value" strings
+// sort, without building them. That is not key order: "k10=…" sorts
+// before "k1=…", because '0' < '='.
+func cmpRendered(a, b *row) int {
+	la, lb := len(a.Key)+1+len(a.Value), len(b.Key)+1+len(b.Value)
+	for i := 0; i < min(la, lb); i++ {
+		if ca, cb := renderedByte(a, i), renderedByte(b, i); ca != cb {
+			return cmp.Compare(ca, cb)
 		}
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, ",")
+	return cmp.Compare(la, lb)
+}
+
+// renderedByte is byte i of r's rendered "key=value".
+func renderedByte(r *row, i int) byte {
+	if i < len(r.Key) {
+		return r.Key[i]
+	}
+	if i == len(r.Key) {
+		return '='
+	}
+	return r.Value[i-len(r.Key)-1]
 }
 
 // Apply implements replica.State. Ops:
@@ -276,9 +312,10 @@ func appendRow(b []byte, r *row, keepSeq bool) []byte {
 
 // appendTable appends a table's row count and its rows in ascending key
 // order.
-func appendTable(b []byte, table map[string]*row, keepSeq bool) []byte {
+func (n *Node) appendTable(b []byte, table map[string]*row, keepSeq bool) []byte {
 	b = wire.AppendUvarint(b, uint64(len(table)))
-	for _, k := range wire.SortedKeys(table) {
+	n.keys = wire.SortedKeys(n.keys, table)
+	for _, k := range n.keys {
 		b = appendRow(b, table[k], keepSeq)
 	}
 	return b
@@ -302,7 +339,7 @@ const rowBytesGuess = 16
 // so it travels as zero.
 func (n *Node) SyncPayload() ([]byte, error) {
 	b := make([]byte, 0, 16+rowBytesGuess*len(n.source))
-	return wire.AppendUvarint(appendTable(b, n.source, false), n.version), nil
+	return wire.AppendUvarint(n.appendTable(b, n.source, false), n.version), nil
 }
 
 // ApplySync implements replica.State: LWW-merge remote source rows.
@@ -336,8 +373,8 @@ func (n *Node) ApplySync(payload []byte) error {
 // state — Drain applies it in order).
 func (n *Node) Snapshot() ([]byte, error) {
 	b := make([]byte, 0, 32+rowBytesGuess*(len(n.source)+len(n.sink)+len(n.buffer)))
-	b = appendTable(b, n.source, true)
-	b = appendTable(b, n.sink, true)
+	b = n.appendTable(b, n.source, true)
+	b = n.appendTable(b, n.sink, true)
 	b = wire.AppendUvarint(b, uint64(len(n.buffer)))
 	for _, r := range n.buffer {
 		b = appendRow(b, r, true)
@@ -353,31 +390,32 @@ func (n *Node) Snapshot() ([]byte, error) {
 func (n *Node) Restore(data []byte) error {
 	r := wire.NewReader(data)
 	source, sink, buffer := readRows(r), readRows(r), readRows(r)
-	fresh := New(n.flags)
-	fresh.peakBuffer = int(r.Uvarint())
-	fresh.version = r.Uvarint()
-	fresh.seq = r.Uvarint()
-	fresh.snapshotCut = r.Uvarint()
+	peak, version, seq, cut := int(r.Uvarint()), r.Uvarint(), r.Uvarint(), r.Uvarint()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("replicadb: snapshot: %w", err)
 	}
+	clear(n.source)
 	for i := range source {
-		fresh.source[source[i].Key] = &source[i]
+		n.source[source[i].Key] = &source[i]
 	}
+	clear(n.sink)
 	for i := range sink {
-		fresh.sink[sink[i].Key] = &sink[i]
+		n.sink[sink[i].Key] = &sink[i]
 	}
+	n.buffer = n.buffer[:0]
 	for i := range buffer {
-		fresh.buffer = append(fresh.buffer, &buffer[i])
+		n.buffer = append(n.buffer, &buffer[i])
 	}
-	ver := n.stateVer + 1
-	*n = *fresh
-	n.stateVer = ver
+	n.peakBuffer, n.version, n.seq, n.snapshotCut = peak, version, seq, cut
+	n.stateVer++
 	return nil
 }
 
 // Fingerprint implements replica.State: source and sink contents (the
 // sink-matches-source invariant is the issue-#23 detector).
 func (n *Node) Fingerprint() string {
-	return "src{" + n.SourceRows() + "}sink{" + n.SinkRows() + "}"
+	var buf [256]byte
+	b := n.appendRows(append(buf[:0], "src{"...), n.source)
+	b = n.appendRows(append(b, "}sink{"...), n.sink)
+	return string(append(b, '}'))
 }

@@ -22,7 +22,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -62,6 +61,13 @@ type Store struct {
 	// ver counts mutations for snapshot-cache invalidation
 	// (replica.Versioned); selects are pure and leave it untouched.
 	ver uint64
+
+	// Scratch, never state: sort slices, decoded records, Restore's table.
+	keyOrder []string
+	members  []*record
+	rows     []*record
+	incoming []syncRecord
+	spare    map[string]map[string]*record
 }
 
 var (
@@ -88,12 +94,17 @@ func (s *Store) Delete(key, member string, score uint64) {
 }
 
 func (s *Store) apply(key, member string, score uint64, deleted bool) {
-	s.ver++
 	recs, ok := s.keys[key]
 	if !ok {
 		recs = make(map[string]*record)
 		s.keys[key] = recs
 	}
+	s.write(recs, member, score, deleted)
+}
+
+// write resolves one write against a key's records.
+func (s *Store) write(recs map[string]*record, member string, score uint64, deleted bool) {
+	s.ver++
 	s.arrival++
 	if s.flags.ArrivalWins {
 		// Misconception #1 seed: no resolution, last arrival wins.
@@ -144,15 +155,24 @@ type SelectEntry struct {
 // Select returns the key's live entries (and, when includeDeleted is set,
 // tombstones) ordered by descending score.
 func (s *Store) Select(key string, includeDeleted bool) []SelectEntry {
-	recs := s.keys[key]
-	rows := make([]*record, 0, len(recs))
-	for _, r := range recs {
+	rows := s.selectRows(key, includeDeleted)
+	out := make([]SelectEntry, len(rows))
+	for i, r := range rows {
+		out[i] = SelectEntry{Member: r.Member, Score: r.Score, Deleted: r.Deleted}
+	}
+	return out
+}
+
+// selectRows is Select into the rows scratch.
+func (s *Store) selectRows(key string, includeDeleted bool) []*record {
+	s.rows = s.rows[:0]
+	for _, r := range s.keys[key] {
 		if r.Deleted && !includeDeleted {
 			continue
 		}
-		rows = append(rows, r)
+		s.rows = append(s.rows, r)
 	}
-	slices.SortFunc(rows, func(a, b *record) int {
+	slices.SortFunc(s.rows, func(a, b *record) int {
 		if a.Score != b.Score {
 			return cmp.Compare(b.Score, a.Score)
 		}
@@ -162,11 +182,7 @@ func (s *Store) Select(key string, includeDeleted bool) []SelectEntry {
 		}
 		return strings.Compare(a.Member, b.Member)
 	})
-	out := make([]SelectEntry, len(rows))
-	for i, r := range rows {
-		out[i] = SelectEntry{Member: r.Member, Score: r.Score, Deleted: r.Deleted}
-	}
-	return out
+	return s.rows
 }
 
 // Apply implements replica.State. Ops:
@@ -194,39 +210,38 @@ func (s *Store) Apply(op replica.Op) (string, error) {
 		s.Delete(op.Args[0], op.Args[1], score)
 		return "", nil
 	case "select":
-		return renderEntries(s.Select(op.Args[0], false)), nil
+		return s.render(op.Args[0], false), nil
 	case "selectAll":
-		return renderEntries(s.Select(op.Args[0], true)), nil
+		return s.render(op.Args[0], true), nil
 	default:
 		return "", fmt.Errorf("roshi: unknown op %s", op.Name)
 	}
 }
 
-func renderEntries(entries []SelectEntry) string {
-	var b strings.Builder
-	appendEntries(&b, entries)
-	return b.String()
+// render is a select's response text.
+func (s *Store) render(key string, includeDeleted bool) string {
+	var buf [256]byte
+	return string(appendEntries(buf[:0], s.selectRows(key, includeDeleted)))
 }
 
-// appendEntries writes "member@score[:deleted]" per entry, comma-joined.
-func appendEntries(b *strings.Builder, entries []SelectEntry) {
-	var digits [20]byte // a uint64 in base 10
+// appendEntries appends "member@score[:deleted]" per entry, comma-joined.
+func appendEntries(b []byte, entries []*record) []byte {
 	for i, e := range entries {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(e.Member)
-		b.WriteByte('@')
-		b.Write(strconv.AppendUint(digits[:0], e.Score, 10))
+		b = strconv.AppendUint(append(append(b, e.Member...), '@'), e.Score, 10)
 		if e.Deleted {
-			b.WriteString(":deleted")
+			b = append(b, ":deleted"...)
 		}
 	}
+	return b
 }
 
-// syncRecord is one decoded record of a sync payload.
+// syncRecord is one decoded record of a sync payload; key and member
+// alias the payload.
 type syncRecord struct {
-	key, member string
+	key, member []byte
 	score       uint64
 	deleted     bool
 }
@@ -250,13 +265,13 @@ func (s *Store) records() int {
 }
 
 // sortedMembers returns one key's records in ascending member order.
-func sortedMembers(members map[string]*record) []*record {
-	recs := make([]*record, 0, len(members))
+func (s *Store) sortedMembers(members map[string]*record) []*record {
+	s.members = s.members[:0]
 	for _, r := range members {
-		recs = append(recs, r)
+		s.members = append(s.members, r)
 	}
-	slices.SortFunc(recs, func(a, b *record) int { return strings.Compare(a.Member, b.Member) })
-	return recs
+	slices.SortFunc(s.members, func(a, b *record) int { return strings.Compare(a.Member, b.Member) })
+	return s.members
 }
 
 // SyncPayload implements replica.State: the full record table as
@@ -265,8 +280,9 @@ func sortedMembers(members map[string]*record) []*record {
 func (s *Store) SyncPayload() ([]byte, error) {
 	n := s.records()
 	b := wire.AppendUvarint(make([]byte, 0, 8+n*recordBytesGuess), uint64(n))
-	for _, key := range wire.SortedKeys(s.keys) {
-		for _, r := range sortedMembers(s.keys[key]) {
+	s.keyOrder = wire.SortedKeys(s.keyOrder, s.keys)
+	for _, key := range s.keyOrder {
+		for _, r := range s.sortedMembers(s.keys[key]) {
 			b = wire.AppendString(b, key)
 			b = wire.AppendString(b, r.Member)
 			b = wire.AppendUvarint(b, r.Score)
@@ -277,18 +293,29 @@ func (s *Store) SyncPayload() ([]byte, error) {
 }
 
 // ApplySync implements replica.State: merge the remote records through the
-// same LWW resolution as local ops.
+// same LWW resolution as local ops. Records are decoded by view, so only a
+// key or member the store does not hold yet is copied out of the payload.
 func (s *Store) ApplySync(payload []byte) error {
 	r := wire.NewReader(payload)
-	recs := make([]syncRecord, r.Count(minRecordBytes))
-	for i := range recs {
-		recs[i] = syncRecord{key: r.String(), member: r.String(), score: r.Uvarint(), deleted: r.Bool()}
+	n := r.Count(minRecordBytes)
+	s.incoming = slices.Grow(s.incoming[:0], n)[:n]
+	for i := range s.incoming {
+		s.incoming[i] = syncRecord{key: r.View(), member: r.View(), score: r.Uvarint(), deleted: r.Bool()}
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("roshi: sync payload: %w", err)
 	}
-	for _, rec := range recs {
-		s.apply(rec.key, rec.member, rec.score, rec.deleted)
+	for _, rec := range s.incoming {
+		recs, ok := s.keys[string(rec.key)]
+		if !ok {
+			recs = make(map[string]*record)
+			s.keys[string(rec.key)] = recs
+		}
+		if cur, ok := recs[string(rec.member)]; ok {
+			s.write(recs, cur.Member, rec.score, rec.deleted)
+		} else {
+			s.write(recs, string(rec.member), rec.score, rec.deleted)
+		}
 	}
 	return nil
 }
@@ -318,11 +345,12 @@ func (s *Store) Snapshot() ([]byte, error) {
 		return 0
 	}
 	b := wire.AppendUvarint(make([]byte, 0, 8+s.records()*recordBytesGuess), uint64(len(s.keys)))
-	for _, key := range wire.SortedKeys(s.keys) {
+	s.keyOrder = wire.SortedKeys(s.keyOrder, s.keys)
+	for _, key := range s.keyOrder {
 		members := s.keys[key]
 		b = wire.AppendString(b, key)
 		b = wire.AppendUvarint(b, uint64(len(members)))
-		for _, r := range sortedMembers(members) {
+		for _, r := range s.sortedMembers(members) {
 			b = wire.AppendString(b, r.Member)
 			b = wire.AppendUvarint(b, r.Score)
 			b = wire.AppendBool(b, r.Deleted)
@@ -337,7 +365,11 @@ func (s *Store) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	// A key costs at least its empty name and a zero member count.
 	nKeys := r.Count(2)
-	keys := make(map[string]map[string]*record, nKeys)
+	if s.spare == nil {
+		s.spare = make(map[string]map[string]*record, nKeys)
+	}
+	keys := s.spare
+	clear(keys)
 	for i := 0; i < nKeys; i++ {
 		key := r.String()
 		// One backing array per key instead of one allocation per record.
@@ -354,7 +386,7 @@ func (s *Store) Restore(snapshot []byte) error {
 		return fmt.Errorf("roshi: snapshot: %w", err)
 	}
 	s.ver++
-	s.keys = keys
+	s.keys, s.spare = keys, s.keys
 	s.arrival = arrival
 	return nil
 }
@@ -362,17 +394,12 @@ func (s *Store) Restore(snapshot []byte) error {
 // Fingerprint implements replica.State: canonical live membership with
 // deleted flags, so both membership and response-field defects surface.
 func (s *Store) Fingerprint() string {
-	keys := make([]string, 0, len(s.keys))
-	for k := range s.keys {
-		keys = append(keys, k)
+	s.keyOrder = wire.SortedKeys(s.keyOrder, s.keys)
+	var buf [512]byte
+	b := buf[:0]
+	for _, k := range s.keyOrder {
+		b = appendEntries(append(append(b, k...), '{'), s.selectRows(k, true))
+		b = append(b, '}')
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('{')
-		appendEntries(&b, s.Select(k, true))
-		b.WriteByte('}')
-	}
-	return b.String()
+	return string(b)
 }

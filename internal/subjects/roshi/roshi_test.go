@@ -90,8 +90,8 @@ func TestBugMapOrderArrivalDependent(t *testing.T) {
 	a.Insert("k", "y", 5)
 	b.Insert("k", "y", 5)
 	b.Insert("k", "x", 5)
-	ra := renderEntries(a.Select("k", false))
-	rb := renderEntries(b.Select("k", false))
+	ra := a.render("k", false)
+	rb := b.render("k", false)
 	if ra == rb {
 		t.Fatal("seeded issue #40 must make equal-score order arrival-dependent")
 	}
@@ -101,7 +101,7 @@ func TestBugMapOrderArrivalDependent(t *testing.T) {
 	ga.Insert("k", "y", 5)
 	gb.Insert("k", "y", 5)
 	gb.Insert("k", "x", 5)
-	if renderEntries(ga.Select("k", false)) != renderEntries(gb.Select("k", false)) {
+	if ga.render("k", false) != gb.render("k", false) {
 		t.Fatal("correct store must order equal scores canonically")
 	}
 }

@@ -81,6 +81,11 @@ type Doc struct {
 	// (replica.Versioned). Every Apply advances the Lamport clock — even
 	// reads stamp — so every op bumps it.
 	ver uint64
+
+	// Scratch, never state: Snapshot's order, last decoded ops, path views.
+	sorted   []docOp
+	incoming []docOp
+	path     [][]byte
 }
 
 var (
@@ -144,8 +149,8 @@ func (d *Doc) applyOp(op docOp) error {
 // insertArrWithStamp inserts into the RGA reusing the op's stamp as the
 // element ID so that all replicas allocate identical IDs.
 func (d *Doc) insertArrWithStamp(origin crdt.Time, value string, stamp crdt.Time) {
-	// The RGA allocates IDs from its clock; drive the clock to just below
-	// the stamp so the allocated ID equals the stamp.
+	// The RGA allocates IDs from its clock; drive a clock on the stack to
+	// just below the stamp so the allocated ID equals the stamp.
 	tmp := crdt.NewClock(stamp.Replica)
 	tmp.SetCounter(stamp.Counter - 1)
 	if _, err := d.arr.InsertAfter(tmp, origin, value); err != nil {
@@ -239,7 +244,8 @@ func (d *Doc) Apply(op replica.Op) (string, error) {
 	case "read":
 		return d.tree.Snapshot(), nil
 	case "readArr":
-		return strings.Join(d.arr.Values(), ","), nil
+		var buf [128]byte
+		return string(d.arr.AppendValues(buf[:0], ",")), nil
 	default:
 		return "", fmt.Errorf("yorkie: unknown op %s", op.Name)
 	}
@@ -295,31 +301,41 @@ func appendOps(ops []docOp, remote bool) []byte {
 	return b
 }
 
-// readOps decodes what appendOps wrote. Stamps are issued by Clock.Now and
-// never zero; a zero one is rejected because an array op would turn it
-// into an element carrying crdt.HeadID.
-func readOps(r *wire.Reader) []docOp {
+// readOps decodes what appendOps wrote into dst, overwriting it. Stamps
+// are issued by Clock.Now and never zero; a zero one is rejected because an
+// array op would turn it into an element carrying crdt.HeadID. With
+// skipApplied an already applied op is only viewed, never copied.
+func (d *Doc) readOps(r *wire.Reader, dst []docOp, skipApplied bool) []docOp {
 	n := r.Count(minOpBytes)
-	if n == 0 {
-		return nil
-	}
-	ops := make([]docOp, n)
-	for i := range ops {
-		op := &ops[i]
-		if op.Kind = opKind(r.Uvarint()); op.Kind >= numOpKinds {
-			r.Fail(fmt.Errorf("yorkie: unknown doc op %d", op.Kind))
+	dst = slices.Grow(dst[:0], n)
+	for i := 0; i < n; i++ {
+		kind := opKind(r.Uvarint())
+		if kind >= numOpKinds {
+			r.Fail(fmt.Errorf("yorkie: unknown doc op %d", kind))
 		}
-		op.Path = r.Strings()
-		op.Value = r.String()
-		op.Stamp = crdt.ReadTime(r)
-		op.ElemID = crdt.ReadTime(r)
-		op.AfterID = crdt.ReadTime(r)
-		op.Remote = r.Bool()
-		if op.Stamp.IsZero() {
+		d.path = d.path[:0]
+		for np := r.Count(1); np > 0; np-- {
+			d.path = append(d.path, r.View())
+		}
+		value := r.View()
+		stamp, elem, after := crdt.ReadTimeView(r), crdt.ReadTimeView(r), crdt.ReadTimeView(r)
+		remote := r.Bool()
+		if stamp.Counter == 0 && len(stamp.Replica) == 0 {
 			r.Fail(errZeroStamp)
 		}
+		if skipApplied && d.applied[stamp.Time()] {
+			continue
+		}
+		op := docOp{Kind: kind, Value: string(value), Stamp: stamp.Time(), ElemID: elem.Time(), AfterID: after.Time(), Remote: remote}
+		if len(d.path) > 0 {
+			op.Path = make([]string, len(d.path))
+			for j, p := range d.path {
+				op.Path[j] = string(p)
+			}
+		}
+		dst = append(dst, op)
 	}
-	return ops
+	return dst
 }
 
 // SyncPayload implements replica.State: the full op log, marked remote so
@@ -333,11 +349,11 @@ func (d *Doc) SyncPayload() ([]byte, error) {
 func (d *Doc) ApplySync(payload []byte) error {
 	d.ver++
 	r := wire.NewReader(payload)
-	ops := readOps(r)
+	d.incoming = d.readOps(r, d.incoming, true)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("yorkie: sync payload: %w", err)
 	}
-	for _, op := range ops {
+	for _, op := range d.incoming {
 		if d.applied[op.Stamp] {
 			continue
 		}
@@ -365,35 +381,39 @@ func (d *Doc) Snapshot() ([]byte, error) {
 	if !d.flags.BugMoveAfter && !d.flags.BugNestedSet && !d.flags.NoStampResolution {
 		// Stable, so that a log holding one stamp twice (no valid state
 		// does; a decoded one may) still re-encodes to the same bytes.
-		ops = slices.Clone(d.opLog)
+		d.sorted = append(d.sorted[:0], d.opLog...)
+		ops = d.sorted
 		slices.SortStableFunc(ops, func(a, b docOp) int { return a.Stamp.Compare(b.Stamp) })
 	}
 	return wire.AppendUvarint(appendOps(ops, false), d.clock.Counter()), nil
 }
 
-// Restore implements replica.State.
+// Restore implements replica.State: replay the decoded log into d's own,
+// emptied, state. Replay cannot fail once decoding succeeded: readOps
+// rejects unknown kinds, and anything else is a failed op.
 func (d *Doc) Restore(data []byte) error {
 	r := wire.NewReader(data)
-	ops := readOps(r)
+	d.incoming = d.readOps(r, d.incoming, false)
 	clock := r.Uvarint()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("yorkie: snapshot: %w", err)
 	}
-	fresh := New(d.clock.Replica(), d.flags)
-	for _, op := range ops {
-		if err := fresh.applyOp(op); err != nil && err != replica.ErrFailedOp {
-			return fmt.Errorf("yorkie: snapshot replay: %w", err)
-		}
+	d.clock.SetCounter(0)
+	d.tree.Reset()
+	d.arr.Reset()
+	clear(d.applied)
+	for _, op := range d.incoming {
+		_ = d.applyOp(op)
 	}
-	fresh.opLog = ops
-	fresh.clock.SetCounter(clock)
-	ver := d.ver + 1
-	*d = *fresh
-	d.ver = ver
+	d.opLog = append(d.opLog[:0], d.incoming...)
+	d.clock.SetCounter(clock)
+	d.ver++
 	return nil
 }
 
 // Fingerprint implements replica.State: tree plus array contents.
 func (d *Doc) Fingerprint() string {
-	return d.tree.Snapshot() + "|[" + strings.Join(d.arr.Values(), ",") + "]"
+	var buf [256]byte
+	b := append(d.tree.AppendSnapshot(buf[:0]), "|["...)
+	return string(append(d.arr.AppendValues(b, ","), ']'))
 }

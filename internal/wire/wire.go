@@ -46,15 +46,15 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// SortedKeys returns m's keys in ascending order — the explicit form of
-// the map-key ordering a canonical encoding needs.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// SortedKeys overwrites dst with m's keys in ascending order — the
+// explicit form of the map-key ordering a canonical encoding needs.
+func SortedKeys[V any](dst []string, m map[string]V) []string {
+	dst = dst[:0]
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	slices.Sort(keys)
-	return keys
+	slices.Sort(dst)
+	return dst
 }
 
 // Reader decodes what the Append functions wrote. The first failure
@@ -68,7 +68,8 @@ type Reader struct {
 }
 
 // NewReader returns a Reader over b. It never writes to b and never
-// retains it past the last read: decoded strings are copies.
+// retains it past the last read: decoded strings are copies, and only
+// View hands out bytes that alias b.
 func NewReader(b []byte) *Reader { return &Reader{b: b} }
 
 func (r *Reader) left() int { return len(r.b) - r.off }
@@ -100,18 +101,24 @@ func (r *Reader) Uvarint() uint64 {
 }
 
 // String reads one AppendString item.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.View()) }
+
+// View reads one AppendString item without copying it: the result aliases
+// the input and must not be written or outlive it. A decoder looks up what
+// it already holds (m[string(v)] does not allocate) and copies only what
+// is new.
+func (r *Reader) View() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(r.left()) {
 		r.err = fmt.Errorf("wire: string of %d bytes, %d left: %w", n, r.left(), ErrTruncated)
-		return ""
+		return nil
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	v := r.b[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return v
 }
 
 // Strings reads one AppendStrings item; an empty list decodes to nil.

@@ -181,12 +181,43 @@ func TestErrorSticks(t *testing.T) {
 }
 
 func TestSortedKeys(t *testing.T) {
-	got := SortedKeys(map[string]int{"b": 1, "": 2, "a": 3, "B": 4})
+	got := SortedKeys(nil, map[string]int{"b": 1, "": 2, "a": 3, "B": 4})
 	if want := []string{"", "B", "a", "b"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("SortedKeys = %q, want %q", got, want)
 	}
-	if got := SortedKeys(map[string]bool(nil)); len(got) != 0 {
+	// The destination is overwritten, never appended to, and reused.
+	again := SortedKeys(got, map[string]int{"z": 1, "y": 2})
+	if want := []string{"y", "z"}; !reflect.DeepEqual(again, want) || &again[0] != &got[0] {
+		t.Fatalf("SortedKeys(dst) = %q, want %q in dst's array", again, want)
+	}
+	if got := SortedKeys(nil, map[string]bool(nil)); len(got) != 0 {
 		t.Fatalf("SortedKeys(nil) = %q", got)
+	}
+	m := map[string]int{"b": 1, "a": 2}
+	if allocs := testing.AllocsPerRun(10, func() { got = SortedKeys(got, m) }); allocs != 0 {
+		t.Fatalf("warm SortedKeys allocates %.0f objects", allocs)
+	}
+}
+
+// TestViewAliasesInput: View is the one read that does not copy, and it
+// fails exactly like String on a truncated item.
+func TestViewAliasesInput(t *testing.T) {
+	data := AppendString(AppendString(nil, "payload"), "x")
+	r := NewReader(data)
+	v, s := r.View(), r.String()
+	if err := r.Done(); err != nil || string(v) != "payload" || s != "x" {
+		t.Fatalf("View, String = %q, %q (%v)", v, s, err)
+	}
+	data[1] = 'P'
+	if string(v) != "Payload" {
+		t.Fatalf("view %q does not alias the input", v)
+	}
+	if cap(v) != len(v) {
+		t.Fatalf("view has capacity %d past its length %d", cap(v), len(v))
+	}
+	r = NewReader(data[:4])
+	if v := r.View(); v != nil || !errors.Is(r.Done(), ErrTruncated) {
+		t.Fatalf("truncated View = %q, %v", v, r.Done())
 	}
 }
 
