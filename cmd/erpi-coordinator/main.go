@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -30,7 +31,6 @@ import (
 
 	"github.com/er-pi/erpi/internal/coordinator"
 	"github.com/er-pi/erpi/internal/lockserver"
-	"github.com/er-pi/erpi/internal/logx"
 	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -86,7 +86,7 @@ func runServe(args []string) int {
 		logLevel    = fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	)
 	_ = fs.Parse(args)
-	if err := logx.SetLevel(*logLevel); err != nil {
+	if err := setLogLevel(*logLevel); err != nil {
 		return fail(err)
 	}
 	if *journalRoot == "" {
@@ -171,7 +171,7 @@ func runWork(args []string) int {
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	)
 	_ = fs.Parse(args)
-	if err := logx.SetLevel(*logLevel); err != nil {
+	if err := setLogLevel(*logLevel); err != nil {
 		return fail(err)
 	}
 	if *addr == "" {
@@ -207,7 +207,7 @@ func runSubmit(args []string) int {
 		logLevel = fs.String("log-level", "info", "log verbosity: debug, info, warn, error")
 	)
 	_ = fs.Parse(args)
-	if err := logx.SetLevel(*logLevel); err != nil {
+	if err := setLogLevel(*logLevel); err != nil {
 		return fail(err)
 	}
 	if *api == "" {
@@ -271,4 +271,15 @@ func waitJob(api, id string, secs int) (*coordinator.JobStatus, error) {
 		return nil, err
 	}
 	return &st, nil
+}
+
+// setLogLevel applies -log-level (debug, info, warn or error) to the
+// default slog logger, which the engine's warnings go through.
+func setLogLevel(s string) error {
+	var l slog.Level
+	if err := l.UnmarshalText([]byte(s)); err != nil {
+		return err
+	}
+	slog.SetLogLoggerLevel(l)
+	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 
@@ -23,7 +24,6 @@ import (
 	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/coordinator"
 	"github.com/er-pi/erpi/internal/forensics"
-	"github.com/er-pi/erpi/internal/logx"
 	"github.com/er-pi/erpi/internal/miscon"
 	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
@@ -110,7 +110,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "erpi:", err)
 		return 1
 	}
-	if err := logx.SetLevel(*logLevel); err != nil {
+	if err := setLogLevel(*logLevel); err != nil {
 		return fail(err)
 	}
 
@@ -327,4 +327,15 @@ func writeTrace(path string, reg *telemetry.Registry) error {
 		return err
 	}
 	return f.Close()
+}
+
+// setLogLevel applies -log-level (debug, info, warn or error) to the
+// default slog logger, which the engine's warnings go through.
+func setLogLevel(s string) error {
+	var l slog.Level
+	if err := l.UnmarshalText([]byte(s)); err != nil {
+		return err
+	}
+	slog.SetLogLoggerLevel(l)
+	return nil
 }

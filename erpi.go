@@ -38,7 +38,6 @@ import (
 	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
-	"github.com/er-pi/erpi/internal/profile"
 	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/replica"
 	"github.com/er-pi/erpi/internal/runner"
@@ -115,8 +114,6 @@ const (
 	// FaultCrashReplica crashes a replica at an event position, rolling it
 	// back to its durable checkpoint, and keeps it down for Duration events.
 	FaultCrashReplica = fault.CrashReplica
-	// FaultLockOutage makes the lock server unreachable for a window.
-	FaultLockOutage = fault.LockOutage
 	// FaultPartition severs a replica link for a window.
 	FaultPartition = fault.Partition
 	// FaultTruncatePayload cuts a sync payload to KeepBytes in flight.
@@ -125,9 +122,6 @@ const (
 
 // ErrReplicaDown marks an event that executed against a crashed replica.
 var ErrReplicaDown = fault.ErrReplicaDown
-
-// ErrLockServerDown marks a lock-server operation during an outage window.
-var ErrLockServerDown = fault.ErrLockServerDown
 
 // Exploration modes.
 const (
@@ -169,20 +163,6 @@ type (
 // ErrFailedOp marks an operation rejected by a data type's constraints.
 var ErrFailedOp = replica.ErrFailedOp
 
-// Profiler measures per-exploration resource use (ops, sync bytes,
-// checkpoint traffic) — the paper's §8 resource-profiling extension. Wrap
-// each replica state with Profiler.Wrap and pass the profiler to
-// WithProfiler.
-type Profiler = profile.Profiler
-
-// NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler { return profile.New() }
-
-// WithProfiler hooks a profiler into the session's exploration.
-func WithProfiler(p *Profiler) Option {
-	return func(s *Session) { s.cfg.OnOutcome = p.OnOutcome }
-}
-
 // Telemetry is the engine-wide metrics registry: atomic counters, gauges,
 // latency histograms, live run progress, and per-stage spans exportable as
 // a Chrome trace (load it in about://tracing or https://ui.perfetto.dev).
@@ -201,7 +181,9 @@ type StatusServer = telemetry.StatusServer
 
 // WithTelemetry attaches a metrics registry to the session's exploration:
 // the engine records counters, stage-latency histograms, spans, and live
-// progress into it.
+// progress into it. Its resource figures — the paper's §8 profiling
+// extension — are runner.op.<name> (RDL operations applied) and
+// runner.sync_bytes (sync payload bytes delivered).
 func WithTelemetry(reg *Telemetry) Option {
 	return func(s *Session) { s.cfg.Telemetry = reg }
 }
@@ -373,10 +355,10 @@ func WithFailedOps(spec FailedOpsSpec) Option {
 }
 
 // WithFaults injects a seeded fault schedule into the replay: replica
-// crashes, link partitions, payload truncations, and lock-server outages
-// fire at their scheduled (interleaving, event) coordinates. Interleavings
-// that still fail after retries are quarantined in Result.Quarantined
-// while exploration continues — a fault never aborts the run.
+// crashes, link partitions and payload truncations fire at their
+// scheduled (interleaving, event) coordinates. Interleavings that still
+// fail after retries are quarantined in Result.Quarantined while
+// exploration continues — a fault never aborts the run.
 func WithFaults(schedule FaultSchedule) Option {
 	return func(s *Session) { s.cfg.Faults = &schedule }
 }

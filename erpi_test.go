@@ -253,15 +253,12 @@ func TestSessionFuzzMode(t *testing.T) {
 	}
 }
 
-func TestSessionProfiler(t *testing.T) {
-	p := erpi.NewProfiler()
-	newCluster := func() (*erpi.Cluster, error) {
-		return erpi.NewCluster(map[erpi.ReplicaID]erpi.State{
-			"A": p.Wrap(newGSetState()),
-			"B": p.Wrap(newGSetState()),
-		}), nil
-	}
-	sess, err := erpi.NewSession(newCluster, erpi.WithProfiler(p))
+// TestSessionResourceCounters: the §8 resource figures reach a session's
+// user through WithTelemetry — RDL operations per name and sync payload
+// bytes, counted on the replay path.
+func TestSessionResourceCounters(t *testing.T) {
+	reg := erpi.NewTelemetry()
+	sess, err := erpi.NewSession(newTwoReplicaCluster, erpi.WithTelemetry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,15 +268,14 @@ func TestSessionProfiler(t *testing.T) {
 	}
 	rec.Update("A", "add", "x")
 	rec.SyncPair("A", "B")
-	if _, err := sess.End(); err != nil {
+	res, err := sess.End()
+	if err != nil {
 		t.Fatal(err)
 	}
-	r := p.Snapshot()
-	if r.Interleavings == 0 || r.SyncBytesOut == 0 {
-		t.Fatalf("profiler saw nothing: %+v", r)
-	}
-	if !strings.Contains(r.Render(), "interleavings explored") {
-		t.Fatal("render broken")
+	c := reg.Snapshot().Counters
+	if res.Explored == 0 || c["runner.op.add"] == 0 || c["runner.sync_bytes"] == 0 {
+		t.Fatalf("explored %d, runner.op.add = %d, runner.sync_bytes = %d",
+			res.Explored, c["runner.op.add"], c["runner.sync_bytes"])
 	}
 }
 

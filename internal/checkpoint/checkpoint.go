@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,7 +16,6 @@ import (
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/interleave"
-	"github.com/er-pi/erpi/internal/logx"
 )
 
 // journalSyncEvery is how many journal appends accumulate before the
@@ -261,7 +261,7 @@ func (d *Dir) LoadExplored() (map[string]bool, error) {
 			continue
 		}
 		if !validKey(line) {
-			logx.L().Warn("skipping corrupt journal line",
+			slog.Warn("skipping corrupt journal line",
 				"component", "checkpoint", "line", lineNo, "content", line)
 			continue
 		}

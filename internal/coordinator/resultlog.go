@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 
-	"github.com/er-pi/erpi/internal/logx"
 	"github.com/er-pi/erpi/internal/wire"
 )
 
@@ -178,7 +178,7 @@ func readResultLog(dir string) ([]resultLine, int64, error) {
 	for off < len(data) {
 		line, n, err := readResultRecord(data[off:])
 		if err != nil {
-			logx.L().Warn("result log ends at a torn or corrupt record",
+			slog.Warn("result log ends at a torn or corrupt record",
 				"component", "coordinator", "dir", dir, "offset", off, "dropped_bytes", len(data)-off, "err", err)
 			break
 		}

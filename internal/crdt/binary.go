@@ -9,11 +9,11 @@ import (
 
 // This file gives the CRDTs on the replay hot path — the ones the yorkie
 // and crdts subjects snapshot and ship on every explored interleaving —
-// a canonical binary form over internal/wire (DESIGN.md §4.16). Like the
-// JSON forms in serde.go the encodings expose exactly the join-relevant
-// state (including tombstones), so decode(encode(x)) is join-equivalent
-// to x; unlike them, equal states always encode to identical bytes: map
-// keys are written in ascending order and timestamps in Time order.
+// a canonical binary form over internal/wire (DESIGN.md §4.16). The
+// encodings expose exactly the join-relevant state (including
+// tombstones), so decode(encode(x)) is join-equivalent to x, and equal
+// states always encode to identical bytes: map keys are written in
+// ascending order and timestamps in Time order.
 //
 // AppendBinary appends the encoding to b. ReadBinary replaces the
 // receiver's state with the next encoding in r; failures stick to r, and

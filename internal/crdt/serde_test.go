@@ -2,7 +2,6 @@ package crdt
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -10,20 +9,8 @@ import (
 )
 
 // The *JSONRoundTrip names predate the binary codec and are kept so the
-// test IDs stay stable: GSet, TwoPhaseSet and LWWSet round-trip through
-// their JSON form (roundTrip), the six replay-path types through
+// test IDs stay stable: the six replay-path types round-trip through
 // AppendBinary/ReadBinary (roundTripBinary).
-
-func roundTrip[T any](t *testing.T, in T, out T) {
-	t.Helper()
-	data, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		t.Fatal(err)
-	}
-}
 
 type binaryCodec interface {
 	AppendBinary(b []byte) []byte
@@ -83,32 +70,6 @@ func TestPNCounterJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGSetJSONRoundTrip(t *testing.T) {
-	g := NewGSet()
-	g.Add("x")
-	g.Add("y")
-	var out GSet
-	roundTrip(t, g, &out)
-	if !g.Equal(&out) {
-		t.Fatal("gset round trip lost state")
-	}
-}
-
-func TestTwoPhaseSetJSONRoundTrip(t *testing.T) {
-	s := NewTwoPhaseSet()
-	s.Add("x")
-	s.Add("y")
-	s.Remove("x")
-	var out TwoPhaseSet
-	roundTrip(t, s, &out)
-	if !s.Equal(&out) {
-		t.Fatal("2pset round trip lost state")
-	}
-	if out.Contains("x") || !out.Contains("y") {
-		t.Fatal("2pset membership wrong after round trip")
-	}
-}
-
 func TestORSetJSONRoundTrip(t *testing.T) {
 	c := NewClock("A")
 	s := NewORSet()
@@ -124,18 +85,6 @@ func TestORSetJSONRoundTrip(t *testing.T) {
 	// resurrect it.
 	if out.Contains("x") {
 		t.Fatal("tombstoned element resurrected")
-	}
-}
-
-func TestLWWSetJSONRoundTrip(t *testing.T) {
-	s := NewLWWSet(BiasRemove)
-	s.Add("x", ts(1, "A"))
-	s.Remove("x", ts(2, "B"))
-	s.Add("y", ts(3, "A"))
-	var out LWWSet
-	roundTrip(t, s, &out)
-	if !s.Equal(&out) {
-		t.Fatal("lwwset round trip lost state (bias or stamps)")
 	}
 }
 

@@ -3,7 +3,6 @@ package event
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func upd(r ReplicaID, op string) Event {
@@ -184,82 +183,6 @@ func TestSyncPairsNoCrossMatch(t *testing.T) {
 	}
 	if pairs[0] != [2]ID{2, 5} || pairs[1] != [2]ID{3, 4} {
 		t.Fatalf("SyncPairs() = %v, want [[2 5] [3 4]]", pairs)
-	}
-}
-
-func TestLamportClockMonotonic(t *testing.T) {
-	var c LamportClock
-	prev := c.Tick()
-	for i := 0; i < 100; i++ {
-		next := c.Tick()
-		if next <= prev {
-			t.Fatalf("clock went backwards: %d then %d", prev, next)
-		}
-		prev = next
-	}
-}
-
-func TestLamportWitness(t *testing.T) {
-	var c LamportClock
-	c.Tick() // 1
-	got := c.Witness(10)
-	if got != 11 {
-		t.Fatalf("Witness(10) = %d, want 11", got)
-	}
-	if got := c.Witness(3); got != 12 {
-		t.Fatalf("Witness(3) = %d, want 12 (ignore stale remote)", got)
-	}
-	if c.Now() != 12 {
-		t.Fatalf("Now() = %d, want 12", c.Now())
-	}
-}
-
-func TestVectorClockCompare(t *testing.T) {
-	a := VectorClock{"A": 1, "B": 2}
-	b := VectorClock{"A": 2, "B": 2}
-	if a.Compare(b) != -1 || b.Compare(a) != 1 {
-		t.Error("a should happen-before b")
-	}
-	c := VectorClock{"A": 2, "B": 1}
-	if !a.Concurrent(c) {
-		t.Error("a and c are concurrent")
-	}
-	if a.Concurrent(a.Clone()) {
-		t.Error("a clone is equal, not concurrent")
-	}
-}
-
-func TestVectorClockMergeProperties(t *testing.T) {
-	// Merge is commutative and idempotent: checked with testing/quick over
-	// small random clocks.
-	gen := func(xs, ys []uint8) bool {
-		a, b := NewVectorClock(), NewVectorClock()
-		for i, x := range xs {
-			a[ReplicaID(string(rune('A'+i%5)))] = uint64(x)
-		}
-		for i, y := range ys {
-			b[ReplicaID(string(rune('A'+i%5)))] = uint64(y)
-		}
-		ab := a.Clone()
-		ab.Merge(b)
-		ba := b.Clone()
-		ba.Merge(a)
-		if !ab.Equal(ba) {
-			return false
-		}
-		again := ab.Clone()
-		again.Merge(b)
-		return again.Equal(ab)
-	}
-	if err := quick.Check(gen, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVectorClockString(t *testing.T) {
-	v := VectorClock{"B": 1, "A": 2}
-	if got := v.String(); got != "{A:2 B:1}" {
-		t.Fatalf("String() = %q", got)
 	}
 }
 

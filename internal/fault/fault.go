@@ -1,10 +1,9 @@
 // Package fault is ER-π's deterministic fault-injection subsystem. The
 // paper's evaluation ran on a physical three-machine testbed where
-// replicas, the lock server, and the network could genuinely fail
-// mid-replay; this package reproduces those failure modes as a seeded,
-// reproducible Schedule keyed to replay progress, so that the engine's
-// graceful degradation is itself testable and every chaotic run can be
-// replayed bit-for-bit.
+// replicas and the network could genuinely fail mid-replay; this package
+// reproduces those failure modes as a seeded, reproducible Schedule keyed
+// to replay progress, so that the engine's graceful degradation is itself
+// testable and every chaotic run can be replayed bit-for-bit.
 //
 // A Schedule declares faults that fire at (exploration index, event
 // position) coordinates:
@@ -14,11 +13,8 @@
 //     the cluster's Checkpoint/Reset machinery) and optionally stays down
 //     for a window of event positions, during which its events fail with
 //     ErrReplicaDown.
-//   - LockOutage: the lock-server client's requests fail with
-//     ErrLockServerDown for a window, exercising reconnect-with-backoff.
 //   - Partition: the link between two replicas is severed for a window;
-//     synchronizations across it are dropped. When a Partitioner (e.g.
-//     transport.Network) is bound, the window drives its Partition/Heal.
+//     synchronizations across it are dropped.
 //   - TruncatePayload: a sync payload is cut to KeepBytes bytes in flight,
 //     modelling a torn message.
 //
@@ -48,10 +44,6 @@ import (
 // schedule.
 var ErrReplicaDown = errors.New("fault: replica down")
 
-// ErrLockServerDown marks a lock-server request rejected by an injected
-// outage window.
-var ErrLockServerDown = errors.New("fault: lock server unreachable")
-
 // Kind classifies a fault.
 type Kind int
 
@@ -61,9 +53,8 @@ const (
 	// interleaving's checkpoint is lost, and the replica stays down for
 	// Duration further positions before restarting.
 	CrashReplica Kind = iota + 1
-	// LockOutage makes the lock server unreachable for positions
-	// [At, At+Duration].
-	LockOutage
+	// 2 is reserved: schedule JSON stores kind as a number.
+	_
 	// Partition severs the A–B link for positions [At, At+Duration].
 	Partition
 	// TruncatePayload cuts the sync payload executed at position At down
@@ -73,7 +64,6 @@ const (
 
 var kindNames = map[Kind]string{
 	CrashReplica:    "crash",
-	LockOutage:      "lock-outage",
 	Partition:       "partition",
 	TruncatePayload: "truncate",
 }
@@ -115,8 +105,6 @@ func (f Fault) String() string {
 	switch f.Kind {
 	case CrashReplica:
 		return fmt.Sprintf("crash(%s)@%d+%d", f.Replica, f.At, f.Duration)
-	case LockOutage:
-		return fmt.Sprintf("lock-outage@%d+%d", f.At, f.Duration)
 	case Partition:
 		return fmt.Sprintf("partition(%s,%s)@%d+%d", f.A, f.B, f.At, f.Duration)
 	case TruncatePayload:
@@ -137,7 +125,7 @@ func (f Fault) Validate() error {
 		return errors.New("fault: negative truncation length")
 	case f.At < 0 || f.Duration < 0 || f.Interleaving < 0:
 		return errors.New("fault: negative schedule coordinate")
-	case f.Kind < CrashReplica || f.Kind > TruncatePayload:
+	case kindNames[f.Kind] == "":
 		return fmt.Errorf("fault: unknown kind %d", int(f.Kind))
 	}
 	return nil
@@ -181,13 +169,6 @@ type Action struct {
 	Replica event.ReplicaID
 }
 
-// Partitioner receives partition windows, letting the injector drive a real
-// transport (transport.Network implements it).
-type Partitioner interface {
-	Partition(a, b event.ReplicaID)
-	Heal(a, b event.ReplicaID)
-}
-
 type linkKey struct{ a, b event.ReplicaID }
 
 func link(a, b event.ReplicaID) linkKey {
@@ -210,8 +191,6 @@ type Injector struct {
 	armed []bool // per schedule fault, armed for the current interleaving
 
 	downUntil map[event.ReplicaID]int // position at which a crashed replica restarts
-	healed    map[int]bool            // partition faults already healed this interleaving
-	partner   Partitioner
 
 	// Telemetry counters (nil-safe; strictly observational — incrementing
 	// them must never influence arming or firing decisions).
@@ -220,9 +199,9 @@ type Injector struct {
 }
 
 // SetCounters attaches telemetry counters for faults armed per
-// interleaving and fault effects actually applied (crashes, partition
-// cuts, payload truncations, lock-outage rejections). Nil counters (or
-// never calling SetCounters) keep the injector unobserved.
+// interleaving and fault effects actually applied (crashes and payload
+// truncations). Nil counters (or never calling SetCounters) keep the
+// injector unobserved.
 func (in *Injector) SetCounters(armed, fired *telemetry.Counter) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -243,7 +222,6 @@ func NewInjector(sched Schedule) (*Injector, error) {
 		sched:     sched,
 		armed:     make([]bool, len(sched.Faults)),
 		downUntil: make(map[event.ReplicaID]int),
-		healed:    make(map[int]bool),
 	}, nil
 }
 
@@ -263,13 +241,6 @@ func armSeed(seed int64, index int) int64 {
 	return int64(x)
 }
 
-// Bind forwards partition windows to a real transport. Pass nil to detach.
-func (in *Injector) Bind(p Partitioner) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.partner = p
-}
-
 // Begin arms the schedule for one interleaving (1-based exploration index).
 // Probabilistic faults are rolled from a stream keyed by (schedule seed,
 // index): arming depends only on the interleaving's index, so injector
@@ -282,9 +253,6 @@ func (in *Injector) Begin(index int) {
 	in.pos = -1
 	for id := range in.downUntil {
 		delete(in.downUntil, id)
-	}
-	for id := range in.healed {
-		delete(in.healed, id)
 	}
 	var rng *rand.Rand
 	for i, f := range in.sched.Faults {
@@ -324,7 +292,7 @@ func (in *Injector) AnyArmed() bool {
 
 // At advances the injector to event position pos of the current
 // interleaving and returns the actions the executor must apply before
-// executing that event. Partition windows bound via Bind are driven here.
+// executing that event.
 func (in *Injector) At(pos int) []Action {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -337,47 +305,23 @@ func (in *Injector) At(pos int) []Action {
 		}
 	}
 	for i, f := range in.sched.Faults {
-		if !in.armed[i] {
+		if !in.armed[i] || f.Kind != CrashReplica || pos != f.At {
 			continue
 		}
-		switch f.Kind {
-		case CrashReplica:
-			if pos == f.At {
-				actions = append(actions, Action{Kind: ActionCrash, Replica: f.Replica})
-				in.ctrFired.Inc()
-				if f.Duration > 0 {
-					in.downUntil[f.Replica] = f.At + f.Duration + 1
-				}
-			}
-		case Partition:
-			if in.partner == nil {
-				continue
-			}
-			if pos == f.At {
-				in.partner.Partition(f.A, f.B)
-				in.ctrFired.Inc()
-			} else if pos > f.At+f.Duration && !in.healed[i] {
-				in.healed[i] = true
-				in.partner.Heal(f.A, f.B)
-			}
+		actions = append(actions, Action{Kind: ActionCrash, Replica: f.Replica})
+		in.ctrFired.Inc()
+		if f.Duration > 0 {
+			in.downUntil[f.Replica] = f.At + f.Duration + 1
 		}
 	}
 	return actions
 }
 
-// Finish closes the current interleaving: any partition window still open
-// on a bound transport is healed, so the next interleaving starts clean.
+// Finish closes the current interleaving: crash downtime windows still
+// open are dropped, so the next interleaving starts clean.
 func (in *Injector) Finish() {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if in.partner != nil {
-		for i, f := range in.sched.Faults {
-			if in.armed[i] && f.Kind == Partition && !in.healed[i] {
-				in.healed[i] = true
-				in.partner.Heal(f.A, f.B)
-			}
-		}
-	}
 	for id := range in.downUntil {
 		delete(in.downUntil, id)
 	}
@@ -407,36 +351,6 @@ func (in *Injector) Partitioned(a, b event.ReplicaID) bool {
 		}
 	}
 	return false
-}
-
-// LockServerDown reports whether a lock-server outage window covers the
-// current position.
-func (in *Injector) LockServerDown() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for i, f := range in.sched.Faults {
-		if !in.armed[i] || f.Kind != LockOutage {
-			continue
-		}
-		if in.pos >= f.At && in.pos <= f.At+f.Duration {
-			return true
-		}
-	}
-	return false
-}
-
-// LockHook adapts the injector into a lockserver client fault hook: during
-// an outage window every request fails with ErrLockServerDown.
-func (in *Injector) LockHook() func(op string, args []string) error {
-	return func(op string, args []string) error {
-		if in.LockServerDown() {
-			in.mu.Lock()
-			in.ctrFired.Inc()
-			in.mu.Unlock()
-			return ErrLockServerDown
-		}
-		return nil
-	}
 }
 
 // Payload applies any armed truncation at position pos to a sync payload,

@@ -1,21 +1,17 @@
 package fault
 
-import (
-	"errors"
-	"testing"
-
-	"github.com/er-pi/erpi/internal/event"
-)
+import "testing"
 
 func TestValidateRejectsMalformedFaults(t *testing.T) {
 	bad := []Fault{
-		{Kind: CrashReplica},                       // no replica
-		{Kind: Partition, A: "A", B: "A"},          // self-link
-		{Kind: Partition, A: "A"},                  // missing peer
-		{Kind: TruncatePayload, KeepBytes: -1},     // negative length
-		{Kind: CrashReplica, Replica: "A", At: -1}, // negative position
-		{Kind: Kind(99)},                           // unknown kind
-		{Kind: LockOutage, Duration: -2},           // negative window
+		{Kind: CrashReplica},                            // no replica
+		{Kind: Partition, A: "A", B: "A"},               // self-link
+		{Kind: Partition, A: "A"},                       // missing peer
+		{Kind: TruncatePayload, KeepBytes: -1},          // negative length
+		{Kind: CrashReplica, Replica: "A", At: -1},      // negative position
+		{Kind: Kind(99)},                                // unknown kind
+		{Kind: Kind(2)},                                 // reserved kind
+		{Kind: Partition, A: "A", B: "B", Duration: -2}, // negative window
 		{Kind: CrashReplica, Replica: "A", Prob: 0.5, Interleaving: -1},
 	}
 	for i, f := range bad {
@@ -26,7 +22,6 @@ func TestValidateRejectsMalformedFaults(t *testing.T) {
 	ok := Schedule{Seed: 7, Faults: []Fault{
 		{Kind: CrashReplica, Replica: "A", At: 2, Duration: 3},
 		{Kind: Partition, A: "A", B: "B", At: 0, Duration: 1},
-		{Kind: LockOutage, At: 1},
 		{Kind: TruncatePayload, At: 4, KeepBytes: 8},
 	}}
 	if err := ok.Validate(); err != nil {
@@ -115,7 +110,7 @@ func TestInterleavingSelector(t *testing.T) {
 
 func TestProbabilisticArmingIsSeeded(t *testing.T) {
 	sched := Schedule{Seed: 99, Faults: []Fault{
-		{Kind: LockOutage, At: 0, Duration: 100, Prob: 0.5},
+		{Kind: Partition, A: "A", B: "B", At: 0, Duration: 100, Prob: 0.5},
 	}}
 	roll := func() []bool {
 		in, err := NewInjector(sched)
@@ -125,8 +120,7 @@ func TestProbabilisticArmingIsSeeded(t *testing.T) {
 		out := make([]bool, 0, 50)
 		for index := 1; index <= 50; index++ {
 			in.Begin(index)
-			in.At(0)
-			out = append(out, in.LockServerDown())
+			out = append(out, in.AnyArmed())
 		}
 		return out
 	}
@@ -152,14 +146,13 @@ func TestProbabilisticArmingIsSeeded(t *testing.T) {
 // arm exactly like a single sequential injector.
 func TestProbabilisticArmingIsOrderIndependent(t *testing.T) {
 	sched := Schedule{Seed: 12345, Faults: []Fault{
-		{Kind: LockOutage, At: 0, Duration: 100, Prob: 0.5},
+		{Kind: Partition, A: "A", B: "B", At: 0, Duration: 100, Prob: 0.5},
 	}}
 	armedAt := func(in *Injector, index int) bool {
 		in.Begin(index)
-		in.At(0)
-		down := in.LockServerDown()
+		armed := in.AnyArmed()
 		in.Finish()
-		return down
+		return armed
 	}
 
 	// Sequential reference: one injector visiting 1..32 in order.
@@ -201,15 +194,13 @@ func TestProbabilisticArmingIsOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestPartitionWindowDrivesPartitioner(t *testing.T) {
+func TestPartitionWindow(t *testing.T) {
 	in, err := NewInjector(Schedule{Faults: []Fault{
 		{Kind: Partition, A: "A", B: "B", At: 1, Duration: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &recordingPartitioner{}
-	in.Bind(rec)
 	in.Begin(1)
 	in.At(0)
 	if in.Partitioned("A", "B") {
@@ -230,56 +221,19 @@ func TestPartitionWindowDrivesPartitioner(t *testing.T) {
 	if in.Partitioned("A", "B") {
 		t.Fatal("window must close after At+Duration")
 	}
-	in.Finish()
-	if got := rec.calls; len(got) != 2 || got[0] != "partition(A,B)" || got[1] != "heal(A,B)" {
-		t.Fatalf("partitioner saw %v", got)
-	}
-
-	// A window still open at the end of the interleaving heals on Finish.
-	rec.calls = nil
-	in.Begin(2)
-	in.At(0)
-	in.At(1)
-	in.Finish()
-	if got := rec.calls; len(got) != 2 || got[1] != "heal(A,B)" {
-		t.Fatalf("Finish must heal open windows, partitioner saw %v", got)
-	}
 }
 
-type recordingPartitioner struct{ calls []string }
-
-func (r *recordingPartitioner) Partition(a, b event.ReplicaID) {
-	r.calls = append(r.calls, "partition("+string(a)+","+string(b)+")")
-}
-func (r *recordingPartitioner) Heal(a, b event.ReplicaID) {
-	r.calls = append(r.calls, "heal("+string(a)+","+string(b)+")")
-}
-
-func TestLockHookAndPayloadTruncation(t *testing.T) {
+func TestPayloadTruncation(t *testing.T) {
 	in, err := NewInjector(Schedule{Faults: []Fault{
-		{Kind: LockOutage, At: 1, Duration: 1},
 		{Kind: TruncatePayload, At: 2, KeepBytes: 3},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook := in.LockHook()
 	in.Begin(1)
-	in.At(0)
-	if err := hook("SET", nil); err != nil {
-		t.Fatalf("outage outside window: %v", err)
-	}
-	in.At(1)
-	if err := hook("SET", nil); !errors.Is(err, ErrLockServerDown) {
-		t.Fatalf("hook inside window = %v, want ErrLockServerDown", err)
-	}
 	payload := []byte("abcdefgh")
 	if got := in.Payload(1, payload); len(got) != 8 {
 		t.Fatalf("truncation fired at the wrong position: %q", got)
-	}
-	in.At(2)
-	if err := hook("SET", nil); !errors.Is(err, ErrLockServerDown) {
-		t.Fatalf("window spans [At, At+Duration]: %v", err)
 	}
 	got := in.Payload(2, payload)
 	if string(got) != "abc" {
@@ -287,9 +241,5 @@ func TestLockHookAndPayloadTruncation(t *testing.T) {
 	}
 	if string(payload) != "abcdefgh" {
 		t.Fatal("input payload mutated")
-	}
-	in.At(3)
-	if err := hook("SET", nil); err != nil {
-		t.Fatalf("outage past window: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/lockserver"
@@ -11,8 +12,9 @@ import (
 
 // TestDistGateEndToEnd is the distributed-replay integration test: three
 // replica goroutines, each with its own lock-server connection, replay a
-// scheduled interleaving; the distributed sequencer + mutex enforce the
-// global order exactly as §4.3 describes.
+// scheduled interleaving; the lock server's turn sequencer, one per
+// replica as DistPool builds it, enforces the global order exactly as
+// §4.3 describes.
 func TestDistGateEndToEnd(t *testing.T) {
 	srv := lockserver.NewServer(lockserver.NewStore())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -55,7 +57,7 @@ func TestDistGateEndToEnd(t *testing.T) {
 		"B": {"b1", "b2"},
 		"C": {"c1", "c2"},
 	}
-	gates := make(map[event.ReplicaID]*DistGate)
+	gates := make(map[event.ReplicaID]*lockserver.Sequencer)
 	clients := make([]*lockserver.Client, 0, len(replicaOps))
 	for rep := range replicaOps {
 		c, err := lockserver.Dial(addr)
@@ -63,7 +65,7 @@ func TestDistGateEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients = append(clients, c)
-		gates[rep] = NewDistGate(c, "sess", string(rep))
+		gates[rep] = lockserver.NewSequencer(c, "sess:turn", time.Millisecond)
 	}
 	defer func() {
 		for _, c := range clients {

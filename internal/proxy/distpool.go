@@ -124,6 +124,15 @@ type DistSession struct {
 // Key returns the session's lock-key namespace (for tests and logs).
 func (s *DistSession) Key() string { return s.key }
 
+// The lock server's turn sequencer is the distributed gate, giving replay
+// ordering across OS processes — the paper's "distributed lock … with a
+// shared key managed by a Redis server" (§4.3). The shared key is a
+// counter and the counter is the lock: a ticket lock whose "now serving"
+// value lives on the server. The replica whose turn the counter names
+// holds it, nobody else advances it, and Advance — one non-retried
+// increment — hands it on.
+var _ TurnGate = (*lockserver.Sequencer)(nil)
+
 // Gate builds the session gate for one replica. Replicas of a session
 // share the counter but not connections.
 func (s *DistSession) Gate(rep event.ReplicaID) (TurnGate, error) {

@@ -46,6 +46,8 @@ type Executor struct {
 	// worker id this executor belongs to.
 	tel    *runTelemetry
 	worker int
+	// ops caches the runner.op.<name> counters (nil when telemetry is off).
+	ops map[string]*telemetry.Counter
 
 	// Retry policy around each attempt (execute).
 	jitter     *rand.Rand
@@ -186,6 +188,9 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 		maxRetries: cfg.MaxRetries,
 		backoff:    cfg.RetryBackoff,
 		sub:        sub,
+	}
+	if tel != nil {
+		x.ops = make(map[string]*telemetry.Counter)
 	}
 	if cfg.Faults != nil {
 		if x.inj, err = fault.NewInjector(*cfg.Faults); err != nil {
@@ -489,6 +494,7 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 	}
 	switch ev.Kind {
 	case event.Update, event.Observe:
+		x.tel.onOp(x.ops, ev.Op)
 		result, err := node.State.Apply(replica.Op{Name: ev.Op, Args: ev.Args})
 		if err != nil {
 			if errors.Is(err, replica.ErrFailedOp) {
@@ -539,6 +545,7 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 		if x.inj != nil {
 			payload = x.inj.Payload(pos, payload)
 		}
+		x.tel.onSyncBytes(len(payload))
 		if err := node.State.ApplySync(payload); err != nil {
 			if errors.Is(err, replica.ErrFailedOp) {
 				x.outcome.FailedOps = append(x.outcome.FailedOps, id)

@@ -431,7 +431,7 @@ func TestLiveCancellationUnblocksSequencer(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients = append(clients, c)
-		return proxy.NewDistGate(c, "wedged", string(rep))
+		return lockserver.NewSequencer(c, "wedged:turn", time.Millisecond)
 	}, nil, nil)
 	elapsed := time.Since(start)
 	if liveErr == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 
@@ -11,7 +12,6 @@ import (
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/forensics"
 	"github.com/er-pi/erpi/internal/interleave"
-	"github.com/er-pi/erpi/internal/logx"
 	"github.com/er-pi/erpi/internal/replica"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -95,7 +95,7 @@ func BuildBundle(s Scenario, cfg Config, il interleave.Interleaving, index int, 
 		// A baseline that cannot execute (e.g. the recorded order itself
 		// trips a scenario invariant) degrades the narrative, not the
 		// bundle: keep the violating-order capture.
-		logx.L().Warn("forensic baseline replay failed",
+		slog.Warn("forensic baseline replay failed",
 			"component", "runner", "scenario", s.Name, "err", err)
 	} else {
 		b.Baseline = baseline
@@ -187,17 +187,17 @@ func (l *Ledger) captureForensic(il interleave.Interleaving, index int, violatio
 	spans := l.cfg.Telemetry.Tracer().Spans()
 	b, err := BuildBundle(l.s, l.cfg, il, index, recs, spans)
 	if err != nil {
-		logx.L().Warn("forensic capture failed",
+		slog.Warn("forensic capture failed",
 			"component", "runner", "scenario", l.s.Name, "index", index, "err", err)
 		return
 	}
 	if err := os.MkdirAll(l.cfg.ForensicDir, 0o755); err != nil {
-		logx.L().Warn("forensic dir", "component", "runner", "dir", l.cfg.ForensicDir, "err", err)
+		slog.Warn("forensic dir", "component", "runner", "dir", l.cfg.ForensicDir, "err", err)
 		return
 	}
 	path := filepath.Join(l.cfg.ForensicDir, fmt.Sprintf("forensic-%06d.json", index))
 	if err := forensics.WriteFile(path, b); err != nil {
-		logx.L().Warn("forensic write failed", "component", "runner", "path", path, "err", err)
+		slog.Warn("forensic write failed", "component", "runner", "path", path, "err", err)
 		return
 	}
 	l.res.Bundles = append(l.res.Bundles, path)

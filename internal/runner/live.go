@@ -64,14 +64,15 @@ func localSessions(int) (SessionFactory, error) {
 // ExecuteLive replays one interleaving the way a deployed ER-π session
 // does (paper §4.3): one goroutine per replica invokes that replica's
 // proxied RDL functions in the interleaving's order, and a TurnGate — the
-// in-process LocalGate or the lock-server-backed DistGate — blocks each
+// in-process LocalGate or a lock-server Sequencer — blocks each
 // call until its scheduled turn. The outcome is the sequential
 // ExecuteOnce's by construction (both run one Executor's event step); the
 // live path exists to exercise the real concurrency and distributed
 // locking machinery.
 //
 // newGate builds one gate per replica; with proxy.NewLocalGate a single
-// shared gate works, with DistGate each replica passes its own client.
+// shared gate works, with lockserver.NewSequencer each replica passes its
+// own client.
 func ExecuteLive(s Scenario, il interleave.Interleaving, newGate func(rep event.ReplicaID) proxy.TurnGate) (*Outcome, error) {
 	return ExecuteLiveContext(context.Background(), s, il, newGate, nil, nil)
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/interleave"
@@ -56,8 +57,8 @@ func TestLiveMatchesSequential(t *testing.T) {
 }
 
 // TestLiveOverDistributedLock replays one interleaving with per-replica
-// DistGates coordinating through a real TCP lock server — the full §4.3
-// pipeline: proxy interception + distributed mutex + shared sequencer.
+// lock-server sequencers coordinating through a real TCP lock server — the
+// full §4.3 pipeline: proxy interception + shared turn counter.
 func TestLiveOverDistributedLock(t *testing.T) {
 	srv := lockserver.NewServer(lockserver.NewStore())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -91,7 +92,7 @@ func TestLiveOverDistributedLock(t *testing.T) {
 			t.Fatal(err)
 		}
 		clients = append(clients, c)
-		return proxy.NewDistGate(c, "live", string(rep))
+		return lockserver.NewSequencer(c, "live:turn", time.Millisecond)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -363,7 +363,7 @@ func TestLivePoolSurvivesLockServerOutage(t *testing.T) {
 }
 
 // closableGate wraps LocalGate with a Close recorder, standing in for a
-// DistGate whose distributed state must be released on teardown.
+// distributed session whose lock-server state must be released on teardown.
 type closableGate struct {
 	*proxy.LocalGate
 	closed atomic.Bool

@@ -29,6 +29,8 @@ import (
 //	runner.pool_parked         results executed but not yet recorded — the reorder window (gauge)
 //	runner.events_executed     events actually replayed
 //	runner.events_skipped      events skipped via prefix restore
+//	runner.op.<name>           Update/Observe ops of that name applied by replay
+//	runner.sync_bytes          sync payload bytes handed to ApplySync
 //	runner.snapshot_bytes      bytes currently held by prefix caches (gauge)
 //	runner.prefix_delta_bytes  deduplicated state bytes charged by prefix caches (gauge)
 //	snapshot.dirty_replicas    replicas re-serialized by canonical snapshots
@@ -43,7 +45,7 @@ import (
 //	journal.fsync_batches      durable journal flushes
 //	journal.fsync_keys         appends covered by those flushes
 //	fault.armed                faults armed across interleavings
-//	fault.fired                fault effects applied (crashes, drops, ...)
+//	fault.fired                fault effects applied (crashes, truncations)
 //	stage.<stage>_ns           per-stage latency histograms (see telemetry.Stage)
 type runTelemetry struct {
 	reg *telemetry.Registry
@@ -60,6 +62,7 @@ type runTelemetry struct {
 	prefixEvicted  *telemetry.Counter
 	eventsExecuted *telemetry.Counter
 	eventsSkipped  *telemetry.Counter
+	syncBytes      *telemetry.Counter
 	snapshotBytes  *telemetry.Gauge
 	prefixDelta    *telemetry.Gauge
 	dirtyReplicas  *telemetry.Counter
@@ -99,6 +102,7 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 		prefixEvicted:  reg.Counter("runner.prefix_evictions"),
 		eventsExecuted: reg.Counter("runner.events_executed"),
 		eventsSkipped:  reg.Counter("runner.events_skipped"),
+		syncBytes:      reg.Counter("runner.sync_bytes"),
 		snapshotBytes:  reg.Gauge("runner.snapshot_bytes"),
 		prefixDelta:    reg.Gauge("runner.prefix_delta_bytes"),
 		dirtyReplicas:  reg.Counter("snapshot.dirty_replicas"),
@@ -311,6 +315,33 @@ func (t *runTelemetry) onEvents(executed, skipped int) {
 	}
 	t.eventsExecuted.Add(int64(executed))
 	t.eventsSkipped.Add(int64(skipped))
+}
+
+// onOp counts one applied op under runner.op.<name>; ops is the calling
+// executor's name → counter cache. Only the nil check is inlined, so an
+// untraced replay pays no call.
+func (t *runTelemetry) onOp(ops map[string]*telemetry.Counter, name string) {
+	if t != nil {
+		t.countOp(ops, name)
+	}
+}
+
+// countOp resolves each name's counter once per executor, then counts.
+func (t *runTelemetry) countOp(ops map[string]*telemetry.Counter, name string) {
+	c := ops[name]
+	if c == nil {
+		c = t.reg.Counter("runner.op." + name)
+		ops[name] = c
+	}
+	c.Inc()
+}
+
+// onSyncBytes counts one payload handed to ApplySync.
+func (t *runTelemetry) onSyncBytes(n int) {
+	if t == nil {
+		return
+	}
+	t.syncBytes.Add(int64(n))
 }
 
 // onSnapshot applies one cache operation's byte delta (insertions are

@@ -2,11 +2,18 @@ package runner
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
+	"github.com/er-pi/erpi/internal/event"
+	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/prune"
+	"github.com/er-pi/erpi/internal/replica"
+	"github.com/er-pi/erpi/internal/subjects/roshi"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
@@ -191,5 +198,94 @@ func TestTraceExportPool(t *testing.T) {
 	}
 	if polls == 0 || quiesces != polls {
 		t.Fatalf("trace has %d quiesce spans, want one per poll (%d)", quiesces, polls)
+	}
+}
+
+// roshiScenario records two Roshi inserts and a sync each way; ModeDFS
+// replays all 24 orders of its four events.
+func roshiScenario(t *testing.T) Scenario {
+	t.Helper()
+	newCluster := func() (*replica.Cluster, error) {
+		return replica.NewCluster(map[event.ReplicaID]replica.State{
+			"A": roshi.New(roshi.Flags{}),
+			"B": roshi.New(roshi.Flags{}),
+		}), nil
+	}
+	cluster, err := newCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(cluster)
+	rec.Update("A", "insert", "k", "x", "1") // ev0
+	rec.Sync("A", "B")                       // ev1
+	rec.Update("B", "insert", "k", "y", "2") // ev2
+	rec.Sync("B", "A")                       // ev3
+	log, err := rec.Log()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Scenario{Name: "roshi", Log: log, NewCluster: newCluster}
+}
+
+// TestTelemetrySyncBytesAreOrderDependent: a sync ships whatever state
+// exists when it runs, so the recording order (each sync after the insert
+// it carries) delivers more runner.sync_bytes than running the syncs
+// first — the order-dependent resource cost of the paper's §8 profiling
+// extension.
+func TestTelemetrySyncBytesAreOrderDependent(t *testing.T) {
+	s := roshiScenario(t)
+	syncBytes := func(il interleave.Interleaving) int64 {
+		t.Helper()
+		reg := telemetry.New()
+		x, err := NewExecutor(s, Config{Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := x.Execute(context.Background(), il, 1); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot().Counters["runner.sync_bytes"]
+	}
+	lean := syncBytes(interleave.Interleaving{1, 3, 0, 2})
+	heavy := syncBytes(interleave.Interleaving{0, 1, 2, 3})
+	if heavy <= lean {
+		t.Fatalf("expected order-dependent sync cost: recording order %d B, syncs first %d B", heavy, lean)
+	}
+}
+
+// TestTelemetryResourceCountersWorkerParity: runner.op.* and
+// runner.sync_bytes total the same at Workers 1 and 8. Each executor
+// resolves its own op counters, and the pool replays the same 24
+// interleavings as one worker does.
+func TestTelemetryResourceCountersWorkerParity(t *testing.T) {
+	s := roshiScenario(t)
+	counters := func(workers int) map[string]int64 {
+		t.Helper()
+		reg := telemetry.New()
+		res, err := Run(s, Config{Mode: ModeDFS, Workers: workers, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Exhausted || res.Explored != 24 {
+			t.Fatalf("workers=%d explored %d, want all 24", workers, res.Explored)
+		}
+		out := make(map[string]int64)
+		for name, v := range reg.Snapshot().Counters {
+			if strings.HasPrefix(name, "runner.op.") || name == "runner.sync_bytes" {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	one, eight := counters(1), counters(8)
+	// Every interleaving applies both inserts; the recording is not counted.
+	if got := one["runner.op.insert"]; got != 2*24 {
+		t.Fatalf("runner.op.insert = %d, want 48", got)
+	}
+	if one["runner.sync_bytes"] == 0 {
+		t.Fatal("runner.sync_bytes not counted")
+	}
+	if !reflect.DeepEqual(one, eight) {
+		t.Fatalf("resource counters differ: workers=1 %v, workers=8 %v", one, eight)
 	}
 }
