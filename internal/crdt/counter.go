@@ -4,7 +4,8 @@ package crdt
 // component; the value is the sum; join is the component-wise maximum.
 type GCounter struct {
 	counts map[string]uint64
-	keys   []string // AppendBinary's sort scratch
+	keys   []string    // AppendBinary's sort scratch
+	in     []countView // ViewBinary's merge scratch
 }
 
 // NewGCounter returns an empty grow-only counter.

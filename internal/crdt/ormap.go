@@ -10,6 +10,12 @@ type ORMap struct {
 	// rems maps key -> timestamp of the latest remove.
 	rems map[string]Time
 	keys []string // AppendBinary's sort scratch
+	// ViewBinary's merge scratch.
+	inEntries []entryView
+	inRems    []remView
+	// free holds the registers ReadBinary dropped, for the next key that
+	// appears.
+	free []*LWWRegister
 }
 
 // NewORMap returns an empty map.
@@ -24,10 +30,22 @@ func NewORMap() *ORMap {
 func (m *ORMap) Put(key, value string, t Time) bool {
 	reg, ok := m.entries[key]
 	if !ok {
-		reg = NewLWWRegister()
+		reg = m.register(LWWRegister{})
 		m.entries[key] = reg
 	}
 	return reg.Set(value, t)
+}
+
+// register returns a register holding r, reusing a freed one.
+func (m *ORMap) register(r LWWRegister) *LWWRegister {
+	n := len(m.free)
+	if n == 0 {
+		return &r
+	}
+	reg := m.free[n-1]
+	m.free = m.free[:n-1]
+	*reg = r
+	return reg
 }
 
 // Remove deletes key at time t. Returns false when the key is not live (a
@@ -92,7 +110,7 @@ func (m *ORMap) Merge(other *ORMap) {
 	for k, reg := range other.entries {
 		mine, ok := m.entries[k]
 		if !ok {
-			m.entries[k] = reg.Clone()
+			m.entries[k] = m.register(*reg)
 			continue
 		}
 		mine.Merge(reg)

@@ -24,12 +24,35 @@ var (
 //     "designate a particular position as winning".
 type RGA struct {
 	elems map[Time]*rgaElem
+	// chunk is where new elements are carved from. A full chunk is
+	// replaced, never grown, so every *rgaElem in elems stays valid; Reset
+	// rewinds it, because then nothing points into it any more.
+	chunk []rgaElem
 	// visible caches the linearization while fresh is set; every write to
 	// elems or to an element's Removed flag clears fresh. sorted is the
-	// scratch linearize and AppendBinary sort in. Neither is state.
+	// scratch linearize, resolveRoots and AppendBinary sort in; in is
+	// ViewBinary's merge scratch. None of them is state.
 	visible []Time
 	sorted  []*rgaElem
+	in      []elemView
 	fresh   bool
+}
+
+// Elements are carved from chunks of rgaChunkMin, doubling per chunk up
+// to rgaChunkMax: a short list pays one small allocation, a long one an
+// allocation per rgaChunkMax elements.
+const (
+	rgaChunkMin = 4
+	rgaChunkMax = 32
+)
+
+// newElem returns a pointer to a copy of el carved from the chunk.
+func (r *RGA) newElem(el rgaElem) *rgaElem {
+	if len(r.chunk) == cap(r.chunk) {
+		r.chunk = make([]rgaElem, 0, min(max(2*cap(r.chunk), rgaChunkMin), rgaChunkMax))
+	}
+	r.chunk = append(r.chunk, el)
+	return &r.chunk[len(r.chunk)-1]
 }
 
 type rgaElem struct {
@@ -59,7 +82,7 @@ func (r *RGA) InsertAfter(clock *Clock, origin Time, value string) (Time, error)
 		}
 	}
 	id := clock.Now()
-	r.elems[id] = &rgaElem{ID: id, Origin: origin, Value: value, Root: id}
+	r.elems[id] = r.newElem(rgaElem{ID: id, Origin: origin, Value: value, Root: id})
 	r.fresh = false
 	return id, nil
 }
@@ -115,7 +138,7 @@ func (r *RGA) MoveWins(clock *Clock, id, after Time) (Time, error) {
 		return Time{}, ErrRGAUnknownElement
 	}
 	newID := clock.Now()
-	r.elems[newID] = &rgaElem{ID: newID, Origin: after, Value: el.Value, Root: el.Root}
+	r.elems[newID] = r.newElem(rgaElem{ID: newID, Origin: after, Value: el.Value, Root: el.Root})
 	r.fresh = false
 	r.resolveRoots()
 	return newID, nil
@@ -124,6 +147,8 @@ func (r *RGA) MoveWins(clock *Clock, id, after Time) (Time, error) {
 // Reset empties the sequence, keeping its storage.
 func (r *RGA) Reset() {
 	clear(r.elems)
+	clear(r.chunk) // drop the strings the old elements hold
+	r.chunk = r.chunk[:0]
 	r.fresh = false
 }
 
@@ -168,34 +193,36 @@ func (r *RGA) Merge(other *RGA) {
 			mine.Removed = mine.Removed || oe.Removed
 			continue
 		}
-		cp := *oe
-		r.elems[id] = &cp
+		r.elems[id] = r.newElem(*oe)
 	}
 	r.resolveRoots()
 	r.fresh = false
 }
 
 // resolveRoots keeps only the highest-ID live element per root identity,
-// implementing the winning-position rule for MoveWins.
+// implementing the winning-position rule for MoveWins: it sorts the live
+// elements by root, highest ID first, and removes all but the first of
+// each root's run.
 func (r *RGA) resolveRoots() {
-	winners := make(map[Time]Time)
-	for id, el := range r.elems {
-		if el.Removed {
-			continue
-		}
-		if best, ok := winners[el.Root]; !ok || best.Less(id) {
-			winners[el.Root] = id
+	live := r.sorted[:0]
+	for _, el := range r.elems {
+		if !el.Removed {
+			live = append(live, el)
 		}
 	}
-	for id, el := range r.elems {
-		if el.Removed {
-			continue
+	slices.SortFunc(live, func(a, b *rgaElem) int {
+		if c := a.Root.Compare(b.Root); c != 0 {
+			return c
 		}
-		if winners[el.Root] != id {
-			el.Removed = true
+		return b.ID.Compare(a.ID)
+	})
+	for i := 1; i < len(live); i++ {
+		if live[i].Root == live[i-1].Root {
+			live[i].Removed = true
 			r.fresh = false
 		}
 	}
+	r.sorted = live
 }
 
 // LiveByRoot returns the currently live element carrying the given root
@@ -218,8 +245,7 @@ func (r *RGA) LiveByRoot(root Time) (Time, bool) {
 func (r *RGA) Clone() *RGA {
 	out := NewRGA()
 	for id, el := range r.elems {
-		cp := *el
-		out.elems[id] = &cp
+		out.elems[id] = out.newElem(*el)
 	}
 	return out
 }

@@ -144,6 +144,11 @@ type ORSet struct {
 	tombs map[Time]struct{}
 	keys  []string // AppendBinary's sort scratch, with times
 	times []Time
+	// ViewBinary's merge scratch.
+	inLive  []tagView
+	inTombs []TimeView
+	// free holds emptied tag sets for the next element that appears.
+	free []map[Time]struct{}
 }
 
 // NewORSet returns an empty OR-set.
@@ -154,11 +159,29 @@ func NewORSet() *ORSet {
 	}
 }
 
+// tagSet returns an empty tag set, reusing a freed one.
+func (s *ORSet) tagSet() map[Time]struct{} {
+	n := len(s.free)
+	if n == 0 {
+		return make(map[Time]struct{})
+	}
+	tags := s.free[n-1]
+	s.free = s.free[:n-1]
+	return tags
+}
+
+// drop removes elem and frees its tag set.
+func (s *ORSet) drop(elem string, tags map[Time]struct{}) {
+	delete(s.live, elem)
+	clear(tags)
+	s.free = append(s.free, tags)
+}
+
 // Add inserts elem with a fresh tag from the clock.
 func (s *ORSet) Add(clock *Clock, elem string) Time {
 	tag := clock.Now()
 	if s.live[elem] == nil {
-		s.live[elem] = make(map[Time]struct{})
+		s.live[elem] = s.tagSet()
 	}
 	s.live[elem][tag] = struct{}{}
 	return tag
@@ -174,7 +197,7 @@ func (s *ORSet) Remove(elem string) bool {
 	for tag := range tags {
 		s.tombs[tag] = struct{}{}
 	}
-	delete(s.live, elem)
+	s.drop(elem, tags)
 	return true
 }
 
@@ -210,12 +233,17 @@ func (s *ORSet) Merge(other *ORSet) {
 				continue
 			}
 			if s.live[elem] == nil {
-				s.live[elem] = make(map[Time]struct{})
+				s.live[elem] = s.tagSet()
 			}
 			s.live[elem][tag] = struct{}{}
 		}
 	}
-	// Drop tags that the merged tombstones kill locally.
+	s.sweep()
+}
+
+// sweep drops the live tags that tombstones kill, and the elements left
+// without one.
+func (s *ORSet) sweep() {
 	for elem, tags := range s.live {
 		for tag := range tags {
 			if _, dead := s.tombs[tag]; dead {
@@ -223,7 +251,7 @@ func (s *ORSet) Merge(other *ORSet) {
 			}
 		}
 		if len(tags) == 0 {
-			delete(s.live, elem)
+			s.drop(elem, tags)
 		}
 	}
 }

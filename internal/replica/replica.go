@@ -102,6 +102,10 @@ type Node struct {
 	fpVer  uint64
 	fp     string
 	fpOK   bool
+	// payload is the last SyncPayload, built at version payloadVer.
+	payloadVer uint64
+	payload    []byte
+	payloadOK  bool
 }
 
 // Cluster is the set of replicas one scenario replays against.
@@ -176,6 +180,31 @@ func (c *Cluster) nodeBuf(n *Node) (buf *StateBuf, reused bool, err error) {
 		return nil, false, err
 	}
 	return newStateBuf(data), false, nil
+}
+
+// SyncPayload returns the node's sync payload, reusing the last one built
+// while the state's version counter proves it unchanged since — a payload
+// is a function of its sender's state alone, and merging the same bytes
+// twice is the same join. Non-Versioned states and full mode always
+// rebuild. Sharing one buffer between receivers is safe because payloads
+// are immutable once handed out: the executor's pending map, the prefix
+// cache and the coordinator keep them as they are, and fault.Injector.Payload
+// truncates by re-slicing with a capped capacity, never by writing.
+func (c *Cluster) SyncPayload(n *Node) ([]byte, error) {
+	v, versioned := n.State.(Versioned)
+	if !versioned || c.full {
+		return n.State.SyncPayload()
+	}
+	ver := v.StateVersion()
+	if n.payloadOK && n.payloadVer == ver {
+		return n.payload, nil
+	}
+	p, err := n.State.SyncPayload()
+	if err != nil {
+		return nil, err
+	}
+	n.payload, n.payloadVer, n.payloadOK = p, ver, true
+	return p, nil
 }
 
 // adoptBuf records buf as the node's current serialized state, so the

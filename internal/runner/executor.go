@@ -507,7 +507,7 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 			x.outcome.Observations[id] = result
 		}
 	case event.SyncSend:
-		payload, err := node.State.SyncPayload()
+		payload, err := x.cluster.SyncPayload(node)
 		if err != nil {
 			return fmt.Errorf("event %s: %w", ev, err)
 		}
@@ -538,7 +538,7 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 			if err != nil {
 				return err
 			}
-			if payload, err = sender.State.SyncPayload(); err != nil {
+			if payload, err = x.cluster.SyncPayload(sender); err != nil {
 				return fmt.Errorf("event %s: %w", ev, err)
 			}
 		}

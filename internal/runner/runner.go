@@ -64,9 +64,10 @@ type Scenario struct {
 // AntiEntropy returns a Finalize function performing `rounds` rounds of
 // full pairwise state exchange (every ordered replica pair, in sorted
 // order). Two rounds give transitive closure for any replica count. A
-// sender serializes once per round, not once per receiver: only the
-// receivers change while it is being delivered, and a payload is a
-// function of its sender's state alone.
+// sender's payload comes from the cluster's version-keyed cache, so it is
+// serialized once per distinct sender state: once per round at most (only
+// the receivers change while it is being delivered), and not at all when
+// nothing has changed it since its last payload.
 func AntiEntropy(rounds int) func(*replica.Cluster) error {
 	if rounds <= 0 {
 		rounds = 2
@@ -79,7 +80,7 @@ func AntiEntropy(rounds int) func(*replica.Cluster) error {
 				if err != nil {
 					return err
 				}
-				payload, err := src.State.SyncPayload()
+				payload, err := c.SyncPayload(src)
 				if err != nil {
 					return fmt.Errorf("runner: anti-entropy payload %s: %w", from, err)
 				}

@@ -6,7 +6,9 @@
 // randomized op/sync/checkpoint/reset/restore sequences on two lockstep
 // clusters — one incremental, one forced to full re-serialization — and
 // pins that their canonical snapshots, hash-of-hashes digests, and
-// fingerprints never diverge, and that restoring from a delta (buffer-
+// fingerprints never diverge, that every sync payload the incremental
+// cluster's version-keyed cache serves is byte-identical to the one the
+// state builds on the spot, and that restoring from a delta (buffer-
 // sharing) snapshot equals restoring from a full one.
 package canon
 
@@ -96,7 +98,7 @@ func incCases() []incCase {
 		}
 	}
 	orbitOp := func(r *rand.Rand) replica.Op {
-		switch r.Intn(6) {
+		switch r.Intn(8) {
 		case 0:
 			return replica.Op{Name: "read"}
 		case 1:
@@ -105,6 +107,11 @@ func incCases() []incCase {
 			return replica.Op{Name: "flush"}
 		case 3:
 			return replica.Op{Name: "reopen"}
+		case 4:
+			// Sealing changes what BugMutateAfterHash ships, not the log.
+			return replica.Op{Name: "seal"}
+		case 5:
+			return replica.Op{Name: "close"}
 		default:
 			return replica.Op{Name: "append", Args: []string{words[r.Intn(len(words))]}}
 		}
@@ -205,6 +212,10 @@ func TestIncrementalHashingParity(t *testing.T) {
 			}
 			var caps []captured
 			var reused int64
+			// last is the incremental cluster's last payload per sender;
+			// served counts payloads the cache handed out again.
+			last := make(map[event.ReplicaID][]byte)
+			served := 0
 
 			for step := 0; step < steps; step++ {
 				switch k := r.Intn(20); {
@@ -224,18 +235,33 @@ func TestIncrementalHashingParity(t *testing.T) {
 					if src == dst {
 						continue
 					}
+					// The incremental side ships through the cluster's
+					// payload cache, the reference straight from the state.
+					nsI, _ := inc.Node(src)
+					nsR, _ := ref.Node(src)
+					pI, err := inc.SyncPayload(nsI)
+					if err != nil {
+						t.Fatalf("step %d: cached sync payload: %v", step, err)
+					}
+					pR, err := nsR.State.SyncPayload()
+					if err != nil {
+						t.Fatalf("step %d: sync payload: %v", step, err)
+					}
+					if !bytes.Equal(pI, pR) {
+						t.Fatalf("step %d: cached payload of %s diverged from a fresh one:\n inc: %x\n ref: %x", step, src, pI, pR)
+					}
+					if prev := last[src]; len(pI) > 0 && len(prev) > 0 && &prev[0] == &pI[0] {
+						served++
+					}
+					last[src] = pI
+					payloads := [2][]byte{pI, pR}
 					var errs [2]error
 					for i, cl := range []*replica.Cluster{inc, ref} {
-						ns, _ := cl.Node(src)
 						nd, _ := cl.Node(dst)
-						payload, err := ns.State.SyncPayload()
-						if err != nil {
-							t.Fatalf("step %d: sync payload: %v", step, err)
-						}
 						// Syncs may fail by subject constraint (e.g. orbit's
 						// clock-skew guard); that is part of the exercised
 						// surface — both clusters just have to agree.
-						errs[i] = nd.State.ApplySync(payload)
+						errs[i] = nd.State.ApplySync(payloads[i])
 					}
 					if (errs[0] == nil) != (errs[1] == nil) {
 						t.Fatalf("step %d: sync error diverged: inc=%v ref=%v", step, errs[0], errs[1])
@@ -278,6 +304,9 @@ func TestIncrementalHashingParity(t *testing.T) {
 			si, _ := compareClusters(t, steps, inc, ref)
 			if reused+si.Reused == 0 {
 				t.Fatal("incremental cluster never reused a cached buffer — version counting is not wired")
+			}
+			if served == 0 {
+				t.Fatal("incremental cluster never served a cached sync payload")
 			}
 
 			// Property (b): restoring a FRESH cluster from a delta

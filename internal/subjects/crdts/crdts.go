@@ -36,23 +36,33 @@ type Flags struct {
 type Workspace struct {
 	flags Flags
 	clock *crdt.Clock
-	// todos maps to-do ID -> title (LWW per key).
-	todos *crdt.ORMap
-	// tags is a shared OR-set.
-	tags *crdt.ORSet
-	// counter is a shared PN-counter.
-	counter *crdt.PNCounter
-	// list is the collaborative list.
-	list *crdt.RGA
-	// seq tracks the highest to-do ID this replica has seen (the
-	// sequential-ID strategy's source of clashes).
-	seq int
+	// parts is the replicated state; spare is where Restore and the
+	// LastSyncWins overwrite decode, to be swapped in once the input
+	// proved valid.
+	*parts
+	spare *parts
 	// ver counts mutations for snapshot-cache invalidation
 	// (replica.Versioned). The four read ops never advance the clock, so
 	// they leave it untouched; every other op bumps it, even on failure —
 	// some failing ops (todo.done) still advance the clock.
 	ver    uint64
 	sorted []string // the renderings' sort scratch
+}
+
+// parts is a workspace's replicated state without identity, flags and
+// clock.
+type parts struct {
+	// todos maps to-do ID -> title (LWW per key).
+	todos crdt.ORMap
+	// tags is a shared OR-set.
+	tags crdt.ORSet
+	// counter is a shared PN-counter.
+	counter crdt.PNCounter
+	// list is the collaborative list.
+	list crdt.RGA
+	// seq tracks the highest to-do ID this replica has seen (the
+	// sequential-ID strategy's source of clashes).
+	seq int
 }
 
 var (
@@ -66,17 +76,21 @@ func (w *Workspace) StateVersion() uint64 { return w.ver }
 // New returns an empty workspace for a replica identity.
 func New(identity string, flags Flags) *Workspace {
 	return &Workspace{
-		flags:   flags,
-		clock:   crdt.NewClock(identity),
-		todos:   crdt.NewORMap(),
-		tags:    crdt.NewORSet(),
-		counter: crdt.NewPNCounter(),
-		list:    crdt.NewRGA(),
+		flags: flags,
+		clock: crdt.NewClock(identity),
+		parts: &parts{
+			todos:   *crdt.NewORMap(),
+			tags:    *crdt.NewORSet(),
+			counter: *crdt.NewPNCounter(),
+			list:    *crdt.NewRGA(),
+		},
+		spare: new(parts),
 	}
 }
 
 // CreateTodo adds a to-do item and returns its generated ID.
 func (w *Workspace) CreateTodo(title string) string {
+	w.ver++
 	var id string
 	if w.flags.SequentialIDs {
 		// Misconception #4: concurrent creators both see the same highest
@@ -87,9 +101,6 @@ func (w *Workspace) CreateTodo(title string) string {
 		id = w.clock.Now().String()
 	}
 	w.todos.Put(id, title, w.clock.Now())
-	if n, err := strconv.Atoi(id); err == nil && n > w.seq {
-		w.seq = n
-	}
 	return id
 }
 
@@ -103,9 +114,9 @@ func (w *Workspace) CreateTodo(title string) string {
 //	list.insert(idx, v) / list.move(from, to) / list.read()
 func (w *Workspace) Apply(op replica.Op) (string, error) {
 	switch op.Name {
-	case "todo.read", "tag.read", "counter.read", "list.read":
+	case "todo.read", "tag.read", "counter.read", "list.read", "todo.create":
 	default:
-		w.ver++
+		w.ver++ // todo.create bumps in CreateTodo
 	}
 	switch op.Name {
 	case "todo.create":
@@ -236,26 +247,33 @@ func (w *Workspace) appendTags(b []byte) []byte {
 func (w *Workspace) SyncPayload() ([]byte, error) { return w.Snapshot() }
 
 // ApplySync implements replica.State: merge the remote workspace (or,
-// with LastSyncWins, overwrite it wholesale).
+// with LastSyncWins, overwrite it wholesale). The merge reads the payload
+// by view and changes nothing before the whole payload proved valid
+// (DESIGN.md §4.16, rule 3); it copies out only what the receiver does
+// not hold yet.
 func (w *Workspace) ApplySync(payload []byte) error {
 	w.ver++
-	var other parts
-	if err := other.decode(payload); err != nil {
-		return err
-	}
 	if w.flags.LastSyncWins {
-		w.adopt(&other)
-		return nil
+		return w.overwrite(payload)
 	}
-	w.todos.Merge(&other.todos)
-	w.tags.Merge(&other.tags)
-	w.counter.Merge(&other.counter)
-	w.list.Merge(&other.list)
-	if other.seq > w.seq {
-		w.seq = other.seq
+	r := wire.NewReader(payload)
+	w.todos.ViewBinary(r)
+	w.tags.ViewBinary(r)
+	w.counter.ViewBinary(r)
+	w.list.ViewBinary(r)
+	seq, clock := int(r.Uvarint()), r.Uvarint()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("crdts: snapshot: %w", err)
 	}
-	if other.clock > w.clock.Counter() {
-		w.clock.SetCounter(other.clock)
+	w.todos.MergeView()
+	w.tags.MergeView()
+	w.counter.MergeView()
+	w.list.MergeView()
+	if seq > w.seq {
+		w.seq = seq
+	}
+	if clock > w.clock.Counter() {
+		w.clock.SetCounter(clock)
 	}
 	return nil
 }
@@ -275,43 +293,31 @@ func (w *Workspace) Snapshot() ([]byte, error) {
 	return b, nil
 }
 
-// parts is a decoded snapshot: a workspace without identity and flags.
-type parts struct {
-	todos   crdt.ORMap
-	tags    crdt.ORSet
-	counter crdt.PNCounter
-	list    crdt.RGA
-	seq     int
-	clock   uint64
-}
-
-func (p *parts) decode(data []byte) error {
-	r := wire.NewReader(data)
+// overwrite replaces the replicated state and the clock with a snapshot's:
+// it decodes into the spare parts, reusing their storage, and swaps them
+// in once the snapshot proved valid.
+func (w *Workspace) overwrite(snapshot []byte) error {
+	p := w.spare
+	r := wire.NewReader(snapshot)
 	p.todos.ReadBinary(r)
 	p.tags.ReadBinary(r)
 	p.counter.ReadBinary(r)
 	p.list.ReadBinary(r)
-	p.seq, p.clock = int(r.Uvarint()), r.Uvarint()
+	p.seq = int(r.Uvarint())
+	clock := r.Uvarint()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("crdts: snapshot: %w", err)
 	}
+	w.parts, w.spare = p, w.parts
+	w.clock.SetCounter(clock)
 	return nil
-}
-
-// adopt replaces the workspace's replicated state with p's.
-func (w *Workspace) adopt(p *parts) {
-	w.todos, w.tags, w.counter, w.list = &p.todos, &p.tags, &p.counter, &p.list
-	w.seq = p.seq
-	w.clock.SetCounter(p.clock)
 }
 
 // Restore implements replica.State.
 func (w *Workspace) Restore(snapshot []byte) error {
-	p := new(parts)
-	if err := p.decode(snapshot); err != nil {
+	if err := w.overwrite(snapshot); err != nil {
 		return err
 	}
-	w.adopt(p)
 	w.ver++
 	return nil
 }

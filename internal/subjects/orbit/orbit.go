@@ -66,10 +66,11 @@ type DB struct {
 	// interleaves between the append and its seal.
 	lastHash string
 	sealed   bool
-	// ver counts mutations for snapshot-cache invalidation
-	// (replica.Versioned). read/verify/clockBelow and SyncPayload are pure
-	// (the issue-#583 annotation rides the outgoing bytes only); every
-	// other op bumps it.
+	// ver counts mutations for snapshot- and payload-cache invalidation
+	// (replica.Versioned). Every exported mutator bumps it, so a caller
+	// outside Apply keeps the contract too; read/verify/clockBelow and
+	// SyncPayload are pure (the issue-#583 annotation rides the outgoing
+	// bytes only).
 	ver uint64
 
 	// Scratch, never state: Restore's log, Snapshot's order, decoded entries.
@@ -108,6 +109,7 @@ func New(identity string, flags Flags) *DB {
 // come from the cached head set instead of the live one; an append whose
 // parents miss current heads is rejected by the access check.
 func (d *DB) Append(payload string) error {
+	d.ver++
 	if !d.open {
 		// A closed repo rejects writes; during exploration a close can
 		// legitimately interleave before an append, so this is a failed op
@@ -143,11 +145,15 @@ func (d *DB) Append(payload string) error {
 
 // Seal marks the latest append as flushed; sealed entries are safe from
 // the issue-#583 post-hash mutation.
-func (d *DB) Seal() { d.sealed = true }
+func (d *DB) Seal() {
+	d.ver++
+	d.sealed = true
+}
 
 // Flush releases the repo lock (issue #557's missing step when a close
 // interleaves first).
 func (d *DB) Flush() {
+	d.ver++
 	if !d.flags.BugLockLeak {
 		d.dirty = false
 		d.repoLocked = false
@@ -165,6 +171,7 @@ func (d *DB) Flush() {
 // Close closes the repo. With BugLockLeak a close before the flush leaves
 // the folder lock held.
 func (d *DB) Close() {
+	d.ver++
 	d.open = false
 	if !d.flags.BugLockLeak {
 		d.repoLocked = false
@@ -175,6 +182,7 @@ var errLockLeaked = errors.New("orbit: repo folder keeps getting locked (issue #
 
 // Reopen reopens the repo, failing if the folder lock leaked.
 func (d *DB) Reopen() error {
+	d.ver++
 	if d.repoLocked && d.dirty {
 		return errLockLeaked
 	}
@@ -193,6 +201,7 @@ func (d *DB) Clock() uint64 { return d.log.Clock() }
 // entry enters the local DAG directly, bypassing the skew guard the way a
 // peer's own writes do.
 func (d *DB) AppendWithClock(payload string, clock uint64) *merkle.Entry {
+	d.ver++
 	e := &merkle.Entry{Payload: payload, Clock: clock, Identity: d.identity, Parents: d.log.Heads()}
 	e.Hash = e.ComputeHash()
 	guard := d.log.MaxClockSkew
@@ -213,11 +222,6 @@ func (d *DB) AppendWithClock(payload string, clock uint64) *merkle.Entry {
 //	reopen()                reopen the repo
 //	clockBelow(limit)       -> "ok" if the clock is under limit
 func (d *DB) Apply(op replica.Op) (string, error) {
-	switch op.Name {
-	case "read", "verify", "clockBelow":
-	default:
-		d.ver++
-	}
 	switch op.Name {
 	case "append":
 		if err := d.Append(op.Args[0]); err != nil {

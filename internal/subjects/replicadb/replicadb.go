@@ -68,10 +68,11 @@ type Node struct {
 	// snapshotCut is the Seq bound of the last snapshot-based incremental
 	// transfer.
 	snapshotCut uint64
-	// stateVer counts mutations for snapshot-cache invalidation
-	// (replica.Versioned) — distinct from version, which orders LWW row
-	// conflicts. readSink/readSource/peakBuffer are pure and leave it
-	// untouched.
+	// stateVer counts mutations for snapshot- and payload-cache
+	// invalidation (replica.Versioned) — distinct from version, which
+	// orders LWW row conflicts. Every exported mutator bumps it, so a
+	// caller outside Apply keeps the contract too; readSink/readSource/
+	// peakBuffer are pure and leave it untouched.
 	stateVer uint64
 
 	// Scratch, never state: sorted rows and keys.
@@ -101,6 +102,7 @@ func New(flags Flags) *Node {
 
 // Insert upserts a source row.
 func (n *Node) Insert(key, value string) {
+	n.stateVer++
 	n.version++
 	n.seq++
 	n.source[key] = &row{Key: key, Value: value, Version: n.version, Seq: n.seq}
@@ -108,6 +110,7 @@ func (n *Node) Insert(key, value string) {
 
 // Delete tombstones a source row; fails when absent.
 func (n *Node) Delete(key string) error {
+	n.stateVer++
 	r, ok := n.source[key]
 	if !ok || r.Deleted {
 		return replica.ErrFailedOp
@@ -124,6 +127,7 @@ func (n *Node) Delete(key string) error {
 // BugUnboundedBuffer the buffer bound is ignored; otherwise a fetch that
 // would exceed the bound fails (back-pressure).
 func (n *Node) Fetch(batch int) error {
+	n.stateVer++
 	if !n.flags.BugUnboundedBuffer && len(n.buffer)+batch > n.flags.BufferLimit {
 		return replica.ErrFailedOp // back-pressure: retry after drain
 	}
@@ -143,6 +147,7 @@ func (n *Node) Fetch(batch int) error {
 
 // Drain writes every buffered row into the sink and empties the buffer.
 func (n *Node) Drain() {
+	n.stateVer++
 	for _, r := range n.buffer {
 		n.applySink(r)
 	}
@@ -152,6 +157,7 @@ func (n *Node) Drain() {
 // TransferComplete replicates the full source table (upserts and deletes)
 // into the sink.
 func (n *Node) TransferComplete() {
+	n.stateVer++
 	for _, r := range n.source {
 		cp := *r
 		n.applySink(&cp)
@@ -162,6 +168,7 @@ func (n *Node) TransferComplete() {
 // TransferIncremental replicates rows changed since the last snapshot cut.
 // With BugMissTombstones, deleted rows are skipped (issue #23).
 func (n *Node) TransferIncremental() {
+	n.stateVer++
 	for _, r := range n.source {
 		if r.Seq <= n.snapshotCut {
 			continue
@@ -257,11 +264,6 @@ func renderedByte(r *row, i int) byte {
 //	readSource()             -> canonical source contents
 //	peakBuffer()             -> high-water mark of the fetch buffer
 func (n *Node) Apply(op replica.Op) (string, error) {
-	switch op.Name {
-	case "readSink", "readSource", "peakBuffer":
-	default:
-		n.stateVer++
-	}
 	switch op.Name {
 	case "insert":
 		n.Insert(op.Args[0], op.Args[1])

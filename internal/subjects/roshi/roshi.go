@@ -19,6 +19,7 @@
 package roshi
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -62,12 +63,41 @@ type Store struct {
 	// (replica.Versioned); selects are pure and leave it untouched.
 	ver uint64
 
-	// Scratch, never state: sort slices, decoded records, Restore's table.
+	// Scratch, never state: sort slices, decoded records, Restore's table,
+	// emptied per-key tables for a key that appears.
 	keyOrder []string
 	members  []*record
 	rows     []*record
 	incoming []syncRecord
 	spare    map[string]map[string]*record
+	free     []map[string]*record
+
+	// chunk is where new records are carved from. A full chunk is
+	// replaced, never grown, so every *record handed out stays valid.
+	chunk []record
+}
+
+// recordChunk is the number of records newRecord carves from one allocation.
+const recordChunk = 32
+
+// newRecord returns a pointer to a copy of rec carved from the chunk.
+func (s *Store) newRecord(rec record) *record {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]record, 0, recordChunk)
+	}
+	s.chunk = append(s.chunk, rec)
+	return &s.chunk[len(s.chunk)-1]
+}
+
+// keyTable returns an empty per-key table, reusing a freed one.
+func (s *Store) keyTable() map[string]*record {
+	n := len(s.free)
+	if n == 0 {
+		return make(map[string]*record)
+	}
+	recs := s.free[n-1]
+	s.free = s.free[:n-1]
+	return recs
 }
 
 var (
@@ -96,7 +126,7 @@ func (s *Store) Delete(key, member string, score uint64) {
 func (s *Store) apply(key, member string, score uint64, deleted bool) {
 	recs, ok := s.keys[key]
 	if !ok {
-		recs = make(map[string]*record)
+		recs = s.keyTable()
 		s.keys[key] = recs
 	}
 	s.write(recs, member, score, deleted)
@@ -104,26 +134,36 @@ func (s *Store) apply(key, member string, score uint64, deleted bool) {
 
 // write resolves one write against a key's records.
 func (s *Store) write(recs map[string]*record, member string, score uint64, deleted bool) {
+	if cur, ok := recs[member]; ok {
+		s.resolve(cur, score, deleted)
+	} else {
+		s.add(recs, member, score, deleted)
+	}
+}
+
+// add records the first write of a member the key does not hold.
+func (s *Store) add(recs map[string]*record, member string, score uint64, deleted bool) {
+	s.ver++
+	s.arrival++
+	if s.flags.BugDeletedField && deleted && !s.flags.ArrivalWins {
+		// Defect (issue #18): the code path creating a record for a
+		// not-yet-known member forgets to set the deleted field, so a
+		// tombstone that syncs in before its insert is recorded as
+		// live. The wrong field value then wins LWW resolution against
+		// the older insert — but only in interleavings where the
+		// delete overtakes the insert.
+		deleted = false
+	}
+	recs[member] = s.newRecord(record{Member: member, Score: score, Deleted: deleted, Arrival: s.arrival})
+}
+
+// resolve applies one write to a record the key already holds.
+func (s *Store) resolve(cur *record, score uint64, deleted bool) {
 	s.ver++
 	s.arrival++
 	if s.flags.ArrivalWins {
 		// Misconception #1 seed: no resolution, last arrival wins.
-		recs[member] = &record{Member: member, Score: score, Deleted: deleted, Arrival: s.arrival}
-		return
-	}
-	cur, ok := recs[member]
-	if !ok {
-		del := deleted
-		if s.flags.BugDeletedField && deleted {
-			// Defect (issue #18): the code path creating a record for a
-			// not-yet-known member forgets to set the deleted field, so a
-			// tombstone that syncs in before its insert is recorded as
-			// live. The wrong field value then wins LWW resolution against
-			// the older insert — but only in interleavings where the
-			// delete overtakes the insert.
-			del = false
-		}
-		recs[member] = &record{Member: member, Score: score, Deleted: del, Arrival: s.arrival}
+		cur.Score, cur.Deleted, cur.Arrival = score, deleted, s.arrival
 		return
 	}
 	switch {
@@ -305,16 +345,23 @@ func (s *Store) ApplySync(payload []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("roshi: sync payload: %w", err)
 	}
-	for _, rec := range s.incoming {
-		recs, ok := s.keys[string(rec.key)]
-		if !ok {
-			recs = make(map[string]*record)
-			s.keys[string(rec.key)] = recs
+	// The payload is sorted by key, so a key's table is looked up once per
+	// run of its records.
+	var recs map[string]*record
+	var key []byte
+	for i, rec := range s.incoming {
+		if i == 0 || !bytes.Equal(rec.key, key) {
+			key = rec.key
+			var ok bool
+			if recs, ok = s.keys[string(key)]; !ok {
+				recs = s.keyTable()
+				s.keys[string(key)] = recs
+			}
 		}
 		if cur, ok := recs[string(rec.member)]; ok {
-			s.write(recs, cur.Member, rec.score, rec.deleted)
+			s.resolve(cur, rec.score, rec.deleted)
 		} else {
-			s.write(recs, string(rec.member), rec.score, rec.deleted)
+			s.add(recs, string(rec.member), rec.score, rec.deleted)
 		}
 	}
 	return nil
@@ -369,15 +416,17 @@ func (s *Store) Restore(snapshot []byte) error {
 		s.spare = make(map[string]map[string]*record, nKeys)
 	}
 	keys := s.spare
+	for _, recs := range keys {
+		clear(recs)
+		s.free = append(s.free, recs)
+	}
 	clear(keys)
 	for i := 0; i < nKeys; i++ {
 		key := r.String()
-		// One backing array per key instead of one allocation per record.
-		recs := make([]record, r.Count(minRecordBytes))
-		members := make(map[string]*record, len(recs))
-		for j := range recs {
-			recs[j] = record{Member: r.String(), Score: r.Uvarint(), Deleted: r.Bool(), Arrival: int(r.Uvarint())}
-			members[recs[j].Member] = &recs[j]
+		members := s.keyTable()
+		for j := r.Count(minRecordBytes); j > 0; j-- {
+			rec := s.newRecord(record{Member: r.String(), Score: r.Uvarint(), Deleted: r.Bool(), Arrival: int(r.Uvarint())})
+			members[rec.Member] = rec
 		}
 		keys[key] = members
 	}
