@@ -391,9 +391,12 @@ func WithConstraintsDir(dir string) Option {
 	}
 }
 
-// WithJournal persists the recorded log and every explored interleaving
-// under dir, so an interrupted End resumes where it left off (paper §4.2).
-// The directory is created on first use; errors surface from End.
+// WithJournal persists the recorded log and one record per recorded
+// interleaving under dir, so an interrupted End resumes after the last
+// record, with the indices, violations and FirstViolation of an
+// uninterrupted run (paper §4.2). A directory recorded for another event
+// log is refused. The directory is created on first use; errors surface
+// from End.
 func WithJournal(dir string) Option {
 	return func(s *Session) { s.journalDir = dir }
 }

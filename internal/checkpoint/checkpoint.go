@@ -1,13 +1,18 @@
-// Package checkpoint persists recorded event logs, generated interleavings,
-// and exploration progress to disk (paper §4.2: "having generated all
-// possible interleavings, ER-π persists them in a database"), so that an
+// Package checkpoint persists a session directory (paper §4.2: "having
+// generated all possible interleavings, ER-π persists them in a
+// database"): the recorded event log and the record log, one CRC'd record
+// per recorded interleaving in exploration-index order, so that an
 // interrupted session resumes without regenerating or re-exploring.
 package checkpoint
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -16,21 +21,25 @@ import (
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/interleave"
+	"github.com/er-pi/erpi/internal/wire"
 )
 
-// journalSyncEvery is how many journal appends accumulate before the
+// journalSyncEvery is how many record appends accumulate before the
 // buffered writer is flushed and fsynced. A crash loses at most this many
-// keys — each lost key only means that interleaving is re-explored, which
-// is always safe — while the amortized cost drops from one open+fsync per
-// interleaving to one fsync per batch.
+// records — each lost record only means that interleaving is re-explored,
+// which is always safe — while the amortized cost drops from one
+// open+fsync per interleaving to one fsync per batch.
 const journalSyncEvery = 64
 
 // journalSyncAge bounds how long an unsynced append may sit in the buffer
 // before a flush fires anyway. The count trigger alone is tuned for fast
-// scenarios; on slow ones (seconds per interleaving) 63 keys could sit
+// scenarios; on slow ones (seconds per interleaving) 63 records could sit
 // volatile for minutes. Group commit is count-OR-age: whichever trips
 // first flushes the batch.
 const journalSyncAge = 5 * time.Millisecond
+
+// recordLogName is the record log's file in the session directory.
+const recordLogName = "results.log"
 
 // FsyncObserver is notified after each durable journal flush with the
 // number of appends the batch covered and how long the flush+fsync took.
@@ -39,24 +48,48 @@ const journalSyncAge = 5 * time.Millisecond
 // implementations must be safe for concurrent use.
 type FsyncObserver func(appends int, took time.Duration)
 
-// Dir is an on-disk session directory. The progress journal is held open
+// Record is one recorded interleaving's entry in the record log: its
+// exploration index and key, the behaviour signature of its outcome — or
+// that it was subsumed, or the error that quarantined it — its execution
+// attempts, and the assertion violations it raised.
+type Record struct {
+	Index      int
+	Key        string
+	Sig        string
+	Attempts   int
+	Error      string
+	Subsumed   bool
+	Violations []Violation
+}
+
+// Violation is one assertion failure, in serializable form.
+type Violation struct {
+	Index     int    `json:"index"`
+	Key       string `json:"key,omitempty"`
+	Assertion string `json:"assertion"`
+	Error     string `json:"error"`
+}
+
+// Dir is an on-disk session directory. The record log is held open
 // across appends and buffered; call Flush to force durability at a point
 // in time and Close when done with the directory.
 type Dir struct {
 	path string
 
 	mu       sync.Mutex
-	journal  *os.File
+	log      *os.File
 	buf      *bufio.Writer
+	scratch  []byte // the record being encoded
 	unsynced int
 	onFsync  FsyncObserver
 
 	// Group-commit policy: flush after syncEvery appends OR syncAge after
 	// the first unsynced append, whichever comes first (syncAge <= 0
-	// disables the age trigger). ageTimer is armed on the 0 -> 1 unsynced
+	// disables the age trigger) — journalSyncEvery and journalSyncAge,
+	// which only tests change. ageTimer is armed on the 0 -> 1 unsynced
 	// transition and cleared by every flush; a flush error from the timer
-	// goroutine is stashed in asyncErr and surfaced by the next
-	// AppendExplored or Flush call.
+	// goroutine is stashed in asyncErr and surfaced by the next Append or
+	// Flush call.
 	syncEvery int
 	syncAge   time.Duration
 	ageTimer  *time.Timer
@@ -70,24 +103,6 @@ func (d *Dir) SetFsyncObserver(fn FsyncObserver) {
 	d.mu.Unlock()
 }
 
-// SetSyncPolicy tunes the journal's group commit: flush after `every`
-// appends or once `maxAge` has elapsed since the first unsynced append,
-// whichever trips first. every <= 0 restores the default count
-// (journalSyncEvery); maxAge < 0 restores the default age
-// (journalSyncAge); maxAge == 0 disables the age trigger entirely.
-func (d *Dir) SetSyncPolicy(every int, maxAge time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if every <= 0 {
-		every = journalSyncEvery
-	}
-	if maxAge < 0 {
-		maxAge = journalSyncAge
-	}
-	d.syncEvery = every
-	d.syncAge = maxAge
-}
-
 // Open creates (if needed) and opens a session directory.
 func Open(path string) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
@@ -99,11 +114,22 @@ func Open(path string) (*Dir, error) {
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
 
-// SaveLog persists the recorded event log.
+// SaveLog persists the recorded event log. A directory that already holds
+// a different one belongs to another session and is refused, before
+// anything is written: its records would be read back against the wrong
+// events.
 func (d *Dir) SaveLog(log *event.Log) error {
 	data, err := json.MarshalIndent(log.Events(), "", "  ")
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal log: %w", err)
+	}
+	switch old, err := os.ReadFile(filepath.Join(d.path, "events.json")); {
+	case err == nil && bytes.Equal(old, data):
+		return nil
+	case err == nil:
+		return fmt.Errorf("checkpoint: %s holds another session's event log", d.path)
+	case !os.IsNotExist(err):
+		return fmt.Errorf("checkpoint: read log: %w", err)
 	}
 	return d.writeFile("events.json", data)
 }
@@ -125,26 +151,23 @@ func (d *Dir) LoadLog() (*event.Log, error) {
 	return log, nil
 }
 
-// AppendExplored records an explored interleaving key in the progress
-// journal (append-only, one key per line). Writes are buffered and group
-// committed under the count-or-age policy (see SetSyncPolicy); a torn or
-// lost tail is tolerated by LoadExplored's corrupt-line skipping.
-func (d *Dir) AppendExplored(il interleave.Interleaving) error {
+// Append adds r to the record log. Writes are buffered and group
+// committed under the count-or-age policy; a torn or lost tail is what a
+// crash leaves, and Records stops before it.
+func (d *Dir) Append(r *Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.takeAsyncErr(); err != nil {
 		return err
 	}
-	if d.journal == nil {
-		f, err := os.OpenFile(filepath.Join(d.path, "explored.log"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("checkpoint: open journal: %w", err)
+	if d.log == nil {
+		if err := d.openLocked(); err != nil {
+			return err
 		}
-		d.journal = f
-		d.buf = bufio.NewWriter(f)
 	}
-	if _, err := fmt.Fprintln(d.buf, il.Key()); err != nil {
-		return fmt.Errorf("checkpoint: append journal: %w", err)
+	d.scratch = appendRecord(d.scratch[:0], r)
+	if _, err := d.buf.Write(d.scratch); err != nil {
+		return fmt.Errorf("checkpoint: append record: %w", err)
 	}
 	d.unsynced++
 	if d.unsynced >= d.syncEvery {
@@ -153,6 +176,35 @@ func (d *Dir) AppendExplored(il interleave.Interleaving) error {
 	if d.unsynced == 1 && d.syncAge > 0 {
 		d.ageTimer = time.AfterFunc(d.syncAge, d.ageFlush)
 	}
+	return nil
+}
+
+// AppendExplored appends a key-only record of il. It is what
+// benchmark/drives.go times as checkpoint.append_ns, and goes when that
+// harness moves to Append (ROADMAP item 4(a)).
+func (d *Dir) AppendExplored(il interleave.Interleaving) error {
+	return d.Append(&Record{Key: il.Key()})
+}
+
+// openLocked opens the record log for appending after its valid prefix:
+// whatever follows is a torn or corrupt tail that Records stops at, so
+// records appended behind it would never be read back. Caller holds mu.
+func (d *Dir) openLocked() error {
+	data, err := os.ReadFile(filepath.Join(d.path, recordLogName))
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("checkpoint: read record log: %w", err)
+	}
+	_, valid := d.decode(data)
+	f, err := os.OpenFile(filepath.Join(d.path, recordLogName), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("checkpoint: open record log: %w", err)
+	}
+	if err := f.Truncate(int64(valid)); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("checkpoint: truncate record log: %w", err)
+	}
+	d.log = f
+	d.buf = bufio.NewWriter(f)
 	return nil
 }
 
@@ -178,7 +230,7 @@ func (d *Dir) takeAsyncErr() error {
 	return err
 }
 
-// Flush forces buffered journal appends to stable storage.
+// Flush forces buffered record appends to stable storage.
 func (d *Dir) Flush() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -188,23 +240,23 @@ func (d *Dir) Flush() error {
 	return d.flushLocked()
 }
 
-// Close flushes and closes the journal handle. The Dir stays usable: a
-// later append reopens the journal.
+// Close flushes and closes the record log. The Dir stays usable: a later
+// append reopens it.
 func (d *Dir) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.journal == nil {
+	if d.log == nil {
 		return nil
 	}
 	flushErr := d.flushLocked()
-	closeErr := d.journal.Close()
-	d.journal = nil
+	closeErr := d.log.Close()
+	d.log = nil
 	d.buf = nil
 	if flushErr != nil {
 		return flushErr
 	}
 	if closeErr != nil {
-		return fmt.Errorf("checkpoint: close journal: %w", closeErr)
+		return fmt.Errorf("checkpoint: close record log: %w", closeErr)
 	}
 	return nil
 }
@@ -214,16 +266,16 @@ func (d *Dir) flushLocked() error {
 		d.ageTimer.Stop()
 		d.ageTimer = nil
 	}
-	if d.journal == nil {
+	if d.log == nil {
 		return nil
 	}
 	appends := d.unsynced
 	start := time.Now()
 	if err := d.buf.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: flush journal: %w", err)
+		return fmt.Errorf("checkpoint: flush record log: %w", err)
 	}
-	if err := d.journal.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync journal: %w", err)
+	if err := d.log.Sync(); err != nil {
+		return fmt.Errorf("checkpoint: sync record log: %w", err)
 	}
 	d.unsynced = 0
 	if d.onFsync != nil && appends > 0 {
@@ -232,65 +284,131 @@ func (d *Dir) flushLocked() error {
 	return nil
 }
 
-// LoadExplored returns the set of explored interleaving keys. Lines that
-// are not well-formed keys — the typical artifact of a crash mid-append
-// leaving a truncated or garbage tail — are skipped with a warning rather
-// than poisoning the resume: a skipped key only means that interleaving is
-// re-explored, which is always safe.
-func (d *Dir) LoadExplored() (map[string]bool, error) {
-	// Make same-process appends visible: resume within one process (e.g.
-	// two sessions sharing a Dir) must see keys still in the write buffer.
+// Records reads the record log, in append order, up to its first torn or
+// corrupt record (a crash mid-append leaves at most one, at the tail).
+// Everything from there on counts as never written: those interleavings
+// re-execute, which is always safe. This Dir's own buffered appends are
+// flushed first, so a resume within one process sees them.
+func (d *Dir) Records() ([]Record, error) {
 	if err := d.Flush(); err != nil {
 		return nil, err
 	}
-	out := make(map[string]bool)
-	f, err := os.Open(filepath.Join(d.path, "explored.log"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return out, nil
-		}
-		return nil, fmt.Errorf("checkpoint: open journal: %w", err)
+	data, err := os.ReadFile(filepath.Join(d.path, recordLogName))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("checkpoint: read record log: %w", err)
 	}
-	defer f.Close()
-	scanner := bufio.NewScanner(f)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := scanner.Text()
-		if line == "" {
-			continue
-		}
-		if !validKey(line) {
-			slog.Warn("skipping corrupt journal line",
-				"component", "checkpoint", "line", lineNo, "content", line)
-			continue
-		}
-		out[line] = true
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("checkpoint: scan journal: %w", err)
-	}
-	return out, nil
+	records, _ := d.decode(data)
+	return records, nil
 }
 
-// validKey reports whether line has the shape of an interleaving key:
-// comma-separated decimal event IDs (see interleave.Interleaving.Key).
-func validKey(line string) bool {
-	digits := 0
-	for i := 0; i < len(line); i++ {
-		switch c := line[i]; {
-		case c >= '0' && c <= '9':
-			digits++
-		case c == ',':
-			if digits == 0 {
-				return false // empty field: leading comma or ",,"
-			}
-			digits = 0
-		default:
-			return false
+// decode reads the records at the head of data and returns them with the
+// length of the valid prefix they occupy.
+func (d *Dir) decode(data []byte) ([]Record, int) {
+	var out []Record
+	off := 0
+	for off < len(data) {
+		r, n, err := readRecord(data[off:])
+		if err != nil {
+			slog.Warn("record log ends at a torn or corrupt record",
+				"component", "checkpoint", "dir", d.path, "offset", off, "dropped_bytes", len(data)-off, "err", err)
+			break
+		}
+		out = append(out, r)
+		off += n
+	}
+	return out, off
+}
+
+// A record is `u32 length · u32 CRC-32 (IEEE) · payload`, both
+// little-endian and both over the payload alone, and the payload is
+//
+//	u index, s key, u kind, [s signature | s error], u attempts,
+//	n×[s assertion, s error]
+//
+// over internal/wire (the string is absent for a subsumed record). A
+// violation's index and key are its record's. The fixed-width header lets
+// a record be appended in one pass; the checksum is what tells a torn or
+// corrupted tail from a record.
+const recordHeader = 8
+
+// Record kinds.
+const (
+	kindOutcome     = 0
+	kindSubsumed    = 1
+	kindQuarantined = 2
+)
+
+// appendRecord appends r as one record.
+func appendRecord(b []byte, r *Record) []byte {
+	head := len(b)
+	b = append(b, make([]byte, recordHeader)...)
+	b = wire.AppendUvarint(b, uint64(r.Index))
+	b = wire.AppendString(b, r.Key)
+	switch {
+	case r.Subsumed:
+		b = wire.AppendUvarint(b, kindSubsumed)
+	case r.Error != "":
+		b = wire.AppendUvarint(b, kindQuarantined)
+		b = wire.AppendString(b, r.Error)
+	default:
+		b = wire.AppendUvarint(b, kindOutcome)
+		b = wire.AppendString(b, r.Sig)
+	}
+	b = wire.AppendUvarint(b, uint64(r.Attempts))
+	b = wire.AppendUvarint(b, uint64(len(r.Violations)))
+	for _, v := range r.Violations {
+		b = wire.AppendString(b, v.Assertion)
+		b = wire.AppendString(b, v.Error)
+	}
+	payload := b[head+recordHeader:]
+	binary.LittleEndian.PutUint32(b[head:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[head+4:], crc32.ChecksumIEEE(payload))
+	return b
+}
+
+// readRecord decodes the record at the head of b and returns how many
+// bytes it occupied. Any failure — a header or payload cut short, a
+// checksum mismatch, a payload that is not exactly one canonical record —
+// is an error: the caller stops reading there.
+func readRecord(b []byte) (Record, int, error) {
+	var rec Record
+	if len(b) < recordHeader {
+		return rec, 0, wire.ErrTruncated
+	}
+	n := int(binary.LittleEndian.Uint32(b))
+	if n > len(b)-recordHeader {
+		return rec, 0, fmt.Errorf("record of %d bytes, %d left: %w", n, len(b)-recordHeader, wire.ErrTruncated)
+	}
+	payload := b[recordHeader : recordHeader+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:]) {
+		return rec, 0, errors.New("checksum mismatch")
+	}
+	r := wire.NewReader(payload)
+	rec.Index = r.Int()
+	rec.Key = r.String()
+	switch kind := r.Uvarint(); kind {
+	case kindOutcome:
+		rec.Sig = r.String()
+	case kindSubsumed:
+		rec.Subsumed = true
+	case kindQuarantined:
+		if rec.Error = r.String(); rec.Error == "" {
+			r.Fail(errors.New("quarantine record without an error"))
+		}
+	default:
+		r.Fail(fmt.Errorf("unknown record kind %d", kind))
+	}
+	rec.Attempts = r.Int()
+	if nv := r.Count(2); nv > 0 {
+		rec.Violations = make([]Violation, nv)
+		for i := range rec.Violations {
+			rec.Violations[i] = Violation{Index: rec.Index, Key: rec.Key, Assertion: r.String(), Error: r.String()}
 		}
 	}
-	return digits > 0 // non-empty final field, rejects trailing comma
+	if rec.Key == "" {
+		r.Fail(errors.New("record without a key"))
+	}
+	return rec, recordHeader + n, r.Done()
 }
 
 // SaveJSON atomically persists v as indented JSON under name — the

@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -51,11 +53,25 @@ func TestLoadLogMissing(t *testing.T) {
 	}
 }
 
+// keysOf reads a Dir's record log back as its keys, in append order.
+func keysOf(t *testing.T, d *Dir) []string {
+	t.Helper()
+	recs, err := d.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(recs))
+	for i, r := range recs {
+		keys[i] = r.Key
+	}
+	return keys
+}
+
+// TestExploredJournal: AppendExplored appends a key-only record.
 func TestExploredJournal(t *testing.T) {
 	d := openDir(t)
-	seen, err := d.LoadExplored()
-	if err != nil || len(seen) != 0 {
-		t.Fatalf("fresh journal: %v %v", seen, err)
+	if keys := keysOf(t, d); len(keys) != 0 {
+		t.Fatalf("fresh record log: %v", keys)
 	}
 	ils := []interleave.Interleaving{{0, 1, 2}, {2, 1, 0}}
 	for _, il := range ils {
@@ -63,62 +79,61 @@ func TestExploredJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seen, err = d.LoadExplored()
+	recs, err := d.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 || !seen["0,1,2"] || !seen["2,1,0"] {
-		t.Fatalf("journal = %v", seen)
+	want := []Record{{Key: "0,1,2"}, {Key: "2,1,0"}}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("records = %+v, want %+v", recs, want)
 	}
 }
 
-// TestExploredJournalBuffering pins the persistent-handle journal: a
+// TestExploredJournalBuffering pins the persistent-handle record log: a
 // batch of appends below the sync threshold lives in the write buffer
 // (invisible to an external reader) until Flush or Close pushes it out,
-// while LoadExplored flushes implicitly so same-process resume never
-// misses buffered keys.
+// while Records flushes implicitly so same-process resume never misses
+// buffered records.
 func TestExploredJournalBuffering(t *testing.T) {
 	d := openDir(t)
 	// Count-only policy: this test pins the buffering behavior, which the
 	// default age trigger would flush out from under the assertions below.
-	d.SetSyncPolicy(0, 0)
+	d.syncAge = 0
 	if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	// Below journalSyncEvery nothing is flushed yet: a second Dir over the
-	// same path (an external reader) sees an empty journal.
+	// same path (an external reader) sees an empty log.
 	ext, err := Open(d.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen, err := ext.LoadExplored()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 0 {
-		t.Fatalf("buffered append already on disk: %v", seen)
+	if keys := keysOf(t, ext); len(keys) != 0 {
+		t.Fatalf("buffered append already on disk: %v", keys)
 	}
 	// The writing Dir itself must see its own buffered appends.
-	own, err := d.LoadExplored()
-	if err != nil {
-		t.Fatal(err)
+	if own := keysOf(t, d); len(own) != 1 || own[0] != "0,1,2" {
+		t.Fatalf("same-process resume missed buffered records: %v", own)
 	}
-	if len(own) != 1 || !own["0,1,2"] {
-		t.Fatalf("same-process resume missed buffered keys: %v", own)
-	}
-	// LoadExplored flushed, so the external reader now sees it too.
-	if seen, err = ext.LoadExplored(); err != nil || len(seen) != 1 {
-		t.Fatalf("post-flush external read: %v %v", seen, err)
+	// Records flushed, so the external reader now sees it too.
+	if keys := keysOf(t, ext); len(keys) != 1 {
+		t.Fatalf("post-flush external read: %v", keys)
 	}
 
 	// Crossing the sync threshold flushes without an explicit call.
-	for i := 0; i < journalSyncEvery; i++ {
+	for i := 0; i < journalSyncEvery-1; i++ {
 		if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if seen, err = ext.LoadExplored(); err != nil || len(seen) != 1 {
-		t.Fatalf("batch sync did not reach disk: %d keys, %v", len(seen), err)
+	if keys := keysOf(t, ext); len(keys) != 1 {
+		t.Fatalf("flushed below the count trigger: %d records", len(keys))
+	}
+	if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if keys := keysOf(t, ext); len(keys) != journalSyncEvery+1 {
+		t.Fatalf("batch sync did not reach disk: %d records", len(keys))
 	}
 
 	// Close flushes the tail and the Dir stays usable afterwards.
@@ -128,8 +143,8 @@ func TestExploredJournalBuffering(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if seen, err = ext.LoadExplored(); err != nil || len(seen) != 2 {
-		t.Fatalf("Close did not flush the tail: %v %v", seen, err)
+	if keys := keysOf(t, ext); len(keys) != journalSyncEvery+2 {
+		t.Fatalf("Close did not flush the tail: %d records", len(keys))
 	}
 	if err := d.AppendExplored(interleave.Interleaving{1, 0, 2}); err != nil {
 		t.Fatalf("append after Close must reopen: %v", err)
@@ -137,8 +152,8 @@ func TestExploredJournalBuffering(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if seen, err = ext.LoadExplored(); err != nil || len(seen) != 3 {
-		t.Fatalf("reopened journal lost the append: %v %v", seen, err)
+	if keys := keysOf(t, ext); len(keys) != journalSyncEvery+3 || keys[len(keys)-1] != "1,0,2" {
+		t.Fatalf("reopened log lost the append: %d records", len(keys))
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -179,16 +194,16 @@ func TestJournalGroupCommitCountTrigger(t *testing.T) {
 	defer d.Close()
 	var obs journalBatches
 	d.SetFsyncObserver(obs.observe)
-	d.SetSyncPolicy(4, 0)
+	d.syncEvery, d.syncAge = 4, 0
 	for i := 0; i < 3; i++ {
-		if err := d.AppendExplored(interleave.Interleaving{event.ID(i)}); err != nil {
+		if err := d.Append(&Record{Index: i + 1, Key: fmt.Sprint(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := obs.snapshot(); len(got) != 0 {
 		t.Fatalf("flushed before the count trigger: %v", got)
 	}
-	if err := d.AppendExplored(interleave.Interleaving{3}); err != nil {
+	if err := d.Append(&Record{Index: 4, Key: "3"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.snapshot(); len(got) != 1 || got[0] != 4 {
@@ -197,14 +212,14 @@ func TestJournalGroupCommitCountTrigger(t *testing.T) {
 }
 
 // TestJournalGroupCommitAgeTrigger pins the age half: a single append —
-// far below the count threshold — reaches disk within the configured age
-// bound, as a batch of 1, without any explicit Flush.
+// far below the count threshold — reaches disk within the age bound, as
+// a batch of 1, without any explicit Flush.
 func TestJournalGroupCommitAgeTrigger(t *testing.T) {
 	d := openDir(t)
 	defer d.Close()
 	var obs journalBatches
 	d.SetFsyncObserver(obs.observe)
-	d.SetSyncPolicy(64, 10*time.Millisecond)
+	d.syncAge = 10 * time.Millisecond
 	if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -221,17 +236,13 @@ func TestJournalGroupCommitAgeTrigger(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The flush was durable: an external reader sees the key.
+	// The flush was durable: an external reader sees the record.
 	ext, err := Open(d.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen, err := ext.LoadExplored()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || !seen["0,1,2"] {
-		t.Fatalf("age-triggered flush not on disk: %v", seen)
+	if keys := keysOf(t, ext); len(keys) != 1 || keys[0] != "0,1,2" {
+		t.Fatalf("age-triggered flush not on disk: %v", keys)
 	}
 }
 

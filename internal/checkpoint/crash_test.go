@@ -2,17 +2,17 @@ package checkpoint
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
-
-	"github.com/er-pi/erpi/internal/event"
-	"github.com/er-pi/erpi/internal/interleave"
 )
 
-// ils returns n distinct single-digit-free interleavings (keys "i,i+1").
-func ils(n int) []interleave.Interleaving {
-	out := make([]interleave.Interleaving, n)
+// records returns n records with distinct keys ("i,i+1") and indices 1..n.
+func records(n int) []Record {
+	out := make([]Record, n)
 	for i := range out {
-		out[i] = interleave.Interleaving{event.ID(i), event.ID(i + 1)}
+		out[i] = Record{Index: i + 1, Key: fmt.Sprintf("%d,%d", i, i+1), Sig: "s", Attempts: 1}
 	}
 	return out
 }
@@ -20,17 +20,17 @@ func ils(n int) []interleave.Interleaving {
 // TestJournalCrashAtGroupCommitBoundary simulates a process kill exactly at
 // the group-commit boundary: under the count-or-age policy with the age
 // trigger disabled, appends past the last count flush sit only in the
-// write buffer. A kill drops them; the keys flushed by the count trigger
-// must all survive, and a resume over the reopened journal must neither
-// lose a synced key nor double-count a re-appended one.
+// write buffer. A kill drops them; the records flushed by the count
+// trigger must all survive, and a resume that appends the lost ones again
+// must end with every record exactly once.
 func TestJournalCrashAtGroupCommitBoundary(t *testing.T) {
 	d := openDir(t)
 	// Count-only policy at the default batch size: the first 64 appends
 	// flush at #64, appends 65..70 stay volatile.
-	d.SetSyncPolicy(journalSyncEvery, 0)
-	all := ils(journalSyncEvery + 6)
-	for _, il := range all {
-		if err := d.AppendExplored(il); err != nil {
+	d.syncAge = 0
+	all := records(journalSyncEvery + 6)
+	for i := range all {
+		if err := d.Append(&all[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -39,8 +39,8 @@ func TestJournalCrashAtGroupCommitBoundary(t *testing.T) {
 	// buffered tail — exactly what SIGKILL does to the page of an
 	// unflushed bufio.Writer.
 	d.mu.Lock()
-	_ = d.journal.Close()
-	d.journal = nil
+	_ = d.log.Close()
+	d.log = nil
 	d.buf = nil
 	d.unsynced = 0
 	d.mu.Unlock()
@@ -50,73 +50,57 @@ func TestJournalCrashAtGroupCommitBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen, err := re.LoadExplored()
+	got, err := re.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != journalSyncEvery {
-		t.Fatalf("recovered %d keys, want exactly %d (the synced batch)", len(seen), journalSyncEvery)
-	}
-	for i := 0; i < journalSyncEvery; i++ {
-		if !seen[all[i].Key()] {
-			t.Fatalf("synced key %q lost in crash", all[i].Key())
-		}
-	}
-	for i := journalSyncEvery; i < len(all); i++ {
-		if seen[all[i].Key()] {
-			t.Fatalf("unsynced key %q survived the crash; the test harness is wrong", all[i].Key())
-		}
+	if !reflect.DeepEqual(got, all[:journalSyncEvery]) {
+		t.Fatalf("recovered %d records, want exactly the %d of the synced batch", len(got), journalSyncEvery)
 	}
 
-	// The resumed session re-explores only what was lost, appending those
-	// keys again. After it finishes, the journal holds every key exactly
-	// once from a dedup standpoint: no loss, no double count.
-	for _, il := range all {
-		if seen[il.Key()] {
-			continue // resume skips journaled keys
-		}
-		if err := re.AppendExplored(il); err != nil {
+	// The resumed session re-records only what was lost.
+	for i := len(got); i < len(all); i++ {
+		if err := re.Append(&all[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := re.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	final, err := re.LoadExplored()
+	final, err := re.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(final) != len(all) {
-		t.Fatalf("after resume: %d keys, want %d", len(final), len(all))
-	}
-	for _, il := range all {
-		if !final[il.Key()] {
-			t.Fatalf("key %q missing after resume", il.Key())
-		}
+	if !reflect.DeepEqual(final, all) {
+		t.Fatalf("after resume: %d records, want %d", len(final), len(all))
 	}
 	if err := re.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestJournalCrashTornTail writes a torn final line (a partial append with
-// no newline, the other SIGKILL artifact) and checks the resume skips only
-// that line.
+// TestJournalCrashTornTail writes a torn final record (a partial append,
+// the other SIGKILL artifact) and checks that the log reads back every
+// record before it, and that the next append — reopening the log —
+// truncates it to that valid prefix, so what is appended is read back.
 func TestJournalCrashTornTail(t *testing.T) {
 	d := openDir(t)
-	d.SetSyncPolicy(1, 0) // flush every append so the good lines are durable
-	good := ils(5)
-	for _, il := range good {
-		if err := d.AppendExplored(il); err != nil {
+	good := records(6)
+	for i := range good[:5] {
+		if err := d.Append(&good[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Torn tail: half a key, no terminator, straight into the file.
-	d.mu.Lock()
-	fmt.Fprint(d.buf, "12,") // trailing comma: fails validKey
-	_ = d.buf.Flush()
-	d.mu.Unlock()
 	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Torn tail: the first half of a record, straight into the file.
+	torn := appendRecord(nil, &good[5])
+	f, err := os.OpenFile(filepath.Join(d.Path(), recordLogName), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,11 +108,16 @@ func TestJournalCrashTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen, err := re.LoadExplored()
-	if err != nil {
+	if got, err := re.Records(); err != nil || !reflect.DeepEqual(got, good[:5]) {
+		t.Fatalf("recovered %d records (%v), want the %d before the torn tail", len(got), err, 5)
+	}
+	if err := re.Append(&good[5]); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != len(good) {
-		t.Fatalf("recovered %d keys, want %d (torn tail must be skipped, not fatal)", len(seen), len(good))
+	if got, err := re.Records(); err != nil || !reflect.DeepEqual(got, good) {
+		t.Fatalf("after appending past the torn tail: %d records (%v), want %d", len(got), err, len(good))
+	}
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

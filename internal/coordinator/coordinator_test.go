@@ -1,15 +1,14 @@
 package coordinator
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/lockserver"
 	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
@@ -87,21 +86,28 @@ func waitDone(t *testing.T, j *Job) JobStatus {
 	return j.Status()
 }
 
-// journalKeys reads explored.log raw (no dedup) so tests can assert that
-// no interleaving was journaled twice — the zero-double-commit pin.
+// jobRecords reads a job directory's record log from its files.
+func jobRecords(t *testing.T, dir string) []checkpoint.Record {
+	t.Helper()
+	d, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := d.Records()
+	if err != nil {
+		t.Fatalf("read records: %v", err)
+	}
+	return recs
+}
+
+// journalKeys reads the record log's keys raw (no dedup) so tests can
+// assert that no interleaving was recorded twice — the zero-double-commit
+// pin.
 func journalKeys(t *testing.T, dir string) []string {
 	t.Helper()
-	f, err := os.Open(filepath.Join(dir, "explored.log"))
-	if err != nil {
-		t.Fatalf("open journal: %v", err)
-	}
-	defer f.Close()
 	var keys []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if sc.Text() != "" {
-			keys = append(keys, sc.Text())
-		}
+	for _, r := range jobRecords(t, dir) {
+		keys = append(keys, r.Key)
 	}
 	return keys
 }

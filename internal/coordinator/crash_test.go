@@ -4,10 +4,9 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
-
-	"github.com/er-pi/erpi/internal/checkpoint"
 )
 
 // killAt arranges for the job's directory to be copied into a fresh
@@ -55,46 +54,15 @@ func killAt(t *testing.T, j *Job, b aggBoundary, n int) (root string) {
 	return root
 }
 
-// assertJournaledKeysHaveRecords reads a job directory from the files
-// alone and checks the durability order's invariant: every key in
-// explored.log has a record in results.log. It returns the journaled keys.
-func assertJournaledKeysHaveRecords(t *testing.T, dir string) map[string]bool {
-	t.Helper()
-	d, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, err := d.LoadExplored()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines, err := loadResultLines(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := make(map[string]bool, len(lines))
-	for _, l := range lines {
-		recorded[l.Key] = true
-	}
-	for k := range keys {
-		if !recorded[k] {
-			t.Fatalf("key %q is journaled without a result record", k)
-		}
-	}
-	return keys
-}
-
 // TestAggregatorCrashOrder kills the coordinator at each boundary of a
-// group commit — (c) committed and acknowledged but not yet aggregated,
-// (a) result records synced and no journal key written, (b) journal keys
-// written and not synced — and then a second time while the recovered
-// job is finishing, so that records orphaned by the first kill sit in the
-// log next to those of their re-execution. Each recovery must find every
-// journaled key with a record, resume exactly the journaled keys, and the
-// job must end where an undisturbed one does: same digest, same counts,
-// no key journaled twice, no violation counted twice.
+// group commit — committed and acknowledged but not yet aggregated, and
+// the batch's records written but not synced (whatever sat in the record
+// log's buffer is lost) — and then a second time while the recovered job
+// is finishing. Each recovery must resume exactly the records on disk, and
+// the job must end where an undisturbed one does: same digest, same
+// counts, the same violations under the same indices, no interleaving
+// recorded twice.
 func TestAggregatorCrashOrder(t *testing.T) {
-	// Roshi-2 violates, so a double-counted record shows in Violations.
 	spec := JobSpec{Bug: "Roshi-2", Mode: "dfs", MaxInterleavings: testCap, RangeSize: 4}
 	wantDigest, wantExplored := sequentialBaseline(t, spec)
 
@@ -145,8 +113,7 @@ func TestAggregatorCrashOrder(t *testing.T) {
 
 	for name, boundary := range map[string]aggBoundary{
 		"acknowledged-not-aggregated": beforeAggregate,
-		"results-synced-no-keys":      afterResultsSynced,
-		"keys-written-not-synced":     afterKeysAppended,
+		"records-written-not-synced":  afterRecords,
 	} {
 		t.Run(name, func(t *testing.T) {
 			svc1, j1 := serve(t, t.TempDir(), false)
@@ -154,28 +121,27 @@ func TestAggregatorCrashOrder(t *testing.T) {
 			finish(t, svc1, j1)
 
 			svc2, j2 := serve(t, firstKill, true)
-			journaled := assertJournaledKeysHaveRecords(t, filepath.Join(firstKill, j2.ID()))
-			if st := j2.Status(); st.Resumed != len(journaled) || st.Resumed == 0 || st.Resumed >= wantExplored {
-				t.Fatalf("first recovery resumed %d of %d journaled keys (job of %d)", st.Resumed, len(journaled), wantExplored)
+			recorded := len(journalKeys(t, filepath.Join(firstKill, j2.ID())))
+			if st := j2.Status(); st.Resumed != recorded || st.Resumed == 0 || st.Resumed >= wantExplored {
+				t.Fatalf("first recovery resumed %d of %d records (job of %d)", st.Resumed, recorded, wantExplored)
 			}
 			secondKill := killAt(t, j2, beforeAggregate, 3)
 			finish(t, svc2, j2)
 
 			svc3, j3 := serve(t, secondKill, true)
-			journaled = assertJournaledKeysHaveRecords(t, filepath.Join(secondKill, j3.ID()))
-			if st := j3.Status(); st.Resumed != len(journaled) || st.Resumed <= j2.Status().Resumed {
-				t.Fatalf("second recovery resumed %d of %d journaled keys, the first %d", st.Resumed, len(journaled), j2.Status().Resumed)
+			recorded = len(journalKeys(t, filepath.Join(secondKill, j3.ID())))
+			if st := j3.Status(); st.Resumed != recorded || st.Resumed <= j2.Status().Resumed {
+				t.Fatalf("second recovery resumed %d of %d records, the first %d", st.Resumed, recorded, j2.Status().Resumed)
 			}
 			got := finish(t, svc3, j3)
 			if got.Explored != want.Explored || got.Digest != want.Digest {
 				t.Fatalf("explored %d digest %s, want %d %s", got.Explored, got.Digest, want.Explored, want.Digest)
 			}
-			// (Not FirstViolation: indices restart with every session, as
-			// they did before this test existed.)
-			if len(got.Violations) != len(want.Violations) || got.Quarantined != want.Quarantined || got.Subsumed != want.Subsumed {
-				t.Fatalf("two kills changed the accounting:\n got  %d violations, %d quarantined, %d subsumed\n want %d, %d, %d",
-					len(got.Violations), got.Quarantined, got.Subsumed,
-					len(want.Violations), want.Quarantined, want.Subsumed)
+			if got.FirstViolation != want.FirstViolation || !reflect.DeepEqual(got.Violations, want.Violations) ||
+				got.Quarantined != want.Quarantined || got.Subsumed != want.Subsumed {
+				t.Fatalf("two kills changed the accounting:\n got  first violation %d, %d violations, %d quarantined, %d subsumed\n want %d, %d, %d, %d",
+					got.FirstViolation, len(got.Violations), got.Quarantined, got.Subsumed,
+					want.FirstViolation, len(want.Violations), want.Quarantined, want.Subsumed)
 			}
 			assertUniqueKeys(t, journalKeys(t, filepath.Join(secondKill, j3.ID())), wantExplored)
 		})
@@ -184,8 +150,8 @@ func TestAggregatorCrashOrder(t *testing.T) {
 
 // TestDoneMeansDurable: when Done() is observed the last batch is on disk
 // — the directory, read from its files while the service still runs and
-// nothing has been flushed on its behalf, holds every explored key with
-// its result record.
+// nothing has been flushed on its behalf, holds a record of every explored
+// interleaving.
 func TestDoneMeansDurable(t *testing.T) {
 	spec := testSpec()
 	_, wantExplored := sequentialBaseline(t, spec)
@@ -197,9 +163,7 @@ func TestDoneMeansDurable(t *testing.T) {
 	}
 	go func() { _ = RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w1", Once: true}) }()
 	<-j.Done()
-	if keys := assertJournaledKeysHaveRecords(t, filepath.Join(root, j.ID())); len(keys) != wantExplored {
-		t.Fatalf("%d keys on disk at Done(), want %d", len(keys), wantExplored)
-	}
+	assertUniqueKeys(t, journalKeys(t, filepath.Join(root, j.ID())), wantExplored)
 	var m jobManifest
 	if err := loadManifest(filepath.Join(root, j.ID()), &m); err != nil || m.State != StateDone || m.Explored != wantExplored {
 		t.Fatalf("manifest at Done(): %+v, %v", m, err)

@@ -3,7 +3,6 @@ package coordinator
 import (
 	"errors"
 	"fmt"
-	"math"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -58,7 +57,6 @@ type jobRange struct {
 	id    int // 1-based, carve order == aggregation order
 	start int // global index of ils[0] (1-based exploration position)
 	ils   []interleave.Interleaving
-	keys  []string
 
 	status    rangeStatus
 	epoch     int // fencing token: bumped on every lease
@@ -67,7 +65,7 @@ type jobRange struct {
 	deadline  time.Time // heartbeat deadline; missing it orphans the range
 	leases    int       // lifetime lease count (poison detector)
 	// results are the committed results parked for the aggregator, which
-	// alone reads ils, keys and results once status is rangeCommitted.
+	// alone reads ils and results once status is rangeCommitted.
 	results []wireResult
 }
 
@@ -75,39 +73,39 @@ type jobRange struct {
 // dir), written atomically on every terminal transition and periodically
 // during the run.
 type jobManifest struct {
-	ID             string         `json:"id"`
-	Spec           JobSpec        `json:"spec"`
-	State          string         `json:"state"`
-	Digest         string         `json:"digest,omitempty"`
-	Explored       int            `json:"explored"`
-	Quarantined    int            `json:"quarantined"`
-	Subsumed       int            `json:"subsumed,omitempty"`
-	Violations     []JobViolation `json:"violations,omitempty"`
-	FirstViolation int            `json:"first_violation,omitempty"`
-	Exhausted      bool           `json:"exhausted"`
-	Bundles        []string       `json:"bundles,omitempty"`
-	Error          string         `json:"error,omitempty"`
+	ID             string                 `json:"id"`
+	Spec           JobSpec                `json:"spec"`
+	State          string                 `json:"state"`
+	Digest         string                 `json:"digest,omitempty"`
+	Explored       int                    `json:"explored"`
+	Quarantined    int                    `json:"quarantined"`
+	Subsumed       int                    `json:"subsumed,omitempty"`
+	Violations     []checkpoint.Violation `json:"violations,omitempty"`
+	FirstViolation int                    `json:"first_violation,omitempty"`
+	Exhausted      bool                   `json:"exhausted"`
+	Bundles        []string               `json:"bundles,omitempty"`
+	Error          string                 `json:"error,omitempty"`
 }
 
 // JobStatus is a point-in-time snapshot of a job, the unit the jobs API
 // serves.
 type JobStatus struct {
-	ID             string         `json:"id"`
-	Label          string         `json:"label"`
-	Spec           JobSpec        `json:"spec"`
-	State          string         `json:"state"`
-	Explored       int            `json:"explored"` // aggregated this session + resumed
-	Resumed        int            `json:"resumed"`
-	Quarantined    int            `json:"quarantined"`
-	Subsumed       int            `json:"subsumed,omitempty"`
-	Violations     []JobViolation `json:"violations,omitempty"`
-	FirstViolation int            `json:"first_violation,omitempty"`
-	Digest         string         `json:"digest,omitempty"` // set once terminal
-	Exhausted      bool           `json:"exhausted"`
-	RangesPending  int            `json:"ranges_pending"`
-	RangesLeased   int            `json:"ranges_leased"`
-	Requeues       int            `json:"requeues"`
-	Fenced         int            `json:"fence_rejections"`
+	ID             string                 `json:"id"`
+	Label          string                 `json:"label"`
+	Spec           JobSpec                `json:"spec"`
+	State          string                 `json:"state"`
+	Explored       int                    `json:"explored"` // aggregated this session + resumed
+	Resumed        int                    `json:"resumed"`
+	Quarantined    int                    `json:"quarantined"`
+	Subsumed       int                    `json:"subsumed,omitempty"`
+	Violations     []checkpoint.Violation `json:"violations,omitempty"`
+	FirstViolation int                    `json:"first_violation,omitempty"`
+	Digest         string                 `json:"digest,omitempty"` // set once terminal
+	Exhausted      bool                   `json:"exhausted"`
+	RangesPending  int                    `json:"ranges_pending"`
+	RangesLeased   int                    `json:"ranges_leased"`
+	Requeues       int                    `json:"requeues"`
+	Fenced         int                    `json:"fence_rejections"`
 	// Bundles lists the forensic bundle files captured for this job's
 	// violations (under the job's journal directory).
 	Bundles []string `json:"bundles,omitempty"`
@@ -116,18 +114,16 @@ type JobStatus struct {
 
 // genExplorer is the fuzz explorer's generation protocol as carving sees
 // it: a generation of children is enumerated, classified by interleaving
-// key (by the job's runner.Ledger as ranges aggregate; here only for keys
-// resumed from the journal), and the corpus evolves only when every
-// emitted child is classified. Distributed fuzzing maps the barrier onto
-// range aggregation — carving stops at a generation boundary until every
-// carved range has committed and aggregated, then the corpus evolves and
-// carving resumes.
+// key (by the job's runner.Ledger, as ranges aggregate and as carving
+// skips resumed keys), and the corpus evolves only when every emitted
+// child is classified. Distributed fuzzing maps the barrier onto range
+// aggregation — carving stops at a generation boundary until every carved
+// range has committed and aggregated, then the corpus evolves and carving
+// resumes.
 type genExplorer interface {
 	GenerationEnd() bool
 	Pending() int
 	Evolve()
-	ReportOutcome(key, signature string)
-	ReportDropped(key string)
 }
 
 // Job is one exploration workload being served to workers. Mutable state
@@ -135,14 +131,13 @@ type genExplorer interface {
 // the janitor (reap/workerGone) and the job's aggregator contend on — and
 // which is held across no fsync and no Ledger.Record: commit parks a
 // range's results and returns, and the aggregator goroutine, the only one
-// that touches ledger, res and the two log files, does the rest.
+// that touches res and records (through the ledger), does the rest.
 type Job struct {
 	id  string
 	tel *svcTel
 
 	spec      JobSpec
 	journal   *checkpoint.Dir
-	resLog    *resultLog
 	dir       string
 	rangeSize int
 	leaseTTL  time.Duration
@@ -152,19 +147,13 @@ type Job struct {
 	err      error
 	explorer interleave.Explorer
 	seen     map[string]struct{} // dedup: resumed ∪ carved keys
-	// resumedSigs replays classification evidence across restarts
-	// (ModeFuzz only): committed key → its original outcome signature, ""
-	// for keys that never produced one (subsumed/quarantined). When the
-	// regenerated explorer re-emits a resumed key, the original
-	// classification is fed back so the corpus trajectory continues
-	// exactly where the crashed coordinator left it.
-	resumedSigs map[string]string
-	resumed     int
-	maxNew      int // remaining fresh-interleaving budget
-	assigned    int // fresh interleavings carved so far
-	eventsPer   int // events in every interleaving (a grant states it once)
-	noMore      bool
-	exhausted   bool
+	resumed  int                 // records an earlier session left
+	maxIndex int                 // the session-wide cap: the highest index that may exist
+	assigned int                 // the highest index carved (resumed ones included)
+	// eventsPer is the events in every interleaving (a grant states it once).
+	eventsPer int
+	noMore    bool
+	exhausted bool
 
 	ranges   []*jobRange
 	pendingQ []int // range ids awaiting (re)lease, ascending
@@ -186,24 +175,22 @@ type Job struct {
 	genMu sync.Mutex
 
 	// ledger is the in-order result ledger committed ranges feed — the same
-	// one the in-process driver feeds — accounting into res. Both belong to
-	// the aggregator while the job runs; what Status and the manifest need
-	// of res is copied into tally under mu after every batch. An earlier
-	// session's Subsumed, FirstViolation and Bundles are restored into res
-	// directly; its quarantines survive only as a count.
-	ledger      *runner.Ledger
-	res         *runner.Result
-	records     []byte // the aggregator's record buffer, reused per batch
-	tally       resultTally
-	quarantined int  // quarantined before this session
-	aggregated  int  // interleavings aggregated this session
-	stopped     bool // the ledger said stop (StopOnViolation)
-	violations  []JobViolation
-	fenced      int
-	requeues    int
-	digest      *Digest
-	digestSum   string
-	doneCh      chan struct{}
+	// one the in-process driver feeds — accounting into res and writing
+	// the job's record log. Both belong to the aggregator while the job
+	// runs; what Status and the manifest need of res is copied into tally
+	// under mu after every batch. An earlier session's records are read
+	// back into res by Ledger.Resume.
+	ledger     *runner.Ledger
+	res        *runner.Result
+	tally      resultTally
+	aggregated int  // interleavings aggregated this session
+	stopped    bool // the ledger said stop (StopOnViolation)
+	violations []checkpoint.Violation
+	fenced     int
+	requeues   int
+	digest     *Digest
+	digestSum  string
+	doneCh     chan struct{}
 
 	// crashPoint, when set (tests only), is called by the aggregator at
 	// each of the durability boundaries of a batch.
@@ -232,16 +219,16 @@ func tallyOf(res *runner.Result) resultTally {
 type aggBoundary uint8
 
 const (
-	beforeAggregate    aggBoundary = iota // committed and acknowledged, nothing written
-	afterResultsSynced                    // result records durable, no journal key written
-	afterKeysAppended                     // journal keys written, not yet synced
+	beforeAggregate aggBoundary = iota // committed and acknowledged, nothing written
+	afterRecords                       // the batch's records written, not yet synced
 )
 
 // openJob builds (or resumes) a job from its spec and journal directory.
-// Resume semantics: keys in explored.log are committed and never re-run —
-// their digest contribution and violations replay from results.log —
-// while ranges that were leased but never committed simply do not exist in
-// the new ledger and get re-carved and re-executed from the explorer.
+// Resume semantics: interleavings with a record are committed and never
+// re-run — their digest contribution and violations replay from the
+// records — while ranges that were leased but never recorded simply do not
+// exist in the new ledger and get re-carved and re-executed from the
+// explorer, under the indices they had.
 func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.Duration, tel *svcTel) (*Job, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -282,8 +269,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		j.state = m.State
 		j.digestSum = m.Digest
 		j.resumed = m.Explored
-		j.quarantined = m.Quarantined
-		j.tally = resultTally{subsumed: m.Subsumed, firstViolation: m.FirstViolation, bundles: m.Bundles}
+		j.tally = resultTally{quarantined: m.Quarantined, subsumed: m.Subsumed, firstViolation: m.FirstViolation, bundles: m.Bundles}
 		j.violations = m.Violations
 		j.exhausted = m.Exhausted
 		j.noMore = true
@@ -294,73 +280,6 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	if err := journal.SaveLog(scenario.Log); err != nil {
 		return nil, err
 	}
-	// The aggregator alone decides when the journal syncs — once per
-	// batch, after the batch's result records — so its own count and age
-	// triggers are off.
-	journal.SetSyncPolicy(math.MaxInt, 0)
-	prior, err := journal.LoadExplored()
-	if err != nil {
-		return nil, err
-	}
-
-	// Replay results.log: digest contributions, quarantine counts, and
-	// violations survive a coordinator restart without re-executing
-	// anything. An interleaving is committed when the journal has its key
-	// *and* the log has its record. A record whose key never reached the
-	// journal (crash between result sync and journal sync) is dropped, and
-	// so is a key whose record did not survive (the log ends at its first
-	// corrupt record): either way the interleaving re-executes, which is
-	// safe because executions are deterministic and the digest is keyed.
-	lines, valid, err := readResultLog(dir)
-	if err != nil {
-		return nil, err
-	}
-	if runner.Mode(spec.Mode) == runner.ModeFuzz {
-		j.resumedSigs = make(map[string]string)
-	}
-	for _, line := range lines {
-		if !prior[line.Key] {
-			continue
-		}
-		if _, twice := j.seen[line.Key]; twice {
-			// An earlier session wrote this record, crashed before the key
-			// was durable, and its successor re-executed the interleaving.
-			continue
-		}
-		j.seen[line.Key] = struct{}{}
-		j.resumed++
-		switch {
-		case line.Subsumed:
-			j.res.Subsumed++
-		case line.Error != "":
-			j.quarantined++
-		default:
-			j.digest.Add(line.Key, line.Sig)
-			if j.resumedSigs != nil {
-				j.resumedSigs[line.Key] = line.Sig
-			}
-		}
-		for _, v := range line.Violations {
-			j.violations = append(j.violations, v)
-			if j.res.FirstViolation == 0 || v.Index < j.res.FirstViolation {
-				j.res.FirstViolation = v.Index
-			}
-		}
-	}
-	j.tally = tallyOf(j.res)
-
-	maxIL := spec.MaxInterleavings
-	switch {
-	case maxIL == 0:
-		maxIL = runner.DefaultMaxInterleavings
-	case maxIL < 0:
-		maxIL = int(^uint(0) >> 1)
-	}
-	j.maxNew = maxIL - j.resumed
-	if j.maxNew < 0 {
-		j.maxNew = 0
-	}
-
 	j.explorer, err = runner.NewExplorer(scenario, spec.exploreConfig())
 	if err != nil {
 		return nil, err
@@ -373,11 +292,37 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	cfg.Assertions = asserts
 	cfg.StopOnViolation = spec.StopOnViolation
 	cfg.ForensicDir = filepath.Join(dir, "forensics")
+	cfg.Journal = journal
 	j.ledger = runner.NewLedger(scenario, cfg, j.explorer, j.res)
-	j.resLog, err = openResultLog(dir, valid)
+	// The records are what an earlier session committed: their digest
+	// contributions and violations survive a coordinator restart without
+	// re-executing anything, and carving numbers on after them.
+	recs, err := j.ledger.Resume()
 	if err != nil {
 		return nil, err
 	}
+	for i := range recs {
+		r := &recs[i]
+		j.seen[r.Key] = struct{}{}
+		if !r.Subsumed && r.Error == "" {
+			j.digest.Add(r.Key, r.Sig)
+		}
+		j.violations = append(j.violations, r.Violations...)
+	}
+	j.resumed = len(recs)
+	j.assigned = j.resumed
+	j.tally = tallyOf(j.res)
+
+	j.maxIndex = spec.MaxInterleavings
+	switch {
+	case j.maxIndex == 0:
+		j.maxIndex = runner.DefaultMaxInterleavings
+	case j.maxIndex < 0:
+		j.maxIndex = int(^uint(0) >> 1)
+	}
+	// A StopOnViolation job whose records hold its violation is over.
+	j.stopped = j.ledger.Stopped()
+	j.noMore = j.stopped
 	if err := journal.SaveJSON("job.json", jobManifest{ID: id, Spec: spec, State: StateRunning}); err != nil {
 		return nil, err
 	}
@@ -488,9 +433,8 @@ func (j *Job) carveLocked() *jobRange {
 		defer j.genMu.Unlock()
 	}
 	var ils []interleave.Interleaving
-	var keys []string
 	start := j.assigned + 1
-	for len(ils) < j.rangeSize && j.assigned < j.maxNew {
+	for len(ils) < j.rangeSize && j.assigned < j.maxIndex {
 		if isGen && ge.GenerationEnd() {
 			// A fuzz generation is fully carved. Stop here — including the
 			// range under construction — and only evolve once every carved
@@ -509,16 +453,10 @@ func (j *Job) carveLocked() *jobRange {
 		}
 		key := il.Key()
 		if _, dup := j.seen[key]; dup {
-			if isGen {
-				// A resumed key never re-executes: replay its original
-				// classification so the generation still completes with
-				// the evidence the first execution produced.
-				if sig, ok := j.resumedSigs[key]; ok && sig != "" {
-					ge.ReportOutcome(key, sig)
-				} else {
-					ge.ReportDropped(key)
-				}
-			}
+			// A resumed key never re-executes: the ledger replays its
+			// recorded classification (ModeFuzz), so the generation still
+			// completes with the evidence the first execution produced.
+			j.ledger.Skipped(key)
 			continue
 		}
 		if j.eventsPer == 0 {
@@ -532,16 +470,15 @@ func (j *Job) carveLocked() *jobRange {
 		}
 		j.seen[key] = struct{}{}
 		ils = append(ils, il)
-		keys = append(keys, key)
 		j.assigned++
 	}
-	if j.assigned >= j.maxNew {
+	if j.assigned >= j.maxIndex {
 		j.noMore = true
 	}
 	if len(ils) == 0 {
 		return nil
 	}
-	r := &jobRange{id: len(j.ranges) + 1, start: start, ils: ils, keys: keys}
+	r := &jobRange{id: len(j.ranges) + 1, start: start, ils: ils}
 	j.ranges = append(j.ranges, r)
 	return r
 }
@@ -689,16 +626,14 @@ func (j *Job) nextBatch() ([]*jobRange, func(aggBoundary)) {
 	}
 }
 
-// writeBatch records a batch with the ledger and makes it durable, holding
-// mu nowhere. What stays here is what is distributed: the keyed digest,
-// the wire form of violations, and the two durability orders — a result
-// record reaches the kernel, and the disk, before its journal key does
-// either, so a journaled key always has a durable result record (the
-// resume path depends on it). One sync of each file covers the batch. It
-// returns how many of the batch's ranges it aggregated — fewer than all
-// when the ledger stopped inside it, the rest being dropped exactly as
-// ranges committed later are — and the violations they added.
-func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, []JobViolation, error) {
+// writeBatch records a batch with the ledger — which appends each
+// result's record to the job's record log — and makes it durable with one
+// sync, holding mu nowhere. What stays here is what is distributed: the
+// keyed digest and the wire form of violations. It returns how many of
+// the batch's ranges it aggregated — fewer than all when the ledger
+// stopped inside it, the rest being dropped exactly as ranges committed
+// later are — and the violations they added.
+func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, []checkpoint.Violation, error) {
 	at := func(b aggBoundary) {
 		if crashPoint != nil {
 			crashPoint(b)
@@ -706,27 +641,23 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, 
 	}
 	at(beforeAggregate)
 	_, isGen := j.explorer.(genExplorer)
-	records := j.records[:0]
-	var violations []JobViolation
+	var violations []checkpoint.Violation
 	for n, r := range batch {
 		if isGen {
 			j.genMu.Lock()
 		}
 		for i := range r.results {
 			res := &r.results[i]
-			index, key := r.start+i, r.keys[i]
-			line := resultLine{Index: index, Key: key, Attempts: res.Attempts}
+			index := r.start + i
 			outcome := res.Outcome
 			var execErr error
 			switch {
 			case res.Subsumed:
 				// Pruned by the worker's subsumption table: consumes its
-				// index and journal slot, contributes nothing to the digest.
-				line.Subsumed = true
+				// index and record, contributes nothing to the digest.
 				execErr = runner.ErrSubsumed
 				j.tel.subsumed()
 			case outcome == nil:
-				line.Error = res.Error
 				execErr = errors.New(res.Error)
 				j.tel.quarantined()
 			default:
@@ -734,15 +665,18 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, 
 				// ledger, never from the wire, so a confused worker cannot
 				// corrupt them.
 				outcome.Index, outcome.Interleaving = index, r.ils[i]
-				line.Sig = runner.OutcomeSignature(outcome)
-				j.digest.Add(key, line.Sig)
 			}
-			for _, v := range j.ledger.Record(index, r.ils[i], outcome, res.Attempts, execErr) {
-				line.Violations = append(line.Violations,
-					JobViolation{Index: index, Key: key, Assertion: v.Assertion, Error: v.Err.Error()})
+			rec, err := j.ledger.Record(index, r.ils[i], outcome, res.Attempts, execErr)
+			if err != nil {
+				if isGen {
+					j.genMu.Unlock()
+				}
+				return 0, nil, err
 			}
-			violations = append(violations, line.Violations...)
-			records = appendResultRecord(records, &line)
+			if outcome != nil {
+				j.digest.Add(rec.Key, rec.Sig)
+			}
+			violations = append(violations, rec.Violations...)
 		}
 		if isGen {
 			j.genMu.Unlock()
@@ -752,29 +686,14 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, 
 			break
 		}
 	}
-	j.records = records
-	if err := j.resLog.write(records); err != nil {
-		return 0, nil, err
-	}
-	if err := j.resLog.sync(); err != nil {
-		return 0, nil, err
-	}
-	at(afterResultsSynced)
-	for _, r := range batch {
-		for _, il := range r.ils {
-			if err := j.journal.AppendExplored(il); err != nil {
-				return 0, nil, err
-			}
-		}
-	}
-	at(afterKeysAppended)
+	at(afterRecords)
 	j.tel.batch()
 	return len(batch), violations, j.journal.Flush()
 }
 
 // finishBatch accounts a durable batch — or fails the job with the write
 // error — and completes the job if that was the last of it.
-func (j *Job) finishBatch(batch []*jobRange, violations []JobViolation, err error) {
+func (j *Job) finishBatch(batch []*jobRange, violations []checkpoint.Violation, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	defer j.wakeLocked()
@@ -946,7 +865,7 @@ func (j *Job) persistLocked() {
 		State:          j.state,
 		Digest:         j.digestSum,
 		Explored:       j.resumed + j.aggregated,
-		Quarantined:    j.quarantined + j.tally.quarantined,
+		Quarantined:    j.tally.quarantined,
 		Subsumed:       j.tally.subsumed,
 		Violations:     j.violations,
 		FirstViolation: j.tally.firstViolation,
@@ -973,10 +892,6 @@ func (j *Job) closeFiles() {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.resLog != nil {
-		_ = j.resLog.close()
-		j.resLog = nil
-	}
 	_ = j.journal.Close()
 }
 
@@ -991,9 +906,9 @@ func (j *Job) Status() JobStatus {
 		State:          j.state,
 		Explored:       j.resumed + j.aggregated,
 		Resumed:        j.resumed,
-		Quarantined:    j.quarantined + j.tally.quarantined,
+		Quarantined:    j.tally.quarantined,
 		Subsumed:       j.tally.subsumed,
-		Violations:     append([]JobViolation(nil), j.violations...),
+		Violations:     append([]checkpoint.Violation(nil), j.violations...),
 		FirstViolation: j.tally.firstViolation,
 		Exhausted:      j.exhausted,
 		RangesPending:  len(j.pendingQ),

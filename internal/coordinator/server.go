@@ -94,7 +94,7 @@ func (t *svcTel) request() {
 	}
 }
 
-// batch counts one group commit: one sync of results.log, one of the journal.
+// batch counts one group commit: one sync of the job's record log.
 func (t *svcTel) batch() {
 	if t != nil {
 		t.batches.Inc()
@@ -272,8 +272,9 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 
 // Recover reopens every job directory under JournalRoot — the coordinator
 // crash-recovery path. Finished jobs restore read-only from their
-// manifest; running jobs resume: committed interleavings replay from
-// results.log, everything else re-carves from a fresh explorer.
+// manifest; running jobs resume: recorded interleavings replay from the
+// record log, everything else re-carves from a fresh explorer under the
+// indices it had.
 func (s *Service) Recover() error {
 	entries, err := os.ReadDir(s.opts.JournalRoot)
 	if err != nil {

@@ -86,7 +86,7 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"StopOnViolation":  true, // assertions checked in aggregation order
 		"Assertions":       true,
 		"OnOutcome":        true, // digest/violation aggregation
-		"Journal":          true, // explored.log owned by the job
+		"Journal":          true, // the record log, owned by the job
 		"Telemetry":        true, // Options.Telemetry on the service
 		// Forensic bundles are captured on the coordinator's aggregation
 		// path (the job's runner.Ledger re-executes locally), never by
@@ -211,13 +211,10 @@ func TestDistributedSubsumptionParity(t *testing.T) {
 	jobDir := filepath.Join(root, j.ID())
 	assertUniqueKeys(t, journalKeys(t, jobDir), wantExplored)
 
-	// The durable result lines carry the parity proof: subsumed lines have
-	// no signature, executed lines' deduplicated signatures must equal the
+	// The durable records carry the parity proof: subsumed records have no
+	// signature, executed records' deduplicated signatures must equal the
 	// sequential baseline set.
-	lines, err := loadResultLines(jobDir)
-	if err != nil {
-		t.Fatalf("load result lines: %v", err)
-	}
+	lines := jobRecords(t, jobDir)
 	subsumedLines := 0
 	gotSet := make(map[string]struct{})
 	for _, line := range lines {
@@ -233,7 +230,7 @@ func TestDistributedSubsumptionParity(t *testing.T) {
 		}
 	}
 	if subsumedLines != st.Subsumed {
-		t.Fatalf("results.log has %d subsumed lines, status says %d", subsumedLines, st.Subsumed)
+		t.Fatalf("the record log has %d subsumed records, status says %d", subsumedLines, st.Subsumed)
 	}
 	gotSigs := make([]string, 0, len(gotSet))
 	for s := range gotSet {

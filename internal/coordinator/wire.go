@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"github.com/er-pi/erpi/internal/event"
@@ -133,7 +132,7 @@ type frame struct {
 // after retries); the coordinator counts it and continues, exactly like
 // the in-process engines. Subsumed marks an interleaving the worker's
 // subsumption table pruned: no outcome and no error, but the index is
-// consumed and journaled so the cap, dedup, and resume accounting match a
+// consumed and recorded so the cap, dedup, and resume accounting match a
 // non-pruning run. Otherwise Outcome is set, with Index and Interleaving
 // left for the coordinator to fill in from its own ledger.
 type wireResult struct {
@@ -239,16 +238,6 @@ func appendIDs(b []byte, ids []event.ID) []byte {
 	return b
 }
 
-// readInt reads a uvarint that must fit a non-negative int.
-func readInt(r *wire.Reader) int {
-	v := r.Uvarint()
-	if v > math.MaxInt {
-		r.Fail(fmt.Errorf("coordinator: %d overflows int", v))
-		return 0
-	}
-	return int(v)
-}
-
 func readIDs(r *wire.Reader) []event.ID {
 	n := r.Count(1)
 	if n == 0 {
@@ -256,7 +245,7 @@ func readIDs(r *wire.Reader) []event.ID {
 	}
 	ids := make([]event.ID, n)
 	for i := range ids {
-		ids[i] = event.ID(readInt(r))
+		ids[i] = event.ID(r.Int())
 	}
 	return ids
 }
@@ -286,18 +275,18 @@ func decodeFrame(b []byte) (*frame, error) {
 		f.Job = r.String()
 		f.Spec = r.String()
 		f.LockAddr = r.String()
-		f.LeaseTTLMs = int64(readInt(r))
+		f.LeaseTTLMs = int64(r.Int())
 	case msgHeartbeat:
-		f.Range = readInt(r)
-		f.Epoch = readInt(r)
+		f.Range = r.Int()
+		f.Epoch = r.Int()
 	case msgRange:
-		f.Range = readInt(r)
-		f.Epoch = readInt(r)
-		f.Start = readInt(r)
+		f.Range = r.Int()
+		f.Epoch = r.Int()
+		f.Start = r.Int()
 		f.Interleavings = readInterleavings(r, len(b))
 	case msgCommit:
-		f.Range = readInt(r)
-		f.Epoch = readInt(r)
+		f.Range = r.Int()
+		f.Epoch = r.Int()
 		// The smallest result is a subsumed one: status byte + attempts.
 		f.Results = make([]wireResult, r.Count(2))
 		for i := range f.Results {
@@ -306,7 +295,7 @@ func decodeFrame(b []byte) (*frame, error) {
 	case msgTelemetry:
 		f.Telemetry = r.String()
 	case msgDrain:
-		f.RetryMs = int64(readInt(r))
+		f.RetryMs = int64(r.Int())
 	case msgError:
 		f.Code = readByte(r, errCodeVersion, "error code")
 		f.Err = r.String()
@@ -347,7 +336,7 @@ func readInterleavings(r *wire.Reader, bodyLen int) []interleave.Interleaving {
 	}
 	flat := make([]event.ID, count*per)
 	for i := range flat {
-		flat[i] = event.ID(readInt(r))
+		flat[i] = event.ID(r.Int())
 	}
 	ils := make([]interleave.Interleaving, count)
 	for i := range ils {
@@ -361,7 +350,7 @@ func readInterleavings(r *wire.Reader, bodyLen int) []interleave.Interleaving {
 // keys that are not strictly ascending.
 func readResult(r *wire.Reader, res *wireResult) {
 	status := readByte(r, statusQuarantined, "result status")
-	res.Attempts = readInt(r)
+	res.Attempts = r.Int()
 	switch status {
 	case statusSubsumed:
 		res.Subsumed = true
@@ -387,7 +376,7 @@ func readResult(r *wire.Reader, res *wireResult) {
 			o.Observations = make(map[event.ID]string, n)
 			prev := 0
 			for i := 0; i < n; i++ {
-				id, v := readInt(r), r.String()
+				id, v := r.Int(), r.String()
 				if i > 0 && id <= prev {
 					r.Fail(fmt.Errorf("coordinator: observation of event %d after %d", id, prev))
 				}

@@ -24,16 +24,16 @@ import (
 //
 // Topology: workers that serve themselves — no driver goroutine, no
 // channel. One mutex (pool.mu) guards the explorer, the dedup set, the
-// journal, the datalog store, the queue of carved runs and the result
-// Ledger; each worker owns a private Executor. A worker that wants work
-// takes the mutex and
+// datalog store, the queue of carved runs and the result Ledger (and with
+// it the record log); each worker owns a private Executor. A worker that
+// wants work takes the mutex and
 //
 //   - drains: feeds Ledger.Record every published result of the head run
 //     (the oldest carved run not yet fully recorded) in index order, pops a
 //     finished head and continues into the next run;
 //   - carves: pulls a run of consecutive interleavings from the explorer in
-//     its native order — each given a stable 1-based index, deduped,
-//     journaled and stored at that moment — and queues the run;
+//     its native order — each given a stable 1-based index, deduped and
+//     stored at that moment — and queues the run;
 //
 // then executes the run outside the mutex, publishing each result as it
 // completes (slots[i], then the atomic done = i+1). Results must stream — a
@@ -61,13 +61,14 @@ import (
 // Run length is a function of counts only: min(maxRun, left/(4·workers)), at
 // least 1, left being what the cap still allows (runs shrink towards the end
 // so the workers finish together), and always 1 at one worker, which then
-// journals exactly what it executes, inline on the caller's goroutine.
+// executes inline on the caller's goroutine.
 // Carving runs ahead of recording by at most runsAhead runs per worker, so a
 // stalled head parks a bounded number of outcomes. DESIGN.md §4.7 has the
 // measurements behind both constants.
 //
 // Deterministic regardless of worker count and of where runs are cut:
-//   - which interleavings execute, their indices, and the journal order;
+//   - which interleavings execute, their indices, and the record log (one
+//     record per recorded index, appended by Ledger.Record in index order);
 //   - Outcome delivery order to OnOutcome and to assertions (stateful
 //     assertions see one history);
 //   - Violations, Quarantined, FirstViolation, and — on a completed or
@@ -77,14 +78,13 @@ import (
 // Best-effort (may differ between worker counts):
 //   - Duration, and retry-backoff jitter timing (per-worker generators);
 //   - on StopOnViolation, work past the violating index may already have
-//     executed; its results are discarded, but journal/store entries for
-//     those indices remain (safe over-approximations: a journal key only
-//     suppresses re-execution on resume, and store facts are monotone);
+//     executed; its results are discarded, but store entries for those
+//     indices remain (a safe over-approximation: store facts are monotone);
 //   - on interruption, Explored counts results that reached the ledger
 //     before the cancellation was observed, while the explorer may have
-//     been pulled further ahead — by up to the carve-ahead bound, and those
-//     indices are journaled too (ModeRand's RandShuffles reflects that
-//     ahead-pulling).
+//     been pulled further ahead — by up to the carve-ahead bound (ModeRand's
+//     RandShuffles reflects that ahead-pulling). Those indices have no
+//     record, so a resumed session carves them again.
 //
 // Two barriers quiesce the pool by the same mechanics: while one is armed
 // nothing is carved, workers wait on pool.idle until the queue of carved
@@ -107,7 +107,7 @@ type pool struct {
 	explorer interleave.Explorer
 	explored *exploredSet
 	pruning  prune.Config
-	maxNew   int
+	maxIndex int // the session-wide cap: the highest index that may exist
 	workers  int
 
 	// runLen is the run-length rule (defaultRunLen outside tests): how many
@@ -135,7 +135,7 @@ type pool struct {
 	// Guarded by mu.
 	queue    []*run    // carved runs not yet fully recorded, in index order
 	err      error     // first fatal error; fails the run
-	assigned int       // indices handed out; the highest index that exists
+	assigned int       // the highest index that exists (resumed ones included)
 	nextProc int       // next index the ledger takes
 	gen      uint64    // re-prune generation stamped on pulled items
 	noMore   bool      // no further assignment (cap/exhausted/crash/halt)
@@ -317,7 +317,7 @@ func (p *pool) drain() {
 // the barrier) and wherever pull stops. Nil: nothing to carve now. Holds mu.
 func (p *pool) carve(prev *run) *run {
 	// At least one: the pull that finds nothing left is what ends assignment.
-	n := max(1, p.runLen(p.maxNew-p.assigned, p.workers))
+	n := max(1, p.runLen(p.maxIndex-p.assigned, p.workers))
 	r := prev
 	if r == nil || r.fed < len(r.slots) { // none, or still queued: a new one
 		r = &run{slots: make([]workResult, 0, min(n, maxRun))}
@@ -347,12 +347,12 @@ func (p *pool) carve(prev *run) *run {
 }
 
 // pull advances the explorer to the next fresh interleaving, assigns its
-// index, and journals/records it. ok=false means nothing was assigned:
-// assignment stopped (noMore; a journal or store failure also fails the
-// run), or a fuzz generation must quiesce first (genWait). Caller holds mu.
+// index, and stores it. ok=false means nothing was assigned: assignment
+// stopped (noMore; a store failure also fails the run), or a fuzz
+// generation must quiesce first (genWait). Caller holds mu.
 func (p *pool) pull() (item workItem, ok bool) {
 	for {
-		if p.assigned >= p.maxNew {
+		if p.assigned >= p.maxIndex {
 			p.noMore = true
 			return item, false
 		}
@@ -383,12 +383,12 @@ func (p *pool) pull() (item workItem, ok bool) {
 		dup := p.explored.seen(il)
 		dedupSpan.End()
 		if dup {
-			// Journal resume, or re-pruning regenerated the explorer. The key
-			// never executes: classify it as yielding no corpus evidence so
-			// a fuzz generation can still complete.
+			// A resumed record, or re-pruning regenerated the explorer. The
+			// key never executes: classify it so a fuzz generation can still
+			// complete.
 			p.tel.onDedupSkipped()
-			if ge := p.ledger.ge; ge != nil {
-				ge.ReportDropped(il.Key())
+			if p.ledger.ge != nil {
+				p.ledger.Skipped(il.Key())
 			}
 			continue
 		}
@@ -397,12 +397,6 @@ func (p *pool) pull() (item workItem, ok bool) {
 		}
 		p.assigned++
 		p.tel.onExplored()
-		if p.cfg.Journal != nil {
-			if err := p.cfg.Journal.AppendExplored(il); err != nil {
-				p.fail(err)
-				return item, false
-			}
-		}
 		if p.cfg.Store != nil {
 			if err := p.cfg.Store.Record(il); err != nil {
 				if errors.Is(err, datalog.ErrBudgetExhausted) {
@@ -437,7 +431,10 @@ func (p *pool) process(r workResult) {
 			p.pollSkip = true
 		}
 	}
-	p.ledger.Record(r.index, r.il, r.outcome, r.attempts, r.err)
+	if _, err := p.ledger.Record(r.index, r.il, r.outcome, r.attempts, r.err); err != nil {
+		p.fail(err)
+		return
+	}
 	if p.ledger.Stopped() {
 		p.stop()
 	}
@@ -536,21 +533,22 @@ func (p *pool) poll() error {
 	return nil
 }
 
-// finalize settles Explored and the run flags once the pool has drained.
+// finalize settles Explored — this session's share of the indices — and
+// the run flags once the pool has drained.
 func (p *pool) finalize() {
 	res := p.res
 	switch {
 	case p.ledger.Stopped():
 		// Nothing past the first violation counts: truncate to it and drop
 		// flags that only later (discarded) work could have set.
-		res.Explored = res.FirstViolation
+		res.Explored = max(0, res.FirstViolation-res.Resumed)
 		res.Exhausted = false
 		res.Crashed = false
 		res.CrashErr = nil
 	case res.Interrupted:
-		res.Explored = p.nextProc - 1 // results recorded in order
+		res.Explored = p.nextProc - 1 - res.Resumed // results recorded in order
 	default:
-		res.Explored = p.assigned
+		res.Explored = p.assigned - res.Resumed
 	}
 	if r, ok := p.explorer.(*interleave.RandExplorer); ok {
 		res.RandShuffles = r.Shuffles()

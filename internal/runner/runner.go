@@ -211,10 +211,16 @@ type Config struct {
 	// OnOutcome, when set, observes every outcome (tracing hook): one at a
 	// time, in exploration order, not always on the same goroutine.
 	OnOutcome func(*Outcome)
-	// Journal, when set, persists the recorded log and every explored
-	// interleaving to the session directory; interleavings already in the
-	// journal are skipped, so an interrupted exploration resumes where it
-	// left off (paper §4.2: ER-π persists the interleavings).
+	// Journal, when set, persists the recorded log and one record per
+	// recorded interleaving (index, key, signature or error, violations)
+	// to the session directory, in index order. A session over a directory
+	// that already holds records resumes after them: their interleavings
+	// are skipped, their violations, quarantines and FirstViolation are
+	// reported again, and indices continue where the records end — so an
+	// interrupted exploration, resumed, explores and numbers exactly what
+	// an uninterrupted one does (paper §4.2: ER-π persists the
+	// interleavings). A directory recorded for another event log is
+	// refused.
 	Journal *checkpoint.Dir
 	// Deadline bounds the whole run's wall-clock time; when it expires
 	// the run stops promptly and returns the partial Result with
@@ -334,8 +340,10 @@ type Result struct {
 	// FirstViolation is the 1-based index of the first violation (0 if
 	// none) — the "interleavings to reproduce the bug" metric of Fig. 8a.
 	FirstViolation int
-	// Resumed counts interleavings skipped because a journal already held
-	// them (0 without a journal).
+	// Resumed counts the records an earlier session left in the Journal
+	// (0 without one): interleavings this session skips, whose results —
+	// violations, quarantines, subsumptions — are reported here again.
+	// Explored counts this session's interleavings only.
 	Resumed int
 	// Subsumed counts interleavings skipped by state subsumption
 	// (Config.SubsumptionTable). They are included in Explored — an index
@@ -469,30 +477,33 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 
 	res := &Result{Scenario: s.Name, Mode: cfg.Mode}
 	explored := newExploredSet(cfg.MaxExploredKeys)
+	ledger := newLedger(s, cfg, explorer, res, tel)
+	repoll := false
 	if cfg.Journal != nil {
 		if err := cfg.Journal.SaveLog(s.Log); err != nil {
 			return nil, err
 		}
-		prior, err := cfg.Journal.LoadExplored()
+		recs, err := ledger.Resume()
 		if err != nil {
 			return nil, err
 		}
-		for key := range prior {
-			explored.Add(key)
+		for i := range recs {
+			r := &recs[i]
+			explored.Add(r.Key)
+			// The earlier session polled constraints after a boundary index
+			// with an outcome (pool.pollSkip), and what it merged is not in
+			// the records: this one polls before carving.
+			repoll = repoll || r.Index%cfg.PollEvery == 0 && r.Error == "" && !r.Subsumed
 		}
-		res.Resumed = len(prior)
 		if tel != nil {
 			cfg.Journal.SetFsyncObserver(tel.fsyncObserver())
 			defer cfg.Journal.SetFsyncObserver(nil)
 		}
 	}
-	// The cap is session-wide: what the journal already holds counts
-	// toward it, and this run only gets the remainder.
-	maxNew := maxIL - res.Resumed
-	if maxNew < 0 {
-		maxNew = 0
-	}
-	tel.beginRun(maxNew, workers, res.Resumed)
+	// The cap is session-wide: what the record log already holds counts
+	// toward it, and this run only gets the remainder. Numbering continues
+	// after the last record.
+	tel.beginRun(max(0, maxIL-res.Resumed), workers, res.Resumed)
 	defer tel.endRun()
 
 	p := &pool{
@@ -500,15 +511,24 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		s:        s,
 		cfg:      cfg,
 		res:      res,
-		ledger:   newLedger(s, cfg, explorer, res, tel),
+		ledger:   ledger,
 		explorer: explorer,
 		explored: explored,
 		pruning:  pruning,
-		maxNew:   maxNew,
+		maxIndex: maxIL,
 		workers:  workers,
 		runLen:   runLen,
 		tel:      tel,
-		nextProc: 1,
+		assigned: res.Resumed,
+		nextProc: res.Resumed + 1,
+	}
+	switch {
+	case ledger.Stopped():
+		// The resumed records hold the violation StopOnViolation stops at.
+		p.noMore = true
+	case repoll && cfg.ConstraintPoll != nil && cfg.Mode == ModeERPi:
+		p.pollWait = true
+		p.since = tel.now()
 	}
 	if !live {
 		// One subsumption table is shared by every worker of the run. The

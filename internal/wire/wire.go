@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -98,6 +99,16 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// Int reads one AppendUvarint item that must fit a non-negative int.
+func (r *Reader) Int() int {
+	v := r.Uvarint()
+	if v > math.MaxInt {
+		r.Fail(fmt.Errorf("wire: %d overflows int", v))
+		return 0
+	}
+	return int(v)
 }
 
 // String reads one AppendString item.

@@ -150,6 +150,15 @@ func TestUvarintOverflow(t *testing.T) {
 	if err := r.Done(); err == nil {
 		t.Fatal("overlong uvarint accepted")
 	}
+	// Int takes a uvarint only when it fits a non-negative int.
+	r = NewReader(AppendUvarint(nil, 1<<63))
+	if v := r.Int(); v != 0 || r.Done() == nil {
+		t.Fatalf("Int(1<<63) = %d, accepted", v)
+	}
+	r = NewReader(AppendUvarint(nil, 300))
+	if v := r.Int(); v != 300 || r.Done() != nil {
+		t.Fatalf("Int(300) = %d, %v", v, r.Done())
+	}
 }
 
 // TestErrorSticks: after the first failure every read returns the zero
