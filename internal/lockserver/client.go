@@ -46,9 +46,15 @@ type FaultHook func(op string, args []string) error
 type Client struct {
 	mu   sync.Mutex
 	addr string
-	conn net.Conn
-	r    *bufio.Reader
-	wbuf []byte // request framing scratch
+	// conn is written under both mu and connMu; connMu alone lets Interrupt
+	// reach it while a request holds mu, parked in a read.
+	conn   net.Conn
+	connMu sync.Mutex
+	// interrupted, guarded by connMu, marks conn as cut by Interrupt: the
+	// request on it (or the next one) drops it and re-dials.
+	interrupted bool
+	r           *bufio.Reader
+	wbuf        []byte // request framing scratch
 	// reconnect policy: maxAttempts tries per request, starting at backoff
 	// and doubling.
 	maxAttempts int
@@ -113,12 +119,51 @@ func (c *Client) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
 	if c.conn == nil {
 		return nil
 	}
 	err := c.conn.Close()
 	c.conn = nil
 	return err
+}
+
+// longAgo is a read deadline that has always passed.
+var longAgo = time.Unix(1, 0)
+
+// Interrupt fails the request in flight at once — a WAITGE parked on the
+// server included — and drops its connection, so the reply it was waiting
+// for can never be read as the answer to a later request; the next
+// request re-dials. With no request in flight, the next one starts on a
+// fresh connection. Safe to call from any goroutine, e.g. from
+// context.AfterFunc when the caller's context dies.
+func (c *Client) Interrupt() {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	c.interrupted = true
+	if c.conn != nil {
+		_ = c.conn.SetReadDeadline(longAgo)
+	}
+}
+
+// cut reports whether Interrupt has cut the connection since it was
+// dialed.
+func (c *Client) cut() bool {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	return c.interrupted
+}
+
+// dropConn closes and forgets the connection. Callers hold c.mu.
+func (c *Client) dropConn() {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.conn != nil {
+		_ = c.conn.Close()
+		c.conn = nil
+	}
+	c.interrupted = false
 }
 
 func (c *Client) do(args ...string) (reply, error) {
@@ -161,22 +206,28 @@ func (c *Client) doCtx(ctx context.Context, args ...string) (reply, error) {
 
 // sendLocked puts one request on the wire once and reads its reply: the
 // fault hook sees it (exactly once per request sent, which is what lets a
-// counting hook count requests), a dropped connection is re-dialed first,
-// and any transport error drops the connection, because the stream may be
-// desynchronized mid-reply. An error after the write began is ambiguous:
-// the server may have applied the request. Callers hold c.mu.
+// counting hook count requests), a dropped or interrupted connection is
+// re-dialed first, and any transport error or Interrupt drops the
+// connection, because the stream may be desynchronized mid-reply. An
+// error after the write began is ambiguous: the server may have applied
+// the request. Callers hold c.mu.
 func (c *Client) sendLocked(args []string) (reply, error) {
 	if c.hook != nil {
 		if err := c.hook(args[0], args[1:]); err != nil {
 			return reply{}, err
 		}
 	}
+	if c.cut() {
+		c.dropConn()
+	}
 	if c.conn == nil {
 		conn, err := net.Dial("tcp", c.addr)
 		if err != nil {
 			return reply{}, err
 		}
+		c.connMu.Lock()
 		c.conn = conn
+		c.connMu.Unlock()
 		c.r = bufio.NewReader(conn)
 	}
 	c.wbuf = appendCommand(c.wbuf[:0], args...)
@@ -185,9 +236,8 @@ func (c *Client) sendLocked(args []string) (reply, error) {
 	if err == nil {
 		rep, err = readReply(c.r)
 	}
-	if err != nil {
-		_ = c.conn.Close()
-		c.conn = nil
+	if err != nil || c.cut() {
+		c.dropConn()
 	}
 	return rep, err
 }
@@ -289,7 +339,14 @@ func (c *Client) IncrBy(key string, n int64) (int64, error) {
 // sharing this client serialize behind the wait — give each blocking
 // waiter its own client.
 func (c *Client) WaitGE(key string, target int64, timeout time.Duration) (int64, error) {
-	rep, err := c.do("WAITGE", key,
+	return c.WaitGEContext(context.Background(), key, target, timeout)
+}
+
+// WaitGEContext is WaitGE with a cancellation context bounding the
+// reconnect backoff (see doCtx). It does not cut a parked wait short by
+// itself: Interrupt does, which is what Sequencer.Interrupt is for.
+func (c *Client) WaitGEContext(ctx context.Context, key string, target int64, timeout time.Duration) (int64, error) {
+	rep, err := c.doCtx(ctx, "WAITGE", key,
 		strconv.FormatInt(target, 10),
 		strconv.FormatInt(timeout.Milliseconds(), 10))
 	if err != nil {
@@ -561,9 +618,9 @@ func (s *Sequencer) Reset() error {
 }
 
 // blockingTurnChunk bounds how long one WAITGE parks on the server.
-// Chunking keeps context cancellation prompt — the client only notices a
-// dead context between chunks — while a ready turn still costs exactly
-// one round trip.
+// Chunking bounds how long a dead context goes unnoticed when nobody
+// calls Interrupt — the client checks it between chunks — while a ready
+// turn still costs exactly one round trip.
 const blockingTurnChunk = 100 * time.Millisecond
 
 // WaitTurn blocks until the shared counter equals turn. The fast path is
@@ -574,7 +631,9 @@ const blockingTurnChunk = 100 * time.Millisecond
 // preserving outage tolerance: polling treats errors as transient (the
 // client reconnects underneath) and continues until the context is done,
 // so a lock-server outage wedges the turn — visibly, bounded by the
-// caller's deadline — instead of crashing the replay.
+// caller's deadline — instead of crashing the replay. A wait parked on the
+// server returns at once when Interrupt is called, with ctx's error once
+// ctx is done.
 func (s *Sequencer) WaitTurn(ctx context.Context, at int) error {
 	turn, started := int64(at), time.Now()
 	for !s.noBlock {
@@ -587,8 +646,11 @@ func (s *Sequencer) WaitTurn(ctx context.Context, at int) error {
 				chunk = rem
 			}
 		}
-		cur, err := s.client.WaitGE(s.key, turn, chunk)
+		cur, err := s.client.WaitGEContext(ctx, s.key, turn, chunk)
 		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return fmt.Errorf("lockserver: wait turn %d: %w", turn, ctxErr)
+			}
 			if errors.Is(err, ErrBlockingUnsupported) {
 				s.noBlock = true
 			}
@@ -637,6 +699,12 @@ func (s *Sequencer) pollTurn(ctx context.Context, turn int64, started time.Time)
 		}
 	}
 }
+
+// Interrupt cuts short the wait or request the sequencer's client has in
+// flight (see Client.Interrupt). Live replay calls it when an attempt's
+// context dies, so a replica parked on its turn returns at once instead of
+// when its WAITGE chunk ends.
+func (s *Sequencer) Interrupt() { s.client.Interrupt() }
 
 // Advance adds n to the shared counter: the holder of turn t hands the
 // schedule to turn t+n, having run the n consecutive positions it owned as

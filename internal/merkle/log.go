@@ -15,7 +15,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"github.com/er-pi/erpi/internal/wire"
@@ -33,6 +32,12 @@ type Entry struct {
 	Identity string
 	// Parents are the hashes of the log heads at append time.
 	Parents []string
+
+	// verified is the entry's own address once the log that owns it has
+	// hashed it (Append) or verified it (Join). A copy of the struct
+	// carries the original's address, not its own, so no copy — a clone,
+	// or an entry annotated after hashing — inherits the result.
+	verified *Entry
 }
 
 // MinEntryBytes is the size of the smallest AppendBinary encoding (three
@@ -54,9 +59,8 @@ func (e *Entry) AppendBinary(b []byte) []byte {
 //
 //	payload=%q clock=%d id=%q parents=<sorted hashes, comma-joined>
 //
-// Verify runs once per entry on every join and every fingerprint, so the
-// encoding is appended to the caller's (stack) buffer rather than built
-// through fmt.
+// Verify runs once per entry a join does not hold, so the encoding is
+// appended to the caller's (stack) buffer rather than built through fmt.
 func (e *Entry) appendCanonical(b []byte) []byte {
 	parents := e.Parents
 	if !slices.IsSorted(parents) {
@@ -101,6 +105,14 @@ func (e *Entry) Verify() bool {
 	return e.Hash == string(sum[:])
 }
 
+// Verified is Verify answered from the remembered result when a log owns
+// this very entry: the log hashed or verified it on the way in and never
+// mutates its entries, so the result still holds. Any other entry is
+// verified on the spot.
+func (e *Entry) Verified() bool {
+	return e.verified == e || e.Verify()
+}
+
 // TieBreak selects the total-order comparator used to linearize entries
 // with equal clocks.
 type TieBreak int
@@ -134,9 +146,11 @@ type Log struct {
 	// set far into future making db progress halt") happen.
 	MaxClockSkew uint64
 
-	// Scratch, never state: linearize's order, ReadUnheld's parent views.
+	// Scratch, never state: linearize's order, ReadUnheld's parent views,
+	// Heads' sorted parent hashes.
 	linear  []*Entry
 	parents [][]byte
+	refs    []string
 }
 
 // NewLog returns an empty log for a writer identity.
@@ -175,6 +189,7 @@ func (l *Log) Append(payload string) *Entry {
 		Parents:  l.Heads(),
 	}
 	e.Hash = e.ComputeHash()
+	e.verified = e
 	l.entries[e.Hash] = e
 	l.order = append(l.order, e)
 	return e
@@ -183,19 +198,18 @@ func (l *Log) Append(payload string) *Entry {
 // Heads returns the hashes of entries not referenced as anyone's parent,
 // sorted for determinism.
 func (l *Log) Heads() []string {
-	referenced := make(map[string]bool)
-	for _, e := range l.entries {
-		for _, p := range e.Parents {
-			referenced[p] = true
-		}
+	l.refs = l.refs[:0]
+	for _, e := range l.order {
+		l.refs = append(l.refs, e.Parents...)
 	}
+	slices.Sort(l.refs)
 	var heads []string
-	for h := range l.entries {
-		if !referenced[h] {
-			heads = append(heads, h)
+	for _, e := range l.order {
+		if _, referenced := slices.BinarySearch(l.refs, e.Hash); !referenced {
+			heads = append(heads, e.Hash)
 		}
 	}
-	sort.Strings(heads)
+	slices.Sort(heads)
 	return heads
 }
 
@@ -216,7 +230,7 @@ func (e *ErrClockSkew) Error() string {
 // are rejected too. The local clock witnesses every accepted entry.
 func (l *Log) Join(entries []*Entry) error {
 	for _, e := range entries {
-		if !e.Verify() {
+		if !e.Verified() {
 			return fmt.Errorf("merkle: join rejected entry %s: hash mismatch", shortHash(e.Hash))
 		}
 		if l.MaxClockSkew > 0 && e.Clock > l.clock+l.MaxClockSkew {
@@ -229,6 +243,7 @@ func (l *Log) Join(entries []*Entry) error {
 		}
 		cp := *e
 		cp.Parents = append([]string(nil), e.Parents...)
+		cp.verified = &cp
 		l.entries[e.Hash] = &cp
 		l.order = append(l.order, &cp)
 		if e.Clock > l.clock {
@@ -256,6 +271,7 @@ func (l *Log) Entries() []*Entry {
 func (e *Entry) clone() *Entry {
 	cp := *e
 	cp.Parents = append([]string(nil), e.Parents...)
+	cp.verified = nil
 	return &cp
 }
 

@@ -247,3 +247,47 @@ func TestComputeHashMatchesFmtEncoding(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifiedRemembersOnlyLogOwnedEntries: the entries a log hashed
+// (Append) or verified (Join) answer Verified from the remembered result. A clone handed out by Entries or
+// Get, or a struct copy annotated after hashing (OrbitDB #583), carries
+// no remembered result: it is verified on the spot, so once mutated it
+// fails.
+func TestVerifiedRemembersOnlyLogOwnedEntries(t *testing.T) {
+	a := NewLog("A", TieBreakIdentityHash)
+	a.Append("x")
+	b := NewLog("B", TieBreakIdentityHash)
+	if err := b.Join(a.Entries()); err != nil {
+		t.Fatal(err)
+	}
+	b.Append("y")
+	for name, l := range map[string]*Log{"appended": a, "joined": b} {
+		for _, e := range l.View() {
+			if e.verified != e || !e.Verified() {
+				t.Errorf("%s: log-owned entry %s has no remembered result", name, shortHash(e.Hash))
+			}
+		}
+	}
+
+	clone := b.Entries()[0]
+	if clone.verified != nil {
+		t.Error("a clone from Entries carries a remembered result")
+	}
+	clone.Payload += "!"
+	if clone.Verified() {
+		t.Error("a mutated clone from Entries passed Verified")
+	}
+	got, _ := b.Get(b.View()[1].Hash)
+	got.Clock++
+	if got.Verified() {
+		t.Error("a mutated clone from Get passed Verified")
+	}
+	annotated := *b.View()[1]
+	annotated.Payload += "#synced"
+	if annotated.Verified() {
+		t.Error("a copy annotated after hashing passed Verified")
+	}
+	if plain := *b.View()[0]; !plain.Verified() {
+		t.Error("an unmutated copy failed Verified")
+	}
+}

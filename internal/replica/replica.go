@@ -7,11 +7,12 @@
 package replica
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/er-pi/erpi/internal/event"
@@ -95,6 +96,10 @@ type Node struct {
 	ID    event.ReplicaID
 	State State
 
+	// checkpoint is the node's genesis (or last CheckpointNode) state,
+	// nil until the first checkpoint.
+	checkpoint *StateBuf
+
 	// Version-keyed caches (valid only while the state implements
 	// Versioned and its counter still equals the recorded one).
 	bufVer uint64
@@ -110,9 +115,12 @@ type Node struct {
 
 // Cluster is the set of replicas one scenario replays against.
 type Cluster struct {
-	nodes       map[event.ReplicaID]*Node
-	checkpoints map[event.ReplicaID]*StateBuf
-	ids         []event.ReplicaID
+	nodes map[event.ReplicaID]*Node
+	// list holds the nodes in ascending ID order, parallel to ids: every
+	// whole-cluster walk goes through it, so none depends on map order or
+	// pays for map iteration.
+	list []*Node
+	ids  []event.ReplicaID
 	// full disables incremental reuse (Config escape hatch): every
 	// snapshot and fingerprint is recomputed from scratch. The hash
 	// DEFINITIONS are identical either way — full mode only trades speed
@@ -122,18 +130,17 @@ type Cluster struct {
 
 // NewCluster builds a cluster from per-replica states.
 func NewCluster(states map[event.ReplicaID]State) *Cluster {
-	c := &Cluster{
-		nodes:       make(map[event.ReplicaID]*Node, len(states)),
-		checkpoints: make(map[event.ReplicaID]*StateBuf),
-	}
+	c := &Cluster{nodes: make(map[event.ReplicaID]*Node, len(states))}
 	for id, st := range states {
-		c.nodes[id] = &Node{ID: id, State: st}
+		n := &Node{ID: id, State: st}
+		c.nodes[id] = n
+		c.list = append(c.list, n)
 	}
-	c.ids = make([]event.ReplicaID, 0, len(c.nodes))
-	for id := range c.nodes {
-		c.ids = append(c.ids, id)
+	slices.SortFunc(c.list, func(a, b *Node) int { return cmp.Compare(a.ID, b.ID) })
+	c.ids = make([]event.ReplicaID, len(c.list))
+	for i, n := range c.list {
+		c.ids[i] = n.ID
 	}
-	sort.Slice(c.ids, func(i, j int) bool { return c.ids[i] < c.ids[j] })
 	return c
 }
 
@@ -155,6 +162,12 @@ func (c *Cluster) Node(id event.ReplicaID) (*Node, error) {
 // not mutate it.
 func (c *Cluster) IDs() []event.ReplicaID {
 	return c.ids
+}
+
+// Nodes returns the nodes in ascending ID order, parallel to IDs. The
+// slice is shared — do not mutate it.
+func (c *Cluster) Nodes() []*Node {
+	return c.list
 }
 
 // nodeBuf returns the node's current serialized state, reusing the cached
@@ -219,13 +232,20 @@ func (n *Node) adoptBuf(buf *StateBuf) {
 
 // Checkpoint snapshots every replica's current state.
 func (c *Cluster) Checkpoint() error {
-	for id, n := range c.nodes {
-		buf, _, err := c.nodeBuf(n)
-		if err != nil {
-			return fmt.Errorf("replica: checkpoint %s: %w", id, err)
+	for _, n := range c.list {
+		if err := c.checkpointNode(n); err != nil {
+			return err
 		}
-		c.checkpoints[id] = buf
 	}
+	return nil
+}
+
+func (c *Cluster) checkpointNode(n *Node) error {
+	buf, _, err := c.nodeBuf(n)
+	if err != nil {
+		return fmt.Errorf("replica: checkpoint %s: %w", n.ID, err)
+	}
+	n.checkpoint = buf
 	return nil
 }
 
@@ -233,49 +253,42 @@ func (c *Cluster) Checkpoint() error {
 // other replicas' checkpoints untouched (used by fault injection to model
 // per-replica durable storage).
 func (c *Cluster) CheckpointNode(id event.ReplicaID) error {
-	n, ok := c.nodes[id]
-	if !ok {
-		return fmt.Errorf("replica: unknown replica %s", id)
-	}
-	buf, _, err := c.nodeBuf(n)
+	n, err := c.Node(id)
 	if err != nil {
-		return fmt.Errorf("replica: checkpoint %s: %w", id, err)
+		return err
 	}
-	c.checkpoints[id] = buf
-	return nil
+	return c.checkpointNode(n)
 }
 
 // ResetNode restores a single replica to its last checkpoint — the
 // crash-recovery primitive: a crashed replica loses its volatile state and
 // restarts from durable storage while the others keep running.
 func (c *Cluster) ResetNode(id event.ReplicaID) error {
-	n, ok := c.nodes[id]
-	if !ok {
-		return fmt.Errorf("replica: unknown replica %s", id)
+	n, err := c.Node(id)
+	if err != nil {
+		return err
 	}
-	snap, ok := c.checkpoints[id]
-	if !ok {
-		return fmt.Errorf("replica: no checkpoint for %s", id)
-	}
-	if err := n.State.Restore(snap.Data); err != nil {
-		return fmt.Errorf("replica: reset %s: %w", id, err)
-	}
-	n.adoptBuf(snap)
-	return nil
+	return n.reset()
 }
 
 // Reset restores every replica to the last checkpoint.
 func (c *Cluster) Reset() error {
-	for id, n := range c.nodes {
-		snap, ok := c.checkpoints[id]
-		if !ok {
-			return fmt.Errorf("replica: no checkpoint for %s", id)
+	for _, n := range c.list {
+		if err := n.reset(); err != nil {
+			return err
 		}
-		if err := n.State.Restore(snap.Data); err != nil {
-			return fmt.Errorf("replica: reset %s: %w", id, err)
-		}
-		n.adoptBuf(snap)
 	}
+	return nil
+}
+
+func (n *Node) reset() error {
+	if n.checkpoint == nil {
+		return fmt.Errorf("replica: no checkpoint for %s", n.ID)
+	}
+	if err := n.State.Restore(n.checkpoint.Data); err != nil {
+		return fmt.Errorf("replica: reset %s: %w", n.ID, err)
+	}
+	n.adoptBuf(n.checkpoint)
 	return nil
 }
 
@@ -309,11 +322,11 @@ type ClusterSnapshot struct {
 // last serialization reuse the cached buffer — the per-depth cost is
 // O(dirty replicas), not O(cluster).
 func (c *Cluster) CanonicalSnapshot() (*ClusterSnapshot, error) {
-	snap := &ClusterSnapshot{IDs: c.ids, Bufs: make([]*StateBuf, 0, len(c.nodes))}
-	for _, id := range snap.IDs {
-		buf, reused, err := c.nodeBuf(c.nodes[id])
+	snap := &ClusterSnapshot{IDs: c.ids, Bufs: make([]*StateBuf, 0, len(c.list))}
+	for _, n := range c.list {
+		buf, reused, err := c.nodeBuf(n)
 		if err != nil {
-			return nil, fmt.Errorf("replica: snapshot %s: %w", id, err)
+			return nil, fmt.Errorf("replica: snapshot %s: %w", n.ID, err)
 		}
 		snap.Bufs = append(snap.Bufs, buf)
 		snap.Bytes += int64(len(buf.Data))
@@ -332,13 +345,16 @@ func (c *Cluster) CanonicalSnapshot() (*ClusterSnapshot, error) {
 // are adopted into the per-node caches, so the next CanonicalSnapshot
 // re-serializes only replicas the resumed suffix touches.
 func (c *Cluster) RestoreSnapshot(snap *ClusterSnapshot) error {
-	if len(snap.IDs) != len(c.nodes) {
-		return fmt.Errorf("replica: snapshot covers %d replicas, cluster has %d", len(snap.IDs), len(c.nodes))
+	if len(snap.IDs) != len(c.list) {
+		return fmt.Errorf("replica: snapshot covers %d replicas, cluster has %d", len(snap.IDs), len(c.list))
 	}
 	for i, id := range snap.IDs {
-		n, ok := c.nodes[id]
-		if !ok {
-			return fmt.Errorf("replica: snapshot for unknown replica %s", id)
+		n := c.list[i]
+		if n.ID != id {
+			var ok bool
+			if n, ok = c.nodes[id]; !ok {
+				return fmt.Errorf("replica: snapshot for unknown replica %s", id)
+			}
 		}
 		if err := n.State.Restore(snap.Bufs[i].Data); err != nil {
 			return fmt.Errorf("replica: restore %s: %w", id, err)
@@ -415,24 +431,21 @@ func (c *Cluster) nodeFingerprint(n *Node) string {
 // version tracking that reuses the execution-time work instead of
 // re-serializing converged state).
 func (c *Cluster) Fingerprints() map[event.ReplicaID]string {
-	out := make(map[event.ReplicaID]string, len(c.nodes))
-	for id, n := range c.nodes {
-		out[id] = c.nodeFingerprint(n)
+	out := make(map[event.ReplicaID]string, len(c.list))
+	for _, n := range c.list {
+		out[n.ID] = c.nodeFingerprint(n)
 	}
 	return out
 }
 
 // Converged reports whether every replica has the same fingerprint.
 func (c *Cluster) Converged() bool {
-	var first string
-	started := false
-	for _, n := range c.nodes {
-		fp := c.nodeFingerprint(n)
-		if !started {
-			first, started = fp, true
-			continue
-		}
-		if fp != first {
+	if len(c.list) == 0 {
+		return true
+	}
+	first := c.nodeFingerprint(c.list[0])
+	for _, n := range c.list[1:] {
+		if c.nodeFingerprint(n) != first {
 			return false
 		}
 	}

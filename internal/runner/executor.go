@@ -35,13 +35,13 @@ import (
 type Executor struct {
 	log     *event.Log
 	cluster *replica.Cluster
+	// steps is the log resolved once for execution, indexed by event ID.
+	steps []eventStep
 	// finalize, when non-nil, is Scenario.Finalize, run after the last
 	// event and before the outcome's fingerprints are taken.
 	finalize func(*replica.Cluster) error
 	// inj, when non-nil, injects scheduled faults into execution.
 	inj *fault.Injector
-	// sendFor maps each SyncExec ID to its paired SyncSend ID.
-	sendFor map[event.ID]event.ID
 	// tel (nil when telemetry is off) records stage spans; worker is the
 	// worker id this executor belongs to.
 	tel    *runTelemetry
@@ -85,12 +85,11 @@ type Executor struct {
 	// subEvery is the subsumption check stride in events when no prefix
 	// cache supplies snapshot depths.
 	subEvery int
-	// contrib memoizes each event ID's additive multiset contribution;
 	// rolling is the running digest of the executed prefix, updated O(1)
-	// per event in place of the per-depth sort-and-rehash. rolling always
-	// equals multisetHash(il[:pos]) at the top of replay's position loop —
-	// the invariant the canon property suite pins.
-	contrib map[event.ID]msetDigest
+	// per event from eventStep.contrib in place of the per-depth
+	// sort-and-rehash. rolling always equals multisetHash(il[:pos]) at the
+	// top of replay's position loop — the invariant the canon property
+	// suite pins.
 	rolling msetDigest
 	// step, when non-nil, observes the cluster after every delivered
 	// position (forensic re-execution only; nil on every engine hot path).
@@ -103,6 +102,20 @@ type Executor struct {
 	sessions SessionFactory
 	mu       sync.Mutex
 	live     *liveState
+}
+
+// eventStep is one event resolved for execution once, when the executor
+// is built, so the step reads it by dense event ID instead of copying it
+// out of the log and looking its replicas up by name.
+type eventStep struct {
+	ev event.Event
+	// node runs the event; from is a SyncExec's sender. Either is nil when
+	// the cluster has no such replica, which apply reports when it runs.
+	node, from *replica.Node
+	// send is a SyncExec's paired SyncSend, or -1 when it has none.
+	send event.ID
+	// contrib is the event's additive multiset contribution.
+	contrib msetDigest
 }
 
 // validate is the one check of what a caller hands the engine, shared by
@@ -156,8 +169,8 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 
 // newExecutor builds worker w's private execution environment, the same
 // way for both schedules: a fresh cluster checkpointed at genesis, its
-// fault injector clone (instrumented when telemetry is on), the sync-pair
-// and multiset tables, its seeded retry-jitter generator, and sub, the
+// fault injector clone (instrumented when telemetry is on), the per-event
+// step table, its seeded retry-jitter generator, and sub, the
 // run's shared subsumption table (nil when disabled, and on every live
 // run; unlike the cache, all workers consult the same one). An inline
 // executor adds the optional prefix cache; a live one takes its gate
@@ -174,10 +187,9 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 	x := &Executor{
 		log:      s.Log,
 		cluster:  cluster,
+		steps:    newSteps(s.Log, cluster),
 		finalize: s.Finalize,
-		sendFor:  make(map[event.ID]event.ID),
 		pending:  make(map[event.ID][]byte),
-		contrib:  make(map[event.ID]msetDigest, s.Log.Len()),
 		tel:      tel,
 		worker:   w,
 		// Per-worker jitter generator: retry timing varies across workers,
@@ -197,12 +209,6 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 			return nil, fmt.Errorf("runner: %w", err)
 		}
 		tel.instrument(x.inj)
-	}
-	for _, pair := range s.Log.SyncPairs() {
-		x.sendFor[pair[1]] = pair[0]
-	}
-	for _, id := range s.Log.IDs() {
-		x.contrib[id] = msetContribution(id)
 	}
 	if live {
 		gatesFor := cfg.LiveGates
@@ -225,6 +231,23 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 		x.subEvery = defaultPrefixSnapshotEvery
 	}
 	return x, nil
+}
+
+// newSteps resolves every event of the log against the cluster.
+func newSteps(log *event.Log, cluster *replica.Cluster) []eventStep {
+	steps := make([]eventStep, log.Len())
+	for i, ev := range log.Events() {
+		st := &steps[i]
+		st.ev, st.send, st.contrib = ev, -1, msetContribution(ev.ID)
+		st.node, _ = cluster.Node(ev.Replica)
+		if ev.Kind == event.SyncExec {
+			st.from, _ = cluster.Node(ev.From)
+		}
+	}
+	for _, pair := range log.SyncPairs() {
+		steps[pair[1]].send = pair[0]
+	}
+	return steps
 }
 
 // Execute replays one interleaving at the given global exploration index
@@ -414,7 +437,7 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 			// Fold the event the previous iteration delivered (or failed,
 			// or dropped — its ID is part of the prefix either way) into
 			// the rolling multiset digest.
-			x.rolling.add(x.contrib[il[pos-1]])
+			x.rolling.add(x.steps[il[pos-1]].contrib)
 			wantCache := useCache && x.cache.wantSnapshot(pos, divergence, x.pivot)
 			wantSub := useSub && (wantCache || (!useCache && pos%x.subEvery == 0))
 			if wantCache || wantSub {
@@ -475,7 +498,8 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 // present strictly increasing positions, one at a time.
 func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 	id := il[pos]
-	ev := x.log.Event(id)
+	st := &x.steps[id]
+	ev := &st.ev
 	if x.inj != nil {
 		for _, a := range x.inj.At(pos) {
 			if a.Kind == fault.ActionCrash {
@@ -488,8 +512,9 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 			return fmt.Errorf("event %s: %w", ev, fault.ErrReplicaDown)
 		}
 	}
-	node, err := x.cluster.Node(ev.Replica)
-	if err != nil {
+	node := st.node
+	if node == nil {
+		_, err := x.cluster.Node(ev.Replica)
 		return err
 	}
 	switch ev.Kind {
@@ -528,17 +553,18 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 		// Map presence, not a nil test: a paired send that captured an
 		// empty payload still delivers that payload.
 		var payload []byte
-		sendID, captured := x.sendFor[id]
-		if captured {
-			payload, captured = x.pending[sendID]
+		captured := false
+		if st.send >= 0 {
+			payload, captured = x.pending[st.send]
 		}
 		if !captured {
 			// Standalone sync: capture the sender's state now.
-			sender, err := x.cluster.Node(ev.From)
-			if err != nil {
+			if st.from == nil {
+				_, err := x.cluster.Node(ev.From)
 				return err
 			}
-			if payload, err = x.cluster.SyncPayload(sender); err != nil {
+			var err error
+			if payload, err = x.cluster.SyncPayload(st.from); err != nil {
 				return fmt.Errorf("event %s: %w", ev, err)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
@@ -179,12 +178,10 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	// run skipped Advance, so the schedule stays where it was.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var wg sync.WaitGroup
-	errCh := make(chan error, len(l.replicas))
+	// Each replica goroutine sends exactly one result, nil or its error.
+	results := make(chan error, len(l.replicas))
 	for r, rep := range l.replicas {
-		wg.Add(1)
 		go func(r int, rep event.ReplicaID, i *proxy.Interceptor) {
-			defer wg.Done()
 			// The gate already admits exactly one run at a time, in
 			// schedule order, so the injector sees strictly increasing
 			// positions just like the inline schedule. The mutex stays
@@ -212,17 +209,37 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 					continue
 				}
 				if err := i.CallScheduled(ctx, il[first:end], step); err != nil {
-					errCh <- fmt.Errorf("replica %s: %w", rep, err)
 					cancel()
+					results <- fmt.Errorf("replica %s: %w", rep, err)
 					return
 				}
 			}
+			results <- nil
 		}(r, rep, l.interceptors[r])
 	}
-	// Every replica goroutine has returned past this point, which is also
-	// what lets the next attempt reset the cluster it shares with them.
-	wg.Wait()
-	close(errCh)
+	// Every replica goroutine is done with the cluster once it has sent its
+	// result, which is also what lets the next attempt reset the cluster it
+	// shares with them. While any is still running, a dead ctx cuts the
+	// parked turn waits short (a lock-server wait would otherwise hold its
+	// replica until the wait's server-side chunk ends).
+	var errs []error
+	done := ctx.Done()
+	for pending := len(l.replicas); pending > 0; {
+		select {
+		case err := <-results:
+			pending--
+			if err != nil {
+				errs = append(errs, err)
+			}
+		case <-done:
+			for _, g := range gates {
+				if i, ok := g.(interface{ Interrupt() }); ok {
+					i.Interrupt()
+				}
+			}
+			done = nil
+		}
+	}
 	x.tel.onLiveAttempt(events, handoffs)
 	// Drain every replica's error, not just the first: a multi-replica
 	// failure (e.g. one replica crashing and the others timing out on their
@@ -230,10 +247,6 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	// interleaving, but arrival order races across goroutines — sort so the
 	// joined error (and the quarantine records built from it) is identical
 	// on every run and at every session count.
-	var errs []error
-	for err := range errCh {
-		errs = append(errs, err)
-	}
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
 	return errors.Join(errs...)
 }

@@ -1,8 +1,12 @@
 package runner
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,5 +112,53 @@ func TestLiveOverDistributedLock(t *testing.T) {
 	// This order ships both issues to the municipality — the §2.3 bug.
 	if got := live.Fingerprints["M"]; got != "otb,ph" {
 		t.Fatalf("municipality state = %q, want the buggy otb,ph", got)
+	}
+}
+
+// parkGate is a turn gate whose waits ignore their context, like a read
+// parked on a lock-server socket: only Interrupt releases them. With down
+// set, every wait fails at once.
+type parkGate struct {
+	down     bool
+	released chan struct{}
+	once     sync.Once
+}
+
+func (g *parkGate) WaitTurn(ctx context.Context, _ int) error {
+	if g.down {
+		return errors.New("gate down")
+	}
+	<-g.released
+	return ctx.Err()
+}
+
+func (g *parkGate) Advance(int) error { return nil }
+
+func (g *parkGate) Interrupt() { g.once.Do(func() { close(g.released) }) }
+
+// TestLiveFailureInterruptsParkedWaits: when one replica's gate fails, the
+// attempt interrupts the other replicas' parked waits and returns at once
+// — it neither waits for them to notice the dead context by themselves
+// nor hangs when they never would.
+func TestLiveFailureInterruptsParkedWaits(t *testing.T) {
+	s := townReportScenario(t)
+	var first event.ReplicaID
+	done := make(chan error, 1)
+	go func() {
+		_, err := ExecuteLive(s, interleave.Interleaving(s.Log.IDs()), func(rep event.ReplicaID) proxy.TurnGate {
+			if first == "" {
+				first = rep
+			}
+			return &parkGate{down: rep == first, released: make(chan struct{})}
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "gate down") {
+			t.Fatalf("live replay with a failed gate = %v; want the gate's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("live replay still waiting on parked gates after one failed")
 	}
 }

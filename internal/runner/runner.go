@@ -73,27 +73,19 @@ func AntiEntropy(rounds int) func(*replica.Cluster) error {
 		rounds = 2
 	}
 	return func(c *replica.Cluster) error {
-		ids := c.IDs()
+		nodes := c.Nodes()
 		for r := 0; r < rounds; r++ {
-			for _, from := range ids {
-				src, err := c.Node(from)
-				if err != nil {
-					return err
-				}
+			for _, src := range nodes {
 				payload, err := c.SyncPayload(src)
 				if err != nil {
-					return fmt.Errorf("runner: anti-entropy payload %s: %w", from, err)
+					return fmt.Errorf("runner: anti-entropy payload %s: %w", src.ID, err)
 				}
-				for _, to := range ids {
-					if from == to {
+				for _, dst := range nodes {
+					if dst == src {
 						continue
 					}
-					dst, err := c.Node(to)
-					if err != nil {
-						return err
-					}
 					if err := dst.State.ApplySync(payload); err != nil && !errors.Is(err, replica.ErrFailedOp) {
-						return fmt.Errorf("runner: anti-entropy %s->%s: %w", from, to, err)
+						return fmt.Errorf("runner: anti-entropy %s->%s: %w", src.ID, dst.ID, err)
 					}
 				}
 			}

@@ -271,7 +271,7 @@ func (d *DB) Apply(op replica.Op) (string, error) {
 func (d *DB) verifyAll() string {
 	var bad []string
 	for _, e := range d.log.View() {
-		if !e.Verify() {
+		if !e.Verified() {
 			bad = append(bad, e.Hash[:8])
 		}
 	}
@@ -330,15 +330,21 @@ func (d *DB) readEntries(r *wire.Reader, log *merkle.Log) []*merkle.Entry {
 // ApplySync implements replica.State: join the remote entries. Entries
 // failing verification poison the join (surfaced as a failed op so the
 // replay records it); far-future clocks are rejected unless BugFutureClock
-// disabled the guard. Entries the log already holds are only viewed.
+// disabled the guard. Entries the log already holds are only viewed. A
+// join that adds no entry changes nothing, so it leaves the version alone
+// too (DESIGN.md §4.15).
 func (d *DB) ApplySync(payload []byte) error {
-	d.ver++
 	r := wire.NewReader(payload)
 	entries := d.readEntries(r, d.log)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("orbit: sync payload: %w", err)
 	}
-	if err := d.log.Join(entries); err != nil {
+	held := d.log.Len()
+	err := d.log.Join(entries)
+	if d.log.Len() != held {
+		d.ver++
+	}
+	if err != nil {
 		return replica.ErrFailedOp
 	}
 	return nil

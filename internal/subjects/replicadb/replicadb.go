@@ -16,10 +16,10 @@ package replicadb
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"github.com/er-pi/erpi/internal/replica"
 	"github.com/er-pi/erpi/internal/wire"
@@ -52,15 +52,16 @@ type row struct {
 // Node is one replica running a ReplicaDB instance: it owns a source
 // table, a sink table, and the transfer machinery between them. Sync
 // between replicas exchanges source tables (the upstream replication
-// path).
+// path). Both tables are held in the order they are serialised, ascending
+// key, and rows are found by binary search (DESIGN.md §4.16).
 type Node struct {
 	flags   Flags
 	version uint64
-	source  map[string]*row
-	sink    map[string]*row
+	source  []row
+	sink    []row
 	// buffer is the in-flight fetch buffer between source reads and sink
 	// writes.
-	buffer []*row
+	buffer []row
 	// peakBuffer tracks the high-water mark (the OOM metric of issue #79).
 	peakBuffer int
 	// seq is the local apply-order counter.
@@ -75,9 +76,43 @@ type Node struct {
 	// peakBuffer are pure and leave it untouched.
 	stateVer uint64
 
-	// Scratch, never state: sorted rows and keys.
-	rows []*row
-	keys []string
+	// Scratch, never state: the render sort slice, decoded sync rows, and
+	// the tables Restore decodes into before it swaps them in.
+	rows     []*row
+	incoming []rowView
+	spare    [3][]row
+}
+
+// rowView is a decoded row whose strings alias the payload.
+type rowView struct {
+	key, value []byte
+	version    uint64
+	deleted    bool
+}
+
+// findRow returns the index of key in the key-ordered table, or where it
+// would go.
+func findRow[K string | []byte](table []row, key K) (int, bool) {
+	lo, hi := 0, len(table)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if table[m].Key < string(key) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(table) && table[lo].Key == string(key)
+}
+
+// put stores r in the key-ordered table at i (from findRow), over the row
+// there when found.
+func put(table []row, i int, found bool, r row) []row {
+	if found {
+		table[i] = r
+		return table
+	}
+	return slices.Insert(table, i, r)
 }
 
 var (
@@ -93,11 +128,7 @@ func New(flags Flags) *Node {
 	if flags.BufferLimit == 0 {
 		flags.BufferLimit = 4
 	}
-	return &Node{
-		flags:  flags,
-		source: make(map[string]*row),
-		sink:   make(map[string]*row),
-	}
+	return &Node{flags: flags}
 }
 
 // Insert upserts a source row.
@@ -105,18 +136,20 @@ func (n *Node) Insert(key, value string) {
 	n.stateVer++
 	n.version++
 	n.seq++
-	n.source[key] = &row{Key: key, Value: value, Version: n.version, Seq: n.seq}
+	i, found := findRow(n.source, key)
+	n.source = put(n.source, i, found, row{Key: key, Value: value, Version: n.version, Seq: n.seq})
 }
 
 // Delete tombstones a source row; fails when absent.
 func (n *Node) Delete(key string) error {
 	n.stateVer++
-	r, ok := n.source[key]
-	if !ok || r.Deleted {
+	i, ok := findRow(n.source, key)
+	if !ok || n.source[i].Deleted {
 		return replica.ErrFailedOp
 	}
 	n.version++
 	n.seq++
+	r := &n.source[i]
 	r.Deleted = true
 	r.Version = n.version
 	r.Seq = n.seq
@@ -131,13 +164,14 @@ func (n *Node) Fetch(batch int) error {
 	if !n.flags.BugUnboundedBuffer && len(n.buffer)+batch > n.flags.BufferLimit {
 		return replica.ErrFailedOp // back-pressure: retry after drain
 	}
-	rows := n.live(n.source, func(a, b *row) int { return strings.Compare(a.Key, b.Key) })
-	start := 0
-	// Naive cursor: refetch from the top is fine for the model; the
-	// buffer-growth behaviour is what the defect exercises.
-	for i := 0; i < batch && start+i < len(rows); i++ {
-		cp := *rows[start+i]
-		n.buffer = append(n.buffer, &cp)
+	// Naive cursor: refetch the first live rows in key order every time;
+	// the buffer-growth behaviour is what the defect exercises.
+	fetched := 0
+	for i := 0; i < len(n.source) && fetched < batch; i++ {
+		if !n.source[i].Deleted {
+			n.buffer = append(n.buffer, n.source[i])
+			fetched++
+		}
 	}
 	if len(n.buffer) > n.peakBuffer {
 		n.peakBuffer = len(n.buffer)
@@ -159,8 +193,7 @@ func (n *Node) Drain() {
 func (n *Node) TransferComplete() {
 	n.stateVer++
 	for _, r := range n.source {
-		cp := *r
-		n.applySink(&cp)
+		n.applySink(r)
 	}
 	n.snapshotCut = n.seq
 }
@@ -176,18 +209,17 @@ func (n *Node) TransferIncremental() {
 		if r.Deleted && n.flags.BugMissTombstones {
 			continue // defect: deletes never reach the sink
 		}
-		cp := *r
-		n.applySink(&cp)
+		n.applySink(r)
 	}
 	n.snapshotCut = n.seq
 }
 
-func (n *Node) applySink(r *row) {
-	cur, ok := n.sink[r.Key]
-	if ok && cur.Version >= r.Version {
+func (n *Node) applySink(r row) {
+	i, ok := findRow(n.sink, r.Key)
+	if ok && n.sink[i].Version >= r.Version {
 		return
 	}
-	n.sink[r.Key] = r
+	n.sink = put(n.sink, i, ok, r)
 }
 
 // PeakBuffer returns the buffer high-water mark.
@@ -199,27 +231,24 @@ func (n *Node) SinkRows() string { return n.render(n.sink) }
 // SourceRows renders the live source contents canonically.
 func (n *Node) SourceRows() string { return n.render(n.source) }
 
-// live returns the table's live rows sorted by cmp, in the rows scratch.
-func (n *Node) live(table map[string]*row, cmp func(a, b *row) int) []*row {
-	n.rows = n.rows[:0]
-	for _, r := range table {
-		if !r.Deleted {
-			n.rows = append(n.rows, r)
-		}
-	}
-	slices.SortFunc(n.rows, cmp)
-	return n.rows
-}
-
-func (n *Node) render(table map[string]*row) string {
+func (n *Node) render(table []row) string {
 	var buf [128]byte
 	return string(n.appendRows(buf[:0], table))
 }
 
 // appendRows appends the table's live rows as comma-joined "key=value", in
-// ascending order of that rendered text.
-func (n *Node) appendRows(b []byte, table map[string]*row) []byte {
-	for i, r := range n.live(table, cmpRendered) {
+// ascending order of that rendered text. The table is in key order, which
+// differs from it only around keys that extend one another, so the sort
+// has little to move.
+func (n *Node) appendRows(b []byte, table []row) []byte {
+	n.rows = n.rows[:0]
+	for i := range table {
+		if !table[i].Deleted {
+			n.rows = append(n.rows, &table[i])
+		}
+	}
+	slices.SortFunc(n.rows, cmpRendered)
+	for i, r := range n.rows {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -313,23 +342,45 @@ func appendRow(b []byte, r *row, keepSeq bool) []byte {
 }
 
 // appendTable appends a table's row count and its rows in ascending key
-// order.
-func (n *Node) appendTable(b []byte, table map[string]*row, keepSeq bool) []byte {
+// order — the order it is held in.
+func appendTable(b []byte, table []row, keepSeq bool) []byte {
 	b = wire.AppendUvarint(b, uint64(len(table)))
-	n.keys = wire.SortedKeys(n.keys, table)
-	for _, k := range n.keys {
-		b = appendRow(b, table[k], keepSeq)
+	for i := range table {
+		b = appendRow(b, &table[i], keepSeq)
 	}
 	return b
 }
 
-// readRows decodes a row count and that many rows into one backing array.
-func readRows(r *wire.Reader) []row {
-	rows := make([]row, r.Count(minRowBytes))
-	for i := range rows {
-		rows[i] = row{Key: r.String(), Value: r.String(), Version: r.Uvarint(), Deleted: r.Bool(), Seq: r.Uvarint()}
+var errUnsorted = errors.New("replicadb: snapshot: table keys out of order")
+
+// readTable decodes a row count and that many rows into dst, overwriting
+// it. A key or value equal to the one live holds at the same place is
+// shared, not copied. With keyed set, keys must be strictly ascending, as
+// a table is written.
+func readTable(r *wire.Reader, dst, live []row, keyed bool) []row {
+	dst = dst[:0]
+	for i, n := 0, r.Count(minRowBytes); i < n; i++ {
+		key, value := r.View(), r.View()
+		in := row{Version: r.Uvarint(), Deleted: r.Bool(), Seq: r.Uvarint()}
+		if i < len(live) {
+			in.Key, in.Value = share(live[i].Key, key), share(live[i].Value, value)
+		} else {
+			in.Key, in.Value = string(key), string(value)
+		}
+		if keyed && i > 0 && dst[i-1].Key >= in.Key {
+			r.Fail(errUnsorted)
+		}
+		dst = append(dst, in)
 	}
-	return rows
+	return dst
+}
+
+// share returns held when v spells it, else v copied out.
+func share(held string, v []byte) string {
+	if held == string(v) {
+		return held
+	}
+	return string(v)
 }
 
 // rowBytesGuess sizes an encoder's buffer per row it will write — short
@@ -341,26 +392,38 @@ const rowBytesGuess = 16
 // so it travels as zero.
 func (n *Node) SyncPayload() ([]byte, error) {
 	b := make([]byte, 0, 16+rowBytesGuess*len(n.source))
-	return wire.AppendUvarint(n.appendTable(b, n.source, false), n.version), nil
+	return wire.AppendUvarint(appendTable(b, n.source, false), n.version), nil
 }
 
-// ApplySync implements replica.State: LWW-merge remote source rows.
+// ApplySync implements replica.State: LWW-merge remote source rows. Rows
+// are decoded by view, so only a key or value the node does not hold is
+// copied out of the payload.
 func (n *Node) ApplySync(payload []byte) error {
 	n.stateVer++
 	r := wire.NewReader(payload)
-	rows := readRows(r)
+	count := r.Count(minRowBytes)
+	n.incoming = slices.Grow(n.incoming[:0], count)[:count]
+	for i := range n.incoming {
+		n.incoming[i] = rowView{key: r.View(), value: r.View(), version: r.Uvarint(), deleted: r.Bool()}
+		r.Uvarint() // Seq travels as zero; the receiver assigns its own
+	}
 	version := r.Uvarint()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("replicadb: sync payload: %w", err)
 	}
-	for i := range rows {
-		in := &rows[i]
-		cur, ok := n.source[in.Key]
-		if n.flags.NoVersionResolution || !ok || cur.Version < in.Version {
-			n.seq++
-			in.Seq = n.seq // adopted rows are fresh local changes
-			n.source[in.Key] = in
+	for _, in := range n.incoming {
+		i, ok := findRow(n.source, in.key)
+		if !n.flags.NoVersionResolution && ok && n.source[i].Version >= in.version {
+			continue
 		}
+		n.seq++
+		adopted := row{Version: in.version, Deleted: in.deleted, Seq: n.seq} // adopted rows are fresh local changes
+		if ok {
+			adopted.Key, adopted.Value = n.source[i].Key, share(n.source[i].Value, in.value)
+		} else {
+			adopted.Key, adopted.Value = string(in.key), string(in.value)
+		}
+		n.source = put(n.source, i, ok, adopted)
 	}
 	if version > n.version {
 		n.version = version
@@ -375,12 +438,9 @@ func (n *Node) ApplySync(payload []byte) error {
 // state — Drain applies it in order).
 func (n *Node) Snapshot() ([]byte, error) {
 	b := make([]byte, 0, 32+rowBytesGuess*(len(n.source)+len(n.sink)+len(n.buffer)))
-	b = n.appendTable(b, n.source, true)
-	b = n.appendTable(b, n.sink, true)
-	b = wire.AppendUvarint(b, uint64(len(n.buffer)))
-	for _, r := range n.buffer {
-		b = appendRow(b, r, true)
-	}
+	b = appendTable(b, n.source, true)
+	b = appendTable(b, n.sink, true)
+	b = appendTable(b, n.buffer, true)
 	b = wire.AppendUvarint(b, uint64(n.peakBuffer))
 	b = wire.AppendUvarint(b, n.version)
 	b = wire.AppendUvarint(b, n.seq)
@@ -388,26 +448,20 @@ func (n *Node) Snapshot() ([]byte, error) {
 	return b, nil
 }
 
-// Restore implements replica.State.
+// Restore implements replica.State. It decodes into the spare tables and
+// swaps them in only once the whole snapshot decoded, so a rejected
+// snapshot leaves the node as it was.
 func (n *Node) Restore(data []byte) error {
 	r := wire.NewReader(data)
-	source, sink, buffer := readRows(r), readRows(r), readRows(r)
+	source := readTable(r, n.spare[0], n.source, true)
+	sink := readTable(r, n.spare[1], n.sink, true)
+	buffer := readTable(r, n.spare[2], n.buffer, false)
 	peak, version, seq, cut := int(r.Uvarint()), r.Uvarint(), r.Uvarint(), r.Uvarint()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("replicadb: snapshot: %w", err)
 	}
-	clear(n.source)
-	for i := range source {
-		n.source[source[i].Key] = &source[i]
-	}
-	clear(n.sink)
-	for i := range sink {
-		n.sink[sink[i].Key] = &sink[i]
-	}
-	n.buffer = n.buffer[:0]
-	for i := range buffer {
-		n.buffer = append(n.buffer, &buffer[i])
-	}
+	n.spare = [3][]row{n.source, n.sink, n.buffer}
+	n.source, n.sink, n.buffer = source, sink, buffer
 	n.peakBuffer, n.version, n.seq, n.snapshotCut = peak, version, seq, cut
 	n.stateVer++
 	return nil

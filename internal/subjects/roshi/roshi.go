@@ -21,6 +21,7 @@ package roshi
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -54,50 +55,72 @@ type record struct {
 	Arrival int
 }
 
-// Store is one replica of the Roshi index.
+// keyRecords is one key's records in ascending member order.
+type keyRecords struct {
+	key  string
+	recs []record
+}
+
+// Store is one replica of the Roshi index. Its state is held in the order
+// it is serialised — keys ascending, each key's records by ascending
+// member — and found by binary search, so SyncPayload, Snapshot and
+// Fingerprint walk it as it stands (DESIGN.md §4.16).
 type Store struct {
 	flags   Flags
-	keys    map[string]map[string]*record
+	keys    []keyRecords
 	arrival int
 	// ver counts mutations for snapshot-cache invalidation
 	// (replica.Versioned); selects are pure and leave it untouched.
 	ver uint64
 
-	// Scratch, never state: sort slices, decoded records, Restore's table,
-	// emptied per-key tables for a key that appears.
-	keyOrder []string
-	members  []*record
+	// Scratch, never state: the select sort slice, decoded sync records,
+	// and the table Restore decodes into before it swaps it in.
 	rows     []*record
 	incoming []syncRecord
-	spare    map[string]map[string]*record
-	free     []map[string]*record
-
-	// chunk is where new records are carved from. A full chunk is
-	// replaced, never grown, so every *record handed out stays valid.
-	chunk []record
+	spare    []keyRecords
 }
 
-// recordChunk is the number of records newRecord carves from one allocation.
-const recordChunk = 32
-
-// newRecord returns a pointer to a copy of rec carved from the chunk.
-func (s *Store) newRecord(rec record) *record {
-	if len(s.chunk) == cap(s.chunk) {
-		s.chunk = make([]record, 0, recordChunk)
+// findKey returns the index of key in keys, or where it would go.
+func findKey[K string | []byte](keys []keyRecords, key K) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if keys[m].key < string(key) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	s.chunk = append(s.chunk, rec)
-	return &s.chunk[len(s.chunk)-1]
+	return lo, lo < len(keys) && keys[lo].key == string(key)
 }
 
-// keyTable returns an empty per-key table, reusing a freed one.
-func (s *Store) keyTable() map[string]*record {
-	n := len(s.free)
-	if n == 0 {
-		return make(map[string]*record)
+// findMember returns the index of member in recs, or where it would go.
+func findMember[M string | []byte](recs []record, member M) (int, bool) {
+	lo, hi := 0, len(recs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if recs[m].Member < string(member) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	recs := s.free[n-1]
-	s.free = s.free[:n-1]
-	return recs
+	return lo, lo < len(recs) && recs[lo].Member == string(member)
+}
+
+// keyAt returns the records of key, inserting an empty entry for it at i
+// (from findKey) when the store does not hold it. A new entry takes over
+// the record array a shrunken table left past its end.
+func (s *Store) keyAt(i int, found bool, key string) *keyRecords {
+	if !found {
+		n := len(s.keys)
+		var recs []record
+		if n < cap(s.keys) {
+			recs = s.keys[:n+1][n].recs[:0]
+		}
+		s.keys = slices.Insert(s.keys, i, keyRecords{key: key, recs: recs})
+	}
+	return &s.keys[i]
 }
 
 var (
@@ -110,7 +133,7 @@ func (s *Store) StateVersion() uint64 { return s.ver }
 
 // New returns an empty store with the given defect flags.
 func New(flags Flags) *Store {
-	return &Store{flags: flags, keys: make(map[string]map[string]*record)}
+	return &Store{flags: flags}
 }
 
 // Insert applies an add of member to key at the given score.
@@ -124,27 +147,21 @@ func (s *Store) Delete(key, member string, score uint64) {
 }
 
 func (s *Store) apply(key, member string, score uint64, deleted bool) {
-	recs, ok := s.keys[key]
-	if !ok {
-		recs = s.keyTable()
-		s.keys[key] = recs
-	}
-	s.write(recs, member, score, deleted)
+	i, found := findKey(s.keys, key)
+	k := s.keyAt(i, found, key)
+	j, found := findMember(k.recs, member)
+	s.write(k, j, found, member, score, deleted)
 }
 
-// write resolves one write against a key's records.
-func (s *Store) write(recs map[string]*record, member string, score uint64, deleted bool) {
-	if cur, ok := recs[member]; ok {
-		s.resolve(cur, score, deleted)
-	} else {
-		s.add(recs, member, score, deleted)
-	}
-}
-
-// add records the first write of a member the key does not hold.
-func (s *Store) add(recs map[string]*record, member string, score uint64, deleted bool) {
+// write resolves one write against the key's record at j (from
+// findMember), adding a record for member when the key does not hold it.
+func (s *Store) write(k *keyRecords, j int, found bool, member string, score uint64, deleted bool) {
 	s.ver++
 	s.arrival++
+	if found {
+		s.resolve(&k.recs[j], score, deleted)
+		return
+	}
 	if s.flags.BugDeletedField && deleted && !s.flags.ArrivalWins {
 		// Defect (issue #18): the code path creating a record for a
 		// not-yet-known member forgets to set the deleted field, so a
@@ -154,13 +171,11 @@ func (s *Store) add(recs map[string]*record, member string, score uint64, delete
 		// delete overtakes the insert.
 		deleted = false
 	}
-	recs[member] = s.newRecord(record{Member: member, Score: score, Deleted: deleted, Arrival: s.arrival})
+	k.recs = slices.Insert(k.recs, j, record{Member: member, Score: score, Deleted: deleted, Arrival: s.arrival})
 }
 
 // resolve applies one write to a record the key already holds.
 func (s *Store) resolve(cur *record, score uint64, deleted bool) {
-	s.ver++
-	s.arrival++
 	if s.flags.ArrivalWins {
 		// Misconception #1 seed: no resolution, last arrival wins.
 		cur.Score, cur.Deleted, cur.Arrival = score, deleted, s.arrival
@@ -206,13 +221,22 @@ func (s *Store) Select(key string, includeDeleted bool) []SelectEntry {
 // selectRows is Select into the rows scratch.
 func (s *Store) selectRows(key string, includeDeleted bool) []*record {
 	s.rows = s.rows[:0]
-	for _, r := range s.keys[key] {
-		if r.Deleted && !includeDeleted {
-			continue
-		}
-		s.rows = append(s.rows, r)
+	if i, ok := findKey(s.keys, key); ok {
+		s.rows = s.appendRows(s.rows, &s.keys[i], includeDeleted)
 	}
-	slices.SortFunc(s.rows, func(a, b *record) int {
+	return s.rows
+}
+
+// appendRows appends the key's live records (and, when includeDeleted is
+// set, tombstones) to rows, ordered by descending score.
+func (s *Store) appendRows(rows []*record, k *keyRecords, includeDeleted bool) []*record {
+	start := len(rows)
+	for i := range k.recs {
+		if r := &k.recs[i]; includeDeleted || !r.Deleted {
+			rows = append(rows, r)
+		}
+	}
+	slices.SortFunc(rows[start:], func(a, b *record) int {
 		if a.Score != b.Score {
 			return cmp.Compare(b.Score, a.Score)
 		}
@@ -222,7 +246,7 @@ func (s *Store) selectRows(key string, includeDeleted bool) []*record {
 		}
 		return strings.Compare(a.Member, b.Member)
 	})
-	return s.rows
+	return rows
 }
 
 // Apply implements replica.State. Ops:
@@ -298,20 +322,10 @@ const recordBytesGuess = 16
 // records counts the records over all keys.
 func (s *Store) records() int {
 	n := 0
-	for _, members := range s.keys {
-		n += len(members)
+	for i := range s.keys {
+		n += len(s.keys[i].recs)
 	}
 	return n
-}
-
-// sortedMembers returns one key's records in ascending member order.
-func (s *Store) sortedMembers(members map[string]*record) []*record {
-	s.members = s.members[:0]
-	for _, r := range members {
-		s.members = append(s.members, r)
-	}
-	slices.SortFunc(s.members, func(a, b *record) int { return strings.Compare(a.Member, b.Member) })
-	return s.members
 }
 
 // SyncPayload implements replica.State: the full record table as
@@ -320,10 +334,11 @@ func (s *Store) sortedMembers(members map[string]*record) []*record {
 func (s *Store) SyncPayload() ([]byte, error) {
 	n := s.records()
 	b := wire.AppendUvarint(make([]byte, 0, 8+n*recordBytesGuess), uint64(n))
-	s.keyOrder = wire.SortedKeys(s.keyOrder, s.keys)
-	for _, key := range s.keyOrder {
-		for _, r := range s.sortedMembers(s.keys[key]) {
-			b = wire.AppendString(b, key)
+	for i := range s.keys {
+		k := &s.keys[i]
+		for j := range k.recs {
+			r := &k.recs[j]
+			b = wire.AppendString(b, k.key)
 			b = wire.AppendString(b, r.Member)
 			b = wire.AppendUvarint(b, r.Score)
 			b = wire.AppendBool(b, r.Deleted)
@@ -345,24 +360,20 @@ func (s *Store) ApplySync(payload []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("roshi: sync payload: %w", err)
 	}
-	// The payload is sorted by key, so a key's table is looked up once per
-	// run of its records.
-	var recs map[string]*record
-	var key []byte
+	// The payload is sorted by key, so a key is looked up once per run of
+	// its records.
+	var k *keyRecords
 	for i, rec := range s.incoming {
-		if i == 0 || !bytes.Equal(rec.key, key) {
-			key = rec.key
-			var ok bool
-			if recs, ok = s.keys[string(key)]; !ok {
-				recs = s.keyTable()
-				s.keys[string(key)] = recs
-			}
+		if i == 0 || !bytes.Equal(rec.key, s.incoming[i-1].key) {
+			at, found := findKey(s.keys, rec.key)
+			k = s.keyAt(at, found, string(rec.key))
 		}
-		if cur, ok := recs[string(rec.member)]; ok {
-			s.resolve(cur, rec.score, rec.deleted)
-		} else {
-			s.add(recs, string(rec.member), rec.score, rec.deleted)
+		j, found := findMember(k.recs, rec.member)
+		member := ""
+		if !found {
+			member = string(rec.member)
 		}
+		s.write(k, j, found, member, rec.score, rec.deleted)
 	}
 	return nil
 }
@@ -392,12 +403,12 @@ func (s *Store) Snapshot() ([]byte, error) {
 		return 0
 	}
 	b := wire.AppendUvarint(make([]byte, 0, 8+s.records()*recordBytesGuess), uint64(len(s.keys)))
-	s.keyOrder = wire.SortedKeys(s.keyOrder, s.keys)
-	for _, key := range s.keyOrder {
-		members := s.keys[key]
-		b = wire.AppendString(b, key)
-		b = wire.AppendUvarint(b, uint64(len(members)))
-		for _, r := range s.sortedMembers(members) {
+	for i := range s.keys {
+		k := &s.keys[i]
+		b = wire.AppendString(b, k.key)
+		b = wire.AppendUvarint(b, uint64(len(k.recs)))
+		for j := range k.recs {
+			r := &k.recs[j]
 			b = wire.AppendString(b, r.Member)
 			b = wire.AppendUvarint(b, r.Score)
 			b = wire.AppendBool(b, r.Deleted)
@@ -407,28 +418,33 @@ func (s *Store) Snapshot() ([]byte, error) {
 	return wire.AppendUvarint(b, arrival(s.arrival)), nil
 }
 
-// Restore implements replica.State.
+var errUnsorted = errors.New("roshi: snapshot: keys or members out of order")
+
+// Restore implements replica.State. It decodes into the spare table and
+// swaps it in only once the whole snapshot decoded, so a rejected
+// snapshot leaves the store as it was. Keys and members must be strictly
+// ascending, as Snapshot writes them. A key or member equal to the one
+// the live table holds at the same place is shared, not copied: restoring
+// the checkpoint the store was reset from copies nothing out.
 func (s *Store) Restore(snapshot []byte) error {
 	r := wire.NewReader(snapshot)
 	// A key costs at least its empty name and a zero member count.
 	nKeys := r.Count(2)
-	if s.spare == nil {
-		s.spare = make(map[string]map[string]*record, nKeys)
-	}
-	keys := s.spare
-	for _, recs := range keys {
-		clear(recs)
-		s.free = append(s.free, recs)
-	}
-	clear(keys)
-	for i := 0; i < nKeys; i++ {
-		key := r.String()
-		members := s.keyTable()
-		for j := r.Count(minRecordBytes); j > 0; j-- {
-			rec := s.newRecord(record{Member: r.String(), Score: r.Uvarint(), Deleted: r.Bool(), Arrival: int(r.Uvarint())})
-			members[rec.Member] = rec
+	keys := slices.Grow(s.spare[:0], nKeys)[:nKeys]
+	for i := range keys {
+		k := &keys[i]
+		k.key = s.keyString(r.View(), i)
+		if i > 0 && keys[i-1].key >= k.key {
+			r.Fail(errUnsorted)
 		}
-		keys[key] = members
+		k.recs = k.recs[:0]
+		for j, n := 0, r.Count(minRecordBytes); j < n; j++ {
+			member := s.memberString(r.View(), i, j)
+			if j > 0 && k.recs[j-1].Member >= member {
+				r.Fail(errUnsorted)
+			}
+			k.recs = append(k.recs, record{Member: member, Score: r.Uvarint(), Deleted: r.Bool(), Arrival: int(r.Uvarint())})
+		}
 	}
 	arrival := int(r.Uvarint())
 	if err := r.Done(); err != nil {
@@ -440,14 +456,33 @@ func (s *Store) Restore(snapshot []byte) error {
 	return nil
 }
 
+// keyString returns v as a string, sharing the live table's i-th key when
+// it is equal.
+func (s *Store) keyString(v []byte, i int) string {
+	if i < len(s.keys) && s.keys[i].key == string(v) {
+		return s.keys[i].key
+	}
+	return string(v)
+}
+
+// memberString returns v as a string, sharing the live table's member j of
+// key i when it is equal.
+func (s *Store) memberString(v []byte, i, j int) string {
+	if i < len(s.keys) && j < len(s.keys[i].recs) && s.keys[i].recs[j].Member == string(v) {
+		return s.keys[i].recs[j].Member
+	}
+	return string(v)
+}
+
 // Fingerprint implements replica.State: canonical live membership with
 // deleted flags, so both membership and response-field defects surface.
 func (s *Store) Fingerprint() string {
-	s.keyOrder = wire.SortedKeys(s.keyOrder, s.keys)
 	var buf [512]byte
 	b := buf[:0]
-	for _, k := range s.keyOrder {
-		b = appendEntries(append(append(b, k...), '{'), s.selectRows(k, true))
+	for i := range s.keys {
+		k := &s.keys[i]
+		s.rows = s.appendRows(s.rows[:0], k, true)
+		b = appendEntries(append(append(b, k.key...), '{'), s.rows)
 		b = append(b, '}')
 	}
 	return string(b)

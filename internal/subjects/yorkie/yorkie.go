@@ -76,10 +76,11 @@ type Doc struct {
 	// op-based synchronization.
 	opLog []docOp
 	// applied dedups ops by stamp.
-	applied map[crdt.Time]bool
+	applied appliedSet
 	// ver counts mutations for snapshot-cache invalidation
 	// (replica.Versioned). Every Apply advances the Lamport clock — even
-	// reads stamp — so every op bumps it.
+	// reads stamp — so every op bumps it; a sync that applies no new op
+	// changes nothing and does not.
 	ver uint64
 
 	// Scratch, never state: Snapshot's order, last decoded ops, path views.
@@ -99,20 +100,86 @@ func (d *Doc) StateVersion() uint64 { return d.ver }
 // New returns an empty document for a replica identity.
 func New(identity string, flags Flags) *Doc {
 	return &Doc{
-		flags:   flags,
-		clock:   crdt.NewClock(identity),
-		tree:    crdt.NewJSONDoc(),
-		arr:     crdt.NewRGA(),
-		applied: make(map[crdt.Time]bool),
+		flags: flags,
+		clock: crdt.NewClock(identity),
+		tree:  crdt.NewJSONDoc(),
+		arr:   crdt.NewRGA(),
 	}
+}
+
+// appliedSet is the set of op stamps a document has applied: per origin
+// replica, a bitset over Lamport counters, found by a scan of the few
+// origins a document hears from. An origin's bitset grows only to twice
+// the stamps it holds, plus a margin; a counter beyond that, which only a
+// crafted payload carries, goes to a map instead, so a few far-flung
+// counters cannot make a bitset large.
+type appliedSet struct {
+	origins []appliedOrigin
+	far     map[crdt.Time]struct{}
+}
+
+type appliedOrigin struct {
+	replica string
+	bits    []uint64
+	n       int // stamps set in bits
+}
+
+// isApplied reports whether the set holds the stamp (counter, replica);
+// replica is a string or a view of one.
+func isApplied[R string | []byte](a *appliedSet, counter uint64, replica R) bool {
+	for i := range a.origins {
+		if o := &a.origins[i]; o.replica == string(replica) {
+			if w := counter / 64; w < uint64(len(o.bits)) && o.bits[w]&(1<<(counter%64)) != 0 {
+				return true
+			}
+			break
+		}
+	}
+	if len(a.far) == 0 {
+		return false
+	}
+	_, ok := a.far[crdt.Time{Counter: counter, Replica: string(replica)}]
+	return ok
+}
+
+// add puts the stamp in the set.
+func (a *appliedSet) add(t crdt.Time) {
+	i := slices.IndexFunc(a.origins, func(o appliedOrigin) bool { return o.replica == t.Replica })
+	if i < 0 {
+		i = len(a.origins)
+		a.origins = append(a.origins, appliedOrigin{replica: t.Replica})
+	}
+	o := &a.origins[i]
+	w := t.Counter / 64
+	if w >= uint64(len(o.bits)) && w > uint64(2*o.n+8) {
+		if a.far == nil {
+			a.far = make(map[crdt.Time]struct{})
+		}
+		a.far[t] = struct{}{}
+		return
+	}
+	for uint64(len(o.bits)) <= w {
+		o.bits = append(o.bits, 0)
+	}
+	o.bits[w] |= 1 << (t.Counter % 64)
+	o.n++
+}
+
+// reset empties the set, keeping the origins and their bitsets' room.
+func (a *appliedSet) reset() {
+	for i := range a.origins {
+		clear(a.origins[i].bits)
+		a.origins[i].n = 0
+	}
+	clear(a.far)
 }
 
 // applyOp executes one doc op against local state.
 func (d *Doc) applyOp(op docOp) error {
-	if d.applied[op.Stamp] {
+	if isApplied(&d.applied, op.Stamp.Counter, op.Stamp.Replica) {
 		return nil // idempotent
 	}
-	d.applied[op.Stamp] = true
+	d.applied.add(op.Stamp)
 	d.clock.Witness(op.Stamp)
 	if op.Remote && d.flags.NoStampResolution {
 		// Misconception #1 seed: the receiver re-stamps the op, so the
@@ -323,7 +390,7 @@ func (d *Doc) readOps(r *wire.Reader, dst []docOp, skipApplied bool) []docOp {
 		if stamp.Counter == 0 && len(stamp.Replica) == 0 {
 			r.Fail(errZeroStamp)
 		}
-		if skipApplied && d.applied[stamp.Time()] {
+		if skipApplied && isApplied(&d.applied, stamp.Counter, stamp.Replica) {
 			continue
 		}
 		op := docOp{Kind: kind, Value: string(value), Stamp: stamp.Time(), ElemID: elem.Time(), AfterID: after.Time(), Remote: remote}
@@ -345,16 +412,21 @@ func (d *Doc) SyncPayload() ([]byte, error) {
 }
 
 // ApplySync implements replica.State: apply the remote ops (idempotently)
-// and adopt them into the local op log for further propagation.
+// and adopt them into the local op log for further propagation. A payload
+// holding no op the document has not applied changes nothing, so it
+// leaves the version alone too (DESIGN.md §4.15).
 func (d *Doc) ApplySync(payload []byte) error {
-	d.ver++
 	r := wire.NewReader(payload)
 	d.incoming = d.readOps(r, d.incoming, true)
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("yorkie: sync payload: %w", err)
 	}
+	if len(d.incoming) == 0 {
+		return nil
+	}
+	d.ver++
 	for _, op := range d.incoming {
-		if d.applied[op.Stamp] {
+		if isApplied(&d.applied, op.Stamp.Counter, op.Stamp.Replica) {
 			continue
 		}
 		if err := d.applyOp(op); err != nil && err != replica.ErrFailedOp {
@@ -401,7 +473,7 @@ func (d *Doc) Restore(data []byte) error {
 	d.clock.SetCounter(0)
 	d.tree.Reset()
 	d.arr.Reset()
-	clear(d.applied)
+	d.applied.reset()
 	for _, op := range d.incoming {
 		_ = d.applyOp(op)
 	}
