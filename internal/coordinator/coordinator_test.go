@@ -378,7 +378,7 @@ func TestCoordinatorResume(t *testing.T) {
 // the job with partial results instead of requeueing forever.
 func TestPoisonRangeQuarantine(t *testing.T) {
 	spec := JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 8, RangeSize: 8}
-	j, err := openJob("poison", spec, t.TempDir(), 8, 100*time.Millisecond, nil)
+	j, err := openJob("poison", spec, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
 	if err != nil {
 		t.Fatalf("openJob: %v", err)
 	}
@@ -415,7 +415,7 @@ func TestPoisonRangeQuarantine(t *testing.T) {
 
 func TestFencedHeartbeatAndCommit(t *testing.T) {
 	spec := JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 16, RangeSize: 8}
-	j, err := openJob("fence", spec, t.TempDir(), 8, 100*time.Millisecond, nil)
+	j, err := openJob("fence", spec, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
 	if err != nil {
 		t.Fatalf("openJob: %v", err)
 	}

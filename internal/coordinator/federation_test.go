@@ -22,10 +22,11 @@ import (
 // violating job under a coordinator with two telemetry-reporting workers
 // must (1) fold both workers' metrics into the fleet /metrics and
 // /progress views with counters that stay monotone and sum across
-// workers, (2) serve a Prometheus-valid text exposition under content
-// negotiation, (3) merge both workers into the fleet trace, and (4)
-// capture a forensic bundle on the coordinator host that `erpi explain`
-// renders naming the violated assertion.
+// workers, (2) report the job's violations and quarantines and a rate
+// for every worker that explored anything, (3) serve a Prometheus-valid
+// text exposition under content negotiation, (4) merge both workers into
+// the fleet trace, and (5) capture a forensic bundle on the coordinator
+// host that `erpi explain` renders naming the violated assertion.
 func TestFederatedTelemetryAndJobForensics(t *testing.T) {
 	spec := JobSpec{Bug: "Roshi-2", Mode: "dfs", MaxInterleavings: testCap}
 	reg := telemetry.New()
@@ -109,6 +110,11 @@ func TestFederatedTelemetryAndJobForensics(t *testing.T) {
 	if got := fleet.Counters["runner.explored"]; got != int64(st.Explored) {
 		t.Fatalf("fleet runner.explored = %d, want %d", got, st.Explored)
 	}
+	// Assertions run in the coordinator's ledger, which counts into the
+	// service registry the fleet view folds in.
+	if got := fleet.Counters["runner.violations"]; got != int64(len(st.Violations)) {
+		t.Fatalf("fleet runner.violations = %d, want the job's %d", got, len(st.Violations))
+	}
 	var perWorker int64
 	for _, row := range fed.Progress().Workers {
 		perWorker += row.Explored
@@ -143,6 +149,15 @@ func TestFederatedTelemetryAndJobForensics(t *testing.T) {
 	}
 	if len(prog.Workers) != 2 || prog.Explored != int64(st.Explored) {
 		t.Fatalf("fleet progress: %+v", prog)
+	}
+	if prog.Violations != int64(len(st.Violations)) || prog.Quarantined != int64(st.Quarantined) {
+		t.Fatalf("fleet progress violations/quarantined = %d/%d, want the job's %d/%d",
+			prog.Violations, prog.Quarantined, len(st.Violations), st.Quarantined)
+	}
+	for _, row := range prog.Workers {
+		if row.Explored > 0 && row.PerSecond <= 0 {
+			t.Fatalf("worker %s explored %d at per_second %v", row.Worker, row.Explored, row.PerSecond)
+		}
 	}
 
 	// /metrics negotiates a valid Prometheus exposition carrying the fleet

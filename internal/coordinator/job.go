@@ -293,6 +293,9 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	cfg.StopOnViolation = spec.StopOnViolation
 	cfg.ForensicDir = filepath.Join(dir, "forensics")
 	cfg.Journal = journal
+	// The service registry counts what the ledger decides — violations,
+	// quarantines, assert spans — where the fleet view reads it.
+	cfg.Telemetry = tel.reg
 	j.ledger = runner.NewLedger(scenario, cfg, j.explorer, j.res)
 	// The records are what an earlier session committed: their digest
 	// contributions and violations survive a coordinator restart without
@@ -491,7 +494,7 @@ func (j *Job) grantLocked(r *jobRange, worker string) *frame {
 	r.grantedAt = time.Now()
 	r.deadline = r.grantedAt.Add(j.heartbeatGrace())
 	j.leasedN++
-	j.tel.rangeLeased()
+	j.tel.leased.Inc()
 	return &frame{
 		Type:          msgRange,
 		Range:         r.id,
@@ -523,11 +526,11 @@ func (j *Job) heartbeat(worker string, rangeID, epoch int) bool {
 	r, ok := j.fenceCheckLocked(worker, rangeID, epoch)
 	if !ok {
 		j.fenced++
-		j.tel.fenceRejected()
+		j.tel.fenced.Inc()
 		return false
 	}
 	r.deadline = time.Now().Add(j.heartbeatGrace())
-	j.tel.heartbeat()
+	j.tel.heartbeats.Inc()
 	return true
 }
 
@@ -549,23 +552,23 @@ func (j *Job) commit(worker string, rangeID, epoch int, results []wireResult) (b
 		// A commit into a finished job is by definition stale — its range
 		// was either committed by someone else or will never be needed.
 		j.fenced++
-		j.tel.fenceRejected()
+		j.tel.fenced.Inc()
 		return false, nil
 	}
 	r, ok := j.fenceCheckLocked(worker, rangeID, epoch)
 	if !ok {
 		j.fenced++
-		j.tel.fenceRejected()
+		j.tel.fenced.Inc()
 		return false, nil
 	}
 	if len(results) != len(r.ils) {
 		// Protocol corruption, not a fence: requeue the range and reject.
 		j.requeueLocked(r)
-		j.tel.commitRejected()
+		j.tel.rejected.Inc()
 		return false, fmt.Errorf("coordinator: commit for range %d has %d results, want %d", rangeID, len(results), len(r.ils))
 	}
 	j.leasedN--
-	j.tel.rangeCommitted()
+	j.tel.committed.Inc()
 	j.parkLocked(r, results)
 	return true, nil
 }
@@ -656,10 +659,9 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, 
 				// Pruned by the worker's subsumption table: consumes its
 				// index and record, contributes nothing to the digest.
 				execErr = runner.ErrSubsumed
-				j.tel.subsumed()
+				j.tel.subsumed.Inc()
 			case outcome == nil:
 				execErr = errors.New(res.Error)
-				j.tel.quarantined()
 			default:
 				// Index and interleaving come from the coordinator's own
 				// ledger, never from the wire, so a confused worker cannot
@@ -687,7 +689,7 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, 
 		}
 	}
 	at(afterRecords)
-	j.tel.batch()
+	j.tel.batches.Inc()
 	return len(batch), violations, j.journal.Flush()
 }
 
@@ -730,7 +732,7 @@ func (j *Job) poisonLocked(r *jobRange) {
 	for i := range results {
 		results[i].Error = fmt.Sprintf("coordinator: range %d abandoned after %d failed leases", r.id, r.leases)
 	}
-	j.tel.rangePoisoned()
+	j.tel.poisoned.Inc()
 	j.parkLocked(r, results)
 }
 
@@ -746,7 +748,7 @@ func (j *Job) requeueLocked(r *jobRange) {
 	r.worker = ""
 	j.leasedN--
 	j.requeues++
-	j.tel.rangeRequeued()
+	j.tel.requeued.Inc()
 	j.pendingQ = append(j.pendingQ, r.id)
 	sort.Ints(j.pendingQ)
 	j.wakeLocked()
@@ -843,7 +845,7 @@ func (j *Job) endLocked(state string) {
 	j.state = state
 	j.persistLocked()
 	close(j.doneCh)
-	j.tel.jobFinished()
+	j.tel.jobsRunning.Add(-1)
 	j.wakeLocked()
 }
 

@@ -40,13 +40,15 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// svcTel is the coordinator's nil-safe telemetry facade.
+// svcTel holds the coordinator's metric handles, resolved once; call
+// sites use them directly. Without a registry every handle is nil and
+// every call on one a no-op.
 type svcTel struct {
 	reg         *telemetry.Registry
 	workersLive *telemetry.Gauge
 	jobsRunning *telemetry.Gauge
-	requests    *telemetry.Counter
-	batches     *telemetry.Counter
+	requests    *telemetry.Counter // worker frames, i.e. round trips
+	batches     *telemetry.Counter // group commits: syncs of a job's record log
 	leased      *telemetry.Counter
 	committed   *telemetry.Counter
 	requeued    *telemetry.Counter
@@ -54,13 +56,12 @@ type svcTel struct {
 	rejected    *telemetry.Counter
 	heartbeats  *telemetry.Counter
 	poisoned    *telemetry.Counter
-	quarantines *telemetry.Counter
-	subsumes    *telemetry.Counter
+	subsumed    *telemetry.Counter
 }
 
 func newSvcTel(reg *telemetry.Registry) *svcTel {
 	if reg == nil {
-		return nil
+		return &svcTel{}
 	}
 	return &svcTel{
 		reg:         reg,
@@ -75,95 +76,13 @@ func newSvcTel(reg *telemetry.Registry) *svcTel {
 		rejected:    reg.Counter("coordinator.commits_rejected"),
 		heartbeats:  reg.Counter("coordinator.heartbeats"),
 		poisoned:    reg.Counter("coordinator.ranges_poisoned"),
-		quarantines: reg.Counter("coordinator.quarantined"),
-		subsumes:    reg.Counter("coordinator.subsumed"),
+		subsumed:    reg.Counter("coordinator.subsumed"),
 	}
 }
 
+// span opens a coordinator-lane span of the given stage.
 func (t *svcTel) span(stage telemetry.Stage) telemetry.SpanStart {
-	if t == nil {
-		return telemetry.SpanStart{}
-	}
 	return t.reg.StartSpan(stage, 0, telemetry.CoordinatorWorker)
-}
-
-// request counts one worker frame, i.e. one round trip.
-func (t *svcTel) request() {
-	if t != nil {
-		t.requests.Inc()
-	}
-}
-
-// batch counts one group commit: one sync of the job's record log.
-func (t *svcTel) batch() {
-	if t != nil {
-		t.batches.Inc()
-	}
-}
-func (t *svcTel) workerJoined() {
-	if t != nil {
-		t.workersLive.Add(1)
-	}
-}
-func (t *svcTel) workerLeft() {
-	if t != nil {
-		t.workersLive.Add(-1)
-	}
-}
-func (t *svcTel) jobStarted() {
-	if t != nil {
-		t.jobsRunning.Add(1)
-	}
-}
-func (t *svcTel) jobFinished() {
-	if t != nil {
-		t.jobsRunning.Add(-1)
-	}
-}
-func (t *svcTel) rangeLeased() {
-	if t != nil {
-		t.leased.Inc()
-	}
-}
-func (t *svcTel) rangeCommitted() {
-	if t != nil {
-		t.committed.Inc()
-	}
-}
-func (t *svcTel) rangeRequeued() {
-	if t != nil {
-		t.requeued.Inc()
-	}
-}
-func (t *svcTel) fenceRejected() {
-	if t != nil {
-		t.fenced.Inc()
-	}
-}
-func (t *svcTel) commitRejected() {
-	if t != nil {
-		t.rejected.Inc()
-	}
-}
-func (t *svcTel) heartbeat() {
-	if t != nil {
-		t.heartbeats.Inc()
-	}
-}
-func (t *svcTel) rangePoisoned() {
-	if t != nil {
-		t.poisoned.Inc()
-	}
-}
-func (t *svcTel) quarantined() {
-	if t != nil {
-		t.quarantines.Inc()
-	}
-}
-func (t *svcTel) subsumed() {
-	if t != nil {
-		t.subsumes.Inc()
-	}
 }
 
 // Service is the coordinator: it accepts worker connections, leases
@@ -266,7 +185,7 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.tel.jobStarted()
+	s.tel.jobsRunning.Add(1)
 	return j, nil
 }
 
@@ -308,7 +227,7 @@ func (s *Service) Recover() error {
 			s.nextJob = n
 		}
 		if j.Status().State == StateRunning {
-			s.tel.jobStarted()
+			s.tel.jobsRunning.Add(1)
 		}
 	}
 	return nil
@@ -498,7 +417,7 @@ func (s *Service) serveConn(conn net.Conn) {
 			cur.workerGone(worker)
 		}
 		if counted {
-			s.tel.workerLeft()
+			s.tel.workersLive.Add(-1)
 		}
 	}()
 
@@ -510,7 +429,7 @@ func (s *Service) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		s.tel.request()
+		s.tel.requests.Inc()
 		msg, err := decodeFrame(raw)
 		if err != nil {
 			// A frame that does not decode is answered and the connection
@@ -521,7 +440,7 @@ func (s *Service) serveConn(conn net.Conn) {
 				code = errCodeVersion
 			}
 			if raw[0] == msgCommit {
-				s.tel.commitRejected()
+				s.tel.rejected.Inc()
 			}
 			fail(code, err.Error())
 			return
@@ -539,7 +458,7 @@ func (s *Service) serveConn(conn net.Conn) {
 			worker = msg.Worker
 			if !counted {
 				counted = true
-				s.tel.workerJoined()
+				s.tel.workersLive.Add(1)
 			}
 			cur, err = s.pickJob(msg.Job)
 			switch {

@@ -116,7 +116,7 @@ type worker struct {
 const defaultTelemetryInterval = 200 * time.Millisecond
 
 // report ships the worker's telemetry to the coordinator: cumulative
-// metrics and progress plus the span delta since the previous report.
+// metrics plus the span delta since the previous report.
 // No-op without a registry (or with reporting disabled), and before
 // TelemetryInterval has passed since the last one unless final.
 func (w *worker) report(sess *session, final bool) error {
@@ -135,7 +135,6 @@ func (w *worker) report(sess *session, final bool) error {
 		Worker:         w.o.Name,
 		EpochUnixNanos: w.o.Telemetry.Tracer().Epoch().UnixNano(),
 		Metrics:        w.o.Telemetry.Snapshot(),
-		Progress:       w.o.Telemetry.Progress().Snapshot(),
 		Spans:          spans,
 	})
 	if err != nil {

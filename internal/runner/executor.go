@@ -155,7 +155,7 @@ func validate(s Scenario, cfg *Config) error {
 // so out-of-process callers (the distributed coordinator's workers
 // foremost) execute with byte-identical semantics. Honored Config fields:
 // Seed, Faults, MaxRetries, RetryBackoff, InterleavingTimeout,
-// PrefixCacheBytes, PrefixSnapshotEvery, SubsumptionTable (with Mode
+// PrefixCacheBytes, SubsumptionTable (with Mode
 // gating it, lexicographic modes only), Telemetry. With SubsumptionTable
 // > 0 the executor keeps a private visited-frontier table across Execute
 // calls and returns ErrSubsumed for skipped interleavings — a distributed
@@ -164,7 +164,7 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 	if err := validate(s, &cfg); err != nil {
 		return nil, err
 	}
-	return newExecutor(s, cfg, 0, newRunTelemetry(cfg.Telemetry), newSubsumption(cfg), false)
+	return newExecutor(s, cfg, 0, newRunTelemetry(cfg.Telemetry), newSubsumption(cfg), false, defaultPrefixSnapshotEvery)
 }
 
 // newExecutor builds worker w's private execution environment, the same
@@ -173,10 +173,11 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 // step table, its seeded retry-jitter generator, and sub, the
 // run's shared subsumption table (nil when disabled, and on every live
 // run; unlike the cache, all workers consult the same one). An inline
-// executor adds the optional prefix cache; a live one takes its gate
+// executor adds the optional prefix cache, which snapshots every `every`
+// events (also the subsumption check stride); a live one takes its gate
 // sessions from cfg.LiveGates instead: live replay re-issues real calls
 // and cannot resume an interleaving mid-flight.
-func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeTable, live bool) (*Executor, error) {
+func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeTable, live bool, every int) (*Executor, error) {
 	cluster, err := s.NewCluster()
 	if err != nil {
 		return nil, fmt.Errorf("runner: cluster setup: %w", err)
@@ -201,7 +202,7 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 		backoff:    cfg.RetryBackoff,
 		sub:        sub,
 	}
-	if tel != nil {
+	if tel.reg != nil {
 		x.ops = make(map[string]*telemetry.Counter)
 	}
 	if cfg.Faults != nil {
@@ -224,12 +225,9 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 	if cfg.PrefixCacheBytes > 0 {
 		// Private per-worker cache: no cross-worker sharing, so what a
 		// worker computes never depends on what other workers ran.
-		x.cache = newPrefixCache(cfg.PrefixCacheBytes, cfg.PrefixSnapshotEvery)
+		x.cache = newPrefixCache(cfg.PrefixCacheBytes, every)
 	}
-	x.subEvery = cfg.PrefixSnapshotEvery
-	if x.subEvery <= 0 {
-		x.subEvery = defaultPrefixSnapshotEvery
-	}
+	x.subEvery = every
 	return x, nil
 }
 
@@ -259,18 +257,18 @@ func newSteps(log *event.Log, cluster *replica.Cluster) []eventStep {
 // snapshot, like the driver's per-index accounting — this is what a
 // distributed worker's federation reports are built from.
 func (x *Executor) Execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, int, error) {
-	x.tel.onExplored()
+	x.tel.explored.Inc()
 	return x.execute(ctx, workItem{index: index, il: il, pivot: -1})
 }
 
 // run executes one item for the pool: the retry loop under an execute
 // span, with the worker's progress slot published around it.
 func (x *Executor) run(ctx context.Context, item workItem) workResult {
-	x.tel.setWorker(x.worker, item.index)
+	x.tel.progress.SetWorker(x.worker, item.index)
 	span := x.tel.span(telemetry.StageExecute, item.index, x.worker)
 	outcome, attempts, err := x.execute(ctx, item)
 	span.End()
-	x.tel.setWorker(x.worker, 0)
+	x.tel.progress.SetWorker(x.worker, 0)
 	return workResult{workItem: item, outcome: outcome, attempts: attempts, err: err}
 }
 
@@ -300,7 +298,7 @@ func (x *Executor) execute(ctx context.Context, item workItem) (*Outcome, int, e
 		if errors.Is(err, ErrSubsumed) || attempts > x.maxRetries {
 			return nil, attempts, err
 		}
-		x.tel.onRetry()
+		x.tel.retries.Inc()
 		select {
 		case <-ctx.Done():
 			return nil, attempts, ctx.Err()
@@ -385,8 +383,7 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 		// Re-pruned since this executor last ran (see workItem.gen).
 		x.gen = item.gen
 		freed, stateFreed := x.cache.invalidate()
-		x.tel.onSnapshot(-freed, 0)
-		x.tel.onPrefixDeltaBytes(-stateFreed)
+		x.tel.onSnapshot(-freed, -stateFreed, 0)
 		x.prevIL = nil
 	}
 	if x.cache == nil || x.outcome.FaultArmed {
@@ -403,7 +400,7 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 		x.tel.onPrefixHit(depth)
 	} else {
 		err = x.cluster.Reset()
-		x.tel.onPrefixMiss()
+		x.tel.prefixMisses.Inc()
 	}
 	span.End()
 	return start, err
@@ -452,7 +449,7 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 					// has (DESIGN.md §4.12). Account the events actually
 					// replayed and abandon.
 					x.tel.onEvents(pos-start, start)
-					x.tel.onSubsumed()
+					x.tel.subsumed.Inc()
 					if useCache {
 						x.prevIL = il
 					}
@@ -571,7 +568,7 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 		if x.inj != nil {
 			payload = x.inj.Payload(pos, payload)
 		}
-		x.tel.onSyncBytes(len(payload))
+		x.tel.syncBytes.Add(int64(len(payload)))
 		if err := node.State.ApplySync(payload); err != nil {
 			if errors.Is(err, replica.ErrFailedOp) {
 				x.outcome.FailedOps = append(x.outcome.FailedOps, id)
@@ -613,7 +610,8 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 		if err != nil {
 			return false, err
 		}
-		x.tel.onSnapshotWork(states.Dirty, states.Reused)
+		x.tel.dirtyReplicas.Add(int64(states.Dirty))
+		x.tel.bytesReused.Add(states.Reused)
 		snap = newPrefixSnapshot(states, x.pending, x.outcome)
 		snap.mset = x.rolling
 		if x.sub != nil {
@@ -624,8 +622,7 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 		}
 		if wantCache {
 			delta, stateDelta, evicted := x.cache.insert(il, depth, snap)
-			x.tel.onSnapshot(delta, evicted)
-			x.tel.onPrefixDeltaBytes(stateDelta)
+			x.tel.onSnapshot(delta, stateDelta, evicted)
 		}
 	}
 	if !wantSub {
@@ -634,7 +631,7 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 	// x.rolling is multisetHash(il[:depth]) by the loop invariant — the
 	// O(1)-maintained replacement for the per-depth sort-and-rehash.
 	skip, delta := x.sub.visit(snap.ctxHash, x.rolling, il[:depth])
-	x.tel.onSubsumeBytes(delta)
+	x.tel.subsumeBytes.Add(delta)
 	return skip, nil
 }
 

@@ -107,7 +107,7 @@ func BuildBundle(s Scenario, cfg Config, il interleave.Interleaving, index int, 
 // executor: no cache, no subsumption, no telemetry) with the step
 // observer attached, finalizes, and returns the outcome as a FinalState.
 func forensicReplay(s Scenario, faults *fault.Schedule, il interleave.Interleaving, index int, observe func(*replica.Cluster, int) error) (*forensics.FinalState, error) {
-	x, err := newExecutor(s, Config{Faults: faults}, 0, nil, nil, false)
+	x, err := newExecutor(s, Config{Faults: faults}, 0, telemetryOff, nil, false, defaultPrefixSnapshotEvery)
 	if err != nil {
 		return nil, err
 	}

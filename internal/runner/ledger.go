@@ -92,7 +92,7 @@ func (l *Ledger) Record(index int, il interleave.Interleaving, outcome *Outcome,
 		l.res.Subsumed++
 		r.Subsumed = true
 	case err != nil:
-		l.tel.onQuarantined()
+		l.tel.quarantined.Inc()
 		l.res.Quarantined = append(l.res.Quarantined, ExecError{
 			Index:        index,
 			Interleaving: il,
@@ -132,7 +132,7 @@ func (l *Ledger) check(index int, il interleave.Interleaving, outcome *Outcome) 
 	}
 	assertSpan.End()
 	added := l.res.Violations[before:]
-	l.tel.onViolations(len(added))
+	l.tel.violations.Add(int64(len(added)))
 	if len(added) > 0 {
 		if l.res.FirstViolation == 0 {
 			l.res.FirstViolation = index

@@ -93,7 +93,7 @@ func ExecuteLiveContext(ctx context.Context, s Scenario, il interleave.Interleav
 	cfg := Config{LiveGates: func(int) (SessionFactory, error) {
 		return func() (LiveSession, error) { return gateSession(newGate), nil }, nil
 	}}
-	x, err := newExecutor(s, cfg, telemetry.CoordinatorWorker, tel, nil, true)
+	x, err := newExecutor(s, cfg, telemetry.CoordinatorWorker, tel, nil, true, defaultPrefixSnapshotEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	if err != nil {
 		return fmt.Errorf("live session: %w", err)
 	}
-	x.tel.onLiveSession(1)
+	x.tel.liveSessions.Add(1)
 	l := x.live
 	var gates []proxy.TurnGate
 	defer func() {
@@ -151,7 +151,7 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 			}
 		}
 		_ = sess.Close()
-		x.tel.onLiveSession(-1)
+		x.tel.liveSessions.Add(-1)
 	}()
 	setupSpan := x.tel.span(telemetry.StageLiveSetup, index, x.worker)
 	for r, rep := range l.replicas {
@@ -240,7 +240,8 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 			done = nil
 		}
 	}
-	x.tel.onLiveAttempt(events, handoffs)
+	x.tel.liveEvents.Add(int64(events))
+	x.tel.liveHandoffs.Add(int64(handoffs))
 	// Drain every replica's error, not just the first: a multi-replica
 	// failure (e.g. one replica crashing and the others timing out on their
 	// turns) is reported in full. Each message is deterministic for a given

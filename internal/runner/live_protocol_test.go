@@ -73,7 +73,7 @@ func TestLiveLockRequestBudget(t *testing.T) {
 	s := townReportScenario(t)
 	x, err := newExecutor(s, Config{LiveGates: func(int) (SessionFactory, error) {
 		return func() (LiveSession, error) { sess = pool.Session(); return sess, nil }, nil
-	}}, 0, nil, nil, true)
+	}}, 0, telemetryOff, nil, true, defaultPrefixSnapshotEvery)
 	if err != nil {
 		t.Fatal(err)
 	}

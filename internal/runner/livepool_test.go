@@ -400,7 +400,7 @@ func TestLiveSetupFailureReleasesEarlierGates(t *testing.T) {
 				return nil, boom
 			}), nil
 		}, nil
-	}}, 0, nil, nil, true)
+	}}, 0, telemetryOff, nil, true, defaultPrefixSnapshotEvery)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,8 +113,10 @@ type pool struct {
 	// runLen is the run-length rule (defaultRunLen outside tests): how many
 	// indices the next run may take, given how many the cap still allows.
 	runLen func(left, workers int) int
+	// every is the executors' snapshot stride (defaultPrefixSnapshotEvery
+	// outside tests).
+	every int
 
-	// tel is nil when telemetry is off; all uses are nil-safe.
 	tel *runTelemetry
 	// sub is the run's shared subsumption table (nil when disabled),
 	// flushed at the re-prune quiesce barrier, where no execution is in
@@ -213,7 +215,7 @@ func (p *pool) run(live bool) error {
 	// A generation that completed exactly at the cap still evolves; a
 	// partial one never does (evolveFuzz guards both).
 	p.evolveFuzz()
-	p.tel.onPoolDone()
+	p.tel.poolParked.Set(0) // a stop discards what was parked
 	p.finalize()
 	return nil
 }
@@ -230,7 +232,7 @@ func (p *pool) work(ctx context.Context, w int, live bool) {
 			// Built once there is work for it. A setup failure is fatal for the
 			// run; execution failures are per-interleaving results.
 			var err error
-			if x, err = newExecutor(p.s, p.cfg, w, p.tel, p.sub, live); err != nil {
+			if x, err = newExecutor(p.s, p.cfg, w, p.tel, p.sub, live, p.every); err != nil {
 				p.mu.Lock()
 				p.fail(err)
 				p.mu.Unlock()
@@ -243,7 +245,7 @@ func (p *pool) work(ctx context.Context, w int, live bool) {
 			}
 			r.slots[i] = x.run(ctx, r.slots[i].workItem)
 			r.done.Store(int32(i + 1))
-			p.tel.onParked(1)
+			p.tel.poolParked.Add(1)
 			// Stream the head run's results; the last one is drained by the
 			// acquire that follows.
 			if i+1 < len(r.slots) && r.head.Load() && p.mu.TryLock() {
@@ -295,7 +297,7 @@ func (p *pool) drain() {
 				return
 			}
 			p.nextProc++
-			p.tel.onParked(-1)
+			p.tel.poolParked.Add(-1)
 			p.process(r.slots[r.fed])
 			if p.halted.Load() {
 				return
@@ -342,7 +344,7 @@ func (p *pool) carve(prev *run) *run {
 	r.fed = 0
 	p.queue = append(p.queue, r)
 	r.head.Store(len(p.queue) == 1)
-	p.tel.onPoolRun()
+	p.tel.poolRuns.Inc()
 	return r
 }
 
@@ -386,17 +388,17 @@ func (p *pool) pull() (item workItem, ok bool) {
 			// A resumed record, or re-pruning regenerated the explorer. The
 			// key never executes: classify it so a fuzz generation can still
 			// complete.
-			p.tel.onDedupSkipped()
+			p.tel.dedupSkipped.Inc()
 			if p.ledger.ge != nil {
 				p.ledger.Skipped(il.Key())
 			}
 			continue
 		}
 		if p.explored.Saturated() {
-			p.tel.onDedupSaturated()
+			p.tel.progress.SetDedupSaturated()
 		}
 		p.assigned++
-		p.tel.onExplored()
+		p.tel.explored.Inc()
 		if p.cfg.Store != nil {
 			if err := p.cfg.Store.Record(il); err != nil {
 				if errors.Is(err, datalog.ErrBudgetExhausted) {
@@ -497,7 +499,7 @@ func (p *pool) evolveFuzz() {
 	span := p.tel.span(telemetry.StageFuzzEvolve, p.assigned, telemetry.CoordinatorWorker)
 	ge.Evolve()
 	span.End()
-	p.tel.onFuzzGeneration(ge.Generations(), ge.CorpusSize(), ge.NoveltyRate())
+	p.tel.onFuzzGeneration(ge.CorpusSize(), ge.NoveltyRate())
 }
 
 // poll runs the quiesced ConstraintPoll and regenerates the explorer over
@@ -527,7 +529,7 @@ func (p *pool) poll() error {
 		// so skips are justified against the new enumeration only.
 		p.gen++
 		if p.sub != nil {
-			p.tel.onSubsumeBytes(-p.sub.invalidate())
+			p.tel.subsumeBytes.Add(-p.sub.invalidate())
 		}
 	}
 	return nil

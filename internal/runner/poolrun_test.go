@@ -27,7 +27,7 @@ func exploreCollect(t *testing.T, s Scenario, cfg Config, runLen func(left, work
 	t.Helper()
 	var outcomes []*Outcome
 	cfg.OnOutcome = func(o *Outcome) { outcomes = append(outcomes, o) }
-	res, err := explore(context.Background(), s, cfg, runLen)
+	res, err := explore(context.Background(), s, cfg, runLen, defaultPrefixSnapshotEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestPoolStalledHeadIsBounded(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				res, runErr = explore(context.Background(), s, cfg, runLen)
+				res, runErr = explore(context.Background(), s, cfg, runLen, defaultPrefixSnapshotEvery)
 			}()
 			// No path out of the test leaves the run behind.
 			release := sync.OnceFunc(func() { close(gate.release) })

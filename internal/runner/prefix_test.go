@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -286,17 +287,20 @@ func TestPrefixCacheEviction(t *testing.T) {
 // byte-identical to the cache-off engine.
 func TestPrefixPivotSnapshotPolicy(t *testing.T) {
 	run := func(cacheBytes int64) ([]byte, *Result, *telemetry.Registry) {
-		s := townReportScenario(t)
 		reg := telemetry.New()
-		raw, res := collectOutcomes(t, s, Config{
-			Mode:                ModeDFS,
-			Workers:             1,
-			MaxInterleavings:    400,
-			PrefixCacheBytes:    cacheBytes,
-			PrefixSnapshotEvery: 1 << 20,
-			Telemetry:           reg,
-		})
-		return raw, res, reg
+		var outcomes []*Outcome
+		res, err := explore(context.Background(), townReportScenario(t), Config{
+			Mode:             ModeDFS,
+			Workers:          1,
+			MaxInterleavings: 400,
+			PrefixCacheBytes: cacheBytes,
+			Telemetry:        reg,
+			OnOutcome:        func(o *Outcome) { outcomes = append(outcomes, o) },
+		}, defaultRunLen, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []byte(streamOf(t, outcomes)), res, reg
 	}
 	off, offRes, _ := run(0)
 	on, onRes, reg := run(testBudget)

@@ -99,9 +99,6 @@ func (s *prefixSnapshot) ownBytes() int64 {
 }
 
 func newPrefixCache(budget int64, every int) *prefixCache {
-	if every <= 0 {
-		every = defaultPrefixSnapshotEvery
-	}
 	return &prefixCache{
 		budget: budget,
 		every:  every,

@@ -261,11 +261,6 @@ type Config struct {
 	// and fault-carrying interleavings always fall back to a clean
 	// genesis replay. Zero disables the cache.
 	PrefixCacheBytes int64
-	// PrefixSnapshotEvery is the cache's snapshot insertion stride in
-	// events (default 4): during execution a snapshot is inserted every K
-	// events, plus at the divergence depth against the previous
-	// interleaving.
-	PrefixSnapshotEvery int
 	// SubsumptionTable, when > 0, enables DPOR-style state subsumption
 	// (DESIGN.md §4.12): at snapshot depths the executor hashes the
 	// canonical execution context and skips the rest of any interleaving
@@ -306,10 +301,13 @@ type Config struct {
 // DefaultMaxInterleavings is the paper's exploration cap.
 const DefaultMaxInterleavings = 10000
 
-// defaultPrefixSnapshotEvery is the default Config.PrefixSnapshotEvery:
-// lexicographic neighbors differ in their last ~e≈2.7 positions on
-// average, so a stride of 4 keeps a usable restore point near the tail
-// of every prefix without snapshotting after every event.
+// defaultPrefixSnapshotEvery is the prefix cache's snapshot insertion
+// stride in events — a snapshot every K events, plus at the divergence
+// depth against the previous interleaving and at the explorer's pivot —
+// and the subsumption check stride without a cache. Lexicographic
+// neighbors differ in their last ~e≈2.7 positions on average, so a stride
+// of 4 keeps a usable restore point near the tail of every prefix without
+// snapshotting after every event.
 const defaultPrefixSnapshotEvery = 4
 
 // Result summarizes one exploration run.
@@ -417,12 +415,13 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 // and returns the partial Result with Interrupted set, rather than an
 // error — exploration progress is never discarded.
 func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
-	return explore(ctx, s, cfg, defaultRunLen)
+	return explore(ctx, s, cfg, defaultRunLen, defaultPrefixSnapshotEvery)
 }
 
-// explore is RunContext under a given run-length rule (pool.runLen), which
-// tests vary to show that results do not depend on where runs are cut.
-func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, workers int) int) (*Result, error) {
+// explore is RunContext under a given run-length rule (pool.runLen) and
+// snapshot stride (pool.every), which tests vary: results do not depend on
+// where runs are cut, and pivot snapshots land without the stride.
+func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, workers int) int, every int) (*Result, error) {
 	start := time.Now()
 	if err := validate(s, &cfg); err != nil {
 		return nil, err
@@ -487,16 +486,16 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 			// the records: this one polls before carving.
 			repoll = repoll || r.Index%cfg.PollEvery == 0 && r.Error == "" && !r.Subsumed
 		}
-		if tel != nil {
-			cfg.Journal.SetFsyncObserver(tel.fsyncObserver())
+		if obs := tel.fsyncObserver(); obs != nil {
+			cfg.Journal.SetFsyncObserver(obs)
 			defer cfg.Journal.SetFsyncObserver(nil)
 		}
 	}
 	// The cap is session-wide: what the record log already holds counts
 	// toward it, and this run only gets the remainder. Numbering continues
 	// after the last record.
-	tel.beginRun(max(0, maxIL-res.Resumed), workers, res.Resumed)
-	defer tel.endRun()
+	tel.progress.BeginRun(max(0, maxIL-res.Resumed), workers, res.Resumed)
+	defer tel.progress.EndRun()
 
 	p := &pool{
 		ctx:      ctx,
@@ -510,6 +509,7 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		maxIndex: maxIL,
 		workers:  workers,
 		runLen:   runLen,
+		every:    every,
 		tel:      tel,
 		assigned: res.Resumed,
 		nextProc: res.Resumed + 1,
@@ -572,7 +572,7 @@ func NewExplorer(s Scenario, cfg Config) (interleave.Explorer, error) {
 // cluster, execute, finalize) and returns its outcome. Used to compute the
 // reported manifestation of a bug benchmark from its trigger order.
 func ExecuteOnce(s Scenario, il interleave.Interleaving) (*Outcome, error) {
-	x, err := newExecutor(s, Config{}, 0, nil, nil, false)
+	x, err := newExecutor(s, Config{}, 0, telemetryOff, nil, false, defaultPrefixSnapshotEvery)
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,13 @@ import (
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// runTelemetry pre-resolves every metric the engine touches so the hot
-// loop never performs a registry lookup. A nil *runTelemetry (telemetry
-// off) makes every method a zero-allocation no-op — the invariant pinned
-// by TestTelemetryNilPathZeroAllocs and BenchmarkTelemetryOverhead.
+// runTelemetry holds every handle the engine touches, resolved once so the
+// hot loop never performs a registry lookup; call sites use the handles
+// directly. With telemetry off every handle is nil and every call on one a
+// zero-allocation no-op — the invariant pinned by
+// TestTelemetryNilPathZeroAllocs and BenchmarkTelemetryOverhead. /progress
+// reads the same counters (telemetry.Progress.Snapshot), so nothing here
+// is written twice.
 //
 // Metric names written by the engine:
 //
@@ -48,7 +51,8 @@ import (
 //	fault.fired                fault effects applied (crashes, truncations)
 //	stage.<stage>_ns           per-stage latency histograms (see telemetry.Stage)
 type runTelemetry struct {
-	reg *telemetry.Registry
+	reg      *telemetry.Registry
+	progress *telemetry.Progress
 
 	explored       *telemetry.Counter
 	dedupSkipped   *telemetry.Counter
@@ -84,12 +88,17 @@ type runTelemetry struct {
 // depth in events (not nanoseconds).
 var prefixDepthBounds = []int64{1, 2, 4, 6, 8, 12, 16, 20, 24, 32, 48, 64}
 
+// telemetryOff is the facade of a run without a registry, shared because
+// nothing ever writes to it.
+var telemetryOff = &runTelemetry{}
+
 func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 	if reg == nil {
-		return nil
+		return telemetryOff
 	}
 	return &runTelemetry{
 		reg:            reg,
+		progress:       reg.Progress(),
 		explored:       reg.Counter("runner.explored"),
 		dedupSkipped:   reg.Counter("runner.dedup_skipped"),
 		retries:        reg.Counter("runner.retries"),
@@ -121,207 +130,68 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 	}
 }
 
-// registry exposes the underlying registry for engine paths that record
-// their own metrics (nil when telemetry is off).
-func (t *runTelemetry) registry() *telemetry.Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
-}
-
-// onLiveSession tracks the live.sessions gauge: +1 when a live gate
-// session opens, -1 when it closes.
-func (t *runTelemetry) onLiveSession(delta int64) {
-	if t == nil {
-		return
-	}
-	t.liveSessions.Add(delta)
-}
-
-// onLiveAttempt adds one gated attempt's applied events and granted
-// hand-offs to the counters and to /progress.
-func (t *runTelemetry) onLiveAttempt(events, handoffs int) {
-	if t == nil {
-		return
-	}
-	t.liveEvents.Add(int64(events))
-	t.liveHandoffs.Add(int64(handoffs))
-	t.reg.Progress().AddLive(int64(events), int64(handoffs))
-}
-
-// span opens a stage span (inert when telemetry is off).
+// span opens a stage span. Telemetry off, it is an inlined nil check that
+// returns the inert zero span.
 func (t *runTelemetry) span(stage telemetry.Stage, index, worker int) telemetry.SpanStart {
-	if t == nil {
+	if t.reg == nil {
 		return telemetry.SpanStart{}
 	}
 	return t.reg.StartSpan(stage, index, worker)
 }
 
-// beginRun initializes progress for one exploration.
-func (t *runTelemetry) beginRun(total, workers, resumed int) {
-	if t == nil {
-		return
-	}
-	p := t.reg.Progress()
-	p.BeginRun(total, workers)
-	p.SetResumed(int64(resumed))
-}
-
-func (t *runTelemetry) endRun() {
-	if t == nil {
-		return
-	}
-	t.reg.Progress().EndRun()
-}
-
-// onExplored counts one interleaving assigned an exploration index.
-func (t *runTelemetry) onExplored() {
-	if t == nil {
-		return
-	}
-	t.explored.Inc()
-	t.reg.Progress().AddExplored(1)
-}
-
-func (t *runTelemetry) onDedupSkipped() {
-	if t == nil {
-		return
-	}
-	t.dedupSkipped.Inc()
-}
-
-// onDedupSaturated flips the live dedup-saturation flag the first time the
-// explored set refuses a key, so /progress shows the degradation while the
-// run is still going (Result.DedupSaturated only lands at the end).
-func (t *runTelemetry) onDedupSaturated() {
-	if t == nil {
-		return
-	}
-	t.reg.Progress().SetDedupSaturated()
-}
-
-func (t *runTelemetry) onRetry() {
-	if t == nil {
-		return
-	}
-	t.retries.Inc()
-}
-
-func (t *runTelemetry) onQuarantined() {
-	if t == nil {
-		return
-	}
-	t.quarantined.Inc()
-	t.reg.Progress().AddQuarantined()
-}
-
-func (t *runTelemetry) onViolations(n int) {
-	if t == nil {
-		return
-	}
-	t.violations.Add(int64(n))
-	t.reg.Progress().AddViolations(int64(n))
-}
-
-// onFuzzGeneration publishes one completed corpus evolution: total
-// generations, current corpus size, and the generation's novelty rate
-// (stored in permille so the gauge stays integer-valued).
-func (t *runTelemetry) onFuzzGeneration(generations, corpus int, rate float64) {
-	if t == nil {
-		return
-	}
-	t.fuzzGens.Inc()
-	t.fuzzCorpus.Set(int64(corpus))
-	permille := int64(rate * 1000)
-	t.fuzzNovelty.Set(permille)
-	t.reg.Progress().SetFuzz(int64(generations), int64(corpus), permille)
-}
-
-// onPoolRun counts one carved run.
-func (t *runTelemetry) onPoolRun() {
-	if t == nil {
-		return
-	}
-	t.poolRuns.Inc()
-	t.reg.Progress().AddPoolRun()
-}
-
-// onParked moves the reorder-window gauge: +1 when a worker publishes a
-// result, -1 when the ledger takes it.
-func (t *runTelemetry) onParked(delta int64) {
-	if t == nil {
-		return
-	}
-	t.poolParked.Add(delta)
-	t.reg.Progress().AddParked(delta)
-}
-
-// onPoolDone takes what a stop discarded off the reorder-window gauge.
-func (t *runTelemetry) onPoolDone() {
-	if t != nil {
-		t.onParked(-t.poolParked.Value())
-	}
-}
-
 // now is the start of a span for observeSince (zero when telemetry is off).
 func (t *runTelemetry) now() time.Time {
-	if t == nil {
+	if t.reg == nil {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
+// observeSince records a span measured after the fact, from start (taken
+// with now) until this call.
+func (t *runTelemetry) observeSince(stage telemetry.Stage, index, worker int, start time.Time) {
+	if t.reg == nil {
+		return
+	}
+	t.reg.ObserveSpan(stage, index, worker, start, time.Since(start))
+}
+
+// onFuzzGeneration publishes one completed corpus evolution: the current
+// corpus size and the generation's novelty rate (stored in permille so the
+// gauge stays integer-valued).
+func (t *runTelemetry) onFuzzGeneration(corpus int, rate float64) {
+	t.fuzzGens.Inc()
+	t.fuzzCorpus.Set(int64(corpus))
+	t.fuzzNovelty.Set(int64(rate * 1000))
+}
+
 // onPrefixHit counts one execution resumed from a cached prefix of the
 // given depth.
 func (t *runTelemetry) onPrefixHit(depth int) {
-	if t == nil {
-		return
-	}
 	t.prefixHits.Inc()
 	t.hitDepth.Observe(int64(depth))
 }
 
-// onPrefixMiss counts one cache-enabled execution that replayed from the
-// genesis checkpoint.
-func (t *runTelemetry) onPrefixMiss() {
-	if t == nil {
-		return
-	}
-	t.prefixMisses.Inc()
-}
-
-// onSubsumed counts one interleaving skipped by state subsumption.
-func (t *runTelemetry) onSubsumed() {
-	if t == nil {
-		return
-	}
-	t.subsumed.Inc()
-}
-
-// onSubsumeBytes applies one subsumption-table operation's byte delta
-// (insertions positive, evictions and invalidations negative).
-func (t *runTelemetry) onSubsumeBytes(delta int64) {
-	if t == nil || delta == 0 {
-		return
-	}
-	t.subsumeBytes.Add(delta)
-}
-
 // onEvents accounts one execution's replayed vs. prefix-skipped events.
 func (t *runTelemetry) onEvents(executed, skipped int) {
-	if t == nil {
-		return
-	}
 	t.eventsExecuted.Add(int64(executed))
 	t.eventsSkipped.Add(int64(skipped))
+}
+
+// onSnapshot applies one cache operation's byte deltas (insertions are
+// positive, evictions and invalidations negative) — held snapshot bytes
+// and charged deduplicated state bytes — and its eviction count.
+func (t *runTelemetry) onSnapshot(deltaBytes, stateDelta int64, evicted int) {
+	t.snapshotBytes.Add(deltaBytes)
+	t.prefixDelta.Add(stateDelta)
+	t.prefixEvicted.Add(int64(evicted))
 }
 
 // onOp counts one applied op under runner.op.<name>; ops is the calling
 // executor's name → counter cache. Only the nil check is inlined, so an
 // untraced replay pays no call.
 func (t *runTelemetry) onOp(ops map[string]*telemetry.Counter, name string) {
-	if t != nil {
+	if t.reg != nil {
 		t.countOp(ops, name)
 	}
 }
@@ -336,65 +206,10 @@ func (t *runTelemetry) countOp(ops map[string]*telemetry.Counter, name string) {
 	c.Inc()
 }
 
-// onSyncBytes counts one payload handed to ApplySync.
-func (t *runTelemetry) onSyncBytes(n int) {
-	if t == nil {
-		return
-	}
-	t.syncBytes.Add(int64(n))
-}
-
-// onSnapshot applies one cache operation's byte delta (insertions are
-// positive, evictions and invalidations negative) and eviction count.
-func (t *runTelemetry) onSnapshot(deltaBytes int64, evicted int) {
-	if t == nil {
-		return
-	}
-	t.snapshotBytes.Add(deltaBytes)
-	t.prefixEvicted.Add(int64(evicted))
-}
-
-// onPrefixDeltaBytes applies one cache operation's change in charged
-// deduplicated state bytes (the delta-snapshot footprint).
-func (t *runTelemetry) onPrefixDeltaBytes(delta int64) {
-	if t == nil || delta == 0 {
-		return
-	}
-	t.prefixDelta.Add(delta)
-}
-
-// onSnapshotWork accounts one CanonicalSnapshot call: how many replicas
-// were re-serialized and how many payload bytes came from the
-// per-replica caches instead.
-func (t *runTelemetry) onSnapshotWork(dirty int, reused int64) {
-	if t == nil {
-		return
-	}
-	t.dirtyReplicas.Add(int64(dirty))
-	t.bytesReused.Add(reused)
-}
-
-// setWorker publishes what worker w is executing (0 = idle).
-func (t *runTelemetry) setWorker(w, index int) {
-	if t == nil {
-		return
-	}
-	t.reg.Progress().SetWorker(w, index)
-}
-
-// observeSince records a span measured after the fact, from start (taken
-// with now) until this call.
-func (t *runTelemetry) observeSince(stage telemetry.Stage, index, worker int, start time.Time) {
-	if t == nil {
-		return
-	}
-	t.reg.ObserveSpan(stage, index, worker, start, time.Since(start))
-}
-
 // fsyncObserver adapts the checkpoint journal's flush callback into a
 // journal-fsync span plus batch counters.
 func (t *runTelemetry) fsyncObserver() checkpoint.FsyncObserver {
-	if t == nil {
+	if t.reg == nil {
 		return nil
 	}
 	return func(appends int, took time.Duration) {
@@ -407,7 +222,7 @@ func (t *runTelemetry) fsyncObserver() checkpoint.FsyncObserver {
 
 // instrument attaches the fault armed/fired counters to an injector.
 func (t *runTelemetry) instrument(inj *fault.Injector) {
-	if t == nil || inj == nil {
+	if t.reg == nil || inj == nil {
 		return
 	}
 	inj.SetCounters(t.reg.Counter("fault.armed"), t.reg.Counter("fault.fired"))

@@ -69,21 +69,21 @@ func TestTelemetryDeterminismPin(t *testing.T) {
 // TestTelemetryNilPathZeroAllocs: with telemetry off, every instrumentation
 // call site in the hot loop is a zero-allocation no-op.
 func TestTelemetryNilPathZeroAllocs(t *testing.T) {
-	var tel *runTelemetry
+	tel := newRunTelemetry(nil)
 	allocs := testing.AllocsPerRun(1000, func() {
 		asked := tel.now()
 		gen := tel.span(telemetry.StageGenerate, 1, telemetry.CoordinatorWorker)
 		gen.End()
-		tel.onExplored()
-		tel.onPoolRun()
+		tel.explored.Inc()
+		tel.poolRuns.Inc()
 		tel.observeSince(telemetry.StageDispatch, 1, 0, asked)
-		tel.onParked(1)
-		tel.onParked(-1)
-		tel.setWorker(0, 1)
+		tel.poolParked.Add(1)
+		tel.poolParked.Add(-1)
+		tel.progress.SetWorker(0, 1)
 		sp := tel.span(telemetry.StageExecute, 1, 0)
 		sp.End()
-		tel.setWorker(0, 0)
-		tel.onViolations(0)
+		tel.progress.SetWorker(0, 0)
+		tel.violations.Add(0)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-telemetry hot path allocates %v per interleaving, want 0", allocs)
@@ -98,14 +98,14 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gen := tel.span(telemetry.StageGenerate, i, telemetry.CoordinatorWorker)
 			gen.End()
-			tel.onExplored()
-			tel.setWorker(0, i)
+			tel.explored.Inc()
+			tel.progress.SetWorker(0, i)
 			sp := tel.span(telemetry.StageExecute, i, 0)
 			sp.End()
-			tel.setWorker(0, 0)
+			tel.progress.SetWorker(0, 0)
 		}
 	}
-	b.Run("nil", func(b *testing.B) { run(b, nil) })
+	b.Run("nil", func(b *testing.B) { run(b, newRunTelemetry(nil)) })
 	b.Run("active", func(b *testing.B) { run(b, newRunTelemetry(telemetry.New())) })
 }
 

@@ -9,12 +9,12 @@ import (
 )
 
 // Fleet-wide telemetry federation (DESIGN.md §4.13): worker processes
-// periodically report a cumulative metrics snapshot, a progress snapshot,
-// and the span delta recorded since their previous report. The
-// coordinator folds the reports into one fleet view — counters and
-// histogram buckets sum across workers, per-worker throughput and lag are
-// broken out on /progress, and /trace renders a merged Chrome trace with
-// one process lane per worker, re-based onto the coordinator's clock.
+// periodically report a cumulative metrics snapshot and the span delta
+// recorded since their previous report. The coordinator folds the reports
+// into one fleet view — counters and histogram buckets sum across workers,
+// per-worker throughput and lag are broken out on /progress, and /trace
+// renders a merged Chrome trace with one process lane per worker,
+// re-based onto the coordinator's clock.
 //
 // Reports carry *cumulative* metric snapshots, not increments: the fold
 // keeps only the latest snapshot per worker, so a re-sent or replayed
@@ -33,8 +33,6 @@ type WorkerReport struct {
 	EpochUnixNanos int64 `json:"epoch_unix_nanos"`
 	// Metrics is the worker registry's cumulative snapshot.
 	Metrics Snapshot `json:"metrics"`
-	// Progress is the worker's progress snapshot.
-	Progress ProgressSnapshot `json:"progress"`
 	// Spans are the spans recorded since the worker's previous report.
 	Spans []Span `json:"spans,omitempty"`
 }
@@ -44,10 +42,11 @@ const DefaultFederationSpanCap = 1 << 13
 
 // workerFeed is one worker's folded state.
 type workerFeed struct {
-	report   WorkerReport // latest cumulative metrics/progress (Spans unused)
-	lastSeen time.Time
-	spans    []Span // accumulated span deltas, oldest dropped beyond the cap
-	dropped  int
+	report    WorkerReport // latest cumulative metrics (Spans unused)
+	firstSeen time.Time
+	lastSeen  time.Time
+	spans     []Span // accumulated span deltas, oldest dropped beyond the cap
+	dropped   int
 }
 
 // Federation folds worker telemetry reports into a fleet-wide view on
@@ -81,18 +80,19 @@ func (f *Federation) SetLeaseSource(fn func() map[string]int) {
 	f.mu.Unlock()
 }
 
-// Report folds one worker report: the cumulative metrics/progress replace
-// the worker's previous snapshot, the span delta appends to its bounded
+// Report folds one worker report: the cumulative metrics replace the
+// worker's previous snapshot, the span delta appends to its bounded
 // span history.
 func (f *Federation) Report(rep WorkerReport) {
 	if f == nil || rep.Worker == "" {
 		return
 	}
+	now := time.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	feed, ok := f.feeds[rep.Worker]
 	if !ok {
-		feed = &workerFeed{}
+		feed = &workerFeed{firstSeen: now}
 		f.feeds[rep.Worker] = feed
 	}
 	feed.spans = append(feed.spans, rep.Spans...)
@@ -102,7 +102,7 @@ func (f *Federation) Report(rep WorkerReport) {
 	}
 	rep.Spans = nil
 	feed.report = rep
-	feed.lastSeen = time.Now()
+	feed.lastSeen = now
 }
 
 // Workers returns the number of worker feeds seen so far.
@@ -141,13 +141,11 @@ func (f *Federation) Snapshot() Snapshot {
 // FleetWorkerProgress is one worker's row in the fleet progress view.
 type FleetWorkerProgress struct {
 	Worker string `json:"worker"`
-	// Explored/PerSecond/Violations/Quarantined mirror the worker's own
-	// progress snapshot.
-	Explored    int64   `json:"explored"`
-	PerSecond   float64 `json:"per_second"`
-	Violations  int64   `json:"violations"`
-	Quarantined int64   `json:"quarantined"`
-	Running     bool    `json:"running"`
+	// Explored is the worker's cumulative runner.explored; PerSecond
+	// spreads it over the time between the worker's first and latest
+	// report.
+	Explored  int64   `json:"explored"`
+	PerSecond float64 `json:"per_second"`
 	// Leases is the coordinator ledger's count of ranges currently leased
 	// to this worker (0 without a lease source).
 	Leases int `json:"leases"`
@@ -159,11 +157,11 @@ type FleetWorkerProgress struct {
 	SpansDropped  int `json:"spans_dropped,omitempty"`
 }
 
-// FleetProgress is the JSON shape the coordinator's /progress serves: the
-// local progress snapshot plus the per-worker breakdown and fleet sums.
+// FleetProgress is the JSON shape the coordinator's /progress serves.
+// Explored and PerSecond sum the worker rows; Violations and Quarantined
+// are the fleet snapshot's runner.violations and runner.quarantined,
+// which the coordinator's ledger counts as it records results.
 type FleetProgress struct {
-	Coordinator ProgressSnapshot `json:"coordinator"`
-	// Explored/PerSecond/Violations/Quarantined sum the workers' rows.
 	Explored    int64                 `json:"explored"`
 	PerSecond   float64               `json:"per_second"`
 	Violations  int64                 `json:"violations"`
@@ -176,7 +174,10 @@ func (f *Federation) Progress() FleetProgress {
 	if f == nil {
 		return FleetProgress{}
 	}
-	out := FleetProgress{Coordinator: f.reg.Progress().Snapshot()}
+	out := FleetProgress{
+		Violations:  f.reg.value("runner.violations"),
+		Quarantined: f.reg.value("runner.quarantined"),
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var leases map[string]int
@@ -186,23 +187,22 @@ func (f *Federation) Progress() FleetProgress {
 	now := time.Now()
 	for _, name := range f.sortedWorkersLocked() {
 		feed := f.feeds[name]
-		p := feed.report.Progress
+		counters := feed.report.Metrics.Counters
 		row := FleetWorkerProgress{
 			Worker:        name,
-			Explored:      p.Explored,
-			PerSecond:     p.PerSecond,
-			Violations:    p.Violations,
-			Quarantined:   p.Quarantined,
-			Running:       p.Running,
+			Explored:      counters["runner.explored"],
 			Leases:        leases[name],
 			LagSeconds:    now.Sub(feed.lastSeen).Seconds(),
 			SpansRetained: len(feed.spans),
 			SpansDropped:  feed.dropped,
 		}
+		if d := feed.lastSeen.Sub(feed.firstSeen).Seconds(); d > 0 {
+			row.PerSecond = float64(row.Explored) / d
+		}
 		out.Explored += row.Explored
 		out.PerSecond += row.PerSecond
-		out.Violations += row.Violations
-		out.Quarantined += row.Quarantined
+		out.Violations += counters["runner.violations"]
+		out.Quarantined += counters["runner.quarantined"]
 		out.Workers = append(out.Workers, row)
 	}
 	return out

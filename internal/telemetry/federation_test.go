@@ -5,20 +5,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // workerSnapshot builds a cumulative report for one fake worker.
 func workerSnapshot(name string, explored int64) WorkerReport {
 	r := New()
 	r.Counter("runner.explored").Add(explored)
-	r.Progress().BeginRun(100, 1)
-	r.Progress().AddExplored(explored)
 	r.StartSpan(StageExecute, 1, 0).End()
 	return WorkerReport{
 		Worker:         name,
 		EpochUnixNanos: r.Tracer().Epoch().UnixNano(),
 		Metrics:        r.Snapshot(),
-		Progress:       r.Progress().Snapshot(),
 		Spans:          r.Tracer().Spans(),
 	}
 }
@@ -54,14 +52,36 @@ func TestFederationReportsAreIdempotent(t *testing.T) {
 	}
 }
 
+// TestFederationProgressBreakdown: each worker row is that worker's
+// cumulative runner.explored over the time between its first and latest
+// report; the fleet's violations and quarantines are the merged
+// snapshot's, which the coordinator's ledger counts.
 func TestFederationProgressBreakdown(t *testing.T) {
-	f := NewFederation(New())
+	local := New()
+	local.Counter("runner.violations").Add(4)
+	local.Counter("runner.quarantined").Add(1)
+	f := NewFederation(local)
 	f.SetLeaseSource(func() map[string]int { return map[string]int{"w1": 3} })
-	f.Report(workerSnapshot("w1", 10))
+	f.Report(workerSnapshot("w1", 0))
 	f.Report(workerSnapshot("w2", 20))
+	if p := f.Progress(); p.Workers[0].PerSecond != 0 || p.Workers[1].PerSecond != 0 {
+		t.Fatalf("a worker with one report has no rate yet: %+v", p.Workers)
+	}
+	f.feeds["w1"].firstSeen = f.feeds["w1"].firstSeen.Add(-2 * time.Second)
+	f.Report(workerSnapshot("w1", 10))
 	p := f.Progress()
 	if p.Explored != 30 {
 		t.Fatalf("fleet explored = %d, want 30", p.Explored)
+	}
+	if r := p.Workers[0].PerSecond; r < 4 || r > 5 {
+		t.Fatalf("w1 rate = %f/s, want 10 over ~2s", r)
+	}
+	if p.PerSecond != p.Workers[0].PerSecond {
+		t.Fatalf("fleet rate %f must sum the rows %+v", p.PerSecond, p.Workers)
+	}
+	snap := f.Snapshot()
+	if p.Violations != snap.Counters["runner.violations"] || p.Violations != 4 || p.Quarantined != snap.Counters["runner.quarantined"] || p.Quarantined != 1 {
+		t.Fatalf("fleet violations/quarantined = %d/%d, want the merged snapshot's 4/1", p.Violations, p.Quarantined)
 	}
 	if len(p.Workers) != 2 || p.Workers[0].Worker != "w1" || p.Workers[1].Worker != "w2" {
 		t.Fatalf("worker rows: %+v", p.Workers)
@@ -72,7 +92,7 @@ func TestFederationProgressBreakdown(t *testing.T) {
 	if p.Workers[0].Explored != 10 || p.Workers[1].Explored != 20 {
 		t.Fatalf("per-worker explored: %+v", p.Workers)
 	}
-	if p.Workers[0].SpansRetained != 1 {
+	if p.Workers[0].SpansRetained != 2 { // one span per w1 report
 		t.Fatalf("span accounting: %+v", p.Workers[0])
 	}
 }

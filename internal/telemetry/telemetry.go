@@ -250,19 +250,16 @@ type Registry struct {
 	stage [stageMax + 1]*Histogram
 }
 
-// New returns an empty registry with a tracer of DefaultSpanCapacity.
-func New() *Registry { return NewWithCapacity(DefaultSpanCapacity) }
-
-// NewWithCapacity returns an empty registry whose tracer ring holds up to
-// spanCapacity spans (older spans are dropped beyond it).
-func NewWithCapacity(spanCapacity int) *Registry {
+// New returns an empty registry whose tracer ring holds up to
+// DefaultSpanCapacity spans (older spans are dropped beyond it).
+func New() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		tracer:   NewTracer(spanCapacity),
-		progress: &Progress{},
+		tracer:   NewTracer(DefaultSpanCapacity),
 	}
+	r.progress = &Progress{reg: r}
 	for st := Stage(1); st <= stageMax; st++ {
 		r.stage[st] = r.Histogram("stage." + st.String() + "_ns")
 	}
@@ -335,6 +332,20 @@ func (r *Registry) HistogramWithBounds(name string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// value reads the named counter or gauge without registering it (0 when
+// nothing has).
+func (r *Registry) value(name string) int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.counters[name]; ok {
+		return c.Value()
+	}
+	return r.gauges[name].Value()
 }
 
 // Tracer returns the registry's span tracer (nil for a nil registry).

@@ -51,8 +51,8 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Counter("x").Add(1)
 	r.Gauge("y").Set(2)
 	r.Histogram("z").Observe(3)
-	r.Progress().AddExplored(1)
-	r.Progress().BeginRun(10, 2)
+	r.Progress().BeginRun(10, 2, 0)
+	r.Progress().SetDedupSaturated()
 	sp := r.StartSpan(StageExecute, 1, 0)
 	sp.End()
 	r.ObserveSpan(StageExecute, 1, 0, time.Now(), time.Millisecond)
@@ -173,24 +173,46 @@ func TestWriteTraceChromeFormat(t *testing.T) {
 	}
 }
 
+// TestProgressSnapshot: /progress reads the registry's counters as their
+// growth since BeginRun, so a registry that observes several runs reports
+// each one's own counts.
 func TestProgressSnapshot(t *testing.T) {
-	p := &Progress{}
+	r := New()
+	explored, violations := r.Counter("runner.explored"), r.Counter("runner.violations")
+	fuzzGens := r.Counter("fuzz.generations")
+	corpus, novelty := r.Gauge("fuzz.corpus_size"), r.Gauge("fuzz.novelty_rate_permille")
+	p := r.Progress()
 	if s := p.Snapshot(); s.Running || s.Explored != 0 {
 		t.Fatalf("pre-run snapshot: %+v", s)
 	}
-	p.BeginRun(100, 2)
-	p.AddExplored(10)
-	p.AddQuarantined()
-	p.AddViolations(2)
+	p.BeginRun(100, 2, 5)
+	explored.Add(10)
+	r.Counter("runner.quarantined").Inc()
+	violations.Add(2)
+	r.Counter("live.events").Add(6)
+	r.Counter("live.handoffs").Add(3)
+	r.Counter("runner.pool_runs").Add(4)
+	r.Gauge("runner.pool_parked").Add(1)
 	p.SetWorker(0, 11)
 	s := p.Snapshot()
-	if !s.Running || s.Explored != 10 || s.Total != 100 || s.Quarantined != 1 || s.Violations != 2 {
+	if !s.Running || s.Explored != 10 || s.Total != 100 || s.Resumed != 5 || s.Quarantined != 1 || s.Violations != 2 {
 		t.Fatalf("live snapshot: %+v", s)
+	}
+	if s.LiveEvents != 6 || s.LiveHandoffs != 3 || s.PoolRuns != 4 || s.PoolParked != 1 {
+		t.Fatalf("live and pool fields: %+v", s)
+	}
+	if s.PerSecond <= 0 || s.ETASeconds <= 0 {
+		t.Fatalf("a running run with budget left has a rate and an ETA: %+v", s)
 	}
 	if len(s.Workers) != 2 || s.Workers[0].State != "executing" || s.Workers[1].State != "idle" {
 		t.Fatalf("worker states: %+v", s.Workers)
 	}
-	p.SetFuzz(3, 17, 250)
+	if s.FuzzCorpusSize != 0 {
+		t.Fatalf("corpus reported before a generation completed: %+v", s)
+	}
+	fuzzGens.Add(3)
+	corpus.Set(17)
+	novelty.Set(250)
 	s = p.Snapshot()
 	if s.FuzzGenerations != 3 || s.FuzzCorpusSize != 17 || s.FuzzNoveltyRate != 0.25 {
 		t.Fatalf("fuzz snapshot: %+v", s)
@@ -201,20 +223,27 @@ func TestProgressSnapshot(t *testing.T) {
 	if s.Running || s.ETASeconds != 0 {
 		t.Fatalf("post-run snapshot: %+v", s)
 	}
-	if s.FuzzGenerations != 3 {
-		t.Fatalf("fuzz counters must survive EndRun: %+v", s)
+	if s.FuzzGenerations != 3 || s.Explored != 10 {
+		t.Fatalf("counts must survive EndRun: %+v", s)
 	}
-	p.BeginRun(10, 1)
-	if s := p.Snapshot(); s.FuzzGenerations != 0 || s.FuzzCorpusSize != 0 || s.FuzzNoveltyRate != 0 {
+	p.BeginRun(10, 1, 0)
+	s = p.Snapshot()
+	if s.Explored != 0 || s.Violations != 0 || s.Resumed != 0 {
+		t.Fatalf("BeginRun must reset the run's counts: %+v", s)
+	}
+	if s.FuzzGenerations != 0 || s.FuzzCorpusSize != 0 || s.FuzzNoveltyRate != 0 {
 		t.Fatalf("BeginRun must reset fuzz counters: %+v", s)
+	}
+	explored.Add(4)
+	if s := p.Snapshot(); s.Explored != 4 || r.Snapshot().Counters["runner.explored"] != 14 {
+		t.Fatalf("second run explored = %d, want 4 of the counter's 14", s.Explored)
 	}
 }
 
 func TestStatusServerEndpoints(t *testing.T) {
 	r := New()
+	r.Progress().BeginRun(50, 1, 0)
 	r.Counter("runner.explored").Add(42)
-	r.Progress().BeginRun(50, 1)
-	r.Progress().AddExplored(42)
 	r.StartSpan(StageExecute, 1, 0).End()
 	srv, err := NewStatusServer("127.0.0.1:0", r)
 	if err != nil {
