@@ -292,11 +292,14 @@ func WithPrefixCache(bytes int64) Option {
 
 // WithSubsumption enables DPOR-style state subsumption: interleavings
 // whose execution frontier reaches an already-visited (state-hash,
-// remaining-event-multiset) pair via a lexicographically smaller prefix
-// are skipped — their outcomes are provably ones executed interleavings
-// produce, so the deduplicated outcome-signature set is unchanged while
-// far fewer interleavings execute. bytes bounds the shared
-// visited-frontier table. Skipped interleavings still count toward
+// remaining-event-multiset) pair that a lexicographically smaller
+// interleaving reached first are skipped — at a snapshot depth, or after
+// the last event, before Finalize — since their outcomes are provably
+// ones executed interleavings produce, so the deduplicated
+// outcome-signature set is unchanged while far fewer interleavings
+// execute. bytes bounds the shared visited-frontier table, whose entries
+// are a fixed size (the witness is kept as its exploration index, not
+// its prefix). Skipped interleavings still count toward
 // MaxInterleavings and the journal, and are reported in Result.Subsumed.
 // Honored by the lexicographic modes (ER-π pruned and DFS) only;
 // fault-carrying interleavings always execute. Non-positive bytes

@@ -3,10 +3,12 @@ package bugs_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"github.com/er-pi/erpi/internal/bugs"
+	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/miscon"
 	"github.com/er-pi/erpi/internal/runner"
 )
@@ -114,5 +116,41 @@ func TestSubsumptionSignatureParityAllSubjects(t *testing.T) {
 	}
 	if totalSubsumed == 0 {
 		t.Fatal("no interleaving was subsumed on any subject: the parity assertions never exercised pruning")
+	}
+}
+
+// lexOrderCap bounds how many interleavings per scenario and mode the
+// order check pulls (the DFS spaces are n!).
+const lexOrderCap = 5000
+
+// TestExplorersYieldLexicographicOrder pins what the subsumption table's
+// index key rests on (DESIGN.md §4.12): for every Table-1 scenario, the
+// ModeERPi and ModeDFS explorers yield interleavings in strictly
+// increasing event-ID lexicographic order, so a smaller exploration index
+// is a lexicographically smaller interleaving.
+func TestExplorersYieldLexicographicOrder(t *testing.T) {
+	for _, b := range bugs.All() {
+		s, err := b.Build()
+		if err != nil {
+			t.Fatalf("build %s: %v", b.Name, err)
+		}
+		for _, mode := range []runner.Mode{runner.ModeERPi, runner.ModeDFS} {
+			explorer, err := runner.NewExplorer(s, runner.Config{Mode: mode})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", b.Name, mode, err)
+			}
+			var prev interleave.Interleaving
+			for n := 1; n <= lexOrderCap; n++ {
+				il, ok := explorer.Next()
+				if !ok {
+					break
+				}
+				if n > 1 && slices.Compare(prev, il) >= 0 {
+					t.Fatalf("%s/%s: interleaving #%d %v does not follow #%d %v in lexicographic order",
+						b.Name, mode, n, il, n-1, prev)
+				}
+				prev = slices.Clone(il)
+			}
+		}
 	}
 }

@@ -322,11 +322,23 @@ type ClusterSnapshot struct {
 // last serialization reuse the cached buffer — the per-depth cost is
 // O(dirty replicas), not O(cluster).
 func (c *Cluster) CanonicalSnapshot() (*ClusterSnapshot, error) {
-	snap := &ClusterSnapshot{IDs: c.ids, Bufs: make([]*StateBuf, 0, len(c.list))}
+	snap := &ClusterSnapshot{Bufs: make([]*StateBuf, 0, len(c.list))}
+	if err := c.SnapshotInto(snap); err != nil {
+		return nil, err
+	}
+	return snap, nil
+}
+
+// SnapshotInto is CanonicalSnapshot into a caller-owned snapshot,
+// overwriting it and reusing its Bufs array: a caller that only hashes the
+// snapshot and drops it (the subsumption check) allocates nothing for
+// clean replicas. The buffers themselves stay immutable and shared.
+func (c *Cluster) SnapshotInto(snap *ClusterSnapshot) error {
+	*snap = ClusterSnapshot{IDs: c.ids, Bufs: snap.Bufs[:0]}
 	for _, n := range c.list {
 		buf, reused, err := c.nodeBuf(n)
 		if err != nil {
-			return nil, fmt.Errorf("replica: snapshot %s: %w", n.ID, err)
+			return fmt.Errorf("replica: snapshot %s: %w", n.ID, err)
 		}
 		snap.Bufs = append(snap.Bufs, buf)
 		snap.Bytes += int64(len(buf.Data))
@@ -336,7 +348,7 @@ func (c *Cluster) CanonicalSnapshot() (*ClusterSnapshot, error) {
 			snap.Dirty++
 		}
 	}
-	return snap, nil
+	return nil
 }
 
 // RestoreSnapshot restores every replica from a mid-run snapshot (as

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"maps"
@@ -77,14 +78,17 @@ type Executor struct {
 	// snapshots there so the next lookup hits its maximal shared prefix.
 	pivot int
 	// sub, when non-nil, is the run's shared state-subsumption table
-	// (DESIGN.md §4.12): at snapshot depths replay hashes the execution
-	// context and abandons the interleaving with ErrSubsumed when the
-	// frontier was already visited via a lexicographically smaller prefix.
-	// Shared across every worker of the run.
+	// (DESIGN.md §4.12): at snapshot depths and after the last event,
+	// replay hashes the execution context and abandons the interleaving
+	// with ErrSubsumed when a smaller interleaving already left the same
+	// frontier. Shared across every worker of the run.
 	sub *subsumeTable
 	// subEvery is the subsumption check stride in events when no prefix
 	// cache supplies snapshot depths.
 	subEvery int
+	// subSnap is the reusable cluster snapshot of a check the prefix
+	// cache does not keep: hashed, then overwritten by the next check.
+	subSnap replica.ClusterSnapshot
 	// rolling is the running digest of the executed prefix, updated O(1)
 	// per event from eventStep.contrib in place of the per-depth
 	// sort-and-rehash. rolling always equals multisetHash(il[:pos]) at the
@@ -248,9 +252,13 @@ func newSteps(log *event.Log, cluster *replica.Cluster) []eventStep {
 	return steps
 }
 
-// Execute replays one interleaving at the given global exploration index
-// (the index keys deterministic fault arming, so distributed workers must
-// pass the coordinator-assigned index, not a local counter). It returns
+// Execute replays one interleaving at the given global exploration index.
+// The index keys deterministic fault arming, and with SubsumptionTable it
+// names the interleaving as a witness: the table takes a smaller index
+// for a lexicographically smaller interleaving, so the index must be the
+// interleaving's position in the explorer's enumeration (distributed
+// workers pass the coordinator-assigned index, not a local counter), or
+// subsumption is unsound. It returns
 // the outcome, the number of attempts made, and the final error when every
 // attempt failed — the triple Ledger.Record takes. With Telemetry
 // attached, each call counts toward runner.explored and the progress
@@ -418,9 +426,14 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 	if useCache {
 		divergence = commonPrefixLen(x.prevIL, il)
 	}
+	// One Done call per replay; the per-event poll is a channel receive,
+	// not cancelCtx.Err's mutex.
+	done := ctx.Done()
 	for pos := start; pos < len(il); pos++ {
-		if err := ctx.Err(); err != nil {
-			return err
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
 		if pos > start {
 			if x.step != nil {
@@ -448,12 +461,7 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 					// reproduce an outcome an executed interleaving already
 					// has (DESIGN.md §4.12). Account the events actually
 					// replayed and abandon.
-					x.tel.onEvents(pos-start, start)
-					x.tel.subsumed.Inc()
-					if useCache {
-						x.prevIL = il
-					}
-					return ErrSubsumed
+					return x.subsumed(il, pos-start, start, useCache)
 				}
 			}
 		}
@@ -466,11 +474,35 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 			return err
 		}
 	}
+	if useSub {
+		// The final frontier: the remaining suffix is empty, so a smaller
+		// interleaving that left this exact context is the witness itself
+		// and already pays Finalize, fingerprints and assertions for it.
+		x.rolling.add(x.steps[il[len(il)-1]].contrib)
+		skip, err := x.subsume(il, len(il))
+		if err != nil {
+			return err
+		}
+		if skip {
+			return x.subsumed(il, len(il)-start, start, useCache)
+		}
+	}
 	x.tel.onEvents(len(il)-start, start)
 	if useCache {
 		x.prevIL = il
 	}
 	return nil
+}
+
+// subsumed accounts an interleaving abandoned at a visited frontier — the
+// events it did replay, the skip — and returns ErrSubsumed.
+func (x *Executor) subsumed(il interleave.Interleaving, executed, skipped int, useCache bool) error {
+	x.tel.onEvents(executed, skipped)
+	x.tel.subsumed.Inc()
+	if useCache {
+		x.prevIL = il
+	}
+	return ErrSubsumed
 }
 
 // apply is the event step — what executing il[pos] does, on either
@@ -601,10 +633,10 @@ func (x *Executor) restorePrefix(snap *prefixSnapshot) error {
 // same literal prefix), and/or run the subsumption check against the
 // frontier it represents. skip=true means the interleaving is subsumed.
 func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache, wantSub bool) (skip bool, err error) {
-	var snap *prefixSnapshot
-	if wantCache {
-		snap = x.cache.cached(il, depth)
+	if !wantCache {
+		return x.subsume(il, depth)
 	}
+	snap := x.cache.cached(il, depth)
 	if snap == nil {
 		states, err := x.cluster.CanonicalSnapshot()
 		if err != nil {
@@ -620,19 +652,36 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 			// the stored hash instead of re-serializing the cluster.
 			snap.ctxHash = contextHash(states, x.pending, x.outcome.Observations, x.outcome.FailedOps)
 		}
-		if wantCache {
-			delta, stateDelta, evicted := x.cache.insert(il, depth, snap)
-			x.tel.onSnapshot(delta, stateDelta, evicted)
-		}
+		delta, stateDelta, evicted := x.cache.insert(il, depth, snap)
+		x.tel.onSnapshot(delta, stateDelta, evicted)
 	}
 	if !wantSub {
 		return false, nil
 	}
-	// x.rolling is multisetHash(il[:depth]) by the loop invariant — the
-	// O(1)-maintained replacement for the per-depth sort-and-rehash.
-	skip, delta := x.sub.visit(snap.ctxHash, x.rolling, il[:depth])
+	return x.visit(snap.ctxHash, il, depth), nil
+}
+
+// subsume is the subsumption check at a depth the prefix cache does not
+// keep: the context is hashed straight from the live cluster (into the
+// reusable subSnap) and the executor's own pending, observation and
+// failed-op bookkeeping, with no prefixSnapshot copy of either.
+func (x *Executor) subsume(il interleave.Interleaving, depth int) (skip bool, err error) {
+	if err := x.cluster.SnapshotInto(&x.subSnap); err != nil {
+		return false, err
+	}
+	x.tel.dirtyReplicas.Add(int64(x.subSnap.Dirty))
+	x.tel.bytesReused.Add(x.subSnap.Reused)
+	return x.visit(contextHash(&x.subSnap, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
+}
+
+// visit checks and records the frontier (ctxHash, x.rolling) reached by
+// il[:depth] in the shared table. x.rolling is multisetHash(il[:depth])
+// by the loop invariant — the O(1)-maintained replacement for the
+// per-depth sort-and-rehash.
+func (x *Executor) visit(ctxHash [sha256.Size]byte, il interleave.Interleaving, depth int) bool {
+	skip, delta := x.sub.visit(ctxHash, x.rolling, il[:depth], x.outcome.Index)
 	x.tel.subsumeBytes.Add(delta)
-	return skip, nil
+	return skip
 }
 
 // newPrefixSnapshot packages the execution context after a prefix —

@@ -259,6 +259,19 @@ func TestHashPathAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("hash hot path allocates %.0f objects/op, budget %d — the incremental path regressed", allocs, budget)
 	}
+
+	// The executor's check path snapshots into one reused ClusterSnapshot:
+	// on a clean cluster that allocates nothing at all (contextHash's
+	// pooled scratch is what the budget above already covers).
+	var reused replica.ClusterSnapshot
+	lean := testing.AllocsPerRun(200, func() {
+		if err := cluster.SnapshotInto(&reused); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if lean != 0 {
+		t.Fatalf("snapshot into a reused ClusterSnapshot allocates %.0f objects/op, want 0", lean)
+	}
 }
 
 // TestSubsumeTableStripedStress hammers the striped table from many
@@ -271,7 +284,7 @@ func TestSubsumeTableStripedStress(t *testing.T) {
 		workers = 8
 		visits  = 2000
 	)
-	budget := int64(200 * (subsumeEntryOverhead + 8*4))
+	budget := int64(200 * subsumeEntryBytes)
 	tbl := newSubsumeTable(budget)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -279,11 +292,13 @@ func TestSubsumeTableStripedStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w)))
-			prefix := interleave.Interleaving{0, 1, 2, 3}
+			prefixes := []interleave.Interleaving{{0, 1, 2, 3}, {0, 2, 1, 3}, {3, 2, 1, 0}}
 			for i := 0; i < visits; i++ {
 				ctx := hashOf(byte(r.Intn(64)))
 				ctx[1] = byte(r.Intn(8))
-				tbl.visit(ctx, msetOf(byte(r.Intn(8))), prefix)
+				// Random indices and prefixes: skips, adoptions and equal-
+				// prefix arrivals all race on the same entries.
+				tbl.visit(ctx, msetOf(byte(r.Intn(8))), prefixes[r.Intn(len(prefixes))], 1+r.Intn(100))
 				if i%500 == 250 && w == 0 {
 					tbl.invalidate()
 				}
@@ -295,7 +310,7 @@ func TestSubsumeTableStripedStress(t *testing.T) {
 	if got := tbl.bytesHeld(); got > budget || got < 0 {
 		t.Fatalf("bytes held %d outside [0, %d]", got, budget)
 	}
-	want := int64(tbl.len()) * int64(subsumeEntryOverhead+8*4)
+	want := int64(tbl.len()) * subsumeEntryBytes
 	if got := tbl.bytesHeld(); got != want {
 		t.Fatalf("byte accounting drifted: held %d, %d entries imply %d", got, tbl.len(), want)
 	}

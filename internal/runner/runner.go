@@ -10,7 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -262,15 +263,16 @@ type Config struct {
 	// genesis replay. Zero disables the cache.
 	PrefixCacheBytes int64
 	// SubsumptionTable, when > 0, enables DPOR-style state subsumption
-	// (DESIGN.md §4.12): at snapshot depths the executor hashes the
-	// canonical execution context and skips the rest of any interleaving
-	// whose (state-hash, remaining-event-multiset) frontier was already
-	// visited via a lexicographically smaller prefix — the skipped
-	// interleaving's outcome is provably one an executed interleaving
-	// produces. The value bounds the visited-frontier table in bytes,
-	// shared across all workers of the run. Skipped interleavings still
-	// consume exploration indices (MaxInterleavings, dedup, journal) and
-	// are counted in Result.Subsumed; they produce no Outcome, so the
+	// (DESIGN.md §4.12): at snapshot depths, and after the last event
+	// before Finalize, the executor hashes the canonical execution context
+	// and skips the rest of any interleaving whose (state-hash,
+	// remaining-event-multiset) frontier a lexicographically smaller
+	// interleaving already visited — the skipped interleaving's outcome is
+	// provably one an executed interleaving produces. The value bounds the
+	// visited-frontier table in bytes, shared across all workers of the
+	// run. Skipped interleavings still consume exploration indices
+	// (MaxInterleavings, dedup, journal) and are counted in
+	// Result.Subsumed; they produce no Outcome, so the
 	// deduplicated outcome-signature set is invariant but per-index
 	// results are not. Only the lexicographic enumerators honor it
 	// (ModeERPi, ModeDFS) — Rand and Fuzz enumeration cannot guarantee a
@@ -638,44 +640,72 @@ func OutcomeSignature(o *Outcome) string { return behaviorSignature(o) }
 
 // behaviorSignature digests an outcome into a stable string: equal
 // behaviours collapse, so coverage-guided exploration can detect novelty.
+// The string is sized exactly up front and built in one buffer — the
+// coordinator's aggregator computes one per result, serially.
 func behaviorSignature(o *Outcome) string {
-	var b strings.Builder
-	reps := make([]string, 0, len(o.Fingerprints))
-	for r := range o.Fingerprints {
-		reps = append(reps, string(r))
+	n := 0
+	reps := make([]event.ReplicaID, 0, len(o.Fingerprints))
+	for r, fp := range o.Fingerprints {
+		reps = append(reps, r)
+		n += len(r) + len(fp) + len("=;")
 	}
-	sort.Strings(reps)
+	slices.Sort(reps)
+	obs := make([]event.ID, 0, len(o.Observations))
+	for id, v := range o.Observations {
+		obs = append(obs, id)
+		n += decimalLen(id) + len(v) + len("o=;")
+	}
+	slices.Sort(obs)
+	failed := slices.Clone(o.FailedOps)
+	slices.Sort(failed)
+	dropped := slices.Clone(o.DroppedSyncs)
+	slices.Sort(dropped)
+	for _, id := range failed {
+		n += decimalLen(id) + len("f;")
+	}
+	for _, id := range dropped {
+		n += decimalLen(id) + len("d;")
+	}
+
+	var b strings.Builder
+	b.Grow(n)
+	var num [20]byte
 	for _, r := range reps {
-		b.WriteString(r)
+		b.WriteString(string(r))
 		b.WriteByte('=')
-		b.WriteString(o.Fingerprints[event.ReplicaID(r)])
+		b.WriteString(o.Fingerprints[r])
 		b.WriteByte(';')
 	}
-	obs := make([]int, 0, len(o.Observations))
-	for id := range o.Observations {
-		obs = append(obs, int(id))
-	}
-	sort.Ints(obs)
 	for _, id := range obs {
-		fmt.Fprintf(&b, "o%d=%s;", id, o.Observations[event.ID(id)])
+		b.WriteByte('o')
+		b.Write(strconv.AppendInt(num[:0], int64(id), 10))
+		b.WriteByte('=')
+		b.WriteString(o.Observations[id])
+		b.WriteByte(';')
 	}
-	failed := make([]int, 0, len(o.FailedOps))
-	for _, id := range o.FailedOps {
-		failed = append(failed, int(id))
-	}
-	sort.Ints(failed)
 	for _, id := range failed {
-		fmt.Fprintf(&b, "f%d;", id)
+		b.WriteByte('f')
+		b.Write(strconv.AppendInt(num[:0], int64(id), 10))
+		b.WriteByte(';')
 	}
-	dropped := make([]int, 0, len(o.DroppedSyncs))
-	for _, id := range o.DroppedSyncs {
-		dropped = append(dropped, int(id))
-	}
-	sort.Ints(dropped)
 	for _, id := range dropped {
-		fmt.Fprintf(&b, "d%d;", id)
+		b.WriteByte('d')
+		b.Write(strconv.AppendInt(num[:0], int64(id), 10))
+		b.WriteByte(';')
 	}
 	return b.String()
+}
+
+// decimalLen is len(strconv.Itoa(int(id))).
+func decimalLen(id event.ID) int {
+	n := 1
+	if id < 0 {
+		n++
+	}
+	for v := id; v >= 10 || v <= -10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 func newExplorer(s Scenario, cfg Config, pruning prune.Config) (interleave.Explorer, error) {

@@ -3,14 +3,19 @@ package runner
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/er-pi/erpi/internal/crdt"
 	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
+	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/replica"
 )
@@ -361,5 +366,92 @@ func TestOutcomeRecordsFailedOps(t *testing.T) {
 	// add synced to B, the remove fails by set constraint.
 	if !sawFailed {
 		t.Fatal("expected some interleaving to produce a failed op")
+	}
+}
+
+// fmtSignature is the fmt-built signature behaviorSignature replaced: the
+// reference its bytes are pinned to.
+func fmtSignature(o *Outcome) string {
+	var b strings.Builder
+	reps := make([]string, 0, len(o.Fingerprints))
+	for r := range o.Fingerprints {
+		reps = append(reps, string(r))
+	}
+	sort.Strings(reps)
+	for _, r := range reps {
+		fmt.Fprintf(&b, "%s=%s;", r, o.Fingerprints[event.ReplicaID(r)])
+	}
+	obs := make([]int, 0, len(o.Observations))
+	for id := range o.Observations {
+		obs = append(obs, int(id))
+	}
+	sort.Ints(obs)
+	for _, id := range obs {
+		fmt.Fprintf(&b, "o%d=%s;", id, o.Observations[event.ID(id)])
+	}
+	for _, ids := range []struct {
+		tag byte
+		ids []event.ID
+	}{{'f', o.FailedOps}, {'d', o.DroppedSyncs}} {
+		sorted := make([]int, 0, len(ids.ids))
+		for _, id := range ids.ids {
+			sorted = append(sorted, int(id))
+		}
+		sort.Ints(sorted)
+		for _, id := range sorted {
+			fmt.Fprintf(&b, "%c%d;", ids.tag, id)
+		}
+	}
+	return b.String()
+}
+
+// TestBehaviorSignatureMatchesFmtReference pins behaviorSignature byte for
+// byte to fmtSignature: on engine outcomes with failed ops, observations
+// and partition-dropped syncs, and on a hand-built outcome with
+// multi-digit, unsorted and empty-valued entries.
+func TestBehaviorSignatureMatchesFmtReference(t *testing.T) {
+	var outcomes []*Outcome
+	collect := func(o *Outcome) { outcomes = append(outcomes, o) }
+	if _, err := Run(townReportScenario(t), Config{
+		Mode:      ModeDFS,
+		Workers:   1,
+		Faults:    &fault.Schedule{Faults: []fault.Fault{{Kind: fault.Partition, A: "A", B: "B", At: 1, Duration: 2}}},
+		OnOutcome: collect,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var finalized atomic.Int64
+	claims := claimScenario(t, &finalized, func(rec *Recorder) {
+		rec.Update("A", "claim", "x")
+		rec.Observe("A", "read")
+		rec.Update("A", "claim", "x")
+		rec.Sync("A", "B")
+		rec.Observe("B", "read")
+	})
+	if _, err := Run(claims, Config{Mode: ModeDFS, Workers: 1, OnOutcome: collect}); err != nil {
+		t.Fatal(err)
+	}
+	outcomes = append(outcomes, &Outcome{
+		Fingerprints: map[event.ReplicaID]string{"replica-10": "a=b;c", "B": "", "A": "x"},
+		Observations: map[event.ID]string{123456: "v", 7: "", 40: "p;q=r"},
+		FailedOps:    []event.ID{99, 3, 1000},
+		DroppedSyncs: []event.ID{12, 5},
+	}, &Outcome{})
+	var failed, dropped, observed bool
+	for _, o := range outcomes {
+		if got, want := behaviorSignature(o), fmtSignature(o); got != want {
+			t.Fatalf("#%d: signature %q, want %q", o.Index, got, want)
+		}
+		failed = failed || len(o.FailedOps) > 0
+		dropped = dropped || len(o.DroppedSyncs) > 0
+		observed = observed || len(o.Observations) > 0
+	}
+	if !failed || !dropped || !observed {
+		t.Fatalf("outcomes cover failed ops %v, dropped syncs %v, observations %v; want all", failed, dropped, observed)
+	}
+	for _, id := range []event.ID{0, 9, 10, 99, 100, 123456, -1, -10} {
+		if got, want := decimalLen(id), len(strconv.Itoa(int(id))); got != want {
+			t.Fatalf("decimalLen(%d) = %d, want %d", id, got, want)
+		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,10 +15,11 @@ import (
 
 // ErrSubsumed marks an interleaving skipped by state subsumption: its
 // execution frontier reached a (state-hash, remaining-event-multiset)
-// pair already visited via a lexicographically smaller prefix, so its
-// outcome is provably identical to one an executed interleaving produces
-// (DESIGN.md §4.12). Engines count it in Result.Subsumed instead of
-// quarantining; it is never retried.
+// pair already visited via a lexicographically smaller prefix — at an
+// interior depth, or after its last event, where the smaller interleaving
+// is the witness itself — so its outcome is provably identical to one an
+// executed interleaving produces (DESIGN.md §4.12). Engines count it in
+// Result.Subsumed instead of quarantining; it is never retried.
 var ErrSubsumed = errors.New("runner: interleaving subsumed by visited state")
 
 // subsumeStripes is the lock-stripe count of the shared frontier table.
@@ -30,14 +31,18 @@ const subsumeStripes = 32
 // subsumeTable is the bounded visited-frontier table behind DPOR-style
 // state subsumption (DESIGN.md §4.12). A key is the pair
 // (execution-context hash, remaining-event-multiset digest); the entry
-// remembers the lexicographically smallest ordered prefix seen reaching
-// that frontier. The executor consults it at snapshot depths: when the
-// current prefix is lexicographically GREATER than the recorded one the
-// rest of the interleaving is skipped — every permutation of the
-// remaining events from an identical execution context yields an outcome
-// some lexicographically smaller interleaving already produced (the
-// strict ordering is what makes witness chains terminate; see §4.12 for
-// the argument, including out-of-order pool recording).
+// remembers the smallest exploration index seen reaching that frontier,
+// with a hash of that interleaving's prefix. The lexicographic explorers
+// yield interleavings in strictly increasing event-ID order, so within
+// one generation a smaller index is a lexicographically smaller
+// interleaving, and a distinct prefix of it is strictly smaller too. The
+// executor consults the table at snapshot depths and after the last
+// event: when a smaller index recorded a different prefix, the rest of
+// the interleaving is skipped — every permutation of the remaining events
+// from an identical execution context yields an outcome some
+// lexicographically smaller interleaving already produced (the strict
+// ordering is what makes witness chains terminate; see §4.12 for the
+// argument, including out-of-order pool recording).
 //
 // Unlike the prefix cache, one table is shared by every worker of a run —
 // a frontier visited by any worker prunes all of them — so all methods
@@ -70,16 +75,18 @@ type subsumeKey struct {
 	rem msetDigest        // remaining-event-multiset digest (via the prefix multiset)
 }
 
+// subsumeEntry is fixed-size: the witness is named by its exploration
+// index, not by a copy of its prefix.
 type subsumeEntry struct {
 	key    subsumeKey
-	prefix []event.ID    // ordered prefix that recorded this frontier
+	index  int           // exploration index of the smallest recorder
+	prefix uint64        // prefixHash of that recorder's prefix
 	next   *subsumeEntry // younger neighbour in the eviction queue
 }
 
-// subsumeEntryOverhead approximates the fixed per-entry cost (key bytes,
-// map bucket, header) added to the prefix payload when accounting against
-// the byte budget.
-const subsumeEntryOverhead = 2*sha256.Size + 48
+// subsumeEntryBytes approximates one entry's cost (key bytes, witness,
+// queue link, map bucket) when accounting against the byte budget.
+const subsumeEntryBytes = 2*sha256.Size + 48
 
 func newSubsumeTable(budget int64) *subsumeTable {
 	t := &subsumeTable{budget: budget}
@@ -93,41 +100,45 @@ func (t *subsumeTable) stripeFor(key subsumeKey) *subsumeStripe {
 	return &t.stripes[key.ctx[0]&(subsumeStripes-1)]
 }
 
-// visit is the one-shot check-and-record at a snapshot depth. It returns
-// skip=true when a recorded prefix for the same frontier is strictly
-// lexicographically smaller than the current one — the caller abandons
-// the interleaving with ErrSubsumed. Otherwise the frontier is recorded
-// (adopting the current prefix when it is the smaller reacher) and
-// execution continues. delta is the net change in accounted bytes, for
-// the subsumption_table_bytes gauge. A full table evicts on every insert,
-// which is why eviction is a queue pop and not a scan.
-func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix interleave.Interleaving) (skip bool, delta int64) {
+// visit is the one-shot check-and-record at a context point of the
+// interleaving with exploration index `index`, after `prefix`. It returns
+// skip=true when a strictly smaller index recorded the same frontier via
+// a different prefix — the caller abandons the interleaving with
+// ErrSubsumed. Otherwise the frontier is recorded (adopting the current
+// index when it is the smaller reacher) and execution continues. An equal
+// prefix hash never skips: it is the same literal prefix (a retry, or a
+// later interleaving re-walking a shared prefix), whose completion from
+// here is the current interleaving itself. A prefix-hash collision can
+// therefore only cost a skip, never cause one. delta is the net change in
+// accounted bytes, for the subsumption_table_bytes gauge. A full table
+// evicts on every insert, which is why eviction is a queue pop and not a
+// scan.
+func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix interleave.Interleaving, index int) (skip bool, delta int64) {
 	key := subsumeKey{ctx: ctx, rem: rem}
+	ph := prefixHash(prefix)
 	s := t.stripeFor(key)
 	s.mu.Lock()
 	if e, ok := s.entries[key]; ok {
 		defer s.mu.Unlock()
-		switch lexCompare(e.prefix, prefix) {
-		case -1:
+		switch {
+		case e.prefix == ph:
+			return false, 0
+		case e.index < index:
 			return true, 0
-		case 0:
-			// Our own recording pass (or a prefix-cache replay of the same
-			// literal prefix): never self-subsume.
-			return false, 0
-		default:
-			// Current prefix is the smaller reacher: adopt it so future
-			// arrivals compare against the lexicographic minimum. Same
-			// depth, same size — no byte delta, same place in the queue.
-			copy(e.prefix, prefix)
-			return false, 0
+		case e.index > index:
+			// The current interleaving is the smaller reacher: adopt it so
+			// future arrivals compare against the minimum. Fixed-size
+			// entry — no byte delta, same place in the queue.
+			e.index, e.prefix = index, ph
 		}
+		return false, 0
 	}
-	size := int64(subsumeEntryOverhead + 8*len(prefix))
+	const size = subsumeEntryBytes
 	if size > t.budget {
 		s.mu.Unlock()
 		return false, 0
 	}
-	e := &subsumeEntry{key: key, prefix: append([]event.ID(nil), prefix...)}
+	e := &subsumeEntry{key: key, index: index, prefix: ph}
 	s.entries[key] = e
 	t.qmu.Lock()
 	if t.tail == nil {
@@ -171,7 +182,7 @@ func (t *subsumeTable) evictOldest() (freed int64, ok bool) {
 	s.mu.Lock()
 	if s.entries[e.key] == e {
 		delete(s.entries, e.key)
-		freed = int64(subsumeEntryOverhead + 8*len(e.prefix))
+		freed = subsumeEntryBytes
 	}
 	s.mu.Unlock()
 	t.bytes.Add(-freed)
@@ -192,9 +203,7 @@ func (t *subsumeTable) invalidate() int64 {
 	for i := range t.stripes {
 		s := &t.stripes[i]
 		s.mu.Lock()
-		for _, e := range s.entries {
-			freed += int64(subsumeEntryOverhead + 8*len(e.prefix))
-		}
+		freed += int64(len(s.entries)) * subsumeEntryBytes
 		s.entries = make(map[subsumeKey]*subsumeEntry)
 		s.mu.Unlock()
 	}
@@ -219,18 +228,21 @@ func (t *subsumeTable) len() int {
 	return n
 }
 
-// lexCompare orders two equal-length event-ID sequences
-// lexicographically: -1 when a < b, 0 when equal, 1 when a > b.
-func lexCompare(a []event.ID, b interleave.Interleaving) int {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
+// prefixHash is 64-bit FNV-1a over the prefix's event IDs, each
+// uvarint-encoded (a prefix-free code, so distinct sequences are distinct
+// byte strings). It tells a frontier's recorder apart from a re-walk of
+// the same literal prefix without storing the prefix.
+func prefixHash(prefix interleave.Interleaving) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, id := range prefix {
+		v := uint64(id)
+		for ; v >= 0x80; v >>= 7 {
+			h = (h ^ (v&0x7f | 0x80)) * prime
 		}
+		h = (h ^ v) * prime
 	}
-	return 0
+	return h
 }
 
 // msetDigest is an additive (homomorphic) multiset hash: each event ID
@@ -311,7 +323,7 @@ func contextHash(states *replica.ClusterSnapshot, pending map[event.ID][]byte, o
 	for id := range pending {
 		ids = append(ids, id)
 	}
-	sortEventIDs(ids)
+	slices.Sort(ids)
 	b = append(b, 'P')
 	appendUvarint(uint64(len(ids)))
 	for _, id := range ids {
@@ -324,7 +336,7 @@ func contextHash(states *replica.ClusterSnapshot, pending map[event.ID][]byte, o
 	for id := range obs {
 		ids = append(ids, id)
 	}
-	sortEventIDs(ids)
+	slices.Sort(ids)
 	b = append(b, 'O')
 	appendUvarint(uint64(len(ids)))
 	for _, id := range ids {
@@ -334,7 +346,7 @@ func contextHash(states *replica.ClusterSnapshot, pending map[event.ID][]byte, o
 	}
 
 	ids = append(ids[:0], failed...)
-	sortEventIDs(ids)
+	slices.Sort(ids)
 	b = append(b, 'F')
 	appendUvarint(uint64(len(ids)))
 	for _, id := range ids {
@@ -345,8 +357,4 @@ func contextHash(states *replica.ClusterSnapshot, pending map[event.ID][]byte, o
 	sc.buf, sc.ids = b, ids
 	ctxScratchPool.Put(sc)
 	return out
-}
-
-func sortEventIDs(ids []event.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -1,9 +1,13 @@
 package runner
 
 import (
+	"context"
 	"crypto/sha256"
+	"errors"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +16,7 @@ import (
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/prune"
+	"github.com/er-pi/erpi/internal/replica"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
@@ -47,58 +52,82 @@ func msetOf(b byte) msetDigest {
 	return msetContribution(event.ID(b))
 }
 
-// TestSubsumeTableLexRule pins the table's core soundness rule: a frontier
-// skips only arrivals via a lexicographically STRICTLY GREATER prefix, the
-// same literal prefix never self-subsumes, and a smaller arrival is
-// adopted as the entry's new witness.
+// TestSubsumeTableLexRule pins the table's witness rule. The lexicographic
+// explorers yield in strictly increasing order, so the table keys its
+// witness by exploration index: a frontier skips only an arrival with a
+// strictly greater index via a different prefix; the same literal prefix
+// never skips, whatever its index; an index is never its own witness; and
+// a smaller arrival is adopted as the entry's new witness.
 func TestSubsumeTableLexRule(t *testing.T) {
 	tbl := newSubsumeTable(testSubTable)
 	ctx, rem := hashOf(1), msetOf(2)
 
-	if skip, delta := tbl.visit(ctx, rem, interleave.Interleaving{2, 1}); skip || delta <= 0 {
-		t.Fatalf("first visit: skip=%v delta=%d, want record", skip, delta)
+	if skip, delta := tbl.visit(ctx, rem, interleave.Interleaving{2, 1}, 5); skip || delta != subsumeEntryBytes {
+		t.Fatalf("first visit: skip=%v delta=%d, want record of %d bytes", skip, delta, subsumeEntryBytes)
 	}
-	// Same literal prefix (a re-walk of the recording pass): no skip.
-	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{2, 1}); skip {
-		t.Fatal("same-prefix arrival must not self-subsume")
+	// A retry of the recorder: never self-subsume.
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{2, 1}, 5); skip {
+		t.Fatal("a retry of the recording index must not self-subsume")
 	}
-	// Lexicographically greater arrival: subsumed.
-	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{3, 0}); !skip {
-		t.Fatal("greater-prefix arrival must be subsumed")
+	// A later interleaving re-walking the same literal prefix (a prefix-cache
+	// restore): its completion from here is itself, so it must run.
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{2, 1}, 9); skip {
+		t.Fatal("a greater index on the same literal prefix must not be subsumed")
 	}
-	// Lexicographically smaller arrival: adopted, not skipped.
-	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{1, 2}); skip {
-		t.Fatal("smaller-prefix arrival must execute (it becomes the witness)")
+	// An index is never its own witness, even when its prefix hash differs.
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{3, 0}, 5); skip {
+		t.Fatal("the recording index must not subsume itself via another prefix")
 	}
-	// The old witness is now the greater prefix: subsumed on return.
-	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{2, 1}); !skip {
-		t.Fatal("old witness must be subsumed after adoption")
+	// A greater index via a different prefix: subsumed.
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{3, 0}, 7); !skip {
+		t.Fatal("a greater index via another prefix must be subsumed")
+	}
+	// A smaller index: adopted, not skipped.
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{1, 2}, 3); skip {
+		t.Fatal("a smaller index must execute (it becomes the witness)")
+	}
+	// The old witness is now the greater index: subsumed on return.
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{2, 1}, 5); !skip {
+		t.Fatal("the old witness must be subsumed after adoption")
+	}
+	// The equal-prefix guard follows the adopted prefix.
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{1, 2}, 8); skip {
+		t.Fatal("a re-walk of the adopted prefix must not be subsumed")
 	}
 	// Different frontier (other remaining multiset): independent entry.
-	if skip, _ := tbl.visit(ctx, msetOf(3), interleave.Interleaving{3, 0}); skip {
+	if skip, _ := tbl.visit(ctx, msetOf(3), interleave.Interleaving{3, 0}, 7); skip {
 		t.Fatal("distinct frontier must not be subsumed")
 	}
 	if tbl.len() != 2 {
 		t.Fatalf("table has %d entries, want 2", tbl.len())
 	}
 
-	if freed := tbl.invalidate(); freed <= 0 || tbl.len() != 0 || tbl.bytesHeld() != 0 {
+	if freed := tbl.invalidate(); freed != 2*subsumeEntryBytes || tbl.len() != 0 || tbl.bytesHeld() != 0 {
 		t.Fatalf("invalidate freed=%d len=%d bytes=%d, want full flush", freed, tbl.len(), tbl.bytesHeld())
 	}
 	// After a flush the old frontier records (and executes) again.
-	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{3, 0}); skip {
+	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{3, 0}, 7); skip {
 		t.Fatal("flushed frontier must not subsume")
 	}
 }
 
-// TestSubsumeTableEviction pins the byte budget: FIFO eviction keeps the
-// table under budget, and an entry larger than the whole budget is
-// rejected rather than wedging the table.
+// TestSubsumeTableEviction pins the byte budget: entries are fixed-size
+// whatever their prefix length, FIFO eviction keeps the table under
+// budget, and an entry larger than the whole budget is rejected rather
+// than wedging the table.
 func TestSubsumeTableEviction(t *testing.T) {
-	budget := int64(3 * (subsumeEntryOverhead + 8*2))
+	long := make(interleave.Interleaving, 40)
+	for i := range long {
+		long[i] = event.ID(i)
+	}
+	if _, delta := newSubsumeTable(testSubTable).visit(hashOf(1), msetOf(1), long, 1); delta != subsumeEntryBytes {
+		t.Fatalf("a 40-event prefix accounts %d bytes, want the fixed %d", delta, subsumeEntryBytes)
+	}
+
+	budget := int64(3 * subsumeEntryBytes)
 	tbl := newSubsumeTable(budget)
 	for i := byte(0); i < 5; i++ {
-		tbl.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2})
+		tbl.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2}, int(i)+1)
 	}
 	if tbl.len() != 3 {
 		t.Fatalf("table holds %d entries over a 3-entry budget", tbl.len())
@@ -107,8 +136,8 @@ func TestSubsumeTableEviction(t *testing.T) {
 		t.Fatalf("bytes %d exceed budget %d", tbl.bytesHeld(), budget)
 	}
 	// The oldest entries were evicted: frontier 0 records afresh (no skip
-	// even on a greater arrival).
-	if skip, _ := tbl.visit(hashOf(0), msetOf(0), interleave.Interleaving{2, 1}); skip {
+	// even for a greater index via another prefix).
+	if skip, _ := tbl.visit(hashOf(0), msetOf(0), interleave.Interleaving{2, 1}, 9); skip {
 		t.Fatal("evicted frontier must not subsume")
 	}
 
@@ -126,7 +155,7 @@ func TestSubsumeTableEviction(t *testing.T) {
 		return ok
 	}
 	for n, i := range order {
-		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2})
+		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2}, n+1)
 		for m, j := range order[:n+1] {
 			if want := m > n-3; held(j) != want {
 				t.Fatalf("after inserting %v: frontier %d held=%v, want %v (FIFO across stripes)", order[:n+1], j, !want, want)
@@ -144,14 +173,14 @@ func TestSubsumeTableEviction(t *testing.T) {
 		t.Fatalf("evictOldest on an empty table = (%d, %v), want (0, false)", freed, ok)
 	}
 	for i := byte(0); i < 4; i++ {
-		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2})
+		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2}, int(i)+1)
 	}
 	if fifo.len() != 3 || held(0) || !held(1) || !held(3) {
 		t.Fatalf("after invalidate: %d entries (0 held=%v), want the 3 youngest of 4", fifo.len(), held(0))
 	}
 
 	huge := newSubsumeTable(8)
-	if skip, delta := huge.visit(hashOf(9), msetOf(9), interleave.Interleaving{1}); skip || delta != 0 || huge.len() != 0 {
+	if skip, delta := huge.visit(hashOf(9), msetOf(9), interleave.Interleaving{1}, 1); skip || delta != 0 || huge.len() != 0 {
 		t.Fatalf("over-budget entry: skip=%v delta=%d len=%d, want rejection", skip, delta, huge.len())
 	}
 }
@@ -396,5 +425,267 @@ func TestSubsumptionRePruneFlushesTable(t *testing.T) {
 	}
 	if !res.Exhausted {
 		t.Fatalf("re-pruned run did not exhaust: explored %d", res.Explored)
+	}
+}
+
+// claimState is a grow-only set whose claim fails on an element it
+// already holds, so two orders can leave one state and differ only in
+// which claim failed (or in what a read observed).
+type claimState struct {
+	elems []string // sorted
+	ver   uint64
+}
+
+func (s *claimState) StateVersion() uint64 { return s.ver }
+
+func (s *claimState) Apply(op replica.Op) (string, error) {
+	switch op.Name {
+	case "claim":
+		i, held := slices.BinarySearch(s.elems, op.Args[0])
+		if held {
+			return "", replica.ErrFailedOp
+		}
+		s.elems = slices.Insert(s.elems, i, op.Args[0])
+		s.ver++
+		return "", nil
+	case "read":
+		return strings.Join(s.elems, ","), nil
+	default:
+		return "", errors.New("unknown op " + op.Name)
+	}
+}
+
+func (s *claimState) SyncPayload() ([]byte, error) { return s.Snapshot() }
+
+func (s *claimState) ApplySync(payload []byte) error {
+	s.ver++
+	for _, e := range strings.Split(string(payload), ",") {
+		if i, held := slices.BinarySearch(s.elems, e); e != "" && !held {
+			s.elems = slices.Insert(s.elems, i, e)
+		}
+	}
+	return nil
+}
+
+func (s *claimState) Snapshot() ([]byte, error) { return []byte(s.Fingerprint()), nil }
+
+func (s *claimState) Restore(snapshot []byte) error {
+	s.elems = nil
+	return s.ApplySync(snapshot)
+}
+
+func (s *claimState) Fingerprint() string { return strings.Join(s.elems, ",") }
+
+// claimScenario records a workload over three claimState replicas; its
+// Finalize counts the interleavings that reach it.
+func claimScenario(t *testing.T, finalized *atomic.Int64, record func(*Recorder)) Scenario {
+	t.Helper()
+	newCluster := func() (*replica.Cluster, error) {
+		return replica.NewCluster(map[event.ReplicaID]replica.State{
+			"A": &claimState{}, "B": &claimState{}, "C": &claimState{},
+		}), nil
+	}
+	cluster, err := newCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(cluster)
+	record(rec)
+	log, err := rec.Log()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Scenario{
+		Name:       "claims",
+		Log:        log,
+		NewCluster: newCluster,
+		Finalize: func(*replica.Cluster) error {
+			finalized.Add(1)
+			return nil
+		},
+	}
+}
+
+// threeClaims is three claims on three replicas: every order commutes,
+// and no interior depth reaches the check stride, so any skip is a
+// final-frontier skip.
+func threeClaims(rec *Recorder) {
+	rec.Update("A", "claim", "x")
+	rec.Update("B", "claim", "y")
+	rec.Update("C", "claim", "z")
+}
+
+// TestFinalFrontierSkipsCommutingTail: the first two DFS interleavings
+// differ only in the order of their last two commuting events, so the
+// second leaves the exact context the first did and skips Finalize; the
+// signature set is the table-off one, with and without the prefix cache.
+func TestFinalFrontierSkipsCommutingTail(t *testing.T) {
+	for _, cache := range []int64{0, testBudget} {
+		var finalized atomic.Int64
+		s := claimScenario(t, &finalized, threeClaims)
+		base := Config{Mode: ModeDFS, Workers: 1, MaxInterleavings: 2, PrefixCacheBytes: cache}
+		off, offRes := signatureSet(t, s, base)
+		offFinalized := finalized.Swap(0)
+		on := base
+		on.SubsumptionTable = testSubTable
+		sigs, res := signatureSet(t, s, on)
+		if got := finalized.Load(); got != offFinalized-1 || offFinalized != 2 {
+			t.Fatalf("cache=%d: Finalize ran %d times with the table, %d without; want one fewer of 2", cache, got, offFinalized)
+		}
+		if res.Subsumed != 1 || offRes.Subsumed != 0 || res.Explored != offRes.Explored {
+			t.Fatalf("cache=%d: subsumed %d of %d (table off: %d of %d), want 1 of 2",
+				cache, res.Subsumed, res.Explored, offRes.Subsumed, offRes.Explored)
+		}
+		if !slices.Equal(sigs, off) {
+			t.Fatalf("cache=%d: final-frontier skip changed the signature set:\n on  %q\n off %q", cache, sigs, off)
+		}
+
+		// Exhaustively, all six orders leave one context: one witness runs.
+		finalized.Store(0)
+		on.MaxInterleavings = 0
+		if _, res = signatureSet(t, s, on); res.Subsumed != 5 || finalized.Load() != 1 {
+			t.Fatalf("cache=%d: exhaustive run subsumed %d of %d with %d Finalize calls, want 5 of 6 and 1",
+				cache, res.Subsumed, res.Explored, finalized.Load())
+		}
+	}
+}
+
+// TestFinalFrontierKeepsDistinctObservationsAndFailedOps: two orders that
+// leave equal replica states but a different observation, or a different
+// failed op, are different final contexts — neither is ever skipped.
+func TestFinalFrontierKeepsDistinctObservationsAndFailedOps(t *testing.T) {
+	for name, record := range map[string]func(*Recorder){
+		"observation": func(rec *Recorder) {
+			rec.Update("A", "claim", "x")
+			rec.Observe("A", "read")
+		},
+		"failed-op": func(rec *Recorder) {
+			rec.Update("A", "claim", "x")
+			rec.Update("A", "claim", "x")
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var finalized atomic.Int64
+			s := claimScenario(t, &finalized, record)
+			off, _ := signatureSet(t, s, Config{Mode: ModeDFS, Workers: 1})
+			finalized.Store(0)
+			on, res := signatureSet(t, s, Config{Mode: ModeDFS, Workers: 1, SubsumptionTable: testSubTable})
+			if res.Subsumed != 0 || finalized.Load() != 2 {
+				t.Fatalf("subsumed %d, Finalize ran %d times; want 0 and 2", res.Subsumed, finalized.Load())
+			}
+			if len(on) != 2 || !slices.Equal(on, off) {
+				t.Fatalf("signature set %q, want the table-off %q (2 behaviours)", on, off)
+			}
+		})
+	}
+}
+
+// TestFinalFrontierFaultArmedBypass: an interleaving with an armed fault
+// (here a partition with no sync to drop, so its context is the same as
+// its neighbours') neither consults nor records the final frontier.
+func TestFinalFrontierFaultArmedBypass(t *testing.T) {
+	var finalized atomic.Int64
+	s := claimScenario(t, &finalized, threeClaims)
+	var ran []int
+	res, err := Run(s, Config{
+		Mode:    ModeDFS,
+		Workers: 1,
+		Faults: &fault.Schedule{Faults: []fault.Fault{
+			{Kind: fault.Partition, A: "A", B: "B", Interleaving: 2, Duration: 3},
+		}},
+		SubsumptionTable: testSubTable,
+		OnOutcome:        func(o *Outcome) { ran = append(ran, o.Index) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ran, []int{1, 2}) || res.Subsumed != 4 || finalized.Load() != 2 {
+		t.Fatalf("outcomes for %v, %d subsumed, %d Finalize calls; want [1 2] (2 armed), 4 and 2",
+			ran, res.Subsumed, finalized.Load())
+	}
+}
+
+// TestFinalFrontierRetryNeverSelfSubsumes: re-running an index — a retry,
+// or a distributed worker re-executing a requeued range — finds the
+// frontier it recorded itself and must run to Finalize again.
+func TestFinalFrontierRetryNeverSelfSubsumes(t *testing.T) {
+	var finalized atomic.Int64
+	s := claimScenario(t, &finalized, threeClaims)
+	x, err := NewExecutor(s, Config{Mode: ModeDFS, SubsumptionTable: testSubTable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first, second := interleave.Interleaving{0, 1, 2}, interleave.Interleaving{0, 2, 1}
+	for _, step := range []struct {
+		il      interleave.Interleaving
+		index   int
+		subsume bool
+	}{
+		{first, 5, false},
+		{first, 5, false}, // the same index again: never its own witness
+		{second, 6, true}, // a greater index, another order: subsumed
+		{second, 4, false},
+		{first, 5, true}, // index 4 is the frontier's witness now
+	} {
+		_, _, err := x.Execute(ctx, step.il, step.index)
+		if got := errors.Is(err, ErrSubsumed); got != step.subsume || err != nil && !got {
+			t.Fatalf("Execute(%v, #%d) = %v, want subsumed=%v", step.il, step.index, err, step.subsume)
+		}
+	}
+	if finalized.Load() != 3 {
+		t.Fatalf("Finalize ran %d times, want 3", finalized.Load())
+	}
+
+	// Through the engine: Finalize fails once, after index 1 recorded its
+	// final frontier; the retry must execute, and index 2 is the one skipped.
+	finalized.Store(0)
+	flaky := s
+	flaky.Finalize = func(*replica.Cluster) error {
+		if finalized.Add(1) == 1 {
+			return errors.New("transient finalize failure")
+		}
+		return nil
+	}
+	var ran []int
+	res, err := Run(flaky, Config{
+		Mode:             ModeDFS,
+		Workers:          1,
+		MaxInterleavings: 2,
+		RetryBackoff:     100 * time.Microsecond,
+		SubsumptionTable: testSubTable,
+		OnOutcome:        func(o *Outcome) { ran = append(ran, o.Index) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Quarantined) != 0 || !slices.Equal(ran, []int{1}) || res.Subsumed != 1 || finalized.Load() != 2 {
+		t.Fatalf("quarantined %v, outcomes for %v, %d subsumed, %d Finalize calls; want none, [1], 1 and 2",
+			res.Quarantined, ran, res.Subsumed, finalized.Load())
+	}
+}
+
+// TestFinalFrontierWorkerParity: on a workload whose orders share final
+// contexts through syncs, the signature set with the table is the
+// table-off one at Workers 1 and 8, and one worker skips Finalize.
+func TestFinalFrontierWorkerParity(t *testing.T) {
+	var finalized atomic.Int64
+	s := claimScenario(t, &finalized, func(rec *Recorder) {
+		rec.Update("A", "claim", "x")
+		rec.Update("B", "claim", "y")
+		rec.Sync("A", "B")
+		rec.Update("C", "claim", "x")
+		rec.Sync("B", "C")
+		rec.Observe("C", "read")
+	})
+	off, _ := signatureSet(t, s, Config{Mode: ModeDFS, Workers: 1})
+	for _, workers := range []int{1, 8} {
+		on, res := signatureSet(t, s, Config{Mode: ModeDFS, Workers: workers, SubsumptionTable: testSubTable})
+		if !slices.Equal(on, off) {
+			t.Fatalf("workers %d: signature set with the table (%d) differs from the table-off set (%d)", workers, len(on), len(off))
+		}
+		if workers == 1 && res.Subsumed == 0 {
+			t.Fatal("workers 1: nothing subsumed")
+		}
 	}
 }
