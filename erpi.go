@@ -297,7 +297,8 @@ func WithPrefixCache(bytes int64) Option {
 // the last event, before Finalize — since their outcomes are provably
 // ones executed interleavings produce, so the deduplicated
 // outcome-signature set is unchanged while far fewer interleavings
-// execute. bytes bounds the shared visited-frontier table, whose entries
+// execute. A prefix skipped at a snapshot depth is dead: every later
+// interleaving that extends it is skipped before it replays anything. bytes bounds the shared visited-frontier table, whose entries
 // are a fixed size (the witness is kept as its exploration index, not
 // its prefix). Skipped interleavings still count toward
 // MaxInterleavings and the journal, and are reported in Result.Subsumed.

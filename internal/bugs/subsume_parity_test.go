@@ -127,7 +127,10 @@ const lexOrderCap = 5000
 // index key rests on (DESIGN.md §4.12): for every Table-1 scenario, the
 // ModeERPi and ModeDFS explorers yield interleavings in strictly
 // increasing event-ID lexicographic order, so a smaller exploration index
-// is a lexicographically smaller interleaving.
+// is a lexicographically smaller interleaving. Strict order is also what
+// makes a prefix's subtree one interval of indices, which the executor's
+// dead-prefix skip relies on to keep a single prefix: once a leaf no
+// longer extends it, no later index does.
 func TestExplorersYieldLexicographicOrder(t *testing.T) {
 	for _, b := range bugs.All() {
 		s, err := b.Build()

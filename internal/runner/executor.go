@@ -66,9 +66,11 @@ type Executor struct {
 	// cache, when non-nil, is this executor's private prefix-snapshot trie
 	// (DESIGN.md §4.9): begin restores the deepest cached prefix of each
 	// interleaving and replay runs only the suffix. Never shared across
-	// executors. gen is the re-prune generation it was last filled under.
+	// executors.
 	cache *prefixCache
-	gen   uint64
+	// gen is the re-prune generation this executor last ran an item
+	// under; enter forgets the cache, prevIL and dead when it moves.
+	gen uint64
 	// prevIL is the last interleaving this executor ran with the cache
 	// engaged; its common prefix with the next interleaving selects the
 	// divergence-point snapshot depth.
@@ -86,6 +88,11 @@ type Executor struct {
 	// subEvery is the subsumption check stride in events when no prefix
 	// cache supplies snapshot depths.
 	subEvery int
+	// dead is the prefix at which replay last abandoned an interleaving at
+	// an interior frontier (empty when none): every later item extending
+	// it reaches the same visited frontier, so attempt skips it before
+	// begin (DESIGN.md §4.12, "The dead prefix").
+	dead interleave.Interleaving
 	// subSnap is the reusable cluster snapshot of a check the prefix
 	// cache does not keep: hashed, then overwritten by the next check.
 	subSnap replica.ClusterSnapshot
@@ -163,7 +170,10 @@ func validate(s Scenario, cfg *Config) error {
 // gating it, lexicographic modes only), Telemetry. With SubsumptionTable
 // > 0 the executor keeps a private visited-frontier table across Execute
 // calls and returns ErrSubsumed for skipped interleavings — a distributed
-// worker's per-process equivalent of a run's shared table.
+// worker's per-process equivalent of a run's shared table — and, like a
+// pool worker, keeps the prefix it last abandoned at an interior frontier:
+// a later Execute extending it returns ErrSubsumed before replay, in
+// whatever order the indices arrive.
 func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 	if err := validate(s, &cfg); err != nil {
 		return nil, err
@@ -348,6 +358,14 @@ func (x *Executor) attempt(ctx context.Context, item workItem) (*Outcome, error)
 		injSpan.End()
 		defer x.inj.Finish()
 	}
+	x.enter(item.gen)
+	if len(x.dead) > 0 && !x.inj.AnyArmed() && commonPrefixLen(x.dead, item.il) == len(x.dead) {
+		// The dead prefix's subtree: no reset or restore, no replay, no
+		// hash and no table visit.
+		x.tel.subsumed.Inc()
+		x.tel.deadPrefix.Inc()
+		return nil, ErrSubsumed
+	}
 	start, err := x.begin(item)
 	if err != nil {
 		return nil, err
@@ -387,13 +405,6 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 	clear(x.pending)
 	x.rolling = msetDigest{}
 	x.pivot = item.pivot
-	if x.cache != nil && item.gen != x.gen {
-		// Re-pruned since this executor last ran (see workItem.gen).
-		x.gen = item.gen
-		freed, stateFreed := x.cache.invalidate()
-		x.tel.onSnapshot(-freed, -stateFreed, 0)
-		x.prevIL = nil
-	}
 	if x.cache == nil || x.outcome.FaultArmed {
 		span := x.tel.span(telemetry.StageCheckpointReset, item.index, x.worker)
 		err = x.cluster.Reset()
@@ -412,6 +423,23 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 	}
 	span.End()
 	return start, err
+}
+
+// enter moves the executor to the item's re-prune generation (see
+// workItem.gen). When it changed, everything kept for the old enumeration
+// is forgotten: the prefix cache holds branches the new sequence never
+// walks, and the dead prefix's witness may be pruned out of it.
+func (x *Executor) enter(gen uint64) {
+	if gen == x.gen {
+		return
+	}
+	x.gen = gen
+	x.dead = x.dead[:0]
+	x.prevIL = nil
+	if x.cache != nil {
+		freed, stateFreed := x.cache.invalidate()
+		x.tel.onSnapshot(-freed, -stateFreed, 0)
+	}
 }
 
 // replay is the inline schedule: the step at every position from start,
@@ -459,8 +487,11 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 					// Frontier already visited via a lexicographically
 					// smaller prefix: the rest of this interleaving can only
 					// reproduce an outcome an executed interleaving already
-					// has (DESIGN.md §4.12). Account the events actually
-					// replayed and abandon.
+					// has (DESIGN.md §4.12). So can every later
+					// interleaving that extends il[:pos]: keep it as the
+					// dead prefix. Account the events actually replayed
+					// and abandon.
+					x.dead = append(x.dead[:0], il[:pos]...)
 					return x.subsumed(il, pos-start, start, useCache)
 				}
 			}

@@ -177,9 +177,10 @@ type workItem struct {
 	il    interleave.Interleaving
 	pivot int
 	// gen counts explorer regenerations (ConstraintPoll re-pruning) before
-	// this item was pulled. A worker that sees it move flushes its private
-	// prefix cache: the cache would otherwise hold branches the new
-	// sequence never walks.
+	// this item was pulled. A worker that sees it move forgets all it kept
+	// for the old enumeration (Executor.enter): its private prefix cache,
+	// which holds branches the new sequence never walks, and its dead
+	// prefix, whose witness the new sequence may have pruned away.
 	gen uint64
 }
 
@@ -524,9 +525,10 @@ func (p *pool) poll() error {
 		}
 		p.explorer = explorer
 		// Items pulled from the new sequence carry the new generation, so
-		// each worker flushes its private prefix cache before running one;
-		// the shared subsumption table is flushed here, under the barrier,
-		// so skips are justified against the new enumeration only.
+		// each worker forgets its prefix cache and dead prefix before
+		// running one; the shared subsumption table is flushed here, under
+		// the barrier, so skips are justified against the new enumeration
+		// only.
 		p.gen++
 		if p.sub != nil {
 			p.tel.subsumeBytes.Add(-p.sub.invalidate())

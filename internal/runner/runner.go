@@ -268,7 +268,10 @@ type Config struct {
 	// and skips the rest of any interleaving whose (state-hash,
 	// remaining-event-multiset) frontier a lexicographically smaller
 	// interleaving already visited — the skipped interleaving's outcome is
-	// provably one an executed interleaving produces. The value bounds the
+	// provably one an executed interleaving produces. A prefix abandoned
+	// at a snapshot depth kills its subtree: each executor skips every
+	// later interleaving extending it before replay, without resetting,
+	// restoring or hashing. The value bounds the
 	// visited-frontier table in bytes, shared across all workers of the
 	// run. Skipped interleavings still consume exploration indices
 	// (MaxInterleavings, dedup, journal) and are counted in

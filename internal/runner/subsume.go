@@ -16,8 +16,9 @@ import (
 // ErrSubsumed marks an interleaving skipped by state subsumption: its
 // execution frontier reached a (state-hash, remaining-event-multiset)
 // pair already visited via a lexicographically smaller prefix — at an
-// interior depth, or after its last event, where the smaller interleaving
-// is the witness itself — so its outcome is provably identical to one an
+// interior depth, after its last event, where the smaller interleaving
+// is the witness itself, or before replay, when it extends a prefix its
+// executor already abandoned at an interior depth — so its outcome is provably identical to one an
 // executed interleaving produces (DESIGN.md §4.12). Engines count it in
 // Result.Subsumed instead of quarantining; it is never retried.
 var ErrSubsumed = errors.New("runner: interleaving subsumed by visited state")

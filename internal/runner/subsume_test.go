@@ -33,12 +33,17 @@ func signatureSet(t *testing.T, s Scenario, cfg Config) ([]string, *Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sortedSigs(seen), res
+}
+
+// sortedSigs lists a signature set in sorted order.
+func sortedSigs(seen map[string]struct{}) []string {
 	sigs := make([]string, 0, len(seen))
 	for sig := range seen {
 		sigs = append(sigs, sig)
 	}
 	sort.Strings(sigs)
-	return sigs, res
+	return sigs
 }
 
 func hashOf(b byte) [sha256.Size]byte {
@@ -687,5 +692,203 @@ func TestFinalFrontierWorkerParity(t *testing.T) {
 		if workers == 1 && res.Subsumed == 0 {
 			t.Fatal("workers 1: nothing subsumed")
 		}
+	}
+}
+
+// claimsThenRead is five claims and a read on three replicas: every order
+// of the claims commutes, and the read (event 4) tells an order that
+// reads before A's second claim from one that reads after it.
+func claimsThenRead(rec *Recorder) {
+	rec.Update("A", "claim", "x") // 0
+	rec.Update("B", "claim", "y") // 1
+	rec.Update("C", "claim", "z") // 2
+	rec.Update("A", "claim", "w") // 3
+	rec.Observe("A", "read")      // 4
+	rec.Update("B", "claim", "v") // 5
+}
+
+// The dead-prefix fixtures over claimsThenRead: deadWitness (#1) runs to
+// the end; deadFirst (#2) reaches #1's depth-4 frontier via another
+// prefix and is abandoned there, so [1 0 2 3] is dead; deadLeaf extends
+// it; liveLeaf does not.
+var (
+	deadWitness = interleave.Interleaving{0, 1, 2, 3, 4, 5}
+	deadFirst   = interleave.Interleaving{1, 0, 2, 3, 4, 5}
+	deadLeaf    = interleave.Interleaving{1, 0, 2, 3, 5, 4}
+	liveLeaf    = interleave.Interleaving{1, 0, 2, 4, 3, 5}
+)
+
+// killPrefix runs the witness (#1) and the interleaving it subsumes at
+// depth 4 (#2) on x, leaving [1 0 2 3] as x's dead prefix.
+func killPrefix(t *testing.T, x *Executor) {
+	t.Helper()
+	ctx := context.Background()
+	if _, _, err := x.Execute(ctx, deadWitness, 1); err != nil {
+		t.Fatalf("witness #1: %v", err)
+	}
+	if _, _, err := x.Execute(ctx, deadFirst, 2); !errors.Is(err, ErrSubsumed) {
+		t.Fatalf("#2 = %v, want subsumed at its depth-4 frontier", err)
+	}
+}
+
+// TestDeadPrefixSkipsLaterSubtree: once #2 is abandoned at an interior
+// frontier, the next leaf under the same prefix is subsumed before
+// replay — no event executed or skipped, no prefix-cache lookup — while a
+// leaf outside the subtree still runs.
+func TestDeadPrefixSkipsLaterSubtree(t *testing.T) {
+	var finalized atomic.Int64
+	s := claimScenario(t, &finalized, claimsThenRead)
+	reg := telemetry.New()
+	x, err := NewExecutor(s, Config{Mode: ModeDFS, SubsumptionTable: testSubTable, PrefixCacheBytes: testBudget, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killPrefix(t, x)
+	counters := func() [4]int64 {
+		c := reg.Snapshot().Counters
+		return [4]int64{c["runner.events_executed"], c["runner.events_skipped"],
+			c["runner.prefix_cache_hits"], c["runner.prefix_cache_misses"]}
+	}
+	before := counters()
+	if _, _, err := x.Execute(context.Background(), deadLeaf, 3); !errors.Is(err, ErrSubsumed) {
+		t.Fatalf("leaf under the dead prefix = %v, want ErrSubsumed", err)
+	}
+	if after := counters(); after != before {
+		t.Fatalf("dead-prefix skip moved executed/skipped/hits/misses %v -> %v, want no replay and no lookup", before, after)
+	}
+	snap := reg.Snapshot().Counters
+	if snap["runner.subsumed_dead_prefix"] != 1 || snap["runner.subsumed_interleavings"] != 2 {
+		t.Fatalf("dead_prefix=%d subsumed=%d, want 1 and 2",
+			snap["runner.subsumed_dead_prefix"], snap["runner.subsumed_interleavings"])
+	}
+
+	o, _, err := x.Execute(context.Background(), liveLeaf, 4)
+	if err != nil || o == nil {
+		t.Fatalf("leaf outside the dead subtree = %v, want an outcome", err)
+	}
+	if after := counters(); after[2]+after[3] != before[2]+before[3]+1 {
+		t.Fatalf("leaf outside the subtree did not look the cache up: %v -> %v", before, after)
+	}
+	if finalized.Load() != 2 {
+		t.Fatalf("Finalize ran %d times, want 2 (#1 and #4)", finalized.Load())
+	}
+}
+
+// TestDeadPrefixFaultArmedBypass: a fault-armed index inside the dead
+// subtree runs, and keeps the outcome its fault makes: B restarts from
+// genesis just before its second claim, so only that claim survives.
+func TestDeadPrefixFaultArmedBypass(t *testing.T) {
+	var finalized atomic.Int64
+	s := claimScenario(t, &finalized, claimsThenRead)
+	x, err := NewExecutor(s, Config{
+		Mode: ModeDFS,
+		Faults: &fault.Schedule{Faults: []fault.Fault{
+			{Kind: fault.CrashReplica, Replica: "B", Interleaving: 3, At: 4},
+		}},
+		SubsumptionTable: testSubTable,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	killPrefix(t, x)
+	o, _, err := x.Execute(context.Background(), deadLeaf, 3)
+	if err != nil || o == nil {
+		t.Fatalf("armed leaf under the dead prefix = %v, want it executed", err)
+	}
+	if !o.FaultArmed || o.Fingerprints["B"] != "v" {
+		t.Fatalf("armed=%v B=%q, want the faulted outcome (armed, B=\"v\")", o.FaultArmed, o.Fingerprints["B"])
+	}
+	// The subtree is still dead for the next unarmed leaf.
+	if _, _, err := x.Execute(context.Background(), deadLeaf, 5); !errors.Is(err, ErrSubsumed) {
+		t.Fatalf("unarmed leaf after the armed one = %v, want ErrSubsumed", err)
+	}
+}
+
+// TestDeadPrefixForgottenAtReprune: a moved re-prune generation forgets
+// the dead prefix with the cache on and off. The pool flushes the shared
+// table at the same barrier; after both, the old subtree's leaf has no
+// witness left and must run.
+func TestDeadPrefixForgottenAtReprune(t *testing.T) {
+	for _, cache := range []int64{0, testBudget} {
+		var finalized atomic.Int64
+		s := claimScenario(t, &finalized, claimsThenRead)
+		reg := telemetry.New()
+		x, err := NewExecutor(s, Config{Mode: ModeDFS, SubsumptionTable: testSubTable, PrefixCacheBytes: cache, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		killPrefix(t, x)
+		x.sub.invalidate()
+		o, _, err := x.execute(context.Background(), workItem{index: 3, il: deadLeaf, pivot: -1, gen: 1})
+		if err != nil || o == nil {
+			t.Fatalf("cache=%d: leaf of the old dead subtree in a new generation = %v, want it executed", cache, err)
+		}
+		if got := reg.Snapshot().Counters["runner.subsumed_dead_prefix"]; got != 0 {
+			t.Fatalf("cache=%d: %d dead-prefix skips across a re-prune, want 0", cache, got)
+		}
+	}
+}
+
+// claimsWithSyncs is seven events whose 5 040 DFS orders share interior
+// frontiers through syncs, so many prefixes die.
+func claimsWithSyncs(rec *Recorder) {
+	rec.Update("A", "claim", "x")
+	rec.Update("B", "claim", "y")
+	rec.Sync("A", "B")
+	rec.Update("C", "claim", "x")
+	rec.Update("A", "claim", "w")
+	rec.Sync("B", "C")
+	rec.Observe("C", "read")
+}
+
+// TestDeadPrefixOutOfOrderExecute: a distributed worker may run a later
+// index range before an earlier one (a requeued range). Executing the
+// DFS enumeration's second half before its first still skips subtrees
+// under dead prefixes, and the signature set equals the in-order one and
+// the table-off one.
+func TestDeadPrefixOutOfOrderExecute(t *testing.T) {
+	var finalized atomic.Int64
+	s := claimScenario(t, &finalized, claimsWithSyncs)
+	// The table-off run supplies the enumeration and the reference set.
+	var all []*Outcome
+	res, err := Run(s, Config{Mode: ModeDFS, Workers: 1, OnOutcome: func(o *Outcome) { all = append(all, o) }})
+	if err != nil || !res.Exhausted || len(all) != res.Explored {
+		t.Fatalf("enumeration: %v, %d outcomes of %d", err, len(all), res.Explored)
+	}
+	offSeen := make(map[string]struct{})
+	for _, o := range all {
+		offSeen[OutcomeSignature(o)] = struct{}{}
+	}
+	off := sortedSigs(offSeen)
+	execute := func(order []*Outcome) ([]string, int64) {
+		t.Helper()
+		reg := telemetry.New()
+		x, err := NewExecutor(s, Config{Mode: ModeDFS, SubsumptionTable: testSubTable, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[string]struct{})
+		for _, o := range order {
+			got, _, err := x.Execute(context.Background(), o.Interleaving, o.Index)
+			switch {
+			case errors.Is(err, ErrSubsumed):
+			case err != nil:
+				t.Fatalf("#%d: %v", o.Index, err)
+			default:
+				seen[OutcomeSignature(got)] = struct{}{}
+			}
+		}
+		return sortedSigs(seen), reg.Snapshot().Counters["runner.subsumed_dead_prefix"]
+	}
+	inOrder, _ := execute(all)
+	half := len(all) / 2
+	outOfOrder, dead := execute(append(slices.Clone(all[half:]), all[:half]...))
+	t.Logf("%d interleavings, %d signatures, %d dead-prefix skips out of order", len(all), len(off), dead)
+	if dead == 0 {
+		t.Fatal("out-of-order run skipped nothing under a dead prefix")
+	}
+	if !slices.Equal(inOrder, off) || !slices.Equal(outOfOrder, off) {
+		t.Fatalf("signature sets: table off %d, in order %d, out of order %d — want all equal",
+			len(off), len(inOrder), len(outOfOrder))
 	}
 }

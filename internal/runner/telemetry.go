@@ -27,6 +27,7 @@ import (
 //	runner.prefix_cache_misses cache-enabled executions replayed from genesis
 //	runner.prefix_evictions    snapshots evicted by the LRU byte budget
 //	runner.subsumed_interleavings  interleavings skipped by state subsumption
+//	runner.subsumed_dead_prefix    of those, skipped before replay under a dead prefix
 //	runner.subsumption_table_bytes bytes held by the subsumption table (gauge)
 //	runner.pool_runs           runs of consecutive indices carved by the pool's workers
 //	runner.pool_parked         results executed but not yet recorded — the reorder window (gauge)
@@ -72,6 +73,7 @@ type runTelemetry struct {
 	dirtyReplicas  *telemetry.Counter
 	bytesReused    *telemetry.Counter
 	subsumed       *telemetry.Counter
+	deadPrefix     *telemetry.Counter
 	subsumeBytes   *telemetry.Gauge
 	poolRuns       *telemetry.Counter
 	poolParked     *telemetry.Gauge
@@ -117,6 +119,7 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 		dirtyReplicas:  reg.Counter("snapshot.dirty_replicas"),
 		bytesReused:    reg.Counter("snapshot.bytes_reused"),
 		subsumed:       reg.Counter("runner.subsumed_interleavings"),
+		deadPrefix:     reg.Counter("runner.subsumed_dead_prefix"),
 		subsumeBytes:   reg.Gauge("runner.subsumption_table_bytes"),
 		poolRuns:       reg.Counter("runner.pool_runs"),
 		poolParked:     reg.Gauge("runner.pool_parked"),
@@ -172,7 +175,9 @@ func (t *runTelemetry) onPrefixHit(depth int) {
 	t.hitDepth.Observe(int64(depth))
 }
 
-// onEvents accounts one execution's replayed vs. prefix-skipped events.
+// onEvents accounts one execution's replayed vs. prefix-skipped events —
+// skipped means via prefix restore. A dead-prefix skip never calls it: it
+// replays and restores nothing, so it adds to neither counter.
 func (t *runTelemetry) onEvents(executed, skipped int) {
 	t.eventsExecuted.Add(int64(executed))
 	t.eventsSkipped.Add(int64(skipped))

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
@@ -287,5 +288,26 @@ func TestTelemetryResourceCountersWorkerParity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one, eight) {
 		t.Fatalf("resource counters differ: workers=1 %v, workers=8 %v", one, eight)
+	}
+}
+
+// TestDeadPrefixTelemetry: runner.subsumed_dead_prefix counts the
+// interleavings skipped before replay, and each of them is also in
+// runner.subsumed_interleavings, which still equals Result.Subsumed.
+func TestDeadPrefixTelemetry(t *testing.T) {
+	var finalized atomic.Int64
+	s := claimScenario(t, &finalized, claimsWithSyncs)
+	reg := telemetry.New()
+	res, err := Run(s, Config{Mode: ModeDFS, Workers: 1, SubsumptionTable: testSubTable, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot().Counters
+	dead, subsumed := snap["runner.subsumed_dead_prefix"], snap["runner.subsumed_interleavings"]
+	if subsumed != int64(res.Subsumed) {
+		t.Fatalf("runner.subsumed_interleavings = %d, Result.Subsumed = %d", subsumed, res.Subsumed)
+	}
+	if dead == 0 || dead > subsumed {
+		t.Fatalf("runner.subsumed_dead_prefix = %d of %d subsumed, want some and no more", dead, subsumed)
 	}
 }
