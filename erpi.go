@@ -278,14 +278,17 @@ func WithLiveGates(gates LiveGates) Option {
 }
 
 // WithPrefixCache enables incremental replay: each worker keeps a
-// private bounded trie of mid-run cluster snapshots keyed by executed
-// event-prefix, restores the deepest cached prefix of every interleaving,
-// and replays only the suffix. bytes bounds the cached snapshot memory
-// per worker, so the runner.snapshot_bytes gauge — the sum over workers —
-// can reach bytes × workers. Strictly an accelerator: results are
-// byte-identical with the cache on or off, and fault-carrying
-// interleavings always replay from a clean genesis checkpoint.
-// Non-positive bytes disables the cache.
+// private bounded stack of mid-run cluster snapshots along the
+// interleaving it last ran, restores the deepest one the next
+// interleaving shares, and replays only the suffix. The lexicographic
+// modes (ModeERPi, ModeDFS) never return to a prefix they left, so the
+// stack holds every snapshot they can reuse; under ModeRand and ModeFuzz
+// only the previous interleaving's prefix is reused. bytes bounds the
+// cached snapshot memory per worker, so the runner.snapshot_bytes gauge —
+// the sum over workers — can reach bytes × workers. Strictly an
+// accelerator: results are byte-identical with the cache on or off, and
+// fault-carrying interleavings always replay from a clean genesis
+// checkpoint. Non-positive bytes disables the cache.
 func WithPrefixCache(bytes int64) Option {
 	return func(s *Session) { s.cfg.PrefixCacheBytes = bytes }
 }

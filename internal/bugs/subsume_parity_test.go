@@ -130,7 +130,10 @@ const lexOrderCap = 5000
 // is a lexicographically smaller interleaving. Strict order is also what
 // makes a prefix's subtree one interval of indices, which the executor's
 // dead-prefix skip relies on to keep a single prefix: once a leaf no
-// longer extends it, no later index does.
+// longer extends it, no later index does. The prefix cache is the third
+// dependent: it keeps only a stack of snapshots along the last path,
+// because an executor in strict order never comes back to a prefix it
+// has left.
 func TestExplorersYieldLexicographicOrder(t *testing.T) {
 	for _, b := range bugs.All() {
 		s, err := b.Build()

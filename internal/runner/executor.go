@@ -63,22 +63,20 @@ type Executor struct {
 	outcome *Outcome
 	pending map[event.ID][]byte
 
-	// cache, when non-nil, is this executor's private prefix-snapshot trie
-	// (DESIGN.md §4.9): begin restores the deepest cached prefix of each
-	// interleaving and replay runs only the suffix. Never shared across
-	// executors.
+	// cache, when non-nil, is this executor's private stack of snapshots
+	// along the interleaving it last walked (DESIGN.md §4.9): begin
+	// restores the deepest one that is a prefix of the next interleaving
+	// and replay runs only the suffix. Never shared across executors.
 	cache *prefixCache
 	// gen is the re-prune generation this executor last ran an item
-	// under; enter forgets the cache, prevIL and dead when it moves.
+	// under; enter forgets the cache and dead when it moves.
 	gen uint64
-	// prevIL is the last interleaving this executor ran with the cache
-	// engaged; its common prefix with the next interleaving selects the
-	// divergence-point snapshot depth.
-	prevIL interleave.Interleaving
-	// pivot is the explorer-announced depth where the next interleaving
-	// will diverge from the current one (-1 when unknown); the cache
-	// snapshots there so the next lookup hits its maximal shared prefix.
-	pivot int
+	// divergence and pivot are the depths beyond the stride where replay
+	// snapshots into the cache: where this interleaving leaves the last
+	// one (lookup's common prefix), and where the explorer announces the
+	// next one will diverge (-1 when unknown), so the next lookup restores
+	// its maximal shared prefix.
+	divergence, pivot int
 	// sub, when non-nil, is the run's shared state-subsumption table
 	// (DESIGN.md §4.12): at snapshot depths and after the last event,
 	// replay hashes the execution context and abandons the interleaving
@@ -412,11 +410,14 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 		return 0, err
 	}
 	span := x.tel.span(telemetry.StageRestorePrefix, item.index, x.worker)
-	if snap, depth := x.cache.lookup(item.il); snap != nil {
-		err = x.restorePrefix(snap)
-		start = depth
-		x.rolling = snap.mset
-		x.tel.onPrefixHit(depth)
+	top, divergence, freed := x.cache.lookup(item.il)
+	x.divergence = divergence
+	x.tel.snapshotBytes.Add(-freed)
+	if top.snap != nil {
+		err = x.restorePrefix(top.snap)
+		start = top.depth
+		x.rolling = top.snap.mset
+		x.tel.onPrefixHit(start)
 	} else {
 		err = x.cluster.Reset()
 		x.tel.prefixMisses.Inc()
@@ -435,10 +436,8 @@ func (x *Executor) enter(gen uint64) {
 	}
 	x.gen = gen
 	x.dead = x.dead[:0]
-	x.prevIL = nil
 	if x.cache != nil {
-		freed, stateFreed := x.cache.invalidate()
-		x.tel.onSnapshot(-freed, -stateFreed, 0)
+		x.tel.snapshotBytes.Add(-x.cache.invalidate())
 	}
 }
 
@@ -450,10 +449,6 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 	// fault-free witness would not reproduce the faulted outcome.
 	useCache := x.cache != nil && !x.outcome.FaultArmed
 	useSub := x.sub != nil && !x.outcome.FaultArmed
-	divergence := 0
-	if useCache {
-		divergence = commonPrefixLen(x.prevIL, il)
-	}
 	// One Done call per replay; the per-event poll is a channel receive,
 	// not cancelCtx.Err's mutex.
 	done := ctx.Done()
@@ -476,7 +471,7 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 			// or dropped — its ID is part of the prefix either way) into
 			// the rolling multiset digest.
 			x.rolling.add(x.steps[il[pos-1]].contrib)
-			wantCache := useCache && x.cache.wantSnapshot(pos, divergence, x.pivot)
+			wantCache := useCache && x.cache.wantSnapshot(pos, x.divergence, x.pivot)
 			wantSub := useSub && (wantCache || (!useCache && pos%x.subEvery == 0))
 			if wantCache || wantSub {
 				skip, err := x.contextPoint(il, pos, wantCache, wantSub)
@@ -492,7 +487,7 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 					// dead prefix. Account the events actually replayed
 					// and abandon.
 					x.dead = append(x.dead[:0], il[:pos]...)
-					return x.subsumed(il, pos-start, start, useCache)
+					return x.subsumed(pos-start, start)
 				}
 			}
 		}
@@ -515,24 +510,18 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 			return err
 		}
 		if skip {
-			return x.subsumed(il, len(il)-start, start, useCache)
+			return x.subsumed(len(il)-start, start)
 		}
 	}
 	x.tel.onEvents(len(il)-start, start)
-	if useCache {
-		x.prevIL = il
-	}
 	return nil
 }
 
 // subsumed accounts an interleaving abandoned at a visited frontier — the
 // events it did replay, the skip — and returns ErrSubsumed.
-func (x *Executor) subsumed(il interleave.Interleaving, executed, skipped int, useCache bool) error {
+func (x *Executor) subsumed(executed, skipped int) error {
 	x.tel.onEvents(executed, skipped)
 	x.tel.subsumed.Inc()
-	if useCache {
-		x.prevIL = il
-	}
 	return ErrSubsumed
 }
 
@@ -659,37 +648,32 @@ func (x *Executor) restorePrefix(snap *prefixSnapshot) error {
 	return nil
 }
 
-// contextPoint handles one snapshot depth: capture the execution context
-// after il[:depth] into the cache (reusing an existing capture of the
-// same literal prefix), and/or run the subsumption check against the
-// frontier it represents. skip=true means the interleaving is subsumed.
+// contextPoint handles one snapshot depth: push the execution context
+// after il[:depth] onto the cache, and/or run the subsumption check
+// against the frontier it represents. skip=true means the interleaving is
+// subsumed. The depth always lies past the restored one, so the cache
+// never already holds it.
 func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache, wantSub bool) (skip bool, err error) {
 	if !wantCache {
 		return x.subsume(il, depth)
 	}
-	snap := x.cache.cached(il, depth)
-	if snap == nil {
-		states, err := x.cluster.CanonicalSnapshot()
-		if err != nil {
-			return false, err
-		}
-		x.tel.dirtyReplicas.Add(int64(states.Dirty))
-		x.tel.bytesReused.Add(states.Reused)
-		snap = newPrefixSnapshot(states, x.pending, x.outcome)
-		snap.mset = x.rolling
-		if x.sub != nil {
-			// Hash at capture time (even when this depth only feeds the
-			// cache): any later re-walk of the same literal prefix reuses
-			// the stored hash instead of re-serializing the cluster.
-			snap.ctxHash = contextHash(states, x.pending, x.outcome.Observations, x.outcome.FailedOps)
-		}
-		delta, stateDelta, evicted := x.cache.insert(il, depth, snap)
-		x.tel.onSnapshot(delta, stateDelta, evicted)
+	states, err := x.cluster.CanonicalSnapshot()
+	if err != nil {
+		return false, err
+	}
+	x.tel.dirtyReplicas.Add(int64(states.Dirty))
+	x.tel.bytesReused.Add(states.Reused)
+	snap := newPrefixSnapshot(states, x.pending, x.outcome)
+	snap.mset = x.rolling
+	if x.cache.insert(depth, snap) {
+		x.tel.snapshotBytes.Add(snap.size)
+	} else {
+		x.tel.prefixEvicted.Inc()
 	}
 	if !wantSub {
 		return false, nil
 	}
-	return x.visit(snap.ctxHash, il, depth), nil
+	return x.visit(contextHash(states, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
 }
 
 // subsume is the subsumption check at a depth the prefix cache does not

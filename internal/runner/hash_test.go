@@ -174,9 +174,8 @@ func TestIncrementalHashingFaultParity(t *testing.T) {
 }
 
 // TestIncrementalSnapshotTelemetry: an incremental run actually reuses
-// cached buffers (bytes_reused > 0, dirty well below replicas×snapshots)
-// and the delta gauge stays consistent; a run on full-hashing reference
-// clusters reuses nothing.
+// cached buffers (bytes_reused > 0, dirty well below replicas×snapshots);
+// a run on full-hashing reference clusters reuses nothing.
 func TestIncrementalSnapshotTelemetry(t *testing.T) {
 	run := func(full bool) telemetry.Snapshot {
 		s := townReportScenario(t)
@@ -201,9 +200,6 @@ func TestIncrementalSnapshotTelemetry(t *testing.T) {
 	}
 	if inc.Counters["snapshot.dirty_replicas"] == 0 {
 		t.Fatal("dirty_replicas = 0: snapshots were never accounted")
-	}
-	if g := inc.Gauges["runner.prefix_delta_bytes"]; g <= 0 {
-		t.Fatalf("prefix_delta_bytes gauge = %d after a cached run, want > 0", g)
 	}
 	full := run(true)
 	if got := full.Counters["snapshot.bytes_reused"]; got != 0 {

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 // townreport scenario's snapshots need.
 const testBudget = 1 << 20
 
-// TestPrefixCacheTrie exercises the snapshot trie directly: deepest-match
-// lookup, LRU eviction under the byte budget, branch pruning, and
-// invalidation.
-func TestPrefixCacheTrie(t *testing.T) {
+// TestPrefixCacheStack is the truth table of the snapshot stack: lookup
+// pops to the common prefix with the last path and restores the top, never
+// restores an interleaving's full length, a push over the byte budget is
+// refused, and invalidate frees everything.
+func TestPrefixCacheStack(t *testing.T) {
 	il := func(ids ...int) interleave.Interleaving {
 		out := make(interleave.Interleaving, len(ids))
 		for i, id := range ids {
@@ -29,58 +31,58 @@ func TestPrefixCacheTrie(t *testing.T) {
 		return out
 	}
 	snap := func(size int64) *prefixSnapshot { return &prefixSnapshot{size: size} }
+	lookup := func(c *prefixCache, l interleave.Interleaving, want *prefixSnapshot, wantDepth, wantDiv int, wantFreed int64) {
+		t.Helper()
+		top, div, freed := c.lookup(l)
+		if top.snap != want || top.depth != wantDepth || div != wantDiv || freed != wantFreed {
+			t.Fatalf("lookup(%v) = (%p, depth %d, divergence %d, freed %d), want (%p, %d, %d, %d)",
+				l, top.snap, top.depth, div, freed, want, wantDepth, wantDiv, wantFreed)
+		}
+	}
 
 	c := newPrefixCache(100, 4)
-	if got, depth := c.lookup(il(1, 2, 3, 4)); got != nil || depth != 0 {
-		t.Fatalf("empty cache lookup = (%v, %d), want miss", got, depth)
+	lookup(c, il(1, 2, 3, 4, 5), nil, 0, 0, 0)
+	s1, s2, s3 := snap(20), snap(20), snap(20)
+	for d, s := range []*prefixSnapshot{s1, s2, s3} {
+		if !c.insert(d+1, s) {
+			t.Fatalf("push at depth %d refused", d+1)
+		}
 	}
-	s2 := snap(40)
-	if delta, stateDelta, evicted := c.insert(il(1, 2, 3, 4), 2, s2); delta != 40 || stateDelta != 0 || evicted != 0 {
-		t.Fatalf("insert depth 2: delta=%d stateDelta=%d evicted=%d", delta, stateDelta, evicted)
-	}
-	s3 := snap(40)
-	c.insert(il(1, 2, 3, 4), 3, s3)
-
-	// Deepest matching strict prefix wins.
-	if got, depth := c.lookup(il(1, 2, 3, 4)); got != s3 || depth != 3 {
-		t.Fatalf("lookup = (%p, %d), want (s3, 3)", got, depth)
-	}
-	// A full-length match must not be returned for the interleaving itself.
-	if got, depth := c.lookup(il(1, 2, 3)); got != s2 || depth != 2 {
-		t.Fatalf("lookup(len 3) = (%p, %d), want (s2, 2)", got, depth)
-	}
-	// Diverging interleaving only shares the 2-prefix.
-	if got, depth := c.lookup(il(1, 2, 9, 3)); got != s2 || depth != 2 {
-		t.Fatalf("diverging lookup = (%p, %d), want (s2, 2)", got, depth)
+	if c.bytes != 60 {
+		t.Fatalf("bytes = %d after three pushes, want 60", c.bytes)
 	}
 
-	// s2 was most recently used (just looked up); inserting 40 more bytes
-	// must evict the LRU snapshot, which is s3.
-	s5 := snap(40)
-	if delta, _, evicted := c.insert(il(9, 8, 7, 6, 5, 4), 5, s5); delta != 0 || evicted != 1 {
-		t.Fatalf("evicting insert: delta=%d evicted=%d, want 0, 1", delta, evicted)
-	}
-	if got, depth := c.lookup(il(1, 2, 3, 4)); got != s2 || depth != 2 {
-		t.Fatalf("post-eviction lookup = (%p, %d), want (s2, 2)", got, depth)
-	}
-	if c.cached(il(9, 8, 7, 6, 5, 4), 5) != s5 {
-		t.Fatal("inserted prefix not reported cached")
-	}
-	if c.cached(il(1, 2, 3, 4), 3) != nil {
-		t.Fatal("evicted prefix still reported cached")
+	// A path that shares the whole stack pops nothing and restores the top.
+	lookup(c, il(1, 2, 3, 9, 5), s3, 3, 3, 0)
+	// Diverging at depth 2 pops the depth-3 entry.
+	lookup(c, il(1, 2, 7, 3, 5), s2, 2, 2, 20)
+	// A full-length match is not restored for the interleaving itself:
+	// the entry at depth len(il) is popped and the one below restored.
+	c.insert(3, s3)
+	lookup(c, il(1, 2, 7), s2, 2, 3, 20)
+	// No shared prefix empties the stack.
+	lookup(c, il(9, 8, 7, 6, 5), nil, 0, 0, 40)
+	if c.bytes != 0 || len(c.stack) != 0 {
+		t.Fatalf("after a full pop: bytes = %d, %d entries, want 0, 0", c.bytes, len(c.stack))
 	}
 
-	// A snapshot exceeding the whole budget is rejected.
-	if delta, _, _ := c.insert(il(4, 4, 4), 2, snap(1000)); delta != 0 {
-		t.Fatalf("oversized insert accepted: delta=%d", delta)
+	// A push that would exceed the budget is refused and keeps nothing;
+	// a later one that fits is still taken.
+	if !c.insert(1, snap(60)) {
+		t.Fatal("push within budget refused")
+	}
+	if c.insert(2, snap(50)) {
+		t.Fatal("push over budget accepted")
+	}
+	if !c.insert(3, snap(40)) || c.bytes != 100 || len(c.stack) != 2 {
+		t.Fatalf("after a refusal: bytes = %d, %d entries, want 100, 2", c.bytes, len(c.stack))
 	}
 
-	if freed, stateFreed := c.invalidate(); freed != 80 || stateFreed != 0 {
-		t.Fatalf("invalidate freed %d/%d, want 80/0", freed, stateFreed)
+	if freed := c.invalidate(); freed != 100 {
+		t.Fatalf("invalidate freed %d, want 100", freed)
 	}
-	if got, _ := c.lookup(il(1, 2, 3, 4)); got != nil {
-		t.Fatal("lookup after invalidate still hits")
-	}
+	// Invalidation also forgets the path: nothing is shared with it.
+	lookup(c, il(9, 8, 7, 6, 5), nil, 0, 0, 0)
 }
 
 // TestPrefixCacheDeterminismPin is the tentpole's acceptance pin: the
@@ -120,7 +122,7 @@ func TestPrefixCacheDeterminismPin(t *testing.T) {
 // crashes) must fall back to a clean genesis replay, and the run must be
 // byte-identical to the cache-off engine. The probabilistic faults make
 // armed and unarmed interleavings interleave, so cached snapshots built
-// on clean runs sit in the trie while crashes replay from genesis.
+// on clean runs sit in the cache while crashes replay from genesis.
 func TestPrefixCacheDeterminismUnderFaults(t *testing.T) {
 	sched := &fault.Schedule{Seed: 11, Faults: []fault.Fault{
 		// Coin-flip crash of A mid-interleaving with immediate restart.
@@ -246,10 +248,11 @@ func TestPrefixCacheTelemetry(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheEviction: a budget far below the working set forces LRU
-// evictions while results stay identical to cache-off. PrefixCacheBytes
-// bounds each worker's private cache and runner.snapshot_bytes sums over
-// workers, so the gauge is bounded by budget × workers.
+// TestPrefixCacheEviction: a budget that holds only part of a path makes
+// the cache refuse snapshots while results stay identical to cache-off.
+// PrefixCacheBytes bounds each worker's private cache and
+// runner.snapshot_bytes sums over workers, so the gauge is bounded by
+// budget × workers.
 func TestPrefixCacheEviction(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		reg := telemetry.New()
@@ -257,13 +260,16 @@ func TestPrefixCacheEviction(t *testing.T) {
 			Mode:             ModeDFS,
 			Workers:          workers,
 			MaxInterleavings: 200,
-			PrefixCacheBytes: 2 << 10,
+			PrefixCacheBytes: 512,
 			Telemetry:        reg,
 		}
 		on, onRes := collectOutcomes(t, townReportScenario(t), cfg)
 		snap := reg.Snapshot()
 		if snap.Counters["runner.prefix_evictions"] == 0 {
 			t.Fatalf("workers=%d: no evictions at a %d-byte budget", workers, cfg.PrefixCacheBytes)
+		}
+		if snap.Counters["runner.prefix_cache_hits"] == 0 {
+			t.Fatalf("workers=%d: no hits at a %d-byte budget: it holds no part of a path", workers, cfg.PrefixCacheBytes)
 		}
 		limit := cfg.PrefixCacheBytes * int64(workers)
 		if bytes := snap.Gauges["runner.snapshot_bytes"]; bytes < 0 || bytes > limit {
@@ -276,6 +282,80 @@ func TestPrefixCacheEviction(t *testing.T) {
 			t.Fatalf("workers=%d: evicting cache changed the outcome stream", workers)
 		}
 		assertResultsMatch(t, offRes, onRes)
+	}
+}
+
+// TestPrefixCacheNonLexicographicModes: ModeRand and ModeFuzz yield in no
+// lexicographic order, so an executor does leave and come back to
+// prefixes, and the stack restores only what an interleaving shares with
+// the one before it. The outcome stream must still be the cache-off one.
+func TestPrefixCacheNonLexicographicModes(t *testing.T) {
+	// ModeFuzz mutates inside the pruned space of 24 interleavings, so its
+	// cap stays below that; small generations keep synthesis cheap.
+	caps := map[Mode]int{ModeRand: 300, ModeFuzz: 20}
+	for _, mode := range []Mode{ModeRand, ModeFuzz} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
+				run := func(cacheBytes int64) ([]byte, *Result, int64) {
+					reg := telemetry.New()
+					out, res := collectOutcomes(t, townReportScenario(t), Config{
+						Mode:               mode,
+						Workers:            workers,
+						Seed:               5,
+						MaxInterleavings:   caps[mode],
+						FuzzGenerationSize: 4,
+						PrefixCacheBytes:   cacheBytes,
+						Assertions:         []Assertion{municipalityInvariant{}},
+						Telemetry:          reg,
+					})
+					return out, res, reg.Snapshot().Counters["runner.prefix_cache_hits"]
+				}
+				off, offRes, _ := run(0)
+				on, onRes, hits := run(testBudget)
+				if string(off) != string(on) {
+					t.Fatal("prefix cache changed the outcome stream")
+				}
+				assertResultsMatch(t, offRes, onRes)
+				// Which worker runs what varies from run to run above one.
+				if workers == 1 && hits == 0 {
+					t.Fatal("no prefix restores: the check is vacuous")
+				}
+			})
+		}
+	}
+}
+
+// TestPrefixCacheOutOfOrderExecute: a standalone executor handed a DFS
+// enumeration's second half before its first leaves prefixes it later
+// comes back to. Every index must still get the cache-off outcome.
+func TestPrefixCacheOutOfOrderExecute(t *testing.T) {
+	s := townReportScenario(t)
+	var all []*Outcome
+	if _, err := Run(s, Config{
+		Mode:             ModeDFS,
+		Workers:          1,
+		MaxInterleavings: 400,
+		OnOutcome:        func(o *Outcome) { all = append(all, o) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	x, err := NewExecutor(s, Config{Mode: ModeDFS, PrefixCacheBytes: testBudget, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(all) / 2
+	for _, want := range append(slices.Clone(all[half:]), all[:half]...) {
+		got, _, err := x.Execute(context.Background(), want.Interleaving, want.Index)
+		if err != nil {
+			t.Fatalf("#%d: %v", want.Index, err)
+		}
+		if g, w := streamOf(t, []*Outcome{got}), streamOf(t, []*Outcome{want}); g != w {
+			t.Fatalf("#%d: outcome with the cache\n%s\nwant the cache-off\n%s", want.Index, g, w)
+		}
+	}
+	if reg.Snapshot().Counters["runner.prefix_cache_hits"] == 0 {
+		t.Fatal("no prefix restores: the check is vacuous")
 	}
 }
 

@@ -254,10 +254,11 @@ type Config struct {
 	// trade-off.
 	MaxExploredKeys int
 	// PrefixCacheBytes, when > 0, enables incremental replay: each worker
-	// keeps a private bounded trie of mid-run cluster snapshots keyed by
-	// executed event-prefix, restores the deepest cached prefix of every
-	// interleaving, and replays only the suffix (DESIGN.md §4.9). The
-	// value bounds the cached snapshot bytes per worker. Strictly an
+	// keeps a private bounded stack of mid-run cluster snapshots along the
+	// interleaving it last ran, restores the deepest one the next
+	// interleaving shares, and replays only the suffix (DESIGN.md §4.9).
+	// The value bounds the cached snapshot bytes per worker; a snapshot
+	// that would exceed it is not kept. Strictly an
 	// accelerator: results are byte-identical with the cache on or off,
 	// and fault-carrying interleavings always fall back to a clean
 	// genesis replay. Zero disables the cache.

@@ -25,7 +25,7 @@ import (
 //	runner.violations          assertion failures
 //	runner.prefix_cache_hits   executions resumed from a cached prefix snapshot
 //	runner.prefix_cache_misses cache-enabled executions replayed from genesis
-//	runner.prefix_evictions    snapshots evicted by the LRU byte budget
+//	runner.prefix_evictions    snapshots the prefix cache refused over its byte budget
 //	runner.subsumed_interleavings  interleavings skipped by state subsumption
 //	runner.subsumed_dead_prefix    of those, skipped before replay under a dead prefix
 //	runner.subsumption_table_bytes bytes held by the subsumption table (gauge)
@@ -36,7 +36,6 @@ import (
 //	runner.op.<name>           Update/Observe ops of that name applied by replay
 //	runner.sync_bytes          sync payload bytes handed to ApplySync
 //	runner.snapshot_bytes      bytes currently held by prefix caches (gauge)
-//	runner.prefix_delta_bytes  deduplicated state bytes charged by prefix caches (gauge)
 //	snapshot.dirty_replicas    replicas re-serialized by canonical snapshots
 //	snapshot.bytes_reused      snapshot bytes served from per-replica caches
 //	runner.prefix_hit_depth    restored prefix depths (histogram, in events)
@@ -69,7 +68,6 @@ type runTelemetry struct {
 	eventsSkipped  *telemetry.Counter
 	syncBytes      *telemetry.Counter
 	snapshotBytes  *telemetry.Gauge
-	prefixDelta    *telemetry.Gauge
 	dirtyReplicas  *telemetry.Counter
 	bytesReused    *telemetry.Counter
 	subsumed       *telemetry.Counter
@@ -115,7 +113,6 @@ func newRunTelemetry(reg *telemetry.Registry) *runTelemetry {
 		eventsSkipped:  reg.Counter("runner.events_skipped"),
 		syncBytes:      reg.Counter("runner.sync_bytes"),
 		snapshotBytes:  reg.Gauge("runner.snapshot_bytes"),
-		prefixDelta:    reg.Gauge("runner.prefix_delta_bytes"),
 		dirtyReplicas:  reg.Counter("snapshot.dirty_replicas"),
 		bytesReused:    reg.Counter("snapshot.bytes_reused"),
 		subsumed:       reg.Counter("runner.subsumed_interleavings"),
@@ -181,15 +178,6 @@ func (t *runTelemetry) onPrefixHit(depth int) {
 func (t *runTelemetry) onEvents(executed, skipped int) {
 	t.eventsExecuted.Add(int64(executed))
 	t.eventsSkipped.Add(int64(skipped))
-}
-
-// onSnapshot applies one cache operation's byte deltas (insertions are
-// positive, evictions and invalidations negative) — held snapshot bytes
-// and charged deduplicated state bytes — and its eviction count.
-func (t *runTelemetry) onSnapshot(deltaBytes, stateDelta int64, evicted int) {
-	t.snapshotBytes.Add(deltaBytes)
-	t.prefixDelta.Add(stateDelta)
-	t.prefixEvicted.Add(int64(evicted))
 }
 
 // onOp counts one applied op under runner.op.<name>; ops is the calling
