@@ -24,28 +24,26 @@ import (
 	"github.com/er-pi/erpi/internal/wire"
 )
 
-// journalSyncEvery is how many record appends accumulate before the
-// buffered writer is flushed and fsynced. A crash loses at most this many
-// records — each lost record only means that interleaving is re-explored,
-// which is always safe — while the amortized cost drops from one
-// open+fsync per interleaving to one fsync per batch.
-const journalSyncEvery = 64
-
-// journalSyncAge bounds how long an unsynced append may sit in the buffer
-// before a flush fires anyway. The count trigger alone is tuned for fast
-// scenarios; on slow ones (seconds per interleaving) 63 records could sit
-// volatile for minutes. Group commit is count-OR-age: whichever trips
-// first flushes the batch.
+// journalSyncAge is the record log's durability clock. The first append
+// the log has not synced arms a timer; when it fires, everything appended
+// by then is handed to the kernel and fsynced as one batch, off the
+// appending goroutine and outside the Dir's lock. A crash therefore loses
+// at most the records appended in the last journalSyncAge (and those of a
+// sync still in flight) — each lost record only means that interleaving
+// re-executes on resume, which is always safe — while a run pays one fsync
+// per tick instead of one per record.
 const journalSyncAge = 5 * time.Millisecond
 
 // recordLogName is the record log's file in the session directory.
 const recordLogName = "results.log"
 
-// FsyncObserver is notified after each durable journal flush with the
-// number of appends the batch covered and how long the flush+fsync took.
-// It runs under the Dir's lock and must not call back into the Dir.
-// Age-triggered flushes invoke it on a background timer goroutine, so
-// implementations must be safe for concurrent use.
+// FsyncObserver is notified after each completed sync of the record log
+// with the number of appends it covered and how long the write+fsync took,
+// before the durable watermark moves past them. It always runs on the
+// syncing goroutine — the clock's timer goroutine, or the caller of Flush,
+// Records or Close — outside the Dir's lock but before the next sync
+// starts, so it must not call Flush, Records or Close, and must be safe
+// for concurrent use with the Dir's other callers.
 type FsyncObserver func(appends int, took time.Duration)
 
 // Record is one recorded interleaving's entry in the record log: its
@@ -71,32 +69,42 @@ type Violation struct {
 }
 
 // Dir is an on-disk session directory. The record log is held open
-// across appends and buffered; call Flush to force durability at a point
-// in time and Close when done with the directory.
+// across appends and buffered, and made durable by one clock: an append
+// only encodes into the buffer and arms the clock, which syncs on its own
+// goroutine journalSyncAge later. The Dir counts its appends and keeps a
+// durable watermark — the appends covered by completed syncs — that
+// WaitDurable waits on. Flush forces durability at a point in time, and
+// Close does too before releasing the file.
 type Dir struct {
 	path string
 
-	mu       sync.Mutex
-	log      *os.File
-	buf      *bufio.Writer
-	scratch  []byte // the record being encoded
-	unsynced int
-	onFsync  FsyncObserver
+	// syncMu serialises syncs and is held across each one; mu guards
+	// everything below and is never held across an fsync, so an Append
+	// does not wait on the disk. Lock order syncMu → mu.
+	syncMu sync.Mutex
 
-	// Group-commit policy: flush after syncEvery appends OR syncAge after
-	// the first unsynced append, whichever comes first (syncAge <= 0
-	// disables the age trigger) — journalSyncEvery and journalSyncAge,
-	// which only tests change. ageTimer is armed on the 0 -> 1 unsynced
-	// transition and cleared by every flush; a flush error from the timer
-	// goroutine is stashed in asyncErr and surfaced by the next Append or
-	// Flush call.
-	syncEvery int
-	syncAge   time.Duration
-	ageTimer  *time.Timer
-	asyncErr  error
+	mu      sync.Mutex
+	synced  sync.Cond // on mu: durable moved or err was set
+	log     *os.File
+	buf     *bufio.Writer
+	scratch []byte // the record being encoded
+	onFsync FsyncObserver
+
+	// appended counts the records appended through this Dir, durable the
+	// ones a completed sync covers. clock is armed while appended >
+	// durable and no sync has taken those appends yet; syncAge is
+	// journalSyncAge, which only tests change. err is the first failed
+	// write or sync, and it sticks: every later Append, Flush and wait
+	// returns it, since an fsync retried after a failure can report
+	// success for data that never reached the disk.
+	appended int
+	durable  int
+	syncAge  time.Duration
+	clock    *time.Timer
+	err      error
 }
 
-// SetFsyncObserver installs (or, with nil, removes) the flush callback.
+// SetFsyncObserver installs (or, with nil, removes) the sync callback.
 func (d *Dir) SetFsyncObserver(fn FsyncObserver) {
 	d.mu.Lock()
 	d.onFsync = fn
@@ -108,7 +116,9 @@ func Open(path string) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create %s: %w", path, err)
 	}
-	return &Dir{path: path, syncEvery: journalSyncEvery, syncAge: journalSyncAge}, nil
+	d := &Dir{path: path, syncAge: journalSyncAge}
+	d.synced.L = &d.mu
+	return d, nil
 }
 
 // Path returns the directory path.
@@ -151,14 +161,14 @@ func (d *Dir) LoadLog() (*event.Log, error) {
 	return log, nil
 }
 
-// Append adds r to the record log. Writes are buffered and group
-// committed under the count-or-age policy; a torn or lost tail is what a
-// crash leaves, and Records stops before it.
+// Append adds r to the record log. It encodes r into the write buffer and
+// returns: the durability clock syncs it within journalSyncAge, and a torn
+// or lost tail is what a crash leaves, which Records stops before.
 func (d *Dir) Append(r *Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.takeAsyncErr(); err != nil {
-		return err
+	if d.err != nil {
+		return d.err
 	}
 	if d.log == nil {
 		if err := d.openLocked(); err != nil {
@@ -167,16 +177,36 @@ func (d *Dir) Append(r *Record) error {
 	}
 	d.scratch = appendRecord(d.scratch[:0], r)
 	if _, err := d.buf.Write(d.scratch); err != nil {
-		return fmt.Errorf("checkpoint: append record: %w", err)
+		return d.failLocked(fmt.Errorf("checkpoint: append record: %w", err))
 	}
-	d.unsynced++
-	if d.unsynced >= d.syncEvery {
-		return d.flushLocked()
-	}
-	if d.unsynced == 1 && d.syncAge > 0 {
-		d.ageTimer = time.AfterFunc(d.syncAge, d.ageFlush)
+	d.appended++
+	if d.clock == nil {
+		d.clock = time.AfterFunc(d.syncAge, d.tick)
 	}
 	return nil
+}
+
+// Appended returns how many records have been appended through d.
+func (d *Dir) Appended() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.appended
+}
+
+// WaitDurable blocks until the first n records appended through d are
+// durable — synced by the clock, Flush or Close — and returns nil, or
+// returns the error of the sync that failed first. n must not exceed
+// Appended: every append up to there is already on its way to a sync.
+func (d *Dir) WaitDurable(n int) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for d.durable < n && d.err == nil {
+		d.synced.Wait()
+	}
+	if d.durable >= n {
+		return nil
+	}
+	return d.err
 }
 
 // AppendExplored appends a key-only record of il. It is what
@@ -208,52 +238,46 @@ func (d *Dir) openLocked() error {
 	return nil
 }
 
-// ageFlush is the age-trigger timer callback: flush whatever accumulated
-// since the first unsynced append. It runs on the timer goroutine, so a
-// flush failure is parked in asyncErr for the next foreground call.
-func (d *Dir) ageFlush() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.unsynced == 0 {
-		return
+// tick is the clock's timer callback. A failure is kept in err, where
+// the next Append, Flush or WaitDurable finds it.
+func (d *Dir) tick() { _ = d.sync() }
+
+// failLocked records the Dir's first write or sync failure, wakes every
+// waiter on the watermark and returns the failure. Caller holds mu.
+func (d *Dir) failLocked(err error) error {
+	if d.err == nil {
+		d.err = err
+		d.synced.Broadcast()
 	}
-	if err := d.flushLocked(); err != nil && d.asyncErr == nil {
-		d.asyncErr = err
-	}
+	return d.err
 }
 
-// takeAsyncErr returns (and clears) a pending background flush error.
-// Callers must hold d.mu.
-func (d *Dir) takeAsyncErr() error {
-	err := d.asyncErr
-	d.asyncErr = nil
-	return err
-}
+// Flush makes every record appended so far durable before it returns.
+func (d *Dir) Flush() error { return d.sync() }
 
-// Flush forces buffered record appends to stable storage.
-func (d *Dir) Flush() error {
+// Close syncs and closes the record log. The Dir stays usable — a later
+// append reopens it — unless a write or sync has failed: that error
+// sticks, and a failed Dir must be replaced by a fresh Open.
+func (d *Dir) Close() error {
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
+	err := d.syncLocked()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.takeAsyncErr(); err != nil {
+	// Appends that raced the sync above get one of their own.
+	for err == nil && d.appended > d.durable {
+		d.mu.Unlock()
+		err = d.syncLocked()
+		d.mu.Lock()
+	}
+	if d.log == nil {
 		return err
 	}
-	return d.flushLocked()
-}
-
-// Close flushes and closes the record log. The Dir stays usable: a later
-// append reopens it.
-func (d *Dir) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log == nil {
-		return nil
-	}
-	flushErr := d.flushLocked()
 	closeErr := d.log.Close()
 	d.log = nil
 	d.buf = nil
-	if flushErr != nil {
-		return flushErr
+	if err != nil {
+		return err
 	}
 	if closeErr != nil {
 		return fmt.Errorf("checkpoint: close record log: %w", closeErr)
@@ -261,34 +285,57 @@ func (d *Dir) Close() error {
 	return nil
 }
 
-func (d *Dir) flushLocked() error {
-	if d.ageTimer != nil {
-		d.ageTimer.Stop()
-		d.ageTimer = nil
+// sync makes every record appended so far durable.
+func (d *Dir) sync() error {
+	d.syncMu.Lock()
+	defer d.syncMu.Unlock()
+	return d.syncLocked()
+}
+
+// syncLocked takes every append not yet synced: it disarms the clock and
+// hands the buffer to the kernel under mu, then fsyncs outside mu —
+// appends go on meanwhile and arm the clock for the next batch — tells
+// the observer, and moves the watermark, so whoever sees the watermark
+// cover an append also sees the sync counted. Caller holds syncMu, which
+// keeps the file open and the watermark in order until the sync is done.
+func (d *Dir) syncLocked() error {
+	d.mu.Lock()
+	if d.clock != nil {
+		d.clock.Stop()
+		d.clock = nil
 	}
-	if d.log == nil {
-		return nil
+	from, to, f := d.durable, d.appended, d.log
+	if d.err != nil || from == to {
+		d.mu.Unlock()
+		return d.err
 	}
-	appends := d.unsynced
 	start := time.Now()
-	if err := d.buf.Flush(); err != nil {
-		return fmt.Errorf("checkpoint: flush record log: %w", err)
+	err := d.buf.Flush()
+	obs := d.onFsync
+	d.mu.Unlock()
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := d.log.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync record log: %w", err)
+	if err == nil && obs != nil {
+		obs(to-from, time.Since(start))
 	}
-	d.unsynced = 0
-	if d.onFsync != nil && appends > 0 {
-		d.onFsync(appends, time.Since(start))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err != nil {
+		return d.failLocked(fmt.Errorf("checkpoint: sync record log: %w", err))
 	}
+	d.durable = to
+	d.synced.Broadcast()
 	return nil
 }
 
 // Records reads the record log, in append order, up to its first torn or
 // corrupt record (a crash mid-append leaves at most one, at the tail).
 // Everything from there on counts as never written: those interleavings
-// re-execute, which is always safe. This Dir's own buffered appends are
-// flushed first, so a resume within one process sees them.
+// re-execute, which is always safe. This Dir's own appends are synced
+// first, so a resume within one process sees them; after a failed write or
+// sync it returns that error instead, and only a fresh Open of the
+// directory reads the records back.
 func (d *Dir) Records() ([]Record, error) {
 	if err := d.Flush(); err != nil {
 		return nil, err

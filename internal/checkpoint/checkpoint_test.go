@@ -89,21 +89,20 @@ func TestExploredJournal(t *testing.T) {
 	}
 }
 
-// TestExploredJournalBuffering pins the persistent-handle record log: a
-// batch of appends below the sync threshold lives in the write buffer
-// (invisible to an external reader) until Flush or Close pushes it out,
-// while Records flushes implicitly so same-process resume never misses
+// TestExploredJournalBuffering pins the persistent-handle record log:
+// appends the clock has not synced yet live in the write buffer
+// (invisible to an external reader) until Flush or Close pushes them out,
+// while Records syncs implicitly so same-process resume never misses
 // buffered records.
 func TestExploredJournalBuffering(t *testing.T) {
 	d := openDir(t)
-	// Count-only policy: this test pins the buffering behavior, which the
-	// default age trigger would flush out from under the assertions below.
-	d.syncAge = 0
+	// The clock must not sync out from under the assertions below.
+	d.syncAge = time.Hour
 	if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Below journalSyncEvery nothing is flushed yet: a second Dir over the
-	// same path (an external reader) sees an empty log.
+	// Nothing is synced yet: a second Dir over the same path (an external
+	// reader) sees an empty log.
 	ext, err := Open(d.Path())
 	if err != nil {
 		t.Fatal(err)
@@ -115,36 +114,20 @@ func TestExploredJournalBuffering(t *testing.T) {
 	if own := keysOf(t, d); len(own) != 1 || own[0] != "0,1,2" {
 		t.Fatalf("same-process resume missed buffered records: %v", own)
 	}
-	// Records flushed, so the external reader now sees it too.
+	// Records synced, so the external reader now sees it too.
 	if keys := keysOf(t, ext); len(keys) != 1 {
-		t.Fatalf("post-flush external read: %v", keys)
+		t.Fatalf("post-sync external read: %v", keys)
 	}
 
-	// Crossing the sync threshold flushes without an explicit call.
-	for i := 0; i < journalSyncEvery-1; i++ {
-		if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if keys := keysOf(t, ext); len(keys) != 1 {
-		t.Fatalf("flushed below the count trigger: %d records", len(keys))
-	}
-	if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if keys := keysOf(t, ext); len(keys) != journalSyncEvery+1 {
-		t.Fatalf("batch sync did not reach disk: %d records", len(keys))
-	}
-
-	// Close flushes the tail and the Dir stays usable afterwards.
+	// Close syncs the tail and the Dir stays usable afterwards.
 	if err := d.AppendExplored(interleave.Interleaving{2, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if keys := keysOf(t, ext); len(keys) != journalSyncEvery+2 {
-		t.Fatalf("Close did not flush the tail: %d records", len(keys))
+	if keys := keysOf(t, ext); len(keys) != 2 {
+		t.Fatalf("Close did not sync the tail: %d records", len(keys))
 	}
 	if err := d.AppendExplored(interleave.Interleaving{1, 0, 2}); err != nil {
 		t.Fatalf("append after Close must reopen: %v", err)
@@ -152,7 +135,7 @@ func TestExploredJournalBuffering(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if keys := keysOf(t, ext); len(keys) != journalSyncEvery+3 || keys[len(keys)-1] != "1,0,2" {
+	if keys := keysOf(t, ext); len(keys) != 3 || keys[len(keys)-1] != "1,0,2" {
 		t.Fatalf("reopened log lost the append: %d records", len(keys))
 	}
 	if err := d.Close(); err != nil {
@@ -167,8 +150,8 @@ func TestExploredJournalBuffering(t *testing.T) {
 	}
 }
 
-// journalBatches collects FsyncObserver batch sizes thread-safely (age
-// flushes arrive on a timer goroutine).
+// journalBatches collects FsyncObserver batch sizes thread-safely (the
+// clock's syncs arrive on a timer goroutine).
 type journalBatches struct {
 	mu      sync.Mutex
 	batches []int
@@ -186,63 +169,121 @@ func (b *journalBatches) snapshot() []int {
 	return append([]int(nil), b.batches...)
 }
 
-// TestJournalGroupCommitCountTrigger pins the count half of the
-// group-commit policy: with the age trigger off, exactly the Nth append
-// flushes, as one batch of N.
-func TestJournalGroupCommitCountTrigger(t *testing.T) {
+// TestJournalClockBelowAgeSyncsNothing: appends alone never sync — however
+// many arrive inside the age bound, the log is synced only when the clock
+// fires (or a Flush forces it), as one batch that moves the watermark.
+func TestJournalClockBelowAgeSyncsNothing(t *testing.T) {
 	d := openDir(t)
 	defer d.Close()
 	var obs journalBatches
 	d.SetFsyncObserver(obs.observe)
-	d.syncEvery, d.syncAge = 4, 0
-	for i := 0; i < 3; i++ {
+	d.syncAge = time.Hour
+	const n = 1000 // several write buffers' worth
+	for i := 0; i < n; i++ {
 		if err := d.Append(&Record{Index: i + 1, Key: fmt.Sprint(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := obs.snapshot(); len(got) != 0 {
-		t.Fatalf("flushed before the count trigger: %v", got)
+		t.Fatalf("synced inside the age bound: %v", got)
 	}
-	if err := d.Append(&Record{Index: 4, Key: "3"}); err != nil {
+	if d.Appended() != n || d.durable != 0 {
+		t.Fatalf("appended %d, durable %d; want %d, 0", d.Appended(), d.durable, n)
+	}
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.snapshot(); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("count trigger batches = %v, want [4]", got)
+	if got := obs.snapshot(); len(got) != 1 || got[0] != n {
+		t.Fatalf("Flush batches = %v, want [%d]", got, n)
+	}
+	if err := d.WaitDurable(n); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestJournalGroupCommitAgeTrigger pins the age half: a single append —
-// far below the count threshold — reaches disk within the age bound, as
-// a batch of 1, without any explicit Flush.
+// TestJournalGroupCommitAgeTrigger pins the clock itself: a single append
+// reaches disk within the age bound, as a batch of 1, without any explicit
+// Flush, and moves the watermark WaitDurable waits on.
 func TestJournalGroupCommitAgeTrigger(t *testing.T) {
 	d := openDir(t)
 	defer d.Close()
-	var obs journalBatches
-	d.SetFsyncObserver(obs.observe)
+	synced := make(chan int, 1)
+	d.SetFsyncObserver(func(appends int, _ time.Duration) { synced <- appends })
 	d.syncAge = 10 * time.Millisecond
 	if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got := obs.snapshot(); len(got) > 0 {
-			if len(got) != 1 || got[0] != 1 {
-				t.Fatalf("age trigger batches = %v, want [1]", got)
-			}
-			break
+	select {
+	case got := <-synced:
+		if got != 1 {
+			t.Fatalf("clock synced a batch of %d, want 1", got)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("age trigger never flushed")
-		}
-		time.Sleep(time.Millisecond)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the clock never synced")
 	}
-	// The flush was durable: an external reader sees the record.
+	if err := d.WaitDurable(1); err != nil {
+		t.Fatal(err)
+	}
+	// The sync was durable: an external reader sees the record.
 	ext, err := Open(d.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if keys := keysOf(t, ext); len(keys) != 1 || keys[0] != "0,1,2" {
-		t.Fatalf("age-triggered flush not on disk: %v", keys)
+		t.Fatalf("clock sync not on disk: %v", keys)
+	}
+}
+
+// TestJournalAppendDuringSync: a sync in flight holds no lock an Append
+// needs. The observer runs at the end of a sync, past its fsync, and here
+// it blocks; meanwhile Append returns and arms the clock for a sync of its
+// own, and the watermark moves once the observer is done.
+func TestJournalAppendDuringSync(t *testing.T) {
+	d := openDir(t)
+	defer d.Close()
+	d.syncAge = time.Hour
+	inSync, release := make(chan int), make(chan struct{})
+	d.SetFsyncObserver(func(appends int, _ time.Duration) {
+		inSync <- appends
+		<-release
+	})
+	if err := d.AppendExplored(interleave.Interleaving{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- d.Flush() }()
+	if got := <-inSync; got != 1 {
+		t.Fatalf("sync covered %d appends, want 1", got)
+	}
+	appended := make(chan error, 1)
+	go func() { appended <- d.AppendExplored(interleave.Interleaving{2, 1, 0}) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Append waited on a sync in flight")
+	}
+	d.mu.Lock()
+	durable, armed := d.durable, d.clock != nil
+	d.mu.Unlock()
+	if durable != 0 || !armed {
+		t.Fatalf("durable %d, clock armed %v during the sync; want 0, true", durable, armed)
+	}
+	close(release)
+	if err := d.WaitDurable(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	go func() { flushed <- d.Flush() }()
+	if got := <-inSync; got != 1 {
+		t.Fatalf("second sync covered %d appends, want 1", got)
+	}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 // records returns n records with distinct keys ("i,i+1") and indices 1..n.
@@ -17,45 +18,53 @@ func records(n int) []Record {
 	return out
 }
 
-// TestJournalCrashAtGroupCommitBoundary simulates a process kill exactly at
-// the group-commit boundary: under the count-or-age policy with the age
-// trigger disabled, appends past the last count flush sit only in the
-// write buffer. A kill drops them; the records flushed by the count
-// trigger must all survive, and a resume that appends the lost ones again
-// must end with every record exactly once.
-func TestJournalCrashAtGroupCommitBoundary(t *testing.T) {
+// killCopy copies d's record log to a fresh directory as a process kill
+// at this instant would leave it — what was handed to the kernel is there,
+// what sat in the write buffer is not — and opens the copy.
+func killCopy(t *testing.T, d *Dir) *Dir {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(d.Path(), recordLogName))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	c := openDir(t)
+	if err := os.WriteFile(filepath.Join(c.Path(), recordLogName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestJournalCrashAroundClockTick kills the process on either side of a
+// tick of the durability clock: before it, the buffered tail is lost
+// exactly; after it, every record appended before the sync survives and
+// only what came later is lost. A resume that appends the lost records
+// again ends with every record exactly once.
+func TestJournalCrashAroundClockTick(t *testing.T) {
 	d := openDir(t)
-	// Count-only policy at the default batch size: the first 64 appends
-	// flush at #64, appends 65..70 stay volatile.
-	d.syncAge = 0
-	all := records(journalSyncEvery + 6)
-	for i := range all {
+	defer d.Close()
+	d.syncAge = time.Hour // the test fires the clock itself
+	all := records(16)
+	for i := range all[:10] {
 		if err := d.Append(&all[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// Crash: the file handle goes away without a flush, losing the
-	// buffered tail — exactly what SIGKILL does to the page of an
-	// unflushed bufio.Writer.
-	d.mu.Lock()
-	_ = d.log.Close()
-	d.log = nil
-	d.buf = nil
-	d.unsynced = 0
-	d.mu.Unlock()
-
-	// Resume in a fresh Dir over the same path.
-	re, err := Open(d.Path())
-	if err != nil {
-		t.Fatal(err)
+	if got, err := killCopy(t, d).Records(); err != nil || len(got) != 0 {
+		t.Fatalf("a kill before the clock fired kept %d records (%v), want none", len(got), err)
 	}
+	d.tick()
+	for i := range all[10:] {
+		if err := d.Append(&all[10+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	re := killCopy(t, d)
 	got, err := re.Records()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, all[:journalSyncEvery]) {
-		t.Fatalf("recovered %d records, want exactly the %d of the synced batch", len(got), journalSyncEvery)
+	if !reflect.DeepEqual(got, all[:10]) {
+		t.Fatalf("a kill after the clock fired kept %d records, want exactly the 10 it synced", len(got))
 	}
 
 	// The resumed session re-records only what was lost.

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/er-pi/erpi/internal/interleave"
+	"github.com/er-pi/erpi/internal/telemetry"
 )
 
 // killAt arranges for the job's directory to be copied into a fresh
@@ -167,5 +170,117 @@ func TestDoneMeansDurable(t *testing.T) {
 	var m jobManifest
 	if err := loadManifest(filepath.Join(root, j.ID()), &m); err != nil || m.State != StateDone || m.Explored != wantExplored {
 		t.Fatalf("manifest at Done(): %+v, %v", m, err)
+	}
+}
+
+// TestExploredNeverAheadOfDisk: a job counts a batch only once the record
+// log's clock has synced it, so all through a dist-sized job (two workers,
+// ranges of 32, a cap of 2 500) every Status().Explored is at most what a
+// fresh read of the job directory finds right after it.
+func TestExploredNeverAheadOfDisk(t *testing.T) {
+	spec := JobSpec{Bug: "Roshi-3", Mode: "erpi", MaxInterleavings: 2500, RangeSize: 32}
+	root := t.TempDir()
+	svc := startService(t, Options{JournalRoot: root, LeaseTTL: 2 * time.Second})
+	j, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for _, name := range []string{"w1", "w2"} {
+		go func() { _ = RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: name, Once: true}) }()
+	}
+	dir := filepath.Join(root, j.ID())
+	deadline := time.Now().Add(60 * time.Second)
+	midRun := 0
+	for {
+		st := j.Status()
+		onDisk := len(jobRecords(t, dir))
+		if st.Explored > onDisk {
+			t.Fatalf("Status().Explored = %d, but the job directory holds %d records", st.Explored, onDisk)
+		}
+		if st.State != StateRunning {
+			if st.State != StateDone || st.Explored != spec.MaxInterleavings || onDisk != st.Explored {
+				t.Fatalf("job ended %s with %d explored, %d records on disk", st.State, st.Explored, onDisk)
+			}
+			break
+		}
+		if st.Explored > 0 {
+			midRun++
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job did not finish: %+v", st)
+		}
+		// Each poll reads the whole log; leave the job the CPU in between.
+		time.Sleep(100 * time.Microsecond)
+	}
+	if midRun == 0 {
+		t.Fatal("vacuous: no poll saw the job part way through")
+	}
+}
+
+// TestJobJournalFsyncTelemetry is the coordinator twin of the runner's
+// TestJournalFsyncTelemetry: the job's ledger installs the record log's
+// sync observer, so a coordinator job reports its syncs, and together
+// they cover every record exactly once.
+func TestJobJournalFsyncTelemetry(t *testing.T) {
+	reg := telemetry.New()
+	svc := startService(t, Options{LeaseTTL: 500 * time.Millisecond, Telemetry: reg})
+	j, err := svc.Submit(testSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	go func() { _ = RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w1", Once: true}) }()
+	st := waitDone(t, j)
+	snap := reg.Snapshot()
+	if got := snap.Counters["journal.fsync_batches"]; got < 1 {
+		t.Fatalf("journal.fsync_batches = %d, want >= 1", got)
+	}
+	if got := snap.Counters["journal.fsync_keys"]; got != int64(st.Explored) {
+		t.Fatalf("journal.fsync_keys = %d, want %d", got, st.Explored)
+	}
+	if hs := snap.Histograms["stage.journal-fsync_ns"]; hs.Count < 1 {
+		t.Fatal("no journal-fsync spans recorded")
+	}
+}
+
+// fakeExplorer yields nothing. fakeGenExplorer adds the generation
+// protocol, its current generation fully carved when end is set.
+type fakeExplorer struct{ end bool }
+
+func (*fakeExplorer) Next() (interleave.Interleaving, bool) { return nil, false }
+func (*fakeExplorer) Explored() int                         { return 0 }
+func (*fakeExplorer) Mode() string                          { return "erpi" }
+
+type fakeGenExplorer struct{ fakeExplorer }
+
+func (g *fakeGenExplorer) GenerationEnd() bool { return g.end }
+func (*fakeGenExplorer) Pending() int          { return 0 }
+func (*fakeGenExplorer) Evolve()               {}
+
+// TestCarveWaitsLocked pins when the aggregator syncs a written batch at
+// once instead of leaving it to the record log's clock: exactly when the
+// job can make no progress until the batch counts. A fuzz job that waits
+// out the clock at every generation boundary runs several times slower.
+func TestCarveWaitsLocked(t *testing.T) {
+	two := []*jobRange{{id: 1}, {id: 2}}
+	plain := &fakeExplorer{}
+	cases := []struct {
+		name string
+		j    *Job
+		next int
+		want bool
+	}{
+		{"parked bound, a range still leased", &Job{parkedN: maxParkedRanges, leasedN: 1, ranges: two, explorer: plain}, 2, true},
+		{"a range leased", &Job{leasedN: 1, noMore: true, ranges: two, explorer: plain}, 3, false},
+		{"a range requeued", &Job{pendingQ: []int{2}, noMore: true, ranges: two, explorer: plain}, 2, false},
+		{"a range left to aggregate", &Job{noMore: true, ranges: two, explorer: plain}, 2, false},
+		{"idle, more to carve", &Job{ranges: two, explorer: plain}, 3, false},
+		{"idle, fully carved", &Job{noMore: true, ranges: two, explorer: plain}, 3, true},
+		{"idle, mid-generation", &Job{ranges: two, explorer: &fakeGenExplorer{}}, 3, false},
+		{"idle, generation carved", &Job{ranges: two, explorer: &fakeGenExplorer{fakeExplorer{end: true}}}, 3, true},
+	}
+	for _, c := range cases {
+		if got := c.j.carveWaitsLocked(c.next); got != c.want {
+			t.Errorf("%s: carveWaitsLocked(%d) = %v, want %v", c.name, c.next, got, c.want)
+		}
 	}
 }

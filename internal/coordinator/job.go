@@ -130,8 +130,9 @@ type genExplorer interface {
 // is guarded by mu, which connection goroutines (lease/heartbeat/commit),
 // the janitor (reap/workerGone) and the job's aggregator contend on — and
 // which is held across no fsync and no Ledger.Record: commit parks a
-// range's results and returns, and the aggregator goroutine, the only one
-// that touches res and records (through the ledger), does the rest.
+// range's results and returns, the aggregator goroutine, the only one that
+// touches res and records (through the ledger), writes them, and the
+// finisher counts them once they are durable.
 type Job struct {
 	id  string
 	tel *svcTel
@@ -167,7 +168,7 @@ type Job struct {
 	wake     chan struct{}
 	quit     chan struct{}
 	quitOnce sync.Once
-	aggDone  chan struct{} // closed when the aggregator has exited; nil without one
+	aggDone  chan struct{} // closed when the aggregator and its finisher have exited; nil without one
 
 	// genMu orders the two users of a generation explorer (ModeFuzz): the
 	// ledger classifies into it during aggregation, carving enumerates from
@@ -177,13 +178,14 @@ type Job struct {
 	// ledger is the in-order result ledger committed ranges feed — the same
 	// one the in-process driver feeds — accounting into res and writing
 	// the job's record log. Both belong to the aggregator while the job
-	// runs; what Status and the manifest need of res is copied into tally
-	// under mu after every batch. An earlier session's records are read
-	// back into res by Ledger.Resume.
+	// runs; what Status and the manifest need of res is copied out with
+	// every written batch, and into tally under mu once the finisher counts
+	// it. An earlier session's records are read back into res by
+	// Ledger.Resume.
 	ledger     *runner.Ledger
 	res        *runner.Result
 	tally      resultTally
-	aggregated int  // interleavings aggregated this session
+	aggregated int  // interleavings aggregated and durable this session
 	stopped    bool // the ledger said stop (StopOnViolation)
 	violations []checkpoint.Violation
 	fenced     int
@@ -585,37 +587,84 @@ func (j *Job) parkLocked(r *jobRange, results []wireResult) {
 // aggregate is the job's one aggregator: it feeds committed ranges, in
 // carve order, through the job's ledger — the reorder buffer that makes
 // stateful assertions see the exact sequential outcome sequence — a batch
-// of however many contiguous ranges are ready at a time, and makes each
-// batch durable before it counts. It exits when the job is terminal, the
-// ledger stopped, or the service shuts down with nothing left to take.
+// of however many contiguous ranges are ready at a time. It does not wait
+// on the disk for each batch: a written batch goes to the finisher, which
+// counts it once the record log's clock has synced it. A batch the job
+// waits on — one that completes it, stops the ledger, or holds carving —
+// the aggregator syncs at once instead (carveWaitsLocked). It exits when
+// the job is terminal, the ledger stopped, or the service shuts down with
+// nothing left to take; aggDone closes once the finisher has counted
+// every batch it was handed.
 func (j *Job) aggregate() {
-	defer close(j.aggDone)
-	for {
-		batch, crashPoint := j.nextBatch()
+	written := make(chan writtenBatch, maxParkedRanges)
+	go j.finish(written)
+	defer func() {
+		// The finisher need not wait out the clock for what is left; a
+		// failed sync sticks to the record log, and its wait reports it.
+		_ = j.journal.Flush()
+		close(written)
+	}()
+	for next := 1; ; {
+		batch, crashPoint := j.nextBatch(next)
 		if batch == nil {
 			return
 		}
-		n, violations, err := j.writeBatch(batch, crashPoint)
-		j.finishBatch(batch[:n], violations, err)
+		next += len(batch)
+		w := j.writeBatch(batch, crashPoint)
+		written <- w
+		if w.err != nil || w.stopped {
+			return
+		}
+		j.mu.Lock()
+		now := j.carveWaitsLocked(next)
+		j.mu.Unlock()
+		if now {
+			_ = j.journal.Flush()
+		}
 	}
 }
 
-// nextBatch waits for committed ranges at the aggregation cursor and takes
-// all of them that are contiguous — also after shutdown, which only ends
-// the waiting. nil means there will be no more.
-func (j *Job) nextBatch() ([]*jobRange, func(aggBoundary)) {
+// carveWaitsLocked reports whether the job can make no progress until
+// the ranges aggregated before next count, so the aggregator syncs them at
+// once instead of on the clock's next tick: carving is held by the parked
+// bound, or nothing is leased, requeued or left to aggregate and nothing
+// can be carved before they count — the job is fully carved, or a fuzz
+// generation is and evolves only once its ranges count.
+func (j *Job) carveWaitsLocked(next int) bool {
+	if j.parkedN >= maxParkedRanges {
+		return true
+	}
+	if len(j.pendingQ) > 0 || j.leasedN > 0 || next <= len(j.ranges) {
+		return false
+	}
+	if j.noMore {
+		return true
+	}
+	ge, isGen := j.explorer.(genExplorer)
+	if !isGen {
+		return false
+	}
+	j.genMu.Lock()
+	defer j.genMu.Unlock()
+	return ge.GenerationEnd()
+}
+
+// nextBatch waits for committed ranges at next, the aggregation cursor,
+// and takes all of them that are contiguous — also after shutdown, which
+// only ends the waiting. nil means there will be no more.
+func (j *Job) nextBatch(next int) ([]*jobRange, func(aggBoundary)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
 		if j.state != StateRunning || j.stopped {
 			return nil, nil
 		}
-		end := j.nextAgg
+		end := next
 		for end <= len(j.ranges) && j.ranges[end-1].status == rangeCommitted {
 			end++
 		}
-		if end > j.nextAgg {
-			return j.ranges[j.nextAgg-1 : end-1 : end-1], j.crashPoint
+		if end > next {
+			return j.ranges[next-1 : end-1 : end-1], j.crashPoint
 		}
 		wake := j.wake
 		j.mu.Unlock()
@@ -629,14 +678,26 @@ func (j *Job) nextBatch() ([]*jobRange, func(aggBoundary)) {
 	}
 }
 
+// writtenBatch is a batch whose records the aggregator has appended to
+// the record log, with what counting it will change: the finisher counts
+// it once the log's durable watermark reaches mark.
+type writtenBatch struct {
+	ranges     []*jobRange
+	violations []checkpoint.Violation
+	tally      resultTally
+	stopped    bool // the ledger stopped inside the batch
+	mark       int  // the record log's append count after the batch
+	err        error
+}
+
 // writeBatch records a batch with the ledger — which appends each
-// result's record to the job's record log — and makes it durable with one
-// sync, holding mu nowhere. What stays here is what is distributed: the
-// keyed digest and the wire form of violations. It returns how many of
-// the batch's ranges it aggregated — fewer than all when the ledger
-// stopped inside it, the rest being dropped exactly as ranges committed
-// later are — and the violations they added.
-func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, []checkpoint.Violation, error) {
+// result's record to the job's record log — holding mu nowhere and
+// syncing nothing: the log's clock does that. What stays here is what is
+// distributed: the keyed digest and the wire form of violations. The
+// written batch holds the ranges it aggregated — fewer than all when the
+// ledger stopped inside it, the rest being dropped exactly as ranges
+// committed later are — and the violations they added.
+func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) writtenBatch {
 	at := func(b aggBoundary) {
 		if crashPoint != nil {
 			crashPoint(b)
@@ -673,7 +734,7 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, 
 				if isGen {
 					j.genMu.Unlock()
 				}
-				return 0, nil, err
+				return writtenBatch{err: err}
 			}
 			if outcome != nil {
 				j.digest.Add(rec.Key, rec.Sig)
@@ -690,32 +751,53 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) (int, 
 	}
 	at(afterRecords)
 	j.tel.batches.Inc()
-	return len(batch), violations, j.journal.Flush()
+	return writtenBatch{
+		ranges:     batch,
+		violations: violations,
+		tally:      tallyOf(j.res),
+		stopped:    j.ledger.Stopped(),
+		mark:       j.journal.Appended(),
+	}
+}
+
+// finish is the job's finisher: it counts the aggregator's written
+// batches in order, each once the record log's watermark covers its last
+// record, so Explored, the tally and completion only ever move past
+// records on disk. It closes aggDone when written is closed and drained.
+func (j *Job) finish(written <-chan writtenBatch) {
+	defer close(j.aggDone)
+	for w := range written {
+		if w.err == nil {
+			w.err = j.journal.WaitDurable(w.mark)
+		}
+		j.finishBatch(w)
+	}
 }
 
 // finishBatch accounts a durable batch — or fails the job with the write
-// error — and completes the job if that was the last of it.
-func (j *Job) finishBatch(batch []*jobRange, violations []checkpoint.Violation, err error) {
+// or sync error — and completes the job if that was the last of it. Only
+// the finisher calls it, so a batch counts only once it is durable.
+func (j *Job) finishBatch(w writtenBatch) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	defer j.wakeLocked()
 	if j.state != StateRunning {
 		return // cancelled meanwhile: what reached the disk stays resumable
 	}
-	if err != nil {
-		j.failLocked(err)
+	if w.err != nil {
+		j.failLocked(w.err)
 		return
 	}
-	for _, r := range batch {
+	for _, r := range w.ranges {
 		j.aggregated += len(r.ils)
 		// Free the aggregated payloads; the ledger entry stays for fencing.
 		r.ils, r.results = nil, nil
 		j.nextAgg++
 		j.parkedN--
 	}
-	j.tally = tallyOf(j.res)
-	j.violations = append(j.violations, violations...)
-	if j.ledger.Stopped() {
+	j.tally = w.tally
+	j.violations = append(j.violations, w.violations...)
+	if w.stopped {
 		j.stopped = true
 		j.noMore = true
 		j.pendingQ = nil
@@ -823,8 +905,9 @@ func (j *Job) checkDoneLocked() bool {
 }
 
 // completeLocked turns the job done. Every aggregated batch is durable
-// by now — nextAgg and stopped only move in finishBatch — so there is
-// nothing to flush.
+// by now — nextAgg and stopped only move in finishBatch, which runs once
+// the record log's watermark covers the batch — so there is nothing to
+// flush.
 func (j *Job) completeLocked() {
 	j.digestSum = j.digest.Sum()
 	j.endLocked(StateDone)

@@ -48,7 +48,7 @@ type svcTel struct {
 	workersLive *telemetry.Gauge
 	jobsRunning *telemetry.Gauge
 	requests    *telemetry.Counter // worker frames, i.e. round trips
-	batches     *telemetry.Counter // group commits: syncs of a job's record log
+	batches     *telemetry.Counter // aggregator batches written to a job's record log
 	leased      *telemetry.Counter
 	committed   *telemetry.Counter
 	requeued    *telemetry.Counter

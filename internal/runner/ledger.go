@@ -54,6 +54,11 @@ func NewLedger(s Scenario, cfg Config, explorer interleave.Explorer, res *Result
 
 func newLedger(s Scenario, cfg Config, explorer interleave.Explorer, res *Result, tel *runTelemetry) *Ledger {
 	ge, _ := explorer.(generationExplorer)
+	if cfg.Journal != nil {
+		// The journal's syncs count where the ledger's records do, for
+		// every driver; without telemetry this removes an earlier run's.
+		cfg.Journal.SetFsyncObserver(tel.fsyncObserver())
+	}
 	return &Ledger{s: s, cfg: cfg, res: res, tel: tel, ge: ge}
 }
 

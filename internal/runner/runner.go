@@ -477,6 +477,9 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 	ledger := newLedger(s, cfg, explorer, res, tel)
 	repoll := false
 	if cfg.Journal != nil {
+		// The ledger installed this run's sync observer; the caller's later
+		// syncs of the same Dir are not this run's.
+		defer cfg.Journal.SetFsyncObserver(nil)
 		if err := cfg.Journal.SaveLog(s.Log); err != nil {
 			return nil, err
 		}
@@ -491,10 +494,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 			// with an outcome (pool.pollSkip), and what it merged is not in
 			// the records: this one polls before carving.
 			repoll = repoll || r.Index%cfg.PollEvery == 0 && r.Error == "" && !r.Subsumed
-		}
-		if obs := tel.fsyncObserver(); obs != nil {
-			cfg.Journal.SetFsyncObserver(obs)
-			defer cfg.Journal.SetFsyncObserver(nil)
 		}
 	}
 	// The cap is session-wide: what the record log already holds counts

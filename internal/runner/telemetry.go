@@ -45,8 +45,8 @@ import (
 //	live.sessions              live gate sessions currently open (gauge)
 //	live.events                events applied by the gated schedule
 //	live.handoffs              turns taken to apply them (one per run of a replica's consecutive events)
-//	journal.fsync_batches      durable journal flushes
-//	journal.fsync_keys         appends covered by those flushes
+//	journal.fsync_batches      record-log syncs (the durability clock's, Flush's, Close's)
+//	journal.fsync_keys         appends covered by those syncs
 //	fault.armed                faults armed across interleavings
 //	fault.fired                fault effects applied (crashes, truncations)
 //	stage.<stage>_ns           per-stage latency histograms (see telemetry.Stage)
@@ -199,7 +199,7 @@ func (t *runTelemetry) countOp(ops map[string]*telemetry.Counter, name string) {
 	c.Inc()
 }
 
-// fsyncObserver adapts the checkpoint journal's flush callback into a
+// fsyncObserver adapts the checkpoint journal's sync callback into a
 // journal-fsync span plus batch counters.
 func (t *runTelemetry) fsyncObserver() checkpoint.FsyncObserver {
 	if t.reg == nil {
