@@ -94,6 +94,8 @@ type Executor struct {
 	// subSnap is the reusable cluster snapshot of a check the prefix
 	// cache does not keep: hashed, then overwritten by the next check.
 	subSnap replica.ClusterSnapshot
+	// ctxScratch is contextHash's working memory.
+	ctxScratch ctxScratch
 	// rolling is the running digest of the executed prefix, updated O(1)
 	// per event from eventStep.contrib in place of the per-depth
 	// sort-and-rehash. rolling always equals multisetHash(il[:pos]) at the
@@ -673,7 +675,7 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 	if !wantSub {
 		return false, nil
 	}
-	return x.visit(contextHash(states, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
+	return x.visit(contextHash(&x.ctxScratch, states, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
 }
 
 // subsume is the subsumption check at a depth the prefix cache does not
@@ -686,7 +688,7 @@ func (x *Executor) subsume(il interleave.Interleaving, depth int) (skip bool, er
 	}
 	x.tel.dirtyReplicas.Add(int64(x.subSnap.Dirty))
 	x.tel.bytesReused.Add(x.subSnap.Reused)
-	return x.visit(contextHash(&x.subSnap, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
+	return x.visit(contextHash(&x.ctxScratch, &x.subSnap, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
 }
 
 // visit checks and records the frontier (ctxHash, x.rolling) reached by

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -233,12 +232,13 @@ func TestHashPathAllocBudget(t *testing.T) {
 	pending := map[event.ID][]byte{1: []byte("payload")}
 	obs := map[event.ID]string{2: "ok"}
 	failed := []event.ID{3}
-	// Warm the caches and the scratch pool.
+	// Warm the caches and the scratch.
 	if _, err := cluster.CanonicalSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ := cluster.CanonicalSnapshot()
-	_ = contextHash(snap, pending, obs, failed)
+	var sc ctxScratch
+	_ = contextHash(&sc, snap, pending, obs, failed)
 
 	const budget = 12 // committed baseline: clean-cluster snapshot + hash + context digest
 	allocs := testing.AllocsPerRun(200, func() {
@@ -250,7 +250,7 @@ func TestHashPathAllocBudget(t *testing.T) {
 			t.Fatalf("clean cluster re-serialized %d replicas", snap.Dirty)
 		}
 		_ = snap.Hash()
-		_ = contextHash(snap, pending, obs, failed)
+		_ = contextHash(&sc, snap, pending, obs, failed)
 	})
 	if allocs > budget {
 		t.Fatalf("hash hot path allocates %.0f objects/op, budget %d — the incremental path regressed", allocs, budget)
@@ -258,7 +258,7 @@ func TestHashPathAllocBudget(t *testing.T) {
 
 	// The executor's check path snapshots into one reused ClusterSnapshot:
 	// on a clean cluster that allocates nothing at all (contextHash's
-	// pooled scratch is what the budget above already covers).
+	// scratch is what the budget above already covers).
 	var reused replica.ClusterSnapshot
 	lean := testing.AllocsPerRun(200, func() {
 		if err := cluster.SnapshotInto(&reused); err != nil {
@@ -267,52 +267,5 @@ func TestHashPathAllocBudget(t *testing.T) {
 	})
 	if lean != 0 {
 		t.Fatalf("snapshot into a reused ClusterSnapshot allocates %.0f objects/op, want 0", lean)
-	}
-}
-
-// TestSubsumeTableStripedStress hammers the striped table from many
-// goroutines — concurrent visits across colliding frontiers, budget
-// pressure forcing cross-stripe eviction, and periodic invalidation —
-// and checks the global byte accounting lands exactly consistent with
-// the surviving entries. CI runs it under -race.
-func TestSubsumeTableStripedStress(t *testing.T) {
-	const (
-		workers = 8
-		visits  = 2000
-	)
-	budget := int64(200 * subsumeEntryBytes)
-	tbl := newSubsumeTable(budget)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w)))
-			prefixes := []interleave.Interleaving{{0, 1, 2, 3}, {0, 2, 1, 3}, {3, 2, 1, 0}}
-			for i := 0; i < visits; i++ {
-				ctx := hashOf(byte(r.Intn(64)))
-				ctx[1] = byte(r.Intn(8))
-				// Random indices and prefixes: skips, adoptions and equal-
-				// prefix arrivals all race on the same entries.
-				tbl.visit(ctx, msetOf(byte(r.Intn(8))), prefixes[r.Intn(len(prefixes))], 1+r.Intn(100))
-				if i%500 == 250 && w == 0 {
-					tbl.invalidate()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	if got := tbl.bytesHeld(); got > budget || got < 0 {
-		t.Fatalf("bytes held %d outside [0, %d]", got, budget)
-	}
-	want := int64(tbl.len()) * subsumeEntryBytes
-	if got := tbl.bytesHeld(); got != want {
-		t.Fatalf("byte accounting drifted: held %d, %d entries imply %d", got, tbl.len(), want)
-	}
-	freed := tbl.invalidate()
-	if freed != want || tbl.bytesHeld() != 0 || tbl.len() != 0 {
-		t.Fatalf("final invalidate freed %d (want %d), left %d bytes / %d entries",
-			freed, want, tbl.bytesHeld(), tbl.len())
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/interleave"
@@ -22,12 +21,6 @@ import (
 // executed interleaving produces (DESIGN.md §4.12). Engines count it in
 // Result.Subsumed instead of quarantining; it is never retried.
 var ErrSubsumed = errors.New("runner: interleaving subsumed by visited state")
-
-// subsumeStripes is the lock-stripe count of the shared frontier table.
-// The table is hit by every pool worker at every snapshot depth; striping
-// by a context-hash byte keeps Workers ≥ 8 off a single global mutex.
-// Power of two so the stripe index is a mask.
-const subsumeStripes = 32
 
 // subsumeTable is the bounded visited-frontier table behind DPOR-style
 // state subsumption (DESIGN.md §4.12). A key is the pair
@@ -46,28 +39,15 @@ const subsumeStripes = 32
 // argument, including out-of-order pool recording).
 //
 // Unlike the prefix cache, one table is shared by every worker of a run —
-// a frontier visited by any worker prunes all of them — so all methods
-// are safe for concurrent use. Entries are sharded into stripes keyed by
-// the context hash's first byte; byte accounting is a global atomic, and
-// eviction is FIFO over one insertion-ordered queue threaded through the
-// entries (the order a single-map table evicted in). Lock order is stripe
-// → queue; eviction takes them one after the other, never nested.
+// a frontier visited by any worker prunes all of them — so one mutex
+// guards it. The map holds at most max entries; eviction is FIFO over a
+// queue threaded through the entries in insertion order, and a full table
+// reuses the entry it evicts for the one it inserts.
 type subsumeTable struct {
-	budget int64 // max accounted bytes (> 0)
-	bytes  atomic.Int64
-
-	stripes [subsumeStripes]subsumeStripe
-
-	// qmu guards the eviction queue: every entry from insertion until it is
-	// popped, oldest at head. An entry is linked while its stripe is still
-	// locked, so whatever a stripe maps is queued (or was just popped).
-	qmu        sync.Mutex
-	head, tail *subsumeEntry
-}
-
-type subsumeStripe struct {
-	mu      sync.Mutex
-	entries map[subsumeKey]*subsumeEntry
+	mu         sync.Mutex
+	max        int // entries the byte budget holds
+	entries    map[subsumeKey]*subsumeEntry
+	head, tail *subsumeEntry // eviction queue, oldest at head
 }
 
 // subsumeKey identifies one exploration frontier.
@@ -90,15 +70,7 @@ type subsumeEntry struct {
 const subsumeEntryBytes = 2*sha256.Size + 48
 
 func newSubsumeTable(budget int64) *subsumeTable {
-	t := &subsumeTable{budget: budget}
-	for i := range t.stripes {
-		t.stripes[i].entries = make(map[subsumeKey]*subsumeEntry)
-	}
-	return t
-}
-
-func (t *subsumeTable) stripeFor(key subsumeKey) *subsumeStripe {
-	return &t.stripes[key.ctx[0]&(subsumeStripes-1)]
+	return &subsumeTable{max: int(budget / subsumeEntryBytes), entries: make(map[subsumeKey]*subsumeEntry)}
 }
 
 // visit is the one-shot check-and-record at a context point of the
@@ -111,122 +83,59 @@ func (t *subsumeTable) stripeFor(key subsumeKey) *subsumeStripe {
 // later interleaving re-walking a shared prefix), whose completion from
 // here is the current interleaving itself. A prefix-hash collision can
 // therefore only cost a skip, never cause one. delta is the net change in
-// accounted bytes, for the subsumption_table_bytes gauge. A full table
-// evicts on every insert, which is why eviction is a queue pop and not a
-// scan.
+// accounted bytes, for the subsumption_table_bytes gauge: an entry while
+// the table grows, nothing once it is full and every insert evicts the
+// oldest entry (dropping entries is always sound: fewer skips).
 func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix interleave.Interleaving, index int) (skip bool, delta int64) {
 	key := subsumeKey{ctx: ctx, rem: rem}
 	ph := prefixHash(prefix)
-	s := t.stripeFor(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		defer s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if e, ok := t.entries[key]; ok {
 		switch {
-		case e.prefix == ph:
-			return false, 0
+		case e.prefix == ph: // the same literal prefix: never a skip
 		case e.index < index:
 			return true, 0
 		case e.index > index:
 			// The current interleaving is the smaller reacher: adopt it so
-			// future arrivals compare against the minimum. Fixed-size
-			// entry — no byte delta, same place in the queue.
+			// future arrivals compare against the minimum. Same place in
+			// the queue.
 			e.index, e.prefix = index, ph
 		}
 		return false, 0
 	}
-	const size = subsumeEntryBytes
-	if size > t.budget {
-		s.mu.Unlock()
+	if t.max == 0 {
 		return false, 0
 	}
-	e := &subsumeEntry{key: key, index: index, prefix: ph}
-	s.entries[key] = e
-	t.qmu.Lock()
-	if t.tail == nil {
+	var e *subsumeEntry
+	if len(t.entries) < t.max {
+		e = new(subsumeEntry)
+		delta = subsumeEntryBytes
+	} else {
+		e = t.head
+		t.head = e.next
+		delete(t.entries, e.key)
+	}
+	*e = subsumeEntry{key: key, index: index, prefix: ph}
+	t.entries[key] = e
+	if t.head == nil {
 		t.head = e
 	} else {
 		t.tail.next = e
 	}
 	t.tail = e
-	t.qmu.Unlock()
-	s.mu.Unlock()
-	t.bytes.Add(size)
-	delta = size
-	for t.bytes.Load() > t.budget {
-		freed, ok := t.evictOldest()
-		if !ok {
-			break
-		}
-		delta -= freed
-	}
 	return false, delta
 }
 
-// evictOldest pops the head of the eviction queue, drops that entry from
-// its stripe and returns the bytes freed; ok is false once the queue is
-// empty. Dropping entries is always sound (fewer skips). A popped entry
-// its stripe no longer maps — invalidate swept it between the two locks —
-// frees nothing.
-func (t *subsumeTable) evictOldest() (freed int64, ok bool) {
-	t.qmu.Lock()
-	e := t.head
-	if e == nil {
-		t.qmu.Unlock()
-		return 0, false
-	}
-	if t.head = e.next; t.head == nil {
-		t.tail = nil
-	}
-	t.qmu.Unlock()
-
-	s := t.stripeFor(e.key)
-	s.mu.Lock()
-	if s.entries[e.key] == e {
-		delete(s.entries, e.key)
-		freed = subsumeEntryBytes
-	}
-	s.mu.Unlock()
-	t.bytes.Add(-freed)
-	return freed, true
-}
-
 // invalidate discards every entry (the re-pruning boundary, mirroring the
-// prefix cache) and returns the bytes freed. Called at quiesce barriers
-// only, so the stripe-at-a-time sweep is not racing inserts that matter.
-// The queue goes first: an insert that slips in before its stripe is
-// swept leaves a queue node without a map entry, which evictOldest skips —
-// the other order could leave a map entry no eviction would ever reach.
+// prefix cache) and returns the bytes freed.
 func (t *subsumeTable) invalidate() int64 {
-	t.qmu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	freed := int64(len(t.entries)) * subsumeEntryBytes
+	clear(t.entries)
 	t.head, t.tail = nil, nil
-	t.qmu.Unlock()
-	var freed int64
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		freed += int64(len(s.entries)) * subsumeEntryBytes
-		s.entries = make(map[subsumeKey]*subsumeEntry)
-		s.mu.Unlock()
-	}
-	t.bytes.Add(-freed)
 	return freed
-}
-
-// bytesHeld reports the accounted table size.
-func (t *subsumeTable) bytesHeld() int64 {
-	return t.bytes.Load()
-}
-
-// len reports the entry count (tests only).
-func (t *subsumeTable) len() int {
-	n := 0
-	for i := range t.stripes {
-		s := &t.stripes[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // prefixHash is 64-bit FNV-1a over the prefix's event IDs, each
@@ -234,14 +143,10 @@ func (t *subsumeTable) len() int {
 // byte strings). It tells a frontier's recorder apart from a re-walk of
 // the same literal prefix without storing the prefix.
 func prefixHash(prefix interleave.Interleaving) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
+	h := uint64(fnvOffset64)
+	var tmp [binary.MaxVarintLen64]byte
 	for _, id := range prefix {
-		v := uint64(id)
-		for ; v >= 0x80; v >>= 7 {
-			h = (h ^ (v&0x7f | 0x80)) * prime
-		}
-		h = (h ^ v) * prime
+		h = fnv1a(h, binary.AppendUvarint(tmp[:0], uint64(id)))
 	}
 	return h
 }
@@ -290,15 +195,13 @@ func multisetHash(prefix interleave.Interleaving) msetDigest {
 	return m
 }
 
-// ctxScratch is the reusable working memory of one contextHash call: the
-// digest preimage buffer and the event-ID sort area. Pooled so the hot
-// path's per-depth hashing allocates nothing in steady state.
+// ctxScratch is the reusable working memory of contextHash: the digest
+// preimage buffer and the event-ID sort area. Each executor owns one, so
+// the hot path's per-depth hashing allocates nothing in steady state.
 type ctxScratch struct {
 	buf []byte
 	ids []event.ID
 }
-
-var ctxScratchPool = sync.Pool{New: func() any { return new(ctxScratch) }}
 
 // contextHash digests the full execution context after a prefix: the
 // canonical cluster snapshot plus everything else the remaining suffix
@@ -309,8 +212,7 @@ var ctxScratchPool = sync.Pool{New: func() any { return new(ctxScratch) }}
 // from the per-replica caches) rather than its full serialization; each
 // section is length-prefixed and sorted so the digest is injective over
 // contexts.
-func contextHash(states *replica.ClusterSnapshot, pending map[event.ID][]byte, obs map[event.ID]string, failed []event.ID) [sha256.Size]byte {
-	sc := ctxScratchPool.Get().(*ctxScratch)
+func contextHash(sc *ctxScratch, states *replica.ClusterSnapshot, pending map[event.ID][]byte, obs map[event.ID]string, failed []event.ID) [sha256.Size]byte {
 	b := sc.buf[:0]
 	var tmp [binary.MaxVarintLen64]byte
 	appendUvarint := func(v uint64) {
@@ -356,6 +258,5 @@ func contextHash(states *replica.ClusterSnapshot, pending map[event.ID][]byte, o
 
 	out := sha256.Sum256(b)
 	sc.buf, sc.ids = b, ids
-	ctxScratchPool.Put(sc)
 	return out
 }

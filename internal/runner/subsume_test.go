@@ -4,9 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,12 +105,12 @@ func TestSubsumeTableLexRule(t *testing.T) {
 	if skip, _ := tbl.visit(ctx, msetOf(3), interleave.Interleaving{3, 0}, 7); skip {
 		t.Fatal("distinct frontier must not be subsumed")
 	}
-	if tbl.len() != 2 {
-		t.Fatalf("table has %d entries, want 2", tbl.len())
+	if len(tbl.entries) != 2 {
+		t.Fatalf("table has %d entries, want 2", len(tbl.entries))
 	}
 
-	if freed := tbl.invalidate(); freed != 2*subsumeEntryBytes || tbl.len() != 0 || tbl.bytesHeld() != 0 {
-		t.Fatalf("invalidate freed=%d len=%d bytes=%d, want full flush", freed, tbl.len(), tbl.bytesHeld())
+	if freed := tbl.invalidate(); freed != 2*subsumeEntryBytes || len(tbl.entries) != 0 || tbl.head != nil {
+		t.Fatalf("invalidate freed=%d len=%d, want full flush", freed, len(tbl.entries))
 	}
 	// After a flush the old frontier records (and executes) again.
 	if skip, _ := tbl.visit(ctx, rem, interleave.Interleaving{3, 0}, 7); skip {
@@ -118,8 +120,9 @@ func TestSubsumeTableLexRule(t *testing.T) {
 
 // TestSubsumeTableEviction pins the byte budget: entries are fixed-size
 // whatever their prefix length, FIFO eviction keeps the table under
-// budget, and an entry larger than the whole budget is rejected rather
-// than wedging the table.
+// budget, a full table recycles the entry it evicts instead of
+// allocating, and an entry larger than the whole budget is rejected
+// rather than wedging the table.
 func TestSubsumeTableEviction(t *testing.T) {
 	long := make(interleave.Interleaving, 40)
 	for i := range long {
@@ -131,14 +134,16 @@ func TestSubsumeTableEviction(t *testing.T) {
 
 	budget := int64(3 * subsumeEntryBytes)
 	tbl := newSubsumeTable(budget)
+	var held int64
 	for i := byte(0); i < 5; i++ {
-		tbl.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2}, int(i)+1)
+		_, delta := tbl.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2}, int(i)+1)
+		held += delta
 	}
-	if tbl.len() != 3 {
-		t.Fatalf("table holds %d entries over a 3-entry budget", tbl.len())
+	if len(tbl.entries) != 3 {
+		t.Fatalf("table holds %d entries over a 3-entry budget", len(tbl.entries))
 	}
-	if tbl.bytesHeld() > budget {
-		t.Fatalf("bytes %d exceed budget %d", tbl.bytesHeld(), budget)
+	if held != budget {
+		t.Fatalf("deltas sum to %d bytes, want the full budget %d", held, budget)
 	}
 	// The oldest entries were evicted: frontier 0 records afresh (no skip
 	// even for a greater index via another prefix).
@@ -146,47 +151,111 @@ func TestSubsumeTableEviction(t *testing.T) {
 		t.Fatal("evicted frontier must not subsume")
 	}
 
-	// Eviction order is insertion order whatever stripe an entry lives in:
-	// frontiers 40, 9, 33, 2, 41 land in stripes 8, 9, 1, 2, 9, and a
-	// 3-entry table must always hold exactly the three youngest.
+	// Once full, an insert reuses the entry it evicts: visits of fresh
+	// frontiers allocate nothing.
+	fresh := byte(100)
+	prefix := interleave.Interleaving{1, 2}
+	if allocs := testing.AllocsPerRun(100, func() {
+		fresh++
+		if _, delta := tbl.visit(hashOf(fresh), msetOf(fresh), prefix, int(fresh)); delta != 0 {
+			t.Fatalf("an insert into a full table accounts %d bytes, want 0", delta)
+		}
+	}); allocs != 0 {
+		t.Fatalf("an insert into a full table allocates %.0f objects, want 0", allocs)
+	}
+
+	// Eviction order is insertion order: a 3-entry table must always hold
+	// exactly the three youngest frontiers.
 	order := []byte{40, 9, 33, 2, 41}
 	fifo := newSubsumeTable(budget)
-	held := func(i byte) bool {
-		key := subsumeKey{ctx: hashOf(i), rem: msetOf(i)}
-		st := fifo.stripeFor(key)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		_, ok := st.entries[key]
+	holds := func(i byte) bool {
+		_, ok := fifo.entries[subsumeKey{ctx: hashOf(i), rem: msetOf(i)}]
 		return ok
 	}
 	for n, i := range order {
 		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2}, n+1)
 		for m, j := range order[:n+1] {
-			if want := m > n-3; held(j) != want {
-				t.Fatalf("after inserting %v: frontier %d held=%v, want %v (FIFO across stripes)", order[:n+1], j, !want, want)
+			if want := m > n-3; holds(j) != want {
+				t.Fatalf("after inserting %v: frontier %d held=%v, want %v (FIFO)", order[:n+1], j, !want, want)
 			}
 		}
 	}
 
-	// invalidate empties the queue with the stripes: nothing is left to
-	// evict, and the next inserts start a fresh FIFO.
+	// invalidate empties the queue with the map, and the next inserts
+	// start a fresh FIFO.
 	fifo.invalidate()
 	if fifo.head != nil || fifo.tail != nil {
 		t.Fatal("eviction queue not empty after invalidate")
 	}
-	if freed, ok := fifo.evictOldest(); ok || freed != 0 {
-		t.Fatalf("evictOldest on an empty table = (%d, %v), want (0, false)", freed, ok)
-	}
 	for i := byte(0); i < 4; i++ {
 		fifo.visit(hashOf(i), msetOf(i), interleave.Interleaving{1, 2}, int(i)+1)
 	}
-	if fifo.len() != 3 || held(0) || !held(1) || !held(3) {
-		t.Fatalf("after invalidate: %d entries (0 held=%v), want the 3 youngest of 4", fifo.len(), held(0))
+	if len(fifo.entries) != 3 || holds(0) || !holds(1) || !holds(3) {
+		t.Fatalf("after invalidate: %d entries (0 held=%v), want the 3 youngest of 4", len(fifo.entries), holds(0))
 	}
 
-	huge := newSubsumeTable(8)
-	if skip, delta := huge.visit(hashOf(9), msetOf(9), interleave.Interleaving{1}, 1); skip || delta != 0 || huge.len() != 0 {
-		t.Fatalf("over-budget entry: skip=%v delta=%d len=%d, want rejection", skip, delta, huge.len())
+	huge := newSubsumeTable(subsumeEntryBytes - 1)
+	if skip, delta := huge.visit(hashOf(9), msetOf(9), interleave.Interleaving{1}, 1); skip || delta != 0 || len(huge.entries) != 0 {
+		t.Fatalf("over-budget entry: skip=%v delta=%d len=%d, want rejection", skip, delta, len(huge.entries))
+	}
+}
+
+// TestSubsumeTableStress hammers the table from many goroutines —
+// concurrent visits across colliding frontiers, budget pressure forcing
+// eviction, and periodic invalidation — and checks that the bytes the
+// visits and invalidations report land exactly on the surviving entries,
+// and that the eviction queue threads every mapped entry once. CI runs it
+// under -race.
+func TestSubsumeTableStress(t *testing.T) {
+	const (
+		workers = 8
+		visits  = 2000
+	)
+	budget := int64(200 * subsumeEntryBytes)
+	tbl := newSubsumeTable(budget)
+	var held atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(w)))
+			prefixes := []interleave.Interleaving{{0, 1, 2, 3}, {0, 2, 1, 3}, {3, 2, 1, 0}}
+			for i := 0; i < visits; i++ {
+				ctx := hashOf(byte(r.Intn(64)))
+				ctx[1] = byte(r.Intn(8))
+				// Random indices and prefixes: skips, adoptions and equal-
+				// prefix arrivals all race on the same entries.
+				_, delta := tbl.visit(ctx, msetOf(byte(r.Intn(8))), prefixes[r.Intn(len(prefixes))], 1+r.Intn(100))
+				held.Add(delta)
+				if i%500 == 250 && w == 0 {
+					held.Add(-tbl.invalidate())
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if got := held.Load(); got > budget || got < 0 {
+		t.Fatalf("bytes held %d outside [0, %d]", got, budget)
+	}
+	want := int64(len(tbl.entries)) * subsumeEntryBytes
+	if got := held.Load(); got != want {
+		t.Fatalf("byte accounting drifted: held %d, %d entries imply %d", got, len(tbl.entries), want)
+	}
+	queued := 0
+	for e := tbl.head; e != nil; e = e.next {
+		if tbl.entries[e.key] != e {
+			t.Fatalf("queued entry %x is not the one its key maps", e.key.ctx[:2])
+		}
+		queued++
+	}
+	if queued != len(tbl.entries) {
+		t.Fatalf("queue threads %d entries, map holds %d", queued, len(tbl.entries))
+	}
+	freed := tbl.invalidate()
+	if freed != want || len(tbl.entries) != 0 {
+		t.Fatalf("final invalidate freed %d (want %d), left %d entries", freed, want, len(tbl.entries))
 	}
 }
 
