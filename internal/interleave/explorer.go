@@ -160,10 +160,9 @@ func (d *DFSExplorer) NextPivot() int {
 	if i < 0 {
 		return -1 // current permutation is the last one
 	}
-	units := d.space.Units()
 	depth := 0
 	for _, ui := range d.perm[:i] {
-		depth += len(units[ui].Events)
+		depth += len(d.space.units[ui].Events)
 	}
 	return depth
 }

@@ -128,6 +128,10 @@ func (s *Space) Units() []Unit {
 	return out
 }
 
+// Unit returns unit i without copying the partition. Its Events slice
+// is shared — do not mutate it.
+func (s *Space) Unit(i int) Unit { return s.units[i] }
+
 // NumUnits returns the number of schedulable units.
 func (s *Space) NumUnits() int { return len(s.units) }
 

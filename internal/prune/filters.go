@@ -13,7 +13,7 @@ import (
 // replica-specific pruning — a transmission *toward* r determines what r
 // receives even though it executes at the sender.
 func UnitImpacts(space *interleave.Space, ui int, r event.ReplicaID) bool {
-	for _, id := range space.Units()[ui].Events {
+	for _, id := range space.Unit(ui).Events {
 		ev := space.Log().Event(id)
 		if ev.Replica == r {
 			return true
@@ -189,19 +189,19 @@ func NewIndependence(space *interleave.Space, independent, nonInterfering []even
 	for _, id := range nonInterfering {
 		inertIDs[id] = true
 	}
-	units := space.Units()
-	for ui := range units {
+	for ui := range n {
 		if f.member[ui] {
 			continue
 		}
+		events := space.Unit(ui).Events
 		all := true
-		for _, id := range units[ui].Events {
+		for _, id := range events {
 			if !inertIDs[id] {
 				all = false
 				break
 			}
 		}
-		f.inert[ui] = all && len(units[ui].Events) > 0
+		f.inert[ui] = all && len(events) > 0
 	}
 	return f, nil
 }

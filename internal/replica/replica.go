@@ -355,7 +355,11 @@ func (c *Cluster) SnapshotInto(snap *ClusterSnapshot) error {
 // produced by CanonicalSnapshot). Every node in the cluster must be
 // covered; the genesis checkpoints are left untouched. Restored buffers
 // are adopted into the per-node caches, so the next CanonicalSnapshot
-// re-serializes only replicas the resumed suffix touches.
+// re-serializes only replicas the resumed suffix touches. A replica whose
+// live state is still the snapshot's buffer — Versioned, that buffer
+// cached at the current version — is not restored at all: by the
+// Restore(Snapshot()) contract, restoring it would change nothing (full
+// mode restores every replica).
 func (c *Cluster) RestoreSnapshot(snap *ClusterSnapshot) error {
 	if len(snap.IDs) != len(c.list) {
 		return fmt.Errorf("replica: snapshot covers %d replicas, cluster has %d", len(snap.IDs), len(c.list))
@@ -368,12 +372,25 @@ func (c *Cluster) RestoreSnapshot(snap *ClusterSnapshot) error {
 				return fmt.Errorf("replica: snapshot for unknown replica %s", id)
 			}
 		}
+		if !c.full && n.holds(snap.Bufs[i]) {
+			continue
+		}
 		if err := n.State.Restore(snap.Bufs[i].Data); err != nil {
 			return fmt.Errorf("replica: restore %s: %w", id, err)
 		}
 		n.adoptBuf(snap.Bufs[i])
 	}
 	return nil
+}
+
+// holds reports whether the node's live state is buf: buf is its cached
+// serialization and the state's version counter has not moved since.
+func (n *Node) holds(buf *StateBuf) bool {
+	if n.buf != buf {
+		return false
+	}
+	v, ok := n.State.(Versioned)
+	return ok && n.bufVer == v.StateVersion()
 }
 
 // AppendCanonical appends the snapshot's canonical byte encoding to b:

@@ -154,3 +154,69 @@ func TestConvergedAndFingerprints(t *testing.T) {
 		t.Fatal("states must converge after sync")
 	}
 }
+
+// versionedSet is setState with a version counter bumped on every
+// mutation, counting the Restores the cluster makes.
+type versionedSet struct {
+	setState
+	ver      uint64
+	restores int
+}
+
+func (s *versionedSet) Apply(op Op) (string, error) {
+	if op.Name != "read" {
+		s.ver++
+	}
+	return s.setState.Apply(op)
+}
+
+func (s *versionedSet) ApplySync(payload []byte) error {
+	s.ver++
+	return s.setState.ApplySync(payload)
+}
+
+func (s *versionedSet) Restore(snap []byte) error {
+	s.ver++
+	s.restores++
+	return s.setState.Restore(snap)
+}
+
+func (s *versionedSet) StateVersion() uint64 { return s.ver }
+
+// TestRestoreSnapshotSkipsReplicasThatHoldIt: a replica whose live state
+// is still the snapshot's buffer is not restored; one that moved since is,
+// and so is every replica in full mode.
+func TestRestoreSnapshotSkipsReplicasThatHoldIt(t *testing.T) {
+	a, b := &versionedSet{setState: *newSetState()}, &versionedSet{setState: *newSetState()}
+	c := NewCluster(map[event.ReplicaID]State{"A": a, "B": b})
+	snap, err := c.CanonicalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Apply(Op{Name: "add", Args: []string{"x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if a.restores != 1 || b.restores != 0 {
+		t.Fatalf("restores A=%d B=%d, want 1 and 0", a.restores, b.restores)
+	}
+	if a.members["x"] {
+		t.Fatal("A still holds x after the restore")
+	}
+	// A now holds the adopted buffer too: a second restore touches nothing.
+	if err := c.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if a.restores != 1 || b.restores != 0 {
+		t.Fatalf("second restore: A=%d B=%d, want 1 and 0", a.restores, b.restores)
+	}
+	c.SetFullHashing(true)
+	if err := c.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	if a.restores != 2 || b.restores != 1 {
+		t.Fatalf("full mode: A=%d B=%d, want 2 and 1", a.restores, b.restores)
+	}
+}

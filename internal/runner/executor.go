@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -50,18 +49,32 @@ type Executor struct {
 	// ops caches the runner.op.<name> counters (nil when telemetry is off).
 	ops map[string]*telemetry.Counter
 
-	// Retry policy around each attempt (execute).
+	// Retry policy around each attempt (execute). Only a retry draws
+	// jitter, so jitter stays nil until the first one and is then seeded
+	// with jitterSeed: seeding a source is a visible share of the set-up
+	// of a short run, which never retries.
 	jitter     *rand.Rand
+	jitterSeed int64
 	timeout    time.Duration
 	maxRetries int
 	backoff    time.Duration
 
-	// outcome and pending are one attempt's scratch: the outcome under
-	// construction and the sync payloads captured so far, keyed by their
-	// SyncSend. begin allocates a fresh outcome (callers keep it) and
-	// empties pending (prefix snapshots copy it); the step fills both.
-	outcome *Outcome
-	pending map[event.ID][]byte
+	// slots is the per-event scratch along the executor's path, indexed by
+	// event ID (DESIGN.md §4.9): what each event of the executed prefix
+	// left behind — its captured payload, observation, failure or drop.
+	// Each event writes only its own slot, and slots outlive an attempt:
+	// after a restore at depth d, the slots of il[:d] are already right,
+	// and begin clears only those that last wrote past d. Every slot
+	// outside the executed prefix is clear. The attempt's Outcome is built
+	// from the slots in the epilogue.
+	slots []eventSlot
+	// last is the interleaving the last begin started: its slots past the
+	// next restore depth are the ones the next begin clears.
+	last interleave.Interleaving
+	// index and armed are the attempt in progress: its exploration index
+	// and whether the fault schedule armed it.
+	index int
+	armed bool
 
 	// cache, when non-nil, is this executor's private stack of snapshots
 	// along the interleaving it last walked (DESIGN.md §4.9): begin
@@ -114,6 +127,26 @@ type Executor struct {
 	mu       sync.Mutex
 	live     *liveState
 }
+
+// eventSlot is one event's scratch along the executor's path.
+type eventSlot struct {
+	// payload is a SyncSend's captured sync payload (slotCaptured), shared
+	// with the cluster's payload cache and immutable once captured.
+	payload []byte
+	// sum is payload's SHA-256, computed at the first context hash that
+	// needs it (slotSummed) and kept while the slot stays on the path.
+	sum [sha256.Size]byte
+	// obs is an Update's or Observe's result; "" records nothing.
+	obs   string
+	flags uint8
+}
+
+const (
+	slotCaptured uint8 = 1 << iota // payload holds a captured payload
+	slotSummed                     // sum is payload's SHA-256
+	slotFailed                     // the event failed by data-type constraint
+	slotDropped                    // the sync was dropped by a partition
+)
 
 // eventStep is one event resolved for execution once, when the executor
 // is built, so the step reads it by dense event ID instead of copying it
@@ -184,7 +217,7 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 // newExecutor builds worker w's private execution environment, the same
 // way for both schedules: a fresh cluster checkpointed at genesis, its
 // fault injector clone (instrumented when telemetry is on), the per-event
-// step table, its seeded retry-jitter generator, and sub, the
+// step table and slots, its retry-jitter seed, and sub, the
 // run's shared subsumption table (nil when disabled, and on every live
 // run; unlike the cache, all workers consult the same one). An inline
 // executor adds the optional prefix cache, which snapshots every `every`
@@ -204,13 +237,12 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 		cluster:  cluster,
 		steps:    newSteps(s.Log, cluster),
 		finalize: s.Finalize,
-		pending:  make(map[event.ID][]byte),
+		slots:    make([]eventSlot, s.Log.Len()),
 		tel:      tel,
 		worker:   w,
-		// Per-worker jitter generator: retry timing varies across workers,
-		// but which interleavings run and what they compute never depends
-		// on it.
-		jitter:     rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d ^ int64(w+1)<<32)),
+		// Per-worker jitter seed: retry timing varies across workers, but
+		// which interleavings run and what they compute never depends on it.
+		jitterSeed: cfg.Seed ^ 0x5deece66d ^ int64(w+1)<<32,
 		timeout:    cfg.InterleavingTimeout,
 		maxRetries: cfg.MaxRetries,
 		backoff:    cfg.RetryBackoff,
@@ -317,6 +349,9 @@ func (x *Executor) execute(ctx context.Context, item workItem) (*Outcome, int, e
 			return nil, attempts, err
 		}
 		x.tel.retries.Inc()
+		if x.jitter == nil {
+			x.jitter = rand.New(rand.NewSource(x.jitterSeed))
+		}
 		select {
 		case <-ctx.Done():
 			return nil, attempts, ctx.Err()
@@ -383,29 +418,72 @@ func (x *Executor) attempt(ctx context.Context, item workItem) (*Outcome, error)
 			return nil, fmt.Errorf("finalize: %w", err)
 		}
 	}
-	x.outcome.Fingerprints = x.cluster.Fingerprints()
-	x.outcome.Converged = x.cluster.Converged()
-	return x.outcome, nil
+	return x.outcomeOf(item), nil
 }
 
-// begin starts an attempt on the freshly armed injector: allocate the
-// outcome and payload scratch, then prepare the cluster — restore the
-// deepest cached prefix so replay runs only the suffix from the returned
-// start position, or reset to the genesis checkpoint and replay from event
-// 0. Fault-carrying interleavings always take the clean genesis path — a
-// crash or truncation makes cached prefix states wrong — and neither read
-// nor populate the cache.
-func (x *Executor) begin(item workItem) (start int, err error) {
-	x.outcome = &Outcome{
+// outcomeOf is the epilogue of an attempt that executed all of item: the
+// Outcome, built from the slots of item's events in schedule order and
+// the cluster's fingerprints.
+func (x *Executor) outcomeOf(item workItem) *Outcome {
+	var nObs, nFailed, nDropped int
+	for _, id := range item.il {
+		s := &x.slots[id]
+		if s.obs != "" {
+			nObs++
+		}
+		if s.flags&slotFailed != 0 {
+			nFailed++
+		}
+		if s.flags&slotDropped != 0 {
+			nDropped++
+		}
+	}
+	o := &Outcome{
 		Index:        item.index,
 		Interleaving: item.il,
-		Observations: make(map[event.ID]string),
-		FaultArmed:   x.inj.AnyArmed(),
+		Fingerprints: x.cluster.Fingerprints(),
+		Observations: make(map[event.ID]string, nObs),
+		Converged:    x.cluster.Converged(),
+		FaultArmed:   x.armed,
 	}
-	clear(x.pending)
+	if nFailed > 0 {
+		o.FailedOps = make([]event.ID, 0, nFailed)
+	}
+	if nDropped > 0 {
+		o.DroppedSyncs = make([]event.ID, 0, nDropped)
+	}
+	for _, id := range item.il {
+		s := &x.slots[id]
+		if s.obs != "" {
+			o.Observations[id] = s.obs
+		}
+		if s.flags&slotFailed != 0 {
+			o.FailedOps = append(o.FailedOps, id)
+		}
+		if s.flags&slotDropped != 0 {
+			o.DroppedSyncs = append(o.DroppedSyncs, id)
+		}
+	}
+	return o
+}
+
+// begin starts an attempt on the freshly armed injector: prepare the
+// cluster — restore the deepest cached prefix so replay runs only the
+// suffix from the returned start position, or reset to the genesis
+// checkpoint and replay from event 0 — and clear the slots past start.
+// Fault-carrying interleavings always take the clean genesis path — a
+// crash or truncation makes cached prefix states wrong — and neither read
+// nor populate the cache. Their replay also rewrites, under the faults,
+// the slots the cached snapshots rely on, so they forget the stack.
+func (x *Executor) begin(item workItem) (start int, err error) {
+	x.index, x.armed = item.index, x.inj.AnyArmed()
 	x.rolling = msetDigest{}
 	x.pivot = item.pivot
-	if x.cache == nil || x.outcome.FaultArmed {
+	if x.cache == nil || x.armed {
+		if x.cache != nil {
+			x.tel.snapshotBytes.Add(-x.cache.invalidate())
+		}
+		x.clearSlots(item.il, 0)
 		span := x.tel.span(telemetry.StageCheckpointReset, item.index, x.worker)
 		err = x.cluster.Reset()
 		span.End()
@@ -416,7 +494,7 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 	x.divergence = divergence
 	x.tel.snapshotBytes.Add(-freed)
 	if top.snap != nil {
-		err = x.restorePrefix(top.snap)
+		err = x.cluster.RestoreSnapshot(top.snap.states)
 		start = top.depth
 		x.rolling = top.snap.mset
 		x.tel.onPrefixHit(start)
@@ -424,8 +502,21 @@ func (x *Executor) begin(item workItem) (start int, err error) {
 		err = x.cluster.Reset()
 		x.tel.prefixMisses.Inc()
 	}
+	x.clearSlots(item.il, start)
 	span.End()
 	return start, err
+}
+
+// clearSlots clears the slots the last interleaving begun may have written
+// past depth start and makes il the last one. A restore at start is a
+// prefix both interleavings share, whose slots stay as they are.
+func (x *Executor) clearSlots(il interleave.Interleaving, start int) {
+	if start < len(x.last) {
+		for _, id := range x.last[start:] {
+			x.slots[id] = eventSlot{}
+		}
+	}
+	x.last = il
 }
 
 // enter moves the executor to the item's re-prune generation (see
@@ -449,8 +540,8 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 	// Fault-armed interleavings bypass subsumption both ways, like the
 	// cache: a crash or truncation makes the hashed context wrong, and a
 	// fault-free witness would not reproduce the faulted outcome.
-	useCache := x.cache != nil && !x.outcome.FaultArmed
-	useSub := x.sub != nil && !x.outcome.FaultArmed
+	useCache := x.cache != nil && !x.armed
+	useSub := x.sub != nil && !x.armed
 	// One Done call per replay; the per-event poll is a channel receive,
 	// not cancelCtx.Err's mutex.
 	done := ctx.Done()
@@ -545,8 +636,9 @@ func (x *Executor) subsumed(executed, skipped int) error {
 // across a partitioned link are dropped and recorded in
 // Outcome.DroppedSyncs, and the payload executed at a truncation's
 // position — captured there or carried from a paired send — is cut in
-// flight. Failed ops and dropped syncs append in schedule order. Callers
-// present strictly increasing positions, one at a time.
+// flight. What the event leaves behind — payload, observation, failure,
+// drop — goes to its own slot. Callers present strictly increasing
+// positions, one at a time.
 func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 	id := il[pos]
 	st := &x.steps[id]
@@ -574,14 +666,12 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 		result, err := node.State.Apply(replica.Op{Name: ev.Op, Args: ev.Args})
 		if err != nil {
 			if errors.Is(err, replica.ErrFailedOp) {
-				x.outcome.FailedOps = append(x.outcome.FailedOps, id)
+				x.slots[id].flags |= slotFailed
 				return nil
 			}
 			return fmt.Errorf("event %s: %w", ev, err)
 		}
-		if result != "" {
-			x.outcome.Observations[id] = result
-		}
+		x.slots[id].obs = result
 	case event.SyncSend:
 		payload, err := x.cluster.SyncPayload(node)
 		if err != nil {
@@ -590,23 +680,25 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 		if x.inj != nil {
 			payload = x.inj.Payload(pos, payload)
 		}
-		x.pending[id] = payload
+		x.slots[id].payload = payload
+		x.slots[id].flags |= slotCaptured
 	case event.SyncExec:
 		if x.inj != nil {
 			if x.inj.ReplicaDown(ev.From) {
 				return fmt.Errorf("event %s: sender: %w", ev, fault.ErrReplicaDown)
 			}
 			if x.inj.Partitioned(ev.From, ev.Replica) {
-				x.outcome.DroppedSyncs = append(x.outcome.DroppedSyncs, id)
+				x.slots[id].flags |= slotDropped
 				return nil
 			}
 		}
-		// Map presence, not a nil test: a paired send that captured an
+		// The capture flag, not a nil test: a paired send that captured an
 		// empty payload still delivers that payload.
 		var payload []byte
 		captured := false
 		if st.send >= 0 {
-			payload, captured = x.pending[st.send]
+			send := &x.slots[st.send]
+			payload, captured = send.payload, send.flags&slotCaptured != 0
 		}
 		if !captured {
 			// Standalone sync: capture the sender's state now.
@@ -625,7 +717,7 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 		x.tel.syncBytes.Add(int64(len(payload)))
 		if err := node.State.ApplySync(payload); err != nil {
 			if errors.Is(err, replica.ErrFailedOp) {
-				x.outcome.FailedOps = append(x.outcome.FailedOps, id)
+				x.slots[id].flags |= slotFailed
 				return nil
 			}
 			return fmt.Errorf("event %s: %w", ev, err)
@@ -633,20 +725,6 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 	default:
 		return fmt.Errorf("event %s: unsupported kind", ev)
 	}
-	return nil
-}
-
-// restorePrefix rewinds the execution context to a cached prefix: replica
-// states, captured sync payloads, and the outcome fields accumulated by
-// the prefix's events. Payload slices are shared with the cache — they
-// are immutable once captured.
-func (x *Executor) restorePrefix(snap *prefixSnapshot) error {
-	if err := x.cluster.RestoreSnapshot(snap.states); err != nil {
-		return err
-	}
-	maps.Copy(x.pending, snap.pending)
-	maps.Copy(x.outcome.Observations, snap.obs)
-	x.outcome.FailedOps = append(x.outcome.FailedOps, snap.failed...)
 	return nil
 }
 
@@ -665,8 +743,7 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 	}
 	x.tel.dirtyReplicas.Add(int64(states.Dirty))
 	x.tel.bytesReused.Add(states.Reused)
-	snap := newPrefixSnapshot(states, x.pending, x.outcome)
-	snap.mset = x.rolling
+	snap := &prefixSnapshot{states: states, mset: x.rolling, size: states.Bytes + slotBytes(x.slots)}
 	if x.cache.insert(depth, snap) {
 		x.tel.snapshotBytes.Add(snap.size)
 	} else {
@@ -675,20 +752,19 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 	if !wantSub {
 		return false, nil
 	}
-	return x.visit(contextHash(&x.ctxScratch, states, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
+	return x.visit(contextHash(&x.ctxScratch, states, x.slots), il, depth), nil
 }
 
 // subsume is the subsumption check at a depth the prefix cache does not
 // keep: the context is hashed straight from the live cluster (into the
-// reusable subSnap) and the executor's own pending, observation and
-// failed-op bookkeeping, with no prefixSnapshot copy of either.
+// reusable subSnap) and the executor's slots, with no prefixSnapshot.
 func (x *Executor) subsume(il interleave.Interleaving, depth int) (skip bool, err error) {
 	if err := x.cluster.SnapshotInto(&x.subSnap); err != nil {
 		return false, err
 	}
 	x.tel.dirtyReplicas.Add(int64(x.subSnap.Dirty))
 	x.tel.bytesReused.Add(x.subSnap.Reused)
-	return x.visit(contextHash(&x.ctxScratch, &x.subSnap, x.pending, x.outcome.Observations, x.outcome.FailedOps), il, depth), nil
+	return x.visit(contextHash(&x.ctxScratch, &x.subSnap, x.slots), il, depth), nil
 }
 
 // visit checks and records the frontier (ctxHash, x.rolling) reached by
@@ -696,31 +772,7 @@ func (x *Executor) subsume(il interleave.Interleaving, depth int) (skip bool, er
 // by the loop invariant — the O(1)-maintained replacement for the
 // per-depth sort-and-rehash.
 func (x *Executor) visit(ctxHash [sha256.Size]byte, il interleave.Interleaving, depth int) bool {
-	skip, delta := x.sub.visit(ctxHash, x.rolling, il[:depth], x.outcome.Index)
+	skip, delta := x.sub.visit(ctxHash, x.rolling, il[:depth], x.index)
 	x.tel.subsumeBytes.Add(delta)
 	return skip
-}
-
-// newPrefixSnapshot packages the execution context after a prefix —
-// canonical cluster snapshot plus the executor-side bookkeeping the
-// remaining suffix can observe — with its byte-size accounting.
-func newPrefixSnapshot(states *replica.ClusterSnapshot, pending map[event.ID][]byte, outcome *Outcome) *prefixSnapshot {
-	snap := &prefixSnapshot{
-		states:  states,
-		pending: make(map[event.ID][]byte, len(pending)),
-		obs:     make(map[event.ID]string, len(outcome.Observations)),
-		failed:  append([]event.ID(nil), outcome.FailedOps...),
-	}
-	size := states.Bytes
-	for id, p := range pending {
-		snap.pending[id] = p
-		size += int64(len(p)) + 8
-	}
-	for id, v := range outcome.Observations {
-		snap.obs[id] = v
-		size += int64(len(v)) + 8
-	}
-	size += int64(len(snap.failed)) * 8
-	snap.size = size
-	return snap
 }

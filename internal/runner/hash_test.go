@@ -229,16 +229,17 @@ func TestHashPathAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pending := map[event.ID][]byte{1: []byte("payload")}
-	obs := map[event.ID]string{2: "ok"}
-	failed := []event.ID{3}
+	slots := make([]eventSlot, 4)
+	slots[1] = eventSlot{payload: []byte("payload"), flags: slotCaptured}
+	slots[2].obs = "ok"
+	slots[3].flags = slotFailed
 	// Warm the caches and the scratch.
 	if _, err := cluster.CanonicalSnapshot(); err != nil {
 		t.Fatal(err)
 	}
 	snap, _ := cluster.CanonicalSnapshot()
 	var sc ctxScratch
-	_ = contextHash(&sc, snap, pending, obs, failed)
+	_ = contextHash(&sc, snap, slots)
 
 	const budget = 12 // committed baseline: clean-cluster snapshot + hash + context digest
 	allocs := testing.AllocsPerRun(200, func() {
@@ -250,7 +251,7 @@ func TestHashPathAllocBudget(t *testing.T) {
 			t.Fatalf("clean cluster re-serialized %d replicas", snap.Dirty)
 		}
 		_ = snap.Hash()
-		_ = contextHash(&sc, snap, pending, obs, failed)
+		_ = contextHash(&sc, snap, slots)
 	})
 	if allocs > budget {
 		t.Fatalf("hash hot path allocates %.0f objects/op, budget %d — the incremental path regressed", allocs, budget)

@@ -11,6 +11,7 @@ import (
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/prune"
+	"github.com/er-pi/erpi/internal/replica"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
@@ -416,5 +417,101 @@ func TestWantSnapshotPolicy(t *testing.T) {
 			t.Errorf("wantSnapshot(%d, %d, %d) = %v, want %v",
 				tc.depth, tc.divergence, tc.pivot, got, tc.want)
 		}
+	}
+}
+
+// slotHazardScenario is three replicas whose observations and captured
+// payloads depend on A's early state: a crash of A at position 1 changes
+// what every later SyncSend captures and what both reads return.
+func slotHazardScenario(t *testing.T) Scenario {
+	t.Helper()
+	newCluster := func() (*replica.Cluster, error) {
+		return replica.NewCluster(map[event.ReplicaID]replica.State{
+			"A": newLWWSetState("A"),
+			"B": newLWWSetState("B"),
+			"C": newLWWSetState("C"),
+		}), nil
+	}
+	cluster, err := newCluster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(cluster)
+	rec.Update("A", "set.add", "x")    // ev0
+	rec.SyncPair("A", "B")             // ev1 send, ev2 exec
+	rec.Update("B", "set.read")        // ev3
+	rec.Update("B", "set.add", "y")    // ev4
+	rec.SyncPair("B", "C")             // ev5 send, ev6 exec
+	rec.Update("C", "set.read")        // ev7
+	rec.Update("A", "set.remove", "x") // ev8
+	log, err := rec.Log()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Scenario{Name: "slothazard", Log: log, NewCluster: newCluster}
+}
+
+// TestPrefixCacheFaultArmedSlots: a fault-armed attempt replays from
+// genesis and rewrites, under its faults, the per-event slots (payloads,
+// observations, failed ops) that the cached snapshots of the path rely on.
+// With both avoidance layers on and a partially armed schedule, every
+// un-armed index must still produce the cache-off outcome, and the
+// signature sets must agree: a later restore that trusted the slots the
+// armed attempt wrote would report its observations and payloads.
+func TestPrefixCacheFaultArmedSlots(t *testing.T) {
+	sched := func() *fault.Schedule {
+		return &fault.Schedule{Seed: 5, Faults: []fault.Fault{
+			// Interleaving 3 only: the A–B link is down throughout.
+			{Kind: fault.Partition, A: "A", B: "B", Interleaving: 3, At: 0, Duration: 9},
+			// Coin-flip crash of A before position 1, immediate restart.
+			{Kind: fault.CrashReplica, Replica: "A", At: 1, Prob: 0.3},
+		}}
+	}
+	run := func(on bool) (*Result, []*Outcome, telemetry.Snapshot) {
+		reg := telemetry.New()
+		cfg := Config{
+			Mode:             ModeERPi,
+			Workers:          1,
+			MaxInterleavings: 300,
+			Faults:           sched(),
+			RetryBackoff:     100 * time.Microsecond,
+			Telemetry:        reg,
+		}
+		if on {
+			cfg.PrefixCacheBytes = testBudget
+			cfg.SubsumptionTable = testSubTable
+		}
+		res, outcomes := exploreCollect(t, slotHazardScenario(t), cfg, defaultRunLen)
+		return res, outcomes, reg.Snapshot()
+	}
+	offRes, off, _ := run(false)
+	onRes, on, tel := run(true)
+
+	want := make(map[int]string, len(off))
+	for _, o := range off {
+		want[o.Index] = streamOf(t, []*Outcome{o})
+	}
+	armed, compared := 0, 0
+	for _, o := range on {
+		if o.FaultArmed {
+			armed++
+			continue
+		}
+		compared++
+		if got := streamOf(t, []*Outcome{o}); got != want[o.Index] {
+			t.Fatalf("un-armed index %d: cache-on outcome\n%s\ncache-off\n%s", o.Index, got, want[o.Index])
+		}
+	}
+	if sigSetOf(t, []byte(streamOf(t, on))) != sigSetOf(t, []byte(streamOf(t, off))) {
+		t.Fatal("the avoidance layers changed the signature set under a partially armed schedule")
+	}
+	// Not vacuous: armed and un-armed indices mix, restores happen after
+	// armed attempts, and subsumption skips.
+	if armed == 0 || compared == 0 || onRes.Subsumed == 0 || tel.Counters["runner.prefix_cache_hits"] == 0 {
+		t.Fatalf("vacuous: %d armed, %d compared, %d subsumed, %d prefix hits",
+			armed, compared, onRes.Subsumed, tel.Counters["runner.prefix_cache_hits"])
+	}
+	if offRes.Explored != onRes.Explored {
+		t.Fatalf("explored %d cache-off, %d cache-on", offRes.Explored, onRes.Explored)
 	}
 }

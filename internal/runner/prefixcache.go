@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/replica"
 )
@@ -41,22 +40,40 @@ type prefixEntry struct {
 	snap  *prefixSnapshot
 }
 
-// prefixSnapshot captures the full execution context after a prefix:
-// the serialized replica states plus the executor-side bookkeeping that
-// the remaining suffix can observe (captured sync payloads, recorded
-// observations, failed ops). DroppedSyncs are absent by construction —
+// prefixSnapshot is the execution context after a prefix, as far as the
+// executor does not hold it already: the serialized replica states and the
+// rolling multiset digest of the prefix, so a restore resumes the
+// executor's O(1) rolling updates without recomputing it. The bookkeeping
+// the suffix can observe — captured sync payloads, observations, failed
+// ops — stays in the executor's slots, which are right for every prefix on
+// the stack (DESIGN.md §4.9). DroppedSyncs are absent by construction —
 // they only occur under armed faults, and fault-carrying interleavings
 // bypass the cache entirely.
 type prefixSnapshot struct {
-	states  *replica.ClusterSnapshot
-	pending map[event.ID][]byte
-	obs     map[event.ID]string
-	failed  []event.ID
-	size    int64
-	// mset is the rolling multiset digest of the captured prefix, so a
-	// restore resumes the executor's O(1) rolling updates without
-	// recomputing the prefix multiset.
-	mset msetDigest
+	states *replica.ClusterSnapshot
+	mset   msetDigest
+	// size is what the entry is charged against the budget: the logical
+	// size of the whole context, states plus slotBytes of the prefix.
+	size int64
+}
+
+// slotBytes is the logical size of the bookkeeping in the slots: 8 bytes
+// per entry plus each captured payload and observation.
+func slotBytes(slots []eventSlot) int64 {
+	var n int64
+	for i := range slots {
+		s := &slots[i]
+		if s.flags&slotCaptured != 0 {
+			n += int64(len(s.payload)) + 8
+		}
+		if s.obs != "" {
+			n += int64(len(s.obs)) + 8
+		}
+		if s.flags&slotFailed != 0 {
+			n += 8
+		}
+	}
+	return n
 }
 
 func newPrefixCache(budget int64, every int) *prefixCache {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"slices"
 	"sync"
 
 	"github.com/er-pi/erpi/internal/event"
@@ -196,67 +195,73 @@ func multisetHash(prefix interleave.Interleaving) msetDigest {
 }
 
 // ctxScratch is the reusable working memory of contextHash: the digest
-// preimage buffer and the event-ID sort area. Each executor owns one, so
-// the hot path's per-depth hashing allocates nothing in steady state.
+// preimage buffer. Each executor owns one, so the hot path's per-depth
+// hashing allocates nothing in steady state.
 type ctxScratch struct {
 	buf []byte
-	ids []event.ID
 }
 
 // contextHash digests the full execution context after a prefix: the
 // canonical cluster snapshot plus everything else the remaining suffix
-// can observe — captured sync payloads, recorded observations, and failed
-// ops (exactly the prefixSnapshot capture set; DroppedSyncs are absent
-// because fault-armed interleavings bypass subsumption). The cluster
-// enters via its hash-of-hashes encoding (32 bytes per replica, served
-// from the per-replica caches) rather than its full serialization; each
-// section is length-prefixed and sorted so the digest is injective over
-// contexts.
-func contextHash(sc *ctxScratch, states *replica.ClusterSnapshot, pending map[event.ID][]byte, obs map[event.ID]string, failed []event.ID) [sha256.Size]byte {
-	b := sc.buf[:0]
-	var tmp [binary.MaxVarintLen64]byte
-	appendUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		b = append(b, tmp[:n]...)
+// can observe, read from the executor's slots — captured sync payloads,
+// recorded observations, and failed ops (DroppedSyncs are absent because
+// fault-armed interleavings bypass subsumption). Every slot outside the
+// prefix is clear, so a walk in event-ID order visits exactly the prefix's
+// entries, sorted, with no map and no sort. The cluster enters via its
+// hash-of-hashes encoding (32 bytes per replica, served from the
+// per-replica caches) and a payload via its SHA-256, computed once per
+// captured payload and kept in its slot: the same Merkle argument, so the
+// digest stays injective over contexts with every section count-prefixed
+// and every variable-length field length-prefixed.
+func contextHash(sc *ctxScratch, states *replica.ClusterSnapshot, slots []eventSlot) [sha256.Size]byte {
+	var nPending, nObs, nFailed uint64
+	for i := range slots {
+		s := &slots[i]
+		if s.flags&slotCaptured != 0 {
+			nPending++
+		}
+		if s.obs != "" {
+			nObs++
+		}
+		if s.flags&slotFailed != 0 {
+			nFailed++
+		}
 	}
+	b := states.AppendHashEncoding(sc.buf[:0])
 
-	b = states.AppendHashEncoding(b)
-
-	ids := sc.ids[:0]
-	for id := range pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
 	b = append(b, 'P')
-	appendUvarint(uint64(len(ids)))
-	for _, id := range ids {
-		appendUvarint(uint64(id))
-		appendUvarint(uint64(len(pending[id])))
-		b = append(b, pending[id]...)
+	b = binary.AppendUvarint(b, nPending)
+	for i := range slots {
+		s := &slots[i]
+		if s.flags&slotCaptured == 0 {
+			continue
+		}
+		if s.flags&slotSummed == 0 {
+			s.sum = sha256.Sum256(s.payload)
+			s.flags |= slotSummed
+		}
+		b = binary.AppendUvarint(b, uint64(i))
+		b = append(b, s.sum[:]...)
 	}
 
-	ids = ids[:0]
-	for id := range obs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
 	b = append(b, 'O')
-	appendUvarint(uint64(len(ids)))
-	for _, id := range ids {
-		appendUvarint(uint64(id))
-		appendUvarint(uint64(len(obs[id])))
-		b = append(b, obs[id]...)
+	b = binary.AppendUvarint(b, nObs)
+	for i := range slots {
+		if obs := slots[i].obs; obs != "" {
+			b = binary.AppendUvarint(b, uint64(i))
+			b = binary.AppendUvarint(b, uint64(len(obs)))
+			b = append(b, obs...)
+		}
 	}
 
-	ids = append(ids[:0], failed...)
-	slices.Sort(ids)
 	b = append(b, 'F')
-	appendUvarint(uint64(len(ids)))
-	for _, id := range ids {
-		appendUvarint(uint64(id))
+	b = binary.AppendUvarint(b, nFailed)
+	for i := range slots {
+		if slots[i].flags&slotFailed != 0 {
+			b = binary.AppendUvarint(b, uint64(i))
+		}
 	}
 
-	out := sha256.Sum256(b)
-	sc.buf, sc.ids = b, ids
-	return out
+	sc.buf = b
+	return sha256.Sum256(b)
 }
