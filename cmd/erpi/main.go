@@ -228,9 +228,6 @@ func run() int {
 			}
 		}
 	}
-	if res.DedupSaturated {
-		fmt.Println("warning: dedup set saturated; some interleavings may have run twice")
-	}
 	if res.Fuzz != nil {
 		fmt.Printf("fuzz: %d generations, corpus %d, coverage %d signatures, trajectory %.12s\n",
 			res.Fuzz.Generations, res.Fuzz.CorpusSize, res.Fuzz.Coverage, res.Fuzz.TrajectoryDigest)

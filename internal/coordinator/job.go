@@ -147,10 +147,9 @@ type Job struct {
 	state    string
 	err      error
 	explorer interleave.Explorer
-	seen     map[string]struct{} // dedup: resumed ∪ carved keys
-	resumed  int                 // records an earlier session left
-	maxIndex int                 // the session-wide cap: the highest index that may exist
-	assigned int                 // the highest index carved (resumed ones included)
+	resumed  int // records an earlier session left
+	maxIndex int // the session-wide cap: the highest index that may exist
+	assigned int // the highest index carved (resumed ones included)
 	// eventsPer is the events in every interleaving (a grant states it once).
 	eventsPer int
 	noMore    bool
@@ -256,7 +255,6 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		rangeSize: rangeSize,
 		leaseTTL:  leaseTTL,
 		state:     StateRunning,
-		seen:      make(map[string]struct{}),
 		nextAgg:   1,
 		wake:      make(chan struct{}),
 		quit:      make(chan struct{}),
@@ -308,7 +306,6 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	}
 	for i := range recs {
 		r := &recs[i]
-		j.seen[r.Key] = struct{}{}
 		if !r.Subsumed && r.Error == "" {
 			j.digest.Add(r.Key, r.Sig)
 		}
@@ -425,8 +422,8 @@ func (j *Job) tryLeaseLocked(worker string) *frame {
 	return nil
 }
 
-// carveLocked pulls up to rangeSize fresh interleavings from the explorer,
-// skipping keys already seen (journal resume, rand-mode repeats). Returns
+// carveLocked pulls up to rangeSize interleavings from the explorer,
+// skipping the ones the records hold (Ledger.Resumed). Returns
 // nil when the space or the budget is exhausted — or, in ModeFuzz, when a
 // generation boundary holds carving until every outstanding range has
 // aggregated and classified (the distributed fuzz barrier: the lease waits
@@ -456,12 +453,10 @@ func (j *Job) carveLocked() *jobRange {
 			j.exhausted = true
 			break
 		}
-		key := il.Key()
-		if _, dup := j.seen[key]; dup {
+		if j.ledger.Resumed(il) {
 			// A resumed key never re-executes: the ledger replays its
 			// recorded classification (ModeFuzz), so the generation still
 			// completes with the evidence the first execution produced.
-			j.ledger.Skipped(key)
 			continue
 		}
 		if j.eventsPer == 0 {
@@ -470,10 +465,9 @@ func (j *Job) carveLocked() *jobRange {
 		if len(il) != j.eventsPer || len(il) == 0 {
 			// Every interleaving of a job orders the same events, which
 			// is what lets a grant state their number once.
-			j.failLocked(fmt.Errorf("coordinator: interleaving %q has %d events, the job's have %d", key, len(il), j.eventsPer))
+			j.failLocked(fmt.Errorf("coordinator: interleaving %q has %d events, the job's have %d", il.Key(), len(il), j.eventsPer))
 			return nil
 		}
-		j.seen[key] = struct{}{}
 		ils = append(ils, il)
 		j.assigned++
 	}

@@ -110,7 +110,6 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"Deadline":         true, // job lifetime is lease-managed instead
 		"RetryBackoff":     true, // workers use the runner default
 		"Faults":           true, // fault schedules not distributed
-		"MaxExploredKeys":  true, // dedup owned by the journal
 		"PrefixCacheBytes": true, // per-worker accelerator, not spec-driven
 	}
 

@@ -210,10 +210,13 @@ func (d *DFSExplorer) rejected() (skip bool, prefixLen int) {
 // permutation keys; the repeated shuffling needed to escape the cache is
 // what makes Rand the slowest mode in the paper's Figure 8b.
 type RandExplorer struct {
-	space    *Space
-	rng      *rand.Rand
-	seen     map[string]struct{}
-	perm     []int
+	space *Space
+	rng   *rand.Rand
+	seen  map[string]struct{}
+	perm  []int
+	// size is the space's n! permutations, or -1 past int64: once that
+	// many are seen, only duplicates remain.
+	size     int64
 	explored int
 	shuffles int
 	// maxRetries bounds consecutive duplicate shuffles before the explorer
@@ -229,11 +232,16 @@ const DefaultRandRetries = 100000
 
 // NewRand returns the Rand baseline explorer with a deterministic seed.
 func NewRand(space *Space, seed int64) *RandExplorer {
+	size := int64(-1)
+	if n := space.Size(); n.IsInt64() {
+		size = n.Int64()
+	}
 	return &RandExplorer{
 		space:      space,
 		rng:        rand.New(rand.NewSource(seed)),
 		seen:       make(map[string]struct{}),
 		perm:       identityPerm(space.NumUnits()),
+		size:       size,
 		maxRetries: DefaultRandRetries,
 	}
 }
@@ -255,11 +263,8 @@ func (r *RandExplorer) CacheSize() int { return len(r.seen) }
 
 // Next implements Explorer.
 func (r *RandExplorer) Next() (Interleaving, bool) {
-	// A space of n units has n! permutations; once all are seen, only
-	// duplicates remain. size guards exact exhaustion for small spaces.
-	size := r.space.Size()
 	for attempt := 0; attempt < r.maxRetries; attempt++ {
-		if size.IsInt64() && int64(len(r.seen)) >= size.Int64() {
+		if r.size >= 0 && int64(len(r.seen)) >= r.size {
 			return nil, false
 		}
 		r.shuffles++

@@ -1,6 +1,7 @@
 package interleave
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/big"
 	"sort"
@@ -304,6 +305,32 @@ func TestRandDeterministicBySeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds should (overwhelmingly) differ")
+	}
+}
+
+// TestRandSequencePinned pins, per seed and space, Rand's whole yield
+// sequence to the end of the space and its shuffle count. The digests were
+// committed from the explorer that rebuilt n! on every Next, so computing
+// the bound once changes neither what Rand yields nor what it wastes.
+func TestRandSequencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		events, yielded, shuffles int
+		digest                    string
+	}{
+		{4, 24, 91, "ba415df527c398561bbe8164c375c300c0535517b7957348240b8f105e89eeae"},
+		{5, 120, 528, "1fda1ad55a890d1554528cc8a059117e8f52af0067b36f196b8b68dca988a025"},
+		{6, 720, 5899, "2c9286dcd487db772a0e5e07f6067a68ec92061dec92f596c46195610a82b7cd"},
+	} {
+		r := NewRand(NewSpace(testLog(t, tc.events)), 7)
+		var keys []string
+		for _, il := range Collect(r, 0) {
+			keys = append(keys, il.Key())
+		}
+		digest := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(keys, ";"))))
+		if len(keys) != tc.yielded || r.Shuffles() != tc.shuffles || digest != tc.digest {
+			t.Fatalf("%d events: %d yielded, %d shuffles, digest %s; want %d, %d, %s",
+				tc.events, len(keys), r.Shuffles(), digest, tc.yielded, tc.shuffles, tc.digest)
+		}
 	}
 }
 

@@ -333,36 +333,6 @@ func (f *flakyState) ApplySync(payload []byte) error {
 	return f.State.ApplySync(payload)
 }
 
-// TestExploredSetBounded: the dedup set honors its cap and degrades to
-// best-effort instead of growing without limit.
-func TestExploredSetBounded(t *testing.T) {
-	set := newExploredSet(3)
-	for _, k := range []string{"a", "b", "c"} {
-		if !set.Add(k) {
-			t.Fatalf("key %q rejected below the cap", k)
-		}
-	}
-	if set.Add("d") {
-		t.Fatal("cap exceeded")
-	}
-	if !set.Saturated() || set.Len() != 3 {
-		t.Fatalf("saturated=%v len=%d", set.Saturated(), set.Len())
-	}
-	if !set.Has("a") || set.Has("d") {
-		t.Fatal("membership wrong after saturation")
-	}
-
-	// A saturated run still completes: ModeRand with a tiny cap.
-	s := townReportScenario(t)
-	res, err := Run(s, Config{Mode: ModeRand, Seed: 7, MaxInterleavings: 30, MaxExploredKeys: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Explored != 30 {
-		t.Fatalf("explored %d, want 30", res.Explored)
-	}
-}
-
 // TestLiveReportsAllReplicaErrors: when one replica crashes mid-replay,
 // the other replicas' aborted turn-waits are reported too (errors.Join),
 // not silently discarded.

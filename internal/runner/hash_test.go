@@ -241,7 +241,7 @@ func TestHashPathAllocBudget(t *testing.T) {
 	var sc ctxScratch
 	_ = contextHash(&sc, snap, slots)
 
-	const budget = 12 // committed baseline: clean-cluster snapshot + hash + context digest
+	const budget = 2 // measured: the ClusterSnapshot and its Bufs slice; the hash and the context digest allocate nothing
 	allocs := testing.AllocsPerRun(200, func() {
 		snap, err := cluster.CanonicalSnapshot()
 		if err != nil {

@@ -345,7 +345,35 @@ func TestKillAnywhere(t *testing.T) {
 				},
 			}
 		}},
+		{"rand", townReportScenario, func() Config {
+			return Config{Mode: ModeRand, Seed: 7, MaxInterleavings: 30, Assertions: []Assertion{municipalityInvariant{}}}
+		}},
+		// A merged group rebuilds the unit space: the new sequence is not
+		// the old one past some point, so a resumed or re-pruned run skips
+		// by key, never by position.
+		{"reprune-group", func(t *testing.T) Scenario {
+			s := townReportScenario(t)
+			s.Pruning.TestedReplicas = nil
+			return s
+		}, func() Config {
+			delivered := false
+			return Config{
+				Mode: ModeERPi, PollEvery: 4,
+				Assertions: []Assertion{municipalityInvariant{}},
+				ConstraintPoll: func() (pcfg prune.Config, found bool, err error) {
+					if delivered {
+						return pcfg, false, nil
+					}
+					delivered = true
+					pcfg.Grouping.Extra = [][]event.ID{{2, 3, 4, 5}}
+					return pcfg, true, nil
+				},
+			}
+		}},
 	}
+	// A case named here must change some key past its first poll boundary
+	// against a run without the poll, or it proves nothing.
+	pollMoves := map[string]bool{"reprune-group": true}
 	records := func(t *testing.T, path string) []checkpoint.Record {
 		t.Helper()
 		d, err := checkpoint.Open(path)
@@ -392,6 +420,20 @@ func TestKillAnywhere(t *testing.T) {
 			wantRecs := records(t, wantPath)
 			if len(want.Violations) == 0 || len(wantRecs) != want.Explored {
 				t.Fatalf("vacuous: %d violations, %d records of %d explored", len(want.Violations), len(wantRecs), want.Explored)
+			}
+			if pollMoves[tc.name] {
+				cfg := tc.cfg()
+				cfg.Workers, cfg.ConstraintPoll = 1, nil
+				unpolledPath := filepath.Join(t.TempDir(), "unpolled")
+				session(t, s, cfg, unpolledPath, 0)
+				unpolled := records(t, unpolledPath)
+				moved := len(unpolled) != len(wantRecs)
+				for i := cfg.PollEvery; !moved && i < len(wantRecs); i++ {
+					moved = unpolled[i].Key != wantRecs[i].Key
+				}
+				if !moved {
+					t.Fatal("vacuous: the poll changes no key past its boundary")
+				}
 			}
 			for _, workers := range []int{1, 2, 8} {
 				for _, k := range []int{1, 2, 5} {

@@ -35,9 +35,11 @@ type Ledger struct {
 	// on evidence that is independent of who executed what, and when.
 	// Re-pruning never replaces it: only ModeERPi regenerates its explorer.
 	ge generationExplorer
-	// replay holds, in ModeFuzz, the signature of every resumed key the
-	// explorer has not re-emitted yet ("" for one that produced none).
-	replay map[string]string
+	// resume holds the fingerprint of every resumed record's key the
+	// driver has not met yet, with its signature for ModeFuzz to replay
+	// ("" for one that produced none). Nil without records and once all
+	// are met, so Resumed costs a nil check from then on.
+	resume map[uint64]string
 	// rec is the record Record appends to Config.Journal, reused.
 	rec checkpoint.Record
 }
@@ -65,8 +67,8 @@ func newLedger(s Scenario, cfg Config, explorer interleave.Explorer, res *Result
 // Record consumes the result of the interleaving explored at index. An
 // executed interleaving passes its outcome and a nil err. Otherwise
 // outcome is nil and err says why there is none: ErrSubsumed for a
-// state-subsumption skip — the index, record and dedup key all stand,
-// there is just nothing to assert on — or the final execution error after
+// state-subsumption skip — the index and record stand, there is just
+// nothing to assert on — or the final execution error after
 // `attempts` attempts, which quarantines the interleaving so the run
 // yields everything else instead of aborting. With Config.Journal set it
 // appends the result's record there and returns it (reused by the next
@@ -149,13 +151,14 @@ func (l *Ledger) check(index int, il interleave.Interleaving, outcome *Outcome) 
 
 // Resume reads an earlier session's records back from Config.Journal:
 // Resumed, Violations, FirstViolation, Quarantined and Subsumed come back
-// into the Result, and in ModeFuzz each record's signature waits for
-// Skipped to replay it. The records are indices 1..n in order — what
-// Record wrote — so the caller dedups their keys and numbers on from n+1,
-// and a resumed session's indices are those of an uninterrupted one.
-// Stateful assertions and OnOutcome do not see resumed results, and a
-// fault-armed ModeFuzz outcome replays as its signature (the record does
-// not say it was armed).
+// into the Result, and each record's key waits for Resumed to meet it
+// (in ModeFuzz, with its signature to replay). The records are indices
+// 1..n in order — what Record wrote — so the caller skips every
+// interleaving Resumed reports and numbers on from n+1, and a resumed
+// session's indices are those of an uninterrupted one. Stateful
+// assertions and OnOutcome do not see resumed results, and a fault-armed
+// ModeFuzz outcome replays as its signature (the record does not say it
+// was armed).
 func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 	if l.cfg.Journal == nil {
 		return nil, nil
@@ -164,17 +167,15 @@ func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if l.ge != nil {
-		l.replay = make(map[string]string, len(recs))
+	if len(recs) > 0 {
+		l.resume = make(map[uint64]string, len(recs))
 	}
 	for i := range recs {
 		r := &recs[i]
 		if r.Index != i+1 {
 			return nil, fmt.Errorf("runner: %s: record %d has index %d", l.cfg.Journal.Path(), i+1, r.Index)
 		}
-		if l.replay != nil {
-			l.replay[r.Key] = r.Sig
-		}
+		l.resume[fingerprint(r.Key)] = r.Sig
 		if r.Subsumed {
 			l.res.Subsumed++
 		}
@@ -199,23 +200,34 @@ func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 	return recs, nil
 }
 
-// Skipped classifies a key the driver's dedup kept from executing. In
-// ModeFuzz a resumed key gets its recorded signature, once — what its
-// execution reported in the earlier session — so the corpus evolves as in
-// an uninterrupted run; anything else yields no corpus evidence. Callers
-// hold whatever orders them against Record's use of the explorer.
-func (l *Ledger) Skipped(key string) {
-	if l.ge == nil {
-		return
+// Resumed reports whether il is a resumed record the driver has not met
+// yet, and forgets it: the driver skips it, keeping the index the record
+// already holds. In ModeFuzz the key gets its recorded signature — what
+// its execution reported in the earlier session — so the corpus evolves
+// as in an uninterrupted run. Resumed touches only the resume set and,
+// in ModeFuzz, the explorer: callers hold whatever orders them against
+// Record's use of the explorer.
+func (l *Ledger) Resumed(il interleave.Interleaving) bool {
+	if l.resume == nil {
+		return false
 	}
-	if sig, ok := l.replay[key]; ok {
-		delete(l.replay, key)
+	fp := fingerprintOf(il)
+	sig, ok := l.resume[fp]
+	if !ok {
+		return false
+	}
+	delete(l.resume, fp)
+	if len(l.resume) == 0 {
+		l.resume = nil
+	}
+	if l.ge != nil {
 		if sig != "" {
-			l.ge.ReportOutcome(key, sig)
-			return
+			l.ge.ReportOutcome(il.Key(), sig)
+		} else {
+			l.ge.ReportDropped(il.Key())
 		}
 	}
-	l.ge.ReportDropped(key)
+	return true
 }
 
 // Stopped reports that exploration should end here: StopOnViolation is

@@ -23,7 +23,7 @@ import (
 // of what ran before it on the same worker.
 //
 // Topology: workers that serve themselves — no driver goroutine, no
-// channel. One mutex (pool.mu) guards the explorer, the dedup set, the
+// channel. One mutex (pool.mu) guards the explorer, the carved set, the
 // datalog store, the queue of carved runs and the result Ledger (and with
 // it the record log); each worker owns a private Executor. A worker that
 // wants work takes the mutex and
@@ -32,8 +32,9 @@ import (
 //     (the oldest carved run not yet fully recorded) in index order, pops a
 //     finished head and continues into the next run;
 //   - carves: pulls a run of consecutive interleavings from the explorer in
-//     its native order — each given a stable 1-based index, deduped and
-//     stored at that moment — and queues the run;
+//     its native order — each given a stable 1-based index and stored at
+//     that moment, skipping a resumed record or, after a re-prune, one
+//     carved before — and queues the run;
 //
 // then executes the run outside the mutex, publishing each result as it
 // completes (slots[i], then the atomic done = i+1). Results must stream — a
@@ -105,7 +106,12 @@ type pool struct {
 	res      *Result
 	ledger   *Ledger
 	explorer interleave.Explorer
-	explored *exploredSet
+	// carved holds every interleaving carved, in a ModeERPi run with a
+	// ConstraintPoll only (nil otherwise): a re-prune restarts the explorer
+	// from the first interleaving, and what it carved before must not run
+	// again. Not a seek past the last carved key: a merged Grouping.Extra
+	// rebuilds the unit space, so the new sequence need not follow the old.
+	carved   exploredSet
 	pruning  prune.Config
 	maxIndex int // the session-wide cap: the highest index that may exist
 	workers  int
@@ -349,10 +355,10 @@ func (p *pool) carve(prev *run) *run {
 	return r
 }
 
-// pull advances the explorer to the next fresh interleaving, assigns its
-// index, and stores it. ok=false means nothing was assigned: assignment
-// stopped (noMore; a store failure also fails the run), or a fuzz
-// generation must quiesce first (genWait). Caller holds mu.
+// pull advances the explorer to the next interleaving no record or earlier
+// carve holds, assigns its index, and stores it. ok=false means nothing
+// was assigned: assignment stopped (noMore; a store failure also fails the
+// run), or a fuzz generation must quiesce first (genWait). Caller holds mu.
 func (p *pool) pull() (item workItem, ok bool) {
 	for {
 		if p.assigned >= p.maxIndex {
@@ -382,21 +388,12 @@ func (p *pool) pull() (item workItem, ok bool) {
 			p.noMore = true
 			return item, false
 		}
-		dedupSpan := p.tel.span(telemetry.StageDedup, p.assigned+1, telemetry.CoordinatorWorker)
-		dup := p.explored.seen(il)
-		dedupSpan.End()
-		if dup {
-			// A resumed record, or re-pruning regenerated the explorer. The
-			// key never executes: classify it so a fuzz generation can still
-			// complete.
+		// Both checks run: a resumed key met before a re-prune must be in
+		// the carved set when the new sequence meets it again.
+		resumed := p.ledger.Resumed(il)
+		if repeat := p.carved != nil && p.carved.seen(il); resumed || repeat {
 			p.tel.dedupSkipped.Inc()
-			if p.ledger.ge != nil {
-				p.ledger.Skipped(il.Key())
-			}
 			continue
-		}
-		if p.explored.Saturated() {
-			p.tel.progress.SetDedupSaturated()
 		}
 		p.assigned++
 		p.tel.explored.Inc()
@@ -505,7 +502,7 @@ func (p *pool) evolveFuzz() {
 
 // poll runs the quiesced ConstraintPoll and regenerates the explorer over
 // the merged pruning config when new constraints arrived. Interleavings
-// the regenerated explorer re-yields are skipped by the dedup set.
+// the regenerated explorer re-yields are skipped by the carved set.
 func (p *pool) poll() error {
 	if p.pollSkip {
 		p.pollSkip = false

@@ -246,13 +246,6 @@ type Config struct {
 	// adaptive sizing depend only on seed and classification outcomes,
 	// never on worker count, so the corpus trajectory stays pinned.
 	FuzzGenerationSize int
-	// MaxExploredKeys caps the in-memory dedup set that prevents
-	// re-executing interleavings (default ~1M entries; negative =
-	// unbounded). Beyond the cap, dedup degrades to best-effort — an
-	// order may run twice — but memory stays bounded, which is what long
-	// ModeRand/ModeFuzz explorations want. See exploredSet for the full
-	// trade-off.
-	MaxExploredKeys int
 	// PrefixCacheBytes, when > 0, enables incremental replay: each worker
 	// keeps a private bounded stack of mid-run cluster snapshots along the
 	// interleaving it last ran, restores the deepest one the next
@@ -275,7 +268,7 @@ type Config struct {
 	// restoring or hashing. The value bounds the
 	// visited-frontier table in bytes, shared across all workers of the
 	// run. Skipped interleavings still consume exploration indices
-	// (MaxInterleavings, dedup, journal) and are counted in
+	// (MaxInterleavings, journal) and are counted in
 	// Result.Subsumed; they produce no Outcome, so the
 	// deduplicated outcome-signature set is invariant but per-index
 	// results are not. Only the lexicographic enumerators honor it
@@ -343,7 +336,7 @@ type Result struct {
 	Resumed int
 	// Subsumed counts interleavings skipped by state subsumption
 	// (Config.SubsumptionTable). They are included in Explored — an index
-	// was assigned, journaled, and deduped before the skip — but produced
+	// was assigned and journaled before the skip — but produced
 	// no Outcome. Which interleavings are subsumed can vary with worker
 	// count and timing; the deduplicated outcome-signature set does not.
 	Subsumed int
@@ -357,11 +350,6 @@ type Result struct {
 	Interrupted bool
 	// InterruptErr holds the context error when Interrupted.
 	InterruptErr error
-	// DedupSaturated reports that the in-memory dedup set hit
-	// Config.MaxExploredKeys and degraded to best-effort: beyond that
-	// point an interleaving may have been executed (and counted) more
-	// than once.
-	DedupSaturated bool
 	// Bundles lists the forensic bundle files written under
 	// Config.ForensicDir, one per captured violating interleaving (empty
 	// when forensics are off or nothing violated).
@@ -473,7 +461,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 	}
 
 	res := &Result{Scenario: s.Name, Mode: cfg.Mode}
-	explored := newExploredSet(cfg.MaxExploredKeys)
 	ledger := newLedger(s, cfg, explorer, res, tel)
 	repoll := false
 	if cfg.Journal != nil {
@@ -489,7 +476,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		}
 		for i := range recs {
 			r := &recs[i]
-			explored.Add(r.Key)
 			// The earlier session polled constraints after a boundary index
 			// with an outcome (pool.pollSkip), and what it merged is not in
 			// the records: this one polls before carving.
@@ -509,7 +495,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		res:      res,
 		ledger:   ledger,
 		explorer: explorer,
-		explored: explored,
 		pruning:  pruning,
 		maxIndex: maxIL,
 		workers:  workers,
@@ -519,11 +504,15 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		assigned: res.Resumed,
 		nextProc: res.Resumed + 1,
 	}
+	polls := cfg.ConstraintPoll != nil && cfg.Mode == ModeERPi
+	if polls {
+		p.carved = exploredSet{}
+	}
 	switch {
 	case ledger.Stopped():
 		// The resumed records hold the violation StopOnViolation stops at.
 		p.noMore = true
-	case repoll && cfg.ConstraintPoll != nil && cfg.Mode == ModeERPi:
+	case repoll && polls:
 		p.pollWait = true
 		p.since = tel.now()
 	}
@@ -546,7 +535,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 			Exhausted:        ge.Exhausted(),
 		}
 	}
-	res.DedupSaturated = explored.Saturated()
 	if cfg.Journal != nil {
 		if err := cfg.Journal.Flush(); err != nil {
 			return nil, err

@@ -297,26 +297,6 @@ func TestRetryBackoffDoesNotOverflow(t *testing.T) {
 	}
 }
 
-// TestDedupSaturationSurfaces: a run whose dedup set hits its cap must
-// say so in the Result instead of silently degrading.
-func TestDedupSaturationSurfaces(t *testing.T) {
-	s := townReportScenario(t)
-	saturated, err := Run(s, Config{Mode: ModeRand, Seed: 7, MaxInterleavings: 30, MaxExploredKeys: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !saturated.DedupSaturated {
-		t.Fatal("a run past MaxExploredKeys must report DedupSaturated")
-	}
-	clean, err := Run(s, Config{Mode: ModeRand, Seed: 7, MaxInterleavings: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.DedupSaturated {
-		t.Fatal("an unsaturated run must not report DedupSaturated")
-	}
-}
-
 func TestRecorderFailedOpIsRecorded(t *testing.T) {
 	cluster := replica.NewCluster(map[event.ReplicaID]replica.State{
 		"A": newLWWSetState("A"),

@@ -19,7 +19,7 @@ import (
 // Metric names written by the engine:
 //
 //	runner.explored            interleavings assigned an exploration index
-//	runner.dedup_skipped       explorer yields suppressed by the explored set
+//	runner.dedup_skipped       explorer yields skipped: a resumed record, or carved before a re-prune
 //	runner.retries             execution attempts beyond the first
 //	runner.quarantined         interleavings that failed all retries
 //	runner.violations          assertion failures

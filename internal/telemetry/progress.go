@@ -9,17 +9,16 @@ import (
 // Progress is the live view of one exploration run: how much of the space
 // is done, how fast it is moving, and what every worker is doing right
 // now. It holds only what no metric does — the run's start and end, its
-// budget, the resumed count, the dedup-saturation flag and the per-worker
-// slots; everything it counts it reads from its registry on Snapshot. All
-// methods are nil-safe no-ops.
+// budget, the resumed count and the per-worker slots; everything it
+// counts it reads from its registry on Snapshot. All methods are nil-safe
+// no-ops.
 type Progress struct {
 	reg *Registry
 
-	start    atomic.Int64 // run start, unix nanos (0 = no run yet)
-	doneAt   atomic.Int64 // run end, unix nanos (0 = still running)
-	total    atomic.Int64 // exploration budget (cap), 0 = unknown
-	resumed  atomic.Int64
-	dedupSat atomic.Bool
+	start   atomic.Int64 // run start, unix nanos (0 = no run yet)
+	doneAt  atomic.Int64 // run end, unix nanos (0 = still running)
+	total   atomic.Int64 // exploration budget (cap), 0 = unknown
+	resumed atomic.Int64
 
 	mu      sync.Mutex
 	base    map[string]int64 // registry counters at BeginRun
@@ -41,7 +40,6 @@ func (p *Progress) BeginRun(total, workers, resumed int) {
 	p.mu.Unlock()
 	p.total.Store(int64(total))
 	p.resumed.Store(int64(resumed))
-	p.dedupSat.Store(false)
 	p.doneAt.Store(0)
 	p.start.Store(time.Now().UnixNano())
 }
@@ -66,16 +64,6 @@ func (p *Progress) SetWorker(w, index int) {
 	p.mu.Unlock()
 }
 
-// SetDedupSaturated marks the run's dedup set as saturated: beyond this
-// point dedup is best-effort and an interleaving may execute twice. The
-// flag makes a degraded run visible at /progress without log scraping.
-func (p *Progress) SetDedupSaturated() {
-	if p == nil {
-		return
-	}
-	p.dedupSat.Store(true)
-}
-
 // WorkerSnapshot is one worker's instantaneous state.
 type WorkerSnapshot struct {
 	ID int `json:"id"`
@@ -94,10 +82,6 @@ type ProgressSnapshot struct {
 	Resumed        int64   `json:"resumed"`
 	Quarantined    int64   `json:"quarantined"` // runner.quarantined
 	Violations     int64   `json:"violations"`  // runner.violations
-	// DedupSaturated reports the dedup set hit its cap and degraded to
-	// best-effort (mirrors Result.DedupSaturated, live instead of at
-	// run end).
-	DedupSaturated bool `json:"dedup_saturated"`
 	// FuzzGenerations / FuzzCorpusSize / FuzzNoveltyRate are a ModeFuzz
 	// run's fuzz.generations, fuzz.corpus_size and
 	// fuzz.novelty_rate_permille / 1000 (zero and omitted for every other
@@ -135,7 +119,6 @@ func (p *Progress) Snapshot() ProgressSnapshot {
 		Resumed:         p.resumed.Load(),
 		Quarantined:     since("runner.quarantined"),
 		Violations:      since("runner.violations"),
-		DedupSaturated:  p.dedupSat.Load(),
 		FuzzGenerations: since("fuzz.generations"),
 		LiveEvents:      since("live.events"),
 		LiveHandoffs:    since("live.handoffs"),

@@ -16,8 +16,10 @@ const (
 	// StagePrune is (re)building the pruned explorer, including
 	// ConstraintPoll re-pruning.
 	StagePrune
-	// StageDedup is the explored-set membership check and insert.
-	StageDedup
+	// Stage 3 was a per-yield dedup check that no longer exists; the
+	// stages after it keep their numbers, which bundles and wire reports
+	// carry.
+	_
 	// StageDispatch is a pool worker obtaining its next run of consecutive
 	// interleavings, on the worker's lane: from asking for work to holding
 	// the run — lock wait, barrier and carve-ahead (back-pressure) waits,
@@ -61,7 +63,6 @@ const (
 var stageNames = [...]string{
 	StageGenerate:        "generate",
 	StagePrune:           "prune",
-	StageDedup:           "dedup",
 	StageDispatch:        "dispatch",
 	StageExecute:         "execute",
 	StageFaultInject:     "fault-inject",
@@ -84,7 +85,7 @@ func (s Stage) String() string {
 }
 
 // CoordinatorWorker is the worker id spans use for coordinator-side work
-// (generation, dedup, dispatch, assertions).
+// (generation, dispatch, assertions).
 const CoordinatorWorker = -1
 
 // Span is one recorded stage execution. The JSON tags make spans

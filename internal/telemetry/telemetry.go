@@ -261,7 +261,9 @@ func New() *Registry {
 	}
 	r.progress = &Progress{reg: r}
 	for st := Stage(1); st <= stageMax; st++ {
-		r.stage[st] = r.Histogram("stage." + st.String() + "_ns")
+		if stageNames[st] != "" {
+			r.stage[st] = r.Histogram("stage." + st.String() + "_ns")
+		}
 	}
 	return r
 }

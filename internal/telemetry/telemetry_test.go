@@ -52,7 +52,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("y").Set(2)
 	r.Histogram("z").Observe(3)
 	r.Progress().BeginRun(10, 2, 0)
-	r.Progress().SetDedupSaturated()
 	sp := r.StartSpan(StageExecute, 1, 0)
 	sp.End()
 	r.ObserveSpan(StageExecute, 1, 0, time.Now(), time.Millisecond)
