@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -61,8 +60,9 @@ func TestIncrByOverTCP(t *testing.T) {
 }
 
 // lossyServer serves store like Server does, except that it applies the
-// first increment it receives and then drops the connection instead of
-// replying: the ambiguous failure — applied, but the client cannot know.
+// first increment it receives — an INCR, an INCRBY or a WAITGE carrying a
+// delta — and then drops the connection instead of replying: the
+// ambiguous failure — applied, but the client cannot know.
 func lossyServer(t *testing.T, store *Store) (addr string, done func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -90,7 +90,8 @@ func lossyServer(t *testing.T, store *Store) (addr string, done func()) {
 					if err != nil {
 						return
 					}
-					incr := string(args[0]) == "INCR" || string(args[0]) == "INCRBY"
+					incr := string(args[0]) == "INCR" || string(args[0]) == "INCRBY" ||
+						string(args[0]) == "WAITGE" && len(args) == 5
 					rep := srv.dispatch(nil, args)
 					if incr && dropped.CompareAndSwap(false, true) {
 						return
@@ -124,7 +125,7 @@ func TestAdvanceNotRetriedOnLostReply(t *testing.T) {
 	c.SetFaultHook(func(string, []string) error { sent++; return nil })
 
 	seq := NewSequencer(c, "turn", time.Millisecond)
-	if err := seq.Advance(1); err == nil {
+	if err := seq.Advance(context.Background(), 1, -1); err == nil {
 		t.Fatal("Advance with a lost reply must fail, not retry")
 	}
 	if v, _ := store.Get("turn"); v != "1" {
@@ -134,31 +135,18 @@ func TestAdvanceNotRetriedOnLostReply(t *testing.T) {
 		t.Fatalf("Advance put %d requests on the wire; want 1", sent)
 	}
 	// The client heals for whatever the caller does next.
-	if err := seq.Advance(2); err != nil {
+	if err := seq.Advance(context.Background(), 2, -1); err != nil {
 		t.Fatalf("Advance after the loss: %v", err)
 	}
 
 	// A hook failure is not retried either: one call, one error.
 	sent = 0
 	c.SetFaultHook(func(string, []string) error { sent++; return errors.New("outage") })
-	if err := seq.Advance(1); err == nil || sent != 1 {
+	if err := seq.Advance(context.Background(), 1, -1); err == nil || sent != 1 {
 		t.Fatalf("Advance under a failing hook = %v after %d hook calls; want an error after 1", err, sent)
 	}
 	if v, _ := store.Get("turn"); v != "3" {
 		t.Fatalf("counter = %q; a request the hook refused must not reach the server", v)
-	}
-}
-
-// parked spins until n callers are parked in WaitGE on key.
-func parked(s *Store, key string, n int) {
-	for {
-		s.mu.Lock()
-		got := len(s.waiters[key])
-		s.mu.Unlock()
-		if got == n {
-			return
-		}
-		runtime.Gosched()
 	}
 }
 
@@ -169,14 +157,14 @@ func TestStoreWaitGEWakesOnlySatisfied(t *testing.T) {
 	results := make(chan [2]int64, 3)
 	for target := int64(1); target <= 3; target++ {
 		go func() {
-			cur, err := s.WaitGE("turn", target, time.Minute, nil)
+			cur, err := s.WaitGE("turn", 0, target, time.Minute, nil)
 			if err != nil {
 				t.Error(err)
 			}
 			results <- [2]int64{target, cur}
 		}()
 	}
-	parked(s, "turn", 3)
+	parked(t, s, "turn", 3)
 	// wakes counts the waiters whose channel a mutation has closed, among
 	// those still queued or just released.
 	all := slices.Clone(s.waiters["turn"])
@@ -234,7 +222,7 @@ func TestStoreWaitGEWakesOnlySatisfied(t *testing.T) {
 // counters does not accumulate the waits that gave up.
 func TestStoreWaitGETimeoutLeavesQueue(t *testing.T) {
 	s := NewStore()
-	if cur, err := s.WaitGE("turn", 5, time.Millisecond, nil); err != nil || cur != 0 {
+	if cur, err := s.WaitGE("turn", 0, 5, time.Millisecond, nil); err != nil || cur != 0 {
 		t.Fatalf("timed-out WaitGE = %d, %v; want 0, nil", cur, err)
 	}
 	s.mu.Lock()
@@ -279,8 +267,8 @@ func TestSequencerAdvanceByRun(t *testing.T) {
 			got <- turn
 		}()
 	}
-	parked(store, "turn", 2)
-	if err := holder.Advance(3); err != nil {
+	parked(t, store, "turn", 2)
+	if err := holder.Advance(context.Background(), 3, -1); err != nil {
 		t.Fatal(err)
 	}
 	if turn := <-got; turn != 3 {
@@ -292,7 +280,7 @@ func TestSequencerAdvanceByRun(t *testing.T) {
 	if !still {
 		t.Fatal("the waiter for turn 5 did not stay parked through the advance to 3")
 	}
-	if err := next.Advance(2); err != nil {
+	if err := next.Advance(context.Background(), 2, -1); err != nil {
 		t.Fatal(err)
 	}
 	if turn := <-got; turn != 5 {

@@ -5,21 +5,55 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// waiting reports how many WAITGE callers the store holds parked on key.
+func waiting(s *Store, key string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.waiters[key])
+}
+
+// parked waits until the store holds n WAITGE callers parked on key, so a
+// test acts on a wait that is known to have parked rather than on one
+// given time to.
+func parked(t *testing.T, s *Store, key string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); waiting(s, key) != n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers parked on %s; want %d", waiting(s, key), key, n)
+		}
+	}
+}
+
+// serveStore serves a fresh store over TCP until the test ends.
+func serveStore(t *testing.T) (*Store, string) {
+	t.Helper()
+	store := NewStore()
+	srv := NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return store, addr
+}
+
 func TestStoreWaitGEImmediate(t *testing.T) {
 	s := NewStore()
 	s.Set("n", "3", false, 0)
-	cur, err := s.WaitGE("n", 2, time.Second, nil)
+	cur, err := s.WaitGE("n", 0, 2, time.Second, nil)
 	if err != nil || cur != 3 {
 		t.Fatalf("WaitGE on a satisfied counter = %d, %v; want 3, nil", cur, err)
 	}
 	// A missing key reads 0: target 0 is satisfied without a write.
-	cur, err = s.WaitGE("absent", 0, time.Second, nil)
+	cur, err = s.WaitGE("absent", 0, 0, time.Second, nil)
 	if err != nil || cur != 0 {
 		t.Fatalf("WaitGE on a missing key = %d, %v; want 0, nil", cur, err)
 	}
@@ -29,20 +63,20 @@ func TestStoreWaitGEWakesOnIncr(t *testing.T) {
 	s := NewStore()
 	done := make(chan int64, 1)
 	go func() {
-		cur, err := s.WaitGE("n", 2, 5*time.Second, nil)
+		cur, err := s.WaitGE("n", 0, 2, 5*time.Second, nil)
 		if err != nil {
 			t.Error(err)
 		}
 		done <- cur
 	}()
-	time.Sleep(10 * time.Millisecond)
+	parked(t, s, "n", 1)
 	if _, err := s.Incr("n"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case cur := <-done:
-		t.Fatalf("WaitGE woke at %d, below target", cur)
-	case <-time.After(30 * time.Millisecond):
+	// A mutation wakes its waiters before it returns: one below the
+	// target is still parked.
+	if waiting(s, "n") != 1 {
+		t.Fatal("WaitGE woke below its target")
 	}
 	if _, err := s.Incr("n"); err != nil {
 		t.Fatal(err)
@@ -60,7 +94,7 @@ func TestStoreWaitGEWakesOnIncr(t *testing.T) {
 func TestStoreWaitGETimeoutAndCancel(t *testing.T) {
 	s := NewStore()
 	start := time.Now()
-	cur, err := s.WaitGE("n", 5, 30*time.Millisecond, nil)
+	cur, err := s.WaitGE("n", 0, 5, 30*time.Millisecond, nil)
 	if err != nil || cur != 0 {
 		t.Fatalf("timed-out WaitGE = %d, %v; want 0, nil", cur, err)
 	}
@@ -69,15 +103,19 @@ func TestStoreWaitGETimeoutAndCancel(t *testing.T) {
 	}
 
 	cancel := make(chan struct{})
+	errc := make(chan error, 1)
 	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(cancel)
+		_, err := s.WaitGE("n", 0, 5, 5*time.Second, cancel)
+		errc <- err
 	}()
-	start = time.Now()
-	if _, err := s.WaitGE("n", 5, 5*time.Second, cancel); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > time.Second {
+	parked(t, s, "n", 1)
+	close(cancel)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
 		t.Fatal("WaitGE ignored its cancel channel")
 	}
 }
@@ -85,14 +123,13 @@ func TestStoreWaitGETimeoutAndCancel(t *testing.T) {
 func TestStoreWaitGENonInteger(t *testing.T) {
 	s := NewStore()
 	s.Set("n", "banana", false, 0)
-	if _, err := s.WaitGE("n", 1, time.Second, nil); err == nil {
+	if _, err := s.WaitGE("n", 0, 1, time.Second, nil); err == nil {
 		t.Fatal("WaitGE on a non-integer value must error")
 	}
 }
 
 func TestClientWaitGEOverTCP(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
+	store, addr := serveStore(t)
 	waiter, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +149,7 @@ func TestClientWaitGEOverTCP(t *testing.T) {
 		}
 		woke <- cur
 	}()
-	time.Sleep(20 * time.Millisecond)
+	parked(t, store, "turn", 1)
 	if _, err := writer.Incr("turn"); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +166,8 @@ func TestClientWaitGEOverTCP(t *testing.T) {
 // Closing the server must promptly unpark every blocked WAITGE instead of
 // deadlocking Close behind parked connection handlers.
 func TestServerCloseUnblocksWaitGE(t *testing.T) {
-	srv := NewServer(NewStore())
+	store := NewStore()
+	srv := NewServer(store)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +183,7 @@ func TestServerCloseUnblocksWaitGE(t *testing.T) {
 		_, _ = c.WaitGE("turn", 1, 10*time.Second)
 		close(returned)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	parked(t, store, "turn", 1)
 	closed := make(chan struct{})
 	go func() {
 		_ = srv.Close()
@@ -160,23 +198,31 @@ func TestServerCloseUnblocksWaitGE(t *testing.T) {
 	}
 }
 
-// stubNoWaitGE is a pre-WAITGE lock server: every WAITGE gets "unknown
-// command", everything else gets a nil bulk (missing key). It counts the
-// WAITGE attempts so tests can pin the client's latch-once fallback.
-func stubNoWaitGE(t *testing.T) (addr string, waitges *atomic.Int64, done func()) {
+// stubServer serves a fresh store like Server does, except that a request
+// for which reject returns a message is answered with that error and
+// applies nothing: a server from before a command or argument existed, as
+// far as the requests it rejects go.
+func stubServer(t *testing.T, reject func(args [][]byte) string) (store *Store, addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n atomic.Int64
+	store = NewStore()
+	srv := NewServer(store)
+	var wg sync.WaitGroup
+	t.Cleanup(func() { _ = ln.Close(); _ = srv.Close(); wg.Wait() })
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go func(conn net.Conn) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
 				defer conn.Close()
 				in := commandReader{r: bufio.NewReader(conn)}
 				for {
@@ -185,31 +231,39 @@ func stubNoWaitGE(t *testing.T) (addr string, waitges *atomic.Int64, done func()
 						return
 					}
 					var rep []byte
-					switch strings.ToUpper(string(args[0])) {
-					case "WAITGE":
-						n.Add(1)
-						rep = appendError(nil, "unknown command "+string(args[0]))
-					case "PING":
-						rep = appendSimple(nil, "PONG")
-					default:
-						rep = appendNil(nil)
+					if msg := reject(args); msg != "" {
+						rep = appendError(nil, msg)
+					} else {
+						rep = srv.dispatch(nil, args)
 					}
 					if _, err := conn.Write(rep); err != nil {
 						return
 					}
 				}
-			}(conn)
+			}()
 		}
 	}()
-	return ln.Addr().String(), &n, func() { _ = ln.Close() }
+	return store, ln.Addr().String()
+}
+
+// noWaitGE makes stubServer a plain Redis as far as WAITGE goes: it does
+// not know the command. It counts the WAITGEs rejected.
+func noWaitGE(n *atomic.Int64) func(args [][]byte) string {
+	return func(args [][]byte) string {
+		if !strings.EqualFold(string(args[0]), "WAITGE") {
+			return ""
+		}
+		n.Add(1)
+		return "unknown command " + string(args[0])
+	}
 }
 
 // Against a server without WAITGE the client surfaces
 // ErrBlockingUnsupported, and the sequencer latches onto the polling path
 // permanently — one probe, not one per turn.
 func TestSequencerFallsBackOnUnsupportedServer(t *testing.T) {
-	addr, waitges, done := stubNoWaitGE(t)
-	defer done()
+	var waitges atomic.Int64
+	_, addr := stubServer(t, noWaitGE(&waitges))
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +277,7 @@ func TestSequencerFallsBackOnUnsupportedServer(t *testing.T) {
 	seq := NewSequencer(c, "turn", time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	// The stub answers every GET with nil => counter 0, so turn 0 is ready.
+	// The counter is absent => 0, so turn 0 is ready.
 	if err := seq.WaitTurn(ctx, 0); err != nil {
 		t.Fatalf("WaitTurn via polling fallback: %v", err)
 	}
@@ -238,8 +292,7 @@ func TestSequencerFallsBackOnUnsupportedServer(t *testing.T) {
 }
 
 func TestBlockingWaitTurnWakesOnAdvance(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
+	store, addr := serveStore(t)
 	waiter, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -253,15 +306,15 @@ func TestBlockingWaitTurnWakesOnAdvance(t *testing.T) {
 
 	seq := NewSequencer(waiter, "turn", time.Millisecond)
 	other := NewSequencer(advancer, "turn", time.Millisecond)
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		if err := other.Advance(1); err != nil {
-			t.Error(err)
-		}
-	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := seq.WaitTurn(ctx, 1); err != nil {
+	errc := make(chan error, 1)
+	go func() { errc <- seq.WaitTurn(ctx, 1) }()
+	parked(t, store, "turn", 1)
+	if err := other.Advance(ctx, 1, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
 		t.Fatalf("blocking WaitTurn: %v", err)
 	}
 }

@@ -31,6 +31,25 @@ var ErrClientClosed = errors.New("lockserver: client closed")
 // rest of its lifetime when it sees this.
 var ErrBlockingUnsupported = errors.New("lockserver: blocking wait unsupported by server")
 
+// ErrHandoffUnsupported marks a WAITGE carrying a delta rejected by a
+// server whose WAITGE predates the delta argument. The server rejects it
+// before adding anything, so the sequencer latches onto a separate INCRBY
+// and WAITGE for the rest of its lifetime.
+var ErrHandoffUnsupported = errors.New("lockserver: WAITGE delta unsupported by server")
+
+// waitGEError maps a WAITGE error reply. A server without WAITGE answers
+// "unknown command"; one whose WAITGE takes no delta answers a request
+// carrying one with its arity error, "WAITGE requires …".
+func waitGEError(msg string, delta bool) error {
+	switch {
+	case strings.Contains(msg, "unknown command"):
+		return ErrBlockingUnsupported
+	case delta && strings.Contains(msg, "requires"):
+		return ErrHandoffUnsupported
+	}
+	return errors.New(msg)
+}
+
 // FaultHook inspects an outgoing request before it reaches the wire; a
 // non-nil return fails the attempt as if the server were unreachable. The
 // fault package installs outage windows through this seam.
@@ -353,10 +372,32 @@ func (c *Client) WaitGEContext(ctx context.Context, key string, target int64, ti
 		return 0, err
 	}
 	if rep.kind == '-' {
-		if strings.Contains(rep.str, "unknown command") {
-			return 0, ErrBlockingUnsupported
-		}
-		return 0, errors.New(rep.str)
+		return 0, waitGEError(rep.str, false)
+	}
+	return rep.n, nil
+}
+
+// IncrByWaitGE is a ticket lock's hand-off in one request, WAITGE key
+// target timeoutMs n: the server adds n to the counter at key, waking
+// whoever the new value serves, then parks the request like WaitGE until
+// the value reaches target or the timeout elapses, and replies with the
+// last value it read. Like IncrBy it is sent once, outside do's retry
+// ladder — a retry after a lost reply would add n twice — and an error
+// reply means nothing was added: ErrBlockingUnsupported from a server
+// without WAITGE, ErrHandoffUnsupported from one whose WAITGE takes no
+// delta. Interrupt cuts the parked wait short, like WaitGE's.
+func (c *Client) IncrByWaitGE(key string, n, target int64, timeout time.Duration) (int64, error) {
+	c.mu.Lock()
+	rep, err := c.sendLocked([]string{"WAITGE", key,
+		strconv.FormatInt(target, 10),
+		strconv.FormatInt(timeout.Milliseconds(), 10),
+		strconv.FormatInt(n, 10)})
+	c.mu.Unlock()
+	if err != nil {
+		return 0, fmt.Errorf("lockserver: WAITGE %s with delta %d (not retried): %w", key, n, err)
+	}
+	if rep.kind == '-' {
+		return 0, waitGEError(rep.str, true)
 	}
 	return rep.n, nil
 }
@@ -597,8 +638,11 @@ type Sequencer struct {
 	// noBlock disables the server-side blocking wait, latched permanently
 	// when the server rejects WAITGE as unknown.
 	noBlock bool
+	// noHandoff disables the one-request hand-off, latched permanently
+	// when the server rejects a WAITGE carrying a delta (or WAITGE at all).
+	noHandoff bool
 
-	histTurnWait *telemetry.Histogram // nil-safe: time blocked in WaitTurn
+	histTurnWait *telemetry.Histogram // nil-safe: time blocked waiting for a turn
 }
 
 // NewSequencer builds a sequencer on the given counter key.
@@ -606,8 +650,9 @@ func NewSequencer(client *Client, key string, retry time.Duration) *Sequencer {
 	return &Sequencer{client: client, key: key, retry: retry}
 }
 
-// SetMetrics attaches a latency histogram recording how long each
-// successful WaitTurn blocked. Call before use; nil records nothing.
+// SetMetrics attaches a latency histogram recording how long each granted
+// turn was waited for: by WaitTurn, or by the wait inside an Advance that
+// names the holder's next turn. Call before use; nil records nothing.
 func (s *Sequencer) SetMetrics(turnWait *telemetry.Histogram) {
 	s.histTurnWait = turnWait
 }
@@ -623,6 +668,18 @@ func (s *Sequencer) Reset() error {
 // turn still costs exactly one round trip.
 const blockingTurnChunk = 100 * time.Millisecond
 
+// waitChunk is how long the next WAITGE may park: blockingTurnChunk, cut to
+// what is left of ctx, and 0 once ctx is done.
+func waitChunk(ctx context.Context) time.Duration {
+	if ctx.Err() != nil {
+		return 0
+	}
+	if deadline, ok := ctx.Deadline(); ok {
+		return max(min(blockingTurnChunk, time.Until(deadline)), 0)
+	}
+	return blockingTurnChunk
+}
+
 // WaitTurn blocks until the shared counter equals turn. The fast path is
 // a server-side blocking WAITGE issued in ~100ms chunks: one round trip
 // when the turn is ready, zero polls while it is not. Request errors
@@ -635,38 +692,46 @@ const blockingTurnChunk = 100 * time.Millisecond
 // server returns at once when Interrupt is called, with ctx's error once
 // ctx is done.
 func (s *Sequencer) WaitTurn(ctx context.Context, at int) error {
-	turn, started := int64(at), time.Now()
+	return s.waitTurn(ctx, int64(at), time.Now())
+}
+
+// waitTurn is WaitTurn for a wait that started at started.
+func (s *Sequencer) waitTurn(ctx context.Context, turn int64, started time.Time) error {
 	for !s.noBlock {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("lockserver: wait turn %d: %w", turn, err)
 		}
-		chunk := blockingTurnChunk
-		if deadline, ok := ctx.Deadline(); ok {
-			if rem := time.Until(deadline); rem < chunk {
-				chunk = rem
-			}
-		}
-		cur, err := s.client.WaitGEContext(ctx, s.key, turn, chunk)
+		cur, err := s.client.WaitGEContext(ctx, s.key, turn, waitChunk(ctx))
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return fmt.Errorf("lockserver: wait turn %d: %w", turn, ctxErr)
 			}
 			if errors.Is(err, ErrBlockingUnsupported) {
-				s.noBlock = true
+				s.noBlock, s.noHandoff = true, true
 			}
 			break // fall back to polling: outage or pre-WAITGE server
 		}
-		if cur == turn {
-			s.histTurnWait.ObserveDuration(time.Since(started))
-			return nil
-		}
-		if cur > turn {
-			return fmt.Errorf("lockserver: turn %d already passed (at %d)", turn, cur)
+		if done, err := s.granted(turn, cur, started); done {
+			return err
 		}
 		// cur < turn: the chunk timed out; re-check the context and park
 		// again.
 	}
 	return s.pollTurn(ctx, turn, started)
+}
+
+// granted reports whether the counter read as cur settles the wait for
+// turn that started at started: with nil once it names turn (the wait is
+// observed), with an error once it has passed it.
+func (s *Sequencer) granted(turn, cur int64, started time.Time) (bool, error) {
+	switch {
+	case cur == turn:
+		s.histTurnWait.ObserveDuration(time.Since(started))
+		return true, nil
+	case cur > turn:
+		return true, fmt.Errorf("lockserver: turn %d already passed (at %d)", turn, cur)
+	}
+	return false, nil
 }
 
 // pollTurn is the 1ms-polling WaitTurn body, kept as the fallback when
@@ -682,12 +747,8 @@ func (s *Sequencer) pollTurn(ctx context.Context, turn int64, started time.Time)
 					return fmt.Errorf("lockserver: sequencer key corrupt: %w", err)
 				}
 			}
-			if cur == turn {
-				s.histTurnWait.ObserveDuration(time.Since(started))
-				return nil
-			}
-			if cur > turn {
-				return fmt.Errorf("lockserver: turn %d already passed (at %d)", turn, cur)
+			if done, err := s.granted(turn, cur, started); done {
+				return err
 			}
 		} else if ctxErr := ctx.Err(); ctxErr != nil {
 			return fmt.Errorf("lockserver: wait turn %d: %w (last error: %v)", turn, ctxErr, err)
@@ -708,9 +769,48 @@ func (s *Sequencer) Interrupt() { s.client.Interrupt() }
 
 // Advance adds n to the shared counter: the holder of turn t hands the
 // schedule to turn t+n, having run the n consecutive positions it owned as
-// one critical section. Sent once (see Client.IncrBy); after an error the
-// counter's value is unknown and the session is lost, not the turn retried.
-func (s *Sequencer) Advance(n int) error {
-	_, err := s.client.IncrBy(s.key, int64(n))
+// one critical section. With next >= 0, the holder's own next turn, it
+// then waits for next like WaitTurn, and the hand-off and the wait are one
+// request (Client.IncrByWaitGE): the server adds n, wakes the next run's
+// owner and parks this caller until the counter reaches next. If that
+// chunk times out below next, the wait goes on with plain WAITGEs, which
+// add nothing. Either way the increment is sent once: after a transport
+// error the counter's value is unknown and the session is lost, not the
+// hand-off retried. A server that rejects the delta has added nothing, and
+// the sequencer latches onto INCRBY followed by WaitTurn's wait.
+func (s *Sequencer) Advance(ctx context.Context, n, next int) error {
+	started := time.Now()
+	if next >= 0 && !s.noHandoff {
+		cur, err := s.client.IncrByWaitGE(s.key, int64(n), int64(next), waitChunk(ctx))
+		switch {
+		case errors.Is(err, ErrBlockingUnsupported):
+			s.noBlock, s.noHandoff = true, true
+		case errors.Is(err, ErrHandoffUnsupported):
+			s.noHandoff = true
+		case err != nil:
+			return handoffErr(ctx, n, err)
+		default:
+			if done, err := s.granted(int64(next), cur, started); done {
+				return err
+			}
+			return s.waitTurn(ctx, int64(next), started)
+		}
+	}
+	if _, err := s.client.IncrBy(s.key, int64(n)); err != nil {
+		return handoffErr(ctx, n, err)
+	}
+	if next < 0 {
+		return nil
+	}
+	return s.waitTurn(ctx, int64(next), started)
+}
+
+// handoffErr is the error of a hand-off by n whose request failed: ctx's
+// once ctx is done, because Interrupt then fails the request in flight and
+// how it cut the connection says nothing, and err otherwise.
+func handoffErr(ctx context.Context, n int, err error) error {
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return fmt.Errorf("lockserver: hand-off by %d: %w", n, ctxErr)
+	}
 	return err
 }

@@ -7,13 +7,6 @@ import (
 	"time"
 )
 
-// waiting reports how many WAITGE callers the store holds parked on key.
-func waiting(s *Store, key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.waiters[key])
-}
-
 // TestInterruptCutsParkedWaitShort: a WaitTurn parked on the server
 // returns as soon as its dying context's AfterFunc interrupts the client —
 // while the server still holds the wait, not when the wait's chunk ends —
@@ -40,7 +33,7 @@ func TestInterruptCutsParkedWaitShort(t *testing.T) {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- seq.WaitTurn(ctx, 5) }()
-	parked(store, "turn", 1)
+	parked(t, store, "turn", 1)
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted WaitTurn = %v; want context.Canceled", err)
@@ -57,7 +50,7 @@ func TestInterruptCutsParkedWaitShort(t *testing.T) {
 	}
 	// Once the abandoned wait's reply has been sent to its connection, the
 	// client still reads only its own replies.
-	parked(store, "turn", 0)
+	parked(t, store, "turn", 0)
 	if err := NewSequencer(c, "turn", time.Millisecond).WaitTurn(context.Background(), 3); err != nil {
 		t.Fatalf("WaitTurn on a fresh context after the interrupt: %v", err)
 	}

@@ -261,7 +261,7 @@ func TestSequencerOrdersEvents(t *testing.T) {
 			mu.Lock()
 			order = append(order, turn)
 			mu.Unlock()
-			if err := seq.Advance(1); err != nil {
+			if err := seq.Advance(context.Background(), 1, -1); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -290,7 +290,7 @@ func TestSequencerTurnAlreadyPassed(t *testing.T) {
 	if err := seq.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if err := seq.Advance(1); err != nil {
+	if err := seq.Advance(context.Background(), 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := seq.WaitTurn(context.Background(), 0); err == nil {

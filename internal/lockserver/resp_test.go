@@ -19,6 +19,7 @@ var subsetCommands = [][]string{
 	{"INCR", "live/sess/0/1:turn"},
 	{"INCRBY", "live/sess/0/1:turn", "7"},
 	{"WAITGE", "live/sess/0/1:turn", "12", "100"},
+	{"WAITGE", "live/sess/0/1:turn", "12", "100", "3"},
 	{"CAD", "lock", "token"},
 	{"CEX", "lock", "token", "30000"},
 	{"SET", "", "\r\n$3\r\n\x00"},
@@ -84,7 +85,7 @@ func FuzzReadCommand(f *testing.F) {
 			}
 			// Whatever parses must also dispatch without panicking; a
 			// WAITGE would park, so cap its timeout argument first.
-			if len(strs) == 4 && strings.EqualFold(strs[0], "WAITGE") {
+			if len(strs) >= 4 && strings.EqualFold(strs[0], "WAITGE") {
 				args[3] = []byte("0")
 			}
 			_ = NewServer(NewStore()).dispatch(nil, args)

@@ -206,12 +206,14 @@ func (s *Server) cmdIncrBy(dst, key []byte, delta int64) []byte {
 const maxBlockingWait = 30 * time.Second
 
 // cmdWaitGE serves the blocking sequencer wait: WAITGE key target
-// timeoutMs parks until the integer at key (missing = 0) reaches target,
-// then replies with the current value. A timeout replies with the current
-// (sub-target) value; the client re-issues or falls back to polling.
+// timeoutMs [delta] adds delta to the integer at key (missing = 0), then
+// parks until it reaches target and replies with the current value. A
+// timeout replies with the current (sub-target) value; the client
+// re-issues a plain WAITGE or falls back to polling. A malformed request
+// is rejected before anything is added.
 func (s *Server) cmdWaitGE(dst []byte, args [][]byte) []byte {
-	if len(args) != 3 {
-		return appendError(dst, "WAITGE requires key, target, and timeout")
+	if len(args) != 3 && len(args) != 4 {
+		return appendError(dst, "WAITGE requires key, target, timeout, and an optional delta")
 	}
 	target, ok := parseInt(args[1])
 	if !ok {
@@ -221,8 +223,14 @@ func (s *Server) cmdWaitGE(dst []byte, args [][]byte) []byte {
 	if !ok || ms < 0 {
 		return appendError(dst, "invalid WAITGE timeout")
 	}
+	var delta int64
+	if len(args) == 4 {
+		if delta, ok = parseInt(args[3]); !ok {
+			return appendError(dst, "invalid WAITGE delta")
+		}
+	}
 	timeout := min(time.Duration(ms)*time.Millisecond, maxBlockingWait)
-	cur, err := s.store.WaitGE(string(args[0]), target, timeout, s.closedCh)
+	cur, err := s.store.WaitGE(string(args[0]), delta, target, timeout, s.closedCh)
 	if err != nil {
 		return appendError(dst, "value is not an integer")
 	}

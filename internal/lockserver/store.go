@@ -3,7 +3,8 @@
 // Redis-compatible key-value server speaking a RESP subset over TCP
 // (SET [NX] [PX], GET, DEL, INCR, INCRBY, PING, plus three commands Redis
 // needs a script for: CAD and CEX, compare-and-delete / -expire, and WAITGE,
-// a blocking wait for a counter), a reconnecting client, a Redlock-style
+// a blocking wait for a counter that can first add to it), a reconnecting
+// client, a Redlock-style
 // distributed mutex with lease renewal, and a turn sequencer: a ticket lock
 // whose "now serving" counter lives on the server.
 //
@@ -198,20 +199,29 @@ func (s *Store) CompareAndExpire(key, expect string, px time.Duration) bool {
 	return true
 }
 
-// WaitGE blocks until the integer value at key (missing = 0) reaches at
-// least target, the timeout elapses, or cancel closes, and returns the
-// last value read. The caller distinguishes the cases by comparing the
-// returned value against target — a sub-target return means the wait
-// timed out or was cancelled. A non-integer value is an error.
+// WaitGE adds delta to the integer value at key (missing = 0; delta 0
+// writes nothing), then blocks until the value reaches at least target,
+// the timeout elapses, or cancel closes, and returns the last value read.
+// The caller distinguishes the cases by comparing the returned value
+// against target — a sub-target return means the wait timed out or was
+// cancelled. A non-integer value is an error, and then nothing is added.
 //
 // This is the server side of the blocking sequencer turn: instead of the
 // client polling GET every millisecond, one WAITGE request parks here with
-// its target and is woken by the IncrBy/Set that reaches it — and by no
+// its target and is woken by the mutation that reaches it — and by no
 // other: an advance that hands the turn to one replica leaves the others
-// parked.
-func (s *Store) WaitGE(key string, target int64, timeout time.Duration, cancel <-chan struct{}) (int64, error) {
+// parked. With a delta it is also the hand-off itself: the holder adds its
+// run's length, which wakes the next run's owner, and parks for its own
+// next run under the same acquisition of s.mu, so nothing can run between
+// the advance and the wait.
+func (s *Store) WaitGE(key string, delta, target int64, timeout time.Duration, cancel <-chan struct{}) (int64, error) {
 	s.mu.Lock()
 	cur, err := s.intLocked(key)
+	if err == nil && delta != 0 {
+		cur += delta
+		s.data[key] = entry{value: strconv.FormatInt(cur, 10)}
+		s.wakeLocked(key)
+	}
 	if err != nil || cur >= target || timeout <= 0 {
 		s.mu.Unlock()
 		return cur, err

@@ -130,7 +130,8 @@ func (s *DistSession) Key() string { return s.key }
 // counter and the counter is the lock: a ticket lock whose "now serving"
 // value lives on the server. The replica whose turn the counter names
 // holds it, nobody else advances it, and Advance — one non-retried
-// increment — hands it on.
+// request that adds the run's length and parks the holder until its own
+// next run — hands it on.
 var _ TurnGate = (*lockserver.Sequencer)(nil)
 
 // Gate builds the session gate for one replica. Replicas of a session

@@ -55,7 +55,7 @@ func TestDistSessionEpochFencing(t *testing.T) {
 		if err := g1.WaitTurn(ctx, turn); err != nil {
 			t.Fatal(err)
 		}
-		if err := g1.Advance(1); err != nil {
+		if err := g1.Advance(context.Background(), 1, -1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestDistSessionEpochFencing(t *testing.T) {
 	if err := g2.WaitTurn(ctx, 0); err != nil {
 		t.Fatalf("fresh epoch's turn 0: %v", err)
 	}
-	if err := g2.Advance(1); err != nil {
+	if err := g2.Advance(context.Background(), 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	// The stale epoch is at 2; the fresh one is at 1. Turn 2 must NOT be
@@ -122,7 +122,7 @@ func TestDistSessionCloseReleasesState(t *testing.T) {
 	if store.Len() != 0 {
 		t.Fatalf("store holds %d keys before the first advance; want 0", store.Len())
 	}
-	if err := gA.Advance(2); err != nil {
+	if err := gA.Advance(context.Background(), 2, -1); err != nil {
 		t.Fatal(err)
 	}
 	// B takes turn 2 and fails mid-run: it returns without Advance.

@@ -35,14 +35,19 @@ const (
 //
 // A gate is a ticket lock: WaitTurn returns to the one caller whose turn
 // the schedule has reached, and that caller holds the schedule until it
-// advances it. Only the holder may call Advance.
+// advances it. Only the holder may call Advance. A caller takes the
+// schedule with WaitTurn once, for its first turn; every later turn it
+// owns is granted by the Advance that hands its previous one on, so a
+// lock-server gate sends one request per hand-off.
 type TurnGate interface {
 	// WaitTurn blocks until the global schedule reaches the given turn.
 	WaitTurn(ctx context.Context, turn int) error
 	// Advance hands the schedule on by n turns: the holder of turn t ran
 	// the n consecutive turns t..t+n-1 it owned as one critical section,
-	// and turn t+n is next.
-	Advance(n int) error
+	// and turn t+n is next. With next >= 0, the caller's own next turn, it
+	// then blocks until the schedule reaches next, as WaitTurn(ctx, next)
+	// would; with next < 0 it returns once the schedule is handed on.
+	Advance(ctx context.Context, n, next int) error
 }
 
 // Interceptor routes RDL calls for one test session. It is shared by all
@@ -63,6 +68,10 @@ type Interceptor struct {
 	// call at replica R with the i-th recorded event at R.
 	callSeq map[event.ReplicaID]int
 	gate    TurnGate
+	// granted is the turn the last CallScheduled's hand-off waited for and
+	// got, or -1: the CallScheduled whose run starts there holds it
+	// already and does not wait again.
+	granted int
 }
 
 // New returns a passthrough interceptor.
@@ -125,7 +134,7 @@ func (i *Interceptor) StartReplay(log *event.Log, order []event.ID, gate TurnGat
 		i.schedule[id] = turn
 	}
 	clear(i.callSeq)
-	i.mode, i.gate = Replay, gate
+	i.mode, i.gate, i.granted = Replay, gate, -1
 	return nil
 }
 
@@ -166,7 +175,7 @@ func (i *Interceptor) Call(ctx context.Context, ev event.Event, fn func() error)
 		i.callSeq[ev.Replica] = seq + 1
 		turn, gate := i.schedule[ids[seq]], i.gate
 		i.mu.Unlock()
-		return runTurns(ctx, gate, turn, 1, func(int) error { return fn() })
+		return runTurns(ctx, gate, turn, 1, false, -1, func(int) error { return fn() })
 	default:
 		i.mu.Unlock()
 		return fn()
@@ -174,16 +183,21 @@ func (i *Interceptor) Call(ctx context.Context, ev event.Event, fn func() error)
 }
 
 // CallScheduled executes fn(0), …, fn(len(run)-1) as the given recorded
-// events during replay, waiting for the first one's scheduled turn
-// explicitly. run must occupy consecutive turns of the interleaving — a
-// maximal stretch of one replica's events, say — and is executed as one
-// critical section: one wait, no gate traffic between its steps, one
+// events during replay. run must occupy consecutive turns of the
+// interleaving — a maximal stretch of one replica's events, say — and is
+// executed as one critical section: no gate traffic between its steps, one
 // hand-off at the end. This is the replay driver's entry point (paper
 // §4.3: "ER-π invokes interleaving events via RDL proxies"): unlike Call,
 // which pairs the i-th application call with the i-th recorded event,
 // CallScheduled can realize interleavings that reorder a replica's own
 // events.
-func (i *Interceptor) CallScheduled(ctx context.Context, run []event.ID, fn func(k int) error) error {
+//
+// next is the first turn of the caller's next run, or -1 when this run is
+// its last. The hand-off waits for next and so grants it: a caller that
+// walks its runs in schedule order waits explicitly only for its first
+// one, and each later call starts at once. A failed step or a dead
+// context between steps returns before the hand-off.
+func (i *Interceptor) CallScheduled(ctx context.Context, run []event.ID, next int, fn func(k int) error) error {
 	i.mu.Lock()
 	if i.mode != Replay {
 		i.mu.Unlock()
@@ -203,21 +217,37 @@ func (i *Interceptor) CallScheduled(ctx context.Context, run []event.ID, fn func
 			return fmt.Errorf("proxy: event %d is not scheduled at turn %d, %d after the run's first", id, turn+k, k)
 		}
 	}
-	gate := i.gate
+	if next >= 0 && next < turn+len(run) {
+		i.mu.Unlock()
+		return fmt.Errorf("proxy: next turn %d is not after the run at turns %d..%d", next, turn, turn+len(run)-1)
+	}
+	gate, held := i.gate, turn >= 0 && turn == i.granted
+	i.granted = -1
 	i.mu.Unlock()
 	if turn < 0 {
 		return nil // empty run
 	}
-	return runTurns(ctx, gate, turn, len(run), fn)
+	if err := runTurns(ctx, gate, turn, len(run), held, next, fn); err != nil {
+		return err
+	}
+	if next >= 0 {
+		i.mu.Lock()
+		i.granted = next
+		i.mu.Unlock()
+	}
+	return nil
 }
 
 // runTurns is the one critical section of replay: take the schedule at
-// turn, run the n steps the caller owns from there, hand it on by n. A
+// turn unless the caller holds it already, run the n steps the caller owns
+// from there, hand it on by n and wait for next (see TurnGate.Advance). A
 // failed step, or a context that died between steps, leaves the schedule
 // where it was taken — un-advanced, so no later turn can start.
-func runTurns(ctx context.Context, gate TurnGate, turn, n int, step func(k int) error) error {
-	if err := gate.WaitTurn(ctx, turn); err != nil {
-		return fmt.Errorf("proxy: waiting for turn %d: %w", turn, err)
+func runTurns(ctx context.Context, gate TurnGate, turn, n int, held bool, next int, step func(k int) error) error {
+	if !held {
+		if err := gate.WaitTurn(ctx, turn); err != nil {
+			return fmt.Errorf("proxy: waiting for turn %d: %w", turn, err)
+		}
 	}
 	for k := 0; k < n; k++ {
 		if k > 0 {
@@ -229,7 +259,10 @@ func runTurns(ctx context.Context, gate TurnGate, turn, n int, step func(k int) 
 			return err
 		}
 	}
-	return gate.Advance(n)
+	if err := gate.Advance(ctx, n, next); err != nil {
+		return fmt.Errorf("proxy: handing turn %d on: %w", turn+n, err)
+	}
+	return nil
 }
 
 // Recorded returns a snapshot of the events recorded so far.
@@ -280,13 +313,16 @@ func (g *LocalGate) WaitTurn(ctx context.Context, turn int) error {
 	return nil
 }
 
-// Advance implements TurnGate.
-func (g *LocalGate) Advance(n int) error {
+// Advance implements TurnGate: advance, then wait.
+func (g *LocalGate) Advance(ctx context.Context, n, next int) error {
 	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.turn += n
 	g.cond.Broadcast()
-	return nil
+	g.mu.Unlock()
+	if next < 0 {
+		return nil
+	}
+	return g.WaitTurn(ctx, next)
 }
 
 // Reset rewinds the gate to turn 0 for the next interleaving.

@@ -168,7 +168,7 @@ func TestReplayRearm(t *testing.T) {
 		}
 		var got []event.ID
 		for turn := range order {
-			if err := i.CallScheduled(ctx, order[turn:turn+1], func(int) error {
+			if err := i.CallScheduled(ctx, order[turn:turn+1], -1, func(int) error {
 				got = append(got, order[turn])
 				return nil
 			}); err != nil {
@@ -185,16 +185,20 @@ func TestReplayRearm(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, run := range [][]event.ID{{3, 1}, {2, 3}, {3, 9}} {
-		if err := i.CallScheduled(ctx, run, func(int) error { t.Fatalf("step of bad run %v ran", run); return nil }); err == nil {
+		if err := i.CallScheduled(ctx, run, -1, func(int) error { t.Fatalf("step of bad run %v ran", run); return nil }); err == nil {
 			t.Fatalf("run %v does not sit on consecutive turns and must be rejected", run)
 		}
 	}
 	steps := 0
-	if err := i.CallScheduled(ctx, []event.ID{3, 2}, func(k int) error { steps++; return nil }); err != nil || steps != 2 {
+	if err := i.CallScheduled(ctx, []event.ID{3, 2}, -1, func(k int) error { steps++; return nil }); err != nil || steps != 2 {
 		t.Fatalf("run {3, 2} = %v after %d steps; want 2 steps", err, steps)
 	}
+	// The hand-off's next turn must come after the run it ends.
+	if err := i.CallScheduled(ctx, []event.ID{1}, 2, func(int) error { t.Fatal("step ran"); return nil }); err == nil {
+		t.Fatal("a next turn inside the run must be rejected")
+	}
 	i.StopReplay()
-	if err := i.CallScheduled(ctx, []event.ID{1}, func(int) error { return nil }); err == nil {
+	if err := i.CallScheduled(ctx, []event.ID{1}, -1, func(int) error { return nil }); err == nil {
 		t.Fatal("CallScheduled outside replay mode must fail")
 	}
 }
@@ -249,7 +253,7 @@ func TestLocalGateOrdering(t *testing.T) {
 			mu.Lock()
 			order = append(order, turn)
 			mu.Unlock()
-			if err := g.Advance(1); err != nil {
+			if err := g.Advance(context.Background(), 1, -1); err != nil {
 				t.Error(err)
 			}
 		}(turn)
@@ -273,7 +277,7 @@ func TestLocalGateContextCancel(t *testing.T) {
 
 func TestLocalGateTurnPassed(t *testing.T) {
 	g := NewLocalGate()
-	if err := g.Advance(1); err != nil {
+	if err := g.Advance(context.Background(), 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.WaitTurn(context.Background(), 0); err == nil {

@@ -119,19 +119,82 @@ func (c runCase) arm(t *testing.T, gates map[event.ReplicaID]TurnGate) map[event
 	return out
 }
 
+// stop is where a replica's walk ended with an error: the run whose
+// CallScheduled returned it.
+type stop struct {
+	rep event.ReplicaID
+	run testRun
+	err error
+}
+
+// play drives the case on gates the way the live runner's gated schedule
+// does: one goroutine per replica walks the replica's runs in schedule
+// order, naming its next run's first turn in each hand-off, so it waits
+// explicitly for its first run only. step runs one position. A replica
+// that fails cancels ctx, and while any replica is still walking, a dead
+// ctx interrupts every gate that can be interrupted, so no wait parked on
+// the lock server outlives the call. It returns the replicas that failed.
+func (c runCase) play(t *testing.T, ctx context.Context, cancel context.CancelFunc, gates map[event.ReplicaID]TurnGate, step func(pos int) error) map[event.ReplicaID]stop {
+	t.Helper()
+	interceptors := c.arm(t, gates)
+	results := make(chan stop, len(c.replicas))
+	for _, rep := range c.replicas {
+		go func() {
+			var mine []testRun
+			for _, run := range c.runs {
+				if run.rep == rep {
+					mine = append(mine, run)
+				}
+			}
+			for k, run := range mine {
+				next := -1
+				if k+1 < len(mine) {
+					next = mine[k+1].first
+				}
+				err := interceptors[rep].CallScheduled(ctx, c.order[run.first:run.first+run.n], next, func(k int) error {
+					return step(run.first + k)
+				})
+				if err != nil {
+					cancel()
+					results <- stop{rep, run, err}
+					return
+				}
+			}
+			results <- stop{rep: rep}
+		}()
+	}
+	stops := make(map[event.ReplicaID]stop)
+	done := ctx.Done()
+	for pending := len(c.replicas); pending > 0; {
+		select {
+		case s := <-results:
+			pending--
+			if s.err != nil {
+				stops[s.rep] = s
+			}
+		case <-done:
+			for _, g := range gates {
+				if i, ok := g.(interface{ Interrupt() }); ok {
+					i.Interrupt()
+				}
+			}
+			done = nil
+		}
+	}
+	return stops
+}
+
 // TestRunCoalescingProperty draws random replica assignments and schedules
 // and checks, on both gates, what coalescing a replica's consecutive turns
-// into one critical section must preserve:
+// into one critical section, and granting its next run by the hand-off
+// that ends its last one, must preserve:
 //
-//   - with one goroutine per replica, steps execute in schedule order, and
-//     the schedule ends at its length;
+//   - steps execute in schedule order, and the schedule ends at its length;
 //   - a step error at any position leaves the schedule at the first turn of
-//     the run the position is in, and no later step runs;
+//     the run the position is in, no later step runs, and every other
+//     replica's wait ends with the cancelled context;
 //   - a context cancelled by a step is observed before the run's next step,
 //     with the schedule again left at the run's first turn.
-//
-// The failure cases are driven from one goroutine in schedule order, so no
-// replica is parked on the lock server when the schedule stops.
 func TestRunCoalescingProperty(t *testing.T) {
 	const cases = 200
 	rng := rand.New(rand.NewSource(21))
@@ -141,34 +204,21 @@ func TestRunCoalescingProperty(t *testing.T) {
 		for _, kind := range kinds {
 			name := fmt.Sprintf("%s case %d (order %v, runs %v)", kind.name, n, c.order, c.runs)
 
-			// Concurrent replicas, no failure: schedule order.
+			// No failure: schedule order.
 			gates, turn := kind.fresh(t, c.replicas)
-			interceptors := c.arm(t, gates)
-			var mu sync.Mutex
+			var mu sync.Mutex // a lock-server gate's ordering is invisible to the race detector
 			var executed []int
-			var wg sync.WaitGroup
-			for _, rep := range c.replicas {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for _, run := range c.runs {
-						if run.rep != rep {
-							continue
-						}
-						err := interceptors[rep].CallScheduled(context.Background(), c.order[run.first:run.first+run.n], func(k int) error {
-							mu.Lock()
-							executed = append(executed, run.first+k)
-							mu.Unlock()
-							return nil
-						})
-						if err != nil {
-							t.Errorf("%s: replica %s: %v", name, rep, err)
-							return
-						}
-					}
-				}()
+			ctx, cancel := context.WithCancel(context.Background())
+			stops := c.play(t, ctx, cancel, gates, func(pos int) error {
+				mu.Lock()
+				defer mu.Unlock()
+				executed = append(executed, pos)
+				return nil
+			})
+			cancel()
+			if len(stops) != 0 {
+				t.Fatalf("%s: replicas failed: %v", name, stops)
 			}
-			wg.Wait()
 			if !slices.IsSorted(executed) || len(executed) != len(c.order) {
 				t.Fatalf("%s: executed positions %v; want 0..%d in order", name, executed, len(c.order)-1)
 			}
@@ -194,31 +244,30 @@ func TestRunCoalescingProperty(t *testing.T) {
 					}
 					want := map[bool]error{false: boom, true: context.Canceled}[cancelling]
 					gates, turn := kind.fresh(t, c.replicas)
-					interceptors := c.arm(t, gates)
 					ctx, cancel := context.WithCancel(context.Background())
 					ran := 0
-					var stopped testRun
-					var err error
-					for _, run := range c.runs {
-						stopped = run
-						err = interceptors[run.rep].CallScheduled(ctx, c.order[run.first:run.first+run.n], func(k int) error {
-							pos := run.first + k
-							if !cancelling && pos == failAt {
-								return boom
-							}
-							ran++
-							if cancelling && pos+1 == failAt {
-								cancel()
-							}
-							return nil
-						})
-						if err != nil {
-							break
+					stops := c.play(t, ctx, cancel, gates, func(pos int) error {
+						mu.Lock()
+						defer mu.Unlock()
+						if !cancelling && pos == failAt {
+							return boom
 						}
-					}
+						ran++
+						if cancelling && pos+1 == failAt {
+							cancel()
+						}
+						return nil
+					})
 					cancel()
-					if !errors.Is(err, want) || stopped != target {
-						t.Fatalf("%s: stopped in run %v with %v; want run %v with %v", name, stopped, err, target, want)
+					if s := stops[target.rep]; !errors.Is(s.err, want) || s.run != target {
+						t.Fatalf("%s (cancelling %v): replica %s stopped in run %v with %v; want run %v with %v",
+							name, cancelling, target.rep, s.run, s.err, target, want)
+					}
+					for rep, s := range stops {
+						if rep != target.rep && !errors.Is(s.err, context.Canceled) {
+							t.Fatalf("%s (cancelling %v): replica %s stopped in run %v with %v; want its wait cancelled",
+								name, cancelling, rep, s.run, s.err)
+						}
 					}
 					if ran != failAt {
 						t.Fatalf("%s (cancelling %v): %d steps ran; want exactly the %d before position %d", name, cancelling, ran, failAt, failAt)

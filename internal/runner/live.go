@@ -122,15 +122,27 @@ func newLiveState(log *event.Log) *liveState {
 	return l
 }
 
+// nextOwned is the first position from pos on that replica r owns in il,
+// or -1.
+func (l *liveState) nextOwned(il interleave.Interleaving, r, pos int) int {
+	for ; pos < len(il); pos++ {
+		if l.replicaOf[il[pos]] == r {
+			return pos
+		}
+	}
+	return -1
+}
+
 // replayGated is the gated schedule: the step at every position, called by
 // its replica's goroutine when the gates a fresh session mints grant its
 // turn. The unit the gates order is a run — a maximal stretch of
 // consecutive positions owned by one replica (the paper's Event Grouping,
-// Algorithm 1, applied to the lock protocol): a replica waits once per run,
-// executes the run's steps back to back and hands the schedule on by the
-// run's length, so the gates see one hand-off per run and nothing in
-// between. A fresh session per attempt, fenced as the file comment says,
-// is what makes retrying safe at all.
+// Algorithm 1, applied to the lock protocol): a replica waits for its
+// first run's turn, executes each run's steps back to back and hands the
+// schedule on by the run's length, and that hand-off also waits for its
+// own next run, so the gates see one wait per replica, one hand-off per run
+// and nothing in between. A fresh session per attempt, fenced as the file
+// comment says, is what makes retrying safe at all.
 //
 // Whatever path exits — including a gate factory or StartReplay failure
 // partway through setup, or a mid-run replica error — every closable gate
@@ -175,7 +187,7 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	// A failing replica cancels the shared context so the others' turn
 	// waits unblock instead of hanging on a turn that will never come;
 	// cancellation of the caller's ctx propagates the same way. Its failed
-	// run skipped Advance, so the schedule stays where it was.
+	// run skipped the hand-off, so the schedule stays where it was.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Each replica goroutine sends exactly one result, nil or its error.
@@ -199,20 +211,20 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 				}
 				return x.apply(il, first+k)
 			}
-			for end := 0; end < len(il); {
-				// il[first:end] is this replica's next run, empty at another's position.
-				for first = end; end < len(il) && l.replicaOf[il[end]] == r; {
+			// il[first:end] is this replica's run, and next its next one's
+			// first position, -1 after its last.
+			for first = l.nextOwned(il, r, 0); first >= 0; {
+				end := first + 1
+				for end < len(il) && l.replicaOf[il[end]] == r {
 					end++
 				}
-				if end == first {
-					end++
-					continue
-				}
-				if err := i.CallScheduled(ctx, il[first:end], step); err != nil {
+				next := l.nextOwned(il, r, end)
+				if err := i.CallScheduled(ctx, il[first:end], next, step); err != nil {
 					cancel()
 					results <- fmt.Errorf("replica %s: %w", rep, err)
 					return
 				}
+				first = next
 			}
 			results <- nil
 		}(r, rep, l.interceptors[r])

@@ -40,24 +40,47 @@ func runsOf(log *event.Log, il interleave.Interleaving) (runs []turnRun) {
 	return runs
 }
 
-// TestLiveLockRequestBudget pins the gated schedule's lock protocol by
-// counting what a session's clients put on the wire: per attempt, one
-// WAITGE and one INCRBY per run of a replica's consecutive events — the
-// wait names the run's first turn, the increment its length — plus the one
-// DEL that drops the session's counter. Nothing is sent inside a run, and
-// nothing else at all: 2 × runs + 1 requests.
-//
-// A WAITGE parks at most 100 ms on the server and is re-issued after that,
-// so on a stalled host a wait can repeat; repeats name the same turn and
-// are counted once.
-func TestLiveLockRequestBudget(t *testing.T) {
+// lockExecutor is a live executor over townReportScenario whose sessions
+// come from pool, and a reader of the last session minted.
+func lockExecutor(t *testing.T, pool *proxy.DistPool) (*Executor, func() *proxy.DistSession) {
+	t.Helper()
+	var sess *proxy.DistSession
+	x, err := newExecutor(townReportScenario(t), Config{LiveGates: func(int) (SessionFactory, error) {
+		return func() (LiveSession, error) { sess = pool.Session(); return sess, nil }, nil
+	}}, 0, telemetryOff, nil, true, defaultPrefixSnapshotEvery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, func() *proxy.DistSession { return sess }
+}
+
+// startLockServer serves a fresh store on a free loopback port until the
+// test ends.
+func startLockServer(t *testing.T) string {
+	t.Helper()
 	srv := lockserver.NewServer(lockserver.NewStore())
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	pool := proxy.NewDistPool(addr, "budget", 0, time.Second)
+	t.Cleanup(func() { _ = srv.Close() })
+	return addr
+}
+
+// TestLiveLockRequestBudget pins the gated schedule's lock protocol by
+// counting what a session's clients put on the wire. Per attempt each
+// replica sends one WAITGE, naming its first run's turn; each run ends in
+// one hand-off — WAITGE carrying the run's length as its delta and the
+// same replica's next run as its target, or a plain INCRBY after the
+// replica's last run — and the one DEL that drops the session's counter
+// comes last. Nothing is sent inside a run, and nothing else at all:
+// runs + replicas + 1 requests.
+//
+// A WAITGE parks at most 100 ms on the server and is re-issued after
+// that, without a delta, so on a host stalled that long a wait can repeat:
+// such an attempt may add plain WAITGEs naming its hand-offs' targets.
+func TestLiveLockRequestBudget(t *testing.T) {
+	pool := proxy.NewDistPool(startLockServer(t), "budget", 0, time.Second)
 	defer pool.Close()
 	var (
 		mu   sync.Mutex
@@ -69,56 +92,94 @@ func TestLiveLockRequestBudget(t *testing.T) {
 		reqs = append(reqs, append([]string{op}, args...))
 		return nil
 	})
-	var sess *proxy.DistSession
-	s := townReportScenario(t)
-	x, err := newExecutor(s, Config{LiveGates: func(int) (SessionFactory, error) {
-		return func() (LiveSession, error) { sess = pool.Session(); return sess, nil }, nil
-	}}, 0, telemetryOff, nil, true, defaultPrefixSnapshotEvery)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, sess := lockExecutor(t, pool)
+	log := x.log
 
 	for n, il := range townReportOrders {
 		reqs = nil
+		start := time.Now()
 		if _, err := x.attempt(context.Background(), workItem{index: n + 1, il: il, pivot: -1}); err != nil {
 			t.Fatal(err)
 		}
-		runs := runsOf(s.Log, il)
-		var waits, lengths []int
-		for _, run := range runs {
-			waits = append(waits, run.first)
-			lengths = append(lengths, run.n)
+		stalled := time.Since(start) >= 100*time.Millisecond
+		runs := runsOf(log, il)
+		// Per run in schedule order, its hand-off: the run's length and the
+		// first turn of the replica's next run, -1 after its last.
+		var firsts []int
+		var want [][2]int
+		for k, run := range runs {
+			rep := log.Event(il[run.first]).Replica
+			if !slices.ContainsFunc(runs[:k], func(r turnRun) bool { return log.Event(il[r.first]).Replica == rep }) {
+				firsts = append(firsts, run.first)
+			}
+			next := -1
+			for _, later := range runs[k+1:] {
+				if log.Event(il[later.first]).Replica == rep {
+					next = later.first
+					break
+				}
+			}
+			want = append(want, [2]int{run.n, next})
 		}
-		turnKey := sess.Key() + ":turn"
-		var waited, advanced []int
+		turnKey := sess().Key() + ":turn"
+		var waited []int
+		var handoffs [][2]int
 		for i, req := range reqs {
 			if len(req) < 2 || req[1] != turnKey {
 				t.Fatalf("order %v: request %q is not on the session's counter %s", il, req, turnKey)
 			}
-			switch arg := func(k int) int { v, _ := strconv.Atoi(req[k]); return v }; req[0] {
-			case "WAITGE":
+			arg := func(k int) int { v, _ := strconv.Atoi(req[k]); return v }
+			switch {
+			case req[0] == "WAITGE" && len(req) == 4:
 				if !slices.Contains(waited, arg(2)) {
 					waited = append(waited, arg(2))
 				}
-			case "INCRBY":
-				advanced = append(advanced, arg(2))
-			case "DEL":
-				if i != len(reqs)-1 {
-					t.Fatalf("order %v: DEL is request %d of %d; want it last", il, i+1, len(reqs))
-				}
+			case req[0] == "WAITGE" && len(req) == 5:
+				handoffs = append(handoffs, [2]int{arg(4), arg(2)})
+			case req[0] == "INCRBY":
+				handoffs = append(handoffs, [2]int{arg(2), -1})
+			case req[0] == "DEL" && i == len(reqs)-1:
 			default:
-				t.Fatalf("order %v: unexpected request %q", il, req)
+				t.Fatalf("order %v: unexpected request %d of %d: %q", il, i+1, len(reqs), req)
 			}
 		}
-		// Hand-offs are serial, so the increments arrive in schedule order;
-		// the waits are issued by concurrent replicas in any order.
-		slices.Sort(waited)
-		if !slices.Equal(waited, waits) || !slices.Equal(advanced, lengths) {
-			t.Fatalf("order %v (runs %v): waited for turns %v and advanced by %v; want %v and %v",
-				il, runs, waited, advanced, waits, lengths)
+		// Hand-offs are serial, so they arrive in schedule order; the first
+		// waits are issued by concurrent replicas in any order.
+		if !slices.Equal(handoffs, want) {
+			t.Fatalf("order %v (runs %v): hand-offs (delta, target) %v; want %v", il, runs, handoffs, want)
 		}
-		if got, want := len(waited)+len(advanced)+1, 2*len(runs)+1; got != want || reqs[len(reqs)-1][0] != "DEL" {
-			t.Fatalf("order %v: %d requests ending in %q; want 2 x %d runs + 1 DEL", il, got, reqs[len(reqs)-1], len(runs))
+		slices.Sort(firsts)
+		slices.Sort(waited)
+		repeats := slices.DeleteFunc(slices.Clone(waited), func(turn int) bool { return slices.Contains(firsts, turn) })
+		if len(waited)-len(repeats) != len(firsts) || (len(repeats) > 0 && !stalled) ||
+			slices.ContainsFunc(repeats, func(turn int) bool {
+				return !slices.ContainsFunc(want, func(h [2]int) bool { return h[1] == turn })
+			}) {
+			t.Fatalf("order %v (runs %v): plain waits for turns %v; want each replica's first run %v", il, runs, waited, firsts)
+		}
+		if got, budget := len(reqs), len(runs)+len(log.Replicas())+1; (got != budget && !stalled) || reqs[len(reqs)-1][0] != "DEL" {
+			t.Fatalf("order %v: %d requests ending in %q; want %d runs + %d replicas + 1 DEL", il, got, reqs[len(reqs)-1], len(runs), len(log.Replicas()))
+		}
+	}
+}
+
+// TestLiveTurnWaitCountsEveryRun: the turn-wait histogram sees every run
+// granted exactly once — a replica's first run by its WaitTurn, each later
+// one by the wait inside the hand-off that ended the replica's previous
+// run — so it counts the attempt's runs, not only its first waits.
+func TestLiveTurnWaitCountsEveryRun(t *testing.T) {
+	pool := proxy.NewDistPool(startLockServer(t), "turnwait", 0, time.Second)
+	defer pool.Close()
+	h := telemetry.New().Histogram("live.turn_wait_ns")
+	pool.SetTurnWaitMetrics(h)
+	x, _ := lockExecutor(t, pool)
+	for n, il := range townReportOrders {
+		before := h.Count()
+		if _, err := x.attempt(context.Background(), workItem{index: n + 1, il: il, pivot: -1}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := h.Count()-before, int64(len(runsOf(x.log, il))); got != want {
+			t.Fatalf("order %v: %d turn waits observed; want one per run, %d", il, got, want)
 		}
 	}
 }

@@ -132,7 +132,12 @@ func (g *parkGate) WaitTurn(ctx context.Context, _ int) error {
 	return ctx.Err()
 }
 
-func (g *parkGate) Advance(int) error { return nil }
+func (g *parkGate) Advance(ctx context.Context, _, next int) error {
+	if next < 0 {
+		return nil
+	}
+	return g.WaitTurn(ctx, next)
+}
 
 func (g *parkGate) Interrupt() { g.once.Do(func() { close(g.released) }) }
 
