@@ -1,18 +1,17 @@
 // Command erpi-coordinator runs ER-π's crash-tolerant distributed
 // exploration service (DESIGN.md §4.11): a coordinator that leases
 // contiguous interleaving ranges to workers over TCP — length-prefixed
-// binary frames, one round trip per range — with epoch-fenced lockserver
-// leases, and the workers that serve it. serve and work must come from
-// builds that speak the same protocol version: a worker of another one is
-// refused at its hello and exits with an error instead of retrying.
+// binary frames, one round trip per range — under heartbeat deadlines and
+// epoch fencing, and the workers that serve it. serve and work must come
+// from builds that speak the same protocol version: a worker of another
+// one is refused at its hello and exits with an error instead of retrying.
 //
 //	erpi-coordinator serve -journal-root ./jobs -status-addr :8080
 //	erpi-coordinator work -addr 127.0.0.1:7400 -name w1
 //	erpi-coordinator submit -api http://127.0.0.1:8080 -bug Roshi-1 -wait 60
 //
 // serve prints its bound addresses on stdout ("coordinator listening on
-// HOST:PORT", "lockserver listening on HOST:PORT", "status:
-// http://HOST:PORT/jobs") so scripts can parse them.
+// HOST:PORT", "status: http://HOST:PORT/jobs") so scripts can parse them.
 package main
 
 import (
@@ -30,7 +29,6 @@ import (
 	"time"
 
 	"github.com/er-pi/erpi/internal/coordinator"
-	"github.com/er-pi/erpi/internal/lockserver"
 	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -75,10 +73,8 @@ func runServe(args []string) int {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
 		addr        = fs.String("addr", "127.0.0.1:0", "worker listen address")
-		lockAddr    = fs.String("lock-addr", "", "external lockserver address for range leases")
-		embedLock   = fs.Bool("embed-lock", false, "start an in-process lockserver on an ephemeral port")
 		journalRoot = fs.String("journal-root", "", "directory for per-job journals (required)")
-		leaseTTL    = fs.Duration("lease-ttl", 2*time.Second, "range lease TTL")
+		leaseTTL    = fs.Duration("lease-ttl", 2*time.Second, "range lease TTL: workers heartbeat every TTL/2, a range silent for 2.5 TTLs is requeued")
 		rangeSize   = fs.Int("range-size", 16, "interleavings per lease")
 		statusAddr  = fs.String("status-addr", "", "serve the jobs API, progress, and metrics on this host:port")
 		resume      = fs.Bool("resume", true, "recover jobs found under -journal-root")
@@ -93,25 +89,9 @@ func runServe(args []string) int {
 		return fail(fmt.Errorf("serve: -journal-root is required"))
 	}
 
-	var lockSrv *lockserver.Server
-	if *embedLock {
-		if *lockAddr != "" {
-			return fail(fmt.Errorf("serve: -embed-lock and -lock-addr are mutually exclusive"))
-		}
-		lockSrv = lockserver.NewServer(lockserver.NewStore())
-		bound, err := lockSrv.Listen("127.0.0.1:0")
-		if err != nil {
-			return fail(err)
-		}
-		defer lockSrv.Close()
-		*lockAddr = bound
-		fmt.Println("lockserver listening on", bound)
-	}
-
 	reg := telemetry.New()
 	svc, err := coordinator.New(coordinator.Options{
 		Addr:        *addr,
-		LockAddr:    *lockAddr,
 		JournalRoot: *journalRoot,
 		LeaseTTL:    *leaseTTL,
 		RangeSize:   *rangeSize,

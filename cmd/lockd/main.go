@@ -1,11 +1,13 @@
 // Command lockd runs ER-π's distributed lock server: a Redis-compatible
-// (RESP subset) key-value store with TTLs, the coordination point that
-// enforces event order during distributed replay (paper §4.3).
+// (RESP subset) key-value store, the coordination point that enforces
+// event order during distributed replay (paper §4.3).
 //
 //	lockd -addr 127.0.0.1:6380
 //
-// Supported commands: PING, SET key value [NX] [PX ms], GET, DEL, INCR,
-// CAD key expect (atomic compare-and-delete, the unlock primitive).
+// Supported commands: PING, SET key value, GET key, DEL key, INCR key,
+// INCRBY key n, and WAITGE key target timeoutMs [delta] (add delta to the
+// counter at key, then block until it reaches target: the replay ticket
+// lock's wait and hand-off).
 package main
 
 import (

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
-	"github.com/er-pi/erpi/internal/lockserver"
 	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -44,17 +43,6 @@ func sequentialBaseline(t *testing.T, spec JobSpec) (string, int) {
 		t.Fatalf("sequential run: %v", err)
 	}
 	return d.Sum(), res.Explored
-}
-
-func startLockServer(t *testing.T) string {
-	t.Helper()
-	srv := lockserver.NewServer(lockserver.NewStore())
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("lockserver: %v", err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
-	return addr
 }
 
 func startService(t *testing.T, opts Options) *Service {
@@ -152,21 +140,18 @@ func TestSingleWorkerMatchesSequential(t *testing.T) {
 	assertUniqueKeys(t, journalKeys(t, filepath.Join(root, j.ID())), wantExplored)
 }
 
-// TestWorkerSIGKILLRecovery is the issue's first chaos pin: one of two
-// workers dies mid-range (connection drops, lease key orphaned to expire
-// on its own — the faithful SIGKILL simulation), and the survivor finishes
-// the job with a digest byte-identical to sequential and zero
-// double-committed journal entries.
+// TestWorkerSIGKILLRecovery is the first chaos pin: one of two workers
+// dies mid-range (its connection drops without a commit, as a SIGKILLed
+// process's does), and the survivor finishes the job with a digest
+// byte-identical to sequential and zero double-committed journal entries.
 func TestWorkerSIGKILLRecovery(t *testing.T) {
 	spec := testSpec()
 	wantDigest, wantExplored := sequentialBaseline(t, spec)
 
-	lockAddr := startLockServer(t)
 	root := t.TempDir()
 	reg := telemetry.New()
 	svc := startService(t, Options{
 		JournalRoot: root,
-		LockAddr:    lockAddr,
 		LeaseTTL:    150 * time.Millisecond,
 		Telemetry:   reg,
 	})
@@ -209,20 +194,19 @@ func TestWorkerSIGKILLRecovery(t *testing.T) {
 	assertUniqueKeys(t, journalKeys(t, filepath.Join(root, j.ID())), wantExplored)
 }
 
-// TestLeaseExpiryFencesZombieCommit is the issue's second chaos pin: a
-// worker pauses just before committing, its lease is expired out from
-// under it, the range is requeued and re-executed elsewhere — and when the
-// zombie finally commits, the stale epoch is fenced, keeping the journal
-// free of double commits.
+// TestLeaseExpiryFencesZombieCommit is the second chaos pin: a worker
+// pauses just before committing with its connection open, so only its
+// silence tells: the janitor requeues the range once its heartbeat
+// deadline passes, it is re-executed elsewhere — and when the zombie
+// finally commits, the stale epoch is fenced, keeping the journal free of
+// double commits.
 func TestLeaseExpiryFencesZombieCommit(t *testing.T) {
 	spec := testSpec()
 	wantDigest, wantExplored := sequentialBaseline(t, spec)
 
-	lockAddr := startLockServer(t)
 	root := t.TempDir()
 	svc := startService(t, Options{
 		JournalRoot: root,
-		LockAddr:    lockAddr,
 		LeaseTTL:    200 * time.Millisecond,
 	})
 	j, err := svc.Submit(spec)
@@ -248,24 +232,10 @@ func TestLeaseExpiryFencesZombieCommit(t *testing.T) {
 		})
 	}()
 
-	var pausedRange int
 	select {
-	case pausedRange = <-paused:
+	case <-paused:
 	case <-time.After(30 * time.Second):
 		t.Fatal("zombie never reached its first commit")
-	}
-
-	// Expire the zombie's lease: delete its lock key, exactly what the
-	// lockserver's TTL sweep would do. The janitor sees the key gone and
-	// requeues the range; the zombie's AutoRenew loses the mutex but its
-	// commit is already in flight once released.
-	lc, err := lockserver.Dial(lockAddr)
-	if err != nil {
-		t.Fatalf("dial lockserver: %v", err)
-	}
-	defer lc.Close()
-	if _, err := lc.Del(j.LeaseKey(pausedRange)); err != nil {
-		t.Fatalf("delete lease key: %v", err)
 	}
 
 	// A healthy worker picks up the orphaned range and everything else.
@@ -293,7 +263,7 @@ func TestLeaseExpiryFencesZombieCommit(t *testing.T) {
 		t.Fatalf("explored = %d, want %d", st.Explored, wantExplored)
 	}
 	if st.Digest != wantDigest {
-		t.Fatalf("digest mismatch after lease expiry:\n distributed %s\n sequential  %s", st.Digest, wantDigest)
+		t.Fatalf("digest mismatch after the heartbeat deadline:\n distributed %s\n sequential  %s", st.Digest, wantDigest)
 	}
 	// The zombie's late commit must have been fenced, not journaled.
 	if got := j.Status().Fenced; got < 1 {
@@ -396,7 +366,7 @@ func TestPoisonRangeQuarantine(t *testing.T) {
 		j.mu.Lock()
 		j.ranges[grant.Range-1].deadline = time.Now().Add(-time.Second)
 		j.mu.Unlock()
-		j.reap(time.Now(), nil)
+		j.reap(time.Now())
 	}
 	// The next lease pops the exhausted range, poisons it, and the job —
 	// whose whole space was this one range — completes.
@@ -410,6 +380,91 @@ func TestPoisonRangeQuarantine(t *testing.T) {
 	}
 	if st.Requeues != maxRangeLeases {
 		t.Fatalf("requeues = %d, want %d", st.Requeues, maxRangeLeases)
+	}
+}
+
+// TestReapHeartbeatDeadline pins the janitor's bound, the one signal for a
+// worker that goes silent with its connection open, on a synthetic clock:
+// a leased range outlives reap at its deadline − 1ms and is requeued by
+// reap at deadline + 1ms, where the deadline is the grant's time plus
+// heartbeatGrace; an accepted heartbeat moves it to the heartbeat's own
+// time plus the grace; a fenced one from the old epoch moves nothing.
+func TestReapHeartbeatDeadline(t *testing.T) {
+	spec := JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 16, RangeSize: 8}
+	j, err := openJob("janitor", spec, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
+	if err != nil {
+		t.Fatalf("openJob: %v", err)
+	}
+	defer j.closeFiles()
+	clock := time.Unix(1_000_000, 0)
+	j.now = func() time.Time { return clock }
+	grace := j.heartbeatGrace()
+	ms := time.Millisecond
+
+	// reapAt runs the janitor at t and reports whether the range is still
+	// leased, checking the requeue count moved only when it was not.
+	reapAt := func(rangeID int, at time.Time) bool {
+		t.Helper()
+		before := j.Status().Requeues
+		j.reap(at)
+		j.mu.Lock()
+		leased := j.ranges[rangeID-1].status == rangeLeased
+		j.mu.Unlock()
+		want := 0
+		if !leased {
+			want = 1
+		}
+		if moved := j.Status().Requeues - before; moved != want {
+			t.Fatalf("reap at +%v: leased = %v but requeues moved by %d", at.Sub(clock), leased, moved)
+		}
+		return leased
+	}
+
+	granted := clock
+	grant := j.lease("w1")
+	if grant.Type != msgRange {
+		t.Fatalf("lease: got %q", grant.Type)
+	}
+	if !reapAt(grant.Range, granted.Add(grace-ms)) {
+		t.Fatal("range requeued before its grant's deadline")
+	}
+
+	// A heartbeat halfway through the grace moves the deadline to its own
+	// time + grace: the grant's deadline passes without a requeue.
+	clock = granted.Add(grace / 2)
+	beat := clock
+	if !j.heartbeat("w1", grant.Range, grant.Epoch) {
+		t.Fatal("current holder's heartbeat fenced")
+	}
+	if !reapAt(grant.Range, granted.Add(grace+ms)) {
+		t.Fatal("range requeued at the grant's deadline despite a later heartbeat")
+	}
+	if !reapAt(grant.Range, beat.Add(grace-ms)) {
+		t.Fatal("range requeued before the heartbeat's deadline")
+	}
+	if reapAt(grant.Range, beat.Add(grace+ms)) {
+		t.Fatal("range still leased past the heartbeat's deadline")
+	}
+
+	// Regranted under a new epoch, the range answers only to its new
+	// holder: the zombie's heartbeat is fenced and leaves the new grant's
+	// deadline where it was.
+	clock = beat.Add(grace + 2*ms)
+	regranted := clock
+	regrant := j.lease("w2")
+	if regrant.Range != grant.Range || regrant.Epoch != grant.Epoch+1 {
+		t.Fatalf("regrant = range %d epoch %d, want range %d epoch %d",
+			regrant.Range, regrant.Epoch, grant.Range, grant.Epoch+1)
+	}
+	clock = regranted.Add(grace / 2)
+	if j.heartbeat("w1", grant.Range, grant.Epoch) {
+		t.Fatal("heartbeat from the old epoch accepted")
+	}
+	if !reapAt(grant.Range, regranted.Add(grace-ms)) {
+		t.Fatal("range requeued before the regrant's deadline")
+	}
+	if reapAt(grant.Range, regranted.Add(grace+ms)) {
+		t.Fatal("a fenced heartbeat extended the regrant's deadline")
 	}
 }
 
@@ -429,7 +484,7 @@ func TestFencedHeartbeatAndCommit(t *testing.T) {
 	j.mu.Lock()
 	j.ranges[grant.Range-1].deadline = time.Now().Add(-time.Second)
 	j.mu.Unlock()
-	j.reap(time.Now(), nil)
+	j.reap(time.Now())
 	regrant := j.lease("w2")
 	if regrant.Range != grant.Range || regrant.Epoch != grant.Epoch+1 {
 		t.Fatalf("regrant = range %d epoch %d, want range %d epoch %d",

@@ -15,7 +15,7 @@ import (
 )
 
 // TestMultiProcessSIGKILLSmoke is the end-to-end chaos smoke: a real
-// erpi-coordinator serve process (with embedded lockserver), two real
+// erpi-coordinator serve process, two real
 // worker processes over TCP, one of them SIGKILLed mid-exploration — and
 // the job must still complete with an outcome digest byte-identical to
 // the sequential in-process engine.
@@ -42,7 +42,6 @@ func TestMultiProcessSIGKILLSmoke(t *testing.T) {
 	root := t.TempDir()
 	serve := exec.Command(bin, "serve",
 		"-journal-root", root,
-		"-embed-lock",
 		"-lease-ttl", "300ms",
 		"-status-addr", "127.0.0.1:0")
 	stdout, err := serve.StdoutPipe()

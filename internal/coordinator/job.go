@@ -26,7 +26,7 @@ const (
 //
 //	pending --lease--> leased --commit--> committed
 //	   ^                 |
-//	   +----requeue------+   (deadline missed, lease expired, worker gone)
+//	   +----requeue------+   (heartbeat deadline missed, worker gone)
 //
 // Every pending→leased transition bumps the range's fencing epoch; commits
 // and heartbeats quoting an older epoch are rejected ("fenced").
@@ -58,12 +58,11 @@ type jobRange struct {
 	start int // global index of ils[0] (1-based exploration position)
 	ils   []interleave.Interleaving
 
-	status    rangeStatus
-	epoch     int // fencing token: bumped on every lease
-	worker    string
-	grantedAt time.Time
-	deadline  time.Time // heartbeat deadline; missing it orphans the range
-	leases    int       // lifetime lease count (poison detector)
+	status   rangeStatus
+	epoch    int // fencing token: bumped on every lease
+	worker   string
+	deadline time.Time // heartbeat deadline; missing it orphans the range
+	leases   int       // lifetime lease count (poison detector)
 	// results are the committed results parked for the aggregator, which
 	// alone reads ils and results once status is rangeCommitted.
 	results []wireResult
@@ -142,6 +141,9 @@ type Job struct {
 	dir       string
 	rangeSize int
 	leaseTTL  time.Duration
+	// now stamps grants and heartbeats (time.Now; tests substitute a
+	// synthetic clock to drive reap without sleeping).
+	now func() time.Time
 
 	mu       sync.Mutex
 	state    string
@@ -254,6 +256,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		dir:       dir,
 		rangeSize: rangeSize,
 		leaseTTL:  leaseTTL,
+		now:       time.Now,
 		state:     StateRunning,
 		nextAgg:   1,
 		wake:      make(chan struct{}),
@@ -339,9 +342,9 @@ func (j *Job) ID() string { return j.id }
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
 
-// heartbeatGrace is how far past its last contact a leased range may go
-// before the janitor requeues it: 2.5 lease TTLs, comfortably beyond the
-// worker's ttl/2 heartbeat cadence and one full lockserver lease.
+// heartbeatGrace is how far past its grant or last heartbeat a leased
+// range may go before the janitor requeues it: 2.5 lease TTLs, five of the
+// worker's ttl/2 heartbeat intervals.
 func (j *Job) heartbeatGrace() time.Duration { return j.leaseTTL * 5 / 2 }
 
 // wakeLocked wakes every waiting lease and the aggregator to look again.
@@ -487,8 +490,7 @@ func (j *Job) grantLocked(r *jobRange, worker string) *frame {
 	r.epoch++
 	r.worker = worker
 	r.leases++
-	r.grantedAt = time.Now()
-	r.deadline = r.grantedAt.Add(j.heartbeatGrace())
+	r.deadline = j.now().Add(j.heartbeatGrace())
 	j.leasedN++
 	j.tel.leased.Inc()
 	return &frame{
@@ -525,7 +527,7 @@ func (j *Job) heartbeat(worker string, rangeID, epoch int) bool {
 		j.tel.fenced.Inc()
 		return false
 	}
-	r.deadline = time.Now().Add(j.heartbeatGrace())
+	r.deadline = j.now().Add(j.heartbeatGrace())
 	j.tel.heartbeats.Inc()
 	return true
 }
@@ -830,33 +832,19 @@ func (j *Job) requeueLocked(r *jobRange) {
 	j.wakeLocked()
 }
 
-// reap requeues leased ranges whose heartbeat deadline passed, and — when
-// the service has a lockserver client — ranges whose lease key no longer
-// holds the granted worker/epoch token (the lease expired or was stolen).
-// lockHeld may be nil; it returns whether the key still holds the token,
-// and ok=false on lookup failure (in which case only the deadline applies).
-func (j *Job) reap(now time.Time, lockHeld func(key, token string) (bool, bool)) {
+// reap requeues the leased ranges whose heartbeat deadline passed by now:
+// a worker that went silent with its connection open (TCP disconnect is
+// workerGone's). If it was only slow, the epoch fence rejects its late
+// commit.
+func (j *Job) reap(now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
 		return
 	}
 	for _, r := range j.ranges {
-		if r.status != rangeLeased {
-			continue
-		}
-		if now.After(r.deadline) {
+		if r.status == rangeLeased && now.After(r.deadline) {
 			j.requeueLocked(r)
-			continue
-		}
-		// The lockserver lease is authoritative sooner than the heartbeat
-		// grace: once the worker's mutex is gone past one TTL from grant,
-		// nothing renews it and the range is orphaned.
-		if lockHeld != nil && now.After(r.grantedAt.Add(j.leaseTTL)) {
-			held, ok := lockHeld(j.LeaseKey(r.id), leaseToken(r.worker, r.epoch))
-			if ok && !held {
-				j.requeueLocked(r)
-			}
 		}
 	}
 	j.checkDoneLocked()
@@ -1026,15 +1014,4 @@ func (j *Job) leasesByWorker(out map[string]int) {
 			out[r.worker]++
 		}
 	}
-}
-
-// LeaseKey is the lockserver mutex key guarding a range of this job.
-func (j *Job) LeaseKey(rangeID int) string {
-	return fmt.Sprintf("erpi/job/%s/range/%d", j.id, rangeID)
-}
-
-// leaseToken is the fencing token a worker stores in its lease key:
-// worker name plus grant epoch, unique per (re)lease.
-func leaseToken(worker string, epoch int) string {
-	return fmt.Sprintf("%s/%d", worker, epoch)
 }

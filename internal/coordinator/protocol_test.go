@@ -177,19 +177,21 @@ func TestMalformedCommitIsRejectedNotHalfApplied(t *testing.T) {
 }
 
 // TestProtocolVersionMismatch, coordinator side: a hello of another
-// version is refused with an error naming both versions, whatever follows
-// the version in it.
+// version — a newer one, or version 2, whose welcome still carried a
+// lock-server address — is refused with an error naming both versions,
+// whatever follows the version in it.
 func TestProtocolVersionMismatch(t *testing.T) {
 	svc := startService(t, Options{})
 	for _, body := range [][]byte{
 		appendFrame(nil, &frame{Type: msgHello, Version: protocolVersion + 1, Worker: "from-the-future"}),
+		appendFrame(nil, &frame{Type: msgHello, Version: 2, Worker: "stale"}),
 		{msgHello, 1, 0xff, 0xff}, // not even this version's grammar after the version
 	} {
 		reply := dialRaw(t, svc.Addr()).sendBody(body)
 		if reply.Type != msgError || reply.Code != errCodeVersion {
 			t.Fatalf("hello %x answered %q code %d (%s), want a version refusal", body, reply.Type, reply.Code, reply.Err)
 		}
-		for _, want := range []string{"peer speaks version", "this side version 2"} {
+		for _, want := range []string{"peer speaks version", "this side version 3"} {
 			if !strings.Contains(reply.Err, want) {
 				t.Fatalf("refusal %q does not say %q", reply.Err, want)
 			}
@@ -217,7 +219,7 @@ func TestWorkerStopsOnProtocolVersionMismatch(t *testing.T) {
 			dials.Add(1)
 			fc := newFrameConn(conn)
 			if _, err := fc.recvRaw(); err == nil {
-				_ = fc.send(&frame{Type: msgError, Code: errCodeVersion, Err: "peer speaks version 2, this side version 3"})
+				_ = fc.send(&frame{Type: msgError, Code: errCodeVersion, Err: "peer speaks version 3, this side version 4"})
 			}
 			conn.Close()
 		}
@@ -229,7 +231,7 @@ func TestWorkerStopsOnProtocolVersionMismatch(t *testing.T) {
 	if !errors.Is(err, ErrProtocolVersion) {
 		t.Fatalf("RunWorker returned %v, want ErrProtocolVersion", err)
 	}
-	if !strings.Contains(err.Error(), "this side version 3") {
+	if !strings.Contains(err.Error(), "this side version 4") {
 		t.Fatalf("error %q drops the coordinator's explanation", err)
 	}
 	if n := dials.Load(); n != 1 {

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/er-pi/erpi/internal/lockserver"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
@@ -22,15 +21,12 @@ type Options struct {
 	// Addr is the TCP address workers connect to ("127.0.0.1:0" binds an
 	// ephemeral port; read it back with Addr()).
 	Addr string
-	// LockAddr, when non-empty, is the lockserver workers take per-range
-	// leases on, and the coordinator's second orphan-detection signal.
-	// Empty runs heartbeat-only liveness (single-machine setups).
-	LockAddr string
 	// JournalRoot is the directory holding one checkpoint journal dir per
 	// job. Required: it is the crash-recovery substrate.
 	JournalRoot string
-	// LeaseTTL is the lockserver lease TTL and the base of the heartbeat
-	// grace period (default 2s).
+	// LeaseTTL is the base of the heartbeat cadence and grace: a worker
+	// heartbeats a range every TTL/2, and one silent for 2.5 TTLs loses it
+	// (default 2s).
 	LeaseTTL time.Duration
 	// RangeSize is how many interleavings one lease covers (default 16;
 	// JobSpec.RangeSize overrides per job).
@@ -92,9 +88,6 @@ type Service struct {
 	ln   net.Listener
 	tel  *svcTel
 	fed  *telemetry.Federation
-
-	lockMu sync.Mutex
-	lock   *lockserver.Client // lazy janitor client for lease inspection
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -299,12 +292,6 @@ func (s *Service) Close() error {
 		j.shutdown() // a lease waiting on its job would hold its connection open
 	}
 	s.wg.Wait()
-	s.lockMu.Lock()
-	if s.lock != nil {
-		_ = s.lock.Close()
-		s.lock = nil
-	}
-	s.lockMu.Unlock()
 	for _, j := range s.Jobs() {
 		j.closeFiles()
 	}
@@ -323,9 +310,8 @@ func (s *Service) acceptLoop() {
 	}
 }
 
-// janitor periodically reaps orphaned ranges in every running job, using
-// heartbeat deadlines and (when a lockserver is configured) lease-key
-// inspection.
+// janitor periodically reaps the ranges whose heartbeat deadline passed
+// in every running job.
 func (s *Service) janitor() {
 	defer s.wg.Done()
 	tick := s.opts.LeaseTTL / 4
@@ -339,36 +325,11 @@ func (s *Service) janitor() {
 		case <-s.stop:
 			return
 		case now := <-t.C:
-			var held func(key, token string) (bool, bool)
-			if s.opts.LockAddr != "" {
-				held = s.lockHeld
-			}
 			for _, j := range s.Jobs() {
-				j.reap(now, held)
+				j.reap(now)
 			}
 		}
 	}
-}
-
-// lockHeld reports whether the lease key currently stores the token.
-// ok=false means the lookup itself failed and nothing can be concluded.
-func (s *Service) lockHeld(key, token string) (bool, bool) {
-	s.lockMu.Lock()
-	defer s.lockMu.Unlock()
-	if s.lock == nil {
-		c, err := lockserver.Dial(s.opts.LockAddr)
-		if err != nil {
-			return false, false
-		}
-		s.lock = c
-	}
-	val, found, err := s.lock.Get(key)
-	if err != nil {
-		_ = s.lock.Close()
-		s.lock = nil
-		return false, false
-	}
-	return found && val == token, true
 }
 
 // pickJob binds a hello to a job: the named one, or the oldest running job.
@@ -476,7 +437,6 @@ func (s *Service) serveConn(conn net.Conn) {
 					Type:       msgWelcome,
 					Job:        cur.id,
 					Spec:       string(spec),
-					LockAddr:   s.opts.LockAddr,
 					LeaseTTLMs: s.opts.LeaseTTL.Milliseconds(),
 				}
 			}

@@ -14,9 +14,8 @@
 // Crash tolerance rests on two mechanisms (DESIGN.md §4.11):
 //
 //   - Liveness: each granted range has a heartbeat deadline on the
-//     coordinator and, optionally, an auto-renewed lockserver mutex held
-//     by the worker. A silent worker (or an expired lease) marks the
-//     range orphaned and requeues it for another worker.
+//     coordinator. A worker that goes silent past it, or whose connection
+//     drops, loses the range, which is requeued for another worker.
 //   - Safety: each grant carries a fencing epoch, bumped on every
 //     (re)lease. Commits and heartbeats quoting a stale epoch are
 //     rejected, so a zombie worker that wakes up after its range was
@@ -40,8 +39,9 @@ import (
 // protocolVersion is what a hello carries. The frames are not
 // self-describing, so two builds that disagree on them must find out at
 // the handshake and not from a decode error mid-job. Version 1 was the
-// JSON-lines protocol, which carried no version.
-const protocolVersion = 2
+// JSON-lines protocol, which carried no version; version 2's welcome also
+// carried a lock-server address for per-range leases.
+const protocolVersion = 3
 
 // ErrProtocolVersion is what RunWorker returns when the coordinator
 // refused its hello because the two speak different protocol versions —
@@ -99,7 +99,6 @@ type frame struct {
 	// environment. Spec is the JobSpec as JSON — once per session, and the
 	// same bytes the manifest and the jobs API carry.
 	Spec       string
-	LockAddr   string
 	LeaseTTLMs int64
 
 	// range / heartbeat / commit: range identity plus the fencing epoch
@@ -153,7 +152,6 @@ func appendFrame(b []byte, f *frame) []byte {
 	case msgWelcome:
 		b = wire.AppendString(b, f.Job)
 		b = wire.AppendString(b, f.Spec)
-		b = wire.AppendString(b, f.LockAddr)
 		b = wire.AppendUvarint(b, uint64(f.LeaseTTLMs))
 	case msgHeartbeat:
 		b = wire.AppendUvarint(b, uint64(f.Range))
@@ -274,7 +272,6 @@ func decodeFrame(b []byte) (*frame, error) {
 	case msgWelcome:
 		f.Job = r.String()
 		f.Spec = r.String()
-		f.LockAddr = r.String()
 		f.LeaseTTLMs = int64(r.Int())
 	case msgHeartbeat:
 		f.Range = r.Int()

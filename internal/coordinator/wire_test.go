@@ -31,7 +31,7 @@ func sampleFrames() map[string]*frame {
 	return map[string]*frame{
 		"hello":     {Type: msgHello, Version: protocolVersion, Worker: "w1", Job: "job-001"},
 		"hello-any": {Type: msgHello, Version: protocolVersion, Worker: "w"},
-		"welcome":   {Type: msgWelcome, Job: "job-001", Spec: `{"bug":"Roshi-1"}`, LockAddr: "127.0.0.1:6379", LeaseTTLMs: 2000},
+		"welcome":   {Type: msgWelcome, Job: "job-001", Spec: `{"bug":"Roshi-1"}`, LeaseTTLMs: 2000},
 		"lease":     {Type: msgLease},
 		"heartbeat": {Type: msgHeartbeat, Range: 3, Epoch: 2},
 		"range": {Type: msgRange, Range: 1, Epoch: 1, Start: 1, Interleavings: []interleave.Interleaving{
@@ -55,7 +55,7 @@ func sampleFrames() map[string]*frame {
 		"fenced":       {Type: msgFenced},
 		"error":        {Type: msgError, Err: "commit for range 3 has 2 results, want 8"},
 		"error-version": {Type: msgError, Code: errCodeVersion,
-			Err: "coordinator: protocol version mismatch: peer speaks version 3, this side version 2"},
+			Err: "coordinator: protocol version mismatch: peer speaks version 4, this side version 3"},
 	}
 }
 
@@ -131,7 +131,8 @@ func TestFrameStrictness(t *testing.T) {
 		{"grant larger than its frame", []byte{msgRange, 1, 1, 1, 5, 5, 1, 2, 3, 4, 5}, "grant of 5 × 5"},
 		{"range id beyond int", append([]byte{msgHeartbeat}, uv(1<<63)+uv(1)...), "overflows int"},
 		{"unknown error code", []byte{msgError, 2, 0}, "unknown error code 2"},
-		{"hello of another version", appendFrame(nil, &frame{Type: msgHello, Version: protocolVersion + 1, Worker: "w"}), "peer speaks version 3, this side version 2"},
+		{"hello of another version", appendFrame(nil, &frame{Type: msgHello, Version: protocolVersion + 1, Worker: "w"}), "peer speaks version 4, this side version 3"},
+		{"hello of version 2, whose welcome named a lock server", appendFrame(nil, &frame{Type: msgHello, Version: 2, Worker: "w"}), "peer speaks version 2, this side version 3"},
 		{"hello of an older grammar", []byte{msgHello, 1, '{', '"'}, "peer speaks version 1"},
 	}
 	for _, c := range cases {
@@ -143,8 +144,10 @@ func TestFrameStrictness(t *testing.T) {
 			t.Errorf("%s: a rejected frame still returned %+v", c.name, f)
 		}
 	}
-	if _, err := decodeFrame([]byte{msgHello, protocolVersion + 1}); !errors.Is(err, ErrProtocolVersion) {
-		t.Errorf("version mismatch is not ErrProtocolVersion: %v", err)
+	for _, v := range []byte{2, protocolVersion + 1} {
+		if _, err := decodeFrame([]byte{msgHello, v}); !errors.Is(err, ErrProtocolVersion) {
+			t.Errorf("version %d mismatch is not ErrProtocolVersion: %v", v, err)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"os"
 	"time"
 
-	"github.com/er-pi/erpi/internal/lockserver"
 	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -39,14 +38,15 @@ type WorkerOptions struct {
 	// Test hooks — nil in production.
 	//
 	// BeforeExecute runs before each interleaving executes; blocking it
-	// pauses the worker mid-range (the lease-expiry chaos test).
+	// pauses the worker mid-range without a heartbeat.
 	BeforeExecute func(index int)
-	// BeforeCommit runs before each range commit is sent.
+	// BeforeCommit runs before each range commit is sent; blocking it
+	// silences the worker until its range's heartbeat deadline passes (the
+	// zombie-commit chaos test).
 	BeforeCommit func(rangeID int)
 	// CrashAfterExecutions > 0 simulates a SIGKILL after that many
-	// executions: the lease mutex is orphaned (left to expire, never
-	// released), the connection drops, and RunWorker returns
-	// ErrWorkerCrashed.
+	// executions: the connection drops mid-range without a commit, and
+	// RunWorker returns ErrWorkerCrashed.
 	CrashAfterExecutions int
 }
 
@@ -55,14 +55,13 @@ type WorkerOptions struct {
 var ErrWorkerCrashed = errors.New("coordinator: worker crash injected")
 
 // errRangeAbandoned aborts the current range without failing the worker
-// (fenced mid-range, or the lockserver lease was lost).
+// (fenced mid-range).
 var errRangeAbandoned = errors.New("range abandoned")
 
 // RunWorker connects to a coordinator and serves it until ctx is done:
 // hello → lease ranges → execute each interleaving with full engine
-// semantics (runner.Executor) → commit results, heartbeating long ranges
-// and holding a per-range lockserver lease when the cluster has one. On
-// "done" it rebinds to the next job (or returns, with Once/Job set).
+// semantics (runner.Executor) → commit results, heartbeating long ranges.
+// On "done" it rebinds to the next job (or returns, with Once/Job set).
 // Transport errors redial; the coordinator requeues whatever was held. A
 // coordinator of another protocol version ends it with ErrProtocolVersion.
 func RunWorker(ctx context.Context, o WorkerOptions) error {
@@ -246,18 +245,6 @@ func (w *worker) serveOnce(ctx context.Context) error {
 	if ttl <= 0 {
 		ttl = 2 * time.Second
 	}
-	var lock *lockserver.Client
-	if welcome.LockAddr != "" {
-		lock, err = lockserver.Dial(welcome.LockAddr)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if lock != nil {
-				_ = lock.Close()
-			}
-		}()
-	}
 
 	// Best-effort final flush on every exit path (done, drain, cancel,
 	// transport error): reports are cumulative, so a duplicate is folded
@@ -292,63 +279,30 @@ func (w *worker) serveOnce(ctx context.Context) error {
 		if err := w.report(sess, false); err != nil {
 			return err
 		}
-		reply, err = w.runRange(ctx, sess, exec, lock, welcome.Job, ttl, reply)
+		reply, err = w.runRange(ctx, sess, exec, ttl, reply)
 		if errors.Is(err, errRangeAbandoned) {
 			reply, err = sess.roundTrip(lease)
 		}
 	}
 }
 
-// runRange executes one granted range under its lease and commits it. It
-// returns the coordinator's reply to an accepted commit: the next grant,
-// done, or drain.
-func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Executor, lock *lockserver.Client, job string, ttl time.Duration, grant *frame) (*frame, error) {
+// runRange executes one granted range and commits it. It returns the
+// coordinator's reply to an accepted commit: the next grant, done, or
+// drain.
+func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Executor, ttl time.Duration, grant *frame) (*frame, error) {
 	ils := grant.Interleavings
-	token := leaseToken(w.o.Name, grant.Epoch)
-
-	// Take the range's lockserver lease. A previous holder that was
-	// SIGKILLed left its key to expire, so allow a couple of TTLs.
-	var mutex *lockserver.DMutex
-	var lost <-chan struct{}
-	if lock != nil {
-		key := fmt.Sprintf("erpi/job/%s/range/%d", job, grant.Range)
-		mutex = lockserver.NewDMutex(lock, key, token, ttl, ttl/10)
-		mutex.AutoRenew(0)
-		lockCtx, cancel := context.WithTimeout(ctx, 4*ttl)
-		err := mutex.Lock(lockCtx)
-		cancel()
-		if err != nil {
-			// Could not acquire (previous lease still live, or server
-			// unreachable): skip; the coordinator will requeue the range.
-			return nil, errRangeAbandoned
-		}
-		lost = mutex.Lost()
-	}
-
 	results := make([]wireResult, 0, len(ils))
 	lastContact := time.Now()
 	for i, il := range ils {
 		if err := ctx.Err(); err != nil {
-			w.abandon(mutex)
 			return nil, err
-		}
-		select {
-		case <-lost:
-			// Renewal failed: someone else may hold the range. Stop
-			// without committing; fencing protects the ledger anyway.
-			return nil, errRangeAbandoned
-		default:
 		}
 		index := grant.Start + i
 		if w.o.BeforeExecute != nil {
 			w.o.BeforeExecute(index)
 		}
 		if w.o.CrashAfterExecutions > 0 && w.executed >= w.o.CrashAfterExecutions {
-			// Simulated SIGKILL: the lease key is orphaned (expires on its
-			// own, exactly like a dead process), the connection just drops.
-			if mutex != nil {
-				mutex.Orphan()
-			}
+			// Simulated SIGKILL: the connection just drops.
 			sess.conn.Close()
 			return nil, ErrWorkerCrashed
 		}
@@ -357,16 +311,13 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 		if time.Since(lastContact) > ttl/2 {
 			hb, err := sess.roundTrip(&frame{Type: msgHeartbeat, Range: grant.Range, Epoch: grant.Epoch})
 			if err != nil {
-				w.abandon(mutex)
 				return nil, err
 			}
 			lastContact = time.Now()
 			if hb.Type == msgFenced {
-				w.abandon(mutex)
 				return nil, errRangeAbandoned
 			}
 			if err := w.report(sess, false); err != nil {
-				w.abandon(mutex)
 				return nil, err
 			}
 		}
@@ -378,7 +329,6 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 			res.Subsumed = true
 		case execErr != nil:
 			if ctx.Err() != nil {
-				w.abandon(mutex)
 				return nil, ctx.Err()
 			}
 			res.Error = execErr.Error()
@@ -393,29 +343,15 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 	}
 	reply, err := sess.roundTrip(&frame{Type: msgCommit, Range: grant.Range, Epoch: grant.Epoch, Results: results})
 	if err != nil {
-		w.abandon(mutex)
 		return nil, err
 	}
 	switch reply.Type {
 	case msgRange, msgDone, msgDrain:
-		if mutex != nil {
-			_ = mutex.Unlock()
-		}
 		return reply, nil
 	case msgFenced:
-		w.abandon(mutex)
 		return nil, errRangeAbandoned
 	default:
-		w.abandon(mutex)
 		return nil, fmt.Errorf("coordinator: unexpected commit reply %q", reply.Type)
-	}
-}
-
-// abandon stops renewing without blocking on the lock server (the mutex
-// may already be lost or the server gone).
-func (w *worker) abandon(m *lockserver.DMutex) {
-	if m != nil {
-		m.Abandon()
 	}
 }
 

@@ -47,7 +47,7 @@ func serveStore(t *testing.T) (*Store, string) {
 
 func TestStoreWaitGEImmediate(t *testing.T) {
 	s := NewStore()
-	s.Set("n", "3", false, 0)
+	s.Set("n", "3")
 	cur, err := s.WaitGE("n", 0, 2, time.Second, nil)
 	if err != nil || cur != 3 {
 		t.Fatalf("WaitGE on a satisfied counter = %d, %v; want 3, nil", cur, err)
@@ -122,7 +122,7 @@ func TestStoreWaitGETimeoutAndCancel(t *testing.T) {
 
 func TestStoreWaitGENonInteger(t *testing.T) {
 	s := NewStore()
-	s.Set("n", "banana", false, 0)
+	s.Set("n", "banana")
 	if _, err := s.WaitGE("n", 0, 1, time.Second, nil); err == nil {
 		t.Fatal("WaitGE on a non-integer value must error")
 	}
@@ -341,32 +341,4 @@ func TestBlockingWaitTurnHonorsDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("blocking WaitTurn took %v to honor its deadline", elapsed)
 	}
-}
-
-// Abandon releases a held mutex immediately — the teardown path of a
-// cancelled range, where waiting out the TTL would stall the next holder.
-func TestDMutexAbandonReleases(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	m := NewDMutex(c1, "mu", "tok", time.Minute, time.Millisecond)
-	if err := m.Lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m.Abandon()
-	if ok, err := c2.SetNX("mu", "rival", time.Second); err != nil || !ok {
-		t.Fatalf("SetNX after Abandon = %v, %v; want immediate acquisition", ok, err)
-	}
-	// Abandon on an unheld mutex is a no-op, not a panic.
-	m.Abandon()
 }

@@ -14,12 +14,6 @@ import (
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// ErrLeaseLost marks a distributed-mutex operation that discovered the
-// holder's lease expired (or was taken over) mid-critical-section. It is a
-// typed, checkable condition — the alternative on the paper's physical
-// testbed was a silent hang or a split-brain critical section.
-var ErrLeaseLost = errors.New("lockserver: lease lost")
-
 // ErrClientClosed marks a request aborted because Close was called while
 // the request was mid-backoff. Without it, a client torn down during a
 // lock-server outage would pin its caller through the rest of the backoff
@@ -273,25 +267,7 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// SetNX sets key=value with a TTL only if absent; reports acquisition.
-func (c *Client) SetNX(key, value string, ttl time.Duration) (bool, error) {
-	return c.SetNXContext(context.Background(), key, value, ttl)
-}
-
-// SetNXContext is SetNX with a cancellation context bounding the
-// reconnect backoff (see doCtx).
-func (c *Client) SetNXContext(ctx context.Context, key, value string, ttl time.Duration) (bool, error) {
-	rep, err := c.doCtx(ctx, "SET", key, value, "NX", "PX", strconv.FormatInt(ttl.Milliseconds(), 10))
-	if err != nil {
-		return false, err
-	}
-	if rep.kind == '-' {
-		return false, errors.New(rep.str)
-	}
-	return !rep.isNil && rep.kind == '+', nil
-}
-
-// Set writes key=value unconditionally (no TTL).
+// Set writes key=value.
 func (c *Client) Set(key, value string) error {
 	rep, err := c.do("SET", key, value)
 	if err != nil {
@@ -400,228 +376,6 @@ func (c *Client) IncrByWaitGE(key string, n, target int64, timeout time.Duration
 		return 0, waitGEError(rep.str, true)
 	}
 	return rep.n, nil
-}
-
-// CompareAndDelete removes key iff its value equals expect.
-func (c *Client) CompareAndDelete(key, expect string) (bool, error) {
-	rep, err := c.do("CAD", key, expect)
-	if err != nil {
-		return false, err
-	}
-	return rep.n == 1, nil
-}
-
-// CompareAndExpire refreshes key's TTL iff its value equals expect — the
-// lease-renewal primitive: a holder extends its own lock atomically, and a
-// false return proves the lease is gone.
-func (c *Client) CompareAndExpire(key, expect string, ttl time.Duration) (bool, error) {
-	return c.CompareAndExpireContext(context.Background(), key, expect, ttl)
-}
-
-// CompareAndExpireContext is CompareAndExpire with a cancellation context
-// bounding the reconnect backoff, so a stopped renewal goroutine exits
-// promptly instead of riding out the ladder against a dead server.
-func (c *Client) CompareAndExpireContext(ctx context.Context, key, expect string, ttl time.Duration) (bool, error) {
-	rep, err := c.doCtx(ctx, "CEX", key, expect, strconv.FormatInt(ttl.Milliseconds(), 10))
-	if err != nil {
-		return false, err
-	}
-	if rep.kind == '-' {
-		return false, errors.New(rep.str)
-	}
-	return rep.n == 1, nil
-}
-
-// DMutex is a distributed mutex over a shared key, in the style of the
-// Redis Redlock pattern the paper uses: acquisition is SET key token NX PX,
-// release is an atomic compare-and-delete of the holder's token.
-//
-// With AutoRenew enabled, a background goroutine extends the lease while
-// the mutex is held; a lease that cannot be extended (expired and possibly
-// taken over) surfaces as ErrLeaseLost from Unlock and closes the Lost
-// channel, so a holder wedged mid-turn learns about the takeover instead
-// of hanging or silently double-holding.
-type DMutex struct {
-	client *Client
-	key    string
-	token  string
-	ttl    time.Duration
-	retry  time.Duration
-
-	renewEvery time.Duration
-
-	mu        sync.Mutex
-	lost      chan struct{}
-	lostErr   error
-	stop      chan struct{}
-	done      chan struct{}
-	renewStop context.CancelFunc
-}
-
-// NewDMutex builds a mutex on key with the given token (must be unique per
-// holder), lock TTL, and retry interval.
-func NewDMutex(client *Client, key, token string, ttl, retry time.Duration) *DMutex {
-	return &DMutex{client: client, key: key, token: token, ttl: ttl, retry: retry}
-}
-
-// AutoRenew enables background lease renewal every `every` while the mutex
-// is held; zero picks ttl/3. Call before Lock.
-func (m *DMutex) AutoRenew(every time.Duration) {
-	if every <= 0 {
-		every = m.ttl / 3
-		if every <= 0 {
-			every = time.Millisecond
-		}
-	}
-	m.renewEvery = every
-}
-
-// Lock blocks until the mutex is acquired or the context is done. Request
-// errors are treated as transient (the client reconnects underneath), so a
-// lock-server outage stalls acquisition until the context expires rather
-// than failing it.
-func (m *DMutex) Lock(ctx context.Context) error {
-	for {
-		ok, err := m.client.SetNXContext(ctx, m.key, m.token, m.ttl)
-		if ok && err == nil {
-			m.startRenewal()
-			return nil
-		}
-		if err != nil {
-			// Transient: poll again while the context is alive.
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return fmt.Errorf("lockserver: acquire %s: %w (last error: %v)", m.key, ctxErr, err)
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("lockserver: acquire %s: %w", m.key, ctx.Err())
-		case <-time.After(m.retry):
-		}
-	}
-}
-
-func (m *DMutex) startRenewal() {
-	if m.renewEvery <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lost = make(chan struct{})
-	m.lostErr = nil
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	// The renewal context dies with stop, so a renewal round trip caught
-	// mid-backoff against an unreachable server aborts immediately instead
-	// of pinning stopRenewal through the ladder.
-	ctx, cancel := context.WithCancel(context.Background())
-	m.renewStop = cancel
-	go m.renewLoop(ctx, m.stop, m.done, m.lost)
-}
-
-func (m *DMutex) renewLoop(ctx context.Context, stop, done, lost chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(m.renewEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			ok, err := m.client.CompareAndExpireContext(ctx, m.key, m.token, m.ttl)
-			if err != nil {
-				if ctx.Err() != nil {
-					return // stopRenewal cancelled us mid-request
-				}
-				// Transient: the lease may well still be alive; renewing
-				// again next tick is always safe.
-				continue
-			}
-			if !ok {
-				m.mu.Lock()
-				m.lostErr = fmt.Errorf("lockserver: %s: %w", m.key, ErrLeaseLost)
-				m.mu.Unlock()
-				close(lost)
-				return
-			}
-		}
-	}
-}
-
-// stopRenewal halts the renewal goroutine and returns the recorded lease
-// loss, if any.
-func (m *DMutex) stopRenewal() error {
-	m.mu.Lock()
-	stop, done, cancel := m.stop, m.done, m.renewStop
-	m.stop, m.done, m.renewStop = nil, nil, nil
-	m.mu.Unlock()
-	if stop == nil {
-		return m.Err()
-	}
-	select {
-	case <-done: // renewal already exited (lease lost)
-	default:
-		close(stop)
-		if cancel != nil {
-			cancel() // abort a renewal round trip stuck in backoff
-		}
-		<-done
-	}
-	if cancel != nil {
-		cancel()
-	}
-	return m.Err()
-}
-
-// Lost returns a channel closed when background renewal discovers the
-// lease is gone (nil when AutoRenew is off or the mutex is unheld).
-func (m *DMutex) Lost() <-chan struct{} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lost
-}
-
-// Err returns the recorded lease-loss error, if any.
-func (m *DMutex) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lostErr
-}
-
-// Unlock releases the mutex if this holder still owns it. A lease lost
-// while held — detected by renewal or by the release itself — returns an
-// error wrapping ErrLeaseLost.
-func (m *DMutex) Unlock() error {
-	if err := m.stopRenewal(); err != nil {
-		return err
-	}
-	ok, err := m.client.CompareAndDelete(m.key, m.token)
-	if err != nil {
-		return fmt.Errorf("lockserver: release %s: %w", m.key, err)
-	}
-	if !ok {
-		return fmt.Errorf("lockserver: release %s: not the holder (token %s): %w",
-			m.key, m.token, ErrLeaseLost)
-	}
-	return nil
-}
-
-// Abandon stops lease renewal and makes one best-effort attempt to
-// release the mutex, ignoring failures. It is the teardown path for
-// sessions being cancelled: without it an armed mutex holds its key until
-// TTL expiry, stalling the namespace's next user.
-func (m *DMutex) Abandon() {
-	_ = m.stopRenewal()
-	_, _ = m.client.CompareAndDelete(m.key, m.token)
-}
-
-// Orphan stops lease renewal WITHOUT releasing the key, leaving the lease
-// to expire on its own TTL — exactly what a SIGKILLed holder does. Crash
-// tests use it to simulate a dead worker faithfully: the next claimant
-// must wait out the TTL, and the fencing epoch must reject the orphan's
-// late writes.
-func (m *DMutex) Orphan() {
-	_ = m.stopRenewal()
 }
 
 // Sequencer enforces a global turn order across replicas as a ticket lock:

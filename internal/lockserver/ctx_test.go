@@ -38,9 +38,9 @@ func TestContextCancelAbortsBackoff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.SetNXContext(ctx, "k", "v", time.Second)
+	_, err := c.WaitGEContext(ctx, "k", 1, 0)
 	if err == nil {
-		t.Fatal("SetNXContext succeeded against a dead server")
+		t.Fatal("WaitGEContext succeeded against a dead server")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want context.DeadlineExceeded in the chain", err)
@@ -51,15 +51,30 @@ func TestContextCancelAbortsBackoff(t *testing.T) {
 }
 
 // TestCloseAbortsBackoff: tearing the client down mid-outage must wake a
-// request sleeping in its backoff with ErrClientClosed.
+// request sleeping in its backoff with ErrClientClosed. The request is
+// known to be on its ladder once its first attempt has reached the fault
+// hook; Close then lands in that attempt or in the backoff after it, and
+// either way the next backoff must end at once.
 func TestCloseAbortsBackoff(t *testing.T) {
 	c := deadServerClient(t)
+	attempted := make(chan struct{}, 1)
+	c.SetFaultHook(func(string, []string) error {
+		select {
+		case attempted <- struct{}{}:
+		default:
+		}
+		return nil
+	})
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := c.SetNX("k", "v", time.Second)
+		_, _, err := c.Get("k")
 		errCh <- err
 	}()
-	time.Sleep(100 * time.Millisecond) // let the request enter its backoff sleep
+	select {
+	case <-attempted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never made its first attempt")
+	}
 	start := time.Now()
 	_ = c.Close()
 	select {
@@ -73,53 +88,4 @@ func TestCloseAbortsBackoff(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("request still pinned in backoff after Close")
 	}
-}
-
-// TestOrphanLeavesLease pins DMutex.Orphan, the SIGKILL simulation: the
-// renewal goroutine stops but the key is left to expire on its own, so a
-// successor can only take the lock after the TTL runs out.
-func TestOrphanLeavesLease(t *testing.T) {
-	srv := NewServer(NewStore())
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	ttl := 200 * time.Millisecond
-	m1 := NewDMutex(c1, "orphan-key", "holder-1", ttl, ttl/10)
-	m1.AutoRenew(0)
-	if err := m1.Lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	m1.Orphan()
-
-	// Immediately after the orphan the key must still be held.
-	if val, found, err := c2.Get("orphan-key"); err != nil || !found || val != "holder-1" {
-		t.Fatalf("key after Orphan = %q/%v/%v, want held by holder-1", val, found, err)
-	}
-
-	// A successor acquires only once the TTL expires — and because nothing
-	// renews anymore, that must happen within a couple of TTLs.
-	m2 := NewDMutex(c2, "orphan-key", "holder-2", ttl, ttl/10)
-	ctx, cancel := context.WithTimeout(context.Background(), 4*ttl)
-	defer cancel()
-	start := time.Now()
-	if err := m2.Lock(ctx); err != nil {
-		t.Fatalf("successor could not take the orphaned lease: %v", err)
-	}
-	if took := time.Since(start); took < ttl/2 {
-		t.Fatalf("successor acquired after %v, before the orphaned lease expired (ttl %v)", took, ttl)
-	}
-	_ = m2.Unlock()
 }

@@ -2,7 +2,6 @@ package lockserver
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -10,15 +9,13 @@ import (
 
 func TestStoreSetGetDel(t *testing.T) {
 	s := NewStore()
-	if !s.Set("k", "v", false, 0) {
-		t.Fatal("plain set must succeed")
-	}
-	v, ok := s.Get("k")
-	if !ok || v != "v" {
+	s.Set("k", "v")
+	if v, ok := s.Get("k"); !ok || v != "v" {
 		t.Fatalf("Get = %q %v", v, ok)
 	}
-	if s.Set("k", "w", true, 0) {
-		t.Fatal("NX on existing key must fail")
+	s.Set("k", "w")
+	if v, ok := s.Get("k"); !ok || v != "w" {
+		t.Fatalf("Get after overwrite = %q %v", v, ok)
 	}
 	if !s.Del("k") {
 		t.Fatal("del of existing key")
@@ -26,29 +23,8 @@ func TestStoreSetGetDel(t *testing.T) {
 	if s.Del("k") {
 		t.Fatal("del of missing key")
 	}
-	if !s.Set("k", "w", true, 0) {
-		t.Fatal("NX after delete must succeed")
-	}
-}
-
-func TestStoreTTL(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	s := NewStoreWithClock(clock)
-	s.Set("k", "v", false, 100*time.Millisecond)
-	if _, ok := s.Get("k"); !ok {
-		t.Fatal("key must be live before expiry")
-	}
-	now = now.Add(101 * time.Millisecond)
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("key must expire")
-	}
-	// NX succeeds on an expired key — lock TTL recovery after crash.
-	if !s.Set("k", "w", true, 0) {
-		t.Fatal("NX on expired key must succeed")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if _, ok := s.Get("k"); ok || s.Len() != 0 {
+		t.Fatalf("deleted key still readable, or store holds %d keys", s.Len())
 	}
 }
 
@@ -60,23 +36,9 @@ func TestStoreIncr(t *testing.T) {
 			t.Fatalf("Incr = %d, %v; want %d", n, err, want)
 		}
 	}
-	s.Set("bad", "notanint", false, 0)
+	s.Set("bad", "notanint")
 	if _, err := s.Incr("bad"); err == nil {
 		t.Fatal("Incr of non-integer must fail")
-	}
-}
-
-func TestStoreCompareAndDelete(t *testing.T) {
-	s := NewStore()
-	s.Set("lock", "tokenA", false, 0)
-	if s.CompareAndDelete("lock", "tokenB") {
-		t.Fatal("CAD with wrong token must fail")
-	}
-	if !s.CompareAndDelete("lock", "tokenA") {
-		t.Fatal("CAD with right token must succeed")
-	}
-	if s.CompareAndDelete("lock", "tokenA") {
-		t.Fatal("CAD on missing key must fail")
 	}
 }
 
@@ -102,135 +64,37 @@ func TestServerEndToEnd(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := c.SetNX("lock", "tok", time.Minute)
-	if err != nil || !ok {
-		t.Fatalf("SetNX = %v, %v", ok, err)
+	if err := c.Set("k", "v"); err != nil {
+		t.Fatal(err)
 	}
-	ok, err = c.SetNX("lock", "tok2", time.Minute)
-	if err != nil || ok {
-		t.Fatalf("second SetNX must fail, got %v %v", ok, err)
+	if err := c.Set("k", "w"); err != nil {
+		t.Fatal(err)
 	}
-	v, found, err := c.Get("lock")
-	if err != nil || !found || v != "tok" {
-		t.Fatalf("Get = %q %v %v", v, found, err)
+	v, found, err := c.Get("k")
+	if err != nil || !found || v != "w" {
+		t.Fatalf("Get = %q %v %v; want the overwrite", v, found, err)
 	}
 	if _, found, _ := c.Get("missing"); found {
 		t.Fatal("missing key must be nil")
 	}
-	n, err := c.Incr("counter")
-	if err != nil || n != 1 {
-		t.Fatalf("Incr = %d %v", n, err)
+	for want := int64(1); want <= 2; want++ {
+		if n, err := c.Incr("counter"); err != nil || n != want {
+			t.Fatalf("Incr = %d %v; want %d", n, err, want)
+		}
 	}
-	released, err := c.CompareAndDelete("lock", "wrong")
-	if err != nil || released {
-		t.Fatal("CAD with wrong token must fail")
+	if _, err := c.Incr("k"); err == nil {
+		t.Fatal("Incr of a non-integer must fail")
 	}
-	released, err = c.CompareAndDelete("lock", "tok")
-	if err != nil || !released {
-		t.Fatalf("CAD = %v %v", released, err)
+	for _, key := range []string{"k", "counter"} {
+		if deleted, err := c.Del(key); err != nil || !deleted {
+			t.Fatalf("Del(%s) = %v %v", key, deleted, err)
+		}
 	}
-	deleted, err := c.Del("counter")
-	if err != nil || !deleted {
-		t.Fatalf("Del = %v %v", deleted, err)
+	if deleted, err := c.Del("k"); err != nil || deleted {
+		t.Fatalf("Del of a deleted key = %v %v; want false", deleted, err)
 	}
-	if err := c.Set("plain", "x"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDMutexMutualExclusion(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-
-	const holders = 8
-	const iterations = 20
-	var critical int
-	var inside int32
-	var mu sync.Mutex // guards critical section bookkeeping checks
-	var wg sync.WaitGroup
-	errs := make(chan error, holders)
-	for i := 0; i < holders; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			m := NewDMutex(c, "mutex", fmt.Sprintf("holder-%d", id), time.Minute, time.Millisecond)
-			for j := 0; j < iterations; j++ {
-				if err := m.Lock(context.Background()); err != nil {
-					errs <- err
-					return
-				}
-				mu.Lock()
-				inside++
-				if inside != 1 {
-					errs <- fmt.Errorf("mutual exclusion violated: %d holders inside", inside)
-				}
-				critical++
-				inside--
-				mu.Unlock()
-				if err := m.Unlock(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if critical != holders*iterations {
-		t.Fatalf("critical sections = %d, want %d", critical, holders*iterations)
-	}
-}
-
-func TestDMutexUnlockNotHolder(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	m := NewDMutex(c, "m", "me", time.Minute, time.Millisecond)
-	if err := m.Unlock(); err == nil {
-		t.Fatal("unlock without lock must fail")
-	}
-	if err := m.Lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Another holder steals the key after TTL expiry simulation: delete it.
-	if _, err := c.Del("m"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unlock(); err == nil {
-		t.Fatal("unlock after losing the lock must fail")
-	}
-}
-
-func TestDMutexLockContextCancel(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	first := NewDMutex(c, "m", "first", time.Minute, time.Millisecond)
-	if err := first.Lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	second := NewDMutex(c, "m", "second", time.Minute, time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := second.Lock(ctx); err == nil {
-		t.Fatal("blocked lock must respect context cancellation")
+	if n, err := c.Incr("counter"); err != nil || n != 1 {
+		t.Fatalf("Incr after Del = %d %v; want a fresh counter at 1", n, err)
 	}
 }
 
@@ -298,23 +162,39 @@ func TestSequencerTurnAlreadyPassed(t *testing.T) {
 	}
 }
 
+// TestServerRejectsGarbage: an unknown command, and each lease command the
+// server no longer serves (compare-and-delete, compare-and-expire, an
+// expiring SET NX), gets an error reply on a connection that stays usable,
+// and changes nothing in the store.
 func TestServerRejectsGarbage(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
+	store, addr := serveStore(t)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Unknown command produces a RESP error surfaced by the client.
-	if _, err := c.do("NONSENSE"); err != nil {
-		t.Fatalf("transport error on unknown command: %v", err)
-	}
-	rep, err := c.do("NONSENSE")
-	if err != nil {
+	if err := c.Set("lock", "token"); err != nil {
 		t.Fatal(err)
 	}
-	if rep.kind != '-' {
-		t.Fatalf("expected error reply, got %+v", rep)
+	for _, req := range [][]string{
+		{"NONSENSE"},
+		{"CAD", "lock", "token"},
+		{"CEX", "lock", "token", "100"},
+		{"SET", "k", "v", "NX", "PX", "100"},
+		{"SET", "lock", "other", "NX", "PX", "100"},
+	} {
+		rep, err := c.do(req...)
+		if err != nil {
+			t.Fatalf("%q: transport error: %v", req, err)
+		}
+		if rep.kind != '-' {
+			t.Fatalf("%q: reply %+v; want an error", req, rep)
+		}
+		if v, ok := store.Get("lock"); !ok || v != "token" || store.Len() != 1 {
+			t.Fatalf("%q changed the store: lock = %q %v among %d keys", req, v, ok, store.Len())
+		}
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("connection unusable after the rejections: %v", err)
 	}
 }

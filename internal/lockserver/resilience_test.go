@@ -7,55 +7,6 @@ import (
 	"time"
 )
 
-func TestStoreCompareAndExpire(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	s := NewStoreWithClock(clock)
-	s.Set("lock", "tokenA", false, 100*time.Millisecond)
-
-	if s.CompareAndExpire("lock", "tokenB", 100*time.Millisecond) {
-		t.Fatal("CEX with wrong token must fail")
-	}
-	now = now.Add(90 * time.Millisecond)
-	if !s.CompareAndExpire("lock", "tokenA", 100*time.Millisecond) {
-		t.Fatal("CEX with right token must succeed")
-	}
-	// The renewal pushed expiry out: 90ms+100ms > the original 100ms.
-	now = now.Add(90 * time.Millisecond)
-	if _, ok := s.Get("lock"); !ok {
-		t.Fatal("renewed lease must still be live")
-	}
-	now = now.Add(11 * time.Millisecond)
-	if s.CompareAndExpire("lock", "tokenA", 100*time.Millisecond) {
-		t.Fatal("CEX on an expired key must fail")
-	}
-}
-
-func TestClientCompareAndExpire(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if ok, err := c.SetNX("lock", "me", 50*time.Millisecond); err != nil || !ok {
-		t.Fatalf("SetNX = %v, %v", ok, err)
-	}
-	ok, err := c.CompareAndExpire("lock", "me", time.Second)
-	if err != nil || !ok {
-		t.Fatalf("CEX own lease = %v, %v", ok, err)
-	}
-	time.Sleep(80 * time.Millisecond)
-	if _, found, _ := c.Get("lock"); !found {
-		t.Fatal("renewed lease expired despite CEX")
-	}
-	if ok, _ := c.CompareAndExpire("lock", "impostor", time.Second); ok {
-		t.Fatal("CEX with wrong token must fail")
-	}
-}
-
 // A server restart between requests must be invisible to the client: the
 // request loop re-dials and retries.
 func TestClientReconnectsAfterServerRestart(t *testing.T) {
@@ -136,133 +87,6 @@ func TestClientRetriesThroughTransientFault(t *testing.T) {
 	})
 	if err := c.Ping(); err != nil {
 		t.Fatalf("ping through transient fault: %v", err)
-	}
-}
-
-// AutoRenew keeps a short-TTL lease alive for the whole critical section.
-func TestDMutexAutoRenewKeepsLease(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	m := NewDMutex(c1, "lease", "holder", 60*time.Millisecond, time.Millisecond)
-	m.AutoRenew(10 * time.Millisecond)
-	if err := m.Lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Hold well past the raw TTL; renewal must keep the rival out.
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		ok, err := c2.SetNX("lease", "rival", time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			t.Fatal("rival acquired the lock while renewal was active")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err := m.Unlock(); err != nil {
-		t.Fatalf("unlock after renewed hold: %v", err)
-	}
-}
-
-// A lease lost mid-hold (here: wiped behind the holder's back, as a TTL
-// expiry during a lock-server pause would) surfaces as ErrLeaseLost on the
-// Lost channel and from Unlock — never a silent double-hold.
-func TestDMutexLeaseLostSurfaces(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-
-	m := NewDMutex(c1, "lease", "holder", time.Second, time.Millisecond)
-	m.AutoRenew(5 * time.Millisecond)
-	if err := m.Lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Del("lease"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-m.Lost():
-	case <-time.After(2 * time.Second):
-		t.Fatal("renewal never noticed the lost lease")
-	}
-	err = m.Unlock()
-	if !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("Unlock after lease loss = %v; want ErrLeaseLost", err)
-	}
-}
-
-// Unlock with no renewal also detects loss: the compare-and-delete misses
-// and the error wraps ErrLeaseLost.
-func TestDMutexUnlockDetectsLeaseLoss(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	m := NewDMutex(c, "lease", "holder", time.Second, time.Millisecond)
-	if err := m.Lock(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Del("lease"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unlock(); !errors.Is(err, ErrLeaseLost) {
-		t.Fatalf("Unlock = %v; want ErrLeaseLost", err)
-	}
-}
-
-// DMutex.Lock treats request errors as transient: an outage during
-// acquisition stalls until it heals (bounded by ctx), then acquires.
-func TestDMutexLockRidesOutOutage(t *testing.T) {
-	addr, done := startServer(t)
-	defer done()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetReconnect(1, time.Millisecond)
-
-	fails := 3
-	c.SetFaultHook(func(op string, args []string) error {
-		if fails > 0 {
-			fails--
-			return errors.New("outage")
-		}
-		return nil
-	})
-	m := NewDMutex(c, "lease", "holder", time.Second, time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := m.Lock(ctx); err != nil {
-		t.Fatalf("lock through outage: %v", err)
-	}
-	if err := m.Unlock(); err != nil {
-		t.Fatal(err)
 	}
 }
 

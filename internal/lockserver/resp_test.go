@@ -9,7 +9,9 @@ import (
 
 // subsetCommands is one well-formed request per command the server knows,
 // plus the shapes the framing has to carry: an empty argument, a binary
-// one, one longer than a read chunk.
+// one, one longer than a read chunk. It keeps the lease requests the server
+// no longer serves (SET NX PX, CAD, CEX): they still have to frame, and
+// dispatch to an error reply.
 var subsetCommands = [][]string{
 	{"PING"},
 	{"SET", "k", "v"},

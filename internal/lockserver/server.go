@@ -108,9 +108,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// upper folds an ASCII command or option name to upper case in a caller's
-// scratch array, so matching it allocates nothing. Names longer than any
-// the server knows are returned as they are (and match nothing).
+// upper folds an ASCII command name to upper case in a caller's scratch
+// array, so matching it allocates nothing. Names longer than any the
+// server knows are returned as they are (and match nothing).
 func upper(scratch *[8]byte, name []byte) []byte {
 	if len(name) > len(scratch) {
 		return name
@@ -142,7 +142,11 @@ func (s *Server) dispatch(dst []byte, args [][]byte) []byte {
 	case "PING":
 		return appendSimple(dst, "PONG")
 	case "SET":
-		return s.cmdSet(dst, args)
+		if len(args) != 2 {
+			return appendError(dst, "SET requires 2 arguments")
+		}
+		s.store.Set(string(args[0]), string(args[1]))
+		return appendSimple(dst, "OK")
 	case "GET":
 		if len(args) != 1 {
 			return appendError(dst, "GET requires 1 argument")
@@ -173,20 +177,6 @@ func (s *Server) dispatch(dst []byte, args [][]byte) []byte {
 		return s.cmdIncrBy(dst, args[0], delta)
 	case "WAITGE":
 		return s.cmdWaitGE(dst, args)
-	case "CAD":
-		if len(args) != 2 {
-			return appendError(dst, "CAD requires 2 arguments")
-		}
-		return appendBool(dst, s.store.CompareAndDelete(string(args[0]), string(args[1])))
-	case "CEX":
-		if len(args) != 3 {
-			return appendError(dst, "CEX requires 3 arguments")
-		}
-		ms, ok := parseInt(args[2])
-		if !ok || ms < 0 {
-			return appendError(dst, "invalid CEX ttl")
-		}
-		return appendBool(dst, s.store.CompareAndExpire(string(args[0]), string(args[1]), time.Duration(ms)*time.Millisecond))
 	default:
 		return appendError(dst, "unknown command "+string(name))
 	}
@@ -235,35 +225,4 @@ func (s *Server) cmdWaitGE(dst []byte, args [][]byte) []byte {
 		return appendError(dst, "value is not an integer")
 	}
 	return appendInt(dst, cur)
-}
-
-func (s *Server) cmdSet(dst []byte, args [][]byte) []byte {
-	if len(args) < 2 {
-		return appendError(dst, "SET requires key and value")
-	}
-	nx := false
-	var px time.Duration
-	for i := 2; i < len(args); i++ {
-		var scratch [8]byte
-		switch string(upper(&scratch, args[i])) {
-		case "NX":
-			nx = true
-		case "PX":
-			if i+1 >= len(args) {
-				return appendError(dst, "PX requires milliseconds")
-			}
-			ms, ok := parseInt(args[i+1])
-			if !ok || ms <= 0 {
-				return appendError(dst, "invalid PX value")
-			}
-			px = time.Duration(ms) * time.Millisecond
-			i++
-		default:
-			return appendError(dst, "unknown SET option "+string(args[i]))
-		}
-	}
-	if s.store.Set(string(args[0]), string(args[1]), nx, px) {
-		return appendSimple(dst, "OK")
-	}
-	return appendNil(dst)
 }

@@ -1,15 +1,17 @@
 // Package lockserver provides the distributed-locking substrate ER-π uses
 // to enforce event order during replay (paper §4.3). It contains a small
 // Redis-compatible key-value server speaking a RESP subset over TCP
-// (SET [NX] [PX], GET, DEL, INCR, INCRBY, PING, plus three commands Redis
-// needs a script for: CAD and CEX, compare-and-delete / -expire, and WAITGE,
-// a blocking wait for a counter that can first add to it), a reconnecting
-// client, a Redlock-style
-// distributed mutex with lease renewal, and a turn sequencer: a ticket lock
-// whose "now serving" counter lives on the server.
+// (SET, GET, DEL, INCR, INCRBY, PING, plus WAITGE, a blocking wait for a
+// counter that can first add to it, which Redis would need a script for),
+// a reconnecting client, and a turn sequencer: a ticket lock whose "now
+// serving" counter lives on the server.
 //
 // The paper deploys "a mutex with a shared key managed by a Redis server";
 // this package is that server and lock, built from the standard library.
+// History: replay once took an expiring SET NX lease per event as well,
+// and the coordinator a renewed lease per range; the ticket lock made the
+// first redundant and the coordinator's heartbeat deadline and epoch fence
+// the second, so the mutex, its CAD/CEX commands and per-key TTLs are gone.
 package lockserver
 
 import (
@@ -19,12 +21,10 @@ import (
 	"time"
 )
 
-// Store is the in-memory key-value state with per-key expiry. The clock is
-// injectable so that TTL behaviour is testable without sleeping.
+// Store is the in-memory key-value state.
 type Store struct {
 	mu   sync.Mutex
-	data map[string]entry
-	now  func() time.Time
+	data map[string]string
 	// waiters holds, per key, the parked WaitGE callers with the value
 	// each is waiting for; a mutation wakes only those it satisfies.
 	waiters map[string][]*waiter
@@ -35,19 +35,9 @@ type waiter struct {
 	woken  chan struct{}
 }
 
-type entry struct {
-	value     string
-	expiresAt time.Time // zero = no expiry
-}
-
-// NewStore returns an empty store using the real clock.
+// NewStore returns an empty store.
 func NewStore() *Store {
-	return NewStoreWithClock(time.Now)
-}
-
-// NewStoreWithClock returns a store with an injected clock (tests).
-func NewStoreWithClock(now func() time.Time) *Store {
-	return &Store{data: make(map[string]entry), now: now, waiters: make(map[string][]*waiter)}
+	return &Store{data: make(map[string]string), waiters: make(map[string][]*waiter)}
 }
 
 // wakeLocked wakes the WaitGE callers parked on key that its new value
@@ -83,57 +73,34 @@ func (s *Store) setWaitersLocked(key string, parked []*waiter) {
 
 // intLocked reads the integer at key (missing = 0). Callers hold s.mu.
 func (s *Store) intLocked(key string) (int64, error) {
-	if s.expiredLocked(key) {
+	v, ok := s.data[key]
+	if !ok {
 		return 0, nil
 	}
-	return strconv.ParseInt(s.data[key].value, 10, 64)
+	return strconv.ParseInt(v, 10, 64)
 }
 
-func (s *Store) expiredLocked(k string) bool {
-	e, ok := s.data[k]
-	if !ok {
-		return true
-	}
-	if !e.expiresAt.IsZero() && !s.now().Before(e.expiresAt) {
-		delete(s.data, k)
-		return true
-	}
-	return false
-}
-
-// Set writes key=value. When nx is true the write only happens if the key
-// is absent (or expired); px>0 sets a TTL. Returns whether the write
-// happened.
-func (s *Store) Set(key, value string, nx bool, px time.Duration) bool {
+// Set writes key=value.
+func (s *Store) Set(key, value string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if nx && !s.expiredLocked(key) {
-		return false
-	}
-	e := entry{value: value}
-	if px > 0 {
-		e.expiresAt = s.now().Add(px)
-	}
-	s.data[key] = e
+	s.data[key] = value
 	s.wakeLocked(key)
-	return true
 }
 
-// Get returns the live value for key.
+// Get returns the value for key.
 func (s *Store) Get(key string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.expiredLocked(key) {
-		return "", false
-	}
-	return s.data[key].value, true
+	v, ok := s.data[key]
+	return v, ok
 }
 
 // Del removes key, reporting whether it was present.
 func (s *Store) Del(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.expiredLocked(key) {
+	if _, ok := s.data[key]; !ok {
 		return false
 	}
 	delete(s.data, key)
@@ -154,49 +121,9 @@ func (s *Store) IncrBy(key string, delta int64) (int64, error) {
 		return 0, err
 	}
 	n += delta
-	s.data[key] = entry{value: strconv.FormatInt(n, 10)}
+	s.data[key] = strconv.FormatInt(n, 10)
 	s.wakeLocked(key)
 	return n, nil
-}
-
-// CompareAndDelete removes key only if its current value equals expect:
-// the atomic unlock primitive (Redis does this with a Lua script; we
-// provide it as a first-class command). Returns whether the delete
-// happened.
-func (s *Store) CompareAndDelete(key, expect string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.expiredLocked(key) {
-		return false
-	}
-	if s.data[key].value != expect {
-		return false
-	}
-	delete(s.data, key)
-	s.wakeLocked(key)
-	return true
-}
-
-// CompareAndExpire refreshes key's TTL to px only if its current value
-// equals expect: the atomic lease-renewal primitive. A holder can extend
-// its own lock without racing a takeover — if the lease already expired
-// and another holder acquired it, the value no longer matches and the
-// renewal reports false. px<=0 clears the expiry.
-func (s *Store) CompareAndExpire(key, expect string, px time.Duration) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.expiredLocked(key) {
-		return false
-	}
-	if s.data[key].value != expect {
-		return false
-	}
-	e := entry{value: expect}
-	if px > 0 {
-		e.expiresAt = s.now().Add(px)
-	}
-	s.data[key] = e
-	return true
 }
 
 // WaitGE adds delta to the integer value at key (missing = 0; delta 0
@@ -219,7 +146,7 @@ func (s *Store) WaitGE(key string, delta, target int64, timeout time.Duration, c
 	cur, err := s.intLocked(key)
 	if err == nil && delta != 0 {
 		cur += delta
-		s.data[key] = entry{value: strconv.FormatInt(cur, 10)}
+		s.data[key] = strconv.FormatInt(cur, 10)
 		s.wakeLocked(key)
 	}
 	if err != nil || cur >= target || timeout <= 0 {
@@ -247,15 +174,9 @@ func (s *Store) WaitGE(key string, delta, target int64, timeout time.Duration, c
 	return s.intLocked(key)
 }
 
-// Len returns the number of live keys.
+// Len returns the number of keys.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for k := range s.data {
-		if !s.expiredLocked(k) {
-			n++
-		}
-	}
-	return n
+	return len(s.data)
 }
