@@ -37,9 +37,6 @@ type WorkerOptions struct {
 
 	// Test hooks — nil in production.
 	//
-	// BeforeExecute runs before each interleaving executes; blocking it
-	// pauses the worker mid-range without a heartbeat.
-	BeforeExecute func(index int)
 	// BeforeCommit runs before each range commit is sent; blocking it
 	// silences the worker until its range's heartbeat deadline passes (the
 	// zombie-commit chaos test).
@@ -298,9 +295,6 @@ func (w *worker) runRange(ctx context.Context, sess *session, exec *runner.Execu
 			return nil, err
 		}
 		index := grant.Start + i
-		if w.o.BeforeExecute != nil {
-			w.o.BeforeExecute(index)
-		}
 		if w.o.CrashAfterExecutions > 0 && w.executed >= w.o.CrashAfterExecutions {
 			// Simulated SIGKILL: the connection just drops.
 			sess.conn.Close()

@@ -151,70 +151,143 @@ func TestAdvanceNotRetriedOnLostReply(t *testing.T) {
 }
 
 // Three waiters on three targets: an increment that satisfies one wakes
-// exactly that one and leaves the other two parked where they are.
+// exactly that one, taking it off the queue, and leaves the other two
+// parked where they are. The waits are parked by hand and nobody sleeps on
+// them, so a wake — a send on the waiter's buffered channel — stays
+// pending where the test can count it.
 func TestStoreWaitGEWakesOnlySatisfied(t *testing.T) {
 	s := NewStore()
-	results := make(chan [2]int64, 3)
-	for target := int64(1); target <= 3; target++ {
-		go func() {
-			cur, err := s.WaitGE("turn", 0, target, time.Minute, nil)
-			if err != nil {
-				t.Error(err)
-			}
-			results <- [2]int64{target, cur}
-		}()
+	key := []byte("turn")
+	all := make([]*waiter, 3)
+	for i := range all {
+		all[i] = new(waiter)
+		if cur, parked, err := s.park(all[i], key, 0, int64(i+1), time.Minute); !parked || err != nil {
+			t.Fatalf("waiter for %d: park = %d, %v, %v; want it parked", i+1, cur, parked, err)
+		}
 	}
-	parked(t, s, "turn", 3)
-	// wakes counts the waiters whose channel a mutation has closed, among
-	// those still queued or just released.
-	all := slices.Clone(s.waiters["turn"])
-	wakes := func() (n int) {
+	// woken lists the targets of the waiters holding a wake.
+	woken := func() (got []int64) {
 		for _, w := range all {
-			select {
-			case <-w.woken:
-				n++
-			default:
+			if len(w.woken) > 0 {
+				got = append(got, w.target)
 			}
 		}
-		return n
+		return got
+	}
+	// finish ends the wait of a woken waiter, as its sleep would.
+	finish := func(w *waiter) int64 {
+		cur, err := s.unpark(w, key, w.sleep(time.Minute, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
 	}
 
 	if _, err := s.IncrBy("turn", 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := wakes(); got != 1 {
-		t.Fatalf("IncrBy to 1 woke %d waiters; want exactly the one waiting for 1", got)
+	if got := woken(); !slices.Equal(got, []int64{1}) {
+		t.Fatalf("IncrBy to 1 woke the waiters for %v; want exactly the one waiting for 1", got)
 	}
-	if r := <-results; r != [2]int64{1, 1} {
-		t.Fatalf("woken waiter = target %d read %d; want target 1 read 1", r[0], r[1])
-	}
-	s.mu.Lock()
-	var left []int64
-	for _, w := range s.waiters["turn"] {
-		left = append(left, w.target)
-	}
-	s.mu.Unlock()
-	slices.Sort(left)
-	if !slices.Equal(left, []int64{2, 3}) {
+	if left := targets(s, "turn"); !slices.Equal(left, []int64{2, 3}) {
 		t.Fatalf("still parked: targets %v; want [2 3]", left)
+	}
+	if cur := finish(all[0]); cur != 1 {
+		t.Fatalf("woken waiter for 1 read %d; want 1", cur)
 	}
 
 	// A jump past both remaining targets wakes both, and empties the queue.
 	if _, err := s.IncrBy("turn", 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := wakes(); got != 3 {
-		t.Fatalf("%d waiters woken after the counter reached 3; want 3", got)
+	if got := woken(); !slices.Equal(got, []int64{2, 3}) {
+		t.Fatalf("the counter reached 3 and woke the waiters for %v; want [2 3]", got)
 	}
-	for i := 0; i < 2; i++ {
-		if r := <-results; r[1] != 3 {
-			t.Fatalf("waiter for %d read %d; want 3", r[0], r[1])
+	for _, w := range all[1:] {
+		if cur := finish(w); cur != 3 {
+			t.Fatalf("waiter for %d read %d; want 3", w.target, cur)
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.waiters) != 0 {
-		t.Fatalf("waiter queue not emptied: %v", s.waiters)
+	if n := waiting(s, "turn"); n != 0 {
+		t.Fatalf("waiter queue not emptied: %d left", n)
+	}
+}
+
+// A WAITGE whose timeout fires while a mutation satisfies it: the sleep
+// ended by the timer, and before the waiter took the store's lock again a
+// mutation took it off the queue and woke it. The wake must not outlive
+// the wait it was for: the same connection's next WAITGE, on the same
+// waiter, parks until its own target instead of returning at once.
+func TestWaitGEDrainsWakeRacingTimeout(t *testing.T) {
+	s := NewStore()
+	key := []byte("turn")
+	var w waiter // the connection's one waiter
+	if _, parked, err := s.park(&w, key, 0, 1, time.Minute); !parked || err != nil {
+		t.Fatalf("park = %v, %v; want it parked", parked, err)
+	}
+	if _, err := s.IncrBy("turn", 1); err != nil {
+		t.Fatal(err)
+	}
+	// The timer fired first: the wait ends as not woken.
+	if cur, err := s.unpark(&w, key, false); err != nil || cur != 1 {
+		t.Fatalf("unpark = %d, %v; want 1", cur, err)
+	}
+	if len(w.woken) != 0 {
+		t.Fatal("the wake that raced the timeout outlived its wait")
+	}
+
+	got := make(chan int64, 1)
+	go func() {
+		cur, err := s.waitGE(&w, key, 0, 3, time.Minute, nil)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- cur
+	}()
+	parked(t, s, "turn", 1)
+	if _, err := s.IncrBy("turn", 2); err != nil {
+		t.Fatal(err)
+	}
+	if cur := <-got; cur != 3 {
+		t.Fatalf("the next WAITGE for 3 returned %d; want it parked until 3", cur)
+	}
+}
+
+// A client that disconnects while parked leaves no waiter queued, whether
+// its wait then ends by its timeout or by a mutation that wakes it: the
+// handler's reply goes nowhere, and the entry the wait made for a missing
+// key goes with the connection's waiter.
+func TestDisconnectWhileParkedLeavesNoWaiter(t *testing.T) {
+	for _, woken := range []bool{false, true} {
+		store, addr := serveStore(t)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := "50"
+		if woken {
+			ms = "60000"
+		}
+		if _, err := conn.Write(appendCommand(nil, "WAITGE", "turn", "5", ms)); err != nil {
+			t.Fatal(err)
+		}
+		parked(t, store, "turn", 1)
+		_ = conn.Close()
+		if woken {
+			if _, err := store.IncrBy("turn", 5); err != nil {
+				t.Fatal(err)
+			}
+			if !store.Del("turn") {
+				t.Fatal("the counter was not set")
+			}
+		}
+		parked(t, store, "turn", 0)
+		store.mu.Lock()
+		n := len(store.keys)
+		store.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("woken %v: store holds %d keys after the parked client left; want 0", woken, n)
+		}
 	}
 }
 
@@ -227,8 +300,8 @@ func TestStoreWaitGETimeoutLeavesQueue(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.waiters) != 0 {
-		t.Fatalf("timed-out waiter still queued: %v", s.waiters)
+	if len(s.keys) != 0 {
+		t.Fatalf("timed-out waiter still queued: %v", s.keys)
 	}
 }
 
@@ -274,10 +347,7 @@ func TestSequencerAdvanceByRun(t *testing.T) {
 	if turn := <-got; turn != 3 {
 		t.Fatalf("turn %d released by an advance to 3", turn)
 	}
-	store.mu.Lock()
-	still := len(store.waiters["turn"]) == 1 && store.waiters["turn"][0].target == 5
-	store.mu.Unlock()
-	if !still {
+	if !slices.Equal(targets(store, "turn"), []int64{5}) {
 		t.Fatal("the waiter for turn 5 did not stay parked through the advance to 3")
 	}
 	if err := next.Advance(context.Background(), 2, -1); err != nil {

@@ -14,10 +14,28 @@ import (
 )
 
 // waiting reports how many WAITGE callers the store holds parked on key.
+// It allocates nothing, so an allocation gate may poll it.
 func waiting(s *Store, key string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.waiters[key])
+	if e := s.keys[key]; e != nil {
+		return len(e.waiters)
+	}
+	return 0
+}
+
+// targets lists the targets of the WAITGE callers parked on key, in queue
+// order.
+func targets(s *Store, key string) []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []int64
+	if e := s.keys[key]; e != nil {
+		for _, w := range e.waiters {
+			out = append(out, w.target)
+		}
+	}
+	return out
 }
 
 // parked waits until the store holds n WAITGE callers parked on key, so a

@@ -179,14 +179,45 @@ func (c *Client) dropConn() {
 	c.interrupted = false
 }
 
-func (c *Client) do(args ...string) (reply, error) {
-	return c.doCtx(context.Background(), args...)
+// A request is a command op, then its string arguments strs, then its
+// integer arguments ints. The client encodes it straight into its buffer,
+// formatting no integer as a string, and builds the []string a FaultHook
+// sees only when one is set. Callers keep op apart from the slices:
+// escape analysis does not tell a struct's fields apart, and op, which
+// error messages and the hook take, would carry the slices to the heap.
+
+// appendRequest appends one request.
+func appendRequest(dst []byte, op string, strs []string, ints []int64) []byte {
+	dst = appendHeader(dst, '*', int64(1+len(strs)+len(ints)))
+	dst = appendBulk(dst, op)
+	for _, a := range strs {
+		dst = appendBulk(dst, a)
+	}
+	for _, n := range ints {
+		dst = appendBulkInt(dst, n)
+	}
+	return dst
 }
 
-// doCtx is do with a cancellation context: the reconnect backoff sleeps
-// are interruptible by ctx and by Close, so a cancelled run (or a client
-// torn down mid-outage) is never pinned through the full backoff ladder.
-func (c *Client) doCtx(ctx context.Context, args ...string) (reply, error) {
+// hookArgs is a request's arguments after op, as the FaultHook sees them.
+func hookArgs(strs []string, ints []int64) []string {
+	args := append(make([]string, 0, len(strs)+len(ints)), strs...)
+	for _, n := range ints {
+		args = append(args, strconv.FormatInt(n, 10))
+	}
+	return args
+}
+
+// do sends the request args[0] args[1:]... through the retry ladder.
+func (c *Client) do(args ...string) (reply, error) {
+	return c.doCtx(context.Background(), args[0], args[1:], nil)
+}
+
+// doCtx sends a request with a cancellation context: the reconnect backoff
+// sleeps are interruptible by ctx and by Close, so a cancelled run (or a
+// client torn down mid-outage) is never pinned through the full backoff
+// ladder.
+func (c *Client) doCtx(ctx context.Context, op string, strs []string, ints []int64) (reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
@@ -198,40 +229,47 @@ func (c *Client) doCtx(ctx context.Context, args ...string) (reply, error) {
 			case <-ctx.Done():
 				timer.Stop()
 				return reply{}, fmt.Errorf("lockserver: %s aborted: %w (last error: %v)",
-					args[0], ctx.Err(), lastErr)
+					op, ctx.Err(), lastErr)
 			case <-c.closed:
 				timer.Stop()
 				return reply{}, fmt.Errorf("lockserver: %s aborted: %w (last error: %v)",
-					args[0], ErrClientClosed, lastErr)
+					op, ErrClientClosed, lastErr)
 			case <-timer.C:
 			}
 			backoff *= 2
 		}
-		rep, err := c.sendLocked(args)
+		rep, err := c.sendLocked(ctx, op, strs, ints)
 		if err == nil {
 			return rep, nil
 		}
 		lastErr = err
 	}
 	return reply{}, fmt.Errorf("lockserver: %s failed after %d attempts: %w",
-		args[0], c.maxAttempts, lastErr)
+		op, c.maxAttempts, lastErr)
 }
 
-// sendLocked puts one request on the wire once and reads its reply: the
-// fault hook sees it (exactly once per request sent, which is what lets a
-// counting hook count requests), a dropped or interrupted connection is
-// re-dialed first, and any transport error or Interrupt drops the
-// connection, because the stream may be desynchronized mid-reply. An
-// error after the write began is ambiguous: the server may have applied
-// the request. Callers hold c.mu.
-func (c *Client) sendLocked(args []string) (reply, error) {
-	if c.hook != nil {
-		if err := c.hook(args[0], args[1:]); err != nil {
-			return reply{}, err
-		}
-	}
+// sendLocked puts one request on the wire once and reads its reply: a
+// dropped or interrupted connection is re-dialed first, a request whose
+// ctx is done is not sent, the fault hook sees the request (exactly once
+// per request sent, which is what lets a counting hook count requests),
+// and any transport error or Interrupt drops the connection, because the
+// stream may be desynchronized mid-reply. An error after the write began
+// is ambiguous: the server may have applied the request. Callers hold
+// c.mu.
+func (c *Client) sendLocked(ctx context.Context, op string, strs []string, ints []int64) (reply, error) {
 	if c.cut() {
 		c.dropConn()
+	}
+	// An Interrupt from here on cuts this request. One that came earlier
+	// found nothing in flight to cut, but its caller's context died before
+	// it, and that stops the request here instead of letting it park.
+	if err := ctx.Err(); err != nil {
+		return reply{}, err
+	}
+	if c.hook != nil {
+		if err := c.hook(op, hookArgs(strs, ints)); err != nil {
+			return reply{}, err
+		}
 	}
 	if c.conn == nil {
 		conn, err := net.Dial("tcp", c.addr)
@@ -240,10 +278,13 @@ func (c *Client) sendLocked(args []string) (reply, error) {
 		}
 		c.connMu.Lock()
 		c.conn = conn
+		if c.interrupted {
+			_ = conn.SetReadDeadline(longAgo)
+		}
 		c.connMu.Unlock()
-		c.r = bufio.NewReader(conn)
+		c.r.Reset(conn)
 	}
-	c.wbuf = appendCommand(c.wbuf[:0], args...)
+	c.wbuf = appendRequest(c.wbuf[:0], op, strs, ints)
 	_, err := c.conn.Write(c.wbuf)
 	var rep reply
 	if err == nil {
@@ -316,7 +357,7 @@ func (c *Client) Incr(key string) (int64, error) { return c.IncrBy(key, 1) }
 // matter.
 func (c *Client) IncrBy(key string, n int64) (int64, error) {
 	c.mu.Lock()
-	rep, err := c.sendLocked([]string{"INCRBY", key, strconv.FormatInt(n, 10)})
+	rep, err := c.sendLocked(context.Background(), "INCRBY", []string{key}, []int64{n})
 	c.mu.Unlock()
 	if err != nil {
 		return 0, fmt.Errorf("lockserver: INCRBY %s (not retried): %w", key, err)
@@ -341,9 +382,7 @@ func (c *Client) WaitGE(key string, target int64, timeout time.Duration) (int64,
 // reconnect backoff (see doCtx). It does not cut a parked wait short by
 // itself: Interrupt does, which is what Sequencer.Interrupt is for.
 func (c *Client) WaitGEContext(ctx context.Context, key string, target int64, timeout time.Duration) (int64, error) {
-	rep, err := c.doCtx(ctx, "WAITGE", key,
-		strconv.FormatInt(target, 10),
-		strconv.FormatInt(timeout.Milliseconds(), 10))
+	rep, err := c.doCtx(ctx, "WAITGE", []string{key}, []int64{target, timeout.Milliseconds()})
 	if err != nil {
 		return 0, err
 	}
@@ -361,13 +400,11 @@ func (c *Client) WaitGEContext(ctx context.Context, key string, target int64, ti
 // ladder — a retry after a lost reply would add n twice — and an error
 // reply means nothing was added: ErrBlockingUnsupported from a server
 // without WAITGE, ErrHandoffUnsupported from one whose WAITGE takes no
-// delta. Interrupt cuts the parked wait short, like WaitGE's.
-func (c *Client) IncrByWaitGE(key string, n, target int64, timeout time.Duration) (int64, error) {
+// delta. Interrupt cuts the parked wait short, like WaitGE's, and a ctx
+// already done keeps the request off the wire.
+func (c *Client) IncrByWaitGE(ctx context.Context, key string, n, target int64, timeout time.Duration) (int64, error) {
 	c.mu.Lock()
-	rep, err := c.sendLocked([]string{"WAITGE", key,
-		strconv.FormatInt(target, 10),
-		strconv.FormatInt(timeout.Milliseconds(), 10),
-		strconv.FormatInt(n, 10)})
+	rep, err := c.sendLocked(ctx, "WAITGE", []string{key}, []int64{target, timeout.Milliseconds(), n})
 	c.mu.Unlock()
 	if err != nil {
 		return 0, fmt.Errorf("lockserver: WAITGE %s with delta %d (not retried): %w", key, n, err)
@@ -403,6 +440,11 @@ type Sequencer struct {
 func NewSequencer(client *Client, key string, retry time.Duration) *Sequencer {
 	return &Sequencer{client: client, key: key, retry: retry}
 }
+
+// Rekey moves the sequencer onto another counter, keeping its client,
+// its metrics and what it has latched about the server. Call it only while
+// no wait or advance is in flight.
+func (s *Sequencer) Rekey(key string) { s.key = key }
 
 // SetMetrics attaches a latency histogram recording how long each granted
 // turn was waited for: by WaitTurn, or by the wait inside an Advance that
@@ -491,6 +533,10 @@ func (s *Sequencer) granted(turn, cur int64, started time.Time) (bool, error) {
 // pollTurn is the 1ms-polling WaitTurn body, kept as the fallback when
 // blocking waits are unavailable or erroring.
 func (s *Sequencer) pollTurn(ctx context.Context, turn int64, started time.Time) error {
+	// One timer for the whole wait: a lock-server outage can keep this loop
+	// polling for as long as ctx lives.
+	timer := time.NewTimer(s.retry)
+	defer timer.Stop()
 	for {
 		v, ok, err := s.client.Get(s.key)
 		if err == nil {
@@ -510,7 +556,8 @@ func (s *Sequencer) pollTurn(ctx context.Context, turn int64, started time.Time)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(s.retry):
+		case <-timer.C: // fired and drained, so Reset is safe
+			timer.Reset(s.retry)
 		}
 	}
 }
@@ -535,7 +582,7 @@ func (s *Sequencer) Interrupt() { s.client.Interrupt() }
 func (s *Sequencer) Advance(ctx context.Context, n, next int) error {
 	started := time.Now()
 	if next >= 0 && !s.noHandoff {
-		cur, err := s.client.IncrByWaitGE(s.key, int64(n), int64(next), waitChunk(ctx))
+		cur, err := s.client.IncrByWaitGE(ctx, s.key, int64(n), int64(next), waitChunk(ctx))
 		switch {
 		case errors.Is(err, ErrBlockingUnsupported):
 			s.noBlock, s.noHandoff = true, true

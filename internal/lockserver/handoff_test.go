@@ -67,10 +67,7 @@ func TestHandoffWakesNextAndParksHolder(t *testing.T) {
 	}
 	// The add and the park are one step of the store: once the other
 	// replica is woken, the holder is parked for turn 5.
-	store.mu.Lock()
-	holding := len(store.waiters["turn"]) == 1 && store.waiters["turn"][0].target == 5
-	store.mu.Unlock()
-	if !holding {
+	if !slices.Equal(targets(store, "turn"), []int64{5}) {
 		t.Fatal("the holder is not parked for its next turn 5 after its hand-off")
 	}
 	select {

@@ -29,15 +29,6 @@ func appendHeader(dst []byte, kind byte, n int64) []byte {
 	return appendCRLF(strconv.AppendInt(append(dst, kind), n, 10))
 }
 
-// appendCommand appends one request.
-func appendCommand(dst []byte, args ...string) []byte {
-	dst = appendHeader(dst, '*', int64(len(args)))
-	for _, a := range args {
-		dst = appendBulk(dst, a)
-	}
-	return dst
-}
-
 func appendSimple(dst []byte, s string) []byte { return appendCRLF(append(append(dst, '+'), s...)) }
 func appendError(dst []byte, s string) []byte {
 	return appendCRLF(append(append(dst, "-ERR "...), s...))
@@ -46,6 +37,13 @@ func appendInt(dst []byte, n int64) []byte { return appendHeader(dst, ':', n) }
 func appendNil(dst []byte) []byte          { return append(dst, "$-1\r\n"...) }
 func appendBulk(dst []byte, s string) []byte {
 	return appendCRLF(append(appendHeader(dst, '$', int64(len(s))), s...))
+}
+
+// appendBulkInt appends n's decimal digits as a bulk string.
+func appendBulkInt(dst []byte, n int64) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], n, 10)
+	return appendCRLF(append(appendHeader(dst, '$', int64(len(d))), d...))
 }
 
 // readLine returns the next line without its terminator. The slice aliases

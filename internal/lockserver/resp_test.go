@@ -28,6 +28,16 @@ var subsetCommands = [][]string{
 	{"SET", "big", strings.Repeat("x", 3*readChunk+17)},
 }
 
+// appendCommand appends one request of any shape, the empty one included;
+// the client encodes the commands it sends with appendRequest.
+func appendCommand(dst []byte, args ...string) []byte {
+	dst = appendHeader(dst, '*', int64(len(args)))
+	for _, a := range args {
+		dst = appendBulk(dst, a)
+	}
+	return dst
+}
+
 // malformedRequests are framings the reader must refuse without trusting
 // their declared lengths.
 var malformedRequests = []string{

@@ -96,12 +96,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	in := commandReader{r: bufio.NewReader(conn)}
 	var out []byte
+	// The connection's one waiter: its requests are served one at a time,
+	// so at most one of them is parked.
+	var w waiter
 	for {
 		args, err := in.read()
 		if err != nil {
 			return
 		}
-		out = s.dispatch(out[:0], args)
+		out = s.serve(out[:0], args, &w)
 		if _, err := conn.Write(out); err != nil {
 			return
 		}
@@ -131,8 +134,17 @@ func appendBool(dst []byte, ok bool) []byte {
 	return appendInt(dst, 0)
 }
 
-// dispatch executes one request and appends its reply to dst.
+// dispatch executes one request outside any connection, parking a WAITGE
+// on a waiter of its own, and appends its reply to dst.
 func (s *Server) dispatch(dst []byte, args [][]byte) []byte {
+	return s.serve(dst, args, new(waiter))
+}
+
+// serve executes one request of a connection whose waiter is w and
+// appends its reply to dst. Once the connection's buffers and w are warm,
+// a request allocates nothing unless it inserts a key, sets a string, or
+// fails.
+func (s *Server) serve(dst []byte, args [][]byte, w *waiter) []byte {
 	if len(args) == 0 {
 		return appendError(dst, "empty command")
 	}
@@ -160,7 +172,7 @@ func (s *Server) dispatch(dst []byte, args [][]byte) []byte {
 		if len(args) != 1 {
 			return appendError(dst, "DEL requires 1 argument")
 		}
-		return appendBool(dst, s.store.Del(string(args[0])))
+		return appendBool(dst, s.store.del(args[0]))
 	case "INCR":
 		if len(args) != 1 {
 			return appendError(dst, "INCR requires 1 argument")
@@ -176,14 +188,14 @@ func (s *Server) dispatch(dst []byte, args [][]byte) []byte {
 		}
 		return s.cmdIncrBy(dst, args[0], delta)
 	case "WAITGE":
-		return s.cmdWaitGE(dst, args)
+		return s.cmdWaitGE(dst, args, w)
 	default:
 		return appendError(dst, "unknown command "+string(name))
 	}
 }
 
 func (s *Server) cmdIncrBy(dst, key []byte, delta int64) []byte {
-	n, err := s.store.IncrBy(string(key), delta)
+	n, err := s.store.incrBy(key, delta)
 	if err != nil {
 		return appendError(dst, "value is not an integer")
 	}
@@ -201,7 +213,7 @@ const maxBlockingWait = 30 * time.Second
 // timeout replies with the current (sub-target) value; the client
 // re-issues a plain WAITGE or falls back to polling. A malformed request
 // is rejected before anything is added.
-func (s *Server) cmdWaitGE(dst []byte, args [][]byte) []byte {
+func (s *Server) cmdWaitGE(dst []byte, args [][]byte, w *waiter) []byte {
 	if len(args) != 3 && len(args) != 4 {
 		return appendError(dst, "WAITGE requires key, target, timeout, and an optional delta")
 	}
@@ -220,7 +232,7 @@ func (s *Server) cmdWaitGE(dst []byte, args [][]byte) []byte {
 		}
 	}
 	timeout := min(time.Duration(ms)*time.Millisecond, maxBlockingWait)
-	cur, err := s.store.WaitGE(string(args[0]), delta, target, timeout, s.closedCh)
+	cur, err := s.store.waitGE(w, args[0], delta, target, timeout, s.closedCh)
 	if err != nil {
 		return appendError(dst, "value is not an integer")
 	}

@@ -24,87 +24,175 @@ import (
 // Store is the in-memory key-value state.
 type Store struct {
 	mu   sync.Mutex
-	data map[string]string
-	// waiters holds, per key, the parked WaitGE callers with the value
-	// each is waiting for; a mutation wakes only those it satisfies.
-	waiters map[string][]*waiter
+	keys map[string]*entry
+	// free holds up to maxFree entries of deleted keys, each with its
+	// emptied waiter queue's array, for the next key inserted.
+	free []*entry
 }
 
+// maxFree bounds the entries a burst of deleted keys leaves pinned; a
+// live worker holds one session counter at a time, so this covers any
+// worker pool a host runs.
+const maxFree = 64
+
+// entry is one key: its value and the WaitGE callers parked on it. A
+// counter command leaves the value an int64, so counting formats and
+// parses nothing; GET formats it. An entry that is not set holds only
+// waiters, and its key reads as missing.
+type entry struct {
+	key   string // the map's key, so a delete converts nothing
+	set   bool
+	isInt bool
+	n     int64  // the value, when isInt
+	str   string // the value, otherwise
+	// waiters holds the parked WaitGE callers with the value each is
+	// waiting for; a mutation wakes only those it satisfies.
+	waiters []*waiter
+}
+
+// int reads the entry's integer (missing = 0); e may be nil.
+func (e *entry) int() (int64, error) {
+	switch {
+	case e == nil || !e.set:
+		return 0, nil
+	case e.isInt:
+		return e.n, nil
+	}
+	return strconv.ParseInt(e.str, 10, 64)
+}
+
+func (e *entry) setInt(n int64) { e.set, e.isInt, e.n, e.str = true, true, n, "" }
+
+// waiter is one parked WaitGE caller. A wake is a send on the buffered
+// woken, not a close, so that a connection, which has at most one request
+// in flight, reuses one waiter and one timer for all its waits. Whenever
+// the waiter is not queued, woken is empty and the timer stopped and
+// drained.
 type waiter struct {
 	target int64
 	woken  chan struct{}
+	timer  *time.Timer
+}
+
+// sleep blocks until w is woken, timeout elapses or cancel closes, and
+// reports whether it was woken. This module's go line (1.22) gives timers
+// the channel semantics from before Go 1.23, so a timer that did not fire
+// is stopped and, if it fired meanwhile, drained before the next Reset.
+func (w *waiter) sleep(timeout time.Duration, cancel <-chan struct{}) bool {
+	if w.timer == nil {
+		w.timer = time.NewTimer(timeout)
+	} else {
+		w.timer.Reset(timeout)
+	}
+	woken := false
+	select {
+	case <-w.woken:
+		woken = true
+	case <-w.timer.C:
+		return false
+	case <-cancel:
+	}
+	if !w.timer.Stop() {
+		<-w.timer.C
+	}
+	return woken
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{data: make(map[string]string), waiters: make(map[string][]*waiter)}
+	return &Store{keys: make(map[string]*entry)}
 }
 
-// wakeLocked wakes the WaitGE callers parked on key that its new value
-// satisfies (all of them if it stopped being an integer, so they can say
-// so). Callers hold s.mu.
-func (s *Store) wakeLocked(key string) {
-	parked := s.waiters[key]
-	if len(parked) == 0 {
+// entryLocked returns key's entry, inserting one if it has none — the
+// only allocation a mutation of a warm store makes, its key's string.
+// Callers hold s.mu.
+func (s *Store) entryLocked(key []byte) *entry {
+	if e := s.keys[string(key)]; e != nil {
+		return e
+	}
+	var e *entry
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = new(entry)
+	}
+	e.key = string(key)
+	s.keys[e.key] = e
+	return e
+}
+
+// releaseLocked drops e once it is neither set nor waited on: keys are
+// per session, so entries must not accumulate. Callers hold s.mu.
+func (s *Store) releaseLocked(e *entry) {
+	if e.set || len(e.waiters) > 0 {
 		return
 	}
-	cur, err := s.intLocked(key)
-	kept := parked[:0]
-	for _, w := range parked {
+	delete(s.keys, e.key)
+	if len(s.free) < maxFree {
+		*e = entry{waiters: e.waiters[:0]}
+		s.free = append(s.free, e)
+	}
+}
+
+// wakeLocked wakes the WaitGE callers parked on e that its new value
+// satisfies (all of them if it stopped being an integer, so they can say
+// so), taking them off its queue. Callers hold s.mu.
+func (s *Store) wakeLocked(e *entry) {
+	if len(e.waiters) == 0 {
+		return
+	}
+	cur, err := e.int()
+	kept := e.waiters[:0]
+	for _, w := range e.waiters {
 		if err != nil || cur >= w.target {
-			close(w.woken)
+			select {
+			case w.woken <- struct{}{}: // a queued waiter's is empty
+			default:
+			}
 		} else {
 			kept = append(kept, w)
 		}
 	}
-	clear(parked[len(kept):])
-	s.setWaitersLocked(key, kept)
-}
-
-// setWaitersLocked stores key's queue, dropping the map entry with its
-// last waiter: keys are per session, so empty queues must not accumulate.
-func (s *Store) setWaitersLocked(key string, parked []*waiter) {
-	if len(parked) == 0 {
-		delete(s.waiters, key)
-	} else {
-		s.waiters[key] = parked
-	}
-}
-
-// intLocked reads the integer at key (missing = 0). Callers hold s.mu.
-func (s *Store) intLocked(key string) (int64, error) {
-	v, ok := s.data[key]
-	if !ok {
-		return 0, nil
-	}
-	return strconv.ParseInt(v, 10, 64)
+	clear(e.waiters[len(kept):])
+	e.waiters = kept
 }
 
 // Set writes key=value.
 func (s *Store) Set(key, value string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data[key] = value
-	s.wakeLocked(key)
+	e := s.entryLocked([]byte(key))
+	e.set, e.isInt, e.str = true, false, value
+	s.wakeLocked(e)
 }
 
 // Get returns the value for key.
 func (s *Store) Get(key string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.data[key]
-	return v, ok
+	e := s.keys[key]
+	switch {
+	case e == nil || !e.set:
+		return "", false
+	case e.isInt:
+		return strconv.FormatInt(e.n, 10), true
+	}
+	return e.str, true
 }
 
 // Del removes key, reporting whether it was present.
-func (s *Store) Del(key string) bool {
+func (s *Store) Del(key string) bool { return s.del([]byte(key)) }
+
+func (s *Store) del(key []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.data[key]; !ok {
+	e := s.keys[string(key)]
+	if e == nil || !e.set {
 		return false
 	}
-	delete(s.data, key)
-	s.wakeLocked(key)
+	e.set, e.str = false, ""
+	s.wakeLocked(e)
+	s.releaseLocked(e)
 	return true
 }
 
@@ -114,16 +202,20 @@ func (s *Store) Incr(key string) (int64, error) { return s.IncrBy(key, 1) }
 // IncrBy atomically adds delta to the integer value at key (missing = 0)
 // and returns the new value.
 func (s *Store) IncrBy(key string, delta int64) (int64, error) {
+	return s.incrBy([]byte(key), delta)
+}
+
+func (s *Store) incrBy(key []byte, delta int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, err := s.intLocked(key)
+	e := s.entryLocked(key) // a key it inserts reads 0, so no error leaves it behind
+	n, err := e.int()
 	if err != nil {
 		return 0, err
 	}
-	n += delta
-	s.data[key] = strconv.FormatInt(n, 10)
-	s.wakeLocked(key)
-	return n, nil
+	e.setInt(n + delta)
+	s.wakeLocked(e)
+	return e.n, nil
 }
 
 // WaitGE adds delta to the integer value at key (missing = 0; delta 0
@@ -142,41 +234,85 @@ func (s *Store) IncrBy(key string, delta int64) (int64, error) {
 // next run under the same acquisition of s.mu, so nothing can run between
 // the advance and the wait.
 func (s *Store) WaitGE(key string, delta, target int64, timeout time.Duration, cancel <-chan struct{}) (int64, error) {
-	s.mu.Lock()
-	cur, err := s.intLocked(key)
-	if err == nil && delta != 0 {
-		cur += delta
-		s.data[key] = strconv.FormatInt(cur, 10)
-		s.wakeLocked(key)
-	}
-	if err != nil || cur >= target || timeout <= 0 {
-		s.mu.Unlock()
+	return s.waitGE(new(waiter), []byte(key), delta, target, timeout, cancel)
+}
+
+// waitGE is WaitGE parking w, which must not be queued already: the
+// server passes each connection's one waiter.
+func (s *Store) waitGE(w *waiter, key []byte, delta, target int64, timeout time.Duration, cancel <-chan struct{}) (int64, error) {
+	cur, parked, err := s.park(w, key, delta, target, timeout)
+	if !parked {
 		return cur, err
 	}
-	w := &waiter{target: target, woken: make(chan struct{})}
-	s.waiters[key] = append(s.waiters[key], w)
-	s.mu.Unlock()
+	return s.unpark(w, key, w.sleep(timeout, cancel))
+}
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-w.woken:
-	case <-timer.C:
-	case <-cancel:
-	}
-
+// park is waitGE up to the wait: it adds delta and, unless the value
+// settles the wait already, queues w on key.
+func (s *Store) park(w *waiter, key []byte, delta, target int64, timeout time.Duration) (cur int64, parked bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i := slices.Index(s.waiters[key], w); i >= 0 {
-		// Timed out or cancelled: leave the queue (a woken waiter already has).
-		s.setWaitersLocked(key, slices.Delete(s.waiters[key], i, i+1))
+	e := s.keys[string(key)]
+	if cur, err = e.int(); err != nil {
+		return cur, false, err
 	}
-	return s.intLocked(key)
+	if delta != 0 {
+		if e == nil {
+			e = s.entryLocked(key)
+		}
+		cur += delta
+		e.setInt(cur)
+		s.wakeLocked(e)
+	}
+	if cur >= target || timeout <= 0 {
+		return cur, false, nil
+	}
+	if e == nil {
+		e = s.entryLocked(key) // holds only the waiter until a write sets it
+	}
+	if w.woken == nil {
+		w.woken = make(chan struct{}, 1)
+	}
+	w.target = target
+	e.waiters = append(e.waiters, w)
+	return cur, true, nil
+}
+
+// unpark ends w's wait on key and reads the value. A wait that was not
+// woken leaves the queue — unless a mutation took w off it and woke it
+// after the timeout or cancel ended the sleep, and then that wake is
+// drained, so that w's next wait does not take it for its own.
+func (s *Store) unpark(w *waiter, key []byte, woken bool) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.keys[string(key)]
+	cur, err := e.int()
+	if woken {
+		return cur, err
+	}
+	if e != nil {
+		if i := slices.Index(e.waiters, w); i >= 0 {
+			e.waiters = slices.Delete(e.waiters, i, i+1)
+			s.releaseLocked(e)
+			return cur, err
+		}
+	}
+	select {
+	case <-w.woken: // sent under s.mu, so it is buffered already
+	default:
+	}
+	return cur, err
 }
 
 // Len returns the number of keys.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.data)
+	n := 0
+	for _, e := range s.keys {
+		if e.set {
+			n++
+		}
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -12,17 +13,22 @@ import (
 
 // DistPool owns one live worker's lock-server connections and mints
 // epoch-fenced gate sessions for it. Each session namespaces its turn
-// counter as <base>/sess/<worker>/<epoch>:turn, so a stale WaitTurn or
-// Advance from a cancelled session lands on a key no later session will
-// ever read: the epoch counter only moves forward, and a fresh epoch's key
-// starts absent (missing counter = 0), which is exactly the sequencer's
-// reset state. That fencing is also what makes the non-retried Advance
-// safe — an ambiguous failure abandons the epoch, and any stray increment
-// it left behind is invisible to the next one.
+// counter as <base>/sess/<worker>/<epoch>:turn, so a stale request from a
+// cancelled session — one still on the wire, or applied after its client
+// gave up on it — lands on a key no later session will ever read: the
+// epoch counter only moves forward, and a fresh epoch's key starts absent
+// (missing counter = 0), which is exactly the sequencer's reset state and
+// why the owner of turn 0 takes it without a request. That fencing is also
+// what makes the non-retried Advance safe — an ambiguous failure abandons
+// the epoch, and any stray increment it left behind is invisible to the
+// next one.
 //
 // Clients are per replica and lazily dialed, then reused across epochs: a
 // blocking WAITGE parks its whole connection, so replicas must not share
-// one (they would serialize behind each other's waits).
+// one (they would serialize behind each other's waits). So is each
+// replica's sequencer, re-keyed by every session's Gate: a pool's sessions
+// run one at a time, as a live worker's attempts do, each one's gates done
+// before the next session mints its own.
 type DistPool struct {
 	addr   string
 	prefix string // <base>/sess/<worker>/
@@ -33,7 +39,9 @@ type DistPool struct {
 
 	mu      sync.Mutex
 	clients map[event.ReplicaID]*lockserver.Client
+	seqs    map[event.ReplicaID]*lockserver.Sequencer
 	epoch   int
+	keyBuf  []byte // session key scratch
 }
 
 // NewDistPool builds a gate-session factory for one live worker against
@@ -47,6 +55,7 @@ func NewDistPool(addr, base string, worker int, ttl time.Duration) *DistPool {
 		addr:    addr,
 		prefix:  base + "/sess/" + strconv.Itoa(worker) + "/",
 		clients: make(map[event.ReplicaID]*lockserver.Client),
+		seqs:    make(map[event.ReplicaID]*lockserver.Sequencer),
 	}
 }
 
@@ -67,21 +76,27 @@ func (p *DistPool) SetFaultHook(h lockserver.FaultHook) {
 	}
 }
 
-func (p *DistPool) clientFor(rep event.ReplicaID) (*lockserver.Client, error) {
+// gateFor returns rep's sequencer on turnKey and its client, dialing
+// both on rep's first gate.
+func (p *DistPool) gateFor(rep event.ReplicaID, turnKey string) (*lockserver.Sequencer, *lockserver.Client, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if c, ok := p.clients[rep]; ok {
-		return c, nil
+	g, ok := p.seqs[rep]
+	if !ok {
+		c, err := lockserver.Dial(p.addr)
+		if err != nil {
+			return nil, nil, err
+		}
+		if p.hook != nil {
+			c.SetFaultHook(p.hook)
+		}
+		p.clients[rep] = c
+		g = lockserver.NewSequencer(c, turnKey, time.Millisecond)
+		p.seqs[rep] = g
 	}
-	c, err := lockserver.Dial(p.addr)
-	if err != nil {
-		return nil, err
-	}
-	if p.hook != nil {
-		c.SetFaultHook(p.hook)
-	}
-	p.clients[rep] = c
-	return c, nil
+	g.Rekey(turnKey)
+	g.SetMetrics(p.turnWait)
+	return g, p.clients[rep], nil
 }
 
 // Session mints the next epoch's gate session. Each call advances the
@@ -90,9 +105,11 @@ func (p *DistPool) clientFor(rep event.ReplicaID) (*lockserver.Client, error) {
 func (p *DistPool) Session() *DistSession {
 	p.mu.Lock()
 	p.epoch++
-	key := p.prefix + strconv.Itoa(p.epoch)
+	p.keyBuf = strconv.AppendInt(append(p.keyBuf[:0], p.prefix...), int64(p.epoch), 10)
+	p.keyBuf = append(p.keyBuf, ":turn"...)
+	turnKey := string(p.keyBuf)
 	p.mu.Unlock()
-	return &DistSession{pool: p, key: key, turnKey: key + ":turn"}
+	return &DistSession{pool: p, turnKey: turnKey}
 }
 
 // Close drops the pool's connections. Sessions minted earlier must be
@@ -106,6 +123,7 @@ func (p *DistPool) Close() error {
 			first = err
 		}
 		delete(p.clients, rep)
+		delete(p.seqs, rep)
 	}
 	return first
 }
@@ -114,15 +132,14 @@ func (p *DistPool) Close() error {
 // the session's turn counter, and Close deletes it.
 type DistSession struct {
 	pool    *DistPool
-	key     string
-	turnKey string
+	turnKey string // <key>:turn
 
 	mu     sync.Mutex
 	client *lockserver.Client // any client a gate was minted on, for Close
 }
 
 // Key returns the session's lock-key namespace (for tests and logs).
-func (s *DistSession) Key() string { return s.key }
+func (s *DistSession) Key() string { return strings.TrimSuffix(s.turnKey, ":turn") }
 
 // The lock server's turn sequencer is the distributed gate, giving replay
 // ordering across OS processes — the paper's "distributed lock … with a
@@ -137,12 +154,10 @@ var _ TurnGate = (*lockserver.Sequencer)(nil)
 // Gate builds the session gate for one replica. Replicas of a session
 // share the counter but not connections.
 func (s *DistSession) Gate(rep event.ReplicaID) (TurnGate, error) {
-	c, err := s.pool.clientFor(rep)
+	g, c, err := s.pool.gateFor(rep, s.turnKey)
 	if err != nil {
 		return nil, err
 	}
-	g := lockserver.NewSequencer(c, s.turnKey, time.Millisecond)
-	g.SetMetrics(s.pool.turnWait)
 	s.mu.Lock()
 	s.client = c
 	s.mu.Unlock()

@@ -35,10 +35,13 @@ const (
 //
 // A gate is a ticket lock: WaitTurn returns to the one caller whose turn
 // the schedule has reached, and that caller holds the schedule until it
-// advances it. Only the holder may call Advance. A caller takes the
-// schedule with WaitTurn once, for its first turn; every later turn it
-// owns is granted by the Advance that hands its previous one on, so a
-// lock-server gate sends one request per hand-off.
+// advances it. Only the holder may call Advance. A gate handed to a replay
+// starts at turn 0, so the owner of turn 0 holds the schedule without a
+// WaitTurn; any other caller takes it with WaitTurn once, for its first
+// turn, and every later turn it owns is granted by the Advance that hands
+// its previous one on. The run that ends the schedule hands nothing on:
+// nobody waits for the turn after it. A lock-server gate thus sends one
+// request per run but the last, and one per replica but the first.
 type TurnGate interface {
 	// WaitTurn blocks until the global schedule reaches the given turn.
 	WaitTurn(ctx context.Context, turn int) error
@@ -106,8 +109,11 @@ func (i *Interceptor) StopRecording() []event.Event {
 
 // StartReplay enters replay mode for one interleaving: log holds the
 // recorded events, order the scheduled interleaving, gate the turn
-// coordinator. An interceptor may be re-armed any number of times; doing so
-// with the same log reuses its indexes.
+// coordinator. The gate must be at turn 0 — a fresh LocalGate or a reset
+// one, or a fresh lock-server session — because the owner of turn 0 takes
+// it without waiting, and the replay leaves it short of len(order): the
+// last run does not advance it. An interceptor may be re-armed any number
+// of times; doing so with the same log reuses its indexes.
 func (i *Interceptor) StartReplay(log *event.Log, order []event.ID, gate TurnGate) error {
 	if len(order) != log.Len() {
 		return fmt.Errorf("proxy: interleaving has %d events, log has %d", len(order), log.Len())
@@ -173,9 +179,9 @@ func (i *Interceptor) Call(ctx context.Context, ev event.Event, fn func() error)
 			return fmt.Errorf("proxy: replica %s made more calls (%d) than recorded", ev.Replica, seq+1)
 		}
 		i.callSeq[ev.Replica] = seq + 1
-		turn, gate := i.schedule[ids[seq]], i.gate
+		turn, gate, end := i.schedule[ids[seq]], i.gate, len(i.schedule)
 		i.mu.Unlock()
-		return runTurns(ctx, gate, turn, 1, false, -1, func(int) error { return fn() })
+		return runTurns(ctx, gate, turn, 1, end, false, -1, func(int) error { return fn() })
 	default:
 		i.mu.Unlock()
 		return fn()
@@ -195,8 +201,10 @@ func (i *Interceptor) Call(ctx context.Context, ev event.Event, fn func() error)
 // next is the first turn of the caller's next run, or -1 when this run is
 // its last. The hand-off waits for next and so grants it: a caller that
 // walks its runs in schedule order waits explicitly only for its first
-// one, and each later call starts at once. A failed step or a dead
-// context between steps returns before the hand-off.
+// one — not even for that when it starts at turn 0 — and each later call
+// starts at once. The run that ends the schedule makes no hand-off. A
+// failed step or a dead context between steps returns before the
+// hand-off.
 func (i *Interceptor) CallScheduled(ctx context.Context, run []event.ID, next int, fn func(k int) error) error {
 	i.mu.Lock()
 	if i.mode != Replay {
@@ -221,13 +229,13 @@ func (i *Interceptor) CallScheduled(ctx context.Context, run []event.ID, next in
 		i.mu.Unlock()
 		return fmt.Errorf("proxy: next turn %d is not after the run at turns %d..%d", next, turn, turn+len(run)-1)
 	}
-	gate, held := i.gate, turn >= 0 && turn == i.granted
+	gate, held, end := i.gate, turn >= 0 && turn == i.granted, len(i.schedule)
 	i.granted = -1
 	i.mu.Unlock()
 	if turn < 0 {
 		return nil // empty run
 	}
-	if err := runTurns(ctx, gate, turn, len(run), held, next, fn); err != nil {
+	if err := runTurns(ctx, gate, turn, len(run), end, held, next, fn); err != nil {
 		return err
 	}
 	if next >= 0 {
@@ -239,12 +247,14 @@ func (i *Interceptor) CallScheduled(ctx context.Context, run []event.ID, next in
 }
 
 // runTurns is the one critical section of replay: take the schedule at
-// turn unless the caller holds it already, run the n steps the caller owns
-// from there, hand it on by n and wait for next (see TurnGate.Advance). A
-// failed step, or a context that died between steps, leaves the schedule
-// where it was taken — un-advanced, so no later turn can start.
-func runTurns(ctx context.Context, gate TurnGate, turn, n int, held bool, next int, step func(k int) error) error {
-	if !held {
+// turn unless the caller holds it already — a hand-off granted it, or it
+// is turn 0, where a replay's gate starts — run the n steps the caller
+// owns from there, and, unless they end the schedule at end, hand it on by
+// n and wait for next (see TurnGate.Advance). A failed step, or a context
+// that died between steps, leaves the schedule where it was taken —
+// un-advanced, so no later turn can start.
+func runTurns(ctx context.Context, gate TurnGate, turn, n, end int, held bool, next int, step func(k int) error) error {
+	if !held && turn > 0 {
 		if err := gate.WaitTurn(ctx, turn); err != nil {
 			return fmt.Errorf("proxy: waiting for turn %d: %w", turn, err)
 		}
@@ -258,6 +268,9 @@ func runTurns(ctx context.Context, gate TurnGate, turn, n int, held bool, next i
 		if err := step(k); err != nil {
 			return err
 		}
+	}
+	if turn+n == end {
+		return nil // nobody waits for turn end
 	}
 	if err := gate.Advance(ctx, n, next); err != nil {
 		return fmt.Errorf("proxy: handing turn %d on: %w", turn+n, err)

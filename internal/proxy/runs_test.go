@@ -189,7 +189,8 @@ func (c runCase) play(t *testing.T, ctx context.Context, cancel context.CancelFu
 // into one critical section, and granting its next run by the hand-off
 // that ends its last one, must preserve:
 //
-//   - steps execute in schedule order, and the schedule ends at its length;
+//   - steps execute in schedule order, and the schedule ends at the last
+//     run's first turn: the run that ends it hands nothing on;
 //   - a step error at any position leaves the schedule at the first turn of
 //     the run the position is in, no later step runs, and every other
 //     replica's wait ends with the cancelled context;
@@ -222,8 +223,8 @@ func TestRunCoalescingProperty(t *testing.T) {
 			if !slices.IsSorted(executed) || len(executed) != len(c.order) {
 				t.Fatalf("%s: executed positions %v; want 0..%d in order", name, executed, len(c.order)-1)
 			}
-			if got := turn(); got != len(c.order) {
-				t.Fatalf("%s: schedule ended at turn %d; want %d", name, got, len(c.order))
+			if got, last := turn(), c.runs[len(c.runs)-1].first; got != last {
+				t.Fatalf("%s: schedule ended at turn %d; want the last run's first turn %d", name, got, last)
 			}
 
 			// At every position: a step error there, and a cancellation by

@@ -28,7 +28,9 @@ import (
 
 // LiveSession is one execution attempt's gate namespace: Gate mints the
 // TurnGate for a replica, and Close releases whatever the session still
-// holds (its turn counter). Sessions are single-use.
+// holds (its turn counter). Sessions are single-use, and a session's gates
+// start at turn 0: the replica that owns turn 0 takes it without waiting
+// (proxy.TurnGate).
 type LiveSession interface {
 	Gate(rep event.ReplicaID) (proxy.TurnGate, error)
 	Close() error
@@ -103,15 +105,19 @@ func ExecuteLiveContext(ctx context.Context, s Scenario, il interleave.Interleav
 
 // liveState is what the gated schedule keeps from attempt to attempt: the
 // replicas, one interceptor each (re-armed per attempt) and each event's
-// replica.
+// replica, and an attempt's scratch: its gates, and the channel its
+// replica goroutines report on, which every attempt drains.
 type liveState struct {
 	replicas     []event.ReplicaID
 	interceptors []*proxy.Interceptor
 	replicaOf    []int // by event ID: index into replicas
+	gates        []proxy.TurnGate
+	results      chan error
 }
 
 func newLiveState(log *event.Log) *liveState {
 	l := &liveState{replicas: log.Replicas(), replicaOf: make([]int, log.Len())}
+	l.results = make(chan error, len(l.replicas))
 	l.interceptors = make([]*proxy.Interceptor, len(l.replicas))
 	for r := range l.replicas {
 		l.interceptors[r] = proxy.New()
@@ -140,9 +146,10 @@ func (l *liveState) nextOwned(il interleave.Interleaving, r, pos int) int {
 // Algorithm 1, applied to the lock protocol): a replica waits for its
 // first run's turn, executes each run's steps back to back and hands the
 // schedule on by the run's length, and that hand-off also waits for its
-// own next run, so the gates see one wait per replica, one hand-off per run
-// and nothing in between. A fresh session per attempt, fenced as the file
-// comment says, is what makes retrying safe at all.
+// own next run, so the gates see one wait per replica but the one that
+// owns turn 0, one hand-off per run but the last, and nothing in between.
+// A fresh session per attempt, fenced as the file comment says, is what
+// makes retrying safe at all.
 //
 // Whatever path exits — including a gate factory or StartReplay failure
 // partway through setup, or a mid-run replica error — every closable gate
@@ -155,13 +162,15 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	}
 	x.tel.liveSessions.Add(1)
 	l := x.live
-	var gates []proxy.TurnGate
+	gates := l.gates[:0]
 	defer func() {
 		for _, g := range gates {
 			if c, ok := g.(interface{ Close() error }); ok {
 				_ = c.Close()
 			}
 		}
+		clear(gates)
+		l.gates = gates[:0]
 		_ = sess.Close()
 		x.tel.liveSessions.Add(-1)
 	}()
@@ -188,10 +197,10 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	// waits unblock instead of hanging on a turn that will never come;
 	// cancellation of the caller's ctx propagates the same way. Its failed
 	// run skipped the hand-off, so the schedule stays where it was.
-	ctx, cancel := context.WithCancel(ctx)
+	attemptCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// Each replica goroutine sends exactly one result, nil or its error.
-	results := make(chan error, len(l.replicas))
+	results := l.results
 	for r, rep := range l.replicas {
 		go func(r int, rep event.ReplicaID, i *proxy.Interceptor) {
 			// The gate already admits exactly one run at a time, in
@@ -219,7 +228,7 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 					end++
 				}
 				next := l.nextOwned(il, r, end)
-				if err := i.CallScheduled(ctx, il[first:end], next, step); err != nil {
+				if err := i.CallScheduled(attemptCtx, il[first:end], next, step); err != nil {
 					cancel()
 					results <- fmt.Errorf("replica %s: %w", rep, err)
 					return
@@ -235,7 +244,7 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	// parked turn waits short (a lock-server wait would otherwise hold its
 	// replica until the wait's server-side chunk ends).
 	var errs []error
-	done := ctx.Done()
+	done := attemptCtx.Done()
 	for pending := len(l.replicas); pending > 0; {
 		select {
 		case err := <-results:

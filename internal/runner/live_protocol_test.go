@@ -69,12 +69,13 @@ func startLockServer(t *testing.T) string {
 
 // TestLiveLockRequestBudget pins the gated schedule's lock protocol by
 // counting what a session's clients put on the wire. Per attempt each
-// replica sends one WAITGE, naming its first run's turn; each run ends in
-// one hand-off — WAITGE carrying the run's length as its delta and the
-// same replica's next run as its target, or a plain INCRBY after the
-// replica's last run — and the one DEL that drops the session's counter
-// comes last. Nothing is sent inside a run, and nothing else at all:
-// runs + replicas + 1 requests.
+// replica but the one that owns turn 0 sends one WAITGE, naming its first
+// run's turn (a fresh session's counter reads 0, so turn 0 needs no
+// request); each run but the schedule's last ends in one hand-off — WAITGE
+// carrying the run's length as its delta and the same replica's next run
+// as its target, or a plain INCRBY after the replica's last run — and the
+// one DEL that drops the session's counter comes last. Nothing is sent
+// inside a run, and nothing else at all: runs + replicas − 1 requests.
 //
 // A WAITGE parks at most 100 ms on the server and is re-issued after
 // that, without a delta, so on a host stalled that long a wait can repeat:
@@ -103,14 +104,18 @@ func TestLiveLockRequestBudget(t *testing.T) {
 		}
 		stalled := time.Since(start) >= 100*time.Millisecond
 		runs := runsOf(log, il)
-		// Per run in schedule order, its hand-off: the run's length and the
-		// first turn of the replica's next run, -1 after its last.
+		// Per run in schedule order but the last, its hand-off: the run's
+		// length and the first turn of the replica's next run, -1 after its
+		// last. firsts are the first runs waited for: all but turn 0's.
 		var firsts []int
 		var want [][2]int
 		for k, run := range runs {
 			rep := log.Event(il[run.first]).Replica
-			if !slices.ContainsFunc(runs[:k], func(r turnRun) bool { return log.Event(il[r.first]).Replica == rep }) {
+			if run.first > 0 && !slices.ContainsFunc(runs[:k], func(r turnRun) bool { return log.Event(il[r.first]).Replica == rep }) {
 				firsts = append(firsts, run.first)
+			}
+			if k == len(runs)-1 {
+				break // the run that ends the schedule hands nothing on
 			}
 			next := -1
 			for _, later := range runs[k+1:] {
@@ -157,16 +162,18 @@ func TestLiveLockRequestBudget(t *testing.T) {
 			}) {
 			t.Fatalf("order %v (runs %v): plain waits for turns %v; want each replica's first run %v", il, runs, waited, firsts)
 		}
-		if got, budget := len(reqs), len(runs)+len(log.Replicas())+1; (got != budget && !stalled) || reqs[len(reqs)-1][0] != "DEL" {
-			t.Fatalf("order %v: %d requests ending in %q; want %d runs + %d replicas + 1 DEL", il, got, reqs[len(reqs)-1], len(runs), len(log.Replicas()))
+		if got, budget := len(reqs), len(runs)+len(log.Replicas())-1; (got != budget && !stalled) || reqs[len(reqs)-1][0] != "DEL" {
+			t.Fatalf("order %v: %d requests ending in %q; want %d runs + %d replicas - 1, the DEL last", il, got, reqs[len(reqs)-1], len(runs), len(log.Replicas()))
 		}
 	}
 }
 
 // TestLiveTurnWaitCountsEveryRun: the turn-wait histogram sees every run
-// granted exactly once — a replica's first run by its WaitTurn, each later
-// one by the wait inside the hand-off that ended the replica's previous
-// run — so it counts the attempt's runs, not only its first waits.
+// after the schedule's first granted exactly once — a replica's first run
+// by its WaitTurn, each later one by the wait inside the hand-off that
+// ended the replica's previous run — so it counts the attempt's runs, not
+// only its first waits. The run at turn 0 is taken without a wait, so
+// nothing observes it.
 func TestLiveTurnWaitCountsEveryRun(t *testing.T) {
 	pool := proxy.NewDistPool(startLockServer(t), "turnwait", 0, time.Second)
 	defer pool.Close()
@@ -178,8 +185,8 @@ func TestLiveTurnWaitCountsEveryRun(t *testing.T) {
 		if _, err := x.attempt(context.Background(), workItem{index: n + 1, il: il, pivot: -1}); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := h.Count()-before, int64(len(runsOf(x.log, il))); got != want {
-			t.Fatalf("order %v: %d turn waits observed; want one per run, %d", il, got, want)
+		if got, want := h.Count()-before, int64(len(runsOf(x.log, il))-1); got != want {
+			t.Fatalf("order %v: %d turn waits observed; want one per run after the first, %d", il, got, want)
 		}
 	}
 }
