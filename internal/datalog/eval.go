@@ -57,6 +57,19 @@ func (db *DB) Facts(pred string) []Fact {
 	return out
 }
 
+// tuples snapshots a predicate's tuples, unsorted and shared, for the
+// rule evaluator: it asserts into the relation while it walks them, and
+// it only reads them. The fixpoint is a set, so the order of derivation
+// cannot change it.
+func (db *DB) tuples(pred string) [][]string {
+	rel := db.relations[pred]
+	out := make([][]string, 0, len(rel))
+	for _, args := range rel {
+		out = append(out, args)
+	}
+	return out
+}
+
 // Count returns the number of tuples of a predicate.
 func (db *DB) Count(pred string) int { return len(db.relations[pred]) }
 
@@ -227,8 +240,8 @@ func applyRule(db *DB, r Rule, i int, bindings map[string]string) (bool, error) 
 		return applyRule(db, r, i+1, bindings)
 	}
 	derived := false
-	for _, fact := range db.Facts(l.Atom.Pred) {
-		newBindings, ok := unify(l.Atom, fact, bindings)
+	for _, args := range db.tuples(l.Atom.Pred) {
+		newBindings, ok := unify(l.Atom, args, bindings)
 		if !ok {
 			continue
 		}
@@ -241,16 +254,16 @@ func applyRule(db *DB, r Rule, i int, bindings map[string]string) (bool, error) 
 	return derived, nil
 }
 
-// unify matches an atom pattern against a ground fact under existing
+// unify matches an atom pattern against a ground tuple under existing
 // bindings, returning extended bindings.
-func unify(pattern Atom, fact Fact, bindings map[string]string) (map[string]string, bool) {
-	if len(pattern.Terms) != len(fact.Args) {
+func unify(pattern Atom, args []string, bindings map[string]string) (map[string]string, bool) {
+	if len(pattern.Terms) != len(args) {
 		return nil, false
 	}
 	out := bindings
 	copied := false
 	for i, t := range pattern.Terms {
-		val := fact.Args[i]
+		val := args[i]
 		if !t.Var {
 			if t.Value != val {
 				return nil, false

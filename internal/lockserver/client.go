@@ -21,25 +21,18 @@ import (
 var ErrClientClosed = errors.New("lockserver: client closed")
 
 // ErrBlockingUnsupported marks a WAITGE request rejected by a server that
-// predates the blocking wait. The sequencer downgrades to polling for the
-// rest of its lifetime when it sees this.
+// cannot serve it: one that predates the blocking wait, or, for a request
+// carrying a delta, one whose WAITGE predates the delta argument. The
+// server rejects it before adding anything, and the sequencer downgrades
+// to INCRBY and polling for the rest of its lifetime when it sees this.
 var ErrBlockingUnsupported = errors.New("lockserver: blocking wait unsupported by server")
-
-// ErrHandoffUnsupported marks a WAITGE carrying a delta rejected by a
-// server whose WAITGE predates the delta argument. The server rejects it
-// before adding anything, so the sequencer latches onto a separate INCRBY
-// and WAITGE for the rest of its lifetime.
-var ErrHandoffUnsupported = errors.New("lockserver: WAITGE delta unsupported by server")
 
 // waitGEError maps a WAITGE error reply. A server without WAITGE answers
 // "unknown command"; one whose WAITGE takes no delta answers a request
 // carrying one with its arity error, "WAITGE requires …".
 func waitGEError(msg string, delta bool) error {
-	switch {
-	case strings.Contains(msg, "unknown command"):
+	if strings.Contains(msg, "unknown command") || delta && strings.Contains(msg, "requires") {
 		return ErrBlockingUnsupported
-	case delta && strings.Contains(msg, "requires"):
-		return ErrHandoffUnsupported
 	}
 	return errors.New(msg)
 }
@@ -399,8 +392,8 @@ func (c *Client) WaitGEContext(ctx context.Context, key string, target int64, ti
 // last value it read. Like IncrBy it is sent once, outside do's retry
 // ladder — a retry after a lost reply would add n twice — and an error
 // reply means nothing was added: ErrBlockingUnsupported from a server
-// without WAITGE, ErrHandoffUnsupported from one whose WAITGE takes no
-// delta. Interrupt cuts the parked wait short, like WaitGE's, and a ctx
+// without WAITGE or whose WAITGE takes no delta. Interrupt cuts the
+// parked wait short, like WaitGE's, and a ctx
 // already done keeps the request off the wire.
 func (c *Client) IncrByWaitGE(ctx context.Context, key string, n, target int64, timeout time.Duration) (int64, error) {
 	c.mu.Lock()
@@ -426,12 +419,10 @@ type Sequencer struct {
 	client *Client
 	key    string
 	retry  time.Duration
-	// noBlock disables the server-side blocking wait, latched permanently
-	// when the server rejects WAITGE as unknown.
+	// noBlock disables the server-side blocking wait and the one-request
+	// hand-off, latched permanently when the server rejects a WAITGE it
+	// cannot serve (ErrBlockingUnsupported).
 	noBlock bool
-	// noHandoff disables the one-request hand-off, latched permanently
-	// when the server rejects a WAITGE carrying a delta (or WAITGE at all).
-	noHandoff bool
 
 	histTurnWait *telemetry.Histogram // nil-safe: time blocked waiting for a turn
 }
@@ -503,7 +494,7 @@ func (s *Sequencer) waitTurn(ctx context.Context, turn int64, started time.Time)
 				return fmt.Errorf("lockserver: wait turn %d: %w", turn, ctxErr)
 			}
 			if errors.Is(err, ErrBlockingUnsupported) {
-				s.noBlock, s.noHandoff = true, true
+				s.noBlock = true
 			}
 			break // fall back to polling: outage or pre-WAITGE server
 		}
@@ -577,17 +568,15 @@ func (s *Sequencer) Interrupt() { s.client.Interrupt() }
 // chunk times out below next, the wait goes on with plain WAITGEs, which
 // add nothing. Either way the increment is sent once: after a transport
 // error the counter's value is unknown and the session is lost, not the
-// hand-off retried. A server that rejects the delta has added nothing, and
-// the sequencer latches onto INCRBY followed by WaitTurn's wait.
+// hand-off retried. A server that rejects the request has added nothing,
+// and the sequencer latches onto INCRBY followed by WaitTurn's polling.
 func (s *Sequencer) Advance(ctx context.Context, n, next int) error {
 	started := time.Now()
-	if next >= 0 && !s.noHandoff {
+	if next >= 0 && !s.noBlock {
 		cur, err := s.client.IncrByWaitGE(ctx, s.key, int64(n), int64(next), waitChunk(ctx))
 		switch {
 		case errors.Is(err, ErrBlockingUnsupported):
-			s.noBlock, s.noHandoff = true, true
-		case errors.Is(err, ErrHandoffUnsupported):
-			s.noHandoff = true
+			s.noBlock = true
 		case err != nil:
 			return handoffErr(ctx, n, err)
 		default:

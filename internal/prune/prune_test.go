@@ -2,6 +2,7 @@ package prune
 
 import (
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -562,4 +563,65 @@ func TestAblateStages(t *testing.T) {
 	if results[1].Reduction < 264 || results[1].Reduction > 266 {
 		t.Fatalf("replica-specific reduction = %f, want ≈265", results[1].Reduction)
 	}
+}
+
+// TestCompletionsMatchReplicaSpecific checks Completions against the
+// replica-specific filters themselves, over every pair of interleavings
+// of a small log with a sync pair (so prefixes end inside a unit) and
+// every split depth, the second one kept: Keeps says whether the filters
+// keep the first one's prefix followed by the second one's suffix, given
+// the first prefix's class, and Covers(w, x) means a prefix of class w is
+// kept with every suffix one of class x is kept with.
+func TestCompletionsMatchReplicaSpecific(t *testing.T) {
+	log := mustLog(t, []event.Event{
+		{Kind: event.Update, Replica: "A", Op: "add"},
+		{Kind: event.SyncSend, Replica: "A", From: "A", To: "B"},
+		{Kind: event.Update, Replica: "B", Op: "add"},
+		{Kind: event.SyncExec, Replica: "B", From: "A", To: "B"},
+		{Kind: event.Update, Replica: "C", Op: "add"},
+		{Kind: event.Observe, Replica: "B", Op: "read"},
+	})
+	for _, tested := range [][]event.ReplicaID{{"A"}, {"B"}, {"C"}, {"A", "C"}} {
+		cfg := Config{TestedReplicas: tested}
+		space, filters, err := Build(log, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewCompletions(log, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := interleave.Collect(interleave.NewDFS(space), 0)
+		valid := map[string]bool{}
+		for _, il := range all {
+			valid[il.Key()] = true
+		}
+		kept := func(il interleave.Interleaving) bool { return canonical(permOf(space, il), filters) }
+		for d := 1; d < log.Len(); d++ {
+			for _, a := range all {
+				for _, b := range all {
+					if !kept(b) || multisetKey(a[:d]) != multisetKey(b[:d]) {
+						continue
+					}
+					joined := append(append(interleave.Interleaving{}, a[:d]...), b[d:]...)
+					if !valid[joined.Key()] {
+						continue
+					}
+					if got, want := c.Keeps(c.Key(a[:d]), b[:d], b[d:]), kept(joined); got != want {
+						t.Fatalf("tested %v: Keeps(class of %v, then %v) = %v, the filters %v", tested, a[:d], b[d:], got, want)
+					}
+					if c.Covers(c.Key(a[:d]), c.Key(b[:d])) && !kept(joined) {
+						t.Fatalf("tested %v: %v covers %v, but the filters drop it with %v", tested, a[:d], b[:d], b[d:])
+					}
+				}
+			}
+		}
+	}
+}
+
+// multisetKey is the sorted event IDs of a prefix.
+func multisetKey(il interleave.Interleaving) string {
+	s := append(interleave.Interleaving{}, il...)
+	slices.Sort(s)
+	return s.Key()
 }

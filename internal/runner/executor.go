@@ -12,6 +12,7 @@ import (
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
+	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/replica"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -99,6 +100,10 @@ type Executor struct {
 	// subEvery is the subsumption check stride in events when no prefix
 	// cache supplies snapshot depths.
 	subEvery int
+	// completions classifies the prefixes of the attempt in progress by
+	// the completions its enumeration keeps after them (nil when it keeps
+	// the same after all): see visit.
+	completions *prune.Completions
 	// dead is the prefix at which replay last abandoned an interleaving at
 	// an interior frontier (empty when none): every later item extending
 	// it reaches the same visited frontier, so attempt skips it before
@@ -211,7 +216,17 @@ func NewExecutor(s Scenario, cfg Config) (*Executor, error) {
 	if err := validate(s, &cfg); err != nil {
 		return nil, err
 	}
-	return newExecutor(s, cfg, 0, newRunTelemetry(cfg.Telemetry), newSubsumption(cfg), false, defaultPrefixSnapshotEvery)
+	sub := newSubsumption(cfg)
+	completions, err := newCompletions(s, cfg, s.Pruning, sub)
+	if err != nil {
+		return nil, err
+	}
+	x, err := newExecutor(s, cfg, 0, newRunTelemetry(cfg.Telemetry), sub, false, defaultPrefixSnapshotEvery)
+	if err != nil {
+		return nil, err
+	}
+	x.completions = completions
+	return x, nil
 }
 
 // newExecutor builds worker w's private execution environment, the same
@@ -308,7 +323,7 @@ func newSteps(log *event.Log, cluster *replica.Cluster) []eventStep {
 // distributed worker's federation reports are built from.
 func (x *Executor) Execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, int, error) {
 	x.tel.explored.Inc()
-	return x.execute(ctx, workItem{index: index, il: il, pivot: -1})
+	return x.execute(ctx, workItem{index: index, il: il, pivot: -1, completions: x.completions})
 }
 
 // run executes one item for the pool: the retry loop under an execute
@@ -394,7 +409,7 @@ func (x *Executor) attempt(ctx context.Context, item workItem) (*Outcome, error)
 		defer x.inj.Finish()
 	}
 	x.enter(item.gen)
-	if len(x.dead) > 0 && !x.inj.AnyArmed() && commonPrefixLen(x.dead, item.il) == len(x.dead) {
+	if len(x.dead) > 0 && commonPrefixLen(x.dead, item.il) == len(x.dead) {
 		// The dead prefix's subtree: no reset or restore, no replay, no
 		// hash and no table visit.
 		x.tel.subsumed.Inc()
@@ -477,6 +492,7 @@ func (x *Executor) outcomeOf(item workItem) *Outcome {
 // the slots the cached snapshots rely on, so they forget the stack.
 func (x *Executor) begin(item workItem) (start int, err error) {
 	x.index, x.armed = item.index, x.inj.AnyArmed()
+	x.completions = item.completions
 	x.rolling = msetDigest{}
 	x.pivot = item.pivot
 	if x.cache == nil || x.armed {
@@ -537,11 +553,10 @@ func (x *Executor) enter(gen uint64) {
 // replay is the inline schedule: the step at every position from start,
 // in order, on the caller's goroutine.
 func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start int) error {
-	// Fault-armed interleavings bypass subsumption both ways, like the
-	// cache: a crash or truncation makes the hashed context wrong, and a
-	// fault-free witness would not reproduce the faulted outcome.
+	// Fault-armed interleavings bypass the cache: a crash or truncation
+	// makes cached prefix states wrong. A run with faults has no table.
 	useCache := x.cache != nil && !x.armed
-	useSub := x.sub != nil && !x.armed
+	useSub := x.sub != nil
 	// One Done call per replay; the per-event poll is a channel receive,
 	// not cancelCtx.Err's mutex.
 	done := ctx.Done()
@@ -567,19 +582,22 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 			wantCache := useCache && x.cache.wantSnapshot(pos, x.divergence, x.pivot)
 			wantSub := useSub && (wantCache || (!useCache && pos%x.subEvery == 0))
 			if wantCache || wantSub {
-				skip, err := x.contextPoint(il, pos, wantCache, wantSub)
+				v, err := x.contextPoint(il, pos, wantCache, wantSub)
 				if err != nil {
 					return err
 				}
-				if skip {
+				if v != runOn {
 					// Frontier already visited via a lexicographically
 					// smaller prefix: the rest of this interleaving can only
 					// reproduce an outcome an executed interleaving already
-					// has (DESIGN.md §4.12). So can every later
-					// interleaving that extends il[:pos]: keep it as the
-					// dead prefix. Account the events actually replayed
+					// has (DESIGN.md §4.12). When the witness's prefix is
+					// kept with every completion this one is, so can every
+					// later interleaving that extends il[:pos]: keep it as
+					// the dead prefix. Account the events actually replayed
 					// and abandon.
-					x.dead = append(x.dead[:0], il[:pos]...)
+					if v == skipSubtree {
+						x.dead = append(x.dead[:0], il[:pos]...)
+					}
 					return x.subsumed(pos-start, start)
 				}
 			}
@@ -598,11 +616,11 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 		// interleaving that left this exact context is the witness itself
 		// and already pays Finalize, fingerprints and assertions for it.
 		x.rolling.add(x.steps[il[len(il)-1]].contrib)
-		skip, err := x.subsume(il, len(il))
+		v, err := x.subsume(il, len(il))
 		if err != nil {
 			return err
 		}
-		if skip {
+		if v != runOn {
 			return x.subsumed(len(il)-start, start)
 		}
 	}
@@ -730,16 +748,15 @@ func (x *Executor) apply(il interleave.Interleaving, pos int) error {
 
 // contextPoint handles one snapshot depth: push the execution context
 // after il[:depth] onto the cache, and/or run the subsumption check
-// against the frontier it represents. skip=true means the interleaving is
-// subsumed. The depth always lies past the restored one, so the cache
-// never already holds it.
-func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache, wantSub bool) (skip bool, err error) {
+// against the frontier it represents. The depth always lies past the
+// restored one, so the cache never already holds it.
+func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache, wantSub bool) (verdict, error) {
 	if !wantCache {
 		return x.subsume(il, depth)
 	}
 	states, err := x.cluster.CanonicalSnapshot()
 	if err != nil {
-		return false, err
+		return runOn, err
 	}
 	x.tel.dirtyReplicas.Add(int64(states.Dirty))
 	x.tel.bytesReused.Add(states.Reused)
@@ -750,7 +767,7 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 		x.tel.prefixEvicted.Inc()
 	}
 	if !wantSub {
-		return false, nil
+		return runOn, nil
 	}
 	return x.visit(contextHash(&x.ctxScratch, states, x.slots), il, depth), nil
 }
@@ -758,21 +775,40 @@ func (x *Executor) contextPoint(il interleave.Interleaving, depth int, wantCache
 // subsume is the subsumption check at a depth the prefix cache does not
 // keep: the context is hashed straight from the live cluster (into the
 // reusable subSnap) and the executor's slots, with no prefixSnapshot.
-func (x *Executor) subsume(il interleave.Interleaving, depth int) (skip bool, err error) {
+func (x *Executor) subsume(il interleave.Interleaving, depth int) (verdict, error) {
 	if err := x.cluster.SnapshotInto(&x.subSnap); err != nil {
-		return false, err
+		return runOn, err
 	}
 	x.tel.dirtyReplicas.Add(int64(x.subSnap.Dirty))
 	x.tel.bytesReused.Add(x.subSnap.Reused)
 	return x.visit(contextHash(&x.ctxScratch, &x.subSnap, x.slots), il, depth), nil
 }
 
+// A verdict is what a visited frontier decides for the interleaving at it.
+type verdict uint8
+
+const (
+	runOn       verdict = iota
+	skipLeaf            // its outcome is one an executed interleaving has
+	skipSubtree         // and so is every extension of the prefix
+)
+
 // visit checks and records the frontier (ctxHash, x.rolling) reached by
 // il[:depth] in the shared table. x.rolling is multisetHash(il[:depth])
 // by the loop invariant — the O(1)-maintained replacement for the
-// per-depth sort-and-rehash.
-func (x *Executor) visit(ctxHash [sha256.Size]byte, il interleave.Interleaving, depth int) bool {
-	skip, delta := x.sub.visit(ctxHash, x.rolling, il[:depth], x.index)
+// per-depth sort-and-rehash. A smaller witness at the frontier stands
+// for the rest of il when the pruned space keeps its prefix followed by
+// il's suffix, and for every extension of il[:depth] when its prefix's
+// completion class covers this one's (prune.Completions).
+func (x *Executor) visit(ctxHash [sha256.Size]byte, il interleave.Interleaving, depth int) verdict {
+	class := x.completions.Key(il[:depth])
+	witness, found, delta := x.sub.visit(ctxHash, x.rolling, class, il[:depth], x.index)
 	x.tel.subsumeBytes.Add(delta)
-	return skip
+	switch {
+	case !found || !x.completions.Keeps(witness, il[:depth], il[depth:]):
+		return runOn
+	case x.completions.Covers(witness, class):
+		return skipSubtree
+	}
+	return skipLeaf
 }

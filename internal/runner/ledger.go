@@ -84,7 +84,7 @@ func (l *Ledger) Record(index int, il interleave.Interleaving, outcome *Outcome,
 	if l.ge != nil {
 		// A fault-armed execution's signature reflects the fault schedule,
 		// not the order mutation, so it must not steer the corpus — the
-		// same bypass the prefix cache and subsumption table apply.
+		// same bypass the prefix cache applies.
 		if err != nil || outcome.FaultArmed {
 			l.ge.ReportDropped(key)
 		} else {

@@ -128,6 +128,9 @@ type pool struct {
 	// flushed at the re-prune quiesce barrier, where no execution is in
 	// flight.
 	sub *subsumeTable
+	// completions classifies prefixes for sub under the current pruning
+	// (nil when every prefix completes alike); pulled items carry it.
+	completions *prune.Completions
 
 	// cancel ends the workers' context, so replays in flight at a halt return
 	// at their next event. halted is set by stop (violation stop,
@@ -188,6 +191,9 @@ type workItem struct {
 	// which holds branches the new sequence never walks, and its dead
 	// prefix, whose witness the new sequence may have pruned away.
 	gen uint64
+	// completions classifies the item's prefixes under the pruning it was
+	// pulled under (see Executor.completions).
+	completions *prune.Completions
 }
 
 // workResult is a work item and, once executed, what the ledger needs of it.
@@ -411,7 +417,7 @@ func (p *pool) pull() (item workItem, ok bool) {
 				return item, false
 			}
 		}
-		return workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer), gen: p.gen}, true
+		return workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer), gen: p.gen, completions: p.completions}, true
 	}
 }
 
@@ -521,6 +527,9 @@ func (p *pool) poll() error {
 			return fmt.Errorf("runner: re-pruning: %w", err)
 		}
 		p.explorer = explorer
+		if p.completions, err = newCompletions(p.s, p.cfg, p.pruning, p.sub); err != nil {
+			return fmt.Errorf("runner: re-pruning: %w", err)
+		}
 		// Items pulled from the new sequence carry the new generation, so
 		// each worker forgets its prefix cache and dead prefix before
 		// running one; the shared subsumption table is flushed here, under

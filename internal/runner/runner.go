@@ -274,8 +274,7 @@ type Config struct {
 	// results are not. Only the lexicographic enumerators honor it
 	// (ModeERPi, ModeDFS) — Rand and Fuzz enumeration cannot guarantee a
 	// witness runs, so the flag is ignored there, as it is on the live
-	// path. Fault-armed interleavings bypass the table both ways. Zero
-	// disables subsumption.
+	// path, and in a run with scheduled faults. Zero disables subsumption.
 	SubsumptionTable int64
 	// Telemetry, when set, receives the run's metrics, live progress, and
 	// per-stage spans (see the telemetry package). Strictly observational:
@@ -521,6 +520,9 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		// live path never consults one: live replay re-issues real calls
 		// and cannot abandon an interleaving mid-flight.
 		p.sub = newSubsumption(cfg)
+		if p.completions, err = newCompletions(s, cfg, pruning, p.sub); err != nil {
+			return nil, err
+		}
 	}
 	if err := p.run(live); err != nil {
 		return nil, err
@@ -542,12 +544,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 	}
 	res.Duration = time.Since(start)
 	return res, nil
-}
-
-// NewPrunedExplorer builds the ER-π explorer for a scenario (grouped
-// units + pruning filters), for callers that drive exploration themselves.
-func NewPrunedExplorer(s Scenario) (interleave.Explorer, error) {
-	return prune.NewExplorer(s.Log, s.Pruning)
 }
 
 // NewExplorer builds the exploration iterator the engine would use for
@@ -576,15 +572,37 @@ func ExecuteOnce(s Scenario, il interleave.Interleaving) (*Outcome, error) {
 // disabled. Only the lexicographic enumerators get one: the soundness
 // argument (DESIGN.md §4.12) needs every lexicographically smaller
 // completion of a visited frontier to be enumerated, which ModeRand's
-// sampling and ModeFuzz's corpus mutation cannot guarantee.
+// sampling and ModeFuzz's corpus mutation cannot guarantee. It also needs
+// that completion to run fault-free, which no run with scheduled faults
+// guarantees: an armed completion reports its faulted outcome in place of
+// the one a skip relies on, and an armed interleaving's context is not a
+// function of its prefix.
 func newSubsumption(cfg Config) *subsumeTable {
-	if cfg.SubsumptionTable <= 0 || !subsumableMode(cfg.Mode) {
+	if cfg.SubsumptionTable <= 0 || !subsumableMode(cfg.Mode) || cfg.Faults != nil && len(cfg.Faults.Faults) > 0 {
 		return nil
 	}
 	return newSubsumeTable(cfg.SubsumptionTable)
 }
 
 func subsumableMode(m Mode) bool { return m == ModeERPi || m == ModeDFS }
+
+// newCompletions builds the completion classifier of a ModeERPi run's
+// subsumption table under pruning: replica-specific pruning keeps an
+// interleaving or not by a trailing block that can begin inside a
+// prefix, so a witness stands for another prefix only where the pruned
+// space keeps the witness's prefix with the other's suffix (DESIGN.md
+// §4.12). Nil without a table, in ModeDFS, and when pruning tests no
+// replica.
+func newCompletions(s Scenario, cfg Config, pruning prune.Config, sub *subsumeTable) (*prune.Completions, error) {
+	if sub == nil || cfg.Mode != ModeERPi {
+		return nil, nil
+	}
+	c, err := prune.NewCompletions(s.Log, pruning)
+	if err != nil {
+		return nil, fmt.Errorf("runner: %w", err)
+	}
+	return c, nil
+}
 
 // pivotOf asks the explorer where its next yield will diverge from the
 // one just pulled (-1 when the explorer cannot predict), so the prefix

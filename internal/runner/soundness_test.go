@@ -6,6 +6,7 @@ import (
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/interleave"
+	"github.com/er-pi/erpi/internal/prune"
 )
 
 // TestPruningSemanticSoundness is the semantic half of pruning soundness.
@@ -21,7 +22,7 @@ func TestPruningSemanticSoundness(t *testing.T) {
 	s := townReportScenario(t)
 
 	surviving := make(map[string]bool)
-	ex, err := NewPrunedExplorer(s)
+	ex, err := prune.NewExplorer(s.Log, s.Pruning)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,14 @@ type subsumeTable struct {
 	max        int // entries the byte budget holds
 	entries    map[subsumeKey]*subsumeEntry
 	head, tail *subsumeEntry // eviction queue, oldest at head
+	// spare is the rest of the last block of entries allocated at once:
+	// a growing table takes its entries from it, one allocation per
+	// entryBlock entries.
+	spare []subsumeEntry
 }
+
+// entryBlock is how many entries a growing table allocates at once.
+const entryBlock = 64
 
 // subsumeKey identifies one exploration frontier.
 type subsumeKey struct {
@@ -61,6 +68,7 @@ type subsumeEntry struct {
 	key    subsumeKey
 	index  int           // exploration index of the smallest recorder
 	prefix uint64        // prefixHash of that recorder's prefix
+	class  uint64        // prune.Completions key of that recorder's prefix
 	next   *subsumeEntry // younger neighbour in the eviction queue
 }
 
@@ -73,49 +81,54 @@ func newSubsumeTable(budget int64) *subsumeTable {
 }
 
 // visit is the one-shot check-and-record at a context point of the
-// interleaving with exploration index `index`, after `prefix`. It returns
-// skip=true when a strictly smaller index recorded the same frontier via
-// a different prefix — the caller abandons the interleaving with
-// ErrSubsumed. Otherwise the frontier is recorded (adopting the current
-// index when it is the smaller reacher) and execution continues. An equal
-// prefix hash never skips: it is the same literal prefix (a retry, or a
-// later interleaving re-walking a shared prefix), whose completion from
-// here is the current interleaving itself. A prefix-hash collision can
-// therefore only cost a skip, never cause one. delta is the net change in
+// interleaving with exploration index `index`, after `prefix` of
+// completion class `class`. found=true when a strictly smaller index
+// recorded the same frontier via a different prefix — the witness, whose
+// class it returns; the caller decides whether it stands for the rest of
+// the interleaving and abandons it with ErrSubsumed. Otherwise the
+// frontier is recorded (adopting the current index when it is the
+// smaller reacher) and execution continues. An equal prefix hash is never
+// a witness: it is the same literal prefix (a retry, or a later
+// interleaving re-walking a shared prefix), whose completion from here is
+// the current interleaving itself. A prefix-hash collision can therefore
+// only cost a skip, never cause one. delta is the net change in
 // accounted bytes, for the subsumption_table_bytes gauge: an entry while
 // the table grows, nothing once it is full and every insert evicts the
 // oldest entry (dropping entries is always sound: fewer skips).
-func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix interleave.Interleaving, index int) (skip bool, delta int64) {
+func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, class uint64, prefix interleave.Interleaving, index int) (witness uint64, found bool, delta int64) {
 	key := subsumeKey{ctx: ctx, rem: rem}
 	ph := prefixHash(prefix)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if e, ok := t.entries[key]; ok {
 		switch {
-		case e.prefix == ph: // the same literal prefix: never a skip
+		case e.prefix == ph: // the same literal prefix: never a witness
 		case e.index < index:
-			return true, 0
+			return e.class, true, 0
 		case e.index > index:
 			// The current interleaving is the smaller reacher: adopt it so
 			// future arrivals compare against the minimum. Same place in
 			// the queue.
-			e.index, e.prefix = index, ph
+			e.index, e.prefix, e.class = index, ph, class
 		}
-		return false, 0
+		return 0, false, 0
 	}
 	if t.max == 0 {
-		return false, 0
+		return 0, false, 0
 	}
 	var e *subsumeEntry
 	if len(t.entries) < t.max {
-		e = new(subsumeEntry)
+		if len(t.spare) == 0 {
+			t.spare = make([]subsumeEntry, min(entryBlock, t.max-len(t.entries)))
+		}
+		e, t.spare = &t.spare[0], t.spare[1:]
 		delta = subsumeEntryBytes
 	} else {
 		e = t.head
 		t.head = e.next
 		delete(t.entries, e.key)
 	}
-	*e = subsumeEntry{key: key, index: index, prefix: ph}
+	*e = subsumeEntry{key: key, index: index, prefix: ph, class: class}
 	t.entries[key] = e
 	if t.head == nil {
 		t.head = e
@@ -123,7 +136,7 @@ func (t *subsumeTable) visit(ctx [sha256.Size]byte, rem msetDigest, prefix inter
 		t.tail.next = e
 	}
 	t.tail = e
-	return false, delta
+	return 0, false, delta
 }
 
 // invalidate discards every entry (the re-pruning boundary, mirroring the
@@ -205,7 +218,7 @@ type ctxScratch struct {
 // canonical cluster snapshot plus everything else the remaining suffix
 // can observe, read from the executor's slots — captured sync payloads,
 // recorded observations, and failed ops (DroppedSyncs are absent because
-// fault-armed interleavings bypass subsumption). Every slot outside the
+// a run with faults has no table). Every slot outside the
 // prefix is clear, so a walk in event-ID order visits exactly the prefix's
 // entries, sorted, with no map and no sort. The cluster enters via its
 // hash-of-hashes encoding (32 bytes per replica, served from the
