@@ -194,9 +194,9 @@ func hookStmt(hook, op string) ast.Stmt {
 	}}
 }
 
-// helperSource holds the hook declarations appended once per package. The
-// hooks are replaced by ER-π's interceptor during test setup; the defaults
-// are no-ops.
+// helperSource holds the hook declarations appended once per package. A
+// test harness installs its own hooks with ErpiSetHooks; nothing in the
+// engine binds them, and the defaults are no-ops.
 const helperSource = `package stub
 
 // erpiBefore and erpiAfter are ER-π's interception points, bracketing

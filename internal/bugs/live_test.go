@@ -10,11 +10,11 @@ import (
 )
 
 // TestTriggerLiveReplay replays every benchmark's trigger interleaving
-// through the live path — one goroutine per replica, gated by the replay
-// proxy — and requires the reported manifestation to reproduce exactly as
-// it does under the sequential executor. This ties the full §4.3 pipeline
-// (proxy interception + turn ordering + checkpointed replicas) to the RQ1
-// experiment.
+// through the live path — one goroutine per replica, each run of calls
+// held by proxy.RunTurns until its turn — and requires the reported
+// manifestation to reproduce exactly as it does under the sequential
+// executor. This ties the full §4.3 pipeline (gated runs + turn ordering +
+// checkpointed replicas) to the RQ1 experiment.
 func TestTriggerLiveReplay(t *testing.T) {
 	for _, b := range All() {
 		b := b

@@ -225,22 +225,6 @@ func (r *RGA) resolveRoots() {
 	r.sorted = live
 }
 
-// LiveByRoot returns the currently live element carrying the given root
-// identity (the element a MoveWins relocation preserved).
-func (r *RGA) LiveByRoot(root Time) (Time, bool) {
-	var best Time
-	found := false
-	for id, el := range r.elems {
-		if el.Removed || el.Root != root {
-			continue
-		}
-		if !found || best.Less(id) {
-			best, found = id, true
-		}
-	}
-	return best, found
-}
-
 // Clone returns an independent copy.
 func (r *RGA) Clone() *RGA {
 	out := NewRGA()

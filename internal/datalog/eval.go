@@ -99,13 +99,6 @@ func NewProgram(rules ...Rule) (*Program, error) {
 	return &Program{rules: cp}, nil
 }
 
-// Rules returns a copy of the program's rules.
-func (p *Program) Rules() []Rule {
-	out := make([]Rule, len(p.rules))
-	copy(out, p.rules)
-	return out
-}
-
 // stratify assigns each rule to a stratum such that negated dependencies
 // are strictly lower. Returns an error for negation cycles.
 func (p *Program) stratify() ([][]Rule, error) {

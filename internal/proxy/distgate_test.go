@@ -1,8 +1,7 @@
 package proxy
 
 import (
-	"context"
-	"sync"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,10 +10,10 @@ import (
 )
 
 // TestDistGateEndToEnd is the distributed-replay integration test: three
-// replica goroutines, each with its own lock-server connection, replay a
-// scheduled interleaving; the lock server's turn sequencer, one per
-// replica as DistPool builds it, enforces the global order exactly as
-// §4.3 describes.
+// replica goroutines, each with its own lock-server connection, hand their
+// runs of a scheduled interleaving to RunTurns; the lock server's turn
+// sequencer, one per replica as DistPool builds it, enforces the global
+// order exactly as §4.3 describes.
 func TestDistGateEndToEnd(t *testing.T) {
 	srv := lockserver.NewServer(lockserver.NewStore())
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -34,8 +33,8 @@ func TestDistGateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Schedule: all of C first, then B, then A.
-	order := []event.ID{2, 5, 1, 4, 0, 3}
+	// Schedule: a run of two at C, then B and A alternate.
+	order := []event.ID{2, 5, 1, 0, 4, 3}
 
 	// The coordinator resets the shared turn counter.
 	coord, err := lockserver.Dial(addr)
@@ -47,77 +46,20 @@ func TestDistGateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var executed []string
-
 	// Each replica connects separately and replays through its own gate —
 	// the distributed analogue of the in-process LocalGate test.
-	replicaOps := map[event.ReplicaID][]string{
-		"A": {"a1", "a2"},
-		"B": {"b1", "b2"},
-		"C": {"c1", "c2"},
-	}
-	gates := make(map[event.ReplicaID]*lockserver.Sequencer)
-	clients := make([]*lockserver.Client, 0, len(replicaOps))
-	for rep := range replicaOps {
+	gates := make(map[event.ReplicaID]TurnGate)
+	for _, rep := range log.Replicas() {
 		c, err := lockserver.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients = append(clients, c)
+		defer c.Close()
 		gates[rep] = lockserver.NewSequencer(c, "sess:turn", time.Millisecond)
 	}
-	defer func() {
-		for _, c := range clients {
-			_ = c.Close()
-		}
-	}()
+	executed := replayOps(t, log, order, gates)
 
-	// One interceptor per replica process, as in a real deployment: each
-	// shares the same log + schedule but coordinates through its own gate.
-	interceptors := make(map[event.ReplicaID]*Interceptor)
-	for rep, gate := range gates {
-		i := New()
-		if err := i.StartReplay(log, order, gate); err != nil {
-			t.Fatal(err)
-		}
-		interceptors[rep] = i
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, len(replicaOps))
-	for rep, ops := range replicaOps {
-		wg.Add(1)
-		go func(rep event.ReplicaID, ops []string) {
-			defer wg.Done()
-			i := interceptors[rep]
-			for _, op := range ops {
-				err := i.Call(context.Background(), event.Event{Kind: event.Update, Replica: rep, Op: op}, func() error {
-					mu.Lock()
-					executed = append(executed, op)
-					mu.Unlock()
-					return nil
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(rep, ops)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	want := []string{"c1", "c2", "b1", "b2", "a1", "a2"}
-	if len(executed) != len(want) {
-		t.Fatalf("executed %v", executed)
-	}
-	for i := range want {
-		if executed[i] != want[i] {
-			t.Fatalf("distributed replay order %v, want %v", executed, want)
-		}
+	if got, want := fmt.Sprint(executed), "[c1 c2 b1 a1 b2 a2]"; got != want {
+		t.Fatalf("distributed replay order %s, want %s", got, want)
 	}
 }

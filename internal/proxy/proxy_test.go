@@ -3,74 +3,13 @@ package proxy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/er-pi/erpi/internal/event"
 )
-
-func TestRecordMode(t *testing.T) {
-	i := New()
-	if i.Mode() != Passthrough {
-		t.Fatal("fresh interceptor must be passthrough")
-	}
-	i.StartRecording()
-	calls := 0
-	err := i.Call(context.Background(), event.Event{Kind: event.Update, Replica: "A", Op: "set.add"}, func() error {
-		calls++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = i.Call(context.Background(), event.Event{Kind: event.Update, Replica: "B", Op: "set.remove"}, func() error {
-		calls++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("calls = %d", calls)
-	}
-	evs := i.StopRecording()
-	if len(evs) != 2 {
-		t.Fatalf("recorded %d events", len(evs))
-	}
-	if evs[0].ID != 0 || evs[1].ID != 1 {
-		t.Fatal("IDs must be dense record order")
-	}
-	if evs[0].Lamport != 1 || evs[1].Lamport != 2 {
-		t.Fatal("Lamport stamps must be assigned")
-	}
-	if i.Mode() != Passthrough {
-		t.Fatal("StopRecording must return to passthrough")
-	}
-}
-
-func TestRecordRejectsInvalidEvent(t *testing.T) {
-	i := New()
-	i.StartRecording()
-	err := i.Call(context.Background(), event.Event{Kind: event.Update}, func() error { return nil })
-	if err == nil {
-		t.Fatal("invalid event must be rejected in record mode")
-	}
-}
-
-func TestPassthroughExecutes(t *testing.T) {
-	i := New()
-	ran := false
-	if err := i.Call(context.Background(), event.Event{}, func() error { ran = true; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("passthrough must execute the call")
-	}
-	if len(i.Recorded()) != 0 {
-		t.Fatal("passthrough must not record")
-	}
-}
 
 // replayLog builds a 4-event log: two updates at A, two at B.
 func replayLog(t *testing.T) *event.Log {
@@ -87,153 +26,127 @@ func replayLog(t *testing.T) *event.Log {
 	return log
 }
 
-// TestReplayEnforcesInterleaving runs two replica goroutines, each issuing
-// its calls in program order, and checks the interceptor forces the
-// scheduled global order across them.
+// replayOps plays order over gates the way the live runner does (see
+// runCase.play) and returns the ops its steps executed, in execution order.
+func replayOps(t *testing.T, log *event.Log, order []event.ID, gates map[event.ReplicaID]TurnGate) []string {
+	t.Helper()
+	c := caseOf(log, order)
+	var mu sync.Mutex // a lock-server gate's ordering is invisible to the race detector
+	var executed []string
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stops := c.play(t, ctx, cancel, gates, func(pos int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		executed = append(executed, log.Event(order[pos]).Op)
+		return nil
+	})
+	if len(stops) != 0 {
+		t.Fatalf("order %v: replicas failed: %v", order, stops)
+	}
+	return executed
+}
+
+// sharedGate hands one gate to every replica.
+func sharedGate(g TurnGate) map[event.ReplicaID]TurnGate {
+	return map[event.ReplicaID]TurnGate{"A": g, "B": g}
+}
+
+// noStep is a step that must not run.
+func noStep(t *testing.T) func(int) error {
+	return func(int) error { t.Fatal("a step of a rejected run ran"); return nil }
+}
+
+// TestReplayEnforcesInterleaving runs two replica goroutines, each handing
+// its runs to RunTurns in program order, and checks one LocalGate forces
+// the scheduled global order across them: B's events before A's, and
+// alternating runs of one event each.
 func TestReplayEnforcesInterleaving(t *testing.T) {
 	log := replayLog(t)
-	// Schedule: B's ops first, then A's.
-	order := []event.ID{2, 3, 0, 1}
-	i := New()
-	gate := NewLocalGate()
-	if err := i.StartReplay(log, order, gate); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var executed []string
-	runReplica := func(r event.ReplicaID, ops []string) error {
-		for _, op := range ops {
-			err := i.Call(context.Background(), event.Event{Kind: event.Update, Replica: r, Op: op}, func() error {
-				mu.Lock()
-				executed = append(executed, op)
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				return err
-			}
+	for _, tc := range []struct {
+		order []event.ID
+		want  string
+	}{
+		{[]event.ID{2, 3, 0, 1}, "[b1 b2 a1 a2]"},
+		{[]event.ID{2, 0, 3, 1}, "[b1 a1 b2 a2]"},
+	} {
+		if got := fmt.Sprint(replayOps(t, log, tc.order, sharedGate(NewLocalGate()))); got != tc.want {
+			t.Fatalf("order %v executed %s, want %s", tc.order, got, tc.want)
 		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	wg.Add(2)
-	go func() { defer wg.Done(); errs <- runReplica("A", []string{"a1", "a2"}) }()
-	go func() { defer wg.Done(); errs <- runReplica("B", []string{"b1", "b2"}) }()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := []string{"b1", "b2", "a1", "a2"}
-	for k := range want {
-		if executed[k] != want[k] {
-			t.Fatalf("executed = %v, want %v", executed, want)
-		}
-	}
-	i.StopReplay()
-	if i.Mode() != Passthrough {
-		t.Fatal("StopReplay must return to passthrough")
 	}
 }
 
+// TestReplayScheduleLengthMismatch: a run that does not fit the schedule —
+// past its end, at a negative turn, or empty — is rejected before any step
+// runs. Each run claims to hold its turn, so no gate wait stands between
+// it and its steps.
 func TestReplayScheduleLengthMismatch(t *testing.T) {
-	log := replayLog(t)
-	i := New()
-	if err := i.StartReplay(log, []event.ID{0, 1}, NewLocalGate()); err == nil {
-		t.Fatal("short schedule must be rejected")
-	}
-	for _, order := range [][]event.ID{{0, 1, 2, 2}, {0, 1, 2, 4}} {
-		if err := i.StartReplay(log, order, NewLocalGate()); err == nil {
-			t.Fatalf("schedule %v is not a permutation of the log and must be rejected", order)
-		}
-		if i.Mode() != Passthrough {
-			t.Fatal("a rejected schedule must not leave the interceptor armed")
+	ctx := context.Background()
+	for _, run := range []struct{ turn, n, end int }{{3, 2, 4}, {4, 1, 4}, {-1, 1, 4}, {0, 0, 4}} {
+		if err := RunTurns(ctx, NewLocalGate(), run.turn, run.n, run.end, true, -1, noStep(t)); err == nil {
+			t.Fatalf("a run of %d at turn %d in a schedule of %d must be rejected", run.n, run.turn, run.end)
 		}
 	}
 }
 
-// An interceptor is re-armed per interleaving: each arming replaces the
-// schedule and the per-replica call pairing, and CallScheduled takes a run
-// only if it sits on consecutive turns of the current schedule.
+// TestReplayRearm: one LocalGate serves schedule after schedule, Reset
+// between them, and a hand-off's next turn must come after the run it ends
+// and inside the schedule.
 func TestReplayRearm(t *testing.T) {
 	log := replayLog(t)
-	i := New()
-	ctx := context.Background()
+	gate := NewLocalGate()
 	for _, order := range [][]event.ID{{2, 3, 0, 1}, {0, 2, 1, 3}, {3, 2, 1, 0}} {
-		if err := i.StartReplay(log, order, NewLocalGate()); err != nil {
-			t.Fatal(err)
+		gate.Reset()
+		var want []string
+		for _, id := range order {
+			want = append(want, log.Event(id).Op)
 		}
-		var got []event.ID
-		for turn := range order {
-			if err := i.CallScheduled(ctx, order[turn:turn+1], -1, func(int) error {
-				got = append(got, order[turn])
-				return nil
-			}); err != nil {
-				t.Fatalf("order %v turn %d: %v", order, turn, err)
-			}
-		}
-		if fmt.Sprint(got) != fmt.Sprint(order) {
+		if got := replayOps(t, log, order, sharedGate(gate)); !slices.Equal(got, want) {
 			t.Fatalf("executed %v under schedule %v", got, order)
 		}
 	}
-	// Under {3, 2, 1, 0} events 3 and 2 are one run; 3 and 1 are not, and
-	// neither is anything outside the log.
-	if err := i.StartReplay(log, []event.ID{3, 2, 1, 0}, NewLocalGate()); err != nil {
-		t.Fatal(err)
-	}
-	for _, run := range [][]event.ID{{3, 1}, {2, 3}, {3, 9}} {
-		if err := i.CallScheduled(ctx, run, -1, func(int) error { t.Fatalf("step of bad run %v ran", run); return nil }); err == nil {
-			t.Fatalf("run %v does not sit on consecutive turns and must be rejected", run)
+	gate.Reset()
+	ctx := context.Background()
+	for _, next := range []int{0, 1, 4} {
+		if err := RunTurns(ctx, gate, 0, 2, 4, false, next, noStep(t)); err == nil {
+			t.Fatalf("next turn %d of a run at turns 0..1 of 4 must be rejected", next)
 		}
 	}
-	steps := 0
-	if err := i.CallScheduled(ctx, []event.ID{3, 2}, -1, func(k int) error { steps++; return nil }); err != nil || steps != 2 {
-		t.Fatalf("run {3, 2} = %v after %d steps; want 2 steps", err, steps)
-	}
-	// The hand-off's next turn must come after the run it ends.
-	if err := i.CallScheduled(ctx, []event.ID{1}, 2, func(int) error { t.Fatal("step ran"); return nil }); err == nil {
-		t.Fatal("a next turn inside the run must be rejected")
-	}
-	i.StopReplay()
-	if err := i.CallScheduled(ctx, []event.ID{1}, -1, func(int) error { return nil }); err == nil {
-		t.Fatal("CallScheduled outside replay mode must fail")
-	}
 }
 
+// TestReplayTooManyCalls: a run whose turn the gate has already passed
+// fails, and none of its steps runs.
 func TestReplayTooManyCalls(t *testing.T) {
-	log, err := event.NewLog([]event.Event{{Kind: event.Update, Replica: "A", Op: "x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := New()
-	if err := i.StartReplay(log, []event.ID{0}, NewLocalGate()); err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	if err := i.Call(ctx, event.Event{Kind: event.Update, Replica: "A"}, func() error { return nil }); err != nil {
+	gate := NewLocalGate()
+	if err := gate.Advance(ctx, 2, -1); err != nil {
 		t.Fatal(err)
 	}
-	if err := i.Call(ctx, event.Event{Kind: event.Update, Replica: "A"}, func() error { return nil }); err == nil {
-		t.Fatal("excess call must be rejected")
+	if err := RunTurns(ctx, gate, 1, 1, 4, false, -1, noStep(t)); err == nil {
+		t.Fatal("a run at a passed turn must fail")
 	}
 }
 
+// TestReplayPropagatesCallError: a step's error comes back as it is, and
+// the run does not hand the schedule on.
 func TestReplayPropagatesCallError(t *testing.T) {
-	log, err := event.NewLog([]event.Event{{Kind: event.Update, Replica: "A", Op: "x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	i := New()
-	if err := i.StartReplay(log, []event.ID{0}, NewLocalGate()); err != nil {
-		t.Fatal(err)
-	}
+	gate := NewLocalGate()
 	wantErr := fmt.Errorf("boom")
-	err = i.Call(context.Background(), event.Event{Kind: event.Update, Replica: "A"}, func() error { return wantErr })
-	if err != wantErr {
-		t.Fatalf("err = %v, want boom", err)
+	steps := 0
+	err := RunTurns(context.Background(), gate, 0, 2, 4, false, -1, func(k int) error {
+		steps++
+		if k == 1 {
+			return wantErr
+		}
+		return nil
+	})
+	if err != wantErr || steps != 2 {
+		t.Fatalf("err = %v after %d steps, want boom after 2", err, steps)
+	}
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	if gate.turn != 0 {
+		t.Fatalf("a failed run advanced the gate to turn %d", gate.turn)
 	}
 }
 

@@ -42,9 +42,15 @@ func newRunCase(t *testing.T, rng *rand.Rand) runCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := runCase{log: log, order: log.IDs(), replicas: log.Replicas()}
-	rng.Shuffle(len(c.order), func(i, j int) { c.order[i], c.order[j] = c.order[j], c.order[i] })
-	for pos, id := range c.order {
+	order := log.IDs()
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return caseOf(log, order)
+}
+
+// caseOf cuts order, a permutation of log, into its runs.
+func caseOf(log *event.Log, order []event.ID) runCase {
+	c := runCase{log: log, order: order, replicas: log.Replicas()}
+	for pos, id := range order {
 		rep := log.Event(id).Replica
 		if last := len(c.runs) - 1; last >= 0 && c.runs[last].rep == rep {
 			c.runs[last].n++
@@ -105,22 +111,8 @@ func gateKinds(t *testing.T) []gateKind {
 	}
 }
 
-// arm builds one interceptor per replica over the case's schedule.
-func (c runCase) arm(t *testing.T, gates map[event.ReplicaID]TurnGate) map[event.ReplicaID]*Interceptor {
-	t.Helper()
-	out := make(map[event.ReplicaID]*Interceptor)
-	for _, rep := range c.replicas {
-		i := New()
-		if err := i.StartReplay(c.log, c.order, gates[rep]); err != nil {
-			t.Fatal(err)
-		}
-		out[rep] = i
-	}
-	return out
-}
-
 // stop is where a replica's walk ended with an error: the run whose
-// CallScheduled returned it.
+// RunTurns returned it.
 type stop struct {
 	rep event.ReplicaID
 	run testRun
@@ -129,14 +121,15 @@ type stop struct {
 
 // play drives the case on gates the way the live runner's gated schedule
 // does: one goroutine per replica walks the replica's runs in schedule
-// order, naming its next run's first turn in each hand-off, so it waits
-// explicitly for its first run only. step runs one position. A replica
-// that fails cancels ctx, and while any replica is still walking, a dead
-// ctx interrupts every gate that can be interrupted, so no wait parked on
-// the lock server outlives the call. It returns the replicas that failed.
+// order and hands each to RunTurns, naming its next run's first turn in
+// each hand-off, so it waits explicitly for its first run only and holds
+// the schedule at the start of every later one. step runs one position.
+// A replica that fails cancels ctx, and while any replica is still
+// walking, a dead ctx interrupts every gate that can be interrupted, so
+// no wait parked on the lock server outlives the call. It returns the
+// replicas that failed.
 func (c runCase) play(t *testing.T, ctx context.Context, cancel context.CancelFunc, gates map[event.ReplicaID]TurnGate, step func(pos int) error) map[event.ReplicaID]stop {
 	t.Helper()
-	interceptors := c.arm(t, gates)
 	results := make(chan stop, len(c.replicas))
 	for _, rep := range c.replicas {
 		go func() {
@@ -151,7 +144,7 @@ func (c runCase) play(t *testing.T, ctx context.Context, cancel context.CancelFu
 				if k+1 < len(mine) {
 					next = mine[k+1].first
 				}
-				err := interceptors[rep].CallScheduled(ctx, c.order[run.first:run.first+run.n], next, func(k int) error {
+				err := RunTurns(ctx, gates[rep], run.first, run.n, len(c.order), k > 0, next, func(k int) error {
 					return step(run.first + k)
 				})
 				if err != nil {

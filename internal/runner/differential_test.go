@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -75,7 +74,7 @@ type diffCase struct {
 	runLen                 func(left, workers int) int
 	every                  int
 	// extra, when non-nil, arrives through ConstraintPoll at the first poll
-	// after index at has been recorded.
+	// at or after the boundary index at.
 	extra *prune.Config
 	at    int
 }
@@ -238,26 +237,23 @@ func independent(log *event.Log, d *draws) (a, b event.ID) {
 type diffRun struct {
 	res      *Result
 	outcomes []*Outcome
-	// took is the index whose poll took the extra constraints (0: none).
-	took int
 }
 
-// run explores the case's scenario under cfg, taking the extra
-// constraints at the first poll after index at has been recorded.
-func (c diffCase) run(t *testing.T, s Scenario, cfg Config, runLen func(left, workers int) int, every, at int) diffRun {
+// run explores the case's scenario under cfg. A poll follows every
+// PollEvery-th index the run reaches, whether that index produced an
+// outcome or not, so counting polls finds the boundary: the extra
+// constraints arrive at the first poll at or after index c.at.
+func (c diffCase) run(t *testing.T, s Scenario, cfg Config, runLen func(left, workers int) int, every int) diffRun {
 	t.Helper()
 	var r diffRun
-	last := 0
-	cfg.OnOutcome = func(o *Outcome) {
-		r.outcomes = append(r.outcomes, o)
-		last = o.Index
-	}
+	cfg.OnOutcome = func(o *Outcome) { r.outcomes = append(r.outcomes, o) }
 	if c.extra != nil {
+		polls := 0
 		cfg.ConstraintPoll = func() (prune.Config, bool, error) {
-			if r.took > 0 || last < at {
+			polls++
+			if polls*cfg.PollEvery < c.at || (polls-1)*cfg.PollEvery >= c.at {
 				return prune.Config{}, false, nil
 			}
-			r.took = last
 			return *c.extra, true, nil
 		}
 	}
@@ -270,65 +266,33 @@ func (c diffCase) run(t *testing.T, s Scenario, cfg Config, runLen func(left, wo
 }
 
 func checkDifferential(t *testing.T, c diffCase) {
-	// A ConstraintPoll is asked after a poll boundary that produced an
-	// outcome, and a subsumed boundary produced none, so a run with the
-	// layers on may take the constraints at a later boundary. Each run is
-	// compared with the reference that took them at the same index.
-	refs := map[int]diffRun{}
-	refAt := func(at int) diffRun {
-		if r, ok := refs[at]; ok {
-			return r
-		}
-		r := c.run(t, fullHashing(c.s), c.cfg, defaultRunLen, defaultPrefixSnapshotEvery, at)
-		refs[at] = r
-		return r
-	}
-	ref := refAt(c.at)
-	refFor := func(name string, got diffRun) diffRun {
-		t.Helper()
-		if got.took == ref.took {
-			return ref
-		}
-		at := got.took
-		if at == 0 {
-			at = math.MaxInt
-		}
-		r := refAt(at)
-		if r.took != got.took {
-			t.Fatalf("%s took the constraints at index %d; the reference asked to, took them at %d", name, got.took, r.took)
-		}
-		return r
-	}
+	ref := c.run(t, fullHashing(c.s), c.cfg, defaultRunLen, defaultPrefixSnapshotEvery)
 
 	// 2. Layers off: Workers N at the drawn run length is Workers 1.
 	off := c.cfg
 	off.Workers = c.workers
-	offN := c.run(t, c.s, off, c.runLen, c.every, c.at)
+	offN := c.run(t, c.s, off, c.runLen, c.every)
 	sameStream(t, fmt.Sprintf("layers off, Workers %d", c.workers), ref, offN)
 
 	// 1. Layers on skip, and change nothing they do not skip.
 	on := c.cfg
 	on.PrefixCacheBytes, on.SubsumptionTable = c.cacheBytes, c.tableBytes
-	on1 := c.run(t, c.s, on, defaultRunLen, c.every, c.at)
-	skipsOnly(t, "layers on, Workers 1", refFor("layers on, Workers 1", on1), on1)
-	on1Full := c.run(t, fullHashing(c.s), on, defaultRunLen, c.every, c.at)
+	on1 := c.run(t, c.s, on, defaultRunLen, c.every)
+	skipsOnly(t, "layers on, Workers 1", ref, on1)
+	on1Full := c.run(t, fullHashing(c.s), on, defaultRunLen, c.every)
 	sameStream(t, "layers on, Workers 1, full hashing", on1, on1Full)
 	if on1.res.Subsumed != on1Full.res.Subsumed {
 		t.Fatalf("Workers 1 subsumed %d on incremental clusters, %d on full-hashing ones", on1.res.Subsumed, on1Full.res.Subsumed)
 	}
 	on.Workers = c.workers
-	onN := c.run(t, c.s, on, c.runLen, c.every, c.at)
-	name := fmt.Sprintf("layers on, Workers %d", c.workers)
-	skipsOnly(t, name, refFor(name, onN), onN)
+	onN := c.run(t, c.s, on, c.runLen, c.every)
+	skipsOnly(t, fmt.Sprintf("layers on, Workers %d", c.workers), ref, onN)
 
 	// 3. The gated schedule is the inline one.
 	live := c.cfg
 	live.LiveWorkers = c.live
-	gated := c.run(t, c.s, live, c.runLen, c.every, c.at)
-	name = fmt.Sprintf("LiveWorkers %d", c.live)
-	if gated.took != ref.took {
-		t.Fatalf("%s took the constraints at index %d, the reference at %d", name, gated.took, ref.took)
-	}
+	gated := c.run(t, c.s, live, c.runLen, c.every)
+	name := fmt.Sprintf("LiveWorkers %d", c.live)
 	if a, b := streamOf(t, ref.outcomes), streamOf(t, gated.outcomes); a != b {
 		t.Fatalf("%s: outcome stream\n%s\ndiffers from the inline one\n%s", name, b, a)
 	}
@@ -351,9 +315,6 @@ func checkDifferential(t *testing.T, c diffCase) {
 // with the same deterministic Result.
 func sameStream(t *testing.T, name string, want, got diffRun) {
 	t.Helper()
-	if want.took != got.took {
-		t.Fatalf("%s took the constraints at index %d, the reference at %d", name, got.took, want.took)
-	}
 	if a, b := streamOf(t, want.outcomes), streamOf(t, got.outcomes); a != b {
 		t.Fatalf("%s: outcome stream\n%s\ndiffers from the reference\n%s", name, b, a)
 	}

@@ -90,6 +90,13 @@ func ExecuteLiveContext(ctx context.Context, s Scenario, il interleave.Interleav
 	if s.Log == nil || len(il) != s.Log.Len() {
 		return nil, fmt.Errorf("runner: live replay needs a complete interleaving")
 	}
+	seen := make([]bool, len(il))
+	for _, id := range il {
+		if int(id) < 0 || int(id) >= len(seen) || seen[id] {
+			return nil, fmt.Errorf("runner: live replay needs a permutation of the log (event %d)", id)
+		}
+		seen[id] = true
+	}
 	tel := newRunTelemetry(reg)
 	defer tel.span(telemetry.StageExecute, 1, telemetry.CoordinatorWorker).End()
 	cfg := Config{LiveGates: func(int) (SessionFactory, error) {
@@ -104,24 +111,19 @@ func ExecuteLiveContext(ctx context.Context, s Scenario, il interleave.Interleav
 }
 
 // liveState is what the gated schedule keeps from attempt to attempt: the
-// replicas, one interceptor each (re-armed per attempt) and each event's
-// replica, and an attempt's scratch: its gates, and the channel its
-// replica goroutines report on, which every attempt drains.
+// replicas and each event's replica, and an attempt's scratch: its gates,
+// and the channel its replica goroutines report on, which every attempt
+// drains.
 type liveState struct {
-	replicas     []event.ReplicaID
-	interceptors []*proxy.Interceptor
-	replicaOf    []int // by event ID: index into replicas
-	gates        []proxy.TurnGate
-	results      chan error
+	replicas  []event.ReplicaID
+	replicaOf []int // by event ID: index into replicas
+	gates     []proxy.TurnGate
+	results   chan error
 }
 
 func newLiveState(log *event.Log) *liveState {
 	l := &liveState{replicas: log.Replicas(), replicaOf: make([]int, log.Len())}
 	l.results = make(chan error, len(l.replicas))
-	l.interceptors = make([]*proxy.Interceptor, len(l.replicas))
-	for r := range l.replicas {
-		l.interceptors[r] = proxy.New()
-	}
 	for id := range l.replicaOf {
 		l.replicaOf[id] = slices.Index(l.replicas, log.Event(event.ID(id)).Replica)
 	}
@@ -151,8 +153,8 @@ func (l *liveState) nextOwned(il interleave.Interleaving, r, pos int) int {
 // A fresh session per attempt, fenced as the file comment says, is what
 // makes retrying safe at all.
 //
-// Whatever path exits — including a gate factory or StartReplay failure
-// partway through setup, or a mid-run replica error — every closable gate
+// Whatever path exits — including a gate factory failure partway through
+// setup, or a mid-run replica error — every closable gate
 // is closed and the session is closed, so a failed attempt can neither
 // leak its replica goroutines nor leave distributed state behind.
 func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, index int) error {
@@ -175,17 +177,13 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 		x.tel.liveSessions.Add(-1)
 	}()
 	setupSpan := x.tel.span(telemetry.StageLiveSetup, index, x.worker)
-	for r, rep := range l.replicas {
+	for _, rep := range l.replicas {
 		gate, err := sess.Gate(rep)
 		if err != nil {
 			setupSpan.End()
 			return fmt.Errorf("runner: live gate %s: %w", rep, err)
 		}
 		gates = append(gates, gate)
-		if err := l.interceptors[r].StartReplay(x.log, il, gate); err != nil {
-			setupSpan.End()
-			return err
-		}
 	}
 	setupSpan.End()
 
@@ -202,7 +200,7 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 	// Each replica goroutine sends exactly one result, nil or its error.
 	results := l.results
 	for r, rep := range l.replicas {
-		go func(r int, rep event.ReplicaID, i *proxy.Interceptor) {
+		go func(r int, rep event.ReplicaID, gate proxy.TurnGate) {
 			// The gate already admits exactly one run at a time, in
 			// schedule order, so the injector sees strictly increasing
 			// positions just like the inline schedule. The mutex stays
@@ -220,15 +218,18 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 				}
 				return x.apply(il, first+k)
 			}
-			// il[first:end] is this replica's run, and next its next one's
-			// first position, -1 after its last.
-			for first = l.nextOwned(il, r, 0); first >= 0; {
+			// il[first:end] is this replica's run on turns first..end-1,
+			// and next its next one's first position, -1 after its last.
+			// The hand-off that ends a run waits for next, so every run but
+			// the replica's first starts with the schedule held.
+			held := false
+			for first = l.nextOwned(il, r, 0); first >= 0; held = true {
 				end := first + 1
 				for end < len(il) && l.replicaOf[il[end]] == r {
 					end++
 				}
 				next := l.nextOwned(il, r, end)
-				if err := i.CallScheduled(attemptCtx, il[first:end], next, step); err != nil {
+				if err := proxy.RunTurns(attemptCtx, gate, first, end-first, len(il), held, next, step); err != nil {
 					cancel()
 					results <- fmt.Errorf("replica %s: %w", rep, err)
 					return
@@ -236,7 +237,7 @@ func (x *Executor) replayGated(ctx context.Context, il interleave.Interleaving, 
 				first = next
 			}
 			results <- nil
-		}(r, rep, l.interceptors[r])
+		}(r, rep, gates[r])
 	}
 	// Every replica goroutine is done with the cluster once it has sent its
 	// result, which is also what lets the next attempt reset the cluster it

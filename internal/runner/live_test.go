@@ -63,7 +63,7 @@ func TestLiveMatchesSequential(t *testing.T) {
 
 // TestLiveOverDistributedLock replays one interleaving with per-replica
 // lock-server sequencers coordinating through a real TCP lock server — the
-// full §4.3 pipeline: proxy interception + shared turn counter.
+// full §4.3 pipeline: gated replica runs + shared turn counter.
 func TestLiveOverDistributedLock(t *testing.T) {
 	srv := lockserver.NewServer(lockserver.NewStore())
 	addr, err := srv.Listen("127.0.0.1:0")

@@ -151,7 +151,6 @@ type pool struct {
 	gen      uint64    // re-prune generation stamped on pulled items
 	noMore   bool      // no further assignment (cap/exhausted/crash/halt)
 	pollWait bool      // quiescing for a ConstraintPoll boundary: index assigned
-	pollSkip bool      // boundary index produced no outcome: skip this poll
 	genWait  bool      // quiescing for a fuzz generation boundary
 	since    time.Time // when the armed barrier armed (tel only)
 }
@@ -424,18 +423,11 @@ func (p *pool) pull() (item workItem, ok bool) {
 // process hands one result, in index order, to the ledger and acts on its
 // stop decision.
 func (p *pool) process(r workResult) {
-	if r.err != nil {
-		if err := p.ctx.Err(); err != nil {
-			// The execution died with the run's context: interruption,
-			// not a quarantine.
-			p.interrupt(err)
-			return
-		}
-		if p.pollWait && r.index == p.assigned {
-			// A boundary interleaving that was subsumed or quarantined
-			// produced no outcome to poll constraints after.
-			p.pollSkip = true
-		}
+	if r.err != nil && p.ctx.Err() != nil {
+		// The execution died with the run's context: interruption, not a
+		// quarantine.
+		p.interrupt(p.ctx.Err())
+		return
 	}
 	if _, err := p.ledger.Record(r.index, r.il, r.outcome, r.attempts, r.err); err != nil {
 		p.fail(err)
@@ -510,10 +502,6 @@ func (p *pool) evolveFuzz() {
 // the merged pruning config when new constraints arrived. Interleavings
 // the regenerated explorer re-yields are skipped by the carved set.
 func (p *pool) poll() error {
-	if p.pollSkip {
-		p.pollSkip = false
-		return nil
-	}
 	extra, found, err := p.cfg.ConstraintPoll()
 	if err != nil {
 		return fmt.Errorf("runner: constraints: %w", err)

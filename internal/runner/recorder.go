@@ -1,31 +1,27 @@
 package runner
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/er-pi/erpi/internal/event"
-	"github.com/er-pi/erpi/internal/proxy"
 	"github.com/er-pi/erpi/internal/replica"
 )
 
-// Recorder captures a workload as an event log by routing every RDL call
-// through ER-π's proxy interceptor in record mode (paper §4.1: "ER-π
+// Recorder captures a workload as an event log (paper §4.1: "ER-π
 // intercepts which library functions have been invoked in the segment,
-// extracting them as events"). The workload executes for real against the
-// cluster, so the recording run doubles as the scenario's sanity run.
+// extracting them as events"): each call is validated, appended as an
+// event and applied to the cluster. The workload executes for real against
+// the cluster, so the recording run doubles as the scenario's sanity run.
+// Log stamps the events and builds the log (event.NewLog).
 type Recorder struct {
-	cluster     *replica.Cluster
-	interceptor *proxy.Interceptor
-	ctx         context.Context
-	err         error
+	cluster *replica.Cluster
+	events  []event.Event
+	err     error
 }
 
 // NewRecorder starts recording against a cluster.
 func NewRecorder(cluster *replica.Cluster) *Recorder {
-	i := proxy.New()
-	i.StartRecording()
-	return &Recorder{cluster: cluster, interceptor: i, ctx: context.Background()}
+	return &Recorder{cluster: cluster}
 }
 
 // Err returns the first error encountered by any recording call.
@@ -37,76 +33,64 @@ func (r *Recorder) fail(err error) {
 	}
 }
 
+// record validates ev and appends it, numbered as the log will number it
+// so that a validation error names it, then looks up the node it executes
+// at. An invalid event is not appended.
+func (r *Recorder) record(ev event.Event) (*replica.Node, error) {
+	ev.ID = event.ID(len(r.events))
+	if err := ev.Validate(); err != nil {
+		return nil, err
+	}
+	r.events = append(r.events, ev)
+	return r.cluster.Node(ev.Replica)
+}
+
 // Update performs and records a local RDL update, returning its result.
 // Failed ops (replica.ErrFailedOp) are recorded like any other event.
 func (r *Recorder) Update(rep event.ReplicaID, op string, args ...string) string {
-	var result string
-	ev := event.Event{Kind: event.Update, Replica: rep, Op: op, Args: args}
-	err := r.interceptor.Call(r.ctx, ev, func() error {
-		node, err := r.cluster.Node(rep)
-		if err != nil {
-			return err
-		}
-		out, err := node.State.Apply(replica.Op{Name: op, Args: args})
-		result = out
-		if err == replica.ErrFailedOp {
-			return nil // constraint rejections are legitimate recordings
-		}
-		return err
-	})
-	if err != nil {
+	node, err := r.record(event.Event{Kind: event.Update, Replica: rep, Op: op, Args: args})
+	var out string
+	if err == nil {
+		out, err = node.State.Apply(replica.Op{Name: op, Args: args})
+	}
+	if err != nil && err != replica.ErrFailedOp { // constraint rejections are legitimate recordings
 		r.fail(fmt.Errorf("runner: record update %s@%s: %w", op, rep, err))
 	}
-	return result
+	return out
 }
 
 // Observe performs and records an observable read, returning the event ID
 // (for anchoring assertions) and the observed value.
 func (r *Recorder) Observe(rep event.ReplicaID, op string, args ...string) (event.ID, string) {
-	var result string
-	ev := event.Event{Kind: event.Observe, Replica: rep, Op: op, Args: args}
-	id := event.ID(len(r.interceptor.Recorded()))
-	err := r.interceptor.Call(r.ctx, ev, func() error {
-		node, err := r.cluster.Node(rep)
-		if err != nil {
-			return err
-		}
-		out, err := node.State.Apply(replica.Op{Name: op, Args: args})
-		result = out
-		return err
-	})
+	id := event.ID(len(r.events))
+	node, err := r.record(event.Event{Kind: event.Observe, Replica: rep, Op: op, Args: args})
+	var out string
+	if err == nil {
+		out, err = node.State.Apply(replica.Op{Name: op, Args: args})
+	}
 	if err != nil {
 		r.fail(fmt.Errorf("runner: record observe %s@%s: %w", op, rep, err))
 	}
-	return id, result
+	return id, out
 }
 
 // SyncPair performs and records an explicit synchronization exchange: a
 // sync_req at the sender followed by the exec_sync at the receiver. Event
 // Grouping (Algorithm 1) pairs the two automatically.
 func (r *Recorder) SyncPair(from, to event.ReplicaID) {
+	sender, err := r.record(event.Event{Kind: event.SyncSend, Replica: from, From: from, To: to})
 	var payload []byte
-	send := event.Event{Kind: event.SyncSend, Replica: from, From: from, To: to}
-	err := r.interceptor.Call(r.ctx, send, func() error {
-		node, err := r.cluster.Node(from)
-		if err != nil {
-			return err
-		}
-		payload, err = node.State.SyncPayload()
-		return err
-	})
+	if err == nil {
+		payload, err = sender.State.SyncPayload()
+	}
 	if err != nil {
 		r.fail(fmt.Errorf("runner: record sync_req %s->%s: %w", from, to, err))
 		return
 	}
-	exec := event.Event{Kind: event.SyncExec, Replica: to, From: from, To: to}
-	err = r.interceptor.Call(r.ctx, exec, func() error {
-		node, err := r.cluster.Node(to)
-		if err != nil {
-			return err
-		}
-		return node.State.ApplySync(payload)
-	})
+	receiver, err := r.record(event.Event{Kind: event.SyncExec, Replica: to, From: from, To: to})
+	if err == nil {
+		err = receiver.State.ApplySync(payload)
+	}
 	if err != nil {
 		r.fail(fmt.Errorf("runner: record exec_sync %s->%s: %w", from, to, err))
 	}
@@ -117,23 +101,19 @@ func (r *Recorder) SyncPair(from, to event.ReplicaID) {
 // payload is captured from the sender at execution time. Returns the event
 // ID.
 func (r *Recorder) Sync(from, to event.ReplicaID) event.ID {
-	id := event.ID(len(r.interceptor.Recorded()))
-	ev := event.Event{Kind: event.SyncExec, Replica: to, From: from, To: to}
-	err := r.interceptor.Call(r.ctx, ev, func() error {
-		sender, err := r.cluster.Node(from)
-		if err != nil {
-			return err
-		}
-		payload, err := sender.State.SyncPayload()
-		if err != nil {
-			return err
-		}
-		node, err := r.cluster.Node(to)
-		if err != nil {
-			return err
-		}
-		return node.State.ApplySync(payload)
-	})
+	id := event.ID(len(r.events))
+	receiver, err := r.record(event.Event{Kind: event.SyncExec, Replica: to, From: from, To: to})
+	var sender *replica.Node
+	if err == nil {
+		sender, err = r.cluster.Node(from)
+	}
+	var payload []byte
+	if err == nil {
+		payload, err = sender.State.SyncPayload()
+	}
+	if err == nil {
+		err = receiver.State.ApplySync(payload)
+	}
 	if err != nil {
 		r.fail(fmt.Errorf("runner: record sync %s->%s: %w", from, to, err))
 	}
@@ -142,12 +122,11 @@ func (r *Recorder) Sync(from, to event.ReplicaID) event.ID {
 
 // Log finalizes recording and returns the event log.
 func (r *Recorder) Log() (*event.Log, error) {
-	events := r.interceptor.StopRecording()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if len(events) == 0 {
+	if len(r.events) == 0 {
 		return nil, fmt.Errorf("runner: nothing recorded")
 	}
-	return event.NewLog(events)
+	return event.NewLog(r.events)
 }

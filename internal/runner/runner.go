@@ -461,7 +461,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 
 	res := &Result{Scenario: s.Name, Mode: cfg.Mode}
 	ledger := newLedger(s, cfg, explorer, res, tel)
-	repoll := false
 	if cfg.Journal != nil {
 		// The ledger installed this run's sync observer; the caller's later
 		// syncs of the same Dir are not this run's.
@@ -469,18 +468,14 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		if err := cfg.Journal.SaveLog(s.Log); err != nil {
 			return nil, err
 		}
-		recs, err := ledger.Resume()
-		if err != nil {
+		if _, err := ledger.Resume(); err != nil {
 			return nil, err
 		}
-		for i := range recs {
-			r := &recs[i]
-			// The earlier session polled constraints after a boundary index
-			// with an outcome (pool.pollSkip), and what it merged is not in
-			// the records: this one polls before carving.
-			repoll = repoll || r.Index%cfg.PollEvery == 0 && r.Error == "" && !r.Subsumed
-		}
 	}
+	// An earlier session polled constraints after every boundary index it
+	// recorded, and what it merged is not in the records: this one polls
+	// before carving.
+	repoll := res.Resumed >= cfg.PollEvery
 	// The cap is session-wide: what the record log already holds counts
 	// toward it, and this run only gets the remainder. Numbering continues
 	// after the last record.

@@ -44,7 +44,7 @@ const (
 	// before a suffix execution.
 	StageRestorePrefix
 	// StageLiveSetup is a live session coming up: minting the epoch's gate
-	// namespace and arming the replicas' interceptors.
+	// namespace and one gate per replica.
 	StageLiveSetup
 	// StageLease is the distributed coordinator granting one interleaving
 	// range to a worker (carving fresh work or re-issuing an orphan).
