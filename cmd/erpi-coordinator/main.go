@@ -15,14 +15,11 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -202,55 +199,22 @@ func runSubmit(args []string) int {
 		RangeSize:        *rangeSz,
 		StopOnViolation:  *stop,
 	}
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(*api+"/jobs", "application/json", bytes.NewReader(body))
+	st, err := coordinator.SubmitJob(*api, spec)
 	if err != nil {
-		return fail(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusCreated {
-		return fail(fmt.Errorf("submit: %s: %s", resp.Status, bytes.TrimSpace(data)))
-	}
-	var st coordinator.JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
 		return fail(err)
 	}
 	fmt.Printf("submitted %s (%s)\n", st.ID, st.Label)
-	if *wait <= 0 {
-		os.Stdout.Write(data)
-		return 0
+	if *wait > 0 {
+		if st, err = coordinator.WaitJob(*api, st.ID, *wait); err != nil {
+			return fail(err)
+		}
 	}
-	final, err := waitJob(*api, st.ID, *wait)
-	if err != nil {
-		return fail(err)
-	}
-	out, _ := json.MarshalIndent(final, "", "  ")
+	out, _ := json.MarshalIndent(st, "", "  ")
 	fmt.Println(string(out))
-	if final.State != coordinator.StateDone {
+	if *wait > 0 && st.State != coordinator.StateDone {
 		return 3
 	}
 	return 0
-}
-
-func waitJob(api, id string, secs int) (*coordinator.JobStatus, error) {
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?wait=%d", api, id, secs))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("wait: %s: %s", resp.Status, bytes.TrimSpace(data))
-	}
-	var st coordinator.JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // setLogLevel applies -log-level (debug, info, warn or error) to the

@@ -11,13 +11,10 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
 	"os"
 
 	"github.com/er-pi/erpi/internal/bugs"
@@ -114,16 +111,19 @@ func run() int {
 		return fail(err)
 	}
 
+	// One spec for both paths: -coordinator submits it, a local run
+	// explores exactly what it would have submitted.
+	spec := coordinator.JobSpec{
+		Bug:                *bugName,
+		Miscon:             *misconName,
+		Mode:               *mode,
+		Seed:               *seed,
+		FuzzGenerationSize: *fuzzGen,
+		MaxInterleavings:   *capN,
+		StopOnViolation:    !*verbose,
+	}
 	if *coordURL != "" && !*list {
-		return submitRemote(*coordURL, coordinator.JobSpec{
-			Bug:                *bugName,
-			Miscon:             *misconName,
-			Mode:               *mode,
-			Seed:               *seed,
-			FuzzGenerationSize: *fuzzGen,
-			MaxInterleavings:   *capN,
-			StopOnViolation:    !*verbose,
-		}, fail)
+		return submitRemote(*coordURL, spec, fail)
 	}
 
 	if *list {
@@ -137,61 +137,20 @@ func run() int {
 		}
 		return 0
 	}
-
-	var (
-		scenario runner.Scenario
-		asserts  []runner.Assertion
-		err      error
-		label    string
-	)
-	switch {
-	case *bugName != "":
-		b, ok := bugs.ByName(*bugName)
-		if !ok {
-			return fail(fmt.Errorf("unknown bug %q (try -list)", *bugName))
-		}
-		label = b.Name
-		scenario, err = b.Build()
-		if err != nil {
-			return fail(err)
-		}
-		asserts, err = b.NewAssertions()
-		if err != nil {
-			return fail(err)
-		}
-	case *misconName != "":
-		var found *miscon.Scenario
-		for _, sc := range miscon.All() {
-			if sc.Name() == *misconName {
-				found = sc
-				break
-			}
-		}
-		if found == nil {
-			return fail(fmt.Errorf("unknown misconception scenario %q (try -list)", *misconName))
-		}
-		label = found.Name()
-		scenario, err = found.Build()
-		if err != nil {
-			return fail(err)
-		}
-		asserts = found.NewAssertions()
-	default:
+	if *bugName == "" && *misconName == "" {
 		flag.Usage()
 		return 2
 	}
 
-	cfg := runner.Config{
-		Mode:               runner.Mode(*mode),
-		Seed:               *seed,
-		FuzzGenerationSize: *fuzzGen,
-		MaxInterleavings:   *capN,
-		Workers:            *workers,
-		LiveWorkers:        *liveN,
-		StopOnViolation:    !*verbose,
-		Assertions:         asserts,
-		ForensicDir:        *forensicD,
+	scenario, asserts, err := spec.Build()
+	if err != nil {
+		return fail(fmt.Errorf("%w (try -list)", err))
 	}
+	cfg := spec.Config()
+	cfg.Workers = *workers
+	cfg.LiveWorkers = *liveN
+	cfg.Assertions = asserts
+	cfg.ForensicDir = *forensicD
 	if *session != "" {
 		dir, err := checkpoint.Open(*session)
 		if err != nil {
@@ -216,7 +175,7 @@ func run() int {
 	}
 
 	fmt.Printf("%s: %d events, mode=%s, explored %d interleavings in %v\n",
-		label, scenario.Log.Len(), res.Mode, res.Explored, res.Duration.Round(1000))
+		scenario.Name, scenario.Log.Len(), res.Mode, res.Explored, res.Duration.Round(1000))
 	if res.Resumed > 0 {
 		fmt.Printf("resumed past %d journaled interleavings\n", res.Resumed)
 	}
@@ -263,32 +222,13 @@ func run() int {
 // job to completion, mapping its terminal status onto erpi's usual exit
 // codes (0 = reproduced / detected, 3 = not reproduced).
 func submitRemote(api string, spec coordinator.JobSpec, fail func(error) int) int {
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(api+"/jobs", "application/json", bytes.NewReader(body))
+	st, err := coordinator.SubmitJob(api, spec)
 	if err != nil {
-		return fail(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fail(fmt.Errorf("coordinator: %s: %s", resp.Status, bytes.TrimSpace(data)))
-	}
-	var st coordinator.JobStatus
-	if err := json.Unmarshal(data, &st); err != nil {
 		return fail(err)
 	}
 	fmt.Printf("submitted %s (%s) to %s\n", st.ID, st.Label, api)
 	for st.State == coordinator.StateRunning {
-		resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?wait=30", api, st.ID))
-		if err != nil {
-			return fail(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fail(fmt.Errorf("coordinator: %s: %s", resp.Status, bytes.TrimSpace(data)))
-		}
-		if err := json.Unmarshal(data, &st); err != nil {
+		if st, err = coordinator.WaitJob(api, st.ID, 30); err != nil {
 			return fail(err)
 		}
 		fmt.Printf("%s: %s, explored %d (leased %d, pending %d)\n",

@@ -319,8 +319,8 @@ func WithSubsumption(bytes int64) Option {
 // Render a bundle with `erpi explain <bundle.json>`. Capture re-executes
 // the violating interleaving after the fact — the exploration hot path is
 // untouched, so results and determinism pins are identical with or
-// without it. At most MaxForensicBundles (default 8) are written per run;
-// paths appear in Result.Bundles.
+// without it. At most 8 bundles (DefaultMaxForensicBundles in the runner)
+// are written per run; paths appear in Result.Bundles.
 func WithForensics(dir string) Option {
 	return func(s *Session) { s.cfg.ForensicDir = dir }
 }
@@ -372,9 +372,10 @@ func WithFaults(schedule FaultSchedule) Option {
 
 // WithDeadline bounds the whole exploration: when it expires the run
 // returns promptly with the partial Result (Result.Interrupted set) rather
-// than hanging or discarding progress.
+// than hanging or discarding progress: End runs under a context with this
+// timeout.
 func WithDeadline(d time.Duration) Option {
-	return func(s *Session) { s.cfg.Deadline = d }
+	return func(s *Session) { s.deadline = d }
 }
 
 // WithRetries sets how many times a failing interleaving is retried (with
@@ -402,8 +403,8 @@ func WithConstraintsDir(dir string) Option {
 // interleaving under dir, so an interrupted End resumes after the last
 // record, with the indices, violations and FirstViolation of an
 // uninterrupted run (paper §4.2). A directory recorded for another event
-// log is refused. The directory is created on first use; errors surface
-// from End.
+// log, mode, seed, pruning or fault schedule is refused. The directory is
+// created on first use; errors surface from End.
 func WithJournal(dir string) Option {
 	return func(s *Session) { s.journalDir = dir }
 }
@@ -424,6 +425,7 @@ type Session struct {
 	pruning    PruneConfig
 	cfg        RunConfig
 	journalDir string
+	deadline   time.Duration
 	rec        *Recorder
 	statusAddr string
 	status     *StatusServer
@@ -500,7 +502,13 @@ func (s *Session) End(assertions ...Assertion) (*Result, error) {
 		// the run is over, whatever the outcome.
 		defer dir.Close()
 	}
-	return runner.Run(Scenario{
+	ctx := context.Background()
+	if s.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.deadline)
+		defer cancel()
+	}
+	return runner.RunContext(ctx, Scenario{
 		Name:       s.name,
 		Log:        log,
 		NewCluster: s.newCluster,

@@ -1,6 +1,7 @@
 package erpi_test
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"path/filepath"
@@ -320,6 +321,33 @@ func TestSessionJournalResume(t *testing.T) {
 	}
 	if second.Resumed != 5 {
 		t.Fatalf("second run resumed %d, want 5", second.Resumed)
+	}
+}
+
+// TestSessionDeadline: End runs under WithDeadline's timeout and returns
+// the partial Result with Interrupted set once it passes.
+func TestSessionDeadline(t *testing.T) {
+	sess, err := erpi.NewSession(newTwoReplicaCluster, erpi.WithDeadline(time.Nanosecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := sess.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Update("A", "add", "x")
+	rec.Update("B", "add", "y")
+	rec.SyncPair("A", "B")
+	rec.SyncPair("B", "A")
+	res, err := sess.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Interrupted || !errors.Is(res.InterruptErr, context.DeadlineExceeded) {
+		t.Fatalf("Interrupted = %v, InterruptErr = %v; want the deadline's interruption", res.Interrupted, res.InterruptErr)
+	}
+	if res.Explored >= 24 {
+		t.Fatalf("explored all %d interleavings past the deadline", res.Explored)
 	}
 }
 

@@ -124,24 +124,29 @@ func Open(path string) (*Dir, error) {
 // Path returns the directory path.
 func (d *Dir) Path() string { return d.path }
 
-// SaveLog persists the recorded event log. A directory that already holds
-// a different one belongs to another session and is refused, before
-// anything is written: its records would be read back against the wrong
-// events.
+// SaveLog persists the recorded event log (Claim of events.json).
 func (d *Dir) SaveLog(log *event.Log) error {
-	data, err := json.MarshalIndent(log.Events(), "", "  ")
+	return d.Claim("events.json", log.Events())
+}
+
+// Claim persists v as indented JSON under name, for what the records are
+// read back against: the event log, the enumeration. A directory whose
+// name holds something else belongs to another session and is refused,
+// before anything is written.
+func (d *Dir) Claim(name string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("checkpoint: marshal log: %w", err)
+		return fmt.Errorf("checkpoint: marshal %s: %w", name, err)
 	}
-	switch old, err := os.ReadFile(filepath.Join(d.path, "events.json")); {
+	switch old, err := os.ReadFile(filepath.Join(d.path, name)); {
 	case err == nil && bytes.Equal(old, data):
 		return nil
 	case err == nil:
-		return fmt.Errorf("checkpoint: %s holds another session's event log", d.path)
+		return fmt.Errorf("checkpoint: %s holds another session's %s", d.path, name)
 	case !os.IsNotExist(err):
-		return fmt.Errorf("checkpoint: read log: %w", err)
+		return fmt.Errorf("checkpoint: read %s: %w", name, err)
 	}
-	return d.writeFile("events.json", data)
+	return d.writeFile(name, data)
 }
 
 // LoadLog restores a recorded event log.

@@ -1,7 +1,10 @@
 package coordinator
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -21,6 +24,54 @@ func (s *Service) APIHandler() http.Handler {
 	mux.HandleFunc("/jobs", s.handleJobs)
 	mux.HandleFunc("/jobs/", s.handleJob)
 	return mux
+}
+
+// SubmitJob posts spec to the jobs API under api (a status server's base
+// URL, e.g. http://127.0.0.1:8080) and returns the new job's status. A
+// spec the service refuses comes back as an error with the service's text.
+// erpi -coordinator and erpi-coordinator submit share it.
+func SubmitJob(api string, spec JobSpec) (*JobStatus, error) {
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post(api+"/jobs", "application/json", bytes.NewReader(body))
+	return readStatus(resp, err, http.StatusCreated)
+}
+
+// WaitJob returns job id's status from the jobs API under api, once the
+// job is terminal or after secs seconds, whichever comes first.
+func WaitJob(api, id string, secs int) (*JobStatus, error) {
+	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?wait=%d", api, id, secs))
+	return readStatus(resp, err, http.StatusOK)
+}
+
+// readStatus decodes a jobs-API reply into a JobStatus, or into an error
+// naming the HTTP status and the service's text when the reply is not the
+// wanted code.
+func readStatus(resp *http.Response, err error, want int) (*JobStatus, error) {
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != want {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if json.Unmarshal(data, &e) != nil || e.Error == "" {
+			e.Error = string(bytes.TrimSpace(data))
+		}
+		return nil, fmt.Errorf("coordinator: %s: %s", resp.Status, e.Error)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, err
+	}
+	return &st, nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -98,5 +99,48 @@ func TestJobsAPI(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("?wait blocked on an already-terminal job")
+	}
+}
+
+// TestJobsAPIClient drives the one jobs-API client, which erpi
+// -coordinator and erpi-coordinator submit both call, against APIHandler:
+// a submit returns the job's status, a refused spec comes back with the
+// service's text, and WaitJob returns the terminal status with its digest.
+func TestJobsAPIClient(t *testing.T) {
+	svc := startService(t, Options{LeaseTTL: 500 * time.Millisecond})
+	srv := httptest.NewServer(svc.APIHandler())
+	defer srv.Close()
+
+	_, err := SubmitJob(srv.URL, JobSpec{Bug: "Roshi-1", Miscon: "CRDTs#4"})
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "exactly one of bug or miscon") {
+		t.Fatalf("a spec naming a bug and a miscon: err = %v, want the service's 400 text", err)
+	}
+
+	spec := testSpec()
+	st, err := SubmitJob(srv.URL, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID == "" || st.State != StateRunning || st.Label != "Roshi-1" || st.Spec.MaxInterleavings != spec.MaxInterleavings {
+		t.Fatalf("submitted status = %+v", st)
+	}
+	worked := make(chan error, 1)
+	go func() {
+		worked <- RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w1", Job: st.ID, Once: true})
+	}()
+	final, err := WaitJob(srv.URL, st.ID, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-worked; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	wantDigest, wantExplored := sequentialBaseline(t, spec)
+	if final.State != StateDone || final.Digest != wantDigest || final.Explored != wantExplored {
+		t.Fatalf("waited status: %s, digest %q, %d explored; want done, %q, %d",
+			final.State, final.Digest, final.Explored, wantDigest, wantExplored)
+	}
+	if _, err := WaitJob(srv.URL, "nope", 1); err == nil || !strings.Contains(err.Error(), "no such job") {
+		t.Fatalf("waiting on an unknown job: %v", err)
 	}
 }

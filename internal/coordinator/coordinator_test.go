@@ -26,7 +26,7 @@ func testSpec() JobSpec {
 // every distributed run is pinned against.
 func sequentialBaseline(t *testing.T, spec JobSpec) (string, int) {
 	t.Helper()
-	scenario, _, err := spec.build()
+	scenario, _, err := spec.Build()
 	if err != nil {
 		t.Fatalf("build scenario: %v", err)
 	}
@@ -521,12 +521,12 @@ func TestSpecValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		spec := c.spec
-		if err := spec.validate(); err == nil {
-			t.Errorf("%s: validate accepted %+v", c.name, c.spec)
+		if _, _, err := spec.Build(); err == nil {
+			t.Errorf("%s: Build accepted %+v", c.name, c.spec)
 		}
 	}
 	good := JobSpec{Bug: "Roshi-1"}
-	if err := good.validate(); err != nil {
+	if _, _, err := good.Build(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	if good.Mode != string(runner.ModeERPi) {
@@ -535,7 +535,7 @@ func TestSpecValidation(t *testing.T) {
 	// ModeFuzz distributes by generation since the generation-batched
 	// fuzzer landed; the spec must validate.
 	fz := JobSpec{Bug: "Roshi-1", Mode: "fuzz", FuzzGenerationSize: 16}
-	if err := fz.validate(); err != nil {
+	if _, _, err := fz.Build(); err != nil {
 		t.Fatalf("fuzz spec rejected: %v", err)
 	}
 }

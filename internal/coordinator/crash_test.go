@@ -89,14 +89,18 @@ func TestAggregatorCrashOrder(t *testing.T) {
 	}
 	// The worker commits a range only once the previous one is aggregated,
 	// so every range is a batch of its own and "the nth batch" is the same
-	// place in every run.
+	// place in every run. finishBatch wakes the job after it lowers
+	// parkedN, so the hook waits on the wake it read under j.mu.
 	finish := func(t *testing.T, svc *Service, j *Job) JobStatus {
 		err := RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w", Once: true, BeforeCommit: func(int) {
-			for parked := 1; parked > 0; time.Sleep(100 * time.Microsecond) {
-				j.mu.Lock()
-				parked = j.parkedN
+			j.mu.Lock()
+			for j.parkedN > 0 {
+				wake := j.wake
 				j.mu.Unlock()
+				<-wake
+				j.mu.Lock()
 			}
+			j.mu.Unlock()
 		}})
 		if err != nil {
 			t.Fatalf("worker: %v", err)

@@ -121,7 +121,7 @@ func driverCases() []driverCase {
 // shape and reduces the Result to the shared view.
 func runInProcess(t *testing.T, c driverCase, workers, liveWorkers int) (ledgerView, *runner.Result) {
 	t.Helper()
-	s, asserts, err := c.spec.build()
+	s, asserts, err := c.spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDriversShareOneLedger(t *testing.T) {
 // happens does not depend on which avoidance layers are on. It runs at
 // Workers 1, where the subsumed set is deterministic.
 func TestRePruneSkipsSubsumedBoundary(t *testing.T) {
-	s, _, err := (&JobSpec{Bug: "Roshi-1"}).build()
+	s, _, err := (&JobSpec{Bug: "Roshi-1"}).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,10 +233,7 @@ const (
 // exist in the new ledger and get re-carved and re-executed from the
 // explorer, under the indices they had.
 func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.Duration, tel *svcTel) (*Job, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	scenario, asserts, err := spec.build()
+	scenario, asserts, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -280,10 +277,8 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		return j, nil
 	}
 
-	if err := journal.SaveLog(scenario.Log); err != nil {
-		return nil, err
-	}
-	j.explorer, err = runner.NewExplorer(scenario, spec.exploreConfig())
+	cfg := spec.Config()
+	j.explorer, err = runner.NewExplorer(scenario, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -291,9 +286,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	// violating interleaving is re-executed locally for its forensic
 	// bundle (DESIGN.md §4.13), which lands under the job's journal
 	// directory.
-	cfg := spec.execConfig()
 	cfg.Assertions = asserts
-	cfg.StopOnViolation = spec.StopOnViolation
 	cfg.ForensicDir = filepath.Join(dir, "forensics")
 	cfg.Journal = journal
 	// The service registry counts what the ledger decides — violations,
@@ -302,7 +295,8 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	j.ledger = runner.NewLedger(scenario, cfg, j.explorer, j.res)
 	// The records are what an earlier session committed: their digest
 	// contributions and violations survive a coordinator restart without
-	// re-executing anything, and carving numbers on after them.
+	// re-executing anything, and carving numbers on after them. A journal
+	// recorded for another event log or enumeration is refused here.
 	recs, err := j.ledger.Resume()
 	if err != nil {
 		return nil, err

@@ -178,20 +178,22 @@ func TestMalformedCommitIsRejectedNotHalfApplied(t *testing.T) {
 
 // TestProtocolVersionMismatch, coordinator side: a hello of another
 // version — a newer one, or version 2, whose welcome still carried a
-// lock-server address — is refused with an error naming both versions,
+// lock-server address, or version 3, whose spec still had a Subsumption
+// switch — is refused with an error naming both versions,
 // whatever follows the version in it.
 func TestProtocolVersionMismatch(t *testing.T) {
 	svc := startService(t, Options{})
 	for _, body := range [][]byte{
 		appendFrame(nil, &frame{Type: msgHello, Version: protocolVersion + 1, Worker: "from-the-future"}),
 		appendFrame(nil, &frame{Type: msgHello, Version: 2, Worker: "stale"}),
+		appendFrame(nil, &frame{Type: msgHello, Version: 3, Worker: "stale-spec"}),
 		{msgHello, 1, 0xff, 0xff}, // not even this version's grammar after the version
 	} {
 		reply := dialRaw(t, svc.Addr()).sendBody(body)
 		if reply.Type != msgError || reply.Code != errCodeVersion {
 			t.Fatalf("hello %x answered %q code %d (%s), want a version refusal", body, reply.Type, reply.Code, reply.Err)
 		}
-		for _, want := range []string{"peer speaks version", "this side version 3"} {
+		for _, want := range []string{"peer speaks version", "this side version 4"} {
 			if !strings.Contains(reply.Err, want) {
 				t.Fatalf("refusal %q does not say %q", reply.Err, want)
 			}

@@ -47,24 +47,26 @@ type JobSpec struct {
 	// (runner.Config semantics; 0 retries means the default of 1).
 	MaxRetries            int   `json:"max_retries,omitempty"`
 	InterleavingTimeoutMs int64 `json:"interleaving_timeout_ms,omitempty"`
-	// Subsumption enables state-subsumption pruning on every worker: each
-	// worker process keeps a private visited-frontier table and reports
-	// skipped interleavings as subsumed (no outcome, no digest entry).
-	// Lexicographic modes only — the runner silently ignores it for rand.
-	Subsumption bool `json:"subsumption,omitempty"`
-	// SubsumptionTableBytes bounds each worker's table (0 with Subsumption
-	// set uses DefaultSubsumptionTableBytes).
+	// SubsumptionTableBytes, when > 0, enables state-subsumption pruning
+	// on every worker and bounds each worker's table (runner.Config's
+	// SubsumptionTable): each worker process keeps a private
+	// visited-frontier table and reports skipped interleavings as subsumed
+	// (no outcome, no digest entry). Lexicographic modes only — the runner
+	// ignores it for rand and fuzz.
 	SubsumptionTableBytes int64 `json:"subsumption_table_bytes,omitempty"`
 }
 
-// DefaultSubsumptionTableBytes is the per-worker subsumption table budget
-// when a spec enables Subsumption without sizing it.
-const DefaultSubsumptionTableBytes int64 = 16 << 20
-
-// validate rejects specs the service cannot honor.
-func (sp *JobSpec) validate() error {
+// Build validates the spec — exactly one of bug or miscon, a known mode
+// (an empty one becomes erpi) — and resolves its named workload into the
+// scenario and fresh assertion instances. Every front end calls it: the
+// coordinator for enumeration and assertion checking, each worker for
+// execution (assertions are checked only on the coordinator, in
+// aggregation order, so stateful detectors see the exact sequential
+// outcome sequence), and erpi for a local run of the spec it would
+// otherwise submit.
+func (sp *JobSpec) Build() (runner.Scenario, []runner.Assertion, error) {
 	if (sp.Bug == "") == (sp.Miscon == "") {
-		return fmt.Errorf("coordinator: spec must name exactly one of bug or miscon")
+		return runner.Scenario{}, nil, fmt.Errorf("coordinator: spec must name exactly one of bug or miscon")
 	}
 	if sp.Mode == "" {
 		sp.Mode = string(runner.ModeERPi)
@@ -72,77 +74,43 @@ func (sp *JobSpec) validate() error {
 	switch runner.Mode(sp.Mode) {
 	case runner.ModeERPi, runner.ModeDFS, runner.ModeRand, runner.ModeFuzz:
 	default:
-		return fmt.Errorf("coordinator: unknown mode %q", sp.Mode)
+		return runner.Scenario{}, nil, fmt.Errorf("coordinator: unknown mode %q", sp.Mode)
 	}
-	return nil
-}
-
-// build resolves the named workload into the scenario and fresh assertion
-// instances. Both sides call it: the coordinator for enumeration and
-// assertion checking, each worker for execution (assertions are checked
-// only on the coordinator, in aggregation order, so stateful detectors see
-// the exact sequential outcome sequence).
-func (sp *JobSpec) build() (runner.Scenario, []runner.Assertion, error) {
 	if sp.Bug != "" {
 		b, ok := bugs.ByName(sp.Bug)
 		if !ok {
 			return runner.Scenario{}, nil, fmt.Errorf("coordinator: unknown bug %q", sp.Bug)
 		}
-		s, err := b.Build()
-		if err != nil {
-			return runner.Scenario{}, nil, err
-		}
 		asserts, err := b.NewAssertions()
 		if err != nil {
 			return runner.Scenario{}, nil, err
 		}
-		return s, asserts, nil
+		s, err := b.Build()
+		return s, asserts, err
 	}
 	for _, sc := range miscon.All() {
 		if sc.Name() == sp.Miscon {
 			s, err := sc.Build()
-			if err != nil {
-				return runner.Scenario{}, nil, err
-			}
-			return s, sc.NewAssertions(), nil
+			return s, sc.NewAssertions(), err
 		}
 	}
 	return runner.Scenario{}, nil, fmt.Errorf("coordinator: unknown misconception %q", sp.Miscon)
 }
 
-// Build resolves the spec's named workload into its scenario and fresh
-// assertion instances — the exported face of build for benchmarks and
-// external drivers that need the same scenario the cluster runs.
-func (sp *JobSpec) Build() (runner.Scenario, []runner.Assertion, error) {
-	return sp.build()
-}
-
-// execConfig is the runner.Config a worker's Executor runs under. Only
-// execution-relevant fields are set; enumeration fields live on the
-// coordinator.
-func (sp *JobSpec) execConfig() runner.Config {
-	cfg := runner.Config{
+// Config is the one mapping of the spec onto runner.Config. The
+// coordinator builds its explorer and ledger from it, each worker its
+// executor, and erpi its local run; each ignores the fields it does not
+// honor. RangeSize is the service's alone.
+func (sp *JobSpec) Config() runner.Config {
+	return runner.Config{
 		Mode:                runner.Mode(sp.Mode),
 		Seed:                sp.Seed,
+		FuzzGenerationSize:  sp.FuzzGenerationSize,
+		MaxInterleavings:    sp.MaxInterleavings,
+		StopOnViolation:     sp.StopOnViolation,
 		MaxRetries:          sp.MaxRetries,
 		InterleavingTimeout: time.Duration(sp.InterleavingTimeoutMs) * time.Millisecond,
-	}
-	if sp.Subsumption {
-		cfg.SubsumptionTable = sp.SubsumptionTableBytes
-		if cfg.SubsumptionTable <= 0 {
-			cfg.SubsumptionTable = DefaultSubsumptionTableBytes
-		}
-	}
-	return cfg
-}
-
-// exploreConfig is the runner.Config the coordinator's explorer is built
-// from (mode + seed drive enumeration; pruning comes from the scenario).
-func (sp *JobSpec) exploreConfig() runner.Config {
-	return runner.Config{
-		Mode:               runner.Mode(sp.Mode),
-		Seed:               sp.Seed,
-		FuzzGenerationSize: sp.FuzzGenerationSize,
+		SubsumptionTable:    sp.SubsumptionTableBytes,
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 // reflection, so adding a field without extending the fixture fails), and
 // the JSON round trip must reproduce it exactly — a field missing its json
 // tag, or tagged "-", deserializes to zero and breaks DeepEqual. This is
-// the test that failed before Subsumption/SubsumptionTableBytes were wired
+// the test that failed before SubsumptionTableBytes was wired
 // through spec.go, and it fails again the next time a Config knob is added
 // without wire coverage.
 func TestJobSpecWireRoundTrip(t *testing.T) {
 	fixture := JobSpec{
 		Bug:                   "Roshi-1",
-		Miscon:                "CRDTs#4", // mutually exclusive with Bug for validate, fine on the wire
+		Miscon:                "CRDTs#4", // mutually exclusive with Bug for Build, fine on the wire
 		Mode:                  "dfs",
 		Seed:                  42,
 		FuzzGenerationSize:    16,
@@ -33,7 +33,6 @@ func TestJobSpecWireRoundTrip(t *testing.T) {
 		StopOnViolation:       true,
 		MaxRetries:            3,
 		InterleavingTimeoutMs: 250,
-		Subsumption:           true,
 		SubsumptionTableBytes: 1 << 20,
 	}
 
@@ -64,14 +63,14 @@ func TestJobSpecWireRoundTrip(t *testing.T) {
 
 // TestRunnerConfigDistributionCoverage forces a decision whenever
 // runner.Config grows a field: every field must be categorized as either
-// honored by workers (execConfig must set it from a JobSpec field),
+// honored by workers (JobSpec.Config must set it from a JobSpec field),
 // owned by the coordinator side (enumeration/aggregation), or deliberately
 // not distributed. An uncategorized field fails the test, so a new
 // exploration knob cannot silently default to "workers ignore it" the way
 // SubsumptionTable briefly did.
 func TestRunnerConfigDistributionCoverage(t *testing.T) {
 	honoredByWorker := map[string]bool{
-		// Set by JobSpec.execConfig; changing these changes what each
+		// Set by JobSpec.Config; changing these changes what each
 		// worker executes, so they MUST travel on the wire.
 		"Mode":                true,
 		"Seed":                true,
@@ -82,8 +81,8 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 	coordinatorSide := map[string]bool{
 		// Enumeration and aggregation happen on the coordinator; workers
 		// never see these.
-		"MaxInterleavings": true, // carve-time cap
-		"StopOnViolation":  true, // assertions checked in aggregation order
+		"MaxInterleavings": true, // carve-time cap (JobSpec.Config)
+		"StopOnViolation":  true, // assertions checked in aggregation order (JobSpec.Config)
 		"Assertions":       true,
 		"OnOutcome":        true, // digest/violation aggregation
 		"Journal":          true, // the record log, owned by the job
@@ -91,11 +90,10 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		// Forensic bundles are captured on the coordinator's aggregation
 		// path (the job's runner.Ledger re-executes locally), never by
 		// workers — violations are only known after aggregation.
-		"ForensicDir":        true,
-		"MaxForensicBundles": true,
+		"ForensicDir": true,
 		// Fuzz generations are carved, classified, and evolved on the
-		// coordinator (JobSpec.FuzzGenerationSize → exploreConfig); workers
-		// just execute the leased children.
+		// coordinator (JobSpec.FuzzGenerationSize → JobSpec.Config);
+		// workers just execute the leased children.
 		"FuzzGenerationSize": true,
 	}
 	notDistributed := map[string]bool{
@@ -107,7 +105,6 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"Store":            true, // datalog budget experiment, local only
 		"ConstraintPoll":   true, // dynamic re-pruning is coordinator-local
 		"PollEvery":        true,
-		"Deadline":         true, // job lifetime is lease-managed instead
 		"RetryBackoff":     true, // workers use the runner default
 		"Faults":           true, // fault schedules not distributed
 		"PrefixCacheBytes": true, // per-worker accelerator, not spec-driven
@@ -126,7 +123,7 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		case 1:
 		case 0:
 			t.Errorf("runner.Config.%s is uncategorized: decide whether workers honor it "+
-				"(add a JobSpec field + execConfig wiring), the coordinator owns it, or it is "+
+				"(add a JobSpec field + JobSpec.Config wiring), the coordinator owns it, or it is "+
 				"deliberately not distributed — then record it here", name)
 		default:
 			t.Errorf("runner.Config.%s appears in %d categories, want exactly 1", name, n)
@@ -141,7 +138,7 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 // the signature set instead.)
 func sequentialSignatureSet(t *testing.T, spec JobSpec) []string {
 	t.Helper()
-	scenario, _, err := spec.build()
+	scenario, _, err := spec.Build()
 	if err != nil {
 		t.Fatalf("build scenario: %v", err)
 	}
@@ -178,7 +175,7 @@ func TestDistributedSubsumptionParity(t *testing.T) {
 	wantSigs := sequentialSignatureSet(t, baseline)
 
 	spec := testSpec()
-	spec.Subsumption = true
+	spec.SubsumptionTableBytes = 16 << 20
 
 	root := t.TempDir()
 	reg := telemetry.New()
@@ -277,7 +274,7 @@ func TestResumeReplaysSubsumedLines(t *testing.T) {
 	_, wantExplored := sequentialBaseline(t, baseline)
 
 	spec := testSpec()
-	spec.Subsumption = true
+	spec.SubsumptionTableBytes = 16 << 20
 
 	root := t.TempDir()
 	svc := startService(t, Options{JournalRoot: root, LeaseTTL: 300 * time.Millisecond})

@@ -40,8 +40,9 @@ import (
 // self-describing, so two builds that disagree on them must find out at
 // the handshake and not from a decode error mid-job. Version 1 was the
 // JSON-lines protocol, which carried no version; version 2's welcome also
-// carried a lock-server address for per-range leases.
-const protocolVersion = 3
+// carried a lock-server address for per-range leases; version 3's spec
+// still had a Subsumption switch next to SubsumptionTableBytes.
+const protocolVersion = 4
 
 // ErrProtocolVersion is what RunWorker returns when the coordinator
 // refused its hello because the two speak different protocol versions —

@@ -55,7 +55,7 @@ func sampleFrames() map[string]*frame {
 		"fenced":       {Type: msgFenced},
 		"error":        {Type: msgError, Err: "commit for range 3 has 2 results, want 8"},
 		"error-version": {Type: msgError, Code: errCodeVersion,
-			Err: "coordinator: protocol version mismatch: peer speaks version 4, this side version 3"},
+			Err: "coordinator: protocol version mismatch: peer speaks version 5, this side version 4"},
 	}
 }
 
@@ -131,8 +131,8 @@ func TestFrameStrictness(t *testing.T) {
 		{"grant larger than its frame", []byte{msgRange, 1, 1, 1, 5, 5, 1, 2, 3, 4, 5}, "grant of 5 × 5"},
 		{"range id beyond int", append([]byte{msgHeartbeat}, uv(1<<63)+uv(1)...), "overflows int"},
 		{"unknown error code", []byte{msgError, 2, 0}, "unknown error code 2"},
-		{"hello of another version", appendFrame(nil, &frame{Type: msgHello, Version: protocolVersion + 1, Worker: "w"}), "peer speaks version 4, this side version 3"},
-		{"hello of version 2, whose welcome named a lock server", appendFrame(nil, &frame{Type: msgHello, Version: 2, Worker: "w"}), "peer speaks version 2, this side version 3"},
+		{"hello of another version", appendFrame(nil, &frame{Type: msgHello, Version: protocolVersion + 1, Worker: "w"}), "peer speaks version 5, this side version 4"},
+		{"hello of version 2, whose welcome named a lock server", appendFrame(nil, &frame{Type: msgHello, Version: 2, Worker: "w"}), "peer speaks version 2, this side version 4"},
 		{"hello of an older grammar", []byte{msgHello, 1, '{', '"'}, "peer speaks version 1"},
 	}
 	for _, c := range cases {

@@ -227,11 +227,11 @@ func (w *worker) serveOnce(ctx context.Context) error {
 	if err := json.Unmarshal([]byte(welcome.Spec), &spec); err != nil {
 		return fmt.Errorf("coordinator: welcome carries no usable spec: %w", err)
 	}
-	scenario, _, err := spec.build()
+	scenario, _, err := spec.Build()
 	if err != nil {
 		return err
 	}
-	cfg := spec.execConfig()
+	cfg := spec.Config()
 	cfg.Telemetry = w.o.Telemetry
 	exec, err := runner.NewExecutor(scenario, cfg)
 	if err != nil {

@@ -239,12 +239,14 @@ func slowScenario(t *testing.T, delay time.Duration) Scenario {
 	return s
 }
 
-// TestRunDeadline: Config.Deadline bounds the whole exploration; the run
-// returns the partial result once it expires.
+// TestRunDeadline: RunContext's context bounds the whole exploration; the
+// run returns the partial result once its deadline passes.
 func TestRunDeadline(t *testing.T) {
 	s := slowScenario(t, 5*time.Millisecond)
 	start := time.Now()
-	res, err := Run(s, Config{Mode: ModeDFS, Deadline: 60 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
+	defer cancel()
+	res, err := RunContext(ctx, s, Config{Mode: ModeDFS})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,8 @@ import (
 // untouched. Replay is deterministic, so the re-execution reproduces the
 // violating outcome exactly.
 
-// DefaultMaxForensicBundles caps bundles written per run when
-// Config.MaxForensicBundles is zero.
+// DefaultMaxForensicBundles caps the bundles written per run: forensics
+// are a diagnostic artifact, not an exhaustive violation archive.
 const DefaultMaxForensicBundles = 8
 
 // BuildBundle re-executes one interleaving of the scenario with per-step
@@ -166,18 +166,14 @@ func captureStep(cl *replica.Cluster, il interleave.Interleaving, pos int, full 
 
 // captureForensic is the ledger's violation hook: write a bundle for one
 // violating interleaving under cfg.ForensicDir, bounded by
-// cfg.MaxForensicBundles. It runs in index order on the ledger's
+// DefaultMaxForensicBundles. It runs in index order on the ledger's
 // goroutine, so bundle numbering is deterministic. Failures are logged,
 // never fatal — forensics must not take down the run they are diagnosing.
 func (l *Ledger) captureForensic(il interleave.Interleaving, index int, violations []Violation) {
 	if l.cfg.ForensicDir == "" {
 		return
 	}
-	maxBundles := l.cfg.MaxForensicBundles
-	if maxBundles <= 0 {
-		maxBundles = DefaultMaxForensicBundles
-	}
-	if len(l.res.Bundles) >= maxBundles {
+	if len(l.res.Bundles) >= DefaultMaxForensicBundles {
 		return
 	}
 	recs := make([]forensics.Violation, 0, len(violations))

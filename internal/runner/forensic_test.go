@@ -98,19 +98,18 @@ func TestForensicBundleCap(t *testing.T) {
 	s := townReportScenario(t)
 	dir := t.TempDir()
 	res, err := Run(s, Config{
-		Mode:               ModeERPi,
-		Assertions:         []Assertion{municipalityInvariant{}},
-		ForensicDir:        dir,
-		MaxForensicBundles: 2,
+		Mode:        ModeERPi,
+		Assertions:  []Assertion{municipalityInvariant{}},
+		ForensicDir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Violations) <= 2 {
+	if len(res.Violations) <= DefaultMaxForensicBundles {
 		t.Fatalf("want more violations than the cap, got %d", len(res.Violations))
 	}
-	if len(res.Bundles) != 2 {
-		t.Fatalf("bundles = %d, want capped at 2", len(res.Bundles))
+	if len(res.Bundles) != DefaultMaxForensicBundles {
+		t.Fatalf("bundles = %d, want capped at %d", len(res.Bundles), DefaultMaxForensicBundles)
 	}
 }
 

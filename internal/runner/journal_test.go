@@ -165,6 +165,32 @@ func TestJournalRefusesAnotherSession(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesAnotherSpec: a session directory also belongs to the
+// enumeration its indices were recorded under. Resuming an ER-π session
+// in DFS — which numbers the same event log another way — fails before
+// anything is written, and the directory keeps its records.
+func TestJournalRefusesAnotherSpec(t *testing.T) {
+	s := townReportScenario(t)
+	dir, err := checkpoint.Open(filepath.Join(t.TempDir(), "session"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(s, Config{Mode: ModeERPi, MaxInterleavings: 5, Journal: dir}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(s, Config{Mode: ModeDFS, Journal: dir})
+	if err == nil || !strings.HasPrefix(err.Error(), "checkpoint:") {
+		t.Fatalf("the ER-π session resumed in DFS: %+v, %v", res, err)
+	}
+	recs, err := dir.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 5 {
+		t.Fatalf("the refused session holds %d records, want 5", len(recs))
+	}
+}
+
 // TestJournalResumeFuzzReplaysSignatures: a resumed ModeFuzz session feeds
 // the fuzzer the recorded signature of every interleaving it skips, so a
 // run to cap 6 resumed to cap 20 evolves the corpus — and executes the

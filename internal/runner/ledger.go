@@ -8,7 +8,9 @@ import (
 
 	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/event"
+	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
+	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
@@ -45,9 +47,10 @@ type Ledger struct {
 }
 
 // NewLedger builds a ledger that accounts into res. Honored Config fields:
-// Assertions, OnOutcome, StopOnViolation, ForensicDir, MaxForensicBundles,
-// Journal and Telemetry, plus Mode, Seed and Faults for forensic
-// re-execution. explorer is the run's enumeration source; when it is a
+// Assertions, OnOutcome, StopOnViolation, ForensicDir, Journal and
+// Telemetry, plus Mode, Seed and Faults for forensic re-execution and,
+// with FuzzGenerationSize, the enumeration Resume claims the Journal for.
+// explorer is the run's enumeration source; when it is a
 // generation explorer (ModeFuzz) the ledger classifies every result with
 // it.
 func NewLedger(s Scenario, cfg Config, explorer interleave.Explorer, res *Result) *Ledger {
@@ -149,19 +152,27 @@ func (l *Ledger) check(index int, il interleave.Interleaving, outcome *Outcome) 
 	return added
 }
 
-// Resume reads an earlier session's records back from Config.Journal:
-// Resumed, Violations, FirstViolation, Quarantined and Subsumed come back
-// into the Result, and each record's key waits for Resumed to meet it
-// (in ModeFuzz, with its signature to replay). The records are indices
-// 1..n in order — what Record wrote — so the caller skips every
-// interleaving Resumed reports and numbers on from n+1, and a resumed
-// session's indices are those of an uninterrupted one. Stateful
+// Resume claims Config.Journal for this run's event log and enumeration —
+// one recorded under another of either is refused before anything is
+// written; the cap is free to change — and reads an earlier session's
+// records back from it: Resumed, Violations, FirstViolation, Quarantined
+// and Subsumed come back into the Result, and each record's key waits for
+// Resumed to meet it (in ModeFuzz, with its signature to replay). The
+// records are indices 1..n in order — what Record wrote — so the caller
+// skips every interleaving Resumed reports and numbers on from n+1, and a
+// resumed session's indices are those of an uninterrupted one. Stateful
 // assertions and OnOutcome do not see resumed results, and a fault-armed
 // ModeFuzz outcome replays as its signature (the record does not say it
 // was armed).
 func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 	if l.cfg.Journal == nil {
 		return nil, nil
+	}
+	if err := l.cfg.Journal.SaveLog(l.s.Log); err != nil {
+		return nil, err
+	}
+	if err := l.cfg.Journal.Claim("spec.json", enumerationOf(l.s, l.cfg)); err != nil {
+		return nil, err
 	}
 	recs, err := l.cfg.Journal.Records()
 	if err != nil {
@@ -250,4 +261,30 @@ func parseKey(key string) (interleave.Interleaving, error) {
 		il[i] = event.ID(id)
 	}
 	return il, nil
+}
+
+// enumeration is what decides which interleaving gets which index, as
+// Resume stores it next to the event log.
+type enumeration struct {
+	Mode               Mode            `json:"mode"`
+	Seed               int64           `json:"seed,omitempty"`
+	FuzzGenerationSize int             `json:"fuzz_generation_size,omitempty"`
+	Pruning            prune.Config    `json:"pruning"`
+	Faults             *fault.Schedule `json:"faults,omitempty"`
+}
+
+// enumerationOf keeps the Seed and FuzzGenerationSize only in the modes
+// they drive, and Faults only when they schedule any.
+func enumerationOf(s Scenario, cfg Config) enumeration {
+	e := enumeration{Mode: cfg.Mode, Pruning: s.Pruning}
+	if cfg.Mode == ModeRand || cfg.Mode == ModeFuzz {
+		e.Seed = cfg.Seed
+	}
+	if cfg.Mode == ModeFuzz {
+		e.FuzzGenerationSize = cfg.FuzzGenerationSize
+	}
+	if cfg.Faults != nil && len(cfg.Faults.Faults) > 0 {
+		e.Faults = cfg.Faults
+	}
+	return e
 }

@@ -212,13 +212,9 @@ type Config struct {
 	// reported again, and indices continue where the records end — so an
 	// interrupted exploration, resumed, explores and numbers exactly what
 	// an uninterrupted one does (paper §4.2: ER-π persists the
-	// interleavings). A directory recorded for another event log is
-	// refused.
+	// interleavings). One recorded for another event log, mode, seed,
+	// pruning or fault schedule is refused (Ledger.Resume).
 	Journal *checkpoint.Dir
-	// Deadline bounds the whole run's wall-clock time; when it expires
-	// the run stops promptly and returns the partial Result with
-	// Interrupted set (zero = unbounded).
-	Deadline time.Duration
 	// InterleavingTimeout bounds each execution attempt of a single
 	// interleaving; a timed-out attempt counts as an execution error and
 	// goes through the retry/quarantine path (zero = unbounded).
@@ -283,17 +279,13 @@ type Config struct {
 	// registry costs nothing on the hot path.
 	Telemetry *telemetry.Registry
 	// ForensicDir, when set, captures a forensic bundle for each violating
-	// interleaving (up to MaxForensicBundles) by re-executing it on a fresh
-	// cluster with per-step state capture, and writes the bundles there as
-	// JSON for `erpi explain` (DESIGN.md §4.13). Capture is post-hoc
-	// re-execution only: the exploration hot path is untouched, so results
-	// and determinism pins are identical with forensics on or off. Empty
-	// disables capture.
+	// interleaving (up to DefaultMaxForensicBundles) by re-executing it on
+	// a fresh cluster with per-step state capture, and writes the bundles
+	// there as JSON for `erpi explain` (DESIGN.md §4.13). Capture is
+	// post-hoc re-execution only: the exploration hot path is untouched, so
+	// results and determinism pins are identical with forensics on or off.
+	// Empty disables capture.
 	ForensicDir string
-	// MaxForensicBundles caps bundles written per run (default
-	// DefaultMaxForensicBundles; forensics are a diagnostic artifact, not
-	// an exhaustive violation archive).
-	MaxForensicBundles int
 }
 
 // DefaultMaxInterleavings is the paper's exploration cap.
@@ -344,7 +336,7 @@ type Result struct {
 	// yields partial results instead of aborting at the first error.
 	Quarantined []ExecError
 	// Interrupted reports that the run stopped early because the context
-	// was cancelled or Config.Deadline expired; the Result is the partial
+	// was cancelled or its deadline passed; the Result is the partial
 	// progress up to that point.
 	Interrupted bool
 	// InterruptErr holds the context error when Interrupted.
@@ -404,8 +396,8 @@ func Run(s Scenario, cfg Config) (*Result, error) {
 }
 
 // RunContext explores a scenario under the config, honoring ctx: when the
-// context is cancelled (or Config.Deadline expires) the run stops promptly
-// and returns the partial Result with Interrupted set, rather than an
+// context is cancelled or its deadline passes the run stops promptly and
+// returns the partial Result with Interrupted set, rather than an
 // error — exploration progress is never discarded.
 func RunContext(ctx context.Context, s Scenario, cfg Config) (*Result, error) {
 	return explore(ctx, s, cfg, defaultRunLen, defaultPrefixSnapshotEvery)
@@ -444,11 +436,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		// timing-sensitive gate semantics the live path exists to test.
 		workers = 1
 	}
-	if cfg.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
-		defer cancel()
-	}
 
 	tel := newRunTelemetry(cfg.Telemetry)
 	pruning := s.Pruning
@@ -465,9 +452,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		// The ledger installed this run's sync observer; the caller's later
 		// syncs of the same Dir are not this run's.
 		defer cfg.Journal.SetFsyncObserver(nil)
-		if err := cfg.Journal.SaveLog(s.Log); err != nil {
-			return nil, err
-		}
 		if _, err := ledger.Resume(); err != nil {
 			return nil, err
 		}
