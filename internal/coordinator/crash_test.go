@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/er-pi/erpi/internal/interleave"
+	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
@@ -177,10 +177,70 @@ func TestDoneMeansDurable(t *testing.T) {
 	}
 }
 
+// TestResumeAlreadyStopped: a StopOnViolation job whose record log holds
+// its violation while job.json still says running — the coordinator died
+// between the batch and the terminal manifest — reopens stopped. It carves
+// nothing, even for a worker that asks, and finishes done with what the
+// uninterrupted job reported.
+func TestResumeAlreadyStopped(t *testing.T) {
+	spec := JobSpec{Bug: "Roshi-1", Mode: "erpi", StopOnViolation: true, RangeSize: 16}
+	root := t.TempDir()
+	svc := startService(t, Options{JournalRoot: root, LeaseTTL: 500 * time.Millisecond})
+	j, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if err := RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w1", Once: true}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	want := waitDone(t, j)
+	if want.State != StateDone || want.FirstViolation == 0 || want.Explored != want.FirstViolation {
+		t.Fatalf("vacuous: the uninterrupted job ended %s with %d explored, first violation %d", want.State, want.Explored, want.FirstViolation)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, j.ID())
+	running, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := running.SaveJSON("job.json", jobManifest{ID: j.ID(), Spec: spec, State: StateRunning}); err != nil {
+		t.Fatal(err)
+	}
+	if err := running.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc = startService(t, Options{JournalRoot: root, LeaseTTL: 500 * time.Millisecond})
+	if err := svc.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	j, ok := svc.Job(j.ID())
+	if !ok || j.ledger == nil {
+		t.Fatalf("vacuous: the job did not reopen from its records")
+	}
+	if err := RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w2", Job: j.ID(), Once: true}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	got := waitDone(t, j)
+	j.mu.Lock()
+	carved := len(j.ranges)
+	j.mu.Unlock()
+	if carved != 0 || got.State != StateDone || got.Resumed != want.Explored {
+		t.Fatalf("reopened job carved %d ranges and ended %s, resuming %d of %d records", carved, got.State, got.Resumed, want.Explored)
+	}
+	if got.Explored != want.Explored || got.FirstViolation != want.FirstViolation || got.Digest != want.Digest ||
+		!reflect.DeepEqual(got.Violations, want.Violations) || got.Exhausted != want.Exhausted {
+		t.Fatalf("reopened job diverged:\n got  %+v\n want %+v", got, want)
+	}
+}
+
 // TestExploredNeverAheadOfDisk: a job counts a batch only once the record
 // log's clock has synced it, so all through a dist-sized job (two workers,
-// ranges of 32, a cap of 2 500) every Status().Explored is at most what a
-// fresh read of the job directory finds right after it.
+// ranges of 32, a cap of 2 500) the Explored the job reports after each
+// finished batch is at most what a fresh read of the job directory finds
+// right after it.
 func TestExploredNeverAheadOfDisk(t *testing.T) {
 	spec := JobSpec{Bug: "Roshi-3", Mode: "erpi", MaxInterleavings: 2500, RangeSize: 32}
 	root := t.TempDir()
@@ -193,31 +253,42 @@ func TestExploredNeverAheadOfDisk(t *testing.T) {
 		go func() { _ = RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: name, Once: true}) }()
 	}
 	dir := filepath.Join(root, j.ID())
-	deadline := time.Now().Add(60 * time.Second)
+	deadline := time.After(60 * time.Second)
 	midRun := 0
-	for {
-		st := j.Status()
-		onDisk := len(jobRecords(t, dir))
-		if st.Explored > onDisk {
-			t.Fatalf("Status().Explored = %d, but the job directory holds %d records", st.Explored, onDisk)
+	j.mu.Lock()
+	for counted := -1; ; {
+		// Once per finished batch (and at the end): take the count under
+		// the job's lock, then read the directory.
+		for j.state == StateRunning && j.aggregated == counted {
+			wake := j.wake
+			j.mu.Unlock()
+			select {
+			case <-wake:
+			case <-deadline:
+				t.Fatalf("job did not finish: %+v", j.Status())
+			}
+			j.mu.Lock()
 		}
-		if st.State != StateRunning {
-			if st.State != StateDone || st.Explored != spec.MaxInterleavings || onDisk != st.Explored {
-				t.Fatalf("job ended %s with %d explored, %d records on disk", st.State, st.Explored, onDisk)
+		counted = j.aggregated
+		explored, state := j.resumed+j.aggregated, j.state
+		j.mu.Unlock()
+		onDisk := len(jobRecords(t, dir))
+		if explored > onDisk {
+			t.Fatalf("Explored = %d, but the job directory holds %d records", explored, onDisk)
+		}
+		if state != StateRunning {
+			if state != StateDone || explored != spec.MaxInterleavings || onDisk != explored {
+				t.Fatalf("job ended %s with %d explored, %d records on disk", state, explored, onDisk)
 			}
 			break
 		}
-		if st.Explored > 0 {
+		if explored > 0 {
 			midRun++
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job did not finish: %+v", st)
-		}
-		// Each poll reads the whole log; leave the job the CPU in between.
-		time.Sleep(100 * time.Microsecond)
+		j.mu.Lock()
 	}
 	if midRun == 0 {
-		t.Fatal("vacuous: no poll saw the job part way through")
+		t.Fatal("vacuous: no check saw the job part way through")
 	}
 }
 
@@ -246,41 +317,25 @@ func TestJobJournalFsyncTelemetry(t *testing.T) {
 	}
 }
 
-// fakeExplorer yields nothing. fakeGenExplorer adds the generation
-// protocol, its current generation fully carved when end is set.
-type fakeExplorer struct{ end bool }
-
-func (*fakeExplorer) Next() (interleave.Interleaving, bool) { return nil, false }
-func (*fakeExplorer) Explored() int                         { return 0 }
-func (*fakeExplorer) Mode() string                          { return "erpi" }
-
-type fakeGenExplorer struct{ fakeExplorer }
-
-func (g *fakeGenExplorer) GenerationEnd() bool { return g.end }
-func (*fakeGenExplorer) Pending() int          { return 0 }
-func (*fakeGenExplorer) Evolve()               {}
-
 // TestCarveWaitsLocked pins when the aggregator syncs a written batch at
 // once instead of leaving it to the record log's clock: exactly when the
 // job can make no progress until the batch counts. A fuzz job that waits
 // out the clock at every generation boundary runs several times slower.
 func TestCarveWaitsLocked(t *testing.T) {
 	two := []*jobRange{{id: 1}, {id: 2}}
-	plain := &fakeExplorer{}
 	cases := []struct {
 		name string
 		j    *Job
 		next int
 		want bool
 	}{
-		{"parked bound, a range still leased", &Job{parkedN: maxParkedRanges, leasedN: 1, ranges: two, explorer: plain}, 2, true},
-		{"a range leased", &Job{leasedN: 1, noMore: true, ranges: two, explorer: plain}, 3, false},
-		{"a range requeued", &Job{pendingQ: []int{2}, noMore: true, ranges: two, explorer: plain}, 2, false},
-		{"a range left to aggregate", &Job{noMore: true, ranges: two, explorer: plain}, 2, false},
-		{"idle, more to carve", &Job{ranges: two, explorer: plain}, 3, false},
-		{"idle, fully carved", &Job{noMore: true, ranges: two, explorer: plain}, 3, true},
-		{"idle, mid-generation", &Job{ranges: two, explorer: &fakeGenExplorer{}}, 3, false},
-		{"idle, generation carved", &Job{ranges: two, explorer: &fakeGenExplorer{fakeExplorer{end: true}}}, 3, true},
+		{"parked bound, a range still leased", &Job{parkedN: maxParkedRanges, leasedN: 1, ranges: two}, 2, true},
+		{"a range leased", &Job{leasedN: 1, noMore: true, ranges: two}, 3, false},
+		{"a range requeued", &Job{pendingQ: []int{2}, noMore: true, ranges: two}, 2, false},
+		{"a range left to aggregate", &Job{noMore: true, ranges: two}, 2, false},
+		{"idle, more to carve", &Job{ranges: two}, 3, false},
+		{"idle, fully carved", &Job{noMore: true, ranges: two}, 3, true},
+		{"idle, generation held", &Job{held: true, ranges: two}, 3, true},
 	}
 	for _, c := range cases {
 		if got := c.j.carveWaitsLocked(c.next); got != c.want {

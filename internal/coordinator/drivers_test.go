@@ -21,6 +21,7 @@ type ledgerView struct {
 	Violations     []string
 	Quarantined    int
 	Crashed        bool
+	Exhausted      bool
 	Digest         string
 	// Trajectory is the fuzz corpus trajectory digest (in-process drivers
 	// only: a coordinator job drops its corpus at completion).
@@ -48,6 +49,10 @@ func driverCases() []driverCase {
 	base := JobSpec{Bug: "Roshi-1", Mode: "erpi", RangeSize: 1}
 	stop := base
 	stop.StopOnViolation = true
+	// The violation lands inside the second range, so the coordinator must
+	// stop at the record, not at the end of the range.
+	stopMidRange := stop
+	stopMidRange.RangeSize = 16
 	// Three generations of 8 end exactly at the cap of 24, so the last one
 	// still evolves the corpus.
 	fuzz := JobSpec{Bug: "Roshi-1", Mode: "fuzz", Seed: 7, FuzzGenerationSize: 8, MaxInterleavings: 24, RangeSize: 4}
@@ -60,6 +65,13 @@ func driverCases() []driverCase {
 	return []driverCase{
 		{name: "plain", spec: base, vacuous: violated},
 		{name: "stop-on-violation", spec: stop, vacuous: violated},
+		{name: "stop-on-violation-mid-range", spec: stopMidRange, vacuous: func(res *runner.Result) string {
+			if res.FirstViolation%stopMidRange.RangeSize == 0 || len(res.Violations) != 1 {
+				return fmt.Sprintf("want one violation inside a range of %d, got %d at %d",
+					stopMidRange.RangeSize, len(res.Violations), res.FirstViolation)
+			}
+			return ""
+		}},
 		{name: "fuzz-generation-at-cap", spec: fuzz, vacuous: func(res *runner.Result) string {
 			if gens := fuzz.MaxInterleavings / fuzz.FuzzGenerationSize; res.Explored != fuzz.MaxInterleavings || res.Fuzz.Generations != gens {
 				return fmt.Sprintf("explored %d with %d generations evolved, want the cap %d and all %d",
@@ -149,6 +161,7 @@ func runInProcess(t *testing.T, c driverCase, workers, liveWorkers int) (ledgerV
 		FirstViolation: res.FirstViolation,
 		Quarantined:    len(res.Quarantined),
 		Crashed:        res.Crashed,
+		Exhausted:      res.Exhausted,
 		Digest:         d.Sum(),
 	}
 	for _, viol := range res.Violations {
@@ -181,6 +194,7 @@ func runCoordinator(t *testing.T, c driverCase) ledgerView {
 		Explored:       st.Explored,
 		FirstViolation: st.FirstViolation,
 		Quarantined:    st.Quarantined,
+		Exhausted:      st.Exhausted,
 		Digest:         st.Digest,
 	}
 	for _, viol := range st.Violations {

@@ -111,20 +111,6 @@ type JobStatus struct {
 	Error   string   `json:"error,omitempty"`
 }
 
-// genExplorer is the fuzz explorer's generation protocol as carving sees
-// it: a generation of children is enumerated, classified by interleaving
-// key (by the job's runner.Ledger, as ranges aggregate and as carving
-// skips resumed keys), and the corpus evolves only when every emitted
-// child is classified. Distributed fuzzing maps the barrier onto range
-// aggregation — carving stops at a generation boundary until every carved
-// range has committed and aggregated, then the corpus evolves and carving
-// resumes.
-type genExplorer interface {
-	GenerationEnd() bool
-	Pending() int
-	Evolve()
-}
-
 // Job is one exploration workload being served to workers. Mutable state
 // is guarded by mu, which connection goroutines (lease/heartbeat/commit),
 // the janitor (reap/workerGone) and the job's aggregator contend on — and
@@ -145,17 +131,17 @@ type Job struct {
 	// synthetic clock to drive reap without sleeping).
 	now func() time.Time
 
-	mu       sync.Mutex
-	state    string
-	err      error
-	explorer interleave.Explorer
-	resumed  int // records an earlier session left
-	maxIndex int // the session-wide cap: the highest index that may exist
-	assigned int // the highest index carved (resumed ones included)
+	mu      sync.Mutex
+	state   string
+	err     error
+	resumed int // records an earlier session left
 	// eventsPer is the events in every interleaving (a grant states it once).
 	eventsPer int
 	noMore    bool
-	exhausted bool
+	// held: the last carve found the ledger holding at a fuzz generation
+	// boundary, which evolves once the carved ranges are recorded.
+	held      bool
+	exhausted bool // the ledger's, taken at the terminal transition
 
 	ranges   []*jobRange
 	pendingQ []int // range ids awaiting (re)lease, ascending
@@ -171,18 +157,17 @@ type Job struct {
 	quitOnce sync.Once
 	aggDone  chan struct{} // closed when the aggregator and its finisher have exited; nil without one
 
-	// genMu orders the two users of a generation explorer (ModeFuzz): the
-	// ledger classifies into it during aggregation, carving enumerates from
-	// it under mu. Lock order mu → genMu; the aggregator takes genMu alone.
-	genMu sync.Mutex
+	// ledgerMu orders every call into the ledger: carving takes indices
+	// from it (Next) under mu, the aggregator records into it. Lock order
+	// mu → ledgerMu; the aggregator takes ledgerMu alone, once per record.
+	ledgerMu sync.Mutex
 
-	// ledger is the in-order result ledger committed ranges feed — the same
-	// one the in-process driver feeds — accounting into res and writing
-	// the job's record log. Both belong to the aggregator while the job
-	// runs; what Status and the manifest need of res is copied out with
-	// every written batch, and into tally under mu once the finisher counts
-	// it. An earlier session's records are read back into res by
-	// Ledger.Resume.
+	// ledger is the exploration ledger the in-process driver uses too: it
+	// assigns carved indices, and committed ranges feed it in order, into
+	// res and the job's record log. What Status and the manifest need of
+	// res is copied out with every written batch, and into tally under mu
+	// once the finisher counts it. An earlier session's records are read
+	// back into res by Ledger.Resume.
 	ledger     *runner.Ledger
 	res        *runner.Result
 	tally      resultTally
@@ -278,7 +263,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	}
 
 	cfg := spec.Config()
-	j.explorer, err = runner.NewExplorer(scenario, cfg)
+	explorer, err := runner.NewExplorer(scenario, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +277,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	// The service registry counts what the ledger decides — violations,
 	// quarantines, assert spans — where the fleet view reads it.
 	cfg.Telemetry = tel.reg
-	j.ledger = runner.NewLedger(scenario, cfg, j.explorer, j.res)
+	j.ledger = runner.NewLedger(scenario, cfg, explorer, j.res)
 	// The records are what an earlier session committed: their digest
 	// contributions and violations survive a coordinator restart without
 	// re-executing anything, and carving numbers on after them. A journal
@@ -309,19 +294,10 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		j.violations = append(j.violations, r.Violations...)
 	}
 	j.resumed = len(recs)
-	j.assigned = j.resumed
 	j.tally = tallyOf(j.res)
-
-	j.maxIndex = spec.MaxInterleavings
-	switch {
-	case j.maxIndex == 0:
-		j.maxIndex = runner.DefaultMaxInterleavings
-	case j.maxIndex < 0:
-		j.maxIndex = int(^uint(0) >> 1)
-	}
-	// A StopOnViolation job whose records hold its violation is over.
-	j.stopped = j.ledger.Stopped()
-	j.noMore = j.stopped
+	// Records at the cap or at a StopOnViolation job's violation leave
+	// nothing to assign: the janitor completes the job, worker or none.
+	j.noMore = j.ledger.Done()
 	if err := journal.SaveJSON("job.json", jobManifest{ID: id, Spec: spec, State: StateRunning}); err != nil {
 		return nil, err
 	}
@@ -419,42 +395,30 @@ func (j *Job) tryLeaseLocked(worker string) *frame {
 	return nil
 }
 
-// carveLocked pulls up to rangeSize interleavings from the explorer,
-// skipping the ones the records hold (Ledger.Resumed). Returns
-// nil when the space or the budget is exhausted — or, in ModeFuzz, when a
-// generation boundary holds carving until every outstanding range has
-// aggregated and classified (the distributed fuzz barrier: the lease waits
-// meanwhile, and the generation evolves once the ledger drains).
+// carveLocked takes up to rangeSize indices from the ledger. Returns nil
+// when assignment is over — or, in ModeFuzz, when the ledger holds at a
+// generation boundary until every carved range has aggregated (the lease
+// waits meanwhile, and the generation evolves at the next carve).
 func (j *Job) carveLocked() *jobRange {
-	ge, isGen := j.explorer.(genExplorer)
-	if isGen {
-		j.genMu.Lock()
-		defer j.genMu.Unlock()
-	}
 	var ils []interleave.Interleaving
-	start := j.assigned + 1
-	for len(ils) < j.rangeSize && j.assigned < j.maxIndex {
-		if isGen && ge.GenerationEnd() {
-			// A fuzz generation is fully carved. Stop here — including the
-			// range under construction — and only evolve once every carved
-			// range has aggregated, so the corpus never sees partial
-			// evidence.
-			if len(ils) > 0 || j.nextAgg <= len(j.ranges) || ge.Pending() != 0 {
-				break
+	start := 0
+	j.held = false
+	for len(ils) < j.rangeSize && !j.noMore {
+		j.ledgerMu.Lock()
+		index, il, err := j.ledger.Next()
+		// Known at once, so the aggregator syncs the last batch at once.
+		j.noMore = j.ledger.Done()
+		j.ledgerMu.Unlock()
+		if err != nil {
+			j.held = errors.Is(err, runner.ErrHold)
+			if !j.held && !errors.Is(err, runner.ErrDone) {
+				j.failLocked(err)
+				return nil
 			}
-			ge.Evolve()
-		}
-		il, ok := j.explorer.Next()
-		if !ok {
-			j.noMore = true
-			j.exhausted = true
 			break
 		}
-		if j.ledger.Resumed(il) {
-			// A resumed key never re-executes: the ledger replays its
-			// recorded classification (ModeFuzz), so the generation still
-			// completes with the evidence the first execution produced.
-			continue
+		if len(ils) == 0 {
+			start = index
 		}
 		if j.eventsPer == 0 {
 			j.eventsPer = len(il)
@@ -466,10 +430,6 @@ func (j *Job) carveLocked() *jobRange {
 			return nil
 		}
 		ils = append(ils, il)
-		j.assigned++
-	}
-	if j.assigned >= j.maxIndex {
-		j.noMore = true
 	}
 	if len(ils) == 0 {
 		return nil
@@ -627,16 +587,7 @@ func (j *Job) carveWaitsLocked(next int) bool {
 	if len(j.pendingQ) > 0 || j.leasedN > 0 || next <= len(j.ranges) {
 		return false
 	}
-	if j.noMore {
-		return true
-	}
-	ge, isGen := j.explorer.(genExplorer)
-	if !isGen {
-		return false
-	}
-	j.genMu.Lock()
-	defer j.genMu.Unlock()
-	return ge.GenerationEnd()
+	return j.noMore || j.held
 }
 
 // nextBatch waits for committed ranges at next, the aggregation cursor,
@@ -673,6 +624,7 @@ func (j *Job) nextBatch(next int) ([]*jobRange, func(aggBoundary)) {
 // it once the log's durable watermark reaches mark.
 type writtenBatch struct {
 	ranges     []*jobRange
+	records    int // fewer than the ranges hold when the ledger stopped
 	violations []checkpoint.Violation
 	tally      resultTally
 	stopped    bool // the ledger stopped inside the batch
@@ -684,9 +636,10 @@ type writtenBatch struct {
 // result's record to the job's record log — holding mu nowhere and
 // syncing nothing: the log's clock does that. What stays here is what is
 // distributed: the keyed digest and the wire form of violations. The
-// written batch holds the ranges it aggregated — fewer than all when the
-// ledger stopped inside it, the rest being dropped exactly as ranges
-// committed later are — and the violations they added.
+// ledger is fed up to the record where it stops (StopOnViolation): the
+// rest of that range is dropped, exactly as ranges committed later are,
+// and the written batch holds the ranges it reached, the records it wrote
+// and the violations they added.
 func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) writtenBatch {
 	at := func(b aggBoundary) {
 		if crashPoint != nil {
@@ -694,12 +647,9 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) writte
 		}
 	}
 	at(beforeAggregate)
-	_, isGen := j.explorer.(genExplorer)
-	var violations []checkpoint.Violation
+	w := writtenBatch{ranges: batch}
+ranges:
 	for n, r := range batch {
-		if isGen {
-			j.genMu.Lock()
-		}
 		for i := range r.results {
 			res := &r.results[i]
 			index := r.start + i
@@ -719,35 +669,28 @@ func (j *Job) writeBatch(batch []*jobRange, crashPoint func(aggBoundary)) writte
 				// corrupt them.
 				outcome.Index, outcome.Interleaving = index, r.ils[i]
 			}
+			j.ledgerMu.Lock()
 			rec, err := j.ledger.Record(index, r.ils[i], outcome, res.Attempts, execErr)
+			j.ledgerMu.Unlock()
 			if err != nil {
-				if isGen {
-					j.genMu.Unlock()
-				}
 				return writtenBatch{err: err}
 			}
+			w.records++
 			if outcome != nil {
 				j.digest.Add(rec.Key, rec.Sig)
 			}
-			violations = append(violations, rec.Violations...)
-		}
-		if isGen {
-			j.genMu.Unlock()
-		}
-		if j.ledger.Stopped() {
-			batch = batch[:n+1]
-			break
+			w.violations = append(w.violations, rec.Violations...)
+			if w.stopped = j.ledger.Stopped(); w.stopped {
+				w.ranges = batch[:n+1]
+				break ranges
+			}
 		}
 	}
 	at(afterRecords)
 	j.tel.batches.Inc()
-	return writtenBatch{
-		ranges:     batch,
-		violations: violations,
-		tally:      tallyOf(j.res),
-		stopped:    j.ledger.Stopped(),
-		mark:       j.journal.Appended(),
-	}
+	w.tally = tallyOf(j.res)
+	w.mark = j.journal.Appended()
+	return w
 }
 
 // finish is the job's finisher: it counts the aggregator's written
@@ -778,8 +721,8 @@ func (j *Job) finishBatch(w writtenBatch) {
 		j.failLocked(w.err)
 		return
 	}
+	j.aggregated += w.records
 	for _, r := range w.ranges {
-		j.aggregated += len(r.ils)
 		// Free the aggregated payloads; the ledger entry stays for fencing.
 		r.ils, r.results = nil, nil
 		j.nextAgg++
@@ -867,13 +810,10 @@ func (j *Job) checkDoneLocked() bool {
 	if j.state != StateRunning {
 		return true
 	}
-	if j.noMore && len(j.pendingQ) == 0 && j.leasedN == 0 && j.nextAgg > len(j.ranges) {
-		j.completeLocked()
-		return true
-	}
-	// StopOnViolation: aggregation halted; in-flight ranges will fence or
-	// commit into the ledger unaggregated, but nothing blocks completion.
-	if j.noMore && j.stopped && len(j.pendingQ) == 0 && j.leasedN == 0 {
+	// Once the ledger stopped (StopOnViolation), ranges past the violation
+	// are never aggregated: in-flight ones fence or commit unaggregated,
+	// and nothing blocks completion.
+	if j.noMore && len(j.pendingQ) == 0 && j.leasedN == 0 && (j.stopped || j.nextAgg > len(j.ranges)) {
 		j.completeLocked()
 		return true
 	}
@@ -902,6 +842,9 @@ func (j *Job) failLocked(err error) {
 // (it exits).
 func (j *Job) endLocked(state string) {
 	j.state = state
+	j.ledgerMu.Lock()
+	j.exhausted = j.res.Exhausted
+	j.ledgerMu.Unlock()
 	j.persistLocked()
 	close(j.doneCh)
 	j.tel.jobsRunning.Add(-1)

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
+	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
@@ -14,24 +15,25 @@ import (
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
-// Ledger is the engine's one in-order result ledger. Every driver — the
+// Ledger is the engine's one exploration ledger. Every driver — the
 // in-process pool (inline or with worker goroutines, checkpointed or
-// live) and the distributed coordinator's range aggregation — feeds it
-// each explored interleaving's result exactly once, in exploration-index
-// order, from one goroutine at a time (the pool's workers take turns under
-// its mutex, the coordinator has one aggregator; the ledger has no lock of
-// its own). The ledger alone decides what a result means for the run: how
-// a generation explorer classifies it, Subsumed and Quarantined
-// accounting, the OnOutcome hook, the assertion loop, FirstViolation,
-// forensic capture, the durable record (Config.Journal), and whether
-// exploration stops.
-// Because results arrive in index order, stateful assertions and OnOutcome
-// observers see the same history at every worker count.
+// live) and the distributed coordinator — takes each exploration index
+// from it (Next) and feeds it each result exactly once, in index order
+// (Record), one call at a time (under the pool's mutex, or the job's
+// ledger mutex; the ledger has no lock of its own). The ledger alone
+// decides which interleaving gets which index and what a result means for
+// the run: how a generation explorer classifies it, Subsumed and
+// Quarantined accounting, the OnOutcome hook, the assertion loop,
+// FirstViolation, forensic capture, the durable record (Config.Journal),
+// and whether exploration stops. Because results arrive in index order,
+// stateful assertions and OnOutcome observers see the same history at
+// every worker count.
 type Ledger struct {
-	s   Scenario
-	cfg Config
-	res *Result
-	tel *runTelemetry
+	s        Scenario
+	cfg      Config
+	res      *Result
+	tel      *runTelemetry
+	explorer interleave.Explorer // what Next pulls; reprune replaces it
 	// ge is the explorer's generation protocol (nil outside ModeFuzz):
 	// children are classified by interleaving key, so the corpus evolves
 	// on evidence that is independent of who executed what, and when.
@@ -40,31 +42,128 @@ type Ledger struct {
 	// resume holds the fingerprint of every resumed record's key the
 	// driver has not met yet, with its signature for ModeFuzz to replay
 	// ("" for one that produced none). Nil without records and once all
-	// are met, so Resumed costs a nil check from then on.
+	// are met, so resumed costs a nil check from then on.
 	resume map[uint64]string
+	// carved holds every interleaving assigned, in a ModeERPi run with a
+	// ConstraintPoll only (nil otherwise): a re-prune restarts the explorer,
+	// and what was assigned before must not run again. Not a seek past the
+	// last key: a merged Grouping.Extra rebuilds the unit space.
+	carved exploredSet
+	// assigned is the highest index that exists (resumed ones included),
+	// max the session-wide cap on it; done: the explorer or the Store ended
+	// assignment.
+	assigned, max int
+	done          bool
 	// rec is the record Record appends to Config.Journal, reused.
 	rec checkpoint.Record
 }
 
-// NewLedger builds a ledger that accounts into res. Honored Config fields:
+// NewLedger builds a ledger that assigns indices from explorer and
+// accounts into res. Honored Config fields: MaxInterleavings, Store,
 // Assertions, OnOutcome, StopOnViolation, ForensicDir, Journal and
 // Telemetry, plus Mode, Seed and Faults for forensic re-execution and,
-// with FuzzGenerationSize, the enumeration Resume claims the Journal for.
-// explorer is the run's enumeration source; when it is a
-// generation explorer (ModeFuzz) the ledger classifies every result with
-// it.
+// with FuzzGenerationSize, the enumeration Resume claims the Journal for;
+// a ConstraintPoll in ModeERPi makes it keep the carved set. When explorer
+// is a generation explorer (ModeFuzz) the ledger classifies every result
+// with it and evolves its corpus.
 func NewLedger(s Scenario, cfg Config, explorer interleave.Explorer, res *Result) *Ledger {
 	return newLedger(s, cfg, explorer, res, newRunTelemetry(cfg.Telemetry))
 }
 
 func newLedger(s Scenario, cfg Config, explorer interleave.Explorer, res *Result, tel *runTelemetry) *Ledger {
-	ge, _ := explorer.(generationExplorer)
+	l := &Ledger{s: s, cfg: cfg, res: res, tel: tel, explorer: explorer, max: cfg.MaxInterleavings}
+	l.ge, _ = explorer.(generationExplorer)
+	switch {
+	case l.max == 0:
+		l.max = DefaultMaxInterleavings
+	case l.max < 0:
+		l.max = int(^uint(0) >> 1) // unbounded
+	}
+	if cfg.ConstraintPoll != nil && cfg.Mode == ModeERPi {
+		l.carved = exploredSet{}
+	}
 	if cfg.Journal != nil {
 		// The journal's syncs count where the ledger's records do, for
 		// every driver; without telemetry this removes an earlier run's.
 		cfg.Journal.SetFsyncObserver(tel.fsyncObserver())
 	}
-	return &Ledger{s: s, cfg: cfg, res: res, tel: tel, ge: ge}
+	return l
+}
+
+// Why Next assigned nothing: ErrHold, a fuzz generation is fully assigned
+// and evolves only once Record has classified every child; ErrDone, the
+// cap is reached, the space exhausted, the ledger stopped or the Store's
+// budget crashed.
+var (
+	ErrHold = errors.New("runner: the fuzz generation awaits its results")
+	ErrDone = errors.New("runner: assignment is over")
+)
+
+// Next assigns the next exploration index to the next interleaving the
+// explorer yields that no resumed record (which keeps its index) and, after
+// a re-prune, no earlier assignment holds, and appends it to Config.Store.
+// A Store whose budget runs out (the Figure 10 "crash") sets
+// Result.Crashed: the crashing index counts as explored but never
+// executes. After ErrDone or another Store error, every call returns
+// ErrDone. Callers order Next against Record.
+func (l *Ledger) Next() (int, interleave.Interleaving, error) {
+	for !l.Done() {
+		if l.ge != nil && l.ge.GenerationEnd() {
+			if l.ge.Pending() > 0 {
+				return 0, nil, ErrHold
+			}
+			l.evolve()
+		}
+		il, more := l.explorer.Next()
+		if !more {
+			l.res.Exhausted = true
+			l.done = true
+			break
+		}
+		// Both checks run: a resumed key met before a re-prune must be in
+		// the carved set when the new sequence meets it again.
+		resumed := l.resumed(il)
+		if repeat := l.carved != nil && l.carved.seen(il); resumed || repeat {
+			l.tel.dedupSkipped.Inc()
+			continue
+		}
+		l.assigned++
+		if l.cfg.Store != nil {
+			if err := l.cfg.Store.Record(il); err != nil {
+				l.done = true
+				if !errors.Is(err, datalog.ErrBudgetExhausted) {
+					return 0, nil, err
+				}
+				l.res.Crashed, l.res.CrashErr = true, err
+				break
+			}
+		}
+		return l.assigned, il, nil
+	}
+	return 0, nil, ErrDone
+}
+
+// Done reports that Next assigns nothing more.
+func (l *Ledger) Done() bool { return l.done || l.assigned >= l.max || l.Stopped() }
+
+// reprune makes explorer, regenerated over merged constraints, the one
+// Next pulls; the carved set skips what it yields again.
+func (l *Ledger) reprune(explorer interleave.Explorer) { l.explorer = explorer }
+
+// evolve folds a fully classified generation into the fuzzer's corpus
+// under a StageFuzzEvolve span and publishes the corpus gauges. Children
+// that never executed (assignment crashed mid-generation) leave Pending
+// non-zero; the corpus must not evolve on partial evidence. No-op for
+// other explorers.
+func (l *Ledger) evolve() {
+	ge := l.ge
+	if ge == nil || !ge.GenerationEnd() || ge.Pending() != 0 {
+		return
+	}
+	span := l.tel.span(telemetry.StageFuzzEvolve, l.assigned, telemetry.CoordinatorWorker)
+	ge.Evolve()
+	span.End()
+	l.tel.onFuzzGeneration(ge.CorpusSize(), ge.NoveltyRate())
 }
 
 // Record consumes the result of the interleaving explored at index. An
@@ -146,6 +245,11 @@ func (l *Ledger) check(index int, il interleave.Interleaving, outcome *Outcome) 
 	if len(added) > 0 {
 		if l.res.FirstViolation == 0 {
 			l.res.FirstViolation = index
+			if l.Stopped() {
+				// Nothing past the violation counts, nor what assigning
+				// past it found.
+				l.res.Exhausted, l.res.Crashed, l.res.CrashErr = false, false, nil
+			}
 		}
 		l.captureForensic(il, index, added)
 	}
@@ -157,13 +261,13 @@ func (l *Ledger) check(index int, il interleave.Interleaving, outcome *Outcome) 
 // written; the cap is free to change — and reads an earlier session's
 // records back from it: Resumed, Violations, FirstViolation, Quarantined
 // and Subsumed come back into the Result, and each record's key waits for
-// Resumed to meet it (in ModeFuzz, with its signature to replay). The
-// records are indices 1..n in order — what Record wrote — so the caller
-// skips every interleaving Resumed reports and numbers on from n+1, and a
-// resumed session's indices are those of an uninterrupted one. Stateful
-// assertions and OnOutcome do not see resumed results, and a fault-armed
-// ModeFuzz outcome replays as its signature (the record does not say it
-// was armed).
+// Next to meet it (in ModeFuzz, with its signature to replay). The
+// records are indices 1..n in order — what Record wrote — so Next skips
+// every interleaving they hold and numbers on from n+1 (the records count
+// toward the cap), and a resumed session's indices are those of an
+// uninterrupted one. Stateful assertions and OnOutcome do not see resumed
+// results, and a fault-armed ModeFuzz outcome replays as its signature
+// (the record does not say it was armed).
 func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 	if l.cfg.Journal == nil {
 		return nil, nil
@@ -208,17 +312,16 @@ func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 		}
 	}
 	l.res.Resumed = len(recs)
+	l.assigned = len(recs)
 	return recs, nil
 }
 
-// Resumed reports whether il is a resumed record the driver has not met
-// yet, and forgets it: the driver skips it, keeping the index the record
-// already holds. In ModeFuzz the key gets its recorded signature — what
-// its execution reported in the earlier session — so the corpus evolves
-// as in an uninterrupted run. Resumed touches only the resume set and,
-// in ModeFuzz, the explorer: callers hold whatever orders them against
-// Record's use of the explorer.
-func (l *Ledger) Resumed(il interleave.Interleaving) bool {
+// resumed reports whether il is a resumed record Next has not met yet,
+// and forgets it: Next skips it, keeping the index the record already
+// holds. In ModeFuzz the key gets its recorded signature — what its
+// execution reported in the earlier session — so the corpus evolves as in
+// an uninterrupted run.
+func (l *Ledger) resumed(il interleave.Interleaving) bool {
 	if l.resume == nil {
 		return false
 	}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/interleave"
 	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/telemetry"
@@ -23,18 +22,16 @@ import (
 // of what ran before it on the same worker.
 //
 // Topology: workers that serve themselves — no driver goroutine, no
-// channel. One mutex (pool.mu) guards the explorer, the carved set, the
-// datalog store, the queue of carved runs and the result Ledger (and with
-// it the record log); each worker owns a private Executor. A worker that
-// wants work takes the mutex and
+// channel. One mutex (pool.mu) guards the queue of carved runs and the
+// Ledger (and with it the explorer, the datalog store and the record log);
+// each worker owns a private Executor. A worker that wants work takes the
+// mutex and
 //
 //   - drains: feeds Ledger.Record every published result of the head run
 //     (the oldest carved run not yet fully recorded) in index order, pops a
 //     finished head and continues into the next run;
-//   - carves: pulls a run of consecutive interleavings from the explorer in
-//     its native order — each given a stable 1-based index and stored at
-//     that moment, skipping a resumed record or, after a re-prune, one
-//     carved before — and queues the run;
+//   - carves: takes a run of consecutive indices from Ledger.Next, the one
+//     assignment rule both drivers share, and queues the run;
 //
 // then executes the run outside the mutex, publishing each result as it
 // completes (slots[i], then the atomic done = i+1). Results must stream — a
@@ -94,27 +91,20 @@ import (
 // re-pruning arms at the poll boundary index, the last of its run; the poll
 // then (maybe) regenerates the explorer, so poll points fall at the same
 // indices at every worker count, at the cost of a bubble in the pipeline
-// every PollEvery interleavings. ModeFuzz (DESIGN.md §4.14) arms when its
-// generation's synthesis buffer is drained and evolves the corpus once every
-// child is classified, so which permutations enter it depends only on the
+// every PollEvery interleavings. ModeFuzz (DESIGN.md §4.14) arms when
+// Ledger.Next holds at a generation boundary — a carved child is still
+// unrecorded, which is the queue not being empty — and the next carve
+// evolves the corpus, so which permutations enter it depends only on the
 // seed and the classified signatures, never on worker count or completion
 // order.
 type pool struct {
-	ctx      context.Context
-	s        Scenario
-	cfg      Config
-	res      *Result
-	ledger   *Ledger
-	explorer interleave.Explorer
-	// carved holds every interleaving carved, in a ModeERPi run with a
-	// ConstraintPoll only (nil otherwise): a re-prune restarts the explorer
-	// from the first interleaving, and what it carved before must not run
-	// again. Not a seek past the last carved key: a merged Grouping.Extra
-	// rebuilds the unit space, so the new sequence need not follow the old.
-	carved   exploredSet
-	pruning  prune.Config
-	maxIndex int // the session-wide cap: the highest index that may exist
-	workers  int
+	ctx     context.Context
+	s       Scenario
+	cfg     Config
+	res     *Result
+	ledger  *Ledger
+	pruning prune.Config
+	workers int
 
 	// runLen is the run-length rule (defaultRunLen outside tests): how many
 	// indices the next run may take, given how many the cap still allows.
@@ -144,15 +134,15 @@ type pool struct {
 	idle sync.Cond
 
 	// Guarded by mu.
-	queue    []*run    // carved runs not yet fully recorded, in index order
-	err      error     // first fatal error; fails the run
-	assigned int       // the highest index that exists (resumed ones included)
-	nextProc int       // next index the ledger takes
-	gen      uint64    // re-prune generation stamped on pulled items
-	noMore   bool      // no further assignment (cap/exhausted/crash/halt)
-	pollWait bool      // quiescing for a ConstraintPoll boundary: index assigned
-	genWait  bool      // quiescing for a fuzz generation boundary
-	since    time.Time // when the armed barrier armed (tel only)
+	queue    []*run // carved runs not yet fully recorded, in index order
+	err      error  // first fatal error; fails the run
+	nextProc int    // next index the ledger takes
+	gen      uint64 // re-prune generation stamped on pulled items
+	noMore   bool   // no further assignment (cap/exhausted/crash/halt)
+	// quiesce arms the barrier: at a ConstraintPoll boundary (ModeERPi) or
+	// where Ledger.Next holds a fuzz generation (ModeFuzz), never both.
+	quiesce bool
+	since   time.Time // when the armed barrier armed (tel only)
 }
 
 // maxRun caps a run's length; runsAhead, per worker, how many carved runs
@@ -225,8 +215,8 @@ func (p *pool) run(live bool) error {
 		return p.err
 	}
 	// A generation that completed exactly at the cap still evolves; a
-	// partial one never does (evolveFuzz guards both).
-	p.evolveFuzz()
+	// partial one never does (evolve guards both).
+	p.ledger.evolve()
 	p.tel.poolParked.Set(0) // a stop discards what was parked
 	p.finalize()
 	return nil
@@ -280,9 +270,9 @@ func (p *pool) acquire(w int, prev *run) *run {
 		switch {
 		case p.noMore:
 			return nil
-		case (p.pollWait || p.genWait) && len(p.queue) == 0:
+		case p.quiesce && len(p.queue) == 0:
 			p.quiesced()
-		case p.pollWait || p.genWait || len(p.queue) >= runsAhead*p.workers:
+		case p.quiesce || len(p.queue) >= runsAhead*p.workers:
 			p.idle.Wait()
 		default:
 			if r := p.carve(prev); r != nil {
@@ -331,7 +321,7 @@ func (p *pool) drain() {
 // the barrier) and wherever pull stops. Nil: nothing to carve now. Holds mu.
 func (p *pool) carve(prev *run) *run {
 	// At least one: the pull that finds nothing left is what ends assignment.
-	n := max(1, p.runLen(p.maxIndex-p.assigned, p.workers))
+	n := max(1, p.runLen(p.ledger.max-p.ledger.assigned, p.workers))
 	r := prev
 	if r == nil || r.fed < len(r.slots) { // none, or still queued: a new one
 		r = &run{slots: make([]workResult, 0, min(n, maxRun))}
@@ -343,8 +333,8 @@ func (p *pool) carve(prev *run) *run {
 			break
 		}
 		r.slots = append(r.slots, workResult{workItem: item})
-		if p.cfg.ConstraintPoll != nil && p.cfg.Mode == ModeERPi && item.index%p.cfg.PollEvery == 0 {
-			p.pollWait = true
+		if p.ledger.carved != nil && item.index%p.cfg.PollEvery == 0 { // a poll boundary
+			p.quiesce = true
 			p.since = p.tel.now()
 			break
 		}
@@ -360,64 +350,36 @@ func (p *pool) carve(prev *run) *run {
 	return r
 }
 
-// pull advances the explorer to the next interleaving no record or earlier
-// carve holds, assigns its index, and stores it. ok=false means nothing
-// was assigned: assignment stopped (noMore; a store failure also fails the
-// run), or a fuzz generation must quiesce first (genWait). Caller holds mu.
+// pull takes the next index from the ledger. ok=false means nothing was
+// assigned: assignment stopped (noMore; a store failure also fails the
+// run), or a fuzz generation must quiesce first. Caller holds mu.
 func (p *pool) pull() (item workItem, ok bool) {
-	for {
-		if p.assigned >= p.maxIndex {
-			p.noMore = true
-			return item, false
-		}
+	genSpan := p.tel.span(telemetry.StageGenerate, p.ledger.assigned+1, telemetry.CoordinatorWorker)
+	index, il, err := p.ledger.Next()
+	genSpan.End()
+	switch {
+	case err == nil:
+		// A dead context ends the run unless assignment ended first: the
+		// index assigned meanwhile never executes and has no record, so a
+		// resumed session assigns it again.
 		if err := p.ctx.Err(); err != nil {
 			p.interrupt(err)
 			return item, false
 		}
-		if ge := p.ledger.ge; ge != nil && ge.GenerationEnd() {
-			// Fuzz generation boundary: the synthesis buffer is empty, so
-			// the next Next() would evolve the corpus. That is only sound
-			// once every emitted child has executed and classified.
-			if p.nextProc <= p.assigned {
-				p.genWait = true
-				p.since = p.tel.now()
-				return item, false
-			}
-			p.evolveFuzz()
-		}
-		genSpan := p.tel.span(telemetry.StageGenerate, p.assigned+1, telemetry.CoordinatorWorker)
-		il, more := p.explorer.Next()
-		genSpan.End()
-		if !more {
-			p.res.Exhausted = true
-			p.noMore = true
-			return item, false
-		}
-		// Both checks run: a resumed key met before a re-prune must be in
-		// the carved set when the new sequence meets it again.
-		resumed := p.ledger.Resumed(il)
-		if repeat := p.carved != nil && p.carved.seen(il); resumed || repeat {
-			p.tel.dedupSkipped.Inc()
-			continue
-		}
-		p.assigned++
 		p.tel.explored.Inc()
-		if p.cfg.Store != nil {
-			if err := p.cfg.Store.Record(il); err != nil {
-				if errors.Is(err, datalog.ErrBudgetExhausted) {
-					// The crashing index counts as explored but never
-					// executes (the Figure 10 "crash").
-					p.res.Crashed = true
-					p.res.CrashErr = err
-					p.noMore = true
-				} else {
-					p.fail(err)
-				}
-				return item, false
-			}
+		return workItem{index: index, il: il, pivot: pivotOf(p.ledger.explorer), gen: p.gen, completions: p.completions}, true
+	case errors.Is(err, ErrHold):
+		p.quiesce = true
+		p.since = p.tel.now()
+	case errors.Is(err, ErrDone):
+		if p.res.Crashed {
+			p.tel.explored.Inc() // the crashing index: assigned, never executed
 		}
-		return workItem{index: p.assigned, il: il, pivot: pivotOf(p.explorer), gen: p.gen, completions: p.completions}, true
+		p.noMore = true
+	default:
+		p.fail(err)
 	}
+	return item, false
 }
 
 // process hands one result, in index order, to the ledger and acts on its
@@ -458,49 +420,31 @@ func (p *pool) fail(err error) {
 func (p *pool) stop() {
 	p.noMore = true
 	p.halted.Store(true)
-	p.pollWait = false
-	p.genWait = false
+	p.quiesce = false
 	p.queue = nil
 	p.cancel()
 	p.idle.Broadcast()
 }
 
 // quiesced runs what the armed barrier was waiting for, now that the queue
-// is empty and so no execution is in flight.
+// is empty and so no execution is in flight: the poll, or for a fuzz
+// generation nothing — the next carve evolves the corpus (Ledger.Next).
 func (p *pool) quiesced() {
 	// Quiesce span: from arming the barrier until the pool fully drained —
 	// the pipeline bubble it costs, a coordinator-lane gap in the Chrome trace.
-	p.tel.observeSince(telemetry.StageQuiesce, p.assigned, telemetry.CoordinatorWorker, p.since)
-	if p.genWait {
-		p.genWait = false
-		p.evolveFuzz()
+	p.tel.observeSince(telemetry.StageQuiesce, p.ledger.assigned, telemetry.CoordinatorWorker, p.since)
+	p.quiesce = false
+	if p.ledger.ge != nil {
 		return
 	}
-	p.pollWait = false
 	if err := p.poll(); err != nil {
 		p.fail(err)
 	}
 }
 
-// evolveFuzz folds a fully-classified generation into the fuzzer's corpus
-// under a StageFuzzEvolve span and publishes the corpus gauges. Children
-// that never executed (assignment crashed mid-generation) leave Pending
-// non-zero; the corpus must not evolve on partial evidence. No-op for
-// non-fuzz explorers.
-func (p *pool) evolveFuzz() {
-	ge := p.ledger.ge
-	if ge == nil || !ge.GenerationEnd() || ge.Pending() != 0 {
-		return
-	}
-	span := p.tel.span(telemetry.StageFuzzEvolve, p.assigned, telemetry.CoordinatorWorker)
-	ge.Evolve()
-	span.End()
-	p.tel.onFuzzGeneration(ge.CorpusSize(), ge.NoveltyRate())
-}
-
 // poll runs the quiesced ConstraintPoll and regenerates the explorer over
 // the merged pruning config when new constraints arrived. Interleavings
-// the regenerated explorer re-yields are skipped by the carved set.
+// the regenerated explorer re-yields are skipped by the ledger's carved set.
 func (p *pool) poll() error {
 	extra, found, err := p.cfg.ConstraintPoll()
 	if err != nil {
@@ -508,13 +452,13 @@ func (p *pool) poll() error {
 	}
 	if found {
 		p.pruning.Merge(extra)
-		repruneSpan := p.tel.span(telemetry.StagePrune, p.assigned, telemetry.CoordinatorWorker)
+		repruneSpan := p.tel.span(telemetry.StagePrune, p.ledger.assigned, telemetry.CoordinatorWorker)
 		explorer, err := newExplorer(p.s, p.cfg, p.pruning)
 		repruneSpan.End()
 		if err != nil {
 			return fmt.Errorf("runner: re-pruning: %w", err)
 		}
-		p.explorer = explorer
+		p.ledger.reprune(explorer)
 		if p.completions, err = newCompletions(p.s, p.cfg, p.pruning, p.sub); err != nil {
 			return fmt.Errorf("runner: re-pruning: %w", err)
 		}
@@ -536,19 +480,14 @@ func (p *pool) poll() error {
 func (p *pool) finalize() {
 	res := p.res
 	switch {
-	case p.ledger.Stopped():
-		// Nothing past the first violation counts: truncate to it and drop
-		// flags that only later (discarded) work could have set.
-		res.Explored = max(0, res.FirstViolation-res.Resumed)
-		res.Exhausted = false
-		res.Crashed = false
-		res.CrashErr = nil
-	case res.Interrupted:
-		res.Explored = p.nextProc - 1 - res.Resumed // results recorded in order
+	case p.ledger.Stopped() || res.Interrupted:
+		// Results are recorded in index order, and nothing past the
+		// violation a stop is at.
+		res.Explored = p.nextProc - 1 - res.Resumed
 	default:
-		res.Explored = p.assigned - res.Resumed
+		res.Explored = p.ledger.assigned - res.Resumed
 	}
-	if r, ok := p.explorer.(*interleave.RandExplorer); ok {
+	if r, ok := p.ledger.explorer.(*interleave.RandExplorer); ok {
 		res.RandShuffles = r.Shuffles()
 	}
 }

@@ -411,13 +411,6 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 	if err := validate(s, &cfg); err != nil {
 		return nil, err
 	}
-	maxIL := cfg.MaxInterleavings
-	switch {
-	case maxIL == 0:
-		maxIL = DefaultMaxInterleavings
-	case maxIL < 0:
-		maxIL = int(^uint(0) >> 1) // unbounded
-	}
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = 100
 	}
@@ -458,12 +451,12 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 	}
 	// An earlier session polled constraints after every boundary index it
 	// recorded, and what it merged is not in the records: this one polls
-	// before carving.
+	// before carving, if anything is left to carve.
 	repoll := res.Resumed >= cfg.PollEvery
 	// The cap is session-wide: what the record log already holds counts
 	// toward it, and this run only gets the remainder. Numbering continues
 	// after the last record.
-	tel.progress.BeginRun(max(0, maxIL-res.Resumed), workers, res.Resumed)
+	tel.progress.BeginRun(max(0, ledger.max-res.Resumed), workers, res.Resumed)
 	defer tel.progress.EndRun()
 
 	p := &pool{
@@ -472,26 +465,15 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 		cfg:      cfg,
 		res:      res,
 		ledger:   ledger,
-		explorer: explorer,
 		pruning:  pruning,
-		maxIndex: maxIL,
 		workers:  workers,
 		runLen:   runLen,
 		every:    every,
 		tel:      tel,
-		assigned: res.Resumed,
 		nextProc: res.Resumed + 1,
 	}
-	polls := cfg.ConstraintPoll != nil && cfg.Mode == ModeERPi
-	if polls {
-		p.carved = exploredSet{}
-	}
-	switch {
-	case ledger.Stopped():
-		// The resumed records hold the violation StopOnViolation stops at.
-		p.noMore = true
-	case repoll && polls:
-		p.pollWait = true
+	if repoll && ledger.carved != nil && !ledger.Done() {
+		p.quiesce = true
 		p.since = tel.now()
 	}
 	if !live {
