@@ -4,7 +4,7 @@
 // interleaving's outcome; the stateful ones compare outcomes ACROSS
 // interleavings, which is how the misconception detectors of §6.2 work
 // ("we wrote a test that compares the replica's states, which resulted
-// from different interleavings").
+// from different interleavings"), under the rule on runner.Assertion.
 package check
 
 import (
@@ -216,63 +216,6 @@ func (NoFailedOps) Check(o *runner.Outcome) error {
 		return nil
 	}
 	return fmt.Errorf("%d failed op(s): %v", len(o.FailedOps), o.FailedOps)
-}
-
-// OrderConsistent asserts that the relative order of any two items in an
-// observed collection never flips across interleavings. Observations may
-// contain different subsets (propagation lag is legal); only a pairwise
-// precedence inversion among items seen together is a violation — the
-// detector for nondeterministic read orders (Roshi issue #40, OrbitDB
-// issue #513, misconception #2).
-type OrderConsistent struct {
-	// Event is the Observe event rendering the collection.
-	Event event.ID
-	// Sep splits the observation into items (default ",").
-	Sep string
-
-	// before[a][b] records that a was seen before b.
-	before map[string]map[string]bool
-}
-
-var _ runner.Assertion = (*OrderConsistent)(nil)
-
-// Name implements runner.Assertion.
-func (a *OrderConsistent) Name() string {
-	return fmt.Sprintf("order-consistent(ev%d)", int(a.Event))
-}
-
-// Check implements runner.Assertion.
-func (a *OrderConsistent) Check(o *runner.Outcome) error {
-	got, ok := o.Observations[a.Event]
-	if !ok {
-		return nil // the observe may not have produced output; not an order violation
-	}
-	sep := a.Sep
-	if sep == "" {
-		sep = ","
-	}
-	var items []string
-	for _, item := range strings.Split(got, sep) {
-		if item != "" {
-			items = append(items, item)
-		}
-	}
-	if a.before == nil {
-		a.before = make(map[string]map[string]bool)
-	}
-	for i := 0; i < len(items); i++ {
-		for j := i + 1; j < len(items); j++ {
-			x, y := items[i], items[j]
-			if a.before[y][x] {
-				return fmt.Errorf("order of %q and %q flipped across interleavings (observation %q)", x, y, got)
-			}
-			if a.before[x] == nil {
-				a.before[x] = make(map[string]bool)
-			}
-			a.before[x][y] = true
-		}
-	}
-	return nil
 }
 
 // NoFailedOpAt asserts that none of the given events was rejected by a

@@ -216,7 +216,7 @@ func (d *Dir) WaitDurable(n int) error {
 
 // AppendExplored appends a key-only record of il. It is what
 // benchmark/drives.go times as checkpoint.append_ns, and goes when that
-// harness moves to Append (ROADMAP item 4(a)).
+// harness moves to Append (ROADMAP's "Benchmark rounds" item).
 func (d *Dir) AppendExplored(il interleave.Interleaving) error {
 	return d.Append(&Record{Key: il.Key()})
 }

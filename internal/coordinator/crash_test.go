@@ -64,12 +64,22 @@ func killAt(t *testing.T, j *Job, b aggBoundary, n int) (root string) {
 // is finishing. Each recovery must resume exactly the records on disk, and
 // the job must end where an undisturbed one does: same digest, same
 // counts, the same violations under the same indices, no interleaving
-// recorded twice.
+// recorded twice. The state-stable row's detector compares every outcome
+// with the first: only a recovery that hands it the state it held before
+// the kill reports the undisturbed job's violations.
 func TestAggregatorCrashOrder(t *testing.T) {
-	spec := JobSpec{Bug: "Roshi-2", Mode: "dfs", MaxInterleavings: testCap, RangeSize: 4}
-	wantDigest, wantExplored := sequentialBaseline(t, spec)
+	roshi2 := JobSpec{Bug: "Roshi-2", Mode: "dfs", MaxInterleavings: testCap, RangeSize: 4}
+	rows := []struct {
+		name     string
+		spec     JobSpec
+		boundary aggBoundary
+	}{
+		{"acknowledged-not-aggregated", roshi2, beforeAggregate},
+		{"records-written-not-synced", roshi2, afterRecords},
+		{"state-stable", JobSpec{Miscon: "Roshi#1", Mode: "erpi", MaxInterleavings: testCap, RangeSize: 4}, beforeAggregate},
+	}
 
-	serve := func(t *testing.T, root string, recover bool) (*Service, *Job) {
+	serve := func(t *testing.T, spec JobSpec, root string, recover bool) (*Service, *Job) {
 		svc := startService(t, Options{JournalRoot: root, LeaseTTL: 500 * time.Millisecond})
 		if !recover {
 			j, err := svc.Submit(spec)
@@ -112,22 +122,20 @@ func TestAggregatorCrashOrder(t *testing.T) {
 		return st
 	}
 
-	svc, j := serve(t, t.TempDir(), false)
-	want := finish(t, svc, j)
-	if want.Digest != wantDigest || want.Explored != wantExplored || len(want.Violations) == 0 {
-		t.Fatalf("vacuous: the undisturbed job ended with %d explored, %d violations", want.Explored, len(want.Violations))
-	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			wantDigest, wantExplored := sequentialBaseline(t, row.spec)
+			svc, j := serve(t, row.spec, t.TempDir(), false)
+			want := finish(t, svc, j)
+			if want.Digest != wantDigest || want.Explored != wantExplored || len(want.Violations) == 0 {
+				t.Fatalf("vacuous: the undisturbed job ended with %d explored, %d violations", want.Explored, len(want.Violations))
+			}
 
-	for name, boundary := range map[string]aggBoundary{
-		"acknowledged-not-aggregated": beforeAggregate,
-		"records-written-not-synced":  afterRecords,
-	} {
-		t.Run(name, func(t *testing.T) {
-			svc1, j1 := serve(t, t.TempDir(), false)
-			firstKill := killAt(t, j1, boundary, 3)
+			svc1, j1 := serve(t, row.spec, t.TempDir(), false)
+			firstKill := killAt(t, j1, row.boundary, 3)
 			finish(t, svc1, j1)
 
-			svc2, j2 := serve(t, firstKill, true)
+			svc2, j2 := serve(t, row.spec, firstKill, true)
 			recorded := len(journalKeys(t, filepath.Join(firstKill, j2.ID())))
 			if st := j2.Status(); st.Resumed != recorded || st.Resumed == 0 || st.Resumed >= wantExplored {
 				t.Fatalf("first recovery resumed %d of %d records (job of %d)", st.Resumed, recorded, wantExplored)
@@ -135,7 +143,7 @@ func TestAggregatorCrashOrder(t *testing.T) {
 			secondKill := killAt(t, j2, beforeAggregate, 3)
 			finish(t, svc2, j2)
 
-			svc3, j3 := serve(t, secondKill, true)
+			svc3, j3 := serve(t, row.spec, secondKill, true)
 			recorded = len(journalKeys(t, filepath.Join(secondKill, j3.ID())))
 			if st := j3.Status(); st.Resumed != recorded || st.Resumed <= j2.Status().Resumed {
 				t.Fatalf("second recovery resumed %d of %d records, the first %d", st.Resumed, recorded, j2.Status().Resumed)

@@ -30,7 +30,7 @@ func (d *Digest) Observe(o *runner.Outcome) {
 }
 
 // Add folds a precomputed key/signature pair in (the coordinator's resume
-// path replays signatures from results.log without re-executing). Adding
+// path replays signatures from results.log). Adding
 // the same key twice keeps the last signature; equal-behaviour re-executions
 // are therefore idempotent.
 func (d *Digest) Add(key, sig string) {

@@ -81,7 +81,6 @@ func driverCases() []driverCase {
 		}},
 		{name: "seeded-faults", spec: base, local: func(s *runner.Scenario, cfg *runner.Config) {
 			cfg.Seed = 7
-			cfg.RetryBackoff = 100 * time.Microsecond
 			cfg.Faults = &fault.Schedule{Seed: 11, Faults: []fault.Fault{
 				{Kind: fault.CrashReplica, Replica: "A", At: 3},
 				{Kind: fault.CrashReplica, Replica: "B", Interleaving: 4, At: 2, Duration: 20},
@@ -96,7 +95,6 @@ func driverCases() []driverCase {
 		{name: "re-prune-past-quarantined-boundary", spec: base, local: func(s *runner.Scenario, cfg *runner.Config) {
 			tested := s.Pruning.TestedReplicas
 			s.Pruning.TestedReplicas = nil
-			cfg.RetryBackoff = 100 * time.Microsecond
 			cfg.Faults = &fault.Schedule{Faults: []fault.Fault{
 				{Kind: fault.CrashReplica, Replica: "B", Interleaving: pollBoundary, At: 1, Duration: 20},
 			}}

@@ -279,9 +279,10 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	cfg.Telemetry = tel.reg
 	j.ledger = runner.NewLedger(scenario, cfg, explorer, j.res)
 	// The records are what an earlier session committed: their digest
-	// contributions and violations survive a coordinator restart without
-	// re-executing anything, and carving numbers on after them. A journal
-	// recorded for another event log or enumeration is refused here.
+	// contributions and violations survive a coordinator restart, the
+	// assertions re-check one record per signature, and carving numbers
+	// on after them. A journal recorded for another event log or
+	// enumeration, or one whose records no longer replay, is refused here.
 	recs, err := j.ledger.Resume()
 	if err != nil {
 		return nil, err
@@ -535,9 +536,9 @@ func (j *Job) parkLocked(r *jobRange, results []wireResult) {
 }
 
 // aggregate is the job's one aggregator: it feeds committed ranges, in
-// carve order, through the job's ledger — the reorder buffer that makes
-// stateful assertions see the exact sequential outcome sequence — a batch
-// of however many contiguous ranges are ready at a time. It does not wait
+// carve order, through the job's ledger — the reorder buffer that checks
+// assertions in index order, which the rule on runner.Assertion relies on
+// — a batch of however many contiguous ranges are ready at a time. It does not wait
 // on the disk for each batch: a written batch goes to the finisher, which
 // counts it once the record log's clock has synced it. A batch the job
 // waits on — one that completes it, stops the ledger, or holds carving —

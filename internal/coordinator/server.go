@@ -266,16 +266,6 @@ func (s *Service) Jobs() []*Job {
 	return out
 }
 
-// Cancel terminates a job.
-func (s *Service) Cancel(id string) bool {
-	j, ok := s.Job(id)
-	if !ok {
-		return false
-	}
-	j.cancel()
-	return true
-}
-
 // Close shuts the service down: stop accepting, stop the janitor, close
 // every job's files. Running jobs stay resumable from their journals.
 func (s *Service) Close() error {

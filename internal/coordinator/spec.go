@@ -60,10 +60,9 @@ type JobSpec struct {
 // (an empty one becomes erpi) — and resolves its named workload into the
 // scenario and fresh assertion instances. Every front end calls it: the
 // coordinator for enumeration and assertion checking, each worker for
-// execution (assertions are checked only on the coordinator, in
-// aggregation order, so stateful detectors see the exact sequential
-// outcome sequence), and erpi for a local run of the spec it would
-// otherwise submit.
+// execution (assertions are checked only on the coordinator, in index
+// order, which the rule on runner.Assertion relies on), and erpi for a
+// local run of the spec it would otherwise submit.
 func (sp *JobSpec) Build() (runner.Scenario, []runner.Assertion, error) {
 	if (sp.Bug == "") == (sp.Miscon == "") {
 		return runner.Scenario{}, nil, fmt.Errorf("coordinator: spec must name exactly one of bug or miscon")

@@ -105,7 +105,6 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"Store":            true, // datalog budget experiment, local only
 		"ConstraintPoll":   true, // dynamic re-pruning is coordinator-local
 		"PollEvery":        true,
-		"RetryBackoff":     true, // workers use the runner default
 		"Faults":           true, // fault schedules not distributed
 		"PrefixCacheBytes": true, // per-worker accelerator, not spec-driven
 	}

@@ -1,8 +1,11 @@
 package miscon
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
+	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/runner"
 )
 
@@ -78,4 +81,73 @@ func TestScenarioNames(t *testing.T) {
 	if len(Subjects()) != 5 {
 		t.Error("five subjects expected")
 	}
+}
+
+// TestResumeKeepsVerdicts cuts each scenario's exploration just before its
+// first violation and resumes it in a new session with fresh detectors:
+// the resumed run must report the uninterrupted run's FirstViolation and
+// violations, which the cross-interleaving detectors can only do when the
+// resume hands them the history they saw before the cut.
+func TestResumeKeepsVerdicts(t *testing.T) {
+	cut := 0
+	for _, sc := range All() {
+		t.Run(sc.Name(), func(t *testing.T) {
+			s, err := sc.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(ctx context.Context, dir *checkpoint.Dir, onOutcome func(*runner.Outcome)) *runner.Result {
+				t.Helper()
+				res, err := runner.RunContext(ctx, s, runner.Config{
+					Mode:             runner.ModeERPi,
+					MaxInterleavings: 200,
+					Workers:          1,
+					Assertions:       sc.NewAssertions(),
+					Journal:          dir,
+					OnOutcome:        onOutcome,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want := run(context.Background(), nil, nil)
+			if want.FirstViolation <= 1 {
+				t.Skipf("first violation at %d: no cut before it", want.FirstViolation)
+			}
+			cut++
+			dir, err := checkpoint.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dir.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			seen := 0
+			first := run(ctx, dir, func(*runner.Outcome) {
+				if seen++; seen == want.FirstViolation-1 {
+					cancel()
+				}
+			})
+			cancel()
+			if !first.Interrupted || first.FirstViolation != 0 {
+				t.Fatalf("vacuous: the cut session ended interrupted=%v at first violation %d", first.Interrupted, first.FirstViolation)
+			}
+			got := run(context.Background(), dir, nil)
+			if got.Resumed == 0 || got.FirstViolation != want.FirstViolation || !reflect.DeepEqual(violations(got), violations(want)) {
+				t.Fatalf("resumed after %d records: first violation %d, %d violations; uninterrupted %d, %d",
+					got.Resumed, got.FirstViolation, len(got.Violations), want.FirstViolation, len(want.Violations))
+			}
+		})
+	}
+	if cut == 0 {
+		t.Fatal("vacuous: no scenario's first violation comes after index 1")
+	}
+}
+
+func violations(r *runner.Result) []string {
+	out := make([]string, 0, len(r.Violations))
+	for _, v := range r.Violations {
+		out = append(out, v.String())
+	}
+	return out
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
@@ -24,7 +23,9 @@ import (
 // a scenario, its prune config and an optional ConstraintPoll re-prune,
 // the mode and cap, budgets small enough to refuse snapshots and evict
 // frontiers, a worker count, run length and snapshot stride, and seeded
-// faults that change outcomes (partitions, crashes with downtime). It
+// faults that change outcomes (partitions, crashes with downtime). Two
+// assertions read one replica: a stateless one and a cross-interleaving
+// one, so every comparison below also compares stateful verdicts. It
 // asserts:
 //
 //  1. With both layers on, at Workers 1 and at Workers N, every outcome is
@@ -68,6 +69,8 @@ func (d *draws) bool() bool { return d.n(2) == 1 }
 type diffCase struct {
 	s   Scenario
 	cfg Config // the reference: layers off, Workers 1
+	// tested is the replica the assertions read.
+	tested event.ReplicaID
 	// The layers' budgets, the pool's shape and the live session count.
 	cacheBytes, tableBytes int64
 	workers, live          int
@@ -127,14 +130,15 @@ func drawCase(t *testing.T, data []byte) diffCase {
 	}
 	c := diffCase{s: Scenario{Name: "differential", Log: log, NewCluster: newCluster}}
 
-	// The assertion: the tested replica ends as it did in the recorded order.
-	tested := rep()
-	want := cluster.Fingerprints()[tested]
+	// The assertions: the tested replica ends as it did in the recorded
+	// order, and as it did in the first outcome checked (c.run adds that
+	// one, which keeps state, afresh to every run).
+	c.tested = rep()
+	want := cluster.Fingerprints()[c.tested]
 	c.cfg = Config{
-		Mode:         []Mode{ModeERPi, ModeDFS}[d.n(2)],
-		Workers:      1,
-		Assertions:   []Assertion{replicaHolds{rep: tested, want: want}},
-		RetryBackoff: time.Microsecond,
+		Mode:       []Mode{ModeERPi, ModeDFS}[d.n(2)],
+		Workers:    1,
+		Assertions: []Assertion{replicaHolds{rep: c.tested, want: want}},
 	}
 	if d.bool() {
 		c.s.Finalize = AntiEntropy(1)
@@ -143,7 +147,7 @@ func drawCase(t *testing.T, data []byte) diffCase {
 		c.s.Pruning.Grouping.DisableSyncPairs = d.bool()
 		switch d.n(3) {
 		case 1:
-			c.s.Pruning.TestedReplicas = []event.ReplicaID{tested}
+			c.s.Pruning.TestedReplicas = []event.ReplicaID{c.tested}
 		case 2:
 			c.s.Pruning.TestedReplicas = []event.ReplicaID{rep()}
 		}
@@ -247,6 +251,7 @@ func (c diffCase) run(t *testing.T, s Scenario, cfg Config, runLen func(left, wo
 	t.Helper()
 	var r diffRun
 	cfg.OnOutcome = func(o *Outcome) { r.outcomes = append(r.outcomes, o) }
+	cfg.Assertions = append(slices.Clip(cfg.Assertions), &stateStable{rep: c.tested})
 	if c.extra != nil {
 		polls := 0
 		cfg.ConstraintPoll = func() (prune.Config, bool, error) {

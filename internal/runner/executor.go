@@ -58,7 +58,6 @@ type Executor struct {
 	jitterSeed int64
 	timeout    time.Duration
 	maxRetries int
-	backoff    time.Duration
 
 	// slots is the per-event scratch along the executor's path, indexed by
 	// event ID (DESIGN.md §4.9): what each event of the executed prefix
@@ -170,8 +169,7 @@ type eventStep struct {
 // validate is the one check of what a caller hands the engine, shared by
 // RunContext and NewExecutor, and applies Config's documented defaults in
 // place: Mode defaults to ModeERPi; MaxRetries 0 means one retry, negative
-// disables; RetryBackoff defaults to 1ms — so a standalone executor
-// retries exactly like the engines.
+// disables — so a standalone executor retries exactly like the engines.
 func validate(s Scenario, cfg *Config) error {
 	if s.Log == nil || s.Log.Len() == 0 {
 		return errors.New("runner: scenario has no events")
@@ -193,9 +191,6 @@ func validate(s Scenario, cfg *Config) error {
 	case cfg.MaxRetries < 0:
 		cfg.MaxRetries = 0
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = time.Millisecond
-	}
 	return nil
 }
 
@@ -203,7 +198,7 @@ func validate(s Scenario, cfg *Config) error {
 // the exact stack an in-process Workers=N run gives each worker, packaged
 // so out-of-process callers (the distributed coordinator's workers
 // foremost) execute with byte-identical semantics. Honored Config fields:
-// Seed, Faults, MaxRetries, RetryBackoff, InterleavingTimeout,
+// Seed, Faults, MaxRetries, InterleavingTimeout,
 // PrefixCacheBytes, SubsumptionTable (with Mode
 // gating it, lexicographic modes only), Telemetry. With SubsumptionTable
 // > 0 the executor keeps a private visited-frontier table across Execute
@@ -260,7 +255,6 @@ func newExecutor(s Scenario, cfg Config, w int, tel *runTelemetry, sub *subsumeT
 		jitterSeed: cfg.Seed ^ 0x5deece66d ^ int64(w+1)<<32,
 		timeout:    cfg.InterleavingTimeout,
 		maxRetries: cfg.MaxRetries,
-		backoff:    cfg.RetryBackoff,
 		sub:        sub,
 	}
 	if tel.reg != nil {
@@ -370,10 +364,14 @@ func (x *Executor) execute(ctx context.Context, item workItem) (*Outcome, int, e
 		select {
 		case <-ctx.Done():
 			return nil, attempts, ctx.Err()
-		case <-time.After(retryDelay(x.backoff, attempts, x.jitter)):
+		case <-time.After(retryDelay(retryBackoff, attempts, x.jitter)):
 		}
 	}
 }
+
+// retryBackoff is the delay before an interleaving's first retry, doubling
+// per attempt with ±50% jitter drawn from the worker's seeded generator.
+const retryBackoff = time.Millisecond
 
 // maxRetryBackoff caps the exponential retry backoff. Without it, doubling
 // the base per attempt overflows time.Duration after ~63 shifts (sooner

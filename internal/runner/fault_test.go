@@ -103,7 +103,6 @@ func TestCrashQuarantineYieldsPartialResults(t *testing.T) {
 			// it down for the rest of the interleaving.
 			{Kind: fault.CrashReplica, Replica: "B", Interleaving: 3, At: 2, Duration: 10},
 		}},
-		RetryBackoff: 100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,8 +138,7 @@ func TestPayloadTruncationQuarantines(t *testing.T) {
 		Faults: &fault.Schedule{Faults: []fault.Fault{
 			{Kind: fault.TruncatePayload, At: 1, KeepBytes: 2},
 		}},
-		MaxRetries:   -1, // no point retrying a deterministic fault
-		RetryBackoff: 100 * time.Microsecond,
+		MaxRetries: -1, // no point retrying a deterministic fault
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +307,7 @@ func TestRetrySucceedsAfterTransientFault(t *testing.T) {
 	// Workers: 1 — the shared failure budget above makes the cluster
 	// factory unsafe for concurrent calls, and which execution trips the
 	// single failure must stay deterministic.
-	res, err := Run(s, Config{Mode: ModeERPi, Workers: 1, RetryBackoff: 100 * time.Microsecond})
+	res, err := Run(s, Config{Mode: ModeERPi, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"context"
 	"encoding/hex"
 	"fmt"
 	"log/slog"
@@ -103,16 +102,16 @@ func BuildBundle(s Scenario, cfg Config, il interleave.Interleaving, index int, 
 	return b, nil
 }
 
-// forensicReplay executes one interleaving on a fresh cluster (bare
-// executor: no cache, no subsumption, no telemetry) with the step
-// observer attached, finalizes, and returns the outcome as a FinalState.
+// forensicReplay executes one interleaving on a fresh cluster (a
+// bareExecutor) with the step observer attached, finalizes, and returns
+// the outcome as a FinalState.
 func forensicReplay(s Scenario, faults *fault.Schedule, il interleave.Interleaving, index int, observe func(*replica.Cluster, int) error) (*forensics.FinalState, error) {
-	x, err := newExecutor(s, Config{Faults: faults}, 0, telemetryOff, nil, false, defaultPrefixSnapshotEvery)
+	x, err := bareExecutor(s, faults)
 	if err != nil {
 		return nil, err
 	}
 	x.step = func(pos int) error { return observe(x.cluster, pos) }
-	outcome, err := x.attempt(context.Background(), workItem{index: index, il: il, pivot: -1})
+	outcome, err := x.once(il, index)
 	if err != nil {
 		return nil, err
 	}

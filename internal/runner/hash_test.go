@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
@@ -158,7 +157,6 @@ func TestIncrementalHashingFaultParity(t *testing.T) {
 			Mode:             ModeERPi,
 			Workers:          workers,
 			Faults:           crashSchedule(),
-			RetryBackoff:     100 * time.Microsecond,
 			PrefixCacheBytes: testBudget,
 		}
 		inc, incRes := collectOutcomes(t, s, cfg)

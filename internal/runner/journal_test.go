@@ -3,13 +3,13 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/event"
@@ -328,8 +328,7 @@ func TestKillAnywhere(t *testing.T) {
 		{"plain", townReportScenario, func() Config {
 			return Config{
 				Mode: ModeDFS, MaxInterleavings: 30,
-				Assertions:   []Assertion{municipalityInvariant{}},
-				RetryBackoff: 100 * time.Microsecond,
+				Assertions: []Assertion{municipalityInvariant{}},
 				Faults: &fault.Schedule{Faults: []fault.Fault{
 					{Kind: fault.CrashReplica, Replica: "B", Interleaving: 6, At: 0, Duration: 10},
 				}},
@@ -352,8 +351,7 @@ func TestKillAnywhere(t *testing.T) {
 			delivered := false
 			return Config{
 				Mode: ModeERPi, PollEvery: 4,
-				Assertions:   []Assertion{municipalityInvariant{}},
-				RetryBackoff: 100 * time.Microsecond,
+				Assertions: []Assertion{municipalityInvariant{}},
 				// Index 4, the first poll boundary, quarantines: its poll is
 				// skipped, and the constraint arrives at index 8.
 				Faults: &fault.Schedule{Faults: []fault.Fault{
@@ -369,6 +367,19 @@ func TestKillAnywhere(t *testing.T) {
 					pcfg.IndependentSets = []prune.IndependenceSpec{{Events: []event.ID{2, 4}}}
 					return pcfg, true, nil
 				},
+			}
+		}},
+		// A's state first differs at index 9, past every cut: a session
+		// that does not re-check the records takes its own first outcome
+		// for the state to hold. The partition changes index 3's outcome
+		// but not A's state; a re-check that does not arm it at index 3
+		// refuses the journal.
+		{"state-stable", townReportScenario, func() Config {
+			return Config{
+				Mode: ModeERPi, Assertions: []Assertion{&stateStable{rep: "A"}},
+				Faults: &fault.Schedule{Faults: []fault.Fault{
+					{Kind: fault.Partition, A: "A", B: "M", Interleaving: 3, At: 0, Duration: 10},
+				}},
 			}
 		}},
 		{"rand", townReportScenario, func() Config {
@@ -507,6 +518,27 @@ func TestKillAnywhere(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stateStable fails every outcome in which the replica's state is not
+// the one it held in the first outcome checked: check.StateStable's shape,
+// a cross-interleaving assertion.
+type stateStable struct {
+	rep             event.ReplicaID
+	first, firstKey string
+	checked         bool
+}
+
+func (a *stateStable) Name() string { return "state-stable" }
+func (a *stateStable) Check(o *Outcome) error {
+	fp := o.Fingerprints[a.rep]
+	if !a.checked {
+		a.first, a.firstKey, a.checked = fp, o.Interleaving.Key(), true
+	}
+	if fp != a.first {
+		return fmt.Errorf("%s holds %q, %q in the first outcome checked [%s]", a.rep, fp, a.first, a.firstKey)
+	}
+	return nil
 }
 
 // startsWith fails every interleaving that begins with the event: a

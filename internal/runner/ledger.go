@@ -26,8 +26,8 @@ import (
 // Quarantined accounting, the OnOutcome hook, the assertion loop,
 // FirstViolation, forensic capture, the durable record (Config.Journal),
 // and whether exploration stops. Because results arrive in index order,
-// stateful assertions and OnOutcome observers see the same history at
-// every worker count.
+// assertions and OnOutcome observers see the same history at every worker
+// count.
 type Ledger struct {
 	s        Scenario
 	cfg      Config
@@ -265,9 +265,14 @@ func (l *Ledger) check(index int, il interleave.Interleaving, outcome *Outcome) 
 // records are indices 1..n in order — what Record wrote — so Next skips
 // every interleaving they hold and numbers on from n+1 (the records count
 // toward the cap), and a resumed session's indices are those of an
-// uninterrupted one. Stateful assertions and OnOutcome do not see resumed
-// results, and a fault-armed ModeFuzz outcome replays as its signature
-// (the record does not say it was armed).
+// uninterrupted one. The assertions get the history an uninterrupted run
+// gave them (the rule on Assertion): the first executed record of each
+// signature is re-executed at its index, under the run's faults, and
+// checked, its verdicts dropped because the records hold them. A record
+// whose re-execution fails or reports another signature refuses the
+// journal, with nothing written. OnOutcome observes this session's
+// executions only, and a fault-armed ModeFuzz outcome replays as its
+// signature (the record does not say it was armed).
 func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 	if l.cfg.Journal == nil {
 		return nil, nil
@@ -285,6 +290,10 @@ func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 	if len(recs) > 0 {
 		l.resume = make(map[uint64]string, len(recs))
 	}
+	var (
+		x       *Executor
+		checked = map[string]bool{}
+	)
 	for i := range recs {
 		r := &recs[i]
 		if r.Index != i+1 {
@@ -293,13 +302,33 @@ func (l *Ledger) Resume() ([]checkpoint.Record, error) {
 		l.resume[fingerprint(r.Key)] = r.Sig
 		if r.Subsumed {
 			l.res.Subsumed++
+			continue
 		}
-		if r.Error == "" && len(r.Violations) == 0 {
+		recheck := r.Error == "" && len(l.cfg.Assertions) > 0 && !checked[r.Sig]
+		if !recheck && r.Error == "" && len(r.Violations) == 0 {
 			continue
 		}
 		il, err := parseKey(r.Key)
 		if err != nil {
 			return nil, fmt.Errorf("runner: %s: record %d: %w", l.cfg.Journal.Path(), r.Index, err)
+		}
+		if recheck {
+			checked[r.Sig] = true
+			if x == nil {
+				if x, err = bareExecutor(l.s, l.cfg.Faults); err != nil {
+					return nil, err
+				}
+			}
+			o, err := x.once(il, r.Index)
+			if err == nil && behaviorSignature(o) != r.Sig {
+				err = errors.New("its outcome is not the recorded one")
+			}
+			if err != nil {
+				return nil, fmt.Errorf("runner: %s: record %d [%s] does not replay: %w", l.cfg.Journal.Path(), r.Index, r.Key, err)
+			}
+			for _, a := range l.cfg.Assertions {
+				_ = a.Check(o) // the records hold the verdicts
+			}
 		}
 		if r.Error != "" {
 			l.res.Quarantined = append(l.res.Quarantined, ExecError{Index: r.Index, Interleaving: il, Attempts: r.Attempts, Err: errors.New(r.Error)})

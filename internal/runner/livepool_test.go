@@ -207,7 +207,6 @@ func TestLivePoolMatchesCheckpointedEngine(t *testing.T) {
 							Workers:            1,
 							Faults:             sched.faults,
 							Assertions:         []Assertion{sc.assertion},
-							RetryBackoff:       100 * time.Microsecond,
 							OnOutcome:          func(o *Outcome) { outcomes = append(outcomes, o) },
 						}
 						if live {
@@ -270,12 +269,11 @@ func TestLivePoolDeterminismUnderFaults(t *testing.T) {
 		s := townReportScenario(t)
 		s.Finalize = AntiEntropy(2)
 		return liveSignatures(t, s, Config{
-			Mode:         ModeERPi,
-			LiveWorkers:  workers,
-			Seed:         7,
-			Faults:       sched,
-			Assertions:   []Assertion{municipalityInvariant{}},
-			RetryBackoff: 100 * time.Microsecond,
+			Mode:        ModeERPi,
+			LiveWorkers: workers,
+			Seed:        7,
+			Faults:      sched,
+			Assertions:  []Assertion{municipalityInvariant{}},
 		})
 	}
 	one, oneRes := run(1)
@@ -317,7 +315,6 @@ func TestLivePoolSurvivesLockServerOutage(t *testing.T) {
 		LiveWorkers:         2,
 		MaxInterleavings:    slice,
 		MaxRetries:          8,
-		RetryBackoff:        time.Millisecond,
 		InterleavingTimeout: 2 * time.Second,
 		LiveGates: func(worker int) (SessionFactory, error) {
 			p := proxy.NewDistPool(addr, "outage", worker, 5*time.Second)

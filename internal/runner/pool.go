@@ -67,8 +67,8 @@ import (
 // Deterministic regardless of worker count and of where runs are cut:
 //   - which interleavings execute, their indices, and the record log (one
 //     record per recorded index, appended by Ledger.Record in index order);
-//   - Outcome delivery order to OnOutcome and to assertions (stateful
-//     assertions see one history);
+//   - Outcome delivery order to OnOutcome and to assertions: index order,
+//     which the rule on Assertion relies on;
 //   - Violations, Quarantined, FirstViolation, and — on a completed or
 //     StopOnViolation run — Explored;
 //   - probabilistic fault arming (keyed by index, not by execution order).

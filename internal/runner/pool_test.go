@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/prune"
@@ -53,12 +52,11 @@ func TestParallelDeterminismUnderFaults(t *testing.T) {
 		s := townReportScenario(t)
 		s.Finalize = AntiEntropy(2)
 		return collectOutcomes(t, s, Config{
-			Mode:         ModeERPi,
-			Workers:      workers,
-			Seed:         7,
-			Faults:       sched,
-			Assertions:   []Assertion{municipalityInvariant{}},
-			RetryBackoff: 100 * time.Microsecond,
+			Mode:       ModeERPi,
+			Workers:    workers,
+			Seed:       7,
+			Faults:     sched,
+			Assertions: []Assertion{municipalityInvariant{}},
 		})
 	}
 	seq, seqRes := run(1)

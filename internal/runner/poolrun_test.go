@@ -84,7 +84,6 @@ func TestPoolRunCutsDoNotChangeResults(t *testing.T) {
 			polls := 0
 			res, outcomes := exploreCollect(t, s, Config{
 				Mode: ModeERPi, Workers: workers, PollEvery: 4,
-				RetryBackoff: 100 * time.Microsecond,
 				// Index 4, the first poll boundary, quarantines: B goes down
 				// for the rest of it.
 				Faults: &fault.Schedule{Faults: []fault.Fault{
@@ -122,7 +121,6 @@ func TestPoolRunCutsDoNotChangeResults(t *testing.T) {
 			s.Finalize = AntiEntropy(2)
 			res, outcomes := exploreCollect(t, s, Config{
 				Mode: ModeERPi, Workers: workers, Seed: 7,
-				RetryBackoff: 100 * time.Microsecond,
 				Faults: &fault.Schedule{Seed: 11, Faults: []fault.Fault{
 					{Kind: fault.CrashReplica, Replica: "A", At: 3},
 					{Kind: fault.CrashReplica, Replica: "B", Interleaving: 4, At: 2, Duration: 10},

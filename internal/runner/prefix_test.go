@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
@@ -145,7 +144,6 @@ func TestPrefixCacheDeterminismUnderFaults(t *testing.T) {
 					Faults:           sched,
 					PrefixCacheBytes: cacheBytes,
 					Assertions:       []Assertion{municipalityInvariant{}},
-					RetryBackoff:     100 * time.Microsecond,
 				})
 			}
 			off, offRes := run(0)
@@ -476,7 +474,6 @@ func TestPrefixCacheFaultArmedSlots(t *testing.T) {
 			Workers:          1,
 			MaxInterleavings: 300,
 			Faults:           sched(),
-			RetryBackoff:     100 * time.Microsecond,
 			Telemetry:        reg,
 		}
 		if on {

@@ -123,7 +123,14 @@ type Outcome struct {
 
 // Assertion checks a property after each interleaving. Implementations may
 // keep state across interleavings (e.g. comparing a replica's final state
-// between different orders, the detector for misconceptions #1 and #5).
+// between different orders, the detector for misconceptions #1 and #5),
+// under one rule: the verdict on an outcome may depend only on that
+// outcome and on the distinct outcomes (by OutcomeSignature) checked
+// before it, in the order they were first seen. Under that rule a resume,
+// the worker count, either driver and a subsumption skip all give each
+// executed index the same verdict: outcomes are checked in index order, a
+// skipped interleaving's outcome is one an earlier index produced, and
+// Ledger.Resume re-checks the first record of each signature.
 type Assertion interface {
 	// Name labels the assertion in violation reports.
 	Name() string
@@ -209,7 +216,8 @@ type Config struct {
 	// to the session directory, in index order. A session over a directory
 	// that already holds records resumes after them: their interleavings
 	// are skipped, their violations, quarantines and FirstViolation are
-	// reported again, and indices continue where the records end — so an
+	// reported again, the assertions re-check the first record of each
+	// signature, and indices continue where the records end — so an
 	// interrupted exploration, resumed, explores and numbers exactly what
 	// an uninterrupted one does (paper §4.2: ER-π persists the
 	// interleavings). One recorded for another event log, mode, seed,
@@ -220,14 +228,10 @@ type Config struct {
 	// goes through the retry/quarantine path (zero = unbounded).
 	InterleavingTimeout time.Duration
 	// MaxRetries is how many times an errored interleaving is re-executed
-	// — with exponential backoff plus seeded jitter — before being
-	// quarantined. Zero means the default of 1 retry; negative disables
-	// retries entirely.
+	// — after 1 ms, doubling per attempt, with ±50% seeded jitter — before
+	// being quarantined. Zero means the default of 1 retry; negative
+	// disables retries entirely.
 	MaxRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt with ±50% jitter drawn from the run's seeded generator
-	// (default 1ms).
-	RetryBackoff time.Duration
 	// Faults, when set, injects the deterministic fault schedule into
 	// every execution (replica crashes, partitions, payload truncation;
 	// see the fault package). A schedule with no faults is observationally
@@ -522,11 +526,25 @@ func NewExplorer(s Scenario, cfg Config) (interleave.Explorer, error) {
 // cluster, execute, finalize) and returns its outcome. Used to compute the
 // reported manifestation of a bug benchmark from its trigger order.
 func ExecuteOnce(s Scenario, il interleave.Interleaving) (*Outcome, error) {
-	x, err := newExecutor(s, Config{}, 0, telemetryOff, nil, false, defaultPrefixSnapshotEvery)
+	x, err := bareExecutor(s, nil)
 	if err != nil {
 		return nil, err
 	}
-	return x.attempt(context.Background(), workItem{index: 1, il: il, pivot: -1})
+	return x.once(il, 1)
+}
+
+// bareExecutor builds an executor for re-executing chosen interleavings
+// outside an exploration — ExecuteOnce, forensic capture and
+// Ledger.Resume's re-check: no prefix cache, no subsumption table and no
+// telemetry, under the given fault schedule.
+func bareExecutor(s Scenario, faults *fault.Schedule) (*Executor, error) {
+	return newExecutor(s, Config{Faults: faults}, 0, telemetryOff, nil, false, defaultPrefixSnapshotEvery)
+}
+
+// once executes il at the exploration index, which keys fault arming, in
+// one attempt.
+func (x *Executor) once(il interleave.Interleaving, index int) (*Outcome, error) {
+	return x.attempt(context.Background(), workItem{index: index, il: il, pivot: -1})
 }
 
 // newSubsumption builds the run's shared subsumption table, or nil when

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/event"
@@ -426,7 +425,6 @@ func TestSubsumptionFaultArmedBypass(t *testing.T) {
 		Faults: &fault.Schedule{Faults: []fault.Fault{
 			{Kind: fault.CrashReplica, Replica: "B", Interleaving: 3, At: 2, Duration: 10},
 		}},
-		RetryBackoff:     100 * time.Microsecond,
 		SubsumptionTable: testSubTable,
 	})
 	if err != nil {
@@ -728,7 +726,6 @@ func TestFinalFrontierRetryNeverSelfSubsumes(t *testing.T) {
 		Mode:             ModeDFS,
 		Workers:          1,
 		MaxInterleavings: 2,
-		RetryBackoff:     100 * time.Microsecond,
 		SubsumptionTable: testSubTable,
 		OnOutcome:        func(o *Outcome) { ran = append(ran, o.Index) },
 	})
