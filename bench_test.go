@@ -127,7 +127,7 @@ func BenchmarkFig9Ablation(b *testing.B) {
 }
 
 // BenchmarkFig10SucceedOrCrash runs one succeed-or-crash round per
-// iteration (ER-π succeeds, DFS and Rand exhaust the store budget).
+// iteration (ER-π succeeds, DFS and Rand exhaust the fact budget).
 func BenchmarkFig10SucceedOrCrash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := bench.RunFig10(1, bench.DefaultFig10Budget)

@@ -41,7 +41,7 @@ func run() int {
 		cap     = flag.Int("cap", bench.Cap, "exploration cap (Figure 8)")
 		seed    = flag.Int64("seed", 1, "seed for the Rand baseline and sampling")
 		runs    = flag.Int("runs", 5, "runs per mode (Figure 10)")
-		budget  = flag.Int("budget", bench.DefaultFig10Budget, "store fact budget (Figure 10)")
+		budget  = flag.Int("budget", bench.DefaultFig10Budget, "fact budget (Figure 10): each mode explores at most budget / (1 + events) interleavings")
 		sample  = flag.Int("sample", 20000, "sampling size for Figure 9 estimates")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this path")
 		memProf = flag.String("memprofile", "", "write a heap profile at exit to this path")

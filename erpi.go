@@ -35,7 +35,6 @@ import (
 	"github.com/er-pi/erpi/internal/check"
 	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/constraints"
-	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/prune"
@@ -383,11 +382,6 @@ func WithDeadline(d time.Duration) Option {
 // retries.
 func WithRetries(n int) Option {
 	return func(s *Session) { s.cfg.MaxRetries = n }
-}
-
-// WithStore persists explored interleavings in a deductive store.
-func WithStore(store *datalog.Store) Option {
-	return func(s *Session) { s.cfg.Store = store }
 }
 
 // WithConstraintsDir polls a directory for JSON constraint files during

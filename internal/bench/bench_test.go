@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/runner"
 )
@@ -119,6 +120,9 @@ func TestRunFig10SucceedOrCrash(t *testing.T) {
 		case runner.ModeDFS, runner.ModeRand:
 			if r.Succeed {
 				t.Errorf("run %d: %s should exhaust the budget on the 24-event space", r.Run, r.Mode)
+			}
+			if want := DefaultFig10Budget / datalog.FactsPerInterleaving(24); r.Explored != want {
+				t.Errorf("run %d: %s explored %d, want the budget's %d interleavings", r.Run, r.Mode, r.Explored, want)
 			}
 		}
 	}

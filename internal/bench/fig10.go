@@ -13,9 +13,11 @@ import (
 
 // Fig10Run is one run of the succeed-or-crash micro-benchmark (paper
 // Figure 10): the OrbitDB-5 workload explored WITHOUT the 10K termination
-// threshold; every explored interleaving is persisted in the deductive
-// store, whose fact budget models the machine's memory. A run either
-// reproduces the bug (✓) or exhausts the budget and crashes (✗).
+// threshold, under a fact budget that models the machine's memory. Every
+// explored interleaving would be persisted in the deductive store at
+// datalog.FactsPerInterleaving facts, and no interleaving is explored
+// twice, so the budget admits a fixed number of them: the run's cap. A run
+// either reproduces the bug within it (✓) or exhausts it (✗).
 type Fig10Run struct {
 	Run      int
 	Mode     runner.Mode
@@ -25,9 +27,8 @@ type Fig10Run struct {
 }
 
 // DefaultFig10Budget is the store budget in facts. An interleaving of the
-// 24-event OrbitDB-5 workload costs 25 facts, so this admits ~2000
-// persisted interleavings — far above ER-π's need and far below the
-// baselines'.
+// 24-event OrbitDB-5 workload costs 25 facts, so this admits exactly 2000
+// interleavings — far above ER-π's need and far below the baselines'.
 const DefaultFig10Budget = 50000
 
 // RunFig10 executes `runs` runs per mode; each run uses a distinct Rand
@@ -55,15 +56,17 @@ func RunFig10(runs int, budget int) ([]Fig10Run, error) {
 			if err != nil {
 				return nil, err
 			}
-			store := datalog.NewStore()
-			store.MaxFacts = budget
+			// A cap of 0 would mean the default, not none.
+			per := datalog.FactsPerInterleaving(scenario.Log.Len())
+			if budget < per {
+				return nil, fmt.Errorf("bench: fig10 budget %d is below one interleaving's %d facts", budget, per)
+			}
 			res, err := runner.Run(scenario, runner.Config{
 				Mode:             mode,
 				Seed:             int64(run), // varies Rand only
-				MaxInterleavings: -1,         // unbounded: succeed or crash
+				MaxInterleavings: budget / per,
 				StopOnViolation:  true,
 				Assertions:       asserts,
-				Store:            store,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bench: fig10 %s run %d: %w", mode, run, err)
@@ -71,7 +74,7 @@ func RunFig10(runs int, budget int) ([]Fig10Run, error) {
 			out = append(out, Fig10Run{
 				Run:      run,
 				Mode:     mode,
-				Succeed:  res.FirstViolation > 0 && !res.Crashed,
+				Succeed:  res.FirstViolation > 0,
 				Explored: res.Explored,
 				Duration: res.Duration,
 			})

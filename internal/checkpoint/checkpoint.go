@@ -487,20 +487,6 @@ func (d *Dir) LoadJSON(name string, v any) error {
 	return nil
 }
 
-// SaveSnapshot persists a replica state snapshot under a name.
-func (d *Dir) SaveSnapshot(name string, snapshot []byte) error {
-	return d.writeFile("state-"+name+".snap", snapshot)
-}
-
-// LoadSnapshot restores a named replica snapshot.
-func (d *Dir) LoadSnapshot(name string) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(d.path, "state-"+name+".snap"))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: read snapshot %s: %w", name, err)
-	}
-	return data, nil
-}
-
 // writeFile writes atomically via a temp file + rename.
 func (d *Dir) writeFile(name string, data []byte) error {
 	tmp, err := os.CreateTemp(d.path, name+".tmp-*")

@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -287,20 +289,26 @@ func TestJournalAppendDuringSync(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundTrip: a manifest reads back as written, and a missing
+// one is os.ErrNotExist, which is how a fresh directory is told from a
+// corrupt one.
 func TestSnapshotRoundTrip(t *testing.T) {
 	d := openDir(t)
-	if err := d.SaveSnapshot("A", []byte("state-bytes")); err != nil {
+	type manifest struct {
+		State string `json:"state"`
+	}
+	if err := d.SaveJSON("job.json", manifest{State: "running"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.LoadSnapshot("A")
-	if err != nil {
+	var got manifest
+	if err := d.LoadJSON("job.json", &got); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "state-bytes" {
-		t.Fatalf("snapshot = %q", got)
+	if got.State != "running" {
+		t.Fatalf("manifest = %+v", got)
 	}
-	if _, err := d.LoadSnapshot("missing"); err == nil {
-		t.Fatal("missing snapshot must error")
+	if err := d.LoadJSON("missing.json", &got); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing manifest: %v, want os.ErrNotExist", err)
 	}
 }
 
@@ -313,7 +321,7 @@ func TestOpenCreatesNestedDir(t *testing.T) {
 	if d.Path() == "" {
 		t.Fatal("empty path")
 	}
-	if err := d.SaveSnapshot("x", []byte("y")); err != nil {
+	if err := d.SaveJSON("x.json", "y"); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/prune"
 	"github.com/er-pi/erpi/internal/runner"
@@ -20,7 +19,6 @@ type ledgerView struct {
 	FirstViolation int
 	Violations     []string
 	Quarantined    int
-	Crashed        bool
 	Exhausted      bool
 	Digest         string
 	// Trajectory is the fuzz corpus trajectory digest (in-process drivers
@@ -30,7 +28,7 @@ type ledgerView struct {
 
 // driverCase is one row of the table. spec is what a coordinator job can
 // carry; local, when set, adds the in-process-only knobs (faults, dynamic
-// re-pruning, the datalog store) and keeps the row off the coordinator.
+// re-pruning) and keeps the row off the coordinator.
 type driverCase struct {
 	name  string
 	spec  JobSpec
@@ -115,12 +113,11 @@ func driverCases() []driverCase {
 			}
 			return ""
 		}},
-		{name: "store-budget-crash", spec: JobSpec{Bug: "Roshi-1", Mode: "dfs"}, local: func(s *runner.Scenario, cfg *runner.Config) {
-			cfg.Store = datalog.NewStore()
-			cfg.Store.MaxFacts = 7 * (s.Log.Len() + 1) // room for seven interleavings
-		}, vacuous: func(res *runner.Result) string {
-			if !res.Crashed || res.Explored != 8 {
-				return fmt.Sprintf("want a crash recording the 8th interleaving, got explored %d crashed=%v", res.Explored, res.Crashed)
+		// A fact budget is a cap (Figure 10); this one lands inside the
+		// third range.
+		{name: "store-budget-crash", spec: JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 7, RangeSize: 3}, vacuous: func(res *runner.Result) string {
+			if res.Explored != 7 || res.Exhausted {
+				return fmt.Sprintf("want the cap of 7 short of the space, got explored %d exhausted=%v", res.Explored, res.Exhausted)
 			}
 			return ""
 		}},
@@ -158,7 +155,6 @@ func runInProcess(t *testing.T, c driverCase, workers, liveWorkers int) (ledgerV
 		Explored:       res.Explored,
 		FirstViolation: res.FirstViolation,
 		Quarantined:    len(res.Quarantined),
-		Crashed:        res.Crashed,
 		Exhausted:      res.Exhausted,
 		Digest:         d.Sum(),
 	}

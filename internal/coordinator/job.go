@@ -410,12 +410,8 @@ func (j *Job) carveLocked() *jobRange {
 		// Known at once, so the aggregator syncs the last batch at once.
 		j.noMore = j.ledger.Done()
 		j.ledgerMu.Unlock()
-		if err != nil {
+		if err != nil { // ErrHold or ErrDone
 			j.held = errors.Is(err, runner.ErrHold)
-			if !j.held && !errors.Is(err, runner.ErrDone) {
-				j.failLocked(err)
-				return nil
-			}
 			break
 		}
 		if len(ils) == 0 {

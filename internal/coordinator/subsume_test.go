@@ -102,7 +102,6 @@ func TestRunnerConfigDistributionCoverage(t *testing.T) {
 		"Workers":          true, // pool parallelism — replaced by worker fleet
 		"LiveWorkers":      true, // live replay path is not distributed
 		"LiveGates":        true,
-		"Store":            true, // datalog budget experiment, local only
 		"ConstraintPoll":   true, // dynamic re-pruning is coordinator-local
 		"PollEvery":        true,
 		"Faults":           true, // fault schedules not distributed

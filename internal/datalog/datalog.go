@@ -6,9 +6,11 @@
 //
 // The engine supports stratified Datalog with negation and integer
 // comparison builtins, evaluated semi-naively. A parser accepts a
-// Soufflé-flavoured text dialect. On top of the engine, Store persists
-// interleavings as pos/3 facts with a configurable fact budget — the
-// resource that the paper's succeed-or-crash micro-benchmark exhausts.
+// Soufflé-flavoured text dialect. On top of the engine, Store encodes
+// interleavings as il/1 and pos/3 facts with a configurable fact budget —
+// the resource that the paper's succeed-or-crash micro-benchmark exhausts,
+// sized by FactsPerInterleaving. The engine's record log, not Store, is
+// what persists a run's interleavings.
 package datalog
 
 import (

@@ -26,6 +26,10 @@ type Store struct {
 	MaxFacts int
 }
 
+// FactsPerInterleaving is what Record adds for one interleaving of n
+// events: one il/1 fact and one pos/3 fact per event.
+func FactsPerInterleaving(n int) int { return 1 + n }
+
 // NewStore returns an empty interleaving store.
 func NewStore() *Store {
 	return &Store{db: NewDB()}
@@ -40,8 +44,7 @@ func (s *Store) Record(il interleave.Interleaving) error {
 	if s.db.Holds("il", key) {
 		return nil
 	}
-	// One il/1 fact plus one pos/3 fact per event.
-	if s.MaxFacts > 0 && s.db.Size()+1+len(il) > s.MaxFacts {
+	if s.MaxFacts > 0 && s.db.Size()+FactsPerInterleaving(len(il)) > s.MaxFacts {
 		return fmt.Errorf("recording interleaving %s: %w", key, ErrBudgetExhausted)
 	}
 	s.db.Assert(Fact{Pred: "il", Args: []string{key}})

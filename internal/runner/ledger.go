@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
-	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
@@ -50,16 +49,14 @@ type Ledger struct {
 	// last key: a merged Grouping.Extra rebuilds the unit space.
 	carved exploredSet
 	// assigned is the highest index that exists (resumed ones included),
-	// max the session-wide cap on it; done: the explorer or the Store ended
-	// assignment.
+	// max the session-wide cap on it.
 	assigned, max int
-	done          bool
 	// rec is the record Record appends to Config.Journal, reused.
 	rec checkpoint.Record
 }
 
 // NewLedger builds a ledger that assigns indices from explorer and
-// accounts into res. Honored Config fields: MaxInterleavings, Store,
+// accounts into res. Honored Config fields: MaxInterleavings,
 // Assertions, OnOutcome, StopOnViolation, ForensicDir, Journal and
 // Telemetry, plus Mode, Seed and Faults for forensic re-execution and,
 // with FuzzGenerationSize, the enumeration Resume claims the Journal for;
@@ -92,8 +89,7 @@ func newLedger(s Scenario, cfg Config, explorer interleave.Explorer, res *Result
 
 // Why Next assigned nothing: ErrHold, a fuzz generation is fully assigned
 // and evolves only once Record has classified every child; ErrDone, the
-// cap is reached, the space exhausted, the ledger stopped or the Store's
-// budget crashed.
+// cap is reached, the space exhausted or the ledger stopped.
 var (
 	ErrHold = errors.New("runner: the fuzz generation awaits its results")
 	ErrDone = errors.New("runner: assignment is over")
@@ -101,11 +97,10 @@ var (
 
 // Next assigns the next exploration index to the next interleaving the
 // explorer yields that no resumed record (which keeps its index) and, after
-// a re-prune, no earlier assignment holds, and appends it to Config.Store.
-// A Store whose budget runs out (the Figure 10 "crash") sets
-// Result.Crashed: the crashing index counts as explored but never
-// executes. After ErrDone or another Store error, every call returns
-// ErrDone. Callers order Next against Record.
+// a re-prune, no earlier assignment holds. Its only errors are ErrHold and
+// ErrDone; after ErrDone every call returns ErrDone. The record log
+// (Config.Journal, appended by Record) is what persists the assignment.
+// Callers order Next against Record.
 func (l *Ledger) Next() (int, interleave.Interleaving, error) {
 	for !l.Done() {
 		if l.ge != nil && l.ge.GenerationEnd() {
@@ -117,7 +112,6 @@ func (l *Ledger) Next() (int, interleave.Interleaving, error) {
 		il, more := l.explorer.Next()
 		if !more {
 			l.res.Exhausted = true
-			l.done = true
 			break
 		}
 		// Both checks run: a resumed key met before a re-prune must be in
@@ -128,23 +122,13 @@ func (l *Ledger) Next() (int, interleave.Interleaving, error) {
 			continue
 		}
 		l.assigned++
-		if l.cfg.Store != nil {
-			if err := l.cfg.Store.Record(il); err != nil {
-				l.done = true
-				if !errors.Is(err, datalog.ErrBudgetExhausted) {
-					return 0, nil, err
-				}
-				l.res.Crashed, l.res.CrashErr = true, err
-				break
-			}
-		}
 		return l.assigned, il, nil
 	}
 	return 0, nil, ErrDone
 }
 
 // Done reports that Next assigns nothing more.
-func (l *Ledger) Done() bool { return l.done || l.assigned >= l.max || l.Stopped() }
+func (l *Ledger) Done() bool { return l.res.Exhausted || l.assigned >= l.max || l.Stopped() }
 
 // reprune makes explorer, regenerated over merged constraints, the one
 // Next pulls; the carved set skips what it yields again.
@@ -152,9 +136,9 @@ func (l *Ledger) reprune(explorer interleave.Explorer) { l.explorer = explorer }
 
 // evolve folds a fully classified generation into the fuzzer's corpus
 // under a StageFuzzEvolve span and publishes the corpus gauges. Children
-// that never executed (assignment crashed mid-generation) leave Pending
-// non-zero; the corpus must not evolve on partial evidence. No-op for
-// other explorers.
+// that were never recorded (a stop or an interruption mid-generation)
+// leave Pending non-zero; the corpus must not evolve on partial evidence.
+// No-op for other explorers.
 func (l *Ledger) evolve() {
 	ge := l.ge
 	if ge == nil || !ge.GenerationEnd() || ge.Pending() != 0 {
@@ -248,7 +232,7 @@ func (l *Ledger) check(index int, il interleave.Interleaving, outcome *Outcome) 
 			if l.Stopped() {
 				// Nothing past the violation counts, nor what assigning
 				// past it found.
-				l.res.Exhausted, l.res.Crashed, l.res.CrashErr = false, false, nil
+				l.res.Exhausted = false
 			}
 		}
 		l.captureForensic(il, index, added)

@@ -23,7 +23,7 @@ import (
 //
 // Topology: workers that serve themselves — no driver goroutine, no
 // channel. One mutex (pool.mu) guards the queue of carved runs and the
-// Ledger (and with it the explorer, the datalog store and the record log);
+// Ledger (and with it the explorer and the record log);
 // each worker owns a private Executor. A worker that wants work takes the
 // mutex and
 //
@@ -76,8 +76,7 @@ import (
 // Best-effort (may differ between worker counts):
 //   - Duration, and retry-backoff jitter timing (per-worker generators);
 //   - on StopOnViolation, work past the violating index may already have
-//     executed; its results are discarded, but store entries for those
-//     indices remain (a safe over-approximation: store facts are monotone);
+//     executed; its results are discarded and never reach the record log;
 //   - on interruption, Explored counts results that reached the ledger
 //     before the cancellation was observed, while the explorer may have
 //     been pulled further ahead — by up to the carve-ahead bound (ModeRand's
@@ -138,7 +137,7 @@ type pool struct {
 	err      error  // first fatal error; fails the run
 	nextProc int    // next index the ledger takes
 	gen      uint64 // re-prune generation stamped on pulled items
-	noMore   bool   // no further assignment (cap/exhausted/crash/halt)
+	noMore   bool   // no further assignment (cap/exhausted/halt)
 	// quiesce arms the barrier: at a ConstraintPoll boundary (ModeERPi) or
 	// where Ledger.Next holds a fuzz generation (ModeFuzz), never both.
 	quiesce bool
@@ -351,8 +350,8 @@ func (p *pool) carve(prev *run) *run {
 }
 
 // pull takes the next index from the ledger. ok=false means nothing was
-// assigned: assignment stopped (noMore; a store failure also fails the
-// run), or a fuzz generation must quiesce first. Caller holds mu.
+// assigned: assignment stopped (noMore), or a fuzz generation must quiesce
+// first. Caller holds mu.
 func (p *pool) pull() (item workItem, ok bool) {
 	genSpan := p.tel.span(telemetry.StageGenerate, p.ledger.assigned+1, telemetry.CoordinatorWorker)
 	index, il, err := p.ledger.Next()
@@ -371,13 +370,8 @@ func (p *pool) pull() (item workItem, ok bool) {
 	case errors.Is(err, ErrHold):
 		p.quiesce = true
 		p.since = p.tel.now()
-	case errors.Is(err, ErrDone):
-		if p.res.Crashed {
-			p.tel.explored.Inc() // the crashing index: assigned, never executed
-		}
+	default: // ErrDone
 		p.noMore = true
-	default:
-		p.fail(err)
 	}
 	return item, false
 }

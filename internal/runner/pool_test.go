@@ -232,9 +232,8 @@ func assertResultsMatch(t *testing.T, seq, par *Result) {
 	if seq.FirstViolation != par.FirstViolation {
 		t.Fatalf("FirstViolation: %d vs %d", seq.FirstViolation, par.FirstViolation)
 	}
-	if seq.Exhausted != par.Exhausted || seq.Crashed != par.Crashed {
-		t.Fatalf("flags: exhausted %v/%v crashed %v/%v",
-			seq.Exhausted, par.Exhausted, seq.Crashed, par.Crashed)
+	if seq.Exhausted != par.Exhausted {
+		t.Fatalf("exhausted %v/%v", seq.Exhausted, par.Exhausted)
 	}
 	if !reflect.DeepEqual(violationKeys(seq), violationKeys(par)) {
 		t.Fatalf("violation sets differ:\nseq: %v\npar: %v", violationKeys(seq), violationKeys(par))

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/interleave"
@@ -47,8 +46,8 @@ func streamOf(t *testing.T, outcomes []*Outcome) string {
 // scheduling decision and nothing else. Every configuration whose carve has
 // a boundary of its own — the cap, a StopOnViolation, a ConstraintPoll
 // barrier whose boundary index yields no outcome, a fuzz generation ending
-// exactly at the cap, index-keyed faults, a store-budget crash, the
-// avoidance layers — gives the Workers 1 result at every run length and
+// exactly at the cap, index-keyed faults, a fact budget's cap short of the
+// space, the avoidance layers — gives the Workers 1 result at every run length and
 // worker count.
 func TestPoolRunCutsDoNotChangeResults(t *testing.T) {
 	// Each case runs once per (run length, workers) and returns the result
@@ -134,13 +133,11 @@ func TestPoolRunCutsDoNotChangeResults(t *testing.T) {
 			return res, streamOf(t, outcomes)
 		}},
 		{"store-budget-crash", func(t *testing.T, workers int, runLen func(int, int) int) (*Result, string) {
-			store := datalog.NewStore()
-			store.MaxFacts = 8*40 + 3 // the 41st interleaving crashes the store
 			res, outcomes := exploreCollect(t, townReportScenario(t), Config{
-				Mode: ModeDFS, Workers: workers, Store: store,
+				Mode: ModeDFS, Workers: workers, MaxInterleavings: 41,
 			}, runLen)
-			if !res.Crashed || res.Explored != 41 {
-				t.Fatalf("vacuous: crashed=%v explored=%d", res.Crashed, res.Explored)
+			if res.Exhausted || res.Explored != 41 {
+				t.Fatalf("vacuous: exhausted=%v explored=%d", res.Exhausted, res.Explored)
 			}
 			return res, streamOf(t, outcomes)
 		}},

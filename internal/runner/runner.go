@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/er-pi/erpi/internal/checkpoint"
-	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/fuzz"
@@ -197,10 +196,6 @@ type Config struct {
 	StopOnViolation bool
 	// Assertions are checked after every interleaving.
 	Assertions []Assertion
-	// Store, when set, persists every explored interleaving; a full store
-	// aborts the run with datalog.ErrBudgetExhausted (the Figure 10
-	// "crash").
-	Store *datalog.Store
 	// ConstraintPoll, when set, is called every PollEvery interleavings;
 	// returning new constraints triggers re-pruning (ModeERPi only),
 	// regenerating the explorer over the merged config.
@@ -312,10 +307,10 @@ type Result struct {
 	Violations []Violation
 	// Exhausted reports that the space ran out before the cap.
 	Exhausted bool
-	// Crashed reports a resource-budget abort (Figure 10 semantics).
+	// Crashed is never set; it remains for callers that still read it.
+	// A run ends at its cap, its space, a stop or its context, never on a
+	// resource budget.
 	Crashed bool
-	// CrashErr holds the budget error when Crashed.
-	CrashErr error
 	// Duration is the wall-clock exploration time.
 	Duration time.Duration
 	// RandShuffles counts total shuffle attempts in ModeRand (wasted work

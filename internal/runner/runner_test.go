@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/crdt"
 	"github.com/er-pi/erpi/internal/datalog"
 	"github.com/er-pi/erpi/internal/event"
@@ -226,31 +228,76 @@ func TestRandModeExploresDistinctOrders(t *testing.T) {
 	}
 }
 
+// TestRunPersistsToStore: the record log is what persists a run's
+// interleavings (paper §4.2, step 4). Loaded into the deductive store, its
+// keys are exactly the explored interleavings.
 func TestRunPersistsToStore(t *testing.T) {
 	s := townReportScenario(t)
-	store := datalog.NewStore()
-	res, err := Run(s, Config{Mode: ModeERPi, Store: store})
+	dir, err := checkpoint.Open(filepath.Join(t.TempDir(), "session"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = dir.Close() })
+	res, err := Run(s, Config{Mode: ModeERPi, Journal: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := dir.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := datalog.NewStore()
+	for _, r := range recs {
+		il, err := parseKey(r.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Record(il); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if store.Count() != res.Explored {
 		t.Fatalf("store has %d, explored %d", store.Count(), res.Explored)
 	}
 }
 
+// TestRunCrashesOnBudget: a fact budget is a cap. The cap it works out to
+// ends a DFS run short of its space, and a store with that budget admits
+// exactly the interleavings the run explored, then refuses the next.
 func TestRunCrashesOnBudget(t *testing.T) {
+	const budget = 30 // a few interleavings of 7 events (8 facts each)
 	s := townReportScenario(t)
-	store := datalog.NewStore()
-	store.MaxFacts = 30 // a few interleavings of 7 events (8 facts each)
-	res, err := Run(s, Config{Mode: ModeDFS, Store: store})
+	limit := budget / datalog.FactsPerInterleaving(s.Log.Len())
+	var explored []string
+	res, err := Run(s, Config{Mode: ModeDFS, Workers: 1, MaxInterleavings: limit,
+		OnOutcome: func(o *Outcome) { explored = append(explored, o.Interleaving.Key()) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Crashed {
-		t.Fatal("run must crash when the store budget is exhausted")
+	if res.Explored != limit || res.Exhausted || len(explored) != limit {
+		t.Fatalf("explored %d (%d outcomes, exhausted %v), want the cap %d", res.Explored, len(explored), res.Exhausted, limit)
 	}
-	if !errors.Is(res.CrashErr, datalog.ErrBudgetExhausted) {
-		t.Fatalf("CrashErr = %v", res.CrashErr)
+	explorer, err := newExplorer(s, Config{Mode: ModeDFS}, s.Pruning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := datalog.NewStore()
+	store.MaxFacts = budget
+	for i := 0; ; i++ {
+		il, more := explorer.Next()
+		if !more {
+			t.Fatal("the space ran out before the budget")
+		}
+		err := store.Record(il)
+		if i == limit {
+			if !errors.Is(err, datalog.ErrBudgetExhausted) {
+				t.Fatalf("interleaving %d past the cap: %v, want ErrBudgetExhausted", i+1, err)
+			}
+			break
+		}
+		if err != nil || il.Key() != explored[i] {
+			t.Fatalf("interleaving %d: %v; stored %s, explored %s", i+1, err, il.Key(), explored[i])
+		}
 	}
 }
 
