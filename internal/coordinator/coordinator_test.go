@@ -348,7 +348,7 @@ func TestCoordinatorResume(t *testing.T) {
 // the job with partial results instead of requeueing forever.
 func TestPoisonRangeQuarantine(t *testing.T) {
 	spec := JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 8, RangeSize: 8}
-	j, err := openJob("poison", spec, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
+	j, err := openJob(JobStatus{ID: "poison", Spec: spec}, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
 	if err != nil {
 		t.Fatalf("openJob: %v", err)
 	}
@@ -391,7 +391,7 @@ func TestPoisonRangeQuarantine(t *testing.T) {
 // time plus the grace; a fenced one from the old epoch moves nothing.
 func TestReapHeartbeatDeadline(t *testing.T) {
 	spec := JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 16, RangeSize: 8}
-	j, err := openJob("janitor", spec, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
+	j, err := openJob(JobStatus{ID: "janitor", Spec: spec}, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
 	if err != nil {
 		t.Fatalf("openJob: %v", err)
 	}
@@ -470,7 +470,7 @@ func TestReapHeartbeatDeadline(t *testing.T) {
 
 func TestFencedHeartbeatAndCommit(t *testing.T) {
 	spec := JobSpec{Bug: "Roshi-1", Mode: "dfs", MaxInterleavings: 16, RangeSize: 8}
-	j, err := openJob("fence", spec, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
+	j, err := openJob(JobStatus{ID: "fence", Spec: spec}, t.TempDir(), 8, 100*time.Millisecond, newSvcTel(nil))
 	if err != nil {
 		t.Fatalf("openJob: %v", err)
 	}

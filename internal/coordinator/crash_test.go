@@ -30,12 +30,12 @@ func killAt(t *testing.T, j *Job, b aggBoundary, n int) (root string) {
 		if hits++; hits != n {
 			return
 		}
-		dst := filepath.Join(root, j.id)
+		dst := filepath.Join(root, j.ID())
 		if err := os.Mkdir(dst, 0o755); err != nil {
 			t.Error(err)
 			return
 		}
-		entries, err := os.ReadDir(j.dir)
+		entries, err := os.ReadDir(j.journal.Path())
 		if err != nil {
 			t.Error(err)
 			return
@@ -44,7 +44,7 @@ func killAt(t *testing.T, j *Job, b aggBoundary, n int) (root string) {
 			if !e.Type().IsRegular() {
 				continue
 			}
-			data, err := os.ReadFile(filepath.Join(j.dir, e.Name()))
+			data, err := os.ReadFile(filepath.Join(j.journal.Path(), e.Name()))
 			if err == nil {
 				err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644)
 			}
@@ -179,8 +179,12 @@ func TestDoneMeansDurable(t *testing.T) {
 	go func() { _ = RunWorker(context.Background(), WorkerOptions{Addr: svc.Addr(), Name: "w1", Once: true}) }()
 	<-j.Done()
 	assertUniqueKeys(t, journalKeys(t, filepath.Join(root, j.ID())), wantExplored)
-	var m jobManifest
-	if err := loadManifest(filepath.Join(root, j.ID()), &m); err != nil || m.State != StateDone || m.Explored != wantExplored {
+	var m JobStatus
+	dir, err := checkpoint.Open(filepath.Join(root, j.ID()))
+	if err == nil {
+		err = dir.LoadJSON("job.json", &m)
+	}
+	if err != nil || m.State != StateDone || m.Explored != wantExplored {
 		t.Fatalf("manifest at Done(): %+v, %v", m, err)
 	}
 }
@@ -213,7 +217,7 @@ func TestResumeAlreadyStopped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := running.SaveJSON("job.json", jobManifest{ID: j.ID(), Spec: spec, State: StateRunning}); err != nil {
+	if err := running.SaveJSON("job.json", JobStatus{ID: j.ID(), Spec: spec, State: StateRunning}); err != nil {
 		t.Fatal(err)
 	}
 	if err := running.Close(); err != nil {
@@ -267,7 +271,7 @@ func TestExploredNeverAheadOfDisk(t *testing.T) {
 	for counted := -1; ; {
 		// Once per finished batch (and at the end): take the count under
 		// the job's lock, then read the directory.
-		for j.state == StateRunning && j.aggregated == counted {
+		for j.st.State == StateRunning && j.st.Explored == counted {
 			wake := j.wake
 			j.mu.Unlock()
 			select {
@@ -277,8 +281,8 @@ func TestExploredNeverAheadOfDisk(t *testing.T) {
 			}
 			j.mu.Lock()
 		}
-		counted = j.aggregated
-		explored, state := j.resumed+j.aggregated, j.state
+		counted = j.st.Explored
+		explored, state := j.st.Explored, j.st.State
 		j.mu.Unlock()
 		onDisk := len(jobRecords(t, dir))
 		if explored > onDisk {

@@ -7,13 +7,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/er-pi/erpi/internal/checkpoint"
 	"github.com/er-pi/erpi/internal/forensics"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
@@ -238,5 +241,64 @@ func TestJobBundlesSurviveManifestRestart(t *testing.T) {
 	}
 	if _, err := forensics.Load(st2.Bundles[0]); err != nil {
 		t.Fatalf("recovered bundle unreadable: %v", err)
+	}
+	// job.json is the status the job ended with: the recovered job reports
+	// all of it again. Only fence rejections count on past the end — a
+	// commit that arrives after the stop.
+	st.Fenced, st2.Fenced = 0, 0
+	if !reflect.DeepEqual(st2, st) {
+		t.Fatalf("status after restart:\n got  %+v\n want %+v", st2, st)
+	}
+}
+
+// TestRecoverReadsAnOlderJobManifest: testdata/job-parent.json is a
+// finished job's job.json in the format written before it became the
+// job's status (no resumed, label or lease keys). Recovered, the job
+// reports every field it holds, and what it lacks reads as zero.
+func TestRecoverReadsAnOlderJobManifest(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "job-parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "job-001"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "job-001", "job.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := startService(t, Options{JournalRoot: root, LeaseTTL: time.Second})
+	if err := svc.Recover(); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	j, ok := svc.Job("job-001")
+	if !ok {
+		t.Fatal("job-001 not recovered")
+	}
+	select {
+	case <-j.Done():
+	default:
+		t.Fatal("a finished job reopened running")
+	}
+	want := JobStatus{
+		ID:    "job-001",
+		Label: "Roshi-2",
+		Spec:  JobSpec{Bug: "Roshi-2", Mode: "dfs", MaxInterleavings: 40, RangeSize: 8, SubsumptionTableBytes: 1 << 20},
+		State: StateDone,
+		// The explored interleavings were this format's only count; none
+		// of them reads as resumed.
+		Explored:    40,
+		Quarantined: 0,
+		Subsumed:    29,
+		Violations: []checkpoint.Violation{
+			{Index: 10, Key: "0,1,2,3,4,5,7,8,9,6", Assertion: "reproduces(Roshi-2)", Error: "reported manifestation reproduced"},
+			{Index: 25, Key: "0,1,2,3,4,6,5,7,8,9", Assertion: "reproduces(Roshi-2)", Error: "reported manifestation reproduced"},
+		},
+		FirstViolation: 10,
+		Digest:         "3cfb2dd5c671292c3be8fbb5b96fa8692356afd3d951106d388090eea7c57897",
+		Bundles:        []string{"journal/job-001/forensics/forensic-000010.json", "journal/job-001/forensics/forensic-000025.json"},
+	}
+	if got := j.Status(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered status:\n got  %+v\n want %+v", got, want)
 	}
 }

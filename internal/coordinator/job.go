@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -68,32 +69,16 @@ type jobRange struct {
 	results []wireResult
 }
 
-// jobManifest is the durable per-job summary (job.json in the journal
-// dir), written atomically on every terminal transition and periodically
-// during the run.
-type jobManifest struct {
-	ID             string                 `json:"id"`
-	Spec           JobSpec                `json:"spec"`
-	State          string                 `json:"state"`
-	Digest         string                 `json:"digest,omitempty"`
-	Explored       int                    `json:"explored"`
-	Quarantined    int                    `json:"quarantined"`
-	Subsumed       int                    `json:"subsumed,omitempty"`
-	Violations     []checkpoint.Violation `json:"violations,omitempty"`
-	FirstViolation int                    `json:"first_violation,omitempty"`
-	Exhausted      bool                   `json:"exhausted"`
-	Bundles        []string               `json:"bundles,omitempty"`
-	Error          string                 `json:"error,omitempty"`
-}
-
 // JobStatus is a point-in-time snapshot of a job, the unit the jobs API
-// serves.
+// serves, and the job's durable account: job.json in the journal dir holds
+// the one its terminal transition saw (and, while it runs, the one it
+// opened with), and a finished job restores from it read-only.
 type JobStatus struct {
 	ID             string                 `json:"id"`
 	Label          string                 `json:"label"`
 	Spec           JobSpec                `json:"spec"`
 	State          string                 `json:"state"`
-	Explored       int                    `json:"explored"` // aggregated this session + resumed
+	Explored       int                    `json:"explored"` // resumed + recorded this session, once durable
 	Resumed        int                    `json:"resumed"`
 	Quarantined    int                    `json:"quarantined"`
 	Subsumed       int                    `json:"subsumed,omitempty"`
@@ -119,29 +104,29 @@ type JobStatus struct {
 // touches res and records (through the ledger), writes them, and the
 // finisher counts them once they are durable.
 type Job struct {
-	id  string
 	tel *svcTel
 
-	spec      JobSpec
 	journal   *checkpoint.Dir
-	dir       string
 	rangeSize int
 	leaseTTL  time.Duration
 	// now stamps grants and heartbeats (time.Now; tests substitute a
 	// synthetic clock to drive reap without sleeping).
 	now func() time.Time
 
-	mu      sync.Mutex
-	state   string
-	err     error
-	resumed int // records an earlier session left
+	mu sync.Mutex
+	// st is the job's account: what Status reports, with the live lease
+	// counters filled in, and what job.json holds. ID, Label and Spec are
+	// set by openJob and never change, so they are read without mu. The
+	// ledger's counts enter it when the job opens (the resumed records)
+	// and by finishBatch, once their batch is durable; the terminal fields
+	// by endLocked.
+	st JobStatus
 	// eventsPer is the events in every interleaving (a grant states it once).
 	eventsPer int
 	noMore    bool
 	// held: the last carve found the ledger holding at a fuzz generation
 	// boundary, which evolves once the carved ranges are recorded.
-	held      bool
-	exhausted bool // the ledger's, taken at the terminal transition
+	held bool
 
 	ranges   []*jobRange
 	pendingQ []int // range ids awaiting (re)lease, ascending
@@ -159,47 +144,35 @@ type Job struct {
 
 	// ledgerMu orders every call into the ledger: carving takes indices
 	// from it (Next) under mu, the aggregator records into it. Lock order
-	// mu → ledgerMu; the aggregator takes ledgerMu alone, once per record.
+	// mu → ledgerMu; the aggregator takes ledgerMu alone, once per record
+	// and once for each batch's snapshot of res.
 	ledgerMu sync.Mutex
 
 	// ledger is the exploration ledger the in-process driver uses too: it
 	// assigns carved indices, and committed ranges feed it in order, into
-	// res and the job's record log. What Status and the manifest need of
-	// res is copied out with every written batch, and into tally under mu
-	// once the finisher counts it. An earlier session's records are read
-	// back into res by Ledger.Resume.
-	ledger     *runner.Ledger
-	res        *runner.Result
-	tally      resultTally
-	aggregated int  // interleavings aggregated and durable this session
-	stopped    bool // the ledger said stop (StopOnViolation)
-	violations []checkpoint.Violation
-	fenced     int
-	requeues   int
-	digest     *Digest
-	digestSum  string
-	doneCh     chan struct{}
+	// res and the job's record log. Every written batch takes a snapshot of
+	// res, which enters st once the finisher counts the batch. An earlier
+	// session's records are read back into res by Ledger.Resume.
+	ledger  *runner.Ledger
+	res     *runner.Result
+	stopped bool // the ledger said stop (StopOnViolation)
+	digest  *Digest
+	doneCh  chan struct{}
 
 	// crashPoint, when set (tests only), is called by the aggregator at
 	// each of the durability boundaries of a batch.
 	crashPoint func(aggBoundary)
 }
 
-// resultTally is the part of runner.Result a job reports.
-type resultTally struct {
-	quarantined    int
-	subsumed       int
-	firstViolation int
-	bundles        []string
-}
-
-func tallyOf(res *runner.Result) resultTally {
-	return resultTally{
-		quarantined:    len(res.Quarantined),
-		subsumed:       res.Subsumed,
-		firstViolation: res.FirstViolation,
-		bundles:        res.Bundles,
-	}
+// count moves the account to res, a snapshot of the ledger's Result whose
+// records are durable: Explored and Resumed are what the ledger counted.
+func (st *JobStatus) count(res *runner.Result) {
+	st.Explored = res.Resumed + res.Explored
+	st.Resumed = res.Resumed
+	st.Quarantined = len(res.Quarantined)
+	st.Subsumed = res.Subsumed
+	st.FirstViolation = res.FirstViolation
+	st.Bundles = res.Bundles
 }
 
 // aggBoundary names a point in a batch where a kill leaves a distinct
@@ -211,14 +184,15 @@ const (
 	afterRecords                       // the batch's records written, not yet synced
 )
 
-// openJob builds (or resumes) a job from its spec and journal directory.
-// Resume semantics: interleavings with a record are committed and never
-// re-run — their digest contribution and violations replay from the
-// records — while ranges that were leased but never recorded simply do not
-// exist in the new ledger and get re-carved and re-executed from the
-// explorer, under the indices they had.
-func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.Duration, tel *svcTel) (*Job, error) {
-	scenario, asserts, err := spec.Build()
+// openJob builds (or resumes) a job from st, what its job.json says (a
+// new job's: its ID and Spec), and its journal directory. A finished job
+// restores read-only from st. Resume semantics: interleavings with a
+// record are committed and never re-run — their digest contribution and
+// violations replay from the records — while ranges that were leased but
+// never recorded simply do not exist in the new ledger and get re-carved
+// and re-executed from the explorer, under the indices they had.
+func openJob(st JobStatus, dir string, rangeSize int, leaseTTL time.Duration, tel *svcTel) (*Job, error) {
+	scenario, asserts, err := st.Spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -226,43 +200,31 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 	if err != nil {
 		return nil, err
 	}
-	if spec.RangeSize > 0 {
-		rangeSize = spec.RangeSize
+	if st.Spec.RangeSize > 0 {
+		rangeSize = st.Spec.RangeSize
 	}
 	j := &Job{
-		id:        id,
 		tel:       tel,
-		spec:      spec,
 		res:       &runner.Result{},
 		journal:   journal,
-		dir:       dir,
 		rangeSize: rangeSize,
 		leaseTTL:  leaseTTL,
 		now:       time.Now,
-		state:     StateRunning,
 		nextAgg:   1,
 		wake:      make(chan struct{}),
 		quit:      make(chan struct{}),
 		digest:    NewDigest(),
 		doneCh:    make(chan struct{}),
 	}
-
-	// A terminal manifest means the job already finished: restore it
-	// read-only instead of re-opening exploration.
-	var m jobManifest
-	if err := journal.LoadJSON("job.json", &m); err == nil && m.State != StateRunning && m.State != "" {
-		j.state = m.State
-		j.digestSum = m.Digest
-		j.resumed = m.Explored
-		j.tally = resultTally{quarantined: m.Quarantined, subsumed: m.Subsumed, firstViolation: m.FirstViolation, bundles: m.Bundles}
-		j.violations = m.Violations
-		j.exhausted = m.Exhausted
+	st.Label = st.Spec.label()
+	if st.State != StateRunning && st.State != "" {
+		j.st = st
 		j.noMore = true
 		close(j.doneCh)
 		return j, nil
 	}
-
-	cfg := spec.Config()
+	j.st = JobStatus{ID: st.ID, Label: st.Label, Spec: st.Spec, State: StateRunning}
+	cfg := st.Spec.Config()
 	explorer, err := runner.NewExplorer(scenario, cfg)
 	if err != nil {
 		return nil, err
@@ -292,14 +254,13 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 		if !r.Subsumed && r.Error == "" {
 			j.digest.Add(r.Key, r.Sig)
 		}
-		j.violations = append(j.violations, r.Violations...)
+		j.st.Violations = append(j.st.Violations, r.Violations...)
 	}
-	j.resumed = len(recs)
-	j.tally = tallyOf(j.res)
+	j.st.count(j.res)
 	// Records at the cap or at a StopOnViolation job's violation leave
 	// nothing to assign: the janitor completes the job, worker or none.
 	j.noMore = j.ledger.Done()
-	if err := journal.SaveJSON("job.json", jobManifest{ID: id, Spec: spec, State: StateRunning}); err != nil {
+	if err := j.persistLocked(); err != nil {
 		return nil, err
 	}
 	j.aggDone = make(chan struct{})
@@ -308,7 +269,7 @@ func openJob(id string, spec JobSpec, dir string, rangeSize int, leaseTTL time.D
 }
 
 // ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
+func (j *Job) ID() string { return j.st.ID }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.doneCh }
@@ -368,7 +329,7 @@ func (j *Job) lease(worker string) *frame {
 // tryLeaseLocked is one attempt at a grant: the range, done when the job
 // is over, or nil when there is nothing to hand out right now.
 func (j *Job) tryLeaseLocked(worker string) *frame {
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		return &frame{Type: msgDone}
 	}
 
@@ -474,7 +435,7 @@ func (j *Job) heartbeat(worker string, rangeID, epoch int) bool {
 	defer j.mu.Unlock()
 	r, ok := j.fenceCheckLocked(worker, rangeID, epoch)
 	if !ok {
-		j.fenced++
+		j.st.Fenced++
 		j.tel.fenced.Inc()
 		return false
 	}
@@ -497,16 +458,16 @@ func (j *Job) commit(worker string, rangeID, epoch int, results []wireResult) (b
 	defer sp.End()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		// A commit into a finished job is by definition stale — its range
 		// was either committed by someone else or will never be needed.
-		j.fenced++
+		j.st.Fenced++
 		j.tel.fenced.Inc()
 		return false, nil
 	}
 	r, ok := j.fenceCheckLocked(worker, rangeID, epoch)
 	if !ok {
-		j.fenced++
+		j.st.Fenced++
 		j.tel.fenced.Inc()
 		return false, nil
 	}
@@ -594,7 +555,7 @@ func (j *Job) nextBatch(next int) ([]*jobRange, func(aggBoundary)) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
-		if j.state != StateRunning || j.stopped {
+		if j.st.State != StateRunning || j.stopped {
 			return nil, nil
 		}
 		end := next
@@ -621,11 +582,10 @@ func (j *Job) nextBatch(next int) ([]*jobRange, func(aggBoundary)) {
 // it once the log's durable watermark reaches mark.
 type writtenBatch struct {
 	ranges     []*jobRange
-	records    int // fewer than the ranges hold when the ledger stopped
 	violations []checkpoint.Violation
-	tally      resultTally
-	stopped    bool // the ledger stopped inside the batch
-	mark       int  // the record log's append count after the batch
+	res        runner.Result // the ledger's, once the batch is recorded
+	stopped    bool          // the ledger stopped inside the batch
+	mark       int           // the record log's append count after the batch
 	err        error
 }
 
@@ -672,7 +632,6 @@ ranges:
 			if err != nil {
 				return writtenBatch{err: err}
 			}
-			w.records++
 			if outcome != nil {
 				j.digest.Add(rec.Key, rec.Sig)
 			}
@@ -685,15 +644,17 @@ ranges:
 	}
 	at(afterRecords)
 	j.tel.batches.Inc()
-	w.tally = tallyOf(j.res)
+	j.ledgerMu.Lock() // a carve's Next may be settling Exhausted
+	w.res = *j.res
+	j.ledgerMu.Unlock()
 	w.mark = j.journal.Appended()
 	return w
 }
 
 // finish is the job's finisher: it counts the aggregator's written
 // batches in order, each once the record log's watermark covers its last
-// record, so Explored, the tally and completion only ever move past
-// records on disk. It closes aggDone when written is closed and drained.
+// record, so the account and completion only ever move past records on
+// disk. It closes aggDone when written is closed and drained.
 func (j *Job) finish(written <-chan writtenBatch) {
 	defer close(j.aggDone)
 	for w := range written {
@@ -711,22 +672,21 @@ func (j *Job) finishBatch(w writtenBatch) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	defer j.wakeLocked()
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		return // cancelled meanwhile: what reached the disk stays resumable
 	}
 	if w.err != nil {
 		j.failLocked(w.err)
 		return
 	}
-	j.aggregated += w.records
 	for _, r := range w.ranges {
 		// Free the aggregated payloads; the ledger entry stays for fencing.
 		r.ils, r.results = nil, nil
 		j.nextAgg++
 		j.parkedN--
 	}
-	j.tally = w.tally
-	j.violations = append(j.violations, w.violations...)
+	j.st.count(&w.res)
+	j.st.Violations = append(j.st.Violations, w.violations...)
 	if w.stopped {
 		j.stopped = true
 		j.noMore = true
@@ -759,7 +719,7 @@ func (j *Job) requeueLocked(r *jobRange) {
 	r.status = rangePending
 	r.worker = ""
 	j.leasedN--
-	j.requeues++
+	j.st.Requeues++
 	j.tel.requeued.Inc()
 	j.pendingQ = append(j.pendingQ, r.id)
 	sort.Ints(j.pendingQ)
@@ -773,7 +733,7 @@ func (j *Job) requeueLocked(r *jobRange) {
 func (j *Job) reap(now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		return
 	}
 	for _, r := range j.ranges {
@@ -790,7 +750,7 @@ func (j *Job) reap(now time.Time) {
 func (j *Job) workerGone(worker string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		return
 	}
 	for _, r := range j.ranges {
@@ -804,7 +764,7 @@ func (j *Job) workerGone(worker string) {
 // checkDoneLocked completes the job when no work remains anywhere in the
 // ledger. Returns whether the job is now (or already was) terminal.
 func (j *Job) checkDoneLocked() bool {
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		return true
 	}
 	// Once the ledger stopped (StopOnViolation), ranges past the violation
@@ -822,27 +782,27 @@ func (j *Job) checkDoneLocked() bool {
 // the record log's watermark covers the batch — so there is nothing to
 // flush.
 func (j *Job) completeLocked() {
-	j.digestSum = j.digest.Sum()
+	j.st.Digest = j.digest.Sum()
 	j.endLocked(StateDone)
 }
 
 func (j *Job) failLocked(err error) {
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		return
 	}
-	j.err = err
+	j.st.Error = err.Error()
 	j.endLocked(StateFailed)
 }
 
-// endLocked is the one terminal transition: manifest, Done(), and a wake
-// for every lease still waiting (they answer done) and the aggregator
-// (it exits).
+// endLocked is the one terminal transition: the account's state and
+// Exhausted, job.json, Done(), and a wake for every lease still waiting
+// (they answer done) and the aggregator (it exits).
 func (j *Job) endLocked(state string) {
-	j.state = state
+	j.st.State = state
 	j.ledgerMu.Lock()
-	j.exhausted = j.res.Exhausted
+	j.st.Exhausted = j.res.Exhausted
 	j.ledgerMu.Unlock()
-	j.persistLocked()
+	_ = j.persistLocked()
 	close(j.doneCh)
 	j.tel.jobsRunning.Add(-1)
 	j.wakeLocked()
@@ -852,32 +812,15 @@ func (j *Job) endLocked(state string) {
 func (j *Job) cancel() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning {
+	if j.st.State != StateRunning {
 		return
 	}
-	j.digestSum = j.digest.Sum()
+	j.st.Digest = j.digest.Sum()
 	j.endLocked(StateCancelled)
 }
 
-func (j *Job) persistLocked() {
-	m := jobManifest{
-		ID:             j.id,
-		Spec:           j.spec,
-		State:          j.state,
-		Digest:         j.digestSum,
-		Explored:       j.resumed + j.aggregated,
-		Quarantined:    j.tally.quarantined,
-		Subsumed:       j.tally.subsumed,
-		Violations:     j.violations,
-		FirstViolation: j.tally.firstViolation,
-		Exhausted:      j.exhausted,
-		Bundles:        j.tally.bundles,
-	}
-	if j.err != nil {
-		m.Error = j.err.Error()
-	}
-	_ = j.journal.SaveJSON("job.json", m)
-}
+// persistLocked saves what Status returns as job.json.
+func (j *Job) persistLocked() error { return j.journal.SaveJSON("job.json", j.statusLocked()) }
 
 // shutdown releases every lease waiting on the job and tells the
 // aggregator to exit once no committed range is left at its cursor.
@@ -900,30 +843,15 @@ func (j *Job) closeFiles() {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:             j.id,
-		Label:          j.spec.label(),
-		Spec:           j.spec,
-		State:          j.state,
-		Explored:       j.resumed + j.aggregated,
-		Resumed:        j.resumed,
-		Quarantined:    j.tally.quarantined,
-		Subsumed:       j.tally.subsumed,
-		Violations:     append([]checkpoint.Violation(nil), j.violations...),
-		FirstViolation: j.tally.firstViolation,
-		Exhausted:      j.exhausted,
-		RangesPending:  len(j.pendingQ),
-		RangesLeased:   j.leasedN,
-		Requeues:       j.requeues,
-		Fenced:         j.fenced,
-		Bundles:        append([]string(nil), j.tally.bundles...),
-	}
-	if j.state != StateRunning {
-		st.Digest = j.digestSum
-	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
+	return j.statusLocked()
+}
+
+// statusLocked is the account with the live lease counters filled in.
+func (j *Job) statusLocked() JobStatus {
+	st := j.st
+	st.Violations = slices.Clone(st.Violations)
+	st.Bundles = slices.Clone(st.Bundles)
+	st.RangesPending, st.RangesLeased = len(j.pendingQ), j.leasedN
 	return st
 }
 
@@ -932,8 +860,8 @@ func (j *Job) Status() JobStatus {
 func (j *Job) Digest() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateRunning {
-		return j.digestSum
+	if j.st.State != StateRunning {
+		return j.st.Digest
 	}
 	return j.digest.Sum()
 }

@@ -172,7 +172,7 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 		}
 		break
 	}
-	j, err := openJob(id, spec, filepath.Join(s.opts.JournalRoot, id), s.opts.RangeSize, s.opts.LeaseTTL, s.tel)
+	j, err := openJob(JobStatus{ID: id, Spec: spec}, filepath.Join(s.opts.JournalRoot, id), s.opts.RangeSize, s.opts.LeaseTTL, s.tel)
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +184,9 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 
 // Recover reopens every job directory under JournalRoot — the coordinator
 // crash-recovery path. Finished jobs restore read-only from their
-// manifest; running jobs resume: recorded interleavings replay from the
-// record log, everything else re-carves from a fresh explorer under the
-// indices it had.
+// job.json, the status they ended with; running jobs resume: recorded
+// interleavings replay from the record log, everything else re-carves
+// from a fresh explorer under the indices it had.
 func (s *Service) Recover() error {
 	entries, err := os.ReadDir(s.opts.JournalRoot)
 	if err != nil {
@@ -205,12 +205,13 @@ func (s *Service) Recover() error {
 		if _, live := s.jobs[name]; live {
 			continue
 		}
-		var m jobManifest
+		var st JobStatus
 		dir := filepath.Join(s.opts.JournalRoot, name)
-		if err := loadManifest(dir, &m); err != nil {
+		if data, err := os.ReadFile(filepath.Join(dir, "job.json")); err != nil || json.Unmarshal(data, &st) != nil {
 			continue // not a job dir
 		}
-		j, err := openJob(name, m.Spec, dir, s.opts.RangeSize, s.opts.LeaseTTL, s.tel)
+		st.ID = name // the directory names the job
+		j, err := openJob(st, dir, s.opts.RangeSize, s.opts.LeaseTTL, s.tel)
 		if err != nil {
 			return fmt.Errorf("coordinator: recover %s: %w", name, err)
 		}
@@ -224,14 +225,6 @@ func (s *Service) Recover() error {
 		}
 	}
 	return nil
-}
-
-func loadManifest(dir string, m *jobManifest) error {
-	data, err := os.ReadFile(filepath.Join(dir, "job.json"))
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, m)
 }
 
 // numericSuffix parses the N of "job-N" names (0 when not of that form).
@@ -418,14 +411,14 @@ func (s *Service) serveConn(conn net.Conn) {
 			case cur == nil:
 				reply = &frame{Type: msgDrain, RetryMs: s.opts.LeaseTTL.Milliseconds() / 2}
 			default:
-				spec, err := json.Marshal(cur.spec)
+				spec, err := json.Marshal(cur.st.Spec)
 				if err != nil {
 					fail(errCodeGeneric, err.Error())
 					return
 				}
 				reply = &frame{
 					Type:       msgWelcome,
-					Job:        cur.id,
+					Job:        cur.st.ID,
 					Spec:       string(spec),
 					LeaseTTLMs: s.opts.LeaseTTL.Milliseconds(),
 				}

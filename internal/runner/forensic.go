@@ -32,13 +32,13 @@ import (
 // are a diagnostic artifact, not an exhaustive violation archive.
 const DefaultMaxForensicBundles = 8
 
-// BuildBundle re-executes one interleaving of the scenario with per-step
+// buildBundle re-executes one interleaving of the scenario with per-step
 // state capture and returns its forensic bundle. cfg supplies Mode, Seed,
 // and Faults (the fault plan is re-armed exactly as the engines arm it —
 // arming is keyed by the exploration index, so the same index reproduces
 // the same faults). violations and spans annotate the bundle; spans may
 // be nil.
-func BuildBundle(s Scenario, cfg Config, il interleave.Interleaving, index int, violations []forensics.Violation, spans []telemetry.Span) (*forensics.Bundle, error) {
+func buildBundle(s Scenario, cfg Config, il interleave.Interleaving, index int, violations []forensics.Violation, spans []telemetry.Span) (*forensics.Bundle, error) {
 	b := &forensics.Bundle{
 		Version:       forensics.BundleVersion,
 		Scenario:      s.Name,
@@ -180,7 +180,7 @@ func (l *Ledger) captureForensic(il interleave.Interleaving, index int, violatio
 		recs = append(recs, forensics.Violation{Assertion: v.Assertion, Error: v.Err.Error()})
 	}
 	spans := l.cfg.Telemetry.Tracer().Spans()
-	b, err := BuildBundle(l.s, l.cfg, il, index, recs, spans)
+	b, err := buildBundle(l.s, l.cfg, il, index, recs, spans)
 	if err != nil {
 		slog.Warn("forensic capture failed",
 			"component", "runner", "scenario", l.s.Name, "index", index, "err", err)

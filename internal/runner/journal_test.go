@@ -480,7 +480,13 @@ func TestKillAnywhere(t *testing.T) {
 					for {
 						cfg := tc.cfg()
 						cfg.Workers = workers
+						before := len(records(t, path))
 						res = session(t, s, cfg, path, k)
+						// The ledger counts what it records, interrupted
+						// sessions included.
+						if appended := len(records(t, path)) - before; res.Explored != appended {
+							t.Fatalf("workers %d, every %d outcomes, session %d: explored %d, appended %d records", workers, k, sessions+1, res.Explored, appended)
+						}
 						explored += res.Explored
 						if sessions++; !res.Interrupted {
 							break

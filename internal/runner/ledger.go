@@ -21,7 +21,7 @@ import (
 // (Record), one call at a time (under the pool's mutex, or the job's
 // ledger mutex; the ledger has no lock of its own). The ledger alone
 // decides which interleaving gets which index and what a result means for
-// the run: how a generation explorer classifies it, Subsumed and
+// the run: how a generation explorer classifies it, Explored, Subsumed and
 // Quarantined accounting, the OnOutcome hook, the assertion loop,
 // FirstViolation, forensic capture, the durable record (Config.Journal),
 // and whether exploration stops. Because results arrive in index order,
@@ -156,7 +156,8 @@ func (l *Ledger) evolve() {
 // state-subsumption skip — the index and record stand, there is just
 // nothing to assert on — or the final execution error after
 // `attempts` attempts, which quarantines the interleaving so the run
-// yields everything else instead of aborting. With Config.Journal set it
+// yields everything else instead of aborting. Every call counts one
+// Result.Explored, whatever the result. With Config.Journal set it
 // appends the result's record there and returns it (reused by the next
 // call); without, it returns nil. An error is the journal's.
 func (l *Ledger) Record(index int, il interleave.Interleaving, outcome *Outcome, attempts int, err error) (*checkpoint.Record, error) {
@@ -177,6 +178,7 @@ func (l *Ledger) Record(index int, il interleave.Interleaving, outcome *Outcome,
 			l.ge.ReportOutcome(key, sig)
 		}
 	}
+	l.res.Explored++
 	r := &l.rec
 	*r = checkpoint.Record{Index: index, Key: key, Sig: sig, Attempts: attempts, Violations: r.Violations[:0]}
 	var added []Violation

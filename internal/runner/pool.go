@@ -70,7 +70,8 @@ import (
 //   - Outcome delivery order to OnOutcome and to assertions: index order,
 //     which the rule on Assertion relies on;
 //   - Violations, Quarantined, FirstViolation, and — on a completed or
-//     StopOnViolation run — Explored;
+//     StopOnViolation run — Explored, the indices this session recorded,
+//     which Ledger.Record counts for both drivers;
 //   - probabilistic fault arming (keyed by index, not by execution order).
 //
 // Best-effort (may differ between worker counts):
@@ -133,11 +134,10 @@ type pool struct {
 	idle sync.Cond
 
 	// Guarded by mu.
-	queue    []*run // carved runs not yet fully recorded, in index order
-	err      error  // first fatal error; fails the run
-	nextProc int    // next index the ledger takes
-	gen      uint64 // re-prune generation stamped on pulled items
-	noMore   bool   // no further assignment (cap/exhausted/halt)
+	queue  []*run // carved runs not yet fully recorded, in index order
+	err    error  // first fatal error; fails the run
+	gen    uint64 // re-prune generation stamped on pulled items
+	noMore bool   // no further assignment (cap/exhausted/halt)
 	// quiesce arms the barrier: at a ConstraintPoll boundary (ModeERPi) or
 	// where Ledger.Next holds a fuzz generation (ModeFuzz), never both.
 	quiesce bool
@@ -217,7 +217,6 @@ func (p *pool) run(live bool) error {
 	// partial one never does (evolve guards both).
 	p.ledger.evolve()
 	p.tel.poolParked.Set(0) // a stop discards what was parked
-	p.finalize()
 	return nil
 }
 
@@ -297,7 +296,6 @@ func (p *pool) drain() {
 				p.interrupt(err)
 				return
 			}
-			p.nextProc++
 			p.tel.poolParked.Add(-1)
 			p.process(r.slots[r.fed])
 			if p.halted.Load() {
@@ -467,21 +465,4 @@ func (p *pool) poll() error {
 		}
 	}
 	return nil
-}
-
-// finalize settles Explored — this session's share of the indices — and
-// the run flags once the pool has drained.
-func (p *pool) finalize() {
-	res := p.res
-	switch {
-	case p.ledger.Stopped() || res.Interrupted:
-		// Results are recorded in index order, and nothing past the
-		// violation a stop is at.
-		res.Explored = p.nextProc - 1 - res.Resumed
-	default:
-		res.Explored = p.ledger.assigned - res.Resumed
-	}
-	if r, ok := p.ledger.explorer.(*interleave.RandExplorer); ok {
-		res.RandShuffles = r.Shuffles()
-	}
 }

@@ -301,8 +301,13 @@ const defaultPrefixSnapshotEvery = 4
 
 // Result summarizes one exploration run.
 type Result struct {
-	Scenario   string
-	Mode       Mode
+	Scenario string
+	Mode     Mode
+	// Explored counts the indices this session recorded. Ledger.Record
+	// counts each result it is fed, for every driver, so Explored moves as
+	// results reach the ledger in index order and never counts an index
+	// without a record — one assigned but interrupted before its result,
+	// or past a StopOnViolation stop. Resumed records are not in it.
 	Explored   int
 	Violations []Violation
 	// Exhausted reports that the space ran out before the cap.
@@ -322,7 +327,6 @@ type Result struct {
 	// Resumed counts the records an earlier session left in the Journal
 	// (0 without one): interleavings this session skips, whose results —
 	// violations, quarantines, subsumptions — are reported here again.
-	// Explored counts this session's interleavings only.
 	Resumed int
 	// Subsumed counts interleavings skipped by state subsumption
 	// (Config.SubsumptionTable). They are included in Explored — an index
@@ -459,17 +463,16 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 	defer tel.progress.EndRun()
 
 	p := &pool{
-		ctx:      ctx,
-		s:        s,
-		cfg:      cfg,
-		res:      res,
-		ledger:   ledger,
-		pruning:  pruning,
-		workers:  workers,
-		runLen:   runLen,
-		every:    every,
-		tel:      tel,
-		nextProc: res.Resumed + 1,
+		ctx:     ctx,
+		s:       s,
+		cfg:     cfg,
+		res:     res,
+		ledger:  ledger,
+		pruning: pruning,
+		workers: workers,
+		runLen:  runLen,
+		every:   every,
+		tel:     tel,
 	}
 	if repoll && ledger.carved != nil && !ledger.Done() {
 		p.quiesce = true
@@ -496,6 +499,9 @@ func explore(ctx context.Context, s Scenario, cfg Config, runLen func(left, work
 			TrajectoryDigest: ge.TrajectoryDigest(),
 			Exhausted:        ge.Exhausted(),
 		}
+	}
+	if r, ok := explorer.(*interleave.RandExplorer); ok {
+		res.RandShuffles = r.Shuffles()
 	}
 	if cfg.Journal != nil {
 		if err := cfg.Journal.Flush(); err != nil {
