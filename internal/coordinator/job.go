@@ -617,7 +617,6 @@ ranges:
 				// Pruned by the worker's subsumption table: consumes its
 				// index and record, contributes nothing to the digest.
 				execErr = runner.ErrSubsumed
-				j.tel.subsumed.Inc()
 			case outcome == nil:
 				execErr = errors.New(res.Error)
 			default:

@@ -52,7 +52,6 @@ type svcTel struct {
 	rejected    *telemetry.Counter
 	heartbeats  *telemetry.Counter
 	poisoned    *telemetry.Counter
-	subsumed    *telemetry.Counter
 }
 
 func newSvcTel(reg *telemetry.Registry) *svcTel {
@@ -72,7 +71,6 @@ func newSvcTel(reg *telemetry.Registry) *svcTel {
 		rejected:    reg.Counter("coordinator.commits_rejected"),
 		heartbeats:  reg.Counter("coordinator.heartbeats"),
 		poisoned:    reg.Counter("coordinator.ranges_poisoned"),
-		subsumed:    reg.Counter("coordinator.subsumed"),
 	}
 }
 

@@ -234,8 +234,8 @@ func TestDistributedSubsumptionParity(t *testing.T) {
 		t.Fatalf("signature set diverged under subsumption:\n got  %v\n want %v", gotSigs, wantSigs)
 	}
 
-	if got := reg.Snapshot().Counters["coordinator.subsumed"]; got != int64(st.Subsumed) {
-		t.Fatalf("coordinator.subsumed counter = %d, want %d", got, st.Subsumed)
+	if got := reg.Snapshot().Counters["runner.subsumed_interleavings"]; got != int64(st.Subsumed) {
+		t.Fatalf("runner.subsumed_interleavings counter = %d, want %d", got, st.Subsumed)
 	}
 
 	// Restart the coordinator: the finished job's subsumed count must be

@@ -311,17 +311,18 @@ func newSteps(log *event.Log, cluster *replica.Cluster) []eventStep {
 // workers pass the coordinator-assigned index, not a local counter), or
 // subsumption is unsound. It returns
 // the outcome, the number of attempts made, and the final error when every
-// attempt failed — the triple Ledger.Record takes. With Telemetry
-// attached, each call counts toward runner.explored and the progress
-// snapshot, like the driver's per-index accounting — this is what a
-// distributed worker's federation reports are built from.
+// attempt failed — the triple Ledger.Record takes. It runs the pool's
+// per-execution body (run): with Telemetry attached, a call is one
+// stage.execute_ns observation and counts nothing toward the run counts,
+// which Ledger.Record writes.
 func (x *Executor) Execute(ctx context.Context, il interleave.Interleaving, index int) (*Outcome, int, error) {
-	x.tel.explored.Inc()
-	return x.execute(ctx, workItem{index: index, il: il, pivot: -1, completions: x.completions})
+	r := x.run(ctx, workItem{index: index, il: il, pivot: -1, completions: x.completions})
+	return r.outcome, r.attempts, r.err
 }
 
-// run executes one item for the pool: the retry loop under an execute
-// span, with the worker's progress slot published around it.
+// run executes one item for the pool and for Execute: the retry loop
+// under an execute span, with the worker's progress slot published around
+// it.
 func (x *Executor) run(ctx context.Context, item workItem) workResult {
 	x.tel.progress.SetWorker(x.worker, item.index)
 	span := x.tel.span(telemetry.StageExecute, item.index, x.worker)
@@ -410,7 +411,6 @@ func (x *Executor) attempt(ctx context.Context, item workItem) (*Outcome, error)
 	if len(x.dead) > 0 && commonPrefixLen(x.dead, item.il) == len(x.dead) {
 		// The dead prefix's subtree: no reset or restore, no replay, no
 		// hash and no table visit.
-		x.tel.subsumed.Inc()
 		x.tel.deadPrefix.Inc()
 		return nil, ErrSubsumed
 	}
@@ -626,11 +626,10 @@ func (x *Executor) replay(ctx context.Context, il interleave.Interleaving, start
 	return nil
 }
 
-// subsumed accounts an interleaving abandoned at a visited frontier — the
-// events it did replay, the skip — and returns ErrSubsumed.
+// subsumed accounts the events an interleaving abandoned at a visited
+// frontier did replay, and returns ErrSubsumed.
 func (x *Executor) subsumed(executed, skipped int) error {
 	x.tel.onEvents(executed, skipped)
-	x.tel.subsumed.Inc()
 	return ErrSubsumed
 }
 

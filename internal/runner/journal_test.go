@@ -15,6 +15,7 @@ import (
 	"github.com/er-pi/erpi/internal/event"
 	"github.com/er-pi/erpi/internal/fault"
 	"github.com/er-pi/erpi/internal/prune"
+	"github.com/er-pi/erpi/internal/telemetry"
 )
 
 // TestJournalResume interrupts an exploration after a few interleavings
@@ -424,7 +425,8 @@ func TestKillAnywhere(t *testing.T) {
 		return recs
 	}
 	// session runs one session over path, cancelled after k outcomes (never,
-	// with k = 0).
+	// with k = 0), with a registry attached: /progress and runner.explored
+	// read the session's Explored, interrupted sessions included.
 	session := func(t *testing.T, s Scenario, cfg Config, path string, k int) *Result {
 		t.Helper()
 		dir, err := checkpoint.Open(path)
@@ -441,9 +443,15 @@ func TestKillAnywhere(t *testing.T) {
 			}
 		}
 		cfg.Journal = dir
+		reg := telemetry.New()
+		cfg.Telemetry = reg
 		res, err := RunContext(ctx, s, cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		progress, counted := reg.Progress().Snapshot().Explored, reg.Snapshot().Counters["runner.explored"]
+		if progress != int64(res.Explored) || counted != int64(res.Explored) {
+			t.Fatalf("workers %d, every %d outcomes: /progress explored %d, runner.explored %d, Result.Explored %d", cfg.Workers, k, progress, counted, res.Explored)
 		}
 		return res
 	}

@@ -157,9 +157,11 @@ func (l *Ledger) evolve() {
 // nothing to assert on — or the final execution error after
 // `attempts` attempts, which quarantines the interleaving so the run
 // yields everything else instead of aborting. Every call counts one
-// Result.Explored, whatever the result. With Config.Journal set it
-// appends the result's record there and returns it (reused by the next
-// call); without, it returns nil. An error is the journal's.
+// Result.Explored and runner.explored, whatever the result, and a skip
+// one Result.Subsumed and runner.subsumed_interleavings: Record is the
+// only writer of those run counts, for every driver. With Config.Journal
+// set it appends the result's record there and returns it (reused by the
+// next call); without, it returns nil. An error is the journal's.
 func (l *Ledger) Record(index int, il interleave.Interleaving, outcome *Outcome, attempts int, err error) (*checkpoint.Record, error) {
 	var key, sig string
 	if l.ge != nil || l.cfg.Journal != nil {
@@ -179,12 +181,14 @@ func (l *Ledger) Record(index int, il interleave.Interleaving, outcome *Outcome,
 		}
 	}
 	l.res.Explored++
+	l.tel.explored.Inc()
 	r := &l.rec
 	*r = checkpoint.Record{Index: index, Key: key, Sig: sig, Attempts: attempts, Violations: r.Violations[:0]}
 	var added []Violation
 	switch {
 	case errors.Is(err, ErrSubsumed):
 		l.res.Subsumed++
+		l.tel.subsumed.Inc()
 		r.Subsumed = true
 	case err != nil:
 		l.tel.quarantined.Inc()

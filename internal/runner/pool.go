@@ -363,7 +363,6 @@ func (p *pool) pull() (item workItem, ok bool) {
 			p.interrupt(err)
 			return item, false
 		}
-		p.tel.explored.Inc()
 		return workItem{index: index, il: il, pivot: pivotOf(p.ledger.explorer), gen: p.gen, completions: p.completions}, true
 	case errors.Is(err, ErrHold):
 		p.quiesce = true

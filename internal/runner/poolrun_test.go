@@ -327,7 +327,7 @@ func TestPoolStalledHeadIsBounded(t *testing.T) {
 					t.Fatal("the head never stalled the pool")
 				}
 			}
-			if got := reg.Counter("runner.explored").Value(); got != bound {
+			if got := reg.Counter("runner.pool_runs").Value() * runLength; got != bound {
 				t.Fatalf("%d indices carved behind a stalled head, want exactly the bound %d", got, bound)
 			}
 			if n := recorded.Load(); n != 0 {

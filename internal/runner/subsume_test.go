@@ -824,10 +824,8 @@ func TestDeadPrefixSkipsLaterSubtree(t *testing.T) {
 	if after := counters(); after != before {
 		t.Fatalf("dead-prefix skip moved executed/skipped/hits/misses %v -> %v, want no replay and no lookup", before, after)
 	}
-	snap := reg.Snapshot().Counters
-	if snap["runner.subsumed_dead_prefix"] != 1 || snap["runner.subsumed_interleavings"] != 2 {
-		t.Fatalf("dead_prefix=%d subsumed=%d, want 1 and 2",
-			snap["runner.subsumed_dead_prefix"], snap["runner.subsumed_interleavings"])
+	if got := reg.Snapshot().Counters["runner.subsumed_dead_prefix"]; got != 1 {
+		t.Fatalf("runner.subsumed_dead_prefix = %d, want 1", got)
 	}
 
 	o, _, err := x.Execute(context.Background(), liveLeaf, 4)

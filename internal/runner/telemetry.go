@@ -14,11 +14,14 @@ import (
 // zero-allocation no-op — the invariant pinned by
 // TestTelemetryNilPathZeroAllocs and BenchmarkTelemetryOverhead. /progress
 // reads the same counters (telemetry.Progress.Snapshot), so nothing here
-// is written twice.
+// is written twice. The run counts — runner.explored,
+// runner.subsumed_interleavings, runner.quarantined and runner.violations
+// — have one writer, Ledger.Record, next to the Result fields they
+// mirror; the rest count a layer's work as it happens.
 //
 // Metric names written by the engine:
 //
-//	runner.explored            interleavings assigned an exploration index
+//	runner.explored            indices this session recorded (Result.Explored)
 //	runner.dedup_skipped       explorer yields skipped: a resumed record, or carved before a re-prune
 //	runner.retries             execution attempts beyond the first
 //	runner.quarantined         interleavings that failed all retries
@@ -26,8 +29,8 @@ import (
 //	runner.prefix_cache_hits   executions resumed from a cached prefix snapshot
 //	runner.prefix_cache_misses cache-enabled executions replayed from genesis
 //	runner.prefix_evictions    snapshots the prefix cache refused over its byte budget
-//	runner.subsumed_interleavings  interleavings skipped by state subsumption
-//	runner.subsumed_dead_prefix    of those, skipped before replay under a dead prefix
+//	runner.subsumed_interleavings  recorded indices skipped by state subsumption (Result.Subsumed)
+//	runner.subsumed_dead_prefix    executions skipped before replay under a dead prefix
 //	runner.subsumption_table_bytes bytes held by the subsumption table (gauge)
 //	runner.pool_runs           runs of consecutive indices carved by the pool's workers
 //	runner.pool_parked         results executed but not yet recorded — the reorder window (gauge)

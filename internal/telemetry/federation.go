@@ -105,16 +105,6 @@ func (f *Federation) Report(rep WorkerReport) {
 	feed.lastSeen = now
 }
 
-// Workers returns the number of worker feeds seen so far.
-func (f *Federation) Workers() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.feeds)
-}
-
 // Snapshot returns the fleet-wide metrics view: the local registry's
 // snapshot merged with every worker's latest report (counters and
 // histogram buckets sum, gauges take the maximum).
@@ -141,10 +131,12 @@ func (f *Federation) Snapshot() Snapshot {
 // FleetWorkerProgress is one worker's row in the fleet progress view.
 type FleetWorkerProgress struct {
 	Worker string `json:"worker"`
-	// Explored is the worker's cumulative runner.explored; PerSecond
-	// spreads it over the time between the worker's first and latest
-	// report.
-	Explored  int64   `json:"explored"`
+	// Executed counts the executions in the worker's cumulative report
+	// (its stage.execute_ns count), including any the coordinator's
+	// ledger never records, such as a range fenced away or past a stop.
+	// PerSecond spreads it over the time between the worker's first and
+	// latest report.
+	Executed  int64   `json:"executed"`
 	PerSecond float64 `json:"per_second"`
 	// Leases is the coordinator ledger's count of ranges currently leased
 	// to this worker (0 without a lease source).
@@ -158,9 +150,11 @@ type FleetWorkerProgress struct {
 }
 
 // FleetProgress is the JSON shape the coordinator's /progress serves.
-// Explored and PerSecond sum the worker rows; Violations and Quarantined
-// are the fleet snapshot's runner.violations and runner.quarantined,
-// which the coordinator's ledger counts as it records results.
+// Explored, Violations and Quarantined are the local registry's
+// runner.explored, runner.violations and runner.quarantined, which the
+// coordinator's ledger counts as it records results (workers run no
+// ledger), so Explored is the jobs' Explored. PerSecond sums the rows'
+// execution rates.
 type FleetProgress struct {
 	Explored    int64                 `json:"explored"`
 	PerSecond   float64               `json:"per_second"`
@@ -175,6 +169,7 @@ func (f *Federation) Progress() FleetProgress {
 		return FleetProgress{}
 	}
 	out := FleetProgress{
+		Explored:    f.reg.value("runner.explored"),
 		Violations:  f.reg.value("runner.violations"),
 		Quarantined: f.reg.value("runner.quarantined"),
 	}
@@ -187,40 +182,21 @@ func (f *Federation) Progress() FleetProgress {
 	now := time.Now()
 	for _, name := range f.sortedWorkersLocked() {
 		feed := f.feeds[name]
-		counters := feed.report.Metrics.Counters
 		row := FleetWorkerProgress{
 			Worker:        name,
-			Explored:      counters["runner.explored"],
+			Executed:      feed.report.Metrics.Histograms["stage.execute_ns"].Count,
 			Leases:        leases[name],
 			LagSeconds:    now.Sub(feed.lastSeen).Seconds(),
 			SpansRetained: len(feed.spans),
 			SpansDropped:  feed.dropped,
 		}
 		if d := feed.lastSeen.Sub(feed.firstSeen).Seconds(); d > 0 {
-			row.PerSecond = float64(row.Explored) / d
+			row.PerSecond = float64(row.Executed) / d
 		}
-		out.Explored += row.Explored
 		out.PerSecond += row.PerSecond
-		out.Violations += counters["runner.violations"]
-		out.Quarantined += counters["runner.quarantined"]
 		out.Workers = append(out.Workers, row)
 	}
 	return out
-}
-
-// Spans returns one worker's retained span feed (oldest first), e.g. to
-// slice a violating interleaving's timing into a forensic bundle.
-func (f *Federation) Spans(worker string) []Span {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	feed, ok := f.feeds[worker]
-	if !ok {
-		return nil
-	}
-	return append([]Span(nil), feed.spans...)
 }
 
 // WriteTrace exports the merged fleet trace as Chrome trace_event JSON:

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	erpi "github.com/er-pi/erpi"
+	"github.com/er-pi/erpi/internal/bugs"
+	"github.com/er-pi/erpi/internal/runner"
 	"github.com/er-pi/erpi/internal/telemetry"
 )
 
@@ -103,6 +105,9 @@ func TestStatusServer(t *testing.T) {
 
 // TestSessionTelemetry: WithTelemetry populates a caller-owned registry
 // without changing the run's results, and the registry exports a trace.
+// On the Table-1 rows at four workers, stopped at the first violation
+// while work runs ahead of recording, /progress and runner.explored still
+// read the run's Explored.
 func TestSessionTelemetry(t *testing.T) {
 	reg := erpi.NewTelemetry()
 	sess, err := erpi.NewSession(newTwoReplicaCluster, erpi.WithTelemetry(reg))
@@ -137,5 +142,29 @@ func TestSessionTelemetry(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"traceEvents"`)) {
 		t.Fatal("trace export missing traceEvents")
+	}
+
+	for _, b := range bugs.All() {
+		s, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		asserts, err := b.NewAssertions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		res, err := runner.Run(s, runner.Config{
+			Mode: runner.ModeERPi, Workers: 4, StopOnViolation: true,
+			Assertions: asserts, Telemetry: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		progress, counted := reg.Progress().Snapshot().Explored, reg.Snapshot().Counters["runner.explored"]
+		if res.FirstViolation == 0 || progress != int64(res.Explored) || counted != int64(res.Explored) {
+			t.Errorf("%s: first violation %d, /progress explored %d, runner.explored %d, Result.Explored %d",
+				b.Name, res.FirstViolation, progress, counted, res.Explored)
+		}
 	}
 }
